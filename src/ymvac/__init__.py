@@ -15,6 +15,13 @@ interference   dressed factors, window-averaged propagators, lattice loop
                shifts
 pheno          vacuum energetics and the constants chain
 cli            command-line frontend (json/csv reports)
+
+Shared numerical core: bps_profiles.ColorField is the one field-sampler type
+(gauge and scalar), StencilConfig owns every finite-difference weight,
+topology.GribovFactorMap is the one group-factor map (the interference
+module's dressed factors included), topology builds every Gauss-Legendre
+node set, and one pheno parser reads both the constants file and the CLI's
+--set overrides.
 """
 
 from . import bps_profiles, greens, interference, pheno, rotator, topology

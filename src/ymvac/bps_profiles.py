@@ -38,6 +38,7 @@ accept a single point of shape (3,) or a batch of shape (N, 3).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -52,8 +53,7 @@ __all__ = [
     "SpatialPoint",
     "StencilConfig",
     "FieldVariant",
-    "ColorAlgebraField",
-    "ColorScalarField",
+    "ColorField",
     "f0_bps",
     "f1_bps",
     "f01_bps",
@@ -81,10 +81,10 @@ class MonopoleScale:
     eps: float
 
     def __post_init__(self):
-        if not (self.g > 0):
-            raise DomainError(f"coupling g must be positive, got {self.g}")
-        if not (self.eps > 0):
-            raise DomainError(f"core size eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.g) and self.g > 0):
+            raise DomainError(f"coupling g must be positive and finite, got {self.g}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise DomainError(f"core size eps must be positive and finite, got {self.eps}")
 
     @property
     def alpha_s(self) -> float:
@@ -111,24 +111,61 @@ def as_point(x) -> SpatialPoint:
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """Central finite-difference stencil: step h (GeV^-1) and accuracy order."""
+    """Central finite-difference stencil: step h (GeV^-1) and accuracy order.
+
+    The one owner of the difference weights.  Every finite difference in the
+    package goes through _apply, except covariant_laplacian's outer sum,
+    which runs over all axes at once.
+    """
 
     h: float
     order: int = 4
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise DomainError("stencil step h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise DomainError("stencil step h must be positive and finite")
         if self.order not in (2, 4):
             raise DomainError("stencil order must be 2 or 4")
 
-    def offsets_weights(self):
+    def offsets_weights(self, deriv: int = 1):
+        """Offsets (in units of h) and weights of the first (deriv=1) or
+        second (deriv=2) derivative."""
+        h = self.h
+        if deriv == 1:
+            if self.order == 2:
+                return np.array([-1.0, 1.0]), np.array([-0.5, 0.5]) / h
+            return np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
         if self.order == 2:
-            return np.array([-1.0, 1.0]), np.array([-0.5, 0.5]) / self.h
+            return np.array([-1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]) / (h * h)
         return (
-            np.array([-2.0, -1.0, 1.0, 2.0]),
-            np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * self.h),
+            np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+            np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h),
         )
+
+    def _apply(self, sample, x, e, deriv: int = 1, batched: bool = False):
+        """sum_k w_k sample(x + o_k h e): the deriv-th derivative of `sample`
+        along e, accumulated one offset at a time from zeros in offset order.
+
+        x is a coordinate, a point or a batch of points; e the step direction
+        broadcast against it (np.eye(3) with a single point differentiates
+        along all three axes at once).  batched=True samples the shifted
+        copies of a point array in one call; only for small x, since the
+        copies coexist.
+        """
+        offs, wts = self.offsets_weights(deriv)
+        steps = offs * self.h
+        if batched:
+            pts = x + np.multiply.outer(steps, e)
+            vals = sample(pts.reshape(-1, pts.shape[-1]))
+            vals = vals.reshape(len(steps), -1, *vals.shape[1:])
+            terms = wts.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+        else:
+            terms = (w * sample(x + s * e) for w, s in zip(wts, steps))
+        acc = 0.0
+        for t in terms:
+            acc += t
+            del t  # free each term before the next offset is sampled
+        return acc
 
     def halved(self) -> "StencilConfig":
         return StencilConfig(self.h / 2.0, self.order)
@@ -163,24 +200,9 @@ class FieldVariant(Enum):
 
 
 @dataclass(frozen=True)
-class ColorAlgebraField:
-    """Sampler x -> A[i][a] (spatial i, color a), units GeV."""
-
-    sample_batch: Callable = field(repr=False)
-    singular_origin: bool = False
-    label: str = ""
-
-    def sample(self, x) -> np.ndarray:
-        pts, single = _batch(x)
-        if self.singular_origin and np.any(np.linalg.norm(pts, axis=1) == 0.0):
-            raise SingularPointError(f"{self.label or 'field'} is singular at r = 0")
-        out = self.sample_batch(pts)
-        return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class ColorScalarField:
-    """Sampler x -> phi^a (color 3-vector), units GeV (phase variants: dimensionless)."""
+class ColorField:
+    """Sampler x -> field value: A[i][a] (spatial i, color a) for gauge fields,
+    phi^a for color scalars; units GeV (phase variants: dimensionless)."""
 
     sample_batch: Callable = field(repr=False)
     singular_origin: bool = False
@@ -317,7 +339,7 @@ def _hedgehog_scalar(pts, coef_of_r):
     return pts * coef[:, None]
 
 
-def build_fields(scale: MonopoleScale, variant) -> tuple[ColorAlgebraField, ColorScalarField]:
+def build_fields(scale: MonopoleScale, variant) -> tuple[ColorField, ColorField]:
     """Construct the gauge/scalar pair for a variant.
 
     BPS uses the smooth profiles; WuYangPlus/WuYangMinus use f = +1/-1 with the
@@ -330,23 +352,23 @@ def build_fields(scale: MonopoleScale, variant) -> tuple[ColorAlgebraField, Colo
         zero_a = lambda pts: np.zeros((len(pts), 3, 3))
         zero_s = lambda pts: np.zeros((len(pts), 3))
         return (
-            ColorAlgebraField(zero_a, label="PT gauge"),
-            ColorScalarField(zero_s, label="PT scalar"),
+            ColorField(zero_a, label="PT gauge"),
+            ColorField(zero_s, label="PT scalar"),
         )
 
     if variant is FieldVariant.BPS:
-        gauge = ColorAlgebraField(
+        gauge = ColorField(
             lambda pts: _hedgehog_gauge(pts, g, lambda r: f1_bps(r, eps)),
             label="BPS gauge",
         )
-        scalar = ColorScalarField(
+        scalar = ColorField(
             lambda pts: _hedgehog_scalar(pts, lambda r: f0_bps(r, eps) / g),
             label="BPS scalar",
         )
         return gauge, scalar
 
     sign = 1.0 if variant is FieldVariant.WU_YANG_PLUS else -1.0
-    gauge = ColorAlgebraField(
+    gauge = ColorField(
         lambda pts: _hedgehog_gauge(pts, g, lambda r: np.full_like(r, sign)),
         singular_origin=True,
         label=f"WuYang{'Plus' if sign > 0 else 'Minus'} gauge",
@@ -354,21 +376,21 @@ def build_fields(scale: MonopoleScale, variant) -> tuple[ColorAlgebraField, Colo
     return gauge, gribov_phase_scalar(scale)
 
 
-def gribov_phase_scalar(scale: MonopoleScale) -> ColorScalarField:
+def gribov_phase_scalar(scale: MonopoleScale) -> ColorField:
     """Phase scalar Phi0^a = -pi (x^a/r) f01(r); dimensionless hedgehog,
     smooth at the origin (f01/r has a finite limit)."""
     eps = scale.eps
-    return ColorScalarField(
+    return ColorField(
         lambda pts: _hedgehog_scalar(pts, lambda r: -np.pi * f01_bps(r, eps)),
         label="phase scalar",
     )
 
 
-def zero_mode_scalar(scale: MonopoleScale) -> ColorScalarField:
+def zero_mode_scalar(scale: MonopoleScale) -> ColorField:
     """Zero-mode scalar (2 pi/g)(x^a/r) f01(r); the normalization under which
     the vacuum inertia integral closes to 4 pi^2 eps / alpha_s."""
     g, eps = scale.g, scale.eps
-    return ColorScalarField(
+    return ColorField(
         lambda pts: _hedgehog_scalar(pts, lambda r: (2.0 * np.pi / g) * f01_bps(r, eps)),
         label="zero-mode scalar",
     )
@@ -380,15 +402,7 @@ def zero_mode_scalar(scale: MonopoleScale) -> ColorScalarField:
 
 def _grad_batch(sample_batch, x: np.ndarray, stencil: StencilConfig) -> np.ndarray:
     """d_j of a batched sampler at a single point x; returns (3,) + value-shape."""
-    offs, wts = stencil.offsets_weights()
-    x = np.asarray(x)
-    pts = (
-        x[None, None, :]
-        + np.asarray(stencil.h * offs, dtype=x.dtype)[None, :, None] * np.eye(3)[:, None, :]
-    ).reshape(-1, 3)
-    vals = sample_batch(pts)
-    vals = vals.reshape(3, len(offs), *vals.shape[1:])
-    return np.einsum("s,js...->j...", wts, vals)
+    return stencil._apply(sample_batch, np.asarray(x), np.eye(3), batched=True)
 
 
 def _require_stencil_safe(field_obj, x: np.ndarray, stencil: StencilConfig):
@@ -399,7 +413,7 @@ def _require_stencil_safe(field_obj, x: np.ndarray, stencil: StencilConfig):
         )
 
 
-def magnetic_tension(field: ColorAlgebraField, x, stencil: StencilConfig, g: float) -> np.ndarray:
+def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> np.ndarray:
     """Non-Abelian magnetic tension B[i][a] (GeV^2) by central differences.
 
     Curl part by the configured stencil; quadratic self-coupling evaluated
@@ -415,7 +429,7 @@ def magnetic_tension(field: ColorAlgebraField, x, stencil: StencilConfig, g: flo
 
 
 def covariant_derivative(
-    gauge: ColorAlgebraField, scalar: ColorScalarField, x, stencil: StencilConfig, g: float
+    gauge: ColorField, scalar: ColorField, x, stencil: StencilConfig, g: float
 ) -> np.ndarray:
     """Adjoint covariant gradient (D_i phi)^a = d_i phi^a - g eps_{abc} A_i^b phi^c."""
     xc = _coords(x)
@@ -428,9 +442,13 @@ def covariant_derivative(
 
 
 def covariant_laplacian(
-    gauge: ColorAlgebraField, scalar: ColorScalarField, x, stencil: StencilConfig, g: float
+    gauge: ColorField, scalar: ColorField, x, stencil: StencilConfig, g: float
 ) -> np.ndarray:
-    """(D_i D_i phi)^a by nesting covariant_derivative in an outer stencil."""
+    """(D_i D_i phi)^a by nesting covariant_derivative in an outer stencil.
+
+    The outer divergence keeps one running sum over all axes and offsets;
+    regrouping it into _apply's per-axis sums moves the reported residuals
+    in their last bits."""
     xc = _coords(x)
     _require_stencil_safe(gauge, xc, stencil)
     offs, wts = stencil.offsets_weights()
@@ -498,7 +516,7 @@ def gribov_residual(
     x,
     stencil: StencilConfig | None = None,
     variant=FieldVariant.BPS,
-    scalar: ColorScalarField | None = None,
+    scalar: ColorField | None = None,
 ) -> np.ndarray:
     """Color components of D^2(A) Phi0 at x; zero for the phase scalar on the
     smooth background (and on the singular one far outside the core).

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,13 +93,20 @@ def _table(columns, rows):
     return {"columns": list(columns), "rows": [[_jsonable(v) for v in row] for row in rows]}
 
 
+def _require_sweep(flag: str, count: int):
+    if count < 1:
+        raise ValueError(f"{flag} gives an empty sweep")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 def _run_profiles(cfg: RunConfig) -> Report:
     p = cfg.params
-    eps, g = p["eps"], p["g"]
+    _require_sweep("--n-points", p["n_points"])
+    scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
+    eps, g = scale.eps, scale.g
     r = np.linspace(p["r_min"], p["r_max"], p["n_points"])
     rows = [
         (ri, bp.f0_bps(ri, eps), bp.f1_bps(ri, eps), bp.f01_bps(ri, eps))
@@ -118,6 +125,7 @@ def _run_profiles(cfg: RunConfig) -> Report:
 
 def _run_check_bogomolnyi(cfg: RunConfig) -> Report:
     p = cfg.params
+    _require_sweep("--n-points", p["n_points"])
     scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
     stencil = bp.StencilConfig(h=p["eps"] / p["inv_h_over_eps"], order=p["order"])
     rng = np.random.default_rng(cfg.seed)
@@ -166,6 +174,7 @@ def _run_check_gribov(cfg: RunConfig) -> Report:
 
 def _run_winding(cfg: RunConfig) -> Report:
     p = cfg.params
+    _require_sweep("--n-min/--n-max", p["n_max"] - p["n_min"] + 1)
     quad = topo.QuadratureSpec(r_max=p["r_max"], n_r=p["n_r"], n_theta=p["n_theta"], n_phi=p["n_phi"])
     tol = cfg.tol if cfg.tol is not None else 1e-3
     rows = []
@@ -199,6 +208,7 @@ def _run_winding(cfg: RunConfig) -> Report:
 
 def _run_greens(cfg: RunConfig) -> Report:
     p = cfg.params
+    _require_sweep("--n-z", p["n_z"])
     rng = np.random.default_rng(cfg.seed)
     root_rows = [(n, *greens.golden_roots(n)) for n in (0, 1, 2)]
     s0 = greens.golden_solution(0, -1.0 / (4.0 * math.pi), 0.0)
@@ -322,23 +332,7 @@ def _run_pheno(cfg: RunConfig) -> Report:
     p = cfg.params
     # precedence: --set flags > constants file > built-in defaults
     inputs = pheno.read_constants(cfg.constants) if cfg.constants else pheno.default_inputs()
-    overrides = {}
-    valid_keys = set(pheno.PhenoInputs.__dataclass_fields__)
-    for item in p.get("set") or []:
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if not val:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        if key not in valid_keys:
-            raise ValueError(f"unknown constant {key!r}")
-        overrides[key] = float(val)
-    for k in ("n_f", "n_c"):
-        if k in overrides:
-            overrides[k] = int(round(overrides[k]))
-    if overrides:
-        from dataclasses import replace
-
-        inputs = replace(inputs, **overrides)
+    inputs = replace(inputs, **pheno._parse_constants(("--set", item) for item in p.get("set") or []))
     scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
     alpha0 = pheno.alpha_mod_zero(inputs)
     schwinger = pheno.schwinger_mass(p["e"])
@@ -352,12 +346,7 @@ def _run_pheno(cfg: RunConfig) -> Report:
     norm = pheno.normalization_check(scale)
     sens_rows = []
     for f_pi in np.linspace(0.09, 0.13, 5):
-        probe = pheno.PhenoInputs(
-            n_f=inputs.n_f, n_c=inputs.n_c, f_pi=float(f_pi), lambda_uv=inputs.lambda_uv,
-            v0_cuberoot=inputs.v0_cuberoot, alpha_s=inputs.alpha_s,
-            dm_eta2=inputs.dm_eta2, volume=inputs.volume,
-        )
-        sens_rows.append((float(f_pi), pheno.b2_numerator(probe)))
+        sens_rows.append((float(f_pi), pheno.b2_numerator(replace(inputs, f_pi=float(f_pi)))))
     rep = Report(
         meta=_meta(cfg, ["modified-coupling", "schwinger-mass", "b2-estimate", "vacuum-inertia",
                          "normalization-integral", "vacuum-magnetic-energy"],
@@ -507,9 +496,17 @@ def _csv_payload(results: dict) -> str:
     return buf.getvalue()
 
 
+def _error(kind: str, exc: Exception) -> None:
+    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+
+
 def _emit(rep: Report, cfg: RunConfig) -> int:
     if cfg.output_format == "json":
-        text = json.dumps(rep.payload(), sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(rep.payload(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # a non-finite number reached the report
+            _error("consistency", exc)
+            return _EXIT_CONSISTENCY
     else:
         text = _csv_payload(_jsonable(rep.results))
     if cfg.output_path:
@@ -518,6 +515,21 @@ def _emit(rep: Report, cfg: RunConfig) -> int:
     else:
         sys.stdout.write(text)
     return _EXIT_OK if rep.all_passed() else _EXIT_CONSISTENCY
+
+
+# comma-list flags and their value counts (None: one or more)
+_LIST_FLAGS = {"radii_over_eps": None, "angles": 3, "momentum": 4, "loop_q": 4}
+
+
+def _float_list(key: str, text: str) -> list:
+    flag, count = "--" + key.replace("_", "-"), _LIST_FLAGS[key]
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    if count is not None and len(vals) != count:
+        raise ValueError(f"{flag} takes {count} values, got {len(vals)}")
+    return vals
 
 
 def _parse_config(argv) -> RunConfig:
@@ -533,8 +545,8 @@ def _parse_config(argv) -> RunConfig:
         constants=d.pop("constants"),
     )
     for key, val in d.items():
-        if key in ("radii_over_eps", "angles", "momentum", "loop_q") and isinstance(val, str):
-            val = [float(x) for x in val.split(",")]
+        if key in _LIST_FLAGS:
+            val = _float_list(key, val)
         cfg.params[key] = val
     return cfg
 
@@ -542,15 +554,14 @@ def _parse_config(argv) -> RunConfig:
 def main(argv=None) -> int:
     try:
         cfg = _parse_config(argv if argv is not None else sys.argv[1:])
+        rep = _HANDLERS[cfg.subcommand](cfg)
     except SystemExit as exc:  # argparse validation failure -> exit 2
         return int(exc.code) if exc.code else 0
-    try:
-        rep = _HANDLERS[cfg.subcommand](cfg)
     except (ConsistencyError, ResolutionError, TruncationError) as exc:
-        sys.stderr.write(json.dumps({"error": "consistency", "message": str(exc)}) + "\n")
+        _error("consistency", exc)
         return _EXIT_CONSISTENCY
     except (ValueError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": "validation", "message": str(exc)}) + "\n")
+        _error("validation", exc)
         return _EXIT_VALIDATION
     return _emit(rep, cfg)
 

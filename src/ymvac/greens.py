@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .bps_profiles import StencilConfig
 from .errors import DomainError
 
 __all__ = [
@@ -103,14 +104,13 @@ def euler_residual(sol: EulerSolution, z: float) -> float:
 def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
     """Residual of f'' + f(f^2 - 1)/r^2 for a radial profile f(r).
 
-    f'' by a 4th-order central stencil with step h (default r/500); exact for
-    the constant fixed points f = 0, +1, -1.
+    f'' by a 4th-order central stencil with step h (default r/500), applied
+    to f - f(r) so that the constant fixed points f = 0, +1, -1 are exact.
     """
     if not (r > 0):
         raise DomainError("radius must be positive")
-    h = h or r / 500.0
-    fm2, fm1, f0, fp1, fp2 = (f(r - 2 * h), f(r - h), f(r), f(r + h), f(r + 2 * h))
-    fpp = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12.0 * h * h)
+    f0 = f(r)
+    fpp = StencilConfig(h or r / 500.0, 4)._apply(lambda s: f(s) - f0, r, 1.0, deriv=2)
     return float(fpp + f0 * (f0 * f0 - 1.0) / (r * r))
 
 
@@ -211,32 +211,15 @@ def monopole_covariant_laplacian(S: Callable, x, h: float, order: int = 2) -> np
     if r == 0:
         raise DomainError("operator singular at the origin")
     n = x / r
-    if order == 2:
-        offs = np.array([-1.0, 1.0])
-        w1 = np.array([-0.5, 0.5]) / h
-        w2 = np.array([1.0, -2.0, 1.0]) / (h * h)  # with center
-    elif order == 4:
-        offs = np.array([-2.0, -1.0, 1.0, 2.0])
-        w1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-        w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    else:
-        raise DomainError("order must be 2 or 4")
+    stencil = StencilConfig(h, order)
 
-    S0 = np.asarray(S(x), dtype=float)
-    grad = np.zeros((3, 3))  # grad[j][a] = d_j S^a
-    lap = np.zeros(3)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        vals = [np.asarray(S(x + o * e), dtype=float) for o in offs]
-        grad[j] = sum(w * v for w, v in zip(w1, vals))
-        if order == 2:
-            lap += w2[0] * vals[0] + w2[1] * S0 + w2[2] * vals[1]
-        else:
-            lap += (
-                w2[0] * vals[0] + w2[1] * vals[1] + w2[2] * S0
-                + w2[3] * vals[2] + w2[4] * vals[3]
-            )
+    def sample(y):
+        return np.asarray(S(y), dtype=float)
+
+    S0 = sample(x)
+    axes = np.eye(3)
+    grad = np.array([stencil._apply(sample, x, e) for e in axes])  # grad[j][a] = d_j S^a
+    lap = sum(stencil._apply(sample, x, e, deriv=2) for e in axes)
     div = np.trace(grad)
     nb_da_Sb = grad @ n  # [a] = n^b d_a S^b
     out = lap - (n * (n @ S0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)

@@ -29,10 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ID2, TAU, tau_dot
-from .bps_profiles import f01_bps
+from .algebra import ID2, TAU
 from .errors import DomainError, SingularTermError, WindowError
-from .topology import GroupElement
+from .topology import GribovFactorMap, GroupElement
 
 __all__ = [
     "EulerAngles",
@@ -127,39 +126,16 @@ class DiracColorMatrix:
         return float(np.linalg.norm(self.m, 2))
 
 
-class _DressedMap:
-    """Batched evaluator of the dressed factor for fixed (n, angles, eps)."""
-
-    def __init__(self, n: int, angles: EulerAngles, eps: float, prefactor: float = 2.0):
-        if not (eps > 0):
-            raise DomainError("eps must be positive")
-        self.n = int(n)
-        self.eps = float(eps)
-        self.prefactor = float(prefactor)
-        self.rot = angles.adjoint_rotation()
-
-    def matrices(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        safe = np.where(r > 0, r, 1.0)
-        nh = pts / safe[:, None]
-        m_hat = nh @ self.rot.T
-        amp = self.prefactor * math.pi * self.n * f01_bps(np.where(r > 0, r, 0.0), self.eps)
-        M = tau_dot(m_hat)
-        out = np.cos(amp)[:, None, None] * ID2[None] + 1j * np.sin(amp)[:, None, None] * M
-        out[r == 0] = ID2
-        return out
-
-
-def dressed_factor_map(n: int, angles: EulerAngles, eps: float, prefactor: float = 2.0) -> _DressedMap:
-    return _DressedMap(n, angles, eps, prefactor)
+def dressed_factor_map(n: int, angles: EulerAngles, eps: float, prefactor: float = 2.0) -> GribovFactorMap:
+    """The dressed factor as a group-factor map with exact derivatives:
+    exp(i c pi n f01 tau.m_hat) is that map with prefactor -c and R(phi_i)."""
+    return GribovFactorMap(n, eps, prefactor=-prefactor, rotation=angles.adjoint_rotation())
 
 
 def dressed_factor(n: int, angles: EulerAngles, x, eps: float, prefactor: float = 2.0) -> GroupElement:
     """Euler-angle-dressed factor exp(i c pi n f01 tau.m_hat); unitary unimodular,
     identity at r = 0 and (for the default prefactor 2) at r -> infinity."""
-    x = np.asarray(getattr(x, "x", x), dtype=float)
-    return GroupElement(dressed_factor_map(n, angles, eps, prefactor).matrices(x[None])[0])
+    return dressed_factor_map(n, angles, eps, prefactor)(x)
 
 
 def window_integers(L: int) -> np.ndarray:

@@ -30,7 +30,6 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bps_profiles import (
     FieldVariant,
@@ -43,6 +42,7 @@ from .bps_profiles import (
     zero_mode_scalar,
 )
 from .errors import ConsistencyError, DomainError
+from .topology import _compactified_radial, _gauss_legendre
 
 __all__ = [
     "PhenoInputs",
@@ -101,33 +101,41 @@ class PhenoInputs:
         if self.n_f < 1 or self.n_c < 1:
             raise DomainError("n_f and n_c must be at least 1")
         for name in ("f_pi", "lambda_uv", "v0_cuberoot", "alpha_s", "dm_eta2", "volume"):
-            if not (getattr(self, name) > 0):
-                raise DomainError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite")
 
 
 def default_inputs() -> PhenoInputs:
     return PhenoInputs()
 
 
+def _parse_constants(entries) -> dict:
+    """{key: value} from (where, "key = value") pairs, later entries winning.
+
+    The one parser behind the constants file and the CLI's --set flags:
+    unknown keys, malformed items and non-finite values are rejected, and
+    the counts n_f, n_c are rounded to integers."""
+    values = {}
+    for where, text in entries:
+        key, sep, val = text.partition("=")
+        key = key.strip()
+        if not (sep and val.strip()):
+            raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+        if key not in _FIELD_DOC:
+            raise ValueError(f"{where}: unknown constant {key!r}")
+        value = float(val)
+        if not math.isfinite(value):
+            raise DomainError(f"{where}: constant {key} must be finite, got {val.strip()}")
+        values[key] = int(round(value)) if key in ("n_f", "n_c") else value
+    return values
+
+
 def read_constants(path) -> PhenoInputs:
     """Parse a key = value constants file (''#'' comments); unknown keys rejected."""
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_DOC:
-                raise ValueError(f"{path}:{lineno}: unknown constant {key!r}")
-            values[key] = float(val.strip())
-    for k in ("n_f", "n_c"):
-        if k in values:
-            values[k] = int(round(values[k]))
-    return replace(PhenoInputs(), **values)
+        lines = [(f"{path}:{lineno}", raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
+    return replace(PhenoInputs(), **_parse_constants(line for line in lines if line[1]))
 
 
 def default_constants_path():
@@ -155,25 +163,13 @@ def magnetic_energy_quadrature(
     g, eps = scale.g, scale.eps
     stencil = stencil or default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.WU_YANG_PLUS)
-    t, w = leggauss(n_nodes)
-    tmax = math.log(r_max_over_eps)
-    t = 0.5 * tmax * (t + 1.0)
-    w = 0.5 * tmax * w
+    t, w = _gauss_legendre(n_nodes, math.log(r_max_over_eps))
     total = 0.0
     for ti, wi in zip(t, w):
         r = eps * math.exp(ti)
         B = magnetic_tension(gauge, np.array([0.0, 0.0, r]), stencil, g)
         total += wi * 4.0 * math.pi * r**3 * float(np.sum(B * B))  # dr = r dt
     return total
-
-
-def _radial_compactified_nodes(eps: float, n_nodes: int):
-    u, w = leggauss(n_nodes)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    r = eps * np.tan(0.5 * math.pi * u)
-    dr = eps * (0.5 * math.pi) / np.cos(0.5 * math.pi * u) ** 2
-    return r, w * dr
 
 
 def rotary_momentum(
@@ -202,7 +198,7 @@ def rotary_momentum(
     stencil = stencil or default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.BPS)
     phi0 = zero_mode_scalar(scale)
-    r, w = _radial_compactified_nodes(scale.eps, n_nodes)
+    r, w = _compactified_radial(n_nodes, scale.eps)
     total = 0.0
     for ri, wi in zip(r, w):
         D = covariant_derivative(gauge, phi0, np.array([0.0, 0.0, ri]), stencil, scale.g)
@@ -231,7 +227,7 @@ def normalization_check(
     stencil = stencil or default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.BPS)
     phi0 = zero_mode_scalar(scale)
-    r, w = _radial_compactified_nodes(scale.eps, n_nodes)
+    r, w = _compactified_radial(n_nodes, scale.eps)
     total = 0.0
     for ri, wi in zip(r, w):
         x = np.array([0.0, 0.0, ri])

@@ -6,8 +6,12 @@ The stationary group factor with winding index n is
 
 where the radial profile f satisfies f(0) = 0 and f(r) -> 1 (default: the
 smooth phase profile f01).  For odd n the factor tends to the central element
--1 at spatial infinity; no asymptotic is asserted here (the interference
-module carries the dressed factors with unit asymptotics).
+-1 at spatial infinity; no asymptotic is asserted here.  The same map with an
+amplitude prefactor c and an adjoint rotation R,
+
+    exp(-i c pi n f(r) tau.(R n_hat)),
+
+gives the interference module's dressed factors (c = -2: unit asymptotics).
 
 The degree of the map is computed as
 
@@ -31,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import EPS3, ID2, TAU, det_defect, su2_components_from_matrix, su2_matrix_from_components, tau_dot, unitarity_defect
-from .bps_profiles import ColorAlgebraField, StencilConfig, d_f01_bps, f01_bps
+from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
 from .errors import ContractError, DomainError, ResolutionError, TruncationError
 
 __all__ = [
@@ -87,21 +91,18 @@ class QuadratureSpec:
     """Spherical product rule over the ball of radius r_max.
 
     Radial nodes are Gauss-Legendre in the compactified variable u,
-    r = eps_ref tan(pi u/2) (or uniform with trapezoid weights), Gauss-Legendre
-    in cos(theta), uniform midpoint in azimuth.
+    r = eps_ref tan(pi u/2), Gauss-Legendre in cos(theta), uniform midpoint
+    in azimuth.
     """
 
     r_max: float
     n_r: int = 48
     n_theta: int = 24
     n_phi: int = 24
-    rule: str = "GaussLegendre"
 
     def __post_init__(self):
         if min(self.n_r, self.n_theta, self.n_phi) < 16:
             raise DomainError("node counts must be at least 16")
-        if self.rule not in ("GaussLegendre", "Trapezoid"):
-            raise DomainError(f"unknown quadrature rule {self.rule!r}")
 
     def check_reaches(self, eps_ref: float):
         if self.r_max < 50.0 * eps_ref:
@@ -113,48 +114,49 @@ class QuadratureSpec:
             int(np.ceil(self.n_r * factor)),
             int(np.ceil(self.n_theta * factor)),
             int(np.ceil(self.n_phi * factor)),
-            self.rule,
         )
-
-    def _radial(self, eps_ref: float):
-        if self.rule == "Trapezoid":
-            r = np.linspace(self.r_max / self.n_r, self.r_max, self.n_r)
-            w = np.full(self.n_r, self.r_max / self.n_r)
-            w[-1] *= 0.5
-            return r, w
-        u_max = (2.0 / np.pi) * np.arctan(self.r_max / eps_ref)
-        u, wu = leggauss(self.n_r)
-        u = 0.5 * u_max * (u + 1.0)
-        wu = 0.5 * u_max * wu
-        r = eps_ref * np.tan(0.5 * np.pi * u)
-        dr_du = eps_ref * (0.5 * np.pi) / np.cos(0.5 * np.pi * u) ** 2
-        return r, wu * dr_du
 
     def ball_nodes(self, eps_ref: float = 1.0):
         """Nodes (N, 3) and weights (N,) including the r^2 volume factor."""
-        r, wr = self._radial(eps_ref)
-        if self.rule == "Trapezoid":
-            ct = np.linspace(-1.0, 1.0, self.n_theta)
-            d = ct[1] - ct[0]
-            wc = np.full(self.n_theta, d)
-            wc[0] = wc[-1] = 0.5 * d
-        else:
-            ct, wc = leggauss(self.n_theta)
-        phi = 2.0 * np.pi * (np.arange(self.n_phi) + 0.5) / self.n_phi
-        wp = 2.0 * np.pi / self.n_phi
-        st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
-        dirs = np.stack(
-            [
-                np.outer(st, np.cos(phi)),
-                np.outer(st, np.sin(phi)),
-                np.outer(ct, np.ones_like(phi)),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        wdir = (wc[:, None] * wp * np.ones_like(phi)[None, :]).reshape(-1)
+        u_max = (2.0 / np.pi) * np.arctan(self.r_max / eps_ref)
+        r, wr = _compactified_radial(self.n_r, eps_ref, u_max)
+        dirs, wdir = _sphere_nodes(self.n_theta, self.n_phi)
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         wts = (wr * r**2)[:, None] * wdir[None, :]
         return pts, wts.reshape(-1)
+
+
+def _gauss_legendre(n: int, upper: float):
+    """n-point Gauss-Legendre nodes and weights mapped affinely onto [0, upper]."""
+    x, w = leggauss(n)
+    return 0.5 * upper * (x + 1.0), 0.5 * upper * w
+
+
+def _compactified_radial(n: int, eps_ref: float, u_max: float = 1.0):
+    """Radial nodes r = eps_ref tan(pi u/2), u Gauss-Legendre on [0, u_max]
+    (u_max = 1 reaches infinity); the weights carry dr/du."""
+    u, wu = _gauss_legendre(n, u_max)
+    r = eps_ref * np.tan(0.5 * np.pi * u)
+    dr_du = eps_ref * (0.5 * np.pi) / np.cos(0.5 * np.pi * u) ** 2
+    return r, wu * dr_du
+
+
+def _sphere_nodes(n_theta: int, n_phi: int):
+    """Unit directions (N, 3) and solid-angle weights (N,): Gauss-Legendre in
+    cos(theta), uniform midpoint in azimuth."""
+    ct, wc = leggauss(n_theta)
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    wp = 2.0 * np.pi / n_phi
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
+    dirs = np.stack(
+        [
+            np.outer(st, np.cos(phi)),
+            np.outer(st, np.sin(phi)),
+            np.outer(ct, np.ones_like(phi)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    return dirs, (wc[:, None] * wp * np.ones_like(phi)[None, :]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,51 +173,56 @@ def _check_profile(profile: Callable, eps_ref: float):
 
 
 class GribovFactorMap:
-    """Map x -> v^(n)(x) with exact closed-form derivatives.
+    """Map x -> v^(n)(x) with closed-form derivatives.
 
-    v = cos(A) 1 - i sin(A) tau.n_hat with A(r) = pi n f(r).
+    v = cos(A) 1 - i sin(A) tau.m_hat with A(r) = c pi n f(r) and
+    m_hat = R n_hat (c: amplitude prefactor, R: optional adjoint rotation).
+    The default profile f01 is differentiated exactly, a custom one by the
+    central stencil.
     """
 
-    def __init__(self, n: int, eps_ref: float = 1.0, profile=None, d_profile=None, check: bool = True):
+    def __init__(self, n: int, eps_ref: float = 1.0, profile=None, prefactor: float = 1.0, rotation=None):
         self.n = int(n)
         self.eps_ref = float(eps_ref)
-        self.profile = profile or (lambda r: f01_bps(r, self.eps_ref))
-        self.d_profile = d_profile if profile is not None else (lambda r: d_f01_bps(r, self.eps_ref))
-        if check:
-            _check_profile(self.profile, self.eps_ref)
+        self.prefactor = float(prefactor)
+        self._coef = self.prefactor * np.pi * self.n  # A(r) = coef f(r)
+        self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
+        # d_i (tau.m_hat) = (tau.R[:, i] - n_i tau.m_hat)/r
+        self._tau_columns = TAU if rotation is None else tau_dot(self.rotation.T)
+        if profile is None:
+            self.profile = lambda r: f01_bps(r, self.eps_ref)
+            self._slope = lambda r: d_f01_bps(r, self.eps_ref)
+        else:
+            stencil = StencilConfig(1e-6 * self.eps_ref, 2)
+            self.profile = profile
+            self._slope = lambda r: stencil._apply(profile, r, 1.0)
+        _check_profile(self.profile, self.eps_ref)
 
-    def _amplitude(self, r):
-        return np.pi * self.n * self.profile(r)
-
-    def matrices(self, pts: np.ndarray) -> np.ndarray:
+    def _frame(self, pts):
+        """Radii, unit vectors n_hat and tau.m_hat of a batch of points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
-        safe = np.where(r > 0, r, 1.0)
-        nh = pts / safe[:, None]
-        A = self._amplitude(r)
-        M = tau_dot(nh)
+        nh = pts / np.where(r > 0, r, 1.0)[:, None]
+        return r, nh, tau_dot(nh if self.rotation is None else nh @ self.rotation.T)
+
+    def matrices(self, pts: np.ndarray) -> np.ndarray:
+        r, _, M = self._frame(pts)
+        A = self._coef * self.profile(r)
         out = np.cos(A)[:, None, None] * ID2[None] - 1j * np.sin(A)[:, None, None] * M
         out[r == 0] = ID2
         return out
 
     def d_matrices(self, pts: np.ndarray) -> np.ndarray:
-        """Exact d_i v, shape (N, 3, 2, 2); requires r > 0 at every point."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
+        """d_i v, shape (N, 3, 2, 2); requires r > 0 at every point."""
+        r, nh, M = self._frame(pts)
         if np.any(r == 0):
             raise DomainError("derivative of the factor is undefined at r = 0")
-        nh = pts / r[:, None]
-        A = self._amplitude(r)
-        if self.d_profile is None:
-            h = 1e-6 * self.eps_ref
-            dA = np.pi * self.n * (self.profile(r + h) - self.profile(r - h)) / (2 * h)
-        else:
-            dA = np.pi * self.n * self.d_profile(r)
-        M = tau_dot(nh)
+        A = self._coef * self.profile(r)
+        dA = self._coef * self._slope(r)
         ca, sa = np.cos(A), np.sin(A)
-        dv = np.empty((len(pts), 3, 2, 2), dtype=complex)
+        dv = np.empty((len(r), 3, 2, 2), dtype=complex)
         for i in range(3):
-            dM = (TAU[i][None] - nh[:, i][:, None, None] * M) / r[:, None, None]
+            dM = (self._tau_columns[i][None] - nh[:, i][:, None, None] * M) / r[:, None, None]
             dv[:, i] = (
                 -(sa * dA * nh[:, i])[:, None, None] * ID2[None]
                 - 1j * ((ca * dA * nh[:, i])[:, None, None] * M + sa[:, None, None] * dM)
@@ -263,7 +270,6 @@ def map_degree(
     quad: QuadratureSpec,
     eps_ref: float = 1.0,
     profile=None,
-    d_profile=None,
     check_resolution: bool = True,
 ) -> float:
     """Degree of the map of v^(n) by 3D quadrature; integer n to tolerance.
@@ -272,7 +278,7 @@ def map_degree(
     ResolutionError if the two levels disagree by more than 1e-2.
     """
     quad.check_reaches(eps_ref)
-    fmap = GribovFactorMap(n, eps_ref=eps_ref, profile=profile, d_profile=d_profile)
+    fmap = GribovFactorMap(n, eps_ref=eps_ref, profile=profile)
     coarse = _degree_integral(fmap, quad)
     if not check_resolution:
         return coarse
@@ -297,7 +303,7 @@ def map_degree_radial_oracle(n: int, profile=None, eps_ref: float = 1.0, r_inf: 
 
 
 def winding_functional(
-    field: ColorAlgebraField,
+    field: ColorField,
     quad: QuadratureSpec,
     g: float,
     stencil: StencilConfig | None = None,
@@ -316,18 +322,15 @@ def winding_functional(
     pts, wts = quad.ball_nodes(eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
     pts, wts = pts[keep], wts[keep]
-    A = field.sample(pts)  # (N, 3, 3)
-    Ah = su2_matrix_from_components(A, g)  # (N, 3, 2, 2) via (..., 3) components per i
-    # build d_j A_hat_k with batched shifted samples
-    offs, wcoef = stencil.offsets_weights()
-    dAh = np.zeros((len(pts), 3, 3, 2, 2), dtype=complex)  # [n][j][k]
-    for j in range(3):
-        acc = np.zeros((len(pts), 3, 2, 2), dtype=complex)
-        for o, w in zip(offs, wcoef):
-            shifted = pts.copy()
-            shifted[:, j] += o * stencil.h
-            acc += w * su2_matrix_from_components(field.sample(shifted), g)
-        dAh[:, j] = acc
+    def sample(p):
+        return su2_matrix_from_components(field.sample(p), g)  # (N, 3, 2, 2)
+
+    Ah = sample(pts)
+    # d_j A_hat_k one axis and one offset at a time: stacking the shifted
+    # copies of all nodes would raise the peak memory
+    dAh = np.empty((len(pts), 3, 3, 2, 2), dtype=complex)  # [n][j][k]
+    for j, e in enumerate(np.eye(3)):
+        dAh[:, j] = stencil._apply(sample, pts, e)
     term1 = np.einsum("ijk,niab,njkba->n", EPS3, Ah, dAh).real
     term2 = np.einsum("ijk,niab,njbc,nkca->n", EPS3, Ah, Ah, Ah).real
     dens = wts * (term1 + (2.0 / 3.0) * term2)
@@ -357,23 +360,15 @@ def _as_matrix_map(v_map, stencil: StencilConfig):
             out.append(np.asarray(getattr(m, "m", m)))
         return np.stack(out)
 
-    offs, wts = stencil.offsets_weights()
-
     def d_matrices(pts):
-        out = np.zeros((len(pts), 3, 2, 2), dtype=complex)
-        for j in range(3):
-            for o, w in zip(offs, wts):
-                shifted = pts.copy()
-                shifted[:, j] += o * stencil.h
-                out[:, j] += w * matrices(shifted)
-        return out
+        return np.stack([stencil._apply(matrices, pts, e) for e in np.eye(3)], axis=1)
 
     return matrices, d_matrices
 
 
 def gauge_transform(
-    field: ColorAlgebraField, v_map, g: float, stencil: StencilConfig | None = None
-) -> ColorAlgebraField:
+    field: ColorField, v_map, g: float, stencil: StencilConfig | None = None
+) -> ColorField:
     """Return the sampler of v (A_hat + d) v^-1 converted back to components."""
     stencil = stencil or StencilConfig(1e-4, 4)
     matrices, d_matrices = _as_matrix_map(v_map, stencil)
@@ -388,7 +383,7 @@ def gauge_transform(
         M = np.einsum("nab,nibc,ncd->niad", v, Ah, vd) + L
         return su2_components_from_matrix(M, g)
 
-    return ColorAlgebraField(
+    return ColorField(
         sample_batch,
         singular_origin=True,
         label=f"gauge transform of {field.label}",
@@ -396,7 +391,7 @@ def gauge_transform(
 
 
 def surface_flux_term(
-    field: ColorAlgebraField,
+    field: ColorField,
     v_map,
     g: float,
     r_sphere: float,
@@ -409,19 +404,8 @@ def surface_flux_term(
 
     i.e. -(1/8 pi^2) oint_{r=r_sphere} dS_i eps^{ijk} tr[ A_hat_j L_k ],
     with L_k = v d_k v^-1 taken from the map's exact derivative."""
-    ct, wc = leggauss(n_theta)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wp = 2.0 * np.pi / n_phi
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
-    dirs = np.stack(
-        [
-            np.outer(st, np.cos(phi)),
-            np.outer(st, np.sin(phi)),
-            np.outer(ct, np.ones_like(phi)),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    wts = (wc[:, None] * wp * np.ones_like(phi)[None, :]).reshape(-1) * r_sphere**2
+    dirs, wdir = _sphere_nodes(n_theta, n_phi)
+    wts = wdir * r_sphere**2
     pts = r_sphere * dirs
     matrices, d_matrices = _as_matrix_map(v_map, StencilConfig(1e-4, 4))
     v = matrices(pts)

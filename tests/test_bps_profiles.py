@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from ymvac.bps_profiles import (
-    ColorScalarField,
+    ColorField,
     FieldVariant,
     MonopoleScale,
     SpatialPoint,
@@ -115,6 +115,23 @@ class TestScaleAndTypes:
             StencilConfig(h=0.0)
         with pytest.raises(DomainError):
             StencilConfig(h=0.1, order=3)
+
+    def test_non_finite_validation(self):
+        for g, eps in ((np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(DomainError):
+                MonopoleScale(g=g, eps=eps)
+        with pytest.raises(DomainError):
+            StencilConfig(h=np.inf)
+
+    @pytest.mark.parametrize("order, degree", [(2, 2), (4, 4)])
+    def test_stencil_exact_on_polynomials(self, order, degree):
+        # central stencils of order p differentiate polynomials of degree p exactly
+        st = StencilConfig(h=0.125, order=order)
+        x = 0.75
+        d1 = st._apply(lambda t: t**degree, x, 1.0)
+        d2 = st._apply(lambda t: t**degree, x, 1.0, deriv=2)
+        assert d1 == pytest.approx(degree * x ** (degree - 1), rel=1e-13)
+        assert d2 == pytest.approx(degree * (degree - 1) * x ** (degree - 2), rel=1e-12)
 
 
 class TestBuildFields:
@@ -232,13 +249,13 @@ class TestMagneticTension:
 class TestCovariantDerivative:
     def test_zero_field_constant_scalar(self):
         gauge, _ = build_fields(SCALE, "PT")
-        const = ColorScalarField(lambda pts: np.tile([0.2, -0.7, 1.1], (len(pts), 1)))
+        const = ColorField(lambda pts: np.tile([0.2, -0.7, 1.1], (len(pts), 1)))
         D = covariant_derivative(gauge, const, np.array([0.8, -0.1, 0.4]), default_stencil(SCALE), SCALE.g)
         assert np.abs(D).max() < 1e-12
 
     def test_pure_gradient(self):
         gauge, _ = build_fields(SCALE, "PT")
-        linear = ColorScalarField(lambda pts: pts.copy())
+        linear = ColorField(lambda pts: pts.copy())
         D = covariant_derivative(gauge, linear, np.array([0.8, -0.1, 0.4]), default_stencil(SCALE), SCALE.g)
         np.testing.assert_allclose(D, np.eye(3), atol=1e-12)
 
@@ -305,7 +322,7 @@ class TestGribovResidual:
 
     def test_negative_control_constant_scalar(self):
         st = default_stencil(SCALE)
-        const = ColorScalarField(lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+        const = ColorField(lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
         res = gribov_residual(SCALE, np.array([0.0, 0.0, 2.0]), st, variant="WuYangPlus", scalar=const)
         # the color-mixing terms do not annihilate a constant
         assert np.linalg.norm(res) > 0.01

@@ -124,3 +124,60 @@ class TestParameterPrecedence:
 
     def test_set_malformed_exit_2(self, capsys):
         assert main(["pheno", "--set", "alpha_s"]) == 2
+
+
+def validation_error(capsys, *argv):
+    """Exit code, stdout and the parsed single-line stderr error of a run."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return code, captured.out, json.loads(lines[0])
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # comma-list arity
+            (["interference", "--angles", "1,2"], "--angles"),
+            (["interference", "--momentum", "1,2,3"], "--momentum"),
+            (["interference", "--loop-q", "0,0,0,0,0"], "--loop-q"),
+            (["check-gribov", "--radii-over-eps", ""], "--radii-over-eps"),
+            (["check-gribov", "--radii-over-eps", "2,x"], "--radii-over-eps"),
+            # empty sweeps
+            (["profiles", "--n-points", "0"], "--n-points"),
+            (["check-bogomolnyi", "--n-points", "0"], "--n-points"),
+            (["winding", "--n-min", "3", "--n-max", "1"], "--n-min/--n-max"),
+            (["greens", "--n-z", "0"], "--n-z"),
+        ],
+    )
+    def test_exit_2_names_flag(self, capsys, argv, flag):
+        code, out, err = validation_error(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err["error"] == "validation" and flag in err["message"]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pheno", "--set", "f_pi=inf"],
+            ["pheno", "--set", "n_f=nan"],
+            ["profiles", "--eps", "inf"],
+            ["check-bogomolnyi", "--g", "nan"],
+        ],
+    )
+    def test_non_finite_input_exit_2(self, capsys, argv):
+        code, out, err = validation_error(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err["error"] == "validation"
+
+    def test_non_finite_report_exit_3(self, capsys):
+        from ymvac.cli import Report, RunConfig, _emit
+
+        rep = Report(meta={}, inputs={}, results={"value": float("nan")})
+        assert _emit(rep, RunConfig("profiles", {})) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "consistency"

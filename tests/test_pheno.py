@@ -274,3 +274,17 @@ class TestOmegaAsymptotic:
             omega_asymptotic(1.0, k_lo=0.5, k_hi=2.0)
         with pytest.raises(DomainError):
             omega_asymptotic(1.0, k_lo=2.0, k_hi=0.5)
+
+
+class TestNonFiniteConstants:
+    def test_inputs_reject_non_finite(self):
+        with pytest.raises(DomainError):
+            PhenoInputs(f_pi=math.inf)
+        with pytest.raises(DomainError):
+            PhenoInputs(volume=math.nan)
+
+    def test_file_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("alpha_s = inf\n")
+        with pytest.raises(DomainError, match="alpha_s"):
+            read_constants(path)
