@@ -17,7 +17,8 @@ pheno          vacuum energetics and the constants chain
 cli            command-line frontend (json/csv reports)
 
 Shared numerical core: bps_profiles.ColorField is the one field-sampler type
-(gauge and scalar), StencilConfig owns every finite-difference weight,
+(gauge and scalar), StencilConfig owns every finite-difference weight and
+every three-axis gradient (over a batch of points in one pass),
 topology.GribovFactorMap is the one group-factor map (the interference
 module's dressed factors included), topology builds every Gauss-Legendre
 node set, and one pheno parser reads both the constants file and the CLI's

@@ -33,11 +33,13 @@ is dimensionless and interpolates between 0 at the origin and -pi*n_hat at
 infinity; a rescaled copy (factor -2/g, see zero_mode_scalar) carries the
 normalization used by the vacuum-energy integrals.
 
-All samplers are pure functions of the evaluation point (no grids); they
-accept a single point of shape (3,) or a batch of shape (N, 3).
+All samplers and the stencil operators magnetic_tension and
+covariant_derivative are pure functions of the evaluation point (no grids);
+they accept a single point of shape (3,) or a batch of shape (N, 3).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,17 +107,14 @@ class SpatialPoint:
         return f"SpatialPoint({self.x.tolist()})"
 
 
-def as_point(x) -> SpatialPoint:
-    return x if isinstance(x, SpatialPoint) else SpatialPoint(x)
-
-
 @dataclass(frozen=True)
 class StencilConfig:
     """Central finite-difference stencil: step h (GeV^-1) and accuracy order.
 
     The one owner of the difference weights.  Every finite difference in the
-    package goes through _apply, except covariant_laplacian's outer sum,
-    which runs over all axes at once.
+    package goes through _apply, and every three-axis gradient through
+    _gradient, which takes a batch of points in one pass; the exception is
+    covariant_laplacian's outer sum, which runs over all axes at once.
     """
 
     h: float
@@ -142,30 +141,32 @@ class StencilConfig:
             np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h),
         )
 
-    def _apply(self, sample, x, e, deriv: int = 1, batched: bool = False):
+    def _apply(self, sample, x, e, deriv: int = 1):
         """sum_k w_k sample(x + o_k h e): the deriv-th derivative of `sample`
         along e, accumulated one offset at a time from zeros in offset order.
 
         x is a coordinate, a point or a batch of points; e the step direction
-        broadcast against it (np.eye(3) with a single point differentiates
-        along all three axes at once).  batched=True samples the shifted
-        copies of a point array in one call; only for small x, since the
-        copies coexist.
+        broadcast against it.  Each term is freed before the next offset is
+        sampled.
         """
         offs, wts = self.offsets_weights(deriv)
-        steps = offs * self.h
-        if batched:
-            pts = x + np.multiply.outer(steps, e)
-            vals = sample(pts.reshape(-1, pts.shape[-1]))
-            vals = vals.reshape(len(steps), -1, *vals.shape[1:])
-            terms = wts.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
-        else:
-            terms = (w * sample(x + s * e) for w, s in zip(wts, steps))
         acc = 0.0
-        for t in terms:
-            acc += t
-            del t  # free each term before the next offset is sampled
+        for w, s in zip(wts, offs * self.h):
+            acc += w * sample(x + s * e)
         return acc
+
+    def _gradient(self, sample, pts):
+        """d_j of a sampler of point batches at pts (N, 3), shape (N, 3) +
+        value-shape, filled axis by axis into one preallocated array
+        (stacking the axes would hold all three at once)."""
+        out = None
+        for j, e in enumerate(np.eye(3)):
+            d = self._apply(sample, pts, e)
+            if out is None:
+                out = np.empty((len(pts), 3) + d.shape[1:], dtype=d.dtype)
+            out[:, j] = d
+            del d  # free each axis before the next is sampled
+        return out
 
     def halved(self) -> "StencilConfig":
         return StencilConfig(self.h / 2.0, self.order)
@@ -217,23 +218,17 @@ class ColorField:
 
 
 def _batch(x):
-    if isinstance(x, SpatialPoint):
-        return x.x[None, :], True
-    arr = np.asarray(x)
+    """(N, 3) coordinates of a point, a batch or a list of points or
+    SpatialPoints, and whether a single point was given.  Float dtypes are
+    kept (extended precision passes through the samplers untouched)."""
+    if isinstance(x, (list, tuple)):
+        x = [getattr(p, "x", p) for p in x]
+    arr = np.asarray(getattr(x, "x", x))
     if arr.dtype.kind != "f":
         arr = arr.astype(float)
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False
-
-
-def _coords(x) -> np.ndarray:
-    """Coordinate array of a point-like argument, preserving float dtype
-    (extended precision passes through the samplers untouched)."""
-    if isinstance(x, SpatialPoint):
-        return x.x
-    arr = np.asarray(x)
-    return arr if arr.dtype.kind == "f" else arr.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -400,45 +395,45 @@ def zero_mode_scalar(scale: MonopoleScale) -> ColorField:
 # stencils and first-order quantities
 # ---------------------------------------------------------------------------
 
-def _grad_batch(sample_batch, x: np.ndarray, stencil: StencilConfig) -> np.ndarray:
-    """d_j of a batched sampler at a single point x; returns (3,) + value-shape."""
-    return stencil._apply(sample_batch, np.asarray(x), np.eye(3), batched=True)
-
-
-def _require_stencil_safe(field_obj, x: np.ndarray, stencil: StencilConfig):
-    r = float(np.linalg.norm(x))
-    if getattr(field_obj, "singular_origin", False) and r < 10.0 * stencil.h:
+def _require_stencil_safe(field_obj, pts: np.ndarray, stencil: StencilConfig):
+    r = np.linalg.norm(pts, axis=1)
+    close = r[r < 10.0 * stencil.h]
+    if getattr(field_obj, "singular_origin", False) and len(close):
         raise StencilError(
-            f"point at r={r:.3e} within 10 h = {10 * stencil.h:.3e} of the singular origin"
+            f"point at r={float(close[0]):.3e} within 10 h = {10 * stencil.h:.3e} of the singular origin"
         )
 
 
 def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> np.ndarray:
-    """Non-Abelian magnetic tension B[i][a] (GeV^2) by central differences.
+    """Non-Abelian magnetic tension B[i][a] (GeV^2) by central differences,
+    at a point (3,) or a batch (N, 3), giving (3, 3) or (N, 3, 3).
 
     Curl part by the configured stencil; quadratic self-coupling evaluated
     exactly at the point.
     """
-    xc = _coords(x)
-    _require_stencil_safe(field, xc, stencil)
-    dA = _grad_batch(field.sample_batch, xc, stencil)  # [j][k][a]
-    A = field.sample(xc)
-    curl = np.einsum("ijk,jka->ia", EPS3, dA)
-    quad = np.einsum("ijk,abc,jb,kc->ia", EPS3, EPS3, A, A)
-    return curl - 0.5 * g * quad
+    pts, single = _batch(x)
+    _require_stencil_safe(field, pts, stencil)
+    dA = stencil._gradient(field.sample_batch, pts)  # [n][j][k][a]
+    A = field.sample(pts)
+    curl = np.einsum("ijk,njka->nia", EPS3, dA)
+    quad = np.einsum("ijk,abc,njb,nkc->nia", EPS3, EPS3, A, A)
+    B = curl - 0.5 * g * quad
+    return B[0] if single else B
 
 
 def covariant_derivative(
     gauge: ColorField, scalar: ColorField, x, stencil: StencilConfig, g: float
 ) -> np.ndarray:
-    """Adjoint covariant gradient (D_i phi)^a = d_i phi^a - g eps_{abc} A_i^b phi^c."""
-    xc = _coords(x)
-    _require_stencil_safe(gauge, xc, stencil)
-    _require_stencil_safe(scalar, xc, stencil)
-    dphi = _grad_batch(scalar.sample_batch, xc, stencil)  # [i][a]
-    A = gauge.sample(xc)
-    phi = scalar.sample(xc)
-    return dphi - g * np.einsum("abc,ib,c->ia", EPS3, A, phi)
+    """Adjoint covariant gradient (D_i phi)^a = d_i phi^a - g eps_{abc} A_i^b phi^c
+    at a point (3,) or a batch (N, 3), giving (3, 3) or (N, 3, 3)."""
+    pts, single = _batch(x)
+    _require_stencil_safe(gauge, pts, stencil)
+    _require_stencil_safe(scalar, pts, stencil)
+    dphi = stencil._gradient(scalar.sample_batch, pts)  # [n][i][a]
+    A = gauge.sample(pts)
+    phi = scalar.sample(pts)
+    D = dphi - g * np.einsum("abc,nib,nc->nia", EPS3, A, phi)
+    return D[0] if single else D
 
 
 def covariant_laplacian(
@@ -446,25 +441,18 @@ def covariant_laplacian(
 ) -> np.ndarray:
     """(D_i D_i phi)^a by nesting covariant_derivative in an outer stencil.
 
-    The outer divergence keeps one running sum over all axes and offsets;
-    regrouping it into _apply's per-axis sums moves the reported residuals
-    in their last bits."""
-    xc = _coords(x)
-    _require_stencil_safe(gauge, xc, stencil)
+    One inner call covers the centre and the shifted points.  The outer
+    divergence keeps one running sum over all axes and offsets; regrouping
+    it per axis moves the reported residuals in their last bits."""
+    xc = _batch(x)[0].reshape(3)
     offs, wts = stencil.offsets_weights()
-
-    def D(y):
-        return covariant_derivative(gauge, scalar, y, stencil, g)
-
+    shifted = [xc + o * e for e in np.eye(3, dtype=xc.dtype) * stencil.h for o in offs]
+    D = covariant_derivative(gauge, scalar, np.array([xc] + shifted), stencil, g)
     div = np.zeros(3, dtype=xc.dtype)
-    for j in range(3):
-        e = np.zeros(3, dtype=xc.dtype)
-        e[j] = stencil.h
-        for o, w in zip(offs, wts):
-            div = div + w * D(xc + o * e)[j]
+    for Dk, (j, w) in zip(D[1:], itertools.product(range(3), wts)):
+        div = div + w * Dk[j]
     A = gauge.sample(xc)
-    Dx = D(xc)
-    return div - g * np.einsum("abc,ib,ic->a", EPS3, A, Dx)
+    return div - g * np.einsum("abc,ib,ic->a", EPS3, A, D[0])
 
 
 def bogomolnyi_residual(
@@ -474,7 +462,8 @@ def bogomolnyi_residual(
     variant=FieldVariant.BPS,
     sign: int = 1,
 ) -> float:
-    """Max pointwise first-order residual over the given points.
+    """Max pointwise first-order residual over the given points (an (N, 3)
+    array, a point, or a list of points or SpatialPoints).
 
     BPS: max ||B - sign*D(phi)|| / ||B||  (Frobenius norms).
     PT: both sides vanish identically; the 0/0 is reported as exact zero.
@@ -485,8 +474,8 @@ def bogomolnyi_residual(
     variant = FieldVariant.parse(variant)
     if sign not in (1, -1):
         raise DomainError("sign branch must be +1 or -1")
-    pts = [as_point(p) for p in (points if hasattr(points, "__len__") else [points])]
-    if len(pts) == 0:
+    pts = _batch(points)[0]
+    if pts.size == 0:
         raise ValueError("empty point list")
     stencil = stencil or default_stencil(scale)
     _check_stencil_scale(stencil, scale)
@@ -495,20 +484,18 @@ def bogomolnyi_residual(
     if variant is FieldVariant.PT:
         return 0.0
 
-    worst = 0.0
-    for pt in pts:
-        # extended precision keeps the stencil's own order visible below the
-        # double-precision cancellation floor
-        xe = np.asarray(pt.x, dtype=np.longdouble)
-        B = magnetic_tension(gauge, xe, stencil, scale.g)
-        D = covariant_derivative(gauge, scalar, xe, stencil, scale.g)
-        nb, nd = np.linalg.norm(B), np.linalg.norm(D)
-        if variant is FieldVariant.BPS:
-            worst = max(worst, np.linalg.norm(B - sign * D) / nb)
-        else:
-            cos = abs(np.sum(B * D)) / (nb * nd)
-            worst = max(worst, float(np.sqrt(max(0.0, 1.0 - cos * cos))))
-    return float(worst)
+    # extended precision keeps the stencil's own order visible below the
+    # double-precision cancellation floor
+    xe = pts.astype(np.longdouble)
+    B = magnetic_tension(gauge, xe, stencil, scale.g)
+    D = covariant_derivative(gauge, scalar, xe, stencil, scale.g)
+    nb, nd = np.linalg.norm(B, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
+    if variant is FieldVariant.BPS:
+        res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
+    else:
+        cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * nd)
+        res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+    return float(np.max(res, initial=0.0))
 
 
 def gribov_residual(
@@ -531,6 +518,6 @@ def gribov_residual(
     phase = scalar if scalar is not None else gribov_phase_scalar(scale)
     # extended precision: the nested stencil's cancellation floor in double
     # precision sits above the h^4 term at the probe radii
-    xe = np.asarray(_coords(x), dtype=np.longdouble)
+    xe = _batch(x)[0].reshape(3).astype(np.longdouble)
     out = covariant_laplacian(gauge, phase, xe, stencil, scale.g)
     return np.asarray(out, dtype=float)

@@ -132,7 +132,7 @@ def _run_check_bogomolnyi(cfg: RunConfig) -> Report:
     radii = np.linspace(p["r_lo_over_eps"], p["r_hi_over_eps"], p["n_points"]) * p["eps"]
     dirs = rng.normal(size=(p["n_points"], 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    points = [bp.SpatialPoint(r * d) for r, d in zip(radii, dirs)]
+    points = radii[:, None] * dirs
     res = bp.bogomolnyi_residual(scale, points, stencil, variant=p["variant"])
     res_half = bp.bogomolnyi_residual(scale, points, stencil.halved(), variant=p["variant"])
     tol = cfg.tol if cfg.tol is not None else 1e-6
@@ -156,7 +156,7 @@ def _run_check_gribov(cfg: RunConfig) -> Report:
         r = r_over * p["eps"]
         # step tied to the local scale but capped below the core-resolution bound
         stencil = bp.StencilConfig(h=min(r, 8.0 * p["eps"]) / p["inv_h_over_r"], order=p["order"])
-        x = bp.SpatialPoint(np.array([0.0, 0.0, r]))
+        x = np.array([0.0, 0.0, r])
         n1 = float(np.linalg.norm(bp.gribov_residual(scale, x, stencil)))
         n2 = float(np.linalg.norm(bp.gribov_residual(scale, x, stencil.halved())))
         order = math.log2(n1 / n2) if n2 > 0 else math.inf
@@ -521,8 +521,12 @@ def _emit(rep: Report, cfg: RunConfig) -> int:
 _LIST_FLAGS = {"radii_over_eps": None, "angles": 3, "momentum": 4, "loop_q": 4}
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _float_list(key: str, text: str) -> list:
-    flag, count = "--" + key.replace("_", "-"), _LIST_FLAGS[key]
+    flag, count = _flag(key), _LIST_FLAGS[key]
     try:
         vals = [float(x) for x in text.split(",")]
     except ValueError:
@@ -548,6 +552,11 @@ def _parse_config(argv) -> RunConfig:
         if key in _LIST_FLAGS:
             val = _float_list(key, val)
         cfg.params[key] = val
+    # every float flag, scalar or comma-list, must be finite
+    for key, val in [("tol", cfg.tol), *cfg.params.items()]:
+        vals = val if isinstance(val, list) else [val]
+        if not all(math.isfinite(v) for v in vals if isinstance(v, float)):
+            raise ValueError(f"{_flag(key)} must be finite, got {val}")
     return cfg
 
 

@@ -124,7 +124,10 @@ def _parse_constants(entries) -> dict:
             raise ValueError(f"{where}: expected 'key = value', got {text!r}")
         if key not in _FIELD_DOC:
             raise ValueError(f"{where}: unknown constant {key!r}")
-        value = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            raise ValueError(f"{where}: constant {key} must be a number, got {val.strip()!r}") from None
         if not math.isfinite(value):
             raise DomainError(f"{where}: constant {key} must be finite, got {val.strip()}")
         values[key] = int(round(value)) if key in ("n_f", "n_c") else value
@@ -164,11 +167,11 @@ def magnetic_energy_quadrature(
     stencil = stencil or default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.WU_YANG_PLUS)
     t, w = _gauss_legendre(n_nodes, math.log(r_max_over_eps))
+    r = [eps * math.exp(ti) for ti in t]
+    B = magnetic_tension(gauge, np.outer(r, (0.0, 0.0, 1.0)), stencil, g)
     total = 0.0
-    for ti, wi in zip(t, w):
-        r = eps * math.exp(ti)
-        B = magnetic_tension(gauge, np.array([0.0, 0.0, r]), stencil, g)
-        total += wi * 4.0 * math.pi * r**3 * float(np.sum(B * B))  # dr = r dt
+    for wi, ri, Bi in zip(w, r, B):
+        total += wi * 4.0 * math.pi * ri**3 * float(np.sum(Bi * Bi))  # dr = r dt
     return total
 
 
@@ -199,10 +202,10 @@ def rotary_momentum(
     gauge, _ = build_fields(scale, FieldVariant.BPS)
     phi0 = zero_mode_scalar(scale)
     r, w = _compactified_radial(n_nodes, scale.eps)
+    D = covariant_derivative(gauge, phi0, np.outer(r, (0.0, 0.0, 1.0)), stencil, scale.g)
     total = 0.0
-    for ri, wi in zip(r, w):
-        D = covariant_derivative(gauge, phi0, np.array([0.0, 0.0, ri]), stencil, scale.g)
-        total += wi * 4.0 * math.pi * ri**2 * float(np.sum(D * D))
+    for ri, wi, Di in zip(r, w, D):
+        total += wi * 4.0 * math.pi * ri**2 * float(np.sum(Di * Di))
     if abs(total - formula) > check_tolerance * formula:
         raise ConsistencyError(
             f"inertia quadrature {total} vs closed form {formula} beyond {check_tolerance:.0%}"
@@ -228,12 +231,12 @@ def normalization_check(
     gauge, _ = build_fields(scale, FieldVariant.BPS)
     phi0 = zero_mode_scalar(scale)
     r, w = _compactified_radial(n_nodes, scale.eps)
+    x = np.outer(r, (0.0, 0.0, 1.0))
+    D = covariant_derivative(gauge, phi0, x, stencil, scale.g)
+    B = magnetic_tension(gauge, x, stencil, scale.g)
     total = 0.0
-    for ri, wi in zip(r, w):
-        x = np.array([0.0, 0.0, ri])
-        D = covariant_derivative(gauge, phi0, x, stencil, scale.g)
-        B = magnetic_tension(gauge, x, stencil, scale.g)
-        total += wi * 4.0 * math.pi * ri**2 * float(np.sum(D * B))
+    for ri, wi, Di, Bi in zip(r, w, D, B):
+        total += wi * 4.0 * math.pi * ri**2 * float(np.sum(Di * Bi))
     value = scale.g**2 / (8.0 * math.pi**2) * total
     if abs(value - 1.0) > check_tolerance:
         raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {check_tolerance:.0%}")
@@ -248,8 +251,8 @@ def schwinger_mass(e: float, c_m: float | None = None, volume: float = 1.0) -> f
     """Pseudoscalar mass squared C_M^2/(I V) in the (1+1)d model; closes to
     e^2/pi for C_M = 2 sqrt(pi) and I = (2 pi/e)^2/V.  A perturbed C_M trips
     the round-off-level equality assertion."""
-    if not (e > 0):
-        raise DomainError("coupling e must be positive")
+    if not (math.isfinite(e) and e > 0):
+        raise DomainError(f"coupling e must be positive and finite, got {e}")
     c = C_SCHWINGER if c_m is None else c_m
     inertia = (2.0 * math.pi / e) ** 2 / volume
     value = c**2 / (inertia * volume)

@@ -68,14 +68,16 @@ class RotatorParams:
     dN: float
 
     def __post_init__(self):
-        if not (self.inertia > 0):
-            raise DomainError("inertia must be positive")
+        if not (math.isfinite(self.inertia) and self.inertia > 0):
+            raise DomainError(f"inertia must be positive and finite, got {self.inertia}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.dN)):
+            raise DomainError(f"theta and dN must be finite, got {self.theta}, {self.dN}")
         object.__setattr__(self, "theta", _normalize_theta(self.theta))
 
     @classmethod
     def euclidean(cls, inertia: float, theta: float, tau_e: float, dN: float = 0.0):
-        if not (tau_e > 0):
-            raise DomainError("Euclidean time tau_e must be positive")
+        if not (math.isfinite(tau_e) and tau_e > 0):
+            raise DomainError(f"Euclidean time tau_e must be positive and finite, got {tau_e}")
         return cls(inertia=inertia, theta=theta, time=-1j * tau_e, dN=dN)
 
     @property

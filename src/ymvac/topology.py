@@ -326,11 +326,7 @@ def winding_functional(
         return su2_matrix_from_components(field.sample(p), g)  # (N, 3, 2, 2)
 
     Ah = sample(pts)
-    # d_j A_hat_k one axis and one offset at a time: stacking the shifted
-    # copies of all nodes would raise the peak memory
-    dAh = np.empty((len(pts), 3, 3, 2, 2), dtype=complex)  # [n][j][k]
-    for j, e in enumerate(np.eye(3)):
-        dAh[:, j] = stencil._apply(sample, pts, e)
+    dAh = stencil._gradient(sample, pts)  # [n][j][k]
     term1 = np.einsum("ijk,niab,njkba->n", EPS3, Ah, dAh).real
     term2 = np.einsum("ijk,niab,njbc,nkca->n", EPS3, Ah, Ah, Ah).real
     dens = wts * (term1 + (2.0 / 3.0) * term2)
@@ -349,7 +345,7 @@ def winding_functional(
 
 
 def _as_matrix_map(v_map, stencil: StencilConfig):
-    """Normalize v_map to batched (matrices, d_matrices) callables."""
+    """Normalize v_map to (matrices, d_matrices) callables on point batches."""
     if isinstance(v_map, GribovFactorMap):
         return v_map.matrices, v_map.d_matrices
 
@@ -361,7 +357,7 @@ def _as_matrix_map(v_map, stencil: StencilConfig):
         return np.stack(out)
 
     def d_matrices(pts):
-        return np.stack([stencil._apply(matrices, pts, e) for e in np.eye(3)], axis=1)
+        return stencil._gradient(matrices, pts)
 
     return matrices, d_matrices
 

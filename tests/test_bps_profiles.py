@@ -245,6 +245,29 @@ class TestMagneticTension:
         with pytest.raises(StencilError):
             magnetic_tension(gauge, np.array([0.0, 0.0, 9.0 * st.h]), st, SCALE.g)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("variant", ["BPS", "WuYangPlus"])
+    def test_batch_matches_points_bitwise(self, variant, dtype):
+        gauge, _ = build_fields(SCALE, variant)
+        st = default_stencil(SCALE)
+        pts = random_points(16, seed=12).astype(dtype)
+        B = magnetic_tension(gauge, pts, st, SCALE.g)
+        assert B.shape == (16, 3, 3) and B.dtype == dtype
+        assert np.array_equal(B, [magnetic_tension(gauge, x, st, SCALE.g) for x in pts])
+
+    def test_batch_stencil_safety(self):
+        # one point of the batch within 10 h of the singular origin
+        gauge, scalar = build_fields(SCALE, "WuYangPlus")
+        st = default_stencil(SCALE)
+        pts = random_points(5, seed=13)
+        pts[3] = [0.0, 9.0 * st.h, 0.0]
+        with pytest.raises(StencilError):
+            magnetic_tension(gauge, pts, st, SCALE.g)
+        with pytest.raises(StencilError):
+            covariant_derivative(gauge, scalar, pts, st, SCALE.g)
+        with pytest.raises(StencilError):
+            bogomolnyi_residual(SCALE, pts, st, variant="WuYangPlus")
+
 
 class TestCovariantDerivative:
     def test_zero_field_constant_scalar(self):
@@ -266,6 +289,16 @@ class TestCovariantDerivative:
         B = magnetic_tension(gauge, x, st, SCALE.g)
         D = covariant_derivative(gauge, scalar, x, st, SCALE.g)
         assert np.linalg.norm(B - D) / np.linalg.norm(B) < 1e-8
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("variant", ["BPS", "WuYangMinus"])
+    def test_batch_matches_points_bitwise(self, variant, dtype):
+        gauge, scalar = build_fields(SCALE, variant)
+        st = default_stencil(SCALE)
+        pts = random_points(16, seed=15).astype(dtype)
+        D = covariant_derivative(gauge, scalar, pts, st, SCALE.g)
+        assert D.shape == (16, 3, 3) and D.dtype == dtype
+        assert np.array_equal(D, [covariant_derivative(gauge, scalar, x, st, SCALE.g) for x in pts])
 
 
 class TestBogomolnyiResidual:
@@ -295,6 +328,14 @@ class TestBogomolnyiResidual:
         assert bogomolnyi_residual(SCALE, pts, st, sign=-1) > 1.0
         with pytest.raises(DomainError):
             bogomolnyi_residual(SCALE, pts, st, sign=2)
+
+    @pytest.mark.parametrize("variant", ["BPS", "WuYangMinus"])
+    def test_array_matches_point_list(self, variant):
+        st = default_stencil(SCALE)
+        pts = random_points(12, seed=14)
+        res = bogomolnyi_residual(SCALE, pts, st, variant)
+        assert res == bogomolnyi_residual(SCALE, [SpatialPoint(p) for p in pts], st, variant)
+        assert res == max(bogomolnyi_residual(SCALE, SpatialPoint(p), st, variant) for p in pts)
 
     def test_coarse_stencil_rejected(self):
         with pytest.raises(StencilError):

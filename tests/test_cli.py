@@ -157,6 +157,11 @@ class TestFlagValidation:
         assert code == 2 and out == ""
         assert err["error"] == "validation" and flag in err["message"]
 
+    def test_non_numeric_set_names_key(self, capsys):
+        code, out, err = validation_error(capsys, "pheno", "--set", "n_f=abc")
+        assert code == 2 and out == ""
+        assert err["message"] == "--set: constant n_f must be a number, got 'abc'"
+
 
 class TestNonFinite:
     @pytest.mark.parametrize(
@@ -172,6 +177,24 @@ class TestNonFinite:
         code, out, err = validation_error(capsys, *argv)
         assert code == 2 and out == ""
         assert err["error"] == "validation"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["rotator", "--inertia", "inf"], "--inertia"),
+            (["pheno", "--e", "inf"], "--e"),
+            (["winding", "--r-max", "nan"], "--r-max"),
+            (["profiles", "--r-max", "inf"], "--r-max"),
+            (["check-gribov", "--radii-over-eps", "2,inf"], "--radii-over-eps"),
+            (["greens", "--d1", "inf"], "--d1"),
+            (["interference", "--eps", "inf"], "--eps"),
+            (["rotator", "--tol", "nan"], "--tol"),
+        ],
+    )
+    def test_non_finite_flag_exit_2_names_flag(self, capsys, argv, flag):
+        code, out, err = validation_error(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err["error"] == "validation" and err["message"].startswith(flag + " must be finite")
 
     def test_non_finite_report_exit_3(self, capsys):
         from ymvac.cli import Report, RunConfig, _emit

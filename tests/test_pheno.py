@@ -27,6 +27,7 @@ from ymvac.pheno import (
     vacuum_hamiltonian,
     vacuum_quantities,
     BETA_MOD,
+    _parse_constants,
 )
 
 UNIT = MonopoleScale(g=1.0, eps=1.0)
@@ -133,6 +134,11 @@ class TestSchwinger:
     def test_perturbed_constant_fails(self):
         with pytest.raises(ConsistencyError):
             schwinger_mass(1.0, c_m=2.0 * math.sqrt(math.pi) * 1.001)
+
+    def test_non_finite_coupling_rejected(self):
+        for e in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                schwinger_mass(e)
 
     def test_volume_cancels(self):
         assert schwinger_mass(1.0, volume=7.3) == pytest.approx(schwinger_mass(1.0), rel=1e-14)
@@ -256,6 +262,15 @@ class TestConstantsFile:
         path.write_text("f_pi 0.1\n")
         with pytest.raises(ValueError):
             read_constants(path)
+
+    def test_non_numeric_value_located(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# comment\nn_f = abc\n")
+        with pytest.raises(ValueError) as err:
+            read_constants(path)
+        assert str(err.value) == f"{path}:2: constant n_f must be a number, got 'abc'"
+        with pytest.raises(ValueError, match="^--set: constant f_pi must be a number"):
+            _parse_constants([("--set", "f_pi = 0.1x")])
 
     def test_inputs_validation(self):
         with pytest.raises(DomainError):

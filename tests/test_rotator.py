@@ -188,6 +188,23 @@ class TestGreenRepresentations:
         with pytest.raises(DomainError):
             RotatorParams.euclidean(1.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "inertia, theta, tau_e, dn",
+        [
+            (math.inf, 0.0, 1.0, 0.0),
+            (math.nan, 0.0, 1.0, 0.0),
+            (1.0, math.inf, 1.0, 0.0),
+            (1.0, math.nan, 1.0, 0.0),
+            (1.0, 0.0, math.inf, 0.0),
+            (1.0, 0.0, math.nan, 0.0),
+            (1.0, 0.0, 1.0, -math.inf),
+            (1.0, 0.0, 1.0, math.nan),
+        ],
+    )
+    def test_params_reject_non_finite(self, inertia, theta, tau_e, dn):
+        with pytest.raises(DomainError):
+            RotatorParams.euclidean(inertia, theta, tau_e, dn)
+
     def test_theta_normalized(self):
         prm = RotatorParams.euclidean(1.0, 2 * math.pi + 0.3, 1.0)
         assert prm.theta == pytest.approx(0.3)
