@@ -113,7 +113,8 @@ class StencilConfig:
 
     The one owner of the difference weights.  Every finite difference in the
     package goes through _apply, and every three-axis gradient through
-    _gradient, which takes a batch of points in one pass; the exception is
+    _gradient, which takes a batch of points in one pass (the greens
+    background operator included); the one exception is
     covariant_laplacian's outer sum, which runs over all axes at once.
     """
 

@@ -26,7 +26,9 @@ the f = +1 background, is
                 + (2/r)(n^a d^b - n^b d^a) S_b,
 
 implemented by central differences in monopole_covariant_laplacian; it
-annihilates the assembled tensor at colinear configurations.
+annihilates the assembled tensor at colinear configurations.  The tensor is
+sampled on point batches, and the operator differentiates all of its color
+columns at once through the shared stencil engine (StencilConfig).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bps_profiles import StencilConfig
+from .bps_profiles import StencilConfig, _batch
 from .errors import DomainError
 
 __all__ = [
@@ -78,7 +80,7 @@ class EulerSolution:
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
-        if np.any(z <= 0):
+        if not np.all(z > 0):
             raise DomainError("separation z must be positive")
         out = self.d * z**self.l1 + self.c * z**self.l2
         return out if out.ndim else float(out)
@@ -92,13 +94,13 @@ def golden_solution(n: int, d: float, c: float) -> EulerSolution:
     return EulerSolution(n=n, d=d, c=c, l1=l1, l2=l2)
 
 
-def euler_residual(sol: EulerSolution, z: float) -> float:
-    """Residual of V'' + (2/z)V' - (n/z^2)V, term-by-term analytic derivatives."""
-    if not (z > 0):
-        raise DomainError("separation z must be positive")
+def euler_residual(sol: EulerSolution, z):
+    """Residual of V'' + (2/z)V' - (n/z^2)V at a separation z or an array of
+    them, from term-by-term analytic derivatives: the power pair with
+    coefficients d r1, c r2 (r = l(l - 1) + 2l - n) and exponents lowered by 2."""
     r1 = sol.l1 * (sol.l1 - 1.0) + 2.0 * sol.l1 - sol.n
     r2 = sol.l2 * (sol.l2 - 1.0) + 2.0 * sol.l2 - sol.n
-    return float(sol.d * r1 * z ** (sol.l1 - 2.0) + sol.c * r2 * z ** (sol.l2 - 2.0))
+    return EulerSolution(sol.n, sol.d * r1, sol.c * r2, sol.l1 - 2.0, sol.l2 - 2.0).value(z)
 
 
 def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
@@ -171,6 +173,11 @@ def shoot_radial(
 # assembled tensor and the background operator
 # ---------------------------------------------------------------------------
 
+def _rowdot(u, v):
+    """Row-wise dots of (N, 3) batches, each summed as a single-point dot (same bits)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class GreenTensor:
     """Color 3x3 tensor sampler built from the radial potentials."""
@@ -183,17 +190,20 @@ class GreenTensor:
             raise DomainError("green_tensor needs the n=0 and n=1 radial solutions")
 
     def evaluate(self, x, y) -> np.ndarray:
-        x = np.asarray(getattr(x, "x", x), dtype=float)
-        y = np.asarray(getattr(y, "x", y), dtype=float)
-        rx, ry = np.linalg.norm(x), np.linalg.norm(y)
-        if rx == 0 or ry == 0:
+        """G^{ab}(x, y) for points (3,) or batches (N, 3), broadcast against
+        each other: (3, 3) for two points, (N, 3, 3) otherwise."""
+        (x, single_x), (y, single_y) = _batch(x), _batch(y)
+        rx, ry = np.sqrt(_rowdot(x, x)), np.sqrt(_rowdot(y, y))
+        if np.any(rx == 0) or np.any(ry == 0):
             raise DomainError("tensor undefined at the origin")
-        z = float(np.linalg.norm(x - y))
-        if z == 0:
+        z = np.sqrt(_rowdot(x - y, x - y))
+        if np.any(z == 0):
             raise DomainError("coincident points")
-        nx, ny = x / rx, y / ry
-        transverse = float(nx @ ny) * np.eye(3) - np.outer(ny, nx)
-        return np.outer(nx, ny) * self.sol0.value(z) + transverse * self.sol1.value(z)
+        nx, ny = x / rx[:, None], y / ry[:, None]
+        transverse = _rowdot(nx, ny)[:, None, None] * np.eye(3) - ny[:, :, None] * nx[:, None, :]
+        out = (nx[:, :, None] * ny[:, None, :] * self.sol0.value(z)[:, None, None]
+               + transverse * self.sol1.value(z)[:, None, None])
+        return out[0] if single_x and single_y else out
 
 
 def green_tensor(sol0: EulerSolution, sol1: EulerSolution) -> GreenTensor:
@@ -201,26 +211,21 @@ def green_tensor(sol0: EulerSolution, sol1: EulerSolution) -> GreenTensor:
 
 
 def monopole_covariant_laplacian(S: Callable, x, h: float, order: int = 2) -> np.ndarray:
-    """Apply the f = +1 background operator to a color-vector field S(x) -> (3,)
-    by central differences in x.
+    """Apply the f = +1 background operator, by central differences, at the
+    point x to a color field S mapping a batch (N, 3) to one color vector
+    (N, 3) or to k color columns (N, 3, k); the result is (3,) or (3, k).
 
     Lap S^a - (n^a n^b + d^{ab}) S_b/r^2 + (2/r)(n^a d_b S^b - n^b d_a S^b).
     """
-    x = np.asarray(getattr(x, "x", x), dtype=float)
-    r = float(np.linalg.norm(x))
+    pts = _batch(x)[0].reshape(1, 3)
+    r = float(np.linalg.norm(pts))
     if r == 0:
         raise DomainError("operator singular at the origin")
-    n = x / r
     stencil = StencilConfig(h, order)
-
-    def sample(y):
-        return np.asarray(S(y), dtype=float)
-
-    S0 = sample(x)
-    axes = np.eye(3)
-    grad = np.array([stencil._apply(sample, x, e) for e in axes])  # grad[j][a] = d_j S^a
-    lap = sum(stencil._apply(sample, x, e, deriv=2) for e in axes)
+    S0 = S(pts)[0]
+    grad = stencil._gradient(S, pts)[0]  # grad[j][a] = d_j S^a
+    lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))[0]
+    n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))  # broadcasts over columns
     div = np.trace(grad)
-    nb_da_Sb = grad @ n  # [a] = n^b d_a S^b
-    out = lap - (n * (n @ S0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)
-    return out
+    nb_da_Sb = np.sum(grad * n, axis=1)  # [a] = n^b d_a S^b
+    return lap - (n * np.sum(n * S0, axis=0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import ID2, TAU
+from .bps_profiles import _batch
 from .errors import DomainError, SingularTermError, WindowError
 from .topology import GribovFactorMap, GroupElement
 
@@ -151,13 +152,12 @@ def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float, prefactor:
     points recede (the surviving contribution of color two-point functions)."""
     if L < 1:
         raise DomainError("window size L must be at least 1")
-    x = np.asarray(getattr(x, "x", x), dtype=float)
-    y = np.asarray(getattr(y, "x", y), dtype=float)
+    x, y = _batch(x)[0].reshape(1, 3), _batch(y)[0].reshape(1, 3)
     ns = window_integers(L)
     acc = np.zeros((2, 2), dtype=complex)
     for n in ns:
         dm = dressed_factor_map(int(n), angles, eps, prefactor)
-        acc += dm.matrices(x[None])[0] @ dm.matrices(-y[None])[0]
+        acc += dm.matrices(x)[0] @ dm.matrices(-y)[0]
     return acc / len(ns)
 
 

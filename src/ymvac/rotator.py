@@ -143,6 +143,16 @@ def interference_bound(p: float, theta: float, L: int, measure_sign: int = -1) -
 # theta function and the two Green representations
 # ---------------------------------------------------------------------------
 
+def _exact_sum(term, k_max: int) -> complex:
+    """sum_{k=-k_max..k_max} term(k), real and imaginary parts each correctly
+    rounded (math.fsum, so the order of the terms does not matter).  Raises
+    ConvergenceError when the cutoff is past the term cap, never truncating."""
+    if k_max > _KCAP:
+        raise ConvergenceError(f"sum needs {2 * k_max + 1} terms, more than the cap of {2 * _KCAP + 1}")
+    terms = [term(k) for k in range(-k_max, k_max + 1)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 def _theta_term(k: int, z: complex, tau: complex) -> complex:
     return cmath.exp(1j * math.pi * k * k * tau + 2j * k * z)
 
@@ -159,14 +169,7 @@ def theta3(z, tau=None, k_max: int | None = None) -> complex:
     if k_max is None:
         a, b = math.pi * tau.imag, 2.0 * abs(z.imag)
         k_max = int((b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)) + 2
-        k_max = min(k_max, _KCAP)
-    re = [1.0]
-    im = [0.0]
-    for k in range(k_max, 0, -1):  # largest k first: ascending magnitudes
-        for term in (_theta_term(k, z, tau), _theta_term(-k, z, tau)):
-            re.append(term.real)
-            im.append(term.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    return _exact_sum(lambda k: _theta_term(k, z, tau), k_max)
 
 
 def theta3_modular_defect(z, tau, k_max: int | None = None) -> float:
@@ -187,14 +190,12 @@ def spectral_green(params: RotatorParams, k_max: int | None = None) -> complex:
     if k_max is None:
         # need exp(-a (2 pi k)^2) below tiny
         k_max = int(math.sqrt(42.0 / a) / (2.0 * math.pi)) + 3
-        k_max = min(k_max, _KCAP)
-    re, im = [], []
-    for k in range(-k_max, k_max + 1):
+
+    def term(k):
         p = 2.0 * math.pi * k + th
-        term = cmath.exp(-a * p * p + 1j * p * dN)
-        re.append(term.real)
-        im.append(term.imag)
-    return complex(math.fsum(re), math.fsum(im)) / (2.0 * math.pi)
+        return cmath.exp(-a * p * p + 1j * p * dN)
+
+    return _exact_sum(term, k_max) / (2.0 * math.pi)
 
 
 def spectral_green_via_theta(params: RotatorParams) -> complex:
@@ -220,14 +221,8 @@ def path_green(params: RotatorParams, n_max: int | None = None) -> complex:
     b = I / (2.0 * tau_e)
     if n_max is None:
         n_max = int(math.sqrt(42.0 / b)) + int(abs(dN)) + 3
-        n_max = min(n_max, _KCAP)
-    re, im = [], []
-    for n in range(-n_max, n_max + 1):
-        term = cmath.exp(-1j * th * n - b * (dN + n) ** 2)
-        re.append(term.real)
-        im.append(term.imag)
     pref = math.sqrt(I / (8.0 * math.pi**3 * tau_e))
-    return pref * complex(math.fsum(re), math.fsum(im))
+    return pref * _exact_sum(lambda n: cmath.exp(-1j * th * n - b * (dN + n) ** 2), n_max)
 
 
 def electric_spectrum(k: int, theta: float, scale: MonopoleScale) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import EPS3, ID2, TAU, det_defect, su2_components_from_matrix, su2_matrix_from_components, tau_dot, unitarity_defect
-from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
+from .bps_profiles import ColorField, StencilConfig, _batch, d_f01_bps, f01_bps
 from .errors import ContractError, DomainError, ResolutionError, TruncationError
 
 __all__ = [
@@ -230,8 +230,7 @@ class GribovFactorMap:
         return dv
 
     def __call__(self, x) -> GroupElement:
-        x = getattr(x, "x", x)
-        return GroupElement(self.matrices(np.asarray(x, dtype=float)[None])[0])
+        return GroupElement(self.matrices(_batch(x)[0].reshape(1, 3))[0])
 
 
 def gribov_factor(n: int, x, profile=None, eps_ref: float = 1.0) -> GroupElement:
@@ -242,7 +241,7 @@ def gribov_factor(n: int, x, profile=None, eps_ref: float = 1.0) -> GroupElement
 
 def gribov_phase_matrix(x, eps_ref: float = 1.0) -> AlgebraElement:
     """Algebra element -i pi (tau.n_hat) f01(r); the log of the n = 1 factor."""
-    x = np.asarray(getattr(x, "x", x), dtype=float)
+    x = _batch(x)[0].reshape(3)
     r = float(np.linalg.norm(x))
     if r == 0:
         return AlgebraElement(np.zeros((2, 2), dtype=complex))

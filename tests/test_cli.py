@@ -135,6 +135,29 @@ def validation_error(capsys, *argv):
     return code, captured.out, json.loads(lines[0])
 
 
+class TestRefinementExpectations:
+    """The refinement checks expect what the chosen stencil order delivers."""
+
+    @pytest.mark.parametrize("order, factor", [("2", 2.0), ("4", 8.0)])
+    def test_bogomolnyi_factor_follows_order(self, capsys, order, factor):
+        code, out = run(capsys, "check-bogomolnyi", "--order", order, "--tol", "1e-5")
+        assert code == 0
+        assert json.loads(out)["meta"]["tolerances"]["refinement_factor"] == factor
+
+    @pytest.mark.parametrize("order, min_order", [("2", 1.0), ("4", 3.0)])
+    def test_gribov_min_order_follows_order(self, capsys, order, min_order):
+        code, out = run(capsys, "check-gribov", "--order", order)
+        assert code == 0
+        assert json.loads(out)["meta"]["tolerances"]["min_observed_order"] == min_order
+
+    def test_exactly_zero_residual_passes(self, capsys):
+        # the PT pair satisfies the identity exactly at both step sizes
+        code, out = run(capsys, "check-bogomolnyi", "--variant", "PT")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["stencil-refinement-factor"]["value"] == 0.0
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -161,6 +184,13 @@ class TestFlagValidation:
         code, out, err = validation_error(capsys, "pheno", "--set", "n_f=abc")
         assert code == 2 and out == ""
         assert err["message"] == "--set: constant n_f must be a number, got 'abc'"
+
+
+class TestTermCap:
+    def test_series_past_cap_exit_3(self, capsys):
+        code, out, err = validation_error(capsys, "rotator", "--inertia", "1e-12", "--tau", "1", "--theta", "0")
+        assert code == 3 and out == ""
+        assert err["error"] == "consistency" and "cap" in err["message"]
 
 
 class TestNonFinite:

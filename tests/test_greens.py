@@ -1,6 +1,9 @@
 """Radial potentials, Euler/radial residuals and the background operator."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ymvac.bps_profiles import f1_bps
 from ymvac.errors import DomainError
@@ -16,6 +19,12 @@ from ymvac.greens import (
 )
 
 GOLD = (1.0 + np.sqrt(5.0)) / 2.0
+
+# equal-sized point batches; no coordinate is zero, so no point is the origin
+_COORD = st.floats(0.01, 10.0) | st.floats(-10.0, -0.01)
+BATCH_PAIRS = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[arrays(np.float64, (n, 3), elements=_COORD)] * 2)
+)
 
 
 class TestRoots:
@@ -74,6 +83,15 @@ class TestEulerResidual:
     def test_domain(self):
         with pytest.raises(DomainError):
             euler_residual(golden_solution(0, 1.0, 0.0), 0.0)
+        with pytest.raises(DomainError):
+            euler_residual(golden_solution(0, 1.0, 0.0), np.array([1.0, 0.0, 2.0]))
+
+    def test_array_matches_scalars(self):
+        good = golden_solution(1, 0.7, -1.3)
+        bad = EulerSolution(n=1, d=0.7, c=-1.3, l1=good.l1 - 0.02, l2=good.l2 + 0.01)
+        zs = np.random.default_rng(4).uniform(0.25, 4.0, 200)
+        each = np.array([euler_residual(bad, z) for z in zs])
+        np.testing.assert_allclose(euler_residual(bad, zs), each, rtol=1e-15, atol=0.0)
 
 
 class TestRadialYM:
@@ -166,6 +184,30 @@ class TestGreenTensor:
         with pytest.raises(DomainError):
             self.G.evaluate(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
 
+    def test_batch_domain_errors(self):
+        # one bad point anywhere in the batch is enough
+        y = np.array([1.0, 0, 0])
+        with pytest.raises(DomainError, match="origin"):
+            self.G.evaluate(np.array([[0.5, 0.2, 0.1], [0.0, 0.0, 0.0], [2.0, 1.0, 0.0]]), y)
+        with pytest.raises(DomainError, match="coincident"):
+            self.G.evaluate(np.array([[0.5, 0.2, 0.1], [2.0, 1.0, 0.0], [1.0, 0.0, 0.0]]), y)
+
+    def test_batch_matches_points_bitwise(self):
+        rng = np.random.default_rng(8)
+        X, Y = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        y = Y[0]
+        assert np.array_equal(self.G.evaluate(X, y), np.array([self.G.evaluate(x, y) for x in X]))
+        assert np.array_equal(self.G.evaluate(X, Y), np.array([self.G.evaluate(x, v) for x, v in zip(X, Y)]))
+
+    @settings(deadline=None)
+    @given(BATCH_PAIRS)
+    def test_swap_symmetry_property(self, pair):
+        X, Y = pair
+        assume(np.linalg.norm(X - Y, axis=1).min() > 1e-3)
+        np.testing.assert_allclose(
+            self.G.evaluate(X, Y), self.G.evaluate(Y, X).swapaxes(1, 2), rtol=1e-13, atol=1e-13
+        )
+
 
 class TestBackgroundOperator:
     """The operator is exact on the assembled tensor in the center-anchored
@@ -178,13 +220,21 @@ class TestBackgroundOperator:
         self.y = np.array([0.0, 0.0, 1e-9])
 
     def _residual(self, x, h, order=2):
-        worst = 0.0
-        for b in range(3):
-            res = monopole_covariant_laplacian(
-                lambda xx, b=b: self.G.evaluate(xx, self.y)[:, b], x, h=h, order=order
-            )
-            worst = max(worst, float(np.abs(res).max()))
-        return worst
+        res = monopole_covariant_laplacian(lambda P: self.G.evaluate(P, self.y), x, h=h, order=order)
+        return float(np.abs(res).max())
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_tensor_matches_column_calls_bitwise(self, order):
+        for r in (0.8, 2.0, 5.0):
+            x = np.array([0.0, 0.0, r])
+            h = np.linalg.norm(x - self.y) / 500.0
+            tensor = monopole_covariant_laplacian(lambda P: self.G.evaluate(P, self.y), x, h=h, order=order)
+            columns = [
+                monopole_covariant_laplacian(lambda P, c=c: self.G.evaluate(P, self.y)[..., c], x, h=h, order=order)
+                for c in range(3)
+            ]
+            assert tensor.shape == (3, 3)
+            assert np.array_equal(tensor, np.stack(columns, axis=1))
 
     def test_annihilation_colinear(self):
         for r in (0.8, 2.0, 5.0):
@@ -226,6 +276,6 @@ class TestBackgroundOperator:
         x = np.array([0.0, 0.0, 2.0])
         z = np.linalg.norm(x - y)
         res = monopole_covariant_laplacian(
-            lambda xx: self.G.evaluate(xx, y)[:, 2], x, h=z / 500.0
+            lambda P: self.G.evaluate(P, y)[..., 2], x, h=z / 500.0
         )
         assert np.abs(res).max() < 1e-6

@@ -177,6 +177,13 @@ class TestGreenRepresentations:
         assert abs(spectral_green(prm, k_max=8) - spectral_green(prm, k_max=16)) < 1e-12
         assert abs(path_green(prm, n_max=12) - path_green(prm, n_max=24)) < 1e-12
 
+    def test_term_cap_raises(self):
+        # I = 1e-12 needs about 1.8e7 windings: past the cap, raise rather than truncate
+        with pytest.raises(ConvergenceError, match="terms"):
+            path_green(RotatorParams.euclidean(1e-12, 0.0, 1.0))
+        with pytest.raises(ConvergenceError, match="terms"):
+            theta3(0.1, 1j, k_max=10**6)
+
     def test_real_time_rejected(self):
         prm = RotatorParams(inertia=1.0, theta=0.0, time=1.0 + 0j, dN=0.0)
         with pytest.raises(ConvergenceError):
