@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bps_profiles import StencilConfig, _batch
 from .errors import DomainError
@@ -151,6 +150,8 @@ def shoot_radial(
         return abs(y[0]) - blowup
 
     blow.terminal = True
+
+    from scipy.integrate import solve_ivp  # lazy: it costs more than importing all of ymvac
 
     sol = solve_ivp(
         rhs, (r0, r1), [f0, f0_slope], method=method, rtol=rtol, atol=atol,

@@ -165,7 +165,9 @@ def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L:
     """Symmetric partial average S_L = (1/(L+1)) sum_{n=-L/2}^{L/2} (p_slash + t n)^-1.
 
     Pairwise n <-> -n cancellation makes ||S_L|| = O(1/L).  Raises
-    SingularTermError naming the first n whose matrix is numerically singular.
+    SingularTermError naming the first n whose matrix is numerically singular:
+    its 1-norm condition number ||A||_1 ||A^-1||_1, taken from the inverse the
+    average needs anyway, is above 1e12 or not finite.
     """
     if L < 0:
         raise DomainError("window size L must be non-negative")
@@ -173,11 +175,14 @@ def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L:
     ph = np.kron(dirac_slash(p), ID2)
     ns = window_integers(L)
     stack = ph[None, :, :] + ns[:, None, None] * t[None, :, :]
-    conds = np.linalg.cond(stack)
+    try:
+        inv = np.linalg.inv(stack)
+        conds = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    except np.linalg.LinAlgError:  # an exactly singular term, to which cond gives inf
+        conds = np.linalg.cond(stack, 1)
     bad = np.where(~np.isfinite(conds) | (conds > 1e12))[0]
     if bad.size:
         raise SingularTermError(int(ns[bad[0]]))
-    inv = np.linalg.inv(stack)
     return DiracColorMatrix(inv.sum(axis=0) / (L + 1))
 
 

@@ -199,9 +199,15 @@ def spectral_green(params: RotatorParams, k_max: int | None = None) -> complex:
 
 
 def spectral_green_via_theta(params: RotatorParams) -> complex:
-    """Same sum closed through Theta3: cross-check route for the spectral side."""
+    """Same sum closed through Theta3: cross-check route for the spectral side.
+
+    Evaluated at theta's representative in (-pi, pi] (shifting theta by 2 pi
+    only relabels k), where the real exponent -4 pi a k (pi k + theta) of
+    every theta term is <= 0, so no term overflows.
+    """
     tau_e = params.tau_e
-    I, th, dN = params.inertia, params.theta, params.dN
+    I, dN = params.inertia, params.dN
+    th = params.theta if params.theta <= math.pi else params.theta - 2.0 * math.pi
     a = tau_e / (2.0 * I)
     z = math.pi * dN + 2j * math.pi * a * th
     tau = 4j * math.pi * a

@@ -252,6 +252,17 @@ def gribov_phase_matrix(x, eps_ref: float = 1.0) -> AlgebraElement:
 # integrals
 # ---------------------------------------------------------------------------
 
+def _cubic_trace(L: np.ndarray) -> np.ndarray:
+    """eps^{ijk} tr[L_i L_j L_k] for matrices L of shape (N, 3, 2, 2).
+
+    The trace is cyclic, so the three even and the three odd orderings each
+    agree and the sum is 3 tr(L_1 [L_2, L_3]): two matrix products instead of
+    the six of the Levi-Civita contraction.  Complex; callers take the real part.
+    """
+    L1, L2, L3 = L[:, 0], L[:, 1], L[:, 2]
+    return 3.0 * np.einsum("nab,nba->n", L1, L2 @ L3 - L3 @ L2)
+
+
 def _degree_integral(fmap: GribovFactorMap, quad: QuadratureSpec) -> float:
     pts, wts = quad.ball_nodes(fmap.eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 0
@@ -260,7 +271,7 @@ def _degree_integral(fmap: GribovFactorMap, quad: QuadratureSpec) -> float:
     dv = fmap.d_matrices(pts)
     vd = v.conj().swapaxes(-1, -2)
     L = np.einsum("nab,nibc->niac", vd, dv)
-    dens = np.einsum("ijk,niab,njbc,nkca->n", EPS3, L, L, L).real
+    dens = _cubic_trace(L).real
     return float(-np.sum(wts * dens) / (24.0 * np.pi**2))
 
 
@@ -311,23 +322,22 @@ def winding_functional(
 ) -> float:
     """Chern-Simons winding functional X[A] over the ball of radius r_max.
 
-    The derivative term uses central differences on the sampler.  Raises
-    TruncationError when the outer 10% radial shell carries more than
-    tail_fraction of the accumulated absolute integrand; pass None to skip
-    (e.g. when the boundary flux is being computed explicitly).
+    The derivative term uses central differences on the sampler's real
+    components.  Raises TruncationError when the outer 10% radial shell
+    carries more than tail_fraction of the accumulated absolute integrand;
+    pass None to skip (e.g. when the boundary flux is being computed
+    explicitly).
     """
     quad.check_reaches(eps_ref)
     stencil = stencil or StencilConfig(1e-3 * eps_ref, 4)
     pts, wts = quad.ball_nodes(eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
     pts, wts = pts[keep], wts[keep]
-    def sample(p):
-        return su2_matrix_from_components(field.sample(p), g)  # (N, 3, 2, 2)
-
-    Ah = sample(pts)
-    dAh = stencil._gradient(sample, pts)  # [n][j][k]
+    Ah = su2_matrix_from_components(field.sample(pts), g)  # (N, 3, 2, 2)
+    # the component map is linear: differentiate the real components, map once
+    dAh = su2_matrix_from_components(stencil._gradient(field.sample, pts), g)  # [n][j][k]
     term1 = np.einsum("ijk,niab,njkba->n", EPS3, Ah, dAh).real
-    term2 = np.einsum("ijk,niab,njbc,nkca->n", EPS3, Ah, Ah, Ah).real
+    term2 = _cubic_trace(Ah).real
     dens = wts * (term1 + (2.0 / 3.0) * term2)
     total = -np.sum(dens) / (8.0 * np.pi**2)
 

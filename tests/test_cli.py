@@ -1,8 +1,13 @@
 """CLI contract: schema, determinism, exit discipline."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ymvac
 from ymvac.cli import main
 
 FAST_ARGS = {
@@ -234,3 +239,12 @@ class TestNonFinite:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "consistency"
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy.integrate serves only greens.shoot_radial and is imported there
+        env = dict(os.environ, PYTHONPATH=str(Path(ymvac.__file__).resolve().parents[1]))
+        code = "import sys, ymvac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -171,6 +171,28 @@ class TestMomentumGreenAverage:
             momentum_green_average(light, None, 10)
         assert err.value.n == 0
 
+    def test_exactly_singular_term_reported(self):
+        # p = 0, t = 1: the n = 0 term is the zero matrix and inv raises
+        stack = np.zeros((8, 8))[None] + window_integers(4)[:, None, None] * np.eye(8)[None]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(stack)
+        with pytest.raises(SingularTermError) as err:
+            momentum_green_average(np.zeros(4), np.eye(8), 4)
+        assert err.value.n == 0
+
+    def test_near_singular_term_reported(self):
+        # p0 gamma^0 + n: the n = -1 and n = 1 terms have eigenvalues +-delta,
+        # so their inverses are finite but cond_1 = (2 + delta)/delta > 1e12
+        delta = 2.0**-40
+        p = np.array([1.0 + delta, 0.0, 0.0, 0.0])
+        ph = np.kron(dirac_slash(p), np.eye(2))
+        near = ph - np.eye(8)
+        assert np.isfinite(np.linalg.inv(near)).all()
+        assert np.linalg.cond(near, 1) > 1e12
+        with pytest.raises(SingularTermError) as err:
+            momentum_green_average(p, np.eye(8), 4)
+        assert err.value.n == -1
+
     def test_gamma_algebra(self):
         # metric (+,-,-,-): gamma^0 squared is 1, spatial gammas square to -1
         assert np.abs(GAMMA[0] @ GAMMA[0] - np.eye(4)).max() < 1e-15

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ymvac.bps_profiles import MonopoleScale
 from ymvac.errors import ConvergenceError, DomainError
@@ -139,6 +141,27 @@ class TestGreenRepresentations:
     def test_theta_route_cross_check(self):
         prm = RotatorParams.euclidean(1.0, 0.9, 1.3, 0.4)
         assert abs(spectral_green(prm) - spectral_green_via_theta(prm)) < 1e-14
+
+    def test_theta_route_large_a_theta(self):
+        # theta = 5 > pi: the theta series at theta itself overflows its terms
+        prm = RotatorParams.euclidean(1e-3, 5.0, 1.0)
+        assert spectral_green_via_theta(prm) == spectral_green(prm)
+        prm = RotatorParams.euclidean(1.0, 5.0, 1.3, 0.4)
+        assert abs(spectral_green(prm) - spectral_green_via_theta(prm)) < 1e-14
+
+    @settings(deadline=None)
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        st.floats(-2.0, 1.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_theta_route_property(self, log_inertia, theta, log_tau, dn):
+        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        a = prm.tau_e / (2.0 * prm.inertia)
+        # sum of |terms| is about (1 + 1/sqrt(a))/(2 pi): the scale of rounding
+        tol = 1e-14 * (1.0 + 1.0 / math.sqrt(a))
+        assert abs(spectral_green(prm) - spectral_green_via_theta(prm)) <= tol
 
     def test_integer_shift_invariance_at_theta_zero(self):
         a = spectral_green(RotatorParams.euclidean(1.0, 0.0, 1.0, 0.0))

@@ -1,8 +1,11 @@
 """Group factors, degree-of-map and winding quadrature."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ymvac.algebra import TAU
+from ymvac.algebra import EPS3, TAU, tau_dot
 from ymvac.bps_profiles import MonopoleScale, StencilConfig, build_fields, f01_bps
 from ymvac.errors import ContractError, DomainError, ResolutionError, TruncationError
 from ymvac.interference import EulerAngles, dressed_factor_map
@@ -17,6 +20,7 @@ from ymvac.topology import (
     instanton_amplitude,
     map_degree,
     map_degree_radial_oracle,
+    _cubic_trace,
     surface_flux_term,
     winding_functional,
 )
@@ -142,11 +146,40 @@ class TestMapDegree:
         e_fine = abs(map_degree(2, fine, check_resolution=False) - 2)
         assert e_fine < e_coarse
 
+    def test_cli_default_spec_values_pinned(self):
+        # the winding report's degree column at its default quadrature, bit for bit
+        quad = QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
+        pinned = {
+            -2: -1.9999980506195159,
+            -1: -0.9999997563114026,
+            0: -0.0,
+            1: 0.9999997563114026,
+            2: 1.9999980506195159,
+        }
+        for n, value in pinned.items():
+            assert map_degree(n, quad, check_resolution=False) == value
+
     def test_quadrature_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(r_max=100.0, n_r=8)
         with pytest.raises(DomainError):
             QuadratureSpec(r_max=10.0).check_reaches(1.0)
+
+
+class TestCubicTrace:
+    # components 0 or of magnitude in [1e-3, 10], so no triple product underflows
+    COMPONENT = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+    @settings(deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 16), st.just(3), st.just(3)), elements=COMPONENT))
+    def test_matches_levi_civita_contraction(self, comps):
+        # su(2)-valued L_i = i comps_i . tau
+        L = 1j * tau_dot(comps)
+        ref = np.einsum("ijk,niab,njbc,nkca->n", EPS3, L, L, L)
+        # rounding of either form scales with |L_1| |L_2| |L_3| where the
+        # three components are nearly coplanar and the density cancels
+        scale = max(np.abs(ref).max(), np.prod(np.linalg.norm(comps, axis=2), axis=1).max())
+        assert np.abs(_cubic_trace(L) - ref).max() <= 1e-14 * scale
 
 
 class TestWindingFunctional:
