@@ -1,24 +1,33 @@
 """Per-kernel timings with accuracy figures for the topology and interference kernels.
 
-Times three kernels, each at two problem sizes, in two source trees (a
+Times six kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
-  winding report's default quadrature 48/24/24 and its `refined()` spec;
-  accuracy: the degree gap |N[1] - 1|;
+  winding report's default quadrature 48/24/24 and its `refined()` spec
+  72/36/36; accuracy: the degree gap |N[1] - 1|;
 - `winding_functional` of the BPS monopole (g = 1) at the same two specs;
   accuracy: |X[monopole]|, which is 0 exactly;
+- the gauge-shifted `winding_functional`: the BPS monopole transformed by
+  `GribovFactorMap(1)`, with `tail_fraction=None`, at the same two specs;
+  accuracy: the shift defect |X[v(A + d)v^-1] - X[A] - 1 - surface term|;
+- `surface_flux_term` of the BPS monopole and `GribovFactorMap(1)` on the
+  sphere r = 300 with 48x48 and 72x72 nodes; accuracy: the gap to its closed
+  form -f1(R) sin(a) cos(a)/pi, a = pi f01(R) (the flux density of two
+  hedgehogs is constant on the sphere);
 - `momentum_green_average` at the interference report's default momentum,
   L = 1000 and 10000; accuracy: the decay exponent gap |gamma - 1|, with gamma
   the slope of log ||S|| between L/10 and L.
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
-median over all calls, and the median of IMPORTS cold `import ymvac.cli`
-times with whether the import loaded scipy.  Run from the repository root, for example against
-the parent commit:
+median over all calls, the median of IMPORTS cold `import ymvac.cli` times
+with whether the import loaded scipy, and the median wall time of TIER1_RUNS
+alternating runs of each tree's Tier-1 suite (`pytest -q` over the `tests/`
+beside its `src/`) with its summary line.  Run from the repository root, for
+example against the parent commit:
 
-    mkdir -p ../base && git archive HEAD~1 src | tar -x -C ../base
+    mkdir -p ../base && git archive HEAD~1 src tests | tar -x -C ../base
     python3 bench/kernels.py --baseline ../base/src --out BENCH_<PR>.json
 
 It is not a test (no `test_` name), so the tier-1 suite does not collect it.
@@ -44,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3  # alternating worker processes per tree
 REPEATS = 5  # timed calls per kernel in each worker, after one warm-up call
 IMPORTS = 5  # cold imports of ymvac.cli per tree
+TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
 IMPORT_CODE = (
     "import sys, time\n"
     "t = time.perf_counter()\n"
@@ -80,12 +90,27 @@ def worker() -> dict:
     def norm(L):
         return itf.momentum_green_average(momentum, None, L).norm()
 
+    fmap = topo.GribovFactorMap(1)
+    shifted = topo.gauge_transform(gauge, fmap, 1.0)
+
+    def surface(n_nodes):
+        return topo.surface_flux_term(gauge, fmap, 1.0, default.r_max, n_theta=n_nodes, n_phi=n_nodes)
+
+    a = math.pi * bp.f01_bps(default.r_max, 1.0)
+    surface_exact = -bp.f1_bps(default.r_max, 1.0) * math.sin(a) * math.cos(a) / math.pi
+
     cases = {}
     for size, quad in specs.items():
         times, deg = _timed(lambda: topo.map_degree(1, quad, check_resolution=False))
         cases[f"map_degree/{size}"] = (times, "degree_gap", abs(deg - 1.0))
         times, x = _timed(lambda: topo.winding_functional(gauge, quad, 1.0))
         cases[f"winding_functional/{size}"] = (times, "abs_winding_of_monopole", abs(x))
+        times, xs = _timed(lambda: topo.winding_functional(shifted, quad, 1.0, tail_fraction=None))
+        defect = abs(xs - x - 1.0 - surface(48))
+        cases[f"gauge_shifted_winding/{size}"] = (times, "shift_defect", defect)
+    for n_nodes in (48, 72):
+        times, value = _timed(lambda: surface(n_nodes))
+        cases[f"surface_flux_term/{n_nodes}x{n_nodes}"] = (times, "closed_form_gap", abs(value - surface_exact))
     for L in (1000, 10000):
         times, value = _timed(lambda: norm(L))
         gamma = -math.log(value / norm(L // 10)) / math.log(10.0)
@@ -99,6 +124,17 @@ def _run(src: Path, args: list[str]) -> str:
     if proc.returncode:
         sys.exit(f"worker on {src} failed:\n{proc.stderr.strip()[-2000:]}")
     return proc.stdout
+
+
+def tier1(src: Path) -> tuple[float, str]:
+    """Wall seconds and summary line of one Tier-1 run over the tests beside src."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    t = perf_counter()
+    proc = subprocess.run(cmd, env=env, cwd=src.parent, capture_output=True, text=True)
+    seconds = perf_counter() - t
+    lines = proc.stdout.strip().splitlines()
+    return seconds, lines[-1] if lines else f"exit {proc.returncode}"
 
 
 def measure(trees: dict) -> dict:
@@ -116,6 +152,12 @@ def measure(trees: dict) -> dict:
             seconds, loaded = _run(src, ["-c", IMPORT_CODE]).split()
             import_s[name].append(float(seconds))
             scipy_loaded[name] = loaded == "True"
+    tier1_s = {name: [] for name in trees}
+    tier1_summary = {}
+    for _ in range(TIER1_RUNS):
+        for name, src in trees.items():
+            seconds, tier1_summary[name] = tier1(src)
+            tier1_s[name].append(seconds)
     kernels = []
     for case in samples["current"]:
         kernel, size = case.split("/")
@@ -134,6 +176,11 @@ def measure(trees: dict) -> dict:
         "import_ymvac_cli": {
             name: {"median_s": statistics.median(import_s[name]), "samples": IMPORTS,
                    "loads_scipy": scipy_loaded[name]}
+            for name in trees
+        },
+        "tier1_wall": {
+            name: {"median_s": statistics.median(tier1_s[name]), "samples": TIER1_RUNS,
+                   "summary": tier1_summary[name]}
             for name in trees
         },
     }
@@ -174,6 +221,8 @@ def main(argv=None) -> int:
               f"{row['baseline']['accuracy']:.3e} -> {row['current']['accuracy']:.3e}")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
+    for name, rec in result["tier1_wall"].items():
+        print(f"Tier-1 suite ({name}): {rec['median_s']:.1f} s wall, {rec['summary']}")
     return 0
 
 

@@ -42,14 +42,3 @@ def unitarity_defect(m: np.ndarray) -> float:
 
 def det_defect(m: np.ndarray) -> float:
     return abs(np.linalg.det(np.asarray(m)) - 1.0)
-
-
-def su2_matrix_from_components(a: np.ndarray, g: float) -> np.ndarray:
-    """A_hat = g tau^b A^b / (2i) for component vectors a of shape (..., 3)."""
-    return (-0.5j * g) * np.einsum("...b,bij->...ij", np.asarray(a, dtype=float), TAU)
-
-
-def su2_components_from_matrix(m: np.ndarray, g: float) -> np.ndarray:
-    """Inverse of su2_matrix_from_components; returns real components (..., 3)."""
-    comps = (1j / g) * np.einsum("aij,...ji->...a", TAU, np.asarray(m))
-    return comps.real

@@ -242,8 +242,9 @@ def _coth_minus_inv(x):
     small = np.abs(x) < 0.05
     xs = np.where(small, 1.0, x)
     direct = 1.0 / np.tanh(xs) - 1.0 / xs
-    x2 = x * x
-    series = x * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    xm = np.where(small, x, 0.0)  # the series sees only small x: x * x overflows at large x
+    x2 = xm * xm
+    series = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
     return np.where(small, series, direct)
 
 
@@ -274,7 +275,8 @@ def _x_over_sinh(x):
     # 2x e^-x/(1 - e^-2x): never overflows, underflow to 0 is the right limit
     xb = np.where(big, np.minimum(x, 11300.0), 1.0)
     tail = 2.0 * xb * np.exp(-xb) / (1.0 - np.exp(-2.0 * xb))
-    out = np.where(small, 1.0 - x * x / 6.0, np.where(big, tail, direct))
+    xm = np.where(small, x, 0.0)
+    out = np.where(small, 1.0 - xm * xm / 6.0, np.where(big, tail, direct))
     return out
 
 
@@ -324,7 +326,11 @@ def _hedgehog_gauge(pts, g, radial_f):
     r = np.linalg.norm(pts, axis=1)
     safe = np.where(r > 0, r, 1.0)
     coef = np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)
-    return np.einsum("iak,nk->nia", EPS3, pts) * coef[:, None, None]
+    x = pts * coef[:, None]
+    A = np.zeros((len(pts), 3, 3), dtype=x.dtype)  # the six nonzero entries of eps_{iak} x_k
+    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
+    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -x[:, 2], -x[:, 0], -x[:, 1]
+    return A
 
 
 def _hedgehog_scalar(pts, coef_of_r):

@@ -25,6 +25,17 @@ and the Chern-Simons winding functional, with A_hat_i = g tau^a A_i^a/(2i), as
 Orientation fixed so that N[n] = n and X[pure gauge v^(n)] = n; the two are
 also cross-checked against the 1D radial reduction
 (1/pi)[alpha - sin(alpha) cos(alpha)] evaluated between r = 0 and infinity.
+
+Every integrand is real: v = q0 - i q.tau is a unit quaternion, an su(2)
+element a real 3-vector, tr[(a.tau)(b.tau)] = 2 a.b and
+tr[(a.tau)(b.tau)(c.tau)] = 2i a.(b x c).  With the real current
+c_i = q0 d_i q - d_i q0 q + q x d_i q of d_i v v^-1 = -i c_i.tau:
+
+- degree density: -eps^{ijk} tr[L_i L_j L_k]/(24 pi^2) = det[c_1, c_2, c_3]/(2 pi^2);
+- Chern-Simons: eps^{ijk} tr[A_hat_i d_j A_hat_k] = -(g^2/2) eps^{ijk} A_i^a d_j A_k^a
+  and eps^{ijk} tr[A_hat_i A_hat_j A_hat_k] = -(3 g^3/2) det[A_1, A_2, A_3];
+- gauge transform: v (A_hat_i + d_i) v^-1 has components R(q) A_i - (2/g) c_i,
+  R(q) the adjoint rotation of v, and tr[A_hat_j v d_k v^-1] = g A_j . c_k.
 """
 from __future__ import annotations
 
@@ -34,7 +45,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import EPS3, ID2, TAU, det_defect, su2_components_from_matrix, su2_matrix_from_components, tau_dot, unitarity_defect
+from .algebra import EPS3, ID2, det_defect, tau_dot, unitarity_defect
 from .bps_profiles import ColorField, StencilConfig, _batch, d_f01_bps, f01_bps
 from .errors import ContractError, DomainError, ResolutionError, TruncationError
 
@@ -187,8 +198,6 @@ class GribovFactorMap:
         self.prefactor = float(prefactor)
         self._coef = self.prefactor * np.pi * self.n  # A(r) = coef f(r)
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
-        # d_i (tau.m_hat) = (tau.R[:, i] - n_i tau.m_hat)/r
-        self._tau_columns = TAU if rotation is None else tau_dot(self.rotation.T)
         if profile is None:
             self.profile = lambda r: f01_bps(r, self.eps_ref)
             self._slope = lambda r: d_f01_bps(r, self.eps_ref)
@@ -198,36 +207,43 @@ class GribovFactorMap:
             self._slope = lambda r: stencil._apply(profile, r, 1.0)
         _check_profile(self.profile, self.eps_ref)
 
-    def _frame(self, pts):
-        """Radii, unit vectors n_hat and tau.m_hat of a batch of points."""
+    def _quaternion(self, pts, derivs: bool = True):
+        """v = q0 - i q.tau at a batch of N points, component axes first so
+        that every elementwise step runs over the points: q0 (N,), q (3, N)
+        and, with derivs, d_i q0 (3, N) [i][n] and d_i q (3, 3, N) [a][i][n]
+        (else None), all from one pass over the radii, unit vectors and profile.
+
+        q0 = cos A and q = sin A m_hat, with d_i m_hat = (R[:, i] - n_i m_hat)/r;
+        the derivatives require r > 0 at every point."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         nh = pts / np.where(r > 0, r, 1.0)[:, None]
-        return r, nh, tau_dot(nh if self.rotation is None else nh @ self.rotation.T)
+        mh = np.ascontiguousarray((nh if self.rotation is None else nh @ self.rotation.T).T)
+        nh = np.ascontiguousarray(nh.T)
+        A = self._coef * self.profile(r)
+        A[r == 0] = 0.0  # v = 1 at the origin whatever the profile's rounding there
+        ca, sa = np.cos(A), np.sin(A)
+        q = sa * mh
+        if not derivs:
+            return ca, q, None, None
+        if np.any(r == 0):
+            raise DomainError("derivative of the factor is undefined at r = 0")
+        dA = self._coef * self._slope(r)
+        rot = np.eye(3) if self.rotation is None else self.rotation  # [a][i]
+        dmh = (rot[:, :, None] - mh[:, None] * nh[None]) / r
+        dq0 = -(sa * dA) * nh
+        dq = (ca * dA) * nh[None] * mh[:, None] + sa * dmh
+        return ca, q, dq0, dq
 
     def matrices(self, pts: np.ndarray) -> np.ndarray:
-        r, _, M = self._frame(pts)
-        A = self._coef * self.profile(r)
-        out = np.cos(A)[:, None, None] * ID2[None] - 1j * np.sin(A)[:, None, None] * M
-        out[r == 0] = ID2
-        return out
+        """v, shape (N, 2, 2)."""
+        q0, q, _, _ = self._quaternion(pts, derivs=False)
+        return q0[:, None, None] * ID2 - 1j * tau_dot(q.T)
 
     def d_matrices(self, pts: np.ndarray) -> np.ndarray:
         """d_i v, shape (N, 3, 2, 2); requires r > 0 at every point."""
-        r, nh, M = self._frame(pts)
-        if np.any(r == 0):
-            raise DomainError("derivative of the factor is undefined at r = 0")
-        A = self._coef * self.profile(r)
-        dA = self._coef * self._slope(r)
-        ca, sa = np.cos(A), np.sin(A)
-        dv = np.empty((len(r), 3, 2, 2), dtype=complex)
-        for i in range(3):
-            dM = (self._tau_columns[i][None] - nh[:, i][:, None, None] * M) / r[:, None, None]
-            dv[:, i] = (
-                -(sa * dA * nh[:, i])[:, None, None] * ID2[None]
-                - 1j * ((ca * dA * nh[:, i])[:, None, None] * M + sa[:, None, None] * dM)
-            )
-        return dv
+        _, _, dq0, dq = self._quaternion(pts)
+        return dq0.T[..., None, None] * ID2 - 1j * tau_dot(dq.transpose(2, 1, 0))
 
     def __call__(self, x) -> GroupElement:
         return GroupElement(self.matrices(_batch(x)[0].reshape(1, 3))[0])
@@ -252,27 +268,31 @@ def gribov_phase_matrix(x, eps_ref: float = 1.0) -> AlgebraElement:
 # integrals
 # ---------------------------------------------------------------------------
 
-def _cubic_trace(L: np.ndarray) -> np.ndarray:
-    """eps^{ijk} tr[L_i L_j L_k] for matrices L of shape (N, 3, 2, 2).
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b along the first axis (the rest broadcast), written out."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
-    The trace is cyclic, so the three even and the three odd orderings each
-    agree and the sum is 3 tr(L_1 [L_2, L_3]): two matrix products instead of
-    the six of the Levi-Civita contraction.  Complex; callers take the real part.
-    """
-    L1, L2, L3 = L[:, 0], L[:, 1], L[:, 2]
-    return 3.0 * np.einsum("nab,nba->n", L1, L2 @ L3 - L3 @ L2)
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """det[m_1, m_2, m_3] = m_1 . (m_2 x m_3) of rows m_i = m[:, i], for m of
+    shape (3, 3, N) [a][i][n]."""
+    return np.sum(m[:, 0] * _cross(m[:, 1], m[:, 2]), axis=0)
+
+
+def _current(q0, q, dq0, dq) -> np.ndarray:
+    """Real right current c_i, (3, 3, N) [a][i][n], of d_i v v^-1 = -i c_i.tau:
+    c_i = q0 d_i q - d_i q0 q + q x d_i q.  Also v d_i v^-1 = +i c_i.tau."""
+    qb = q[:, None]
+    return q0 * dq - qb * dq0 + _cross(qb, dq)
 
 
 def _degree_integral(fmap: GribovFactorMap, quad: QuadratureSpec) -> float:
     pts, wts = quad.ball_nodes(fmap.eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 0
     pts, wts = pts[keep], wts[keep]
-    v = fmap.matrices(pts)
-    dv = fmap.d_matrices(pts)
-    vd = v.conj().swapaxes(-1, -2)
-    L = np.einsum("nab,nibc->niac", vd, dv)
-    dens = _cubic_trace(L).real
-    return float(-np.sum(wts * dens) / (24.0 * np.pi**2))
+    dens = _det3(_current(*fmap._quaternion(pts)))
+    # det/(2 pi^2) written as the trace form's 12 det/(24 pi^2): same last bit
+    return float(12.0 * np.sum(wts * dens) / (24.0 * np.pi**2))
 
 
 def map_degree(
@@ -322,8 +342,8 @@ def winding_functional(
 ) -> float:
     """Chern-Simons winding functional X[A] over the ball of radius r_max.
 
-    The derivative term uses central differences on the sampler's real
-    components.  Raises TruncationError when the outer 10% radial shell
+    Both terms are real (see the module docstring); the derivative term uses
+    central differences on the sampler's components.  Raises TruncationError when the outer 10% radial shell
     carries more than tail_fraction of the accumulated absolute integrand;
     pass None to skip (e.g. when the boundary flux is being computed
     explicitly).
@@ -333,11 +353,11 @@ def winding_functional(
     pts, wts = quad.ball_nodes(eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
     pts, wts = pts[keep], wts[keep]
-    Ah = su2_matrix_from_components(field.sample(pts), g)  # (N, 3, 2, 2)
-    # the component map is linear: differentiate the real components, map once
-    dAh = su2_matrix_from_components(stencil._gradient(field.sample, pts), g)  # [n][j][k]
-    term1 = np.einsum("ijk,niab,njkba->n", EPS3, Ah, dAh).real
-    term2 = _cubic_trace(Ah).real
+    A = field.sample(pts)  # [n][i][a]
+    dA = stencil._gradient(field.sample, pts)  # [n][j][k][a]
+    curl = np.stack([dA[:, 1, 2] - dA[:, 2, 1], dA[:, 2, 0] - dA[:, 0, 2], dA[:, 0, 1] - dA[:, 1, 0]], axis=1)
+    term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl)
+    term2 = (-1.5 * g**3) * _det3(A.T)
     dens = wts * (term1 + (2.0 / 3.0) * term2)
     total = -np.sum(dens) / (8.0 * np.pi**2)
 
@@ -353,40 +373,20 @@ def winding_functional(
     return float(total)
 
 
-def _as_matrix_map(v_map, stencil: StencilConfig):
-    """Normalize v_map to (matrices, d_matrices) callables on point batches."""
-    if isinstance(v_map, GribovFactorMap):
-        return v_map.matrices, v_map.d_matrices
+def gauge_transform(field: ColorField, v_map: GribovFactorMap, g: float) -> ColorField:
+    """Return the sampler of v (A_hat + d) v^-1 converted back to components,
 
-    def matrices(pts):
-        out = []
-        for p in pts:
-            m = v_map(p)
-            out.append(np.asarray(getattr(m, "m", m)))
-        return np.stack(out)
+        A_i -> R(q) A_i - (2/g) c_i,
 
-    def d_matrices(pts):
-        return stencil._gradient(matrices, pts)
-
-    return matrices, d_matrices
-
-
-def gauge_transform(
-    field: ColorField, v_map, g: float, stencil: StencilConfig | None = None
-) -> ColorField:
-    """Return the sampler of v (A_hat + d) v^-1 converted back to components."""
-    stencil = stencil or StencilConfig(1e-4, 4)
-    matrices, d_matrices = _as_matrix_map(v_map, stencil)
+    with R(q) the adjoint rotation of v = q0 - i q.tau acting on the colour
+    index and c_i the real current of d_i v v^-1 (v d_i v^-1 = i c_i.tau)."""
 
     def sample_batch(pts):
-        v = matrices(pts)
-        vd = v.conj().swapaxes(-1, -2)
-        Ah = su2_matrix_from_components(field.sample(pts), g)
-        dv = d_matrices(pts)
-        # v d_i v^-1 = -(d_i v) v^-1
-        L = -np.einsum("nibc,ncd->nibd", dv, vd)
-        M = np.einsum("nab,nibc,ncd->niad", v, Ah, vd) + L
-        return su2_components_from_matrix(M, g)
+        q0, q, dq0, dq = v_map._quaternion(pts)
+        A = field.sample(pts).T  # [a][i][n]
+        qb = q[:, None]
+        t = 2.0 * _cross(qb, A)  # R(q) a = a + q0 t + q x t with t = 2 q x a
+        return (A + q0 * t + _cross(qb, t) - (2.0 / g) * _current(q0, q, dq0, dq)).T
 
     return ColorField(
         sample_batch,
@@ -397,7 +397,7 @@ def gauge_transform(
 
 def surface_flux_term(
     field: ColorField,
-    v_map,
+    v_map: GribovFactorMap,
     g: float,
     r_sphere: float,
     n_theta: int = 48,
@@ -408,17 +408,14 @@ def surface_flux_term(
         X[v (A + d) v^-1] = X[A] + N[v] + surface_flux_term,
 
     i.e. -(1/8 pi^2) oint_{r=r_sphere} dS_i eps^{ijk} tr[ A_hat_j L_k ],
-    with L_k = v d_k v^-1 taken from the map's exact derivative."""
+    with L_k = v d_k v^-1 = i c_k.tau from the map's exact derivative, so
+    that tr[ A_hat_j L_k ] = g A_j^a c_k^a."""
     dirs, wdir = _sphere_nodes(n_theta, n_phi)
     wts = wdir * r_sphere**2
     pts = r_sphere * dirs
-    matrices, d_matrices = _as_matrix_map(v_map, StencilConfig(1e-4, 4))
-    v = matrices(pts)
-    vd = v.conj().swapaxes(-1, -2)
-    dv = d_matrices(pts)
-    L = -np.einsum("nibc,ncd->nibd", dv, vd)
-    Ah = su2_matrix_from_components(field.sample(pts), g)
-    dens = np.einsum("ni,ijk,njab,nkba->n", dirs, EPS3, Ah, L).real
+    c = _current(*v_map._quaternion(pts))
+    A = field.sample(pts)
+    dens = g * np.einsum("ni,ijk,nja,akn->n", dirs, EPS3, A, c)
     return float(-np.sum(wts * dens) / (8.0 * np.pi**2))
 
 

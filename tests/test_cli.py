@@ -248,3 +248,26 @@ class TestImport:
         code = "import sys, ymvac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestNoStrayWarnings:
+    def test_default_reports_and_tiny_eps_warning_free(self):
+        # the eight default reports plus an extreme-but-valid core size, in one
+        # interpreter that turns every RuntimeWarning into an error
+        argvs = [[name] for name in FAST_ARGS] + [["profiles", "--eps", "1e-300"]]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from ymvac.cli import main\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main(argv))\n"
+            "print(json.dumps(codes))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ymvac.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(out.stdout) == [0] * len(argvs)
+        assert out.stderr == ""

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ymvac.algebra import EPS3, TAU, tau_dot
-from ymvac.bps_profiles import MonopoleScale, StencilConfig, build_fields, f01_bps
+from ymvac.bps_profiles import ColorField, MonopoleScale, StencilConfig, build_fields, f01_bps, f1_bps
 from ymvac.errors import ContractError, DomainError, ResolutionError, TruncationError
 from ymvac.interference import EulerAngles, dressed_factor_map
 from ymvac.topology import (
     AlgebraElement,
     GribovFactorMap,
-    GroupElement,
     QuadratureSpec,
     gauge_transform,
     gribov_factor,
@@ -20,13 +19,26 @@ from ymvac.topology import (
     instanton_amplitude,
     map_degree,
     map_degree_radial_oracle,
-    _cubic_trace,
     surface_flux_term,
     winding_functional,
+    _current,
+    _det3,
+    _sphere_nodes,
 )
 
 QUAD = QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
 SCALE = MonopoleScale(g=1.3, eps=1.0)
+
+
+# the 2x2 matrix forms the real integrands are checked against
+def su2_matrix_from_components(a, g):
+    """A_hat = g tau^b A^b / (2i) for component vectors a of shape (..., 3)."""
+    return (-0.5j * g) * np.einsum("...b,bij->...ij", np.asarray(a, dtype=float), TAU)
+
+
+def su2_components_from_matrix(m, g):
+    """Inverse of su2_matrix_from_components; returns real components (..., 3)."""
+    return ((1j / g) * np.einsum("aij,...ji->...a", TAU, np.asarray(m))).real
 
 
 class TestGribovFactor:
@@ -173,13 +185,90 @@ class TestCubicTrace:
     @settings(deadline=None)
     @given(arrays(float, st.tuples(st.integers(1, 16), st.just(3), st.just(3)), elements=COMPONENT))
     def test_matches_levi_civita_contraction(self, comps):
-        # su(2)-valued L_i = i comps_i . tau
+        # su(2)-valued L_i = i comps_i . tau: eps^{ijk} tr[L_i L_j L_k] = 12 det[comps]
         L = 1j * tau_dot(comps)
         ref = np.einsum("ijk,niab,njbc,nkca->n", EPS3, L, L, L)
         # rounding of either form scales with |L_1| |L_2| |L_3| where the
         # three components are nearly coplanar and the density cancels
         scale = max(np.abs(ref).max(), np.prod(np.linalg.norm(comps, axis=2), axis=1).max())
-        assert np.abs(_cubic_trace(L) - ref).max() <= 1e-14 * scale
+        assert np.abs(ref.imag).max() <= 1e-14 * scale
+        assert np.abs(12.0 * _det3(comps.T) - ref.real).max() <= 1e-14 * scale
+
+
+# random dressed factor maps: winding n, amplitude prefactor, core size, adjoint rotation
+FACTOR_MAPS = st.builds(
+    lambda n, c, eps, angles: GribovFactorMap(n, eps_ref=eps, prefactor=c, rotation=EulerAngles(*angles).adjoint_rotation()),
+    st.integers(-3, 3),
+    st.floats(-2.5, 2.5),
+    st.floats(0.3, 3.0),
+    st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+)
+# 1..8 points: random directions at random radii in [0.05, 20]
+POINTS = st.integers(1, 8).flatmap(
+    lambda k: st.tuples(
+        arrays(float, (k, 3), elements=st.floats(-1.0, 1.0)).filter(lambda d: np.all(np.linalg.norm(d, axis=1) > 0.1)),
+        arrays(float, (k, 1), elements=st.floats(0.05, 20.0)),
+    )
+).map(lambda dr: dr[0] / np.linalg.norm(dr[0], axis=1, keepdims=True) * dr[1])
+
+
+def _matrix_current(fmap, pts):
+    """v and L_i = v d_i v^-1 from the 2x2 matrix forms."""
+    v = fmap.matrices(pts)
+    vd = v.conj().swapaxes(-1, -2)
+    return v, -np.einsum("nibc,ncd->nibd", fmap.d_matrices(pts), vd)
+
+
+class TestRealForms:
+    """The real 3-vector integrands against their 2x2 matrix forms."""
+
+    @settings(deadline=None)
+    @given(FACTOR_MAPS, POINTS)
+    def test_degree_density_matches_matrix_form(self, fmap, pts):
+        v = fmap.matrices(pts)
+        L = np.einsum("nab,nibc->niac", v.conj().swapaxes(-1, -2), fmap.d_matrices(pts))
+        ref = -np.einsum("ijk,niab,njbc,nkca->n", EPS3, L, L, L).real / (24.0 * np.pi**2)
+        c = _current(*fmap._quaternion(pts))
+        scale = np.prod(np.linalg.norm(c, axis=0), axis=0) / (2.0 * np.pi**2)  # Hadamard bound
+        assert np.all(np.abs(_det3(c) / (2.0 * np.pi**2) - ref) <= 1e-13 * (1.0 + scale))
+
+    @settings(deadline=None)
+    @given(
+        FACTOR_MAPS,
+        POINTS.flatmap(lambda p: st.tuples(st.just(p), arrays(float, (len(p), 3, 3), elements=st.floats(-5.0, 5.0)))),
+        st.floats(0.3, 3.0),
+    )
+    def test_gauge_transform_matches_matrix_form(self, fmap, pts_and_field, g):
+        pts, comps = pts_and_field
+        field = ColorField(lambda p: comps)
+        v, L = _matrix_current(fmap, pts)
+        Ah = su2_matrix_from_components(comps, g)
+        M = np.einsum("nab,nibc,ncd->niad", v, Ah, v.conj().swapaxes(-1, -2)) + L
+        ref = su2_components_from_matrix(M, g)
+        scale = np.abs(comps).max() + np.abs(_current(*fmap._quaternion(pts))).max() / g
+        assert np.abs(gauge_transform(field, fmap, g).sample(pts) - ref).max() <= 1e-13 * (1.0 + scale)
+
+    @settings(deadline=None, max_examples=30)
+    @given(FACTOR_MAPS, st.floats(0.5, 50.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0))
+    def test_surface_term_matches_matrix_form(self, fmap, r_sphere, g, eps):
+        gauge, _ = build_fields(MonopoleScale(g, eps), "BPS")
+        dirs, wdir = _sphere_nodes(16, 16)
+        pts = r_sphere * dirs
+        _, L = _matrix_current(fmap, pts)
+        Ah = su2_matrix_from_components(gauge.sample(pts), g)
+        dens = wdir * r_sphere**2 * np.einsum("ni,ijk,njab,nkba->n", dirs, EPS3, Ah, L).real
+        ref = -np.sum(dens) / (8.0 * np.pi**2)
+        got = surface_flux_term(gauge, fmap, g, r_sphere, n_theta=16, n_phi=16)
+        assert abs(got - ref) <= 1e-13 * (1.0 + np.sum(np.abs(dens)) / (8.0 * np.pi**2))
+
+    def test_surface_term_closed_form(self):
+        # hedgehog A and v: the flux density is constant on the sphere and the
+        # term closes to -f1(R) sin(a) cos(a)/pi with a = pi n f01(R)
+        gauge, _ = build_fields(SCALE, "BPS")
+        for n, R in ((1, 300.0), (2, 3.0), (-3, 1.5)):
+            a = np.pi * n * f01_bps(R, 1.0)
+            exact = -f1_bps(R, SCALE.eps) * np.sin(a) * np.cos(a) / np.pi
+            assert abs(surface_flux_term(gauge, GribovFactorMap(n), SCALE.g, R) - exact) < 1e-14
 
 
 class TestWindingFunctional:
@@ -208,7 +297,7 @@ class TestWindingFunctional:
 class TestGaugeTransform:
     def test_identity_map(self):
         gauge, _ = build_fields(SCALE, "BPS")
-        ident = gauge_transform(gauge, lambda x: GroupElement(np.eye(2, dtype=complex)), SCALE.g)
+        ident = gauge_transform(gauge, GribovFactorMap(0), SCALE.g)
         pts = np.array([[0.3, -0.7, 1.1], [2.0, 0.1, 0.5]])
         np.testing.assert_allclose(ident.sample(pts), gauge.sample(pts), atol=1e-9)
 
@@ -218,8 +307,6 @@ class TestGaugeTransform:
         pure = gauge_transform(zero, fmap, SCALE.g)
         x = np.array([0.8, 0.2, -0.4])[None]
         # components must reproduce v d v^-1 through the su(2) dictionary
-        from ymvac.algebra import su2_matrix_from_components
-
         L = -np.einsum("ibc,cd->ibd", fmap.d_matrices(x)[0], fmap.matrices(x)[0].conj().T)
         M = su2_matrix_from_components(pure.sample(x[0]), SCALE.g)
         assert np.abs(M - L).max() < 1e-12
