@@ -1,6 +1,6 @@
-"""Per-kernel timings with accuracy figures for the topology and interference kernels.
+"""Per-kernel timings with accuracy figures for the topology, interference and rotator kernels.
 
-Times six kernels, each at two problem sizes, in two source trees (a
+Times nine kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -17,7 +17,16 @@ baseline and this checkout's `src/`), and writes one JSON file:
   hedgehogs is constant on the sphere);
 - `momentum_green_average` at the interference report's default momentum,
   L = 1000 and 10000; accuracy: the decay exponent gap |gamma - 1|, with gamma
-  the slope of log ||S|| between L/10 and L.
+  the slope of log ||S|| between L/10 and L;
+- `QuadratureSpec.ball_nodes` at 48/24/24 and 72/36/36, called again after
+  its first call (what the second to fifth node builds of a `winding` report
+  cost); accuracy: the relative gap of the rule on the integral of e^-r over
+  the ball, 4 pi (2 - e^-R (R^2 + 2R + 2));
+- `path_green` (the winding sum) at I = 1e-6 and 1e-7, tau_E = 0.3, dN = 0.3,
+  theta = 0 (10 045 and 31 755 terms), and `spectral_green` at I = 1e4 and
+  1e5, tau_E = 0.01, dN = 0, theta = 0.9 (2 923 and 9 231 terms); accuracy:
+  the gap to `mpmath.jtheta` at 30 digits on the other side's nome, where the
+  theta series converges in a few terms.
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -73,13 +82,36 @@ def _timed(fn):
     return times, value
 
 
+def _jtheta_spectral(prm) -> complex:
+    """The Green function through mpmath.jtheta on the spectral nome e^(-4 pi^2 a)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        I, th, te, dn = (mpmath.mpf(v) for v in (prm.inertia, prm.theta, prm.tau_e, prm.dN))
+        a = te / (2 * I)
+        z = mpmath.pi * dn + 2j * mpmath.pi * a * th
+        pref = mpmath.exp(1j * th * dn - a * th**2) / (2 * mpmath.pi)
+        return complex(pref * mpmath.jtheta(3, z, mpmath.exp(-4 * mpmath.pi**2 * a)))
+
+
+def _jtheta_winding(prm) -> complex:
+    """The Green function through mpmath.jtheta on the winding nome e^(-b), b = I/(2 tau_E)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        I, th, te, dn = (mpmath.mpf(v) for v in (prm.inertia, prm.theta, prm.tau_e, prm.dN))
+        b = I / (2 * te)
+        pref = mpmath.sqrt(I / (8 * mpmath.pi**3 * te)) * mpmath.exp(-b * dn**2)
+        return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
+
+
 def worker() -> dict:
     """Time every kernel case in this process; `ymvac` comes from PYTHONPATH."""
     import math
 
     import numpy as np
 
-    from ymvac import bps_profiles as bp, interference as itf, topology as topo
+    from ymvac import bps_profiles as bp, interference as itf, rotator as rot, topology as topo
     from ymvac.cli import _parse_config
 
     default = topo.QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
@@ -115,6 +147,19 @@ def worker() -> dict:
         times, value = _timed(lambda: norm(L))
         gamma = -math.log(value / norm(L // 10)) / math.log(10.0)
         cases[f"momentum_green_average/L={L}"] = (times, "decay_exponent_gap", abs(gamma - 1.0))
+    for size, quad in specs.items():
+        times, (pts, wts) = _timed(lambda: quad.ball_nodes(1.0))
+        exact = 4.0 * math.pi * (2.0 - math.exp(-quad.r_max) * (quad.r_max**2 + 2.0 * quad.r_max + 2.0))
+        gap = abs(np.sum(wts * np.exp(-np.linalg.norm(pts, axis=1))) / exact - 1.0)
+        cases[f"ball_nodes/{size}"] = (times, "exp_integral_gap", gap)
+    for inertia in (1e-6, 1e-7):
+        prm = rot.RotatorParams.euclidean(inertia, 0.0, 0.3, 0.3)
+        times, value = _timed(lambda: rot.path_green(prm))
+        cases[f"path_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
+    for inertia in (1e4, 1e5):
+        prm = rot.RotatorParams.euclidean(inertia, 0.9, 0.01, 0.0)
+        times, value = _timed(lambda: rot.spectral_green(prm))
+        cases[f"spectral_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_winding(prm)))
     return {k: {"times_s": t, "accuracy_name": a, "accuracy": v} for k, (t, a, v) in cases.items()}
 
 

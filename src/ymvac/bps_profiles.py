@@ -309,9 +309,11 @@ def d_f01_bps(r, eps: float):
     r = np.asarray(r, dtype=float)
     x = r / eps
     small = np.abs(x) < 0.05
-    xs = np.where(small, 1.0, x)
+    # past 1e154 xs**2 overflows: inf gives its limit 1/xs**2 = 0 without a warning
+    xs = np.where(small, 1.0, np.where(x > 1e154, np.inf, x))
     direct = (1.0 / xs**2 - 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2) / eps
-    x2 = x * x
+    xm = np.where(small, x, 0.0)  # the series sees only small x, as in _coth_minus_inv
+    x2 = xm * xm
     series = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
     out = np.where(small, series, direct)
     return out if out.ndim else float(out)

@@ -250,16 +250,27 @@ def _run_rotator(cfg: RunConfig) -> Report:
     thetas = [0.0, math.pi / 2, math.pi] if p["theta"] is None else [p["theta"]]
     taus = [0.3, 1.0, 3.0] if p["tau"] is None else [p["tau"]]
     inertias = [0.5, 1.0, 5.0] if p["inertia"] is None else [p["inertia"]]
-    rows = []
+    rows, skipped = [], []
     worst = 0.0
     for th in thetas:
         for te in taus:
             for dn in (0.0, 0.3, 1.0):
                 for inertia in inertias:
                     prm = rotator.RotatorParams.euclidean(inertia, th, te, dn)
-                    s = rotator.spectral_green(prm)
-                    w = rotator.path_green(prm)
-                    d = abs(s - w)
+                    # evaluate only the sides that fit the term cap; a lone
+                    # side is checked against its own theta route instead
+                    need_s, need_w = rotator.terms_needed(prm)
+                    if need_w > rotator.TERM_CAP:
+                        s = rotator.spectral_green(prm)
+                        d = abs(s - rotator.spectral_green_via_theta(prm))
+                        skipped.append((len(rows), "path", need_w, "spectral_green_via_theta"))
+                    elif need_s > rotator.TERM_CAP:
+                        s = rotator.path_green(prm)
+                        d = abs(s - rotator.path_green_via_theta(prm))
+                        skipped.append((len(rows), "spectral", need_s, "path_green_via_theta"))
+                    else:
+                        s = rotator.spectral_green(prm)
+                        d = abs(s - rotator.path_green(prm))
                     worst = max(worst, d)
                     rows.append((th, te, dn, inertia, s.real, s.imag, d))
     decay_rows = []
@@ -276,6 +287,10 @@ def _run_rotator(cfg: RunConfig) -> Report:
             "interference_decay": _table(["L", "off_spectrum_modulus", "bound"], decay_rows),
         },
     )
+    if skipped:  # only then, so that reports with both sides keep their bytes
+        rep.meta["term_cap"] = rotator.TERM_CAP
+        rep.meta["skipped_sides"] = [{"row": r, "side": side, "terms_needed": n} for r, side, n, _ in skipped]
+        rep.results["skipped_sides"] = _table(["row", "side", "terms_needed", "second_route"], skipped)
     rep.check("spectral-vs-path-identity", worst, tol, worst < tol)
     on_mod = abs(abs(rotator.averaged_wavefunction(p["theta_probe"], p["theta_probe"], 1000)) - 1.0)
     rep.check("on-spectrum-survival", on_mod, 1e-12, on_mod < 1e-12)

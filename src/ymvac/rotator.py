@@ -19,6 +19,10 @@ transformation of
 with the dictionary tau = 2 pi i tau_E / I, Z = pi dN + i pi theta tau_E / I
 (spectral side).  Real-time evaluation is out of contract and raises.
 
+Each sum builds its terms in one numpy array and adds them with math.fsum; a
+cutoff past the term cap raises.  `terms_needed` tells which sides fit, and
+each side has its own theta route as a second check.
+
 The observable-wavefunction average uses the measure weight e^{-i n theta}
 by default, so survival occurs exactly on the quasi-momentum spectrum; the
 e^{+i n theta} variant (survival at 2 pi k - theta) sits behind measure_sign.
@@ -45,12 +49,15 @@ __all__ = [
     "spectral_green",
     "spectral_green_via_theta",
     "path_green",
+    "path_green_via_theta",
+    "terms_needed",
+    "TERM_CAP",
     "electric_spectrum",
     "coleman_spectrum",
 ]
 
-_TINY = 1e-18
 _KCAP = 200_000
+TERM_CAP = 2 * _KCAP + 1  # most terms any one sum adds
 
 
 def _normalize_theta(theta: float) -> float:
@@ -144,17 +151,17 @@ def interference_bound(p: float, theta: float, L: int, measure_sign: int = -1) -
 # ---------------------------------------------------------------------------
 
 def _exact_sum(term, k_max: int) -> complex:
-    """sum_{k=-k_max..k_max} term(k), real and imaginary parts each correctly
-    rounded (math.fsum, so the order of the terms does not matter).  Raises
-    ConvergenceError when the cutoff is past the term cap, never truncating."""
+    """sum_{k=-k_max..k_max} term(k), with `term` mapping the integer array of
+    all k to their complex terms at once; real and imaginary parts are each
+    correctly rounded (math.fsum, so the order of the terms does not matter).
+    Raises ConvergenceError, before any array is built, when the cutoff is
+    past the term cap: never truncates."""
     if k_max > _KCAP:
-        raise ConvergenceError(f"sum needs {2 * k_max + 1} terms, more than the cap of {2 * _KCAP + 1}")
-    terms = [term(k) for k in range(-k_max, k_max + 1)]
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-
-
-def _theta_term(k: int, z: complex, tau: complex) -> complex:
-    return cmath.exp(1j * math.pi * k * k * tau + 2j * k * z)
+        raise ConvergenceError(f"sum needs {2 * k_max + 1} terms, more than the cap of {TERM_CAP}")
+    terms = term(np.arange(-k_max, k_max + 1))
+    # a memoryview of a contiguous copy hands fsum one float at a time, where
+    # .tolist() would hold all of them as Python floats at once
+    return complex(math.fsum(memoryview(terms.real.copy())), math.fsum(memoryview(terms.imag.copy())))
 
 
 def theta3(z, tau=None, k_max: int | None = None) -> complex:
@@ -169,7 +176,7 @@ def theta3(z, tau=None, k_max: int | None = None) -> complex:
     if k_max is None:
         a, b = math.pi * tau.imag, 2.0 * abs(z.imag)
         k_max = int((b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)) + 2
-    return _exact_sum(lambda k: _theta_term(k, z, tau), k_max)
+    return _exact_sum(lambda k: np.exp(1j * math.pi * k * k * tau + 2j * k * z), k_max)
 
 
 def theta3_modular_defect(z, tau, k_max: int | None = None) -> float:
@@ -182,18 +189,37 @@ def theta3_modular_defect(z, tau, k_max: int | None = None) -> float:
     return abs(lhs - rhs)
 
 
+def _spectral_k_max(a: float) -> int:
+    # every term past the cutoff is below exp(-a (2 pi k)^2) < e^-42
+    return int(math.sqrt(42.0 / a) / (2.0 * math.pi)) + 3
+
+
+def _path_n_max(b: float, dN: float) -> int:
+    return int(math.sqrt(42.0 / b)) + int(abs(dN)) + 3
+
+
+def terms_needed(params: RotatorParams) -> tuple[int, int]:
+    """Terms (spectral, winding) that `spectral_green` and `path_green` sum at
+    their default cutoffs.  A side fits when its count is at most TERM_CAP.
+    Apart from their offsets the cutoffs multiply to 42/pi (a b = 1/4), so
+    one side always fits unless |dN| alone passes the cap."""
+    tau_e = params.tau_e
+    a = tau_e / (2.0 * params.inertia)
+    b = params.inertia / (2.0 * tau_e)
+    return 2 * _spectral_k_max(a) + 1, 2 * _path_n_max(b, params.dN) + 1
+
+
 def spectral_green(params: RotatorParams, k_max: int | None = None) -> complex:
     """Quasi-momentum sum (1/2pi) sum_k e^{-p_k^2 tau_E/(2I)} e^{i p_k dN}."""
     tau_e = params.tau_e
     I, th, dN = params.inertia, params.theta, params.dN
     a = tau_e / (2.0 * I)
     if k_max is None:
-        # need exp(-a (2 pi k)^2) below tiny
-        k_max = int(math.sqrt(42.0 / a) / (2.0 * math.pi)) + 3
+        k_max = _spectral_k_max(a)
 
     def term(k):
         p = 2.0 * math.pi * k + th
-        return cmath.exp(-a * p * p + 1j * p * dN)
+        return np.exp(-a * p * p + 1j * p * dN)
 
     return _exact_sum(term, k_max) / (2.0 * math.pi)
 
@@ -226,9 +252,27 @@ def path_green(params: RotatorParams, n_max: int | None = None) -> complex:
     I, th, dN = params.inertia, params.theta, params.dN
     b = I / (2.0 * tau_e)
     if n_max is None:
-        n_max = int(math.sqrt(42.0 / b)) + int(abs(dN)) + 3
+        n_max = _path_n_max(b, dN)
     pref = math.sqrt(I / (8.0 * math.pi**3 * tau_e))
-    return pref * _exact_sum(lambda n: cmath.exp(-1j * th * n - b * (dN + n) ** 2), n_max)
+    return pref * _exact_sum(lambda n: np.exp(-1j * th * n - b * ((dN + n) * (dN + n))), n_max)
+
+
+def path_green_via_theta(params: RotatorParams) -> complex:
+    """Same winding sum closed through Theta3 at its own argument: cross-check
+    route for the winding side.
+
+    With dN = m + r, m = round(dN), relabelling n -> n - m gives
+    e^{i theta m} e^{-b r^2} Theta3(-theta/2 + i b r | i b/pi), b = I/(2 tau_E);
+    at |r| <= 1/2 the real exponent -b k (k + 2 r) of every theta term is
+    <= 0, so no term overflows.
+    """
+    tau_e = params.tau_e
+    I, th, dN = params.inertia, params.theta, params.dN
+    b = I / (2.0 * tau_e)
+    m = round(dN)
+    r = dN - m
+    pref = math.sqrt(I / (8.0 * math.pi**3 * tau_e)) * cmath.exp(1j * th * m - b * r * r)
+    return pref * theta3(-0.5 * th + 1j * b * r, 1j * b / math.pi)
 
 
 def electric_spectrum(k: int, theta: float, scale: MonopoleScale) -> float:

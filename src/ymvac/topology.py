@@ -40,6 +40,7 @@ c_i = q0 d_i q - d_i q0 q + q x d_i q of d_i v v^-1 = -i c_i.tau:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -128,13 +129,26 @@ class QuadratureSpec:
         )
 
     def ball_nodes(self, eps_ref: float = 1.0):
-        """Nodes (N, 3) and weights (N,) including the r^2 volume factor."""
-        u_max = (2.0 / np.pi) * np.arctan(self.r_max / eps_ref)
-        r, wr = _compactified_radial(self.n_r, eps_ref, u_max)
-        dirs, wdir = _sphere_nodes(self.n_theta, self.n_phi)
+        """Nodes (N, 3) and weights (N,) including the r^2 volume factor.  The
+        radial and angular rules behind them are built once per spec and
+        eps_ref."""
+        r, wr, dirs, wdir = _ball_rules(self, eps_ref)
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         wts = (wr * r**2)[:, None] * wdir[None, :]
         return pts, wts.reshape(-1)
+
+
+@lru_cache(maxsize=4)
+def _ball_rules(spec: QuadratureSpec, eps_ref: float):
+    """Radial nodes and weights, unit directions and their weights, read-only.
+    Only these leggauss-built rules are cached: the (N, 3) node product takes
+    a tenth of the build to redo, and keeping it alive between reports raised
+    the peak memory of the default reports."""
+    u_max = (2.0 / np.pi) * np.arctan(spec.r_max / eps_ref)
+    rules = (*_compactified_radial(spec.n_r, eps_ref, u_max), *_sphere_nodes(spec.n_theta, spec.n_phi))
+    for a in rules:
+        a.flags.writeable = False
+    return rules
 
 
 def _gauss_legendre(n: int, upper: float):

@@ -79,6 +79,13 @@ class TestProfiles:
             fd = (f01_bps(r + h, 1.3) - f01_bps(r - h, 1.3)) / (2 * h)
             assert d_f01_bps(r, 1.3) == pytest.approx(fd, rel=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f01_derivative_at_huge_radius_warning_free(self):
+        # past r/eps = 1e154 the squares overflow: both branches must stay quiet
+        out = d_f01_bps(np.array([1e-3, 2e154, 1e300]), 1e-3)
+        assert out[0] == d_f01_bps(1e-3, 1e-3)
+        assert np.all(np.abs(out[1:]) < 1e-300)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             f0_bps(1.0, 0.0)

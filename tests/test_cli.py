@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ymvac
+from ymvac import rotator
 from ymvac.cli import main
 
 FAST_ARGS = {
@@ -192,10 +193,56 @@ class TestFlagValidation:
 
 
 class TestTermCap:
-    def test_series_past_cap_exit_3(self, capsys):
-        code, out, err = validation_error(capsys, "rotator", "--inertia", "1e-12", "--tau", "1", "--theta", "0")
-        assert code == 3 and out == ""
-        assert err["error"] == "consistency" and "cap" in err["message"]
+    """A side past the term cap is skipped, never truncated; the side that fits
+    is checked against its own theta route."""
+
+    @staticmethod
+    def _report(capsys, *argv):
+        code, out = run(capsys, "rotator", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    def test_series_past_cap_skips_side(self, capsys):
+        payload = self._report(capsys, "--inertia", "1e-12", "--tau", "1", "--theta", "0")
+        # winding cutoff int(sqrt(42/b)) + int(|dN|) + 3 with b = I/(2 tau) = 5e-13:
+        # 9165154 for dN = 0 and 0.3, 9165155 for dN = 1, so 2 n_max + 1 terms
+        needed = [18330309, 18330309, 18330311]
+        assert payload["results"]["skipped_sides"] == {
+            "columns": ["row", "side", "terms_needed", "second_route"],
+            "rows": [[row, "path", n, "spectral_green_via_theta"] for row, n in enumerate(needed)],
+        }
+        assert payload["meta"]["term_cap"] == 400001
+        assert payload["meta"]["skipped_sides"] == [
+            {"row": row, "side": "path", "terms_needed": n} for row, n in enumerate(needed)
+        ]
+        assert all(c["passed"] for c in payload["checks"])
+
+    def test_spectral_side_past_cap(self, capsys):
+        payload = self._report(capsys, "--inertia", "1e11", "--tau", "1", "--theta", "2")
+        skipped = payload["results"]["skipped_sides"]["rows"]
+        assert [r[:2] for r in skipped] == [[0, "spectral"], [1, "spectral"], [2, "spectral"]]
+        assert all(r[2] > 400001 and r[3] == "path_green_via_theta" for r in skipped)
+
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (["--inertia", "1e-12", "--tau", "1", "--theta", "0"], "spectral_green_via_theta"),
+            (["--inertia", "1e11", "--tau", "1", "--theta", "2"], "path_green_via_theta"),
+        ],
+    )
+    def test_lone_side_checked_against_its_route(self, capsys, monkeypatch, argv, route):
+        # a route that is off by 1e-6 must show in the identity check and fail it
+        exact = getattr(rotator, route)
+        monkeypatch.setattr(rotator, route, lambda prm: exact(prm) + 1e-6)
+        code, out = run(capsys, "rotator", *argv)
+        check = json.loads(out)["checks"][0]
+        assert code == 3 and check["name"] == "spectral-vs-path-identity"
+        assert check["value"] == pytest.approx(1e-6, rel=1e-9) and not check["passed"]
+
+    def test_no_skip_keys_when_both_sides_fit(self, capsys):
+        payload = self._report(capsys)
+        assert "skipped_sides" not in payload["results"]
+        assert "skipped_sides" not in payload["meta"] and "term_cap" not in payload["meta"]
 
 
 class TestNonFinite:
@@ -252,9 +299,14 @@ class TestImport:
 
 class TestNoStrayWarnings:
     def test_default_reports_and_tiny_eps_warning_free(self):
-        # the eight default reports plus an extreme-but-valid core size, in one
+        # the eight default reports plus an extreme-but-valid core size and two
+        # inertias whose winding side is past the term cap, in one
         # interpreter that turns every RuntimeWarning into an error
-        argvs = [[name] for name in FAST_ARGS] + [["profiles", "--eps", "1e-300"]]
+        argvs = [[name] for name in FAST_ARGS] + [
+            ["profiles", "--eps", "1e-300"],
+            ["rotator", "--inertia", "1e-9", "--tau", "1", "--theta", "0"],
+            ["rotator", "--inertia", "1e-12", "--tau", "1", "--theta", "0"],
+        ]
         code = (
             "import contextlib, io, json, sys\n"
             "from ymvac.cli import main\n"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ymvac.bps_profiles import MonopoleScale
 from ymvac.errors import ConvergenceError, DomainError
 from ymvac.rotator import (
+    TERM_CAP,
     RotatorParams,
     ThetaArgs,
     averaged_wavefunction,
@@ -20,11 +21,75 @@ from ymvac.rotator import (
     electric_spectrum,
     interference_bound,
     path_green,
+    path_green_via_theta,
     spectral_green,
     spectral_green_via_theta,
+    terms_needed,
     theta3,
     theta3_modular_defect,
 )
+
+
+# The per-term cmath loop the sums used before they were vectorised: the
+# reference the numpy term arrays are checked against.
+def reference_sum(term, k_max):
+    terms = [term(k) for k in range(-k_max, k_max + 1)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def reference_theta3(z, tau):
+    a, b = math.pi * tau.imag, 2.0 * abs(z.imag)
+    k_max = int((b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)) + 2
+    return reference_sum(lambda k: cmath.exp(1j * math.pi * k * k * tau + 2j * k * z), k_max)
+
+
+def reference_spectral(prm):
+    a = prm.tau_e / (2.0 * prm.inertia)
+    k_max = int(math.sqrt(42.0 / a) / (2.0 * math.pi)) + 3
+
+    def term(k):
+        p = 2.0 * math.pi * k + prm.theta
+        return cmath.exp(-a * p * p + 1j * p * prm.dN)
+
+    return reference_sum(term, k_max) / (2.0 * math.pi)
+
+
+def reference_spectral_via_theta(prm):
+    th = prm.theta if prm.theta <= math.pi else prm.theta - 2.0 * math.pi
+    a = prm.tau_e / (2.0 * prm.inertia)
+    pref = cmath.exp(1j * th * prm.dN - a * th * th) / (2.0 * math.pi)
+    return pref * reference_theta3(math.pi * prm.dN + 2j * math.pi * a * th, 4j * math.pi * a)
+
+
+def reference_path(prm):
+    """The reference winding sum and the sum of its term moduli."""
+    b = prm.inertia / (2.0 * prm.tau_e)
+    n_max = int(math.sqrt(42.0 / b)) + int(abs(prm.dN)) + 3
+    pref = math.sqrt(prm.inertia / (8.0 * math.pi**3 * prm.tau_e))
+    total = reference_sum(lambda n: cmath.exp(-1j * prm.theta * n - b * (prm.dN + n) ** 2), n_max)
+    scale = math.fsum(math.exp(-b * (prm.dN + n) ** 2) for n in range(-n_max, n_max + 1))
+    return pref * total, pref * scale
+
+
+# 30-digit oracles: mpmath.jtheta(3, z, q) = sum_k q^(k^2) e^(2ikz), on each
+# side's own nome, with theta and dN as given (no reduction to a representative).
+# jtheta loses digits as |Im z| grows (about 3e-11 relative at Im z = 100), so
+# the cases keep |Im z| below 40.
+def mp_spectral(prm):
+    with mpmath.workdps(30):
+        I, th, te, dn = (mpmath.mpf(v) for v in (prm.inertia, prm.theta, prm.tau_e, prm.dN))
+        a = te / (2 * I)
+        pref = mpmath.exp(1j * th * dn - a * th**2) / (2 * mpmath.pi)
+        z = mpmath.pi * dn + 2j * mpmath.pi * a * th
+        return complex(pref * mpmath.jtheta(3, z, mpmath.exp(-4 * mpmath.pi**2 * a)))
+
+
+def mp_path(prm):
+    with mpmath.workdps(30):
+        I, th, te, dn = (mpmath.mpf(v) for v in (prm.inertia, prm.theta, prm.tau_e, prm.dN))
+        b = I / (2 * te)
+        pref = mpmath.sqrt(I / (8 * mpmath.pi**3 * te)) * mpmath.exp(-b * dn**2)
+        return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
 
 
 class TestBlochSpectrum:
@@ -238,6 +303,108 @@ class TestGreenRepresentations:
     def test_theta_normalized(self):
         prm = RotatorParams.euclidean(1.0, 2 * math.pi + 0.3, 1.0)
         assert prm.theta == pytest.approx(0.3)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+_GREEN_PARAMS = dict(
+    log_inertia=st.floats(-5.0, 3.0),
+    theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    log_tau=st.floats(-2.0, 1.0),
+    dn=st.floats(-3.0, 3.0),
+)
+
+
+class TestVectorisedSums:
+    """The numpy term arrays against the per-term cmath reference loop."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(**_GREEN_PARAMS)
+    def test_spectral_sums_bitwise(self, log_inertia, theta, log_tau, dn):
+        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        assert _bits(spectral_green(prm)) == _bits(reference_spectral(prm))
+        assert _bits(spectral_green_via_theta(prm)) == _bits(reference_spectral_via_theta(prm))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(-4.0, 4.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 3.0))
+    def test_theta3_bitwise(self, re_z, im_z, re_tau, im_tau):
+        z, tau = complex(re_z, im_z), complex(re_tau, im_tau)
+        assert _bits(theta3(z, tau)) == _bits(reference_theta3(z, tau))
+
+    @settings(deadline=None, max_examples=60)
+    @given(**_GREEN_PARAMS)
+    def test_path_sum_matches_reference(self, log_inertia, theta, log_tau, dn):
+        # not bitwise: the reference squares with `** 2` (libm pow), the
+        # library with x * x, which is correctly rounded
+        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        ref, scale = reference_path(prm)
+        assert abs(path_green(prm) - ref) <= 1e-15 * scale
+
+    def test_terms_needed_is_the_summed_count(self):
+        prm = RotatorParams.euclidean(0.7, 1.0, 0.4, 2.5)
+        need_s, need_w = terms_needed(prm)
+        assert spectral_green(prm, k_max=(need_s - 1) // 2) == spectral_green(prm)
+        assert path_green(prm, n_max=(need_w - 1) // 2) == path_green(prm)
+        far = RotatorParams.euclidean(1e-12, 0.0, 1.0)
+        assert terms_needed(far)[1] > TERM_CAP
+        with pytest.raises(ConvergenceError, match=f"needs {terms_needed(far)[1]} terms"):
+            path_green(far)
+
+
+class TestSecondRoutes:
+    """The theta routes each report row falls back on when the other side is
+    past the term cap, against mpmath.jtheta at 30 digits."""
+
+    @pytest.mark.parametrize(
+        "inertia, theta, tau_e, dn",
+        [
+            (1e-9, 0.0, 1.0, 0.0),  # the report rows whose winding side is past the cap
+            (1e-9, 0.0, 1.0, 1.0),
+            (1e-12, 0.0, 1.0, 0.3),
+            (1e-2, 1e-4, 1.0, 0.3),
+            (2.0, 4.0, 0.5, 1.7),
+            (0.7, 2.5, 3.0, -2.2),
+        ],
+    )
+    def test_spectral_route_against_mpmath(self, inertia, theta, tau_e, dn):
+        prm = RotatorParams.euclidean(inertia, theta, tau_e, dn)
+        ref = mp_spectral(prm)
+        assert abs(spectral_green_via_theta(prm) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "inertia, theta, tau_e, dn",
+        [
+            (100.0, 2.0, 1.0, 0.3),
+            (10.0, 5.0, 1.0, -2.6),
+            (1.0, 0.3, 0.2, 2.9),
+            (50.0, 0.9, 1.0, 0.4),
+            (20.0, 1.0, 0.5, 0.5),  # |r| = 1/2: two equal leading terms
+            (3.0, 5.5, 0.7, -2.6),
+        ],
+    )
+    def test_path_route_against_mpmath(self, inertia, theta, tau_e, dn):
+        prm = RotatorParams.euclidean(inertia, theta, tau_e, dn)
+        ref = mp_path(prm)
+        assert abs(path_green_via_theta(prm) - ref) <= 1e-14 * abs(ref)
+
+    @settings(deadline=None)
+    @given(**_GREEN_PARAMS)
+    def test_path_route_property(self, log_inertia, theta, log_tau, dn):
+        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        b = prm.inertia / (2.0 * prm.tau_e)
+        # the sum of |terms| is about pref (1 + sqrt(pi/b)): the scale of rounding
+        scale = math.sqrt(prm.inertia / (8.0 * math.pi**3 * prm.tau_e)) * (1.0 + math.sqrt(math.pi / b))
+        assert abs(path_green(prm) - path_green_via_theta(prm)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("theta, dn", [(0.0, 0.0), (2.0, 1.0), (2.0, 0.3), (5.0, -3.0), (1.0, 0.5)])
+    def test_path_route_past_spectral_cap(self, theta, dn):
+        # I/tau_E = 1e11: the spectral side is past the cap and the winding
+        # terms nearest to -dN carry the sum; no theta term overflows
+        prm = RotatorParams.euclidean(1e11, theta, 1.0, dn)
+        assert terms_needed(prm)[0] > TERM_CAP >= terms_needed(prm)[1]
+        assert path_green_via_theta(prm) == pytest.approx(path_green(prm), rel=1e-15, abs=0.0)
 
 
 class TestElectricSpectrum:

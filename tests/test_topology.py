@@ -21,6 +21,7 @@ from ymvac.topology import (
     map_degree_radial_oracle,
     surface_flux_term,
     winding_functional,
+    _ball_rules,
     _current,
     _det3,
     _sphere_nodes,
@@ -99,6 +100,12 @@ class TestGribovFactor:
                 fd = (fmap.matrices((x + e)[None])[0] - fmap.matrices((x - e)[None])[0]) / (2 * h)
                 assert np.abs(dv[j] - fd).max() < 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_derivative_at_tiny_core_warning_free(self):
+        # r/eps_ref = 1e200: the profile derivative's squares would overflow
+        dv = GribovFactorMap(1, eps_ref=1e-200).d_matrices([[1.0, 0.0, 0.0]])
+        assert np.all(np.isfinite(dv))
+
     def test_dressed_derivative_vs_stencil(self):
         # prefactor 2 with a non-trivial adjoint rotation: the exact d_i v
         # against central differences from the stencil engine
@@ -170,6 +177,23 @@ class TestMapDegree:
         }
         for n, value in pinned.items():
             assert map_degree(n, quad, check_resolution=False) == value
+
+    def test_ball_rules_built_once_read_only(self):
+        spec = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
+        pts, wts = spec.ball_nodes(2.0)
+        rules = _ball_rules(spec, 2.0)
+        again = _ball_rules(QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16), 2.0)
+        assert all(a is b for a, b in zip(rules, again))
+        assert _ball_rules(spec, 1.0)[0] is not rules[0]
+        for a in rules:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        # the nodes from cached rules equal those from rules built afresh, bit for bit
+        r, wr, dirs, wdir = _ball_rules.__wrapped__(spec, 2.0)
+        assert np.array_equal(pts, (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3))
+        assert np.array_equal(wts, ((wr * r**2)[:, None] * wdir[None, :]).reshape(-1))
+        pts[0, 0] = 1.0  # the nodes themselves are the caller's own
+        assert spec.ball_nodes(2.0)[0][0, 0] != 1.0
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(DomainError):
