@@ -16,8 +16,10 @@ baseline and this checkout's `src/`), and writes one JSON file:
   form -f1(R) sin(a) cos(a)/pi, a = pi f01(R) (the flux density of two
   hedgehogs is constant on the sphere);
 - `momentum_green_average` at the interference report's default momentum,
-  L = 1000 and 10000; accuracy: the decay exponent gap |gamma - 1|, with gamma
-  the slope of log ||S|| between L/10 and L;
+  L = 10000 and 100000; accuracy: the decay exponent gap |gamma - 1|, with
+  gamma the slope of log ||S|| between L/10 and L, and beside it the relative
+  2-norm gap of S at L = 1000 to the 30-digit mpmath sum
+  (`resolvent_window_sums` of tests/test_interference.py);
 - `QuadratureSpec.ball_nodes` at 48/24/24 and 72/36/36, called again after
   its first call (what the second to fifth node builds of a `winding` report
   cost); accuracy: the relative gap of the rule on the integral of e^-r over
@@ -114,6 +116,9 @@ def worker() -> dict:
     from ymvac import bps_profiles as bp, interference as itf, rotator as rot, topology as topo
     from ymvac.cli import _parse_config
 
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_interference import resolvent_window_sums
+
     default = topo.QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
     specs = {"48x24x24": default, "72x36x36": default.refined()}
     gauge, _ = bp.build_fields(bp.MonopoleScale(g=1.0, eps=1.0), "BPS")
@@ -143,10 +148,15 @@ def worker() -> dict:
     for n_nodes in (48, 72):
         times, value = _timed(lambda: surface(n_nodes))
         cases[f"surface_flux_term/{n_nodes}x{n_nodes}"] = (times, "closed_form_gap", abs(value - surface_exact))
-    for L in (1000, 10000):
+    oracle = resolvent_window_sums(tuple(momentum), (1000,))[1000]
+    s_1000 = itf.momentum_green_average(momentum, None, 1000).m
+    mpmath_gap = float(np.linalg.norm(s_1000 - oracle, 2) / np.linalg.norm(oracle, 2))
+    extra = {}  # second accuracy figures, by case
+    for L in (10000, 100000):
         times, value = _timed(lambda: norm(L))
         gamma = -math.log(value / norm(L // 10)) / math.log(10.0)
         cases[f"momentum_green_average/L={L}"] = (times, "decay_exponent_gap", abs(gamma - 1.0))
+        extra[f"momentum_green_average/L={L}"] = {"mpmath_gap_L1000": mpmath_gap}
     for size, quad in specs.items():
         times, (pts, wts) = _timed(lambda: quad.ball_nodes(1.0))
         exact = 4.0 * math.pi * (2.0 - math.exp(-quad.r_max) * (quad.r_max**2 + 2.0 * quad.r_max + 2.0))
@@ -160,7 +170,10 @@ def worker() -> dict:
         prm = rot.RotatorParams.euclidean(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
         cases[f"spectral_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_winding(prm)))
-    return {k: {"times_s": t, "accuracy_name": a, "accuracy": v} for k, (t, a, v) in cases.items()}
+    return {
+        case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
+        for case, (times, name, value) in cases.items()
+    }
 
 
 def _run(src: Path, args: list[str]) -> str:
@@ -213,6 +226,7 @@ def measure(trees: dict) -> dict:
                 "median_s": statistics.median(rec["times_s"]),
                 "samples": len(rec["times_s"]),
                 "accuracy": rec["accuracy"],
+                **{k: v for k, v in rec.items() if k not in ("times_s", "accuracy_name", "accuracy")},
             }
         row["speedup"] = row["baseline"]["median_s"] / row["current"]["median_s"]
         kernels.append(row)
@@ -264,6 +278,9 @@ def main(argv=None) -> int:
         print(f"{row['kernel']:>24} {row['size']:>9}: {row['baseline']['median_s'] * 1e3:8.2f} -> "
               f"{row['current']['median_s'] * 1e3:8.2f} ms ({row['speedup']:.2f}x); {row['accuracy_name']} "
               f"{row['baseline']['accuracy']:.3e} -> {row['current']['accuracy']:.3e}")
+        if "mpmath_gap_L1000" in row["current"]:
+            print(f"{'':>36}mpmath_gap_L1000 {row['baseline']['mpmath_gap_L1000']:.3e} -> "
+                  f"{row['current']['mpmath_gap_L1000']:.3e}")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():

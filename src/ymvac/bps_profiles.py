@@ -307,6 +307,8 @@ def d_f01_bps(r, eps: float):
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise DomainError("radius must be non-negative")
     x = r / eps
     small = np.abs(x) < 0.05
     # past 1e154 xs**2 overflows: inf gives its limit 1/xs**2 = 0 without a warning

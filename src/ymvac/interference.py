@@ -11,7 +11,12 @@ returns to the identity at spatial infinity as well as at the origin).
 
 Momentum-space averages use the spinor (x) color matrices (4 x 2 = 8 dim),
 Dirac basis with metric (+,-,-,-); shifted propagator averages decay as 1/L
-because the n and -n window partners cancel pairwise to O(1/n^2).
+because the n and -n window partners cancel pairwise to O(1/n^2).  That
+pairing is also how the average is computed: only a head of about
+16 ||t^-1 p_slash||_1 terms is inverted one by one, and the rest of the
+window is a fixed nine-term Neumann series in M = t^-1 p_slash with scalar
+coefficients sum_n n^(-2k-2), so an L-term window costs O(L) scalar work
+(see momentum_green_average).
 
 The shift-averaged loop lives on a midpoint momentum lattice with exact
 lattice shifts t = h e1; the shifted-minus-unshifted discrepancy is the
@@ -56,6 +61,7 @@ __all__ = [
 
 ID4 = np.eye(4, dtype=complex)
 ID8 = np.eye(8, dtype=complex)
+_NEUMANN_TERMS = 9  # the tail's series length; see momentum_green_average
 
 # Dirac basis, metric (+,-,-,-): gamma^0 = diag(1,1,-1,-1), gamma^i off-diagonal.
 GAMMA = np.zeros((4, 4, 4), dtype=complex)
@@ -168,12 +174,38 @@ def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L:
     SingularTermError naming the first n whose matrix is numerically singular:
     its 1-norm condition number ||A||_1 ||A^-1||_1, taken from the inverse the
     average needs anyway, is above 1e12 or not finite.
+
+    Only the head |n| <= n0 is inverted term by term and gated; with
+    M = t^-1 p_slash, h = L//2 and n0 = min(h, ceil(8 ||M||_1)) the rest of the
+    window is summed in closed form through the Neumann series
+
+        (M + n)^-1 + (M - n)^-1 = -2 M (n^2 - M^2)^-1 = -2 sum_k M^(2k+1) n^(-2k-2),
+
+        sum_{n0<|n|<=h} (p_slash + n t)^-1 = -2 sum_k M^(2k+1) H_k t^-1,
+        H_k = sum_{n=n0+1}^{h} n^(-2k-2).
+
+    Past the head ||M||/n < 1/8, so the _NEUMANN_TERMS = 9 terms leave a
+    remainder below (1/8)^18 = 2^-54 of the tail, and every tail term has
+    cond_1 <= cond_1(t) (1 + 1/8)/(1 - 1/8) = cond_1(t) 9/7, far inside the
+    gate: the first singular n always lies in the head.  When t is singular
+    or cond_1(t) > 1e10 the head is the whole window.
     """
     if L < 0:
         raise DomainError("window size L must be non-negative")
     t = color_shift_matrix() if t_matrix is None else np.asarray(getattr(t_matrix, "m", t_matrix))
     ph = np.kron(dirac_slash(p), ID2)
-    ns = window_integers(L)
+    half = n0 = L // 2
+    try:
+        t_inv = np.linalg.inv(t)
+        cond_t = np.linalg.norm(t, 1) * np.linalg.norm(t_inv, 1)
+    except np.linalg.LinAlgError:
+        cond_t = math.inf
+    if cond_t <= 1e10:
+        m = t_inv @ ph
+        head = 8.0 * np.linalg.norm(m, 1)
+        if head < half:  # false for a non-finite norm
+            n0 = math.ceil(head)
+    ns = np.arange(-n0, n0 + 1)
     stack = ph[None, :, :] + ns[:, None, None] * t[None, :, :]
     try:
         inv = np.linalg.inv(stack)
@@ -183,7 +215,20 @@ def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L:
     bad = np.where(~np.isfinite(conds) | (conds > 1e12))[0]
     if bad.size:
         raise SingularTermError(int(ns[bad[0]]))
-    return DiracColorMatrix(inv.sum(axis=0) / (L + 1))
+    total = inv.sum(axis=0)
+    if n0 < half:
+        n = np.arange(n0 + 1, half + 1, dtype=float)
+        w = 1.0 / (n * n)
+        power, sums = w, []
+        for _ in range(_NEUMANN_TERMS):  # H_k = sum_n w^(k+1), correctly rounded
+            sums.append(math.fsum(power.tolist()))
+            power = power * w
+        m2 = m @ m
+        poly = sums[-1] * ID8  # Horner: sum_k H_k M^(2k)
+        for h_k in reversed(sums[:-1]):
+            poly = m2 @ poly + h_k * ID8
+        total -= 2.0 * (m @ poly @ t_inv)
+    return DiracColorMatrix(total / (L + 1))
 
 
 # ---------------------------------------------------------------------------

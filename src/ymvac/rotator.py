@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,14 @@ class RotatorParams:
             raise DomainError(f"inertia must be positive and finite, got {self.inertia}")
         if not (math.isfinite(self.theta) and math.isfinite(self.dN)):
             raise DomainError(f"theta and dN must be finite, got {self.theta}, {self.dN}")
+        tau_e = -complex(self.time).imag
+        if tau_e > 0:  # the exponents of both Poisson-dual sums must be normal floats
+            a, b = tau_e / (2.0 * self.inertia), self.inertia / (2.0 * tau_e)
+            if not (sys.float_info.min <= min(a, b) and max(a, b) < math.inf):
+                raise DomainError(
+                    f"tau_E/(2I) = {a} and I/(2 tau_E) = {b} must both be normal floats; "
+                    f"inertia {self.inertia} and tau_E {tau_e} are too far apart"
+                )
         object.__setattr__(self, "theta", _normalize_theta(self.theta))
 
     @classmethod
@@ -175,7 +184,12 @@ def theta3(z, tau=None, k_max: int | None = None) -> complex:
         raise DomainError("Im(tau) must be strictly positive")
     if k_max is None:
         a, b = math.pi * tau.imag, 2.0 * abs(z.imag)
-        k_max = int((b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)) + 2
+        k = (b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)
+        if not math.isfinite(k):  # b * b overflowed: the same root without squaring
+            k = (b + math.hypot(b, math.sqrt(168.0) * math.sqrt(a))) / (2.0 * a)
+        if not math.isfinite(k):
+            raise ConvergenceError(f"theta series needs more terms than the cap of {TERM_CAP}")
+        k_max = int(k) + 2
     return _exact_sum(lambda k: np.exp(1j * math.pi * k * k * tau + 2j * k * z), k_max)
 
 

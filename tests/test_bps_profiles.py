@@ -94,6 +94,13 @@ class TestProfiles:
         with pytest.raises(DomainError):
             f0_bps(-1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f01_derivative_rejects_negative_radius(self):
+        # as f0_bps and f01_bps do; -1e10 used to reach an overflowing sinh
+        for r in (-1.0, -1e10, np.array([0.5, -1e-300])):
+            with pytest.raises(DomainError, match="non-negative"):
+                d_f01_bps(r, 1.0)
+
     def test_small_r_regularity(self):
         # f0*r and f1 both -> 0, so the smooth pair is bounded at the origin
         r = np.array([1e-3, 1e-5, 1e-7])

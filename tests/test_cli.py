@@ -298,28 +298,52 @@ class TestImport:
 
 
 class TestNoStrayWarnings:
-    def test_default_reports_and_tiny_eps_warning_free(self):
-        # the eight default reports plus an extreme-but-valid core size and two
-        # inertias whose winding side is past the term cap, in one
-        # interpreter that turns every RuntimeWarning into an error
-        argvs = [[name] for name in FAST_ARGS] + [
-            ["profiles", "--eps", "1e-300"],
-            ["rotator", "--inertia", "1e-9", "--tau", "1", "--theta", "0"],
-            ["rotator", "--inertia", "1e-12", "--tau", "1", "--theta", "0"],
-        ]
+    @staticmethod
+    def _run_warnings_as_errors(argvs):
+        """Exit code and stderr of each argv, all run in one interpreter that
+        turns every RuntimeWarning into an error; that interpreter's own
+        stderr must stay empty."""
         code = (
             "import contextlib, io, json, sys\n"
             "from ymvac.cli import main\n"
-            "codes = []\n"
+            "runs = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        codes.append(main(argv))\n"
-            "print(json.dumps(codes))\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        runs.append([main(argv), err.getvalue()])\n"
+            "print(json.dumps(runs))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(ymvac.__file__).resolve().parents[1]))
         out = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-c", code, json.dumps(argvs)],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(out.stdout) == [0] * len(argvs)
         assert out.stderr == ""
+        return json.loads(out.stdout)
+
+    def test_default_reports_and_tiny_eps_warning_free(self):
+        # the eight default reports, an extreme-but-valid core size, every
+        # long-sums argv (two inertias with a side past the term cap) and a
+        # ratio I/tau_E = 1e305 whose theta route squares past the float range
+        argvs = [[name] for name in FAST_ARGS] + [
+            ["profiles", "--eps", "1e-300"],
+            ["rotator", "--inertia", "1e-7", "--tau", "0.3"],
+            ["rotator", "--inertia", "1e5", "--tau", "0.01"],
+            ["rotator", "--inertia", "1e-9", "--tau", "1", "--theta", "0"],
+            ["rotator", "--inertia", "1e-12", "--tau", "1", "--theta", "0"],
+            ["rotator", "--inertia", "1e300", "--tau", "1e-5"],
+            ["interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5"],
+        ]
+        assert self._run_warnings_as_errors(argvs) == [[0, ""]] * len(argvs)
+
+    def test_out_of_range_exponents_exit_2(self):
+        # tau_E/(2I) underflows to 0 or I/(2 tau_E) to a subnormal
+        argvs = [
+            ["rotator", "--inertia", "1e308", "--tau", "1e-10"],
+            ["rotator", "--inertia", "1e-308", "--tau", "1e10"],
+        ]
+        for code, err in self._run_warnings_as_errors(argvs):
+            lines = err.splitlines()
+            assert code == 2 and len(lines) == 1
+            payload = json.loads(lines[0])
+            assert payload["error"] == "validation" and "normal floats" in payload["message"]

@@ -1,9 +1,14 @@
 """Dressed factors, window averages and lattice loop shifts."""
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ymvac.algebra import ID2
 from ymvac.errors import DomainError, SingularTermError, WindowError
 from ymvac.interference import (
     GAMMA,
@@ -126,6 +131,73 @@ class TestAveragedTwoPoint:
         assert np.linalg.norm(avg - np.eye(2), 2) > 0.1
 
 
+def batched_window_average(p, t, L):
+    """The window average with every term inverted in one batch: the whole-window
+    formula the head/tail split replaced, kept as the reference.  Returns the
+    average and sum_n ||term_n||_1/(L+1), or raises SingularTermError."""
+    ph = np.kron(dirac_slash(p), ID2)
+    ns = window_integers(L)
+    stack = ph[None, :, :] + ns[:, None, None] * t[None, :, :]
+    try:
+        inv = np.linalg.inv(stack)
+        conds = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        conds = np.linalg.cond(stack, 1)
+    bad = np.where(~np.isfinite(conds) | (conds > 1e12))[0]
+    if bad.size:
+        raise SingularTermError(int(ns[bad[0]]))
+    return inv.sum(axis=0) / (L + 1), np.linalg.norm(inv, 1, axis=(-2, -1)).sum() / (L + 1)
+
+
+def _mp_matrix(a):
+    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in np.asarray(a)])
+
+
+def mpmath_inverse_sum(p, t, L):
+    """(1/(L+1)) sum_n (p_slash + n t)^-1 with each term inverted by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        ph, tm = _mp_matrix(np.kron(dirac_slash(p), ID2)), _mp_matrix(t)
+        total = sum((mpmath.inverse(ph + int(n) * tm) for n in window_integers(L)), mpmath.zeros(8))
+        return np.array((total / (L + 1)).tolist(), dtype=complex)
+
+
+@functools.lru_cache(maxsize=None)
+def resolvent_window_sums(p: tuple, windows: tuple = (100, 1000)) -> dict:
+    """{L: S_L} for the default shift t, at 40 digits (good to 30), from the float inputs as given.
+
+    With M = t^-1 p_slash, (p_slash + n t)^-1 = adj(n + M) t^-1 / det(n + M).
+    Faddeev-LeVerrier writes adj(n + M) = sum_k B_k n^(7-k) and
+    det(n + M) = sum_k c_k n^(8-k) exactly (no eigenvectors, so a defective M
+    is no obstacle), and the window needs only the scalar sums of
+    n^(7-k)/det(n + M).  No series and no truncation: a route independent of
+    the kernel's Neumann tail.
+    """
+    with mpmath.workdps(40):
+        ph = _mp_matrix(np.kron(dirac_slash(np.array(p)), ID2))
+        t_inv = mpmath.inverse(_mp_matrix(color_shift_matrix()))
+        a = -(t_inv * ph)  # det(n - a) and adj(n - a) with a = -M
+        b_k, c_k, ab = [], [mpmath.mpf(1)], mpmath.zeros(8)
+        for k in range(1, 9):
+            b_k.append(ab + c_k[-1] * mpmath.eye(8))
+            ab = a * b_k[-1]
+            c_k.append(-sum(ab[i, i] for i in range(8)) / k)
+        sums, out = [mpmath.mpc(0)] * 8, {}
+        for n in range(max(windows) // 2 + 1):
+            for m in {n, -n}:
+                det = c_k[0]
+                for c in c_k[1:]:
+                    det = det * m + c
+                term = 1 / det
+                for k in range(7, -1, -1):  # sums[k] += m^(7-k)/det
+                    sums[k] += term
+                    term *= m
+            for L in windows:
+                if L // 2 == n:
+                    total = sum((b_k[k] * sums[k] for k in range(8)), mpmath.zeros(8)) * t_inv
+                    out[L] = np.array((total / (L + 1)).tolist(), dtype=complex)
+        return out
+
+
 class TestMomentumGreenAverage:
     P = np.array([0.31, 0.7, -0.2, 0.45])
 
@@ -192,6 +264,69 @@ class TestMomentumGreenAverage:
         with pytest.raises(SingularTermError) as err:
             momentum_green_average(p, np.eye(8), 4)
         assert err.value.n == -1
+
+    def test_singular_term_past_minimal_head_reported(self):
+        # t = 1 and p0 = 20 + delta: the n = -20 term has eigenvalues +-delta,
+        # twenty steps out from the middle of the window
+        p = np.array([20.0 + 2.0**-40, 0.0, 0.0, 0.0])
+        with pytest.raises(SingularTermError) as err:
+            momentum_green_average(p, np.eye(8), 100)
+        assert err.value.n == -20
+
+    def test_ill_conditioned_shift_keeps_whole_window_gated(self):
+        # cond_1(t) = 1e13 with ||t^-1 p_slash||_1 = 1e-3: every n != 0 term is
+        # past the gate, so the first one, n = -50, is named as before
+        t = np.diag([1.0] * 7 + [1e-13])
+        with pytest.raises(SingularTermError) as err:
+            momentum_green_average(np.array([1e-16, 0.0, 0.0, 0.0]), t, 100)
+        assert err.value.n == -50
+
+    def test_resolvent_oracle_matches_inverses(self):
+        p = (0.31, 0.7, -0.2, 0.45)
+        direct = mpmath_inverse_sum(np.array(p), color_shift_matrix(), 10)
+        oracle = resolvent_window_sums(p, (10,))[10]
+        assert np.abs(oracle - direct).max() <= 1e-30 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("p", [(0.31, 0.7, -0.2, 0.45), (1.3, -0.4, 0.25, 0.9)])
+    @pytest.mark.parametrize("L", [100, 1000])
+    def test_against_mpmath_oracle(self, p, L):
+        # the interference report's default momentum and the long-sums one
+        oracle = resolvent_window_sums(p)[L]
+        got = momentum_green_average(np.array(p), None, L).m
+        assert np.linalg.norm(got - oracle, 2) <= 1e-15 * np.linalg.norm(oracle, 2)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        p=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        L=st.integers(0, 20000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_batched_inverses(self, p, L, seed):
+        # a random invertible shift: singular values in [0.5, 2] between two
+        # random unitaries, times a scale in [0.1, 10]
+        rng = np.random.default_rng(seed)
+        q1, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        q2, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        t = q1 @ np.diag(rng.uniform(0.5, 2.0, 8)) @ q2 * 10.0 ** rng.uniform(-1.0, 1.0)
+        try:
+            ref, scale = batched_window_average(np.array(p), t, L)
+        except SingularTermError as exc:
+            with pytest.raises(SingularTermError) as err:
+                momentum_green_average(np.array(p), t, L)
+            assert err.value.n == exc.n
+            return
+        got = momentum_green_average(np.array(p), t, L).m
+        assert np.linalg.norm(got - ref, 1) <= 1e-14 * scale
+
+    def test_tail_allocates_no_window_stack(self, monkeypatch):
+        # only the head |n| <= ceil(8 ||t^-1 p_slash||_1) goes through the batched inverse
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(np.shape(a)) or inv(a))
+        momentum_green_average(self.P, None, 100000)
+        m = np.linalg.solve(color_shift_matrix(), np.kron(dirac_slash(self.P), ID2))
+        head = 2 * math.ceil(8.0 * np.linalg.norm(m, 1)) + 1
+        assert shapes == [(8, 8), (head, 8, 8)] and head < 20
 
     def test_gamma_algebra(self):
         # metric (+,-,-,-): gamma^0 squared is 1, spatial gammas square to -1

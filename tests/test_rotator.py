@@ -300,6 +300,30 @@ class TestGreenRepresentations:
         with pytest.raises(DomainError):
             RotatorParams.euclidean(inertia, theta, tau_e, dn)
 
+    @pytest.mark.parametrize(
+        "inertia, tau_e",
+        [
+            (1e308, 1e-10),  # a = tau_E/(2I) underflows to 0, b = I/(2 tau_E) overflows
+            (1e-308, 1e10),  # b is subnormal, a overflows
+            (1e154, 1e-154),  # a = 5e-309 is subnormal, b finite
+            (5e-324, 1.0),  # a subnormal inertia: b rounds to 0, a overflows
+        ],
+    )
+    def test_params_reject_non_normal_exponents(self, inertia, tau_e):
+        with pytest.raises(DomainError, match="normal floats"):
+            RotatorParams.euclidean(inertia, 0.0, tau_e)
+        with pytest.raises(DomainError, match="normal floats"):
+            RotatorParams(inertia=inertia, theta=0.0, time=-1j * tau_e, dN=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_theta3_cutoff_without_squaring_overflow(self):
+        # 2|Im Z| = 2e200 squares past the float range, yet with Im tau of the
+        # same size the series is its k = 0 term; a vanishing Im tau next to a
+        # huge Im Z needs more terms than any cap and says so
+        assert theta3(1e200j, 1e200j) == 1.0
+        with pytest.raises(ConvergenceError, match="cap"):
+            theta3(1e300j, 1e-300j)
+
     def test_theta_normalized(self):
         prm = RotatorParams.euclidean(1.0, 2 * math.pi + 0.3, 1.0)
         assert prm.theta == pytest.approx(0.3)
