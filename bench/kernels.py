@@ -35,8 +35,17 @@ current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
 median over all calls, the median of IMPORTS cold `import ymvac.cli` times
 with whether the import loaded scipy, and the median wall time of TIER1_RUNS
 alternating runs of each tree's Tier-1 suite (`pytest -q` over the `tests/`
-beside its `src/`) with its summary line.  Run from the repository root, for
-example against the parent commit:
+beside its `src/`) with its summary line.
+
+End to end, it times COLD_RUNS alternating fresh-process runs
+(`python -m ymvac.cli`, import included) of each of the eight subcommands
+with default arguments, and byte-compares stdout, stderr and exit code
+between the two trees (both with `--seed 0`) for those eight argv, every
+argv of `perfbench/workloads.json`, the validation-error argv in
+ERROR_ARGV and the argv in CHANGED_ARGV, whose output may differ between
+trees by design; the JSON lists each argv with its exit codes and whether
+the bytes are identical.  Run from the repository root, for example against
+the parent commit:
 
     mkdir -p ../base && git archive HEAD~1 src tests | tar -x -C ../base
     python3 bench/kernels.py --baseline ../base/src --out BENCH_<PR>.json
@@ -57,14 +66,37 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3  # alternating worker processes per tree
+COLD_RUNS = 3  # alternating fresh-process runs of each default subcommand per tree
 REPEATS = 5  # timed calls per kernel in each worker, after one warm-up call
 IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
+SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
+               "pheno")
+ERROR_ARGV = (
+    ("interference", "--eps", "0"),
+    ("interference", "--eps", "-1"),
+    ("winding", "--n-r", "10"),
+    ("winding", "--r-max", "10"),
+)
+# theta reduced to [0, 2 pi) before the half-window test; argv that once
+# ended in a traceback (exit 1) and now exit 2 naming the flag or value
+CHANGED_ARGV = (
+    ("rotator", "--theta", "7"),
+    ("rotator", "--theta", "-1"),
+    ("check-gribov", "--inv-h-over-r", "0"),
+    ("check-bogomolnyi", "--inv-h-over-eps", "0"),
+    ("pheno", "--g", "1e-200"),
+    ("pheno", "--g", "1e200"),
+    ("pheno", "--eps", "1e300"),
+    ("winding", "--g", "1e200"),
+    ("profiles", "--out", "missing-dir/x.json"),
+)
 IMPORT_CODE = (
     "import sys, time\n"
     "t = time.perf_counter()\n"
@@ -124,8 +156,12 @@ def worker() -> dict:
     gauge, _ = bp.build_fields(bp.MonopoleScale(g=1.0, eps=1.0), "BPS")
     momentum = np.array(_parse_config(["interference"]).params["momentum"])
 
+    def average(L):  # an (8, 8) ndarray, or an object holding it in `.m` in older trees
+        S = itf.momentum_green_average(momentum, None, L)
+        return getattr(S, "m", S)
+
     def norm(L):
-        return itf.momentum_green_average(momentum, None, L).norm()
+        return float(np.linalg.norm(average(L), 2))
 
     fmap = topo.GribovFactorMap(1)
     shifted = topo.gauge_transform(gauge, fmap, 1.0)
@@ -149,7 +185,7 @@ def worker() -> dict:
         times, value = _timed(lambda: surface(n_nodes))
         cases[f"surface_flux_term/{n_nodes}x{n_nodes}"] = (times, "closed_form_gap", abs(value - surface_exact))
     oracle = resolvent_window_sums(tuple(momentum), (1000,))[1000]
-    s_1000 = itf.momentum_green_average(momentum, None, 1000).m
+    s_1000 = average(1000)
     mpmath_gap = float(np.linalg.norm(s_1000 - oracle, 2) / np.linalg.norm(oracle, 2))
     extra = {}  # second accuracy figures, by case
     for L in (10000, 100000):
@@ -193,6 +229,55 @@ def tier1(src: Path) -> tuple[float, str]:
     seconds = perf_counter() - t
     lines = proc.stdout.strip().splitlines()
     return seconds, lines[-1] if lines else f"exit {proc.returncode}"
+
+
+def _cli(src: Path, argv, cwd: Path) -> tuple[float, dict]:
+    """Wall seconds of one fresh `python -m ymvac.cli` process, and its
+    stdout, stderr and exit code."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ymvac.cli", *argv], env=env, cwd=cwd, capture_output=True)
+    seconds = perf_counter() - t
+    return seconds, {"stdout": proc.stdout, "stderr": proc.stderr, "exit": proc.returncode}
+
+
+def cold_subcommands(trees: dict) -> dict:
+    """Median of COLD_RUNS fresh-process wall times of each default subcommand."""
+    times = {name: {sub: [] for sub in SUBCOMMANDS} for name in trees}
+    for _ in range(COLD_RUNS):
+        for sub in SUBCOMMANDS:
+            for name, src in trees.items():
+                times[name][sub].append(_cli(src, [sub], ROOT)[0])
+    return {
+        name: {sub: {"median_s": statistics.median(ts), "samples": COLD_RUNS} for sub, ts in per.items()}
+        for name, per in times.items()
+    }
+
+
+def compare_outputs(trees: dict) -> list:
+    """Exit codes and byte identity of stdout, stderr and exit code between the
+    trees, for each argv (all given --seed 0), run in a scratch directory each."""
+    with open(ROOT / "perfbench" / "workloads.json", encoding="utf-8") as fh:
+        workloads = json.load(fh)
+    groups = [("default", [(sub,) for sub in SUBCOMMANDS])]
+    groups += [(f"workload:{w}", [tuple(a) for a in spec["reports"]]) for w, spec in workloads.items()]
+    groups += [("error", ERROR_ARGV), ("changed", CHANGED_ARGV)]
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for group, argvs in groups:
+            for argv in argvs:
+                out = {}
+                for name, src in trees.items():
+                    cwd = Path(tmp) / name
+                    cwd.mkdir(exist_ok=True)
+                    out[name] = _cli(src, [*argv, "--seed", "0"], cwd)[1]
+                rows.append({
+                    "group": group,
+                    "argv": list(argv),
+                    "exit": {name: rec["exit"] for name, rec in out.items()},
+                    "identical": out["baseline"] == out["current"],
+                })
+    return rows
 
 
 def measure(trees: dict) -> dict:
@@ -261,6 +346,8 @@ def main(argv=None) -> int:
         if not (src / "ymvac" / "__init__.py").is_file():
             ap.error(f"{src} has no ymvac package")
     result = measure(trees)
+    result["cold_subcommand_wall"] = cold_subcommands(trees)
+    result["output_identity"] = compare_outputs(trees)
     import numpy as np
 
     result["settings"] = {
@@ -285,6 +372,15 @@ def main(argv=None) -> int:
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():
         print(f"Tier-1 suite ({name}): {rec['median_s']:.1f} s wall, {rec['summary']}")
+    for sub in SUBCOMMANDS:
+        base, cur = (result["cold_subcommand_wall"][name][sub]["median_s"] for name in ("baseline", "current"))
+        print(f"cold {sub:>16}: {base:.3f} -> {cur:.3f} s")
+    for row in result["output_identity"]:
+        if not row["identical"]:
+            print(f"differs ({row['group']}): {' '.join(row['argv'])}, exit {row['exit']['baseline']} -> "
+                  f"{row['exit']['current']}")
+    same = sum(row["identical"] for row in result["output_identity"])
+    print(f"identical output: {same} of {len(result['output_identity'])} argv")
     return 0
 
 

@@ -23,13 +23,17 @@ topology.GribovFactorMap is the one group-factor map (the interference
 module's dressed factors included), topology builds every Gauss-Legendre
 node set, and one pheno parser reads both the constants file and the CLI's
 --set overrides.
+
+Each kernel has one calling convention: points are (3,) or (N, 3) arrays
+(or lists of (3,) arrays), the group factors always use the phase profile
+f01, theta3 takes (z, tau), momentum_green_average returns the (8, 8)
+ndarray, and the quadrature settings the reports use are module constants.
 """
 
 from . import bps_profiles, greens, interference, pheno, rotator, topology
 from .bps_profiles import (
     FieldVariant,
     MonopoleScale,
-    SpatialPoint,
     StencilConfig,
 )
 
@@ -44,7 +48,6 @@ __all__ = [
     "pheno",
     "FieldVariant",
     "MonopoleScale",
-    "SpatialPoint",
     "StencilConfig",
     "__version__",
 ]

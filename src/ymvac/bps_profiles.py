@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -52,7 +53,6 @@ from .errors import DomainError, SingularPointError, StencilError
 
 __all__ = [
     "MonopoleScale",
-    "SpatialPoint",
     "StencilConfig",
     "FieldVariant",
     "ColorField",
@@ -87,24 +87,19 @@ class MonopoleScale:
             raise DomainError(f"coupling g must be positive and finite, got {self.g}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise DomainError(f"core size eps must be positive and finite, got {self.eps}")
+        # the package divides by g^2 (alpha_s) and g^2 eps (the magnetic
+        # energy) and forms g^3 (Chern-Simons) and eps^3 (radial volumes);
+        # products of floats give inf or 0 here where ** would raise
+        g, eps = self.g, self.eps
+        if not (sys.float_info.min <= min(g * g, g * g * eps) and max(g * g * g, eps * eps * eps) < math.inf):
+            raise DomainError(
+                f"g^2 and g^2 eps must be normal floats and g^3, eps^3 finite; "
+                f"coupling g {self.g} and core size eps {self.eps} are out of range"
+            )
 
     @property
     def alpha_s(self) -> float:
         return self.g**2 / (4.0 * np.pi)
-
-
-class SpatialPoint:
-    """Point in 3-space with cached radius and unit vector."""
-
-    __slots__ = ("x", "r", "n_hat")
-
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=float).reshape(3)
-        self.r = float(np.linalg.norm(self.x))
-        self.n_hat = self.x / self.r if self.r > 0 else np.zeros(3)
-
-    def __repr__(self):
-        return f"SpatialPoint({self.x.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -219,12 +214,10 @@ class ColorField:
 
 
 def _batch(x):
-    """(N, 3) coordinates of a point, a batch or a list of points or
-    SpatialPoints, and whether a single point was given.  Float dtypes are
-    kept (extended precision passes through the samplers untouched)."""
-    if isinstance(x, (list, tuple)):
-        x = [getattr(p, "x", p) for p in x]
-    arr = np.asarray(getattr(x, "x", x))
+    """(N, 3) coordinates of a point (3,), a batch (N, 3) or a list of points,
+    and whether a single point was given.  Float dtypes are kept (extended
+    precision passes through the samplers untouched)."""
+    arr = np.asarray(x)
     if arr.dtype.kind != "f":
         arr = arr.astype(float)
     if arr.ndim == 1:
@@ -474,7 +467,7 @@ def bogomolnyi_residual(
     sign: int = 1,
 ) -> float:
     """Max pointwise first-order residual over the given points (an (N, 3)
-    array, a point, or a list of points or SpatialPoints).
+    array, a point, or a list of points).
 
     BPS: max ||B - sign*D(phi)|| / ||B||  (Frobenius norms).
     PT: both sides vanish identically; the 0/0 is reported as exact zero.

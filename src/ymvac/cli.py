@@ -98,6 +98,11 @@ def _require_sweep(flag: str, count: int):
         raise ValueError(f"{flag} gives an empty sweep")
 
 
+def _require_positive(p: dict, key: str):
+    if not p[key] > 0:
+        raise ValueError(f"{_flag(key)} must be positive, got {p[key]}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -126,6 +131,7 @@ def _run_profiles(cfg: RunConfig) -> Report:
 def _run_check_bogomolnyi(cfg: RunConfig) -> Report:
     p = cfg.params
     _require_sweep("--n-points", p["n_points"])
+    _require_positive(p, "inv_h_over_eps")
     scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
     stencil = bp.StencilConfig(h=p["eps"] / p["inv_h_over_eps"], order=p["order"])
     rng = np.random.default_rng(cfg.seed)
@@ -152,6 +158,7 @@ def _run_check_bogomolnyi(cfg: RunConfig) -> Report:
 
 def _run_check_gribov(cfg: RunConfig) -> Report:
     p = cfg.params
+    _require_positive(p, "inv_h_over_r")
     scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
     rows = []
     min_order = math.inf
@@ -178,6 +185,7 @@ def _run_check_gribov(cfg: RunConfig) -> Report:
 def _run_winding(cfg: RunConfig) -> Report:
     p = cfg.params
     _require_sweep("--n-min/--n-max", p["n_max"] - p["n_min"] + 1)
+    scale = bp.MonopoleScale(g=p["g"], eps=1.0)
     quad = topo.QuadratureSpec(r_max=p["r_max"], n_r=p["n_r"], n_theta=p["n_theta"], n_phi=p["n_phi"])
     tol = cfg.tol if cfg.tol is not None else 1e-3
     rows = []
@@ -192,7 +200,6 @@ def _run_winding(cfg: RunConfig) -> Report:
         rows.append((n, deg, oracle))
         worst = max(worst, abs(deg - n))
         worst_oracle = max(worst_oracle, abs(deg - oracle))
-    scale = bp.MonopoleScale(g=p["g"], eps=1.0)
     gauge, _ = bp.build_fields(scale, "BPS")
     x_mono = topo.winding_functional(gauge, quad, scale.g)
     rep = Report(
@@ -219,7 +226,7 @@ def _run_greens(cfg: RunConfig) -> Report:
     zs = rng.uniform(0.25, 4.0, p["n_z"])
     worst_euler = max(float(np.max(np.abs(greens.euler_residual(s, zs)))) for s in (s0, s1))
     pot_rows = [(z, s0.value(z), s1.value(z)) for z in np.linspace(0.2, 5.0, 25)]
-    G = greens.green_tensor(s0, s1)
+    G = greens.GreenTensor(s0, s1)
     y = np.array([0.0, 0.0, 1e-6])
     worst_op = 0.0
     for r in (0.8, 2.0, 5.0):
@@ -281,7 +288,8 @@ def _run_rotator(cfg: RunConfig) -> Report:
     rep = Report(
         meta=_meta(cfg, ["theta-function-identity", "interference-decay"], {"representation": tol}),
         inputs={"theta": p["theta"], "tau": p["tau"], "inertia": p["inertia"], "theta_probe": p["theta_probe"],
-                "theta_in_half_window": None if p["theta"] is None else bool(p["theta"] <= math.pi)},
+                # with --theta every row's params carry it, reduced to [0, 2 pi)
+                "theta_in_half_window": None if p["theta"] is None else prm.in_half_window},
         results={
             "table": _table(["theta", "tau_e", "dN", "inertia", "re_G", "im_G", "spectral_vs_path"], rows),
             "interference_decay": _table(["L", "off_spectrum_modulus", "bound"], decay_rows),
@@ -311,7 +319,7 @@ def _run_interference(cfg: RunConfig) -> Report:
         rows.append((n, dev, bound))
     norms = {}
     for L in (100, 1000, 10000):
-        norms[L] = itf.momentum_green_average(np.array(p["momentum"]), None, L).norm()
+        norms[L] = float(np.linalg.norm(itf.momentum_green_average(np.array(p["momentum"]), None, L), 2))
     logL = np.log(np.array(list(norms.keys()), dtype=float))
     gamma = float(-np.polyfit(logL, np.log(list(norms.values())), 1)[0])
     q = np.array(p["loop_q"])
@@ -522,8 +530,12 @@ def _emit(rep: Report, cfg: RunConfig) -> int:
     else:
         text = _csv_payload(_jsonable(rep.results))
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _error("validation", exc)
+            return _EXIT_VALIDATION
     else:
         sys.stdout.write(text)
     return _EXIT_OK if rep.all_passed() else _EXIT_CONSISTENCY

@@ -49,7 +49,6 @@ __all__ = [
     "radial_ym_residual",
     "shoot_radial",
     "RadialTrajectory",
-    "green_tensor",
     "monopole_covariant_laplacian",
 ]
 
@@ -188,7 +187,7 @@ class GreenTensor:
 
     def __post_init__(self):
         if self.sol0.n != 0 or self.sol1.n != 1:
-            raise DomainError("green_tensor needs the n=0 and n=1 radial solutions")
+            raise DomainError("GreenTensor needs the n=0 and n=1 radial solutions")
 
     def evaluate(self, x, y) -> np.ndarray:
         """G^{ab}(x, y) for points (3,) or batches (N, 3), broadcast against
@@ -205,10 +204,6 @@ class GreenTensor:
         out = (nx[:, :, None] * ny[:, None, :] * self.sol0.value(z)[:, None, None]
                + transverse * self.sol1.value(z)[:, None, None])
         return out[0] if single_x and single_y else out
-
-
-def green_tensor(sol0: EulerSolution, sol1: EulerSolution) -> GreenTensor:
-    return GreenTensor(sol0, sol1)
 
 
 def monopole_covariant_laplacian(S: Callable, x, h: float, order: int = 2) -> np.ndarray:

@@ -41,7 +41,6 @@ from .topology import GribovFactorMap, GroupElement
 
 __all__ = [
     "EulerAngles",
-    "DiracColorMatrix",
     "GAMMA",
     "GAMMA5",
     "dirac_slash",
@@ -120,19 +119,6 @@ class EulerAngles:
         return abs(self.phi1 + self.phi2 + self.phi3 - 4.0 * math.pi * n) < tol
 
 
-@dataclass(frozen=True)
-class DiracColorMatrix:
-    """8x8 spinor (x) color matrix with an invertibility report."""
-
-    m: np.ndarray
-
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.m))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.m, 2))
-
-
 def dressed_factor_map(n: int, angles: EulerAngles, eps: float, prefactor: float = 2.0) -> GribovFactorMap:
     """The dressed factor as a group-factor map with exact derivatives:
     exp(i c pi n f01 tau.m_hat) is that map with prefactor -c and R(phi_i)."""
@@ -153,22 +139,24 @@ def window_integers(L: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
-def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float, prefactor: float = 2.0) -> np.ndarray:
-    """Window average of v^(n)(x) v^(n)(-y); tends to the identity as both
-    points recede (the surviving contribution of color two-point functions)."""
+def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float) -> np.ndarray:
+    """Window average of v^(n)(x) v^(n)(-y) over the unit-asymptotic dressed
+    factors (prefactor 2); tends to the identity as both points recede (the
+    surviving contribution of color two-point functions)."""
     if L < 1:
         raise DomainError("window size L must be at least 1")
     x, y = _batch(x)[0].reshape(1, 3), _batch(y)[0].reshape(1, 3)
     ns = window_integers(L)
     acc = np.zeros((2, 2), dtype=complex)
     for n in ns:
-        dm = dressed_factor_map(int(n), angles, eps, prefactor)
+        dm = dressed_factor_map(int(n), angles, eps)
         acc += dm.matrices(x)[0] @ dm.matrices(-y)[0]
     return acc / len(ns)
 
 
-def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L: int) -> DiracColorMatrix:
-    """Symmetric partial average S_L = (1/(L+1)) sum_{n=-L/2}^{L/2} (p_slash + t n)^-1.
+def momentum_green_average(p, t_matrix: np.ndarray | None, L: int) -> np.ndarray:
+    """Symmetric partial average S_L = (1/(L+1)) sum_{n=-L/2}^{L/2} (p_slash + t n)^-1,
+    an (8, 8) matrix; t defaults to color_shift_matrix().
 
     Pairwise n <-> -n cancellation makes ||S_L|| = O(1/L).  Raises
     SingularTermError naming the first n whose matrix is numerically singular:
@@ -192,7 +180,7 @@ def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L:
     """
     if L < 0:
         raise DomainError("window size L must be non-negative")
-    t = color_shift_matrix() if t_matrix is None else np.asarray(getattr(t_matrix, "m", t_matrix))
+    t = color_shift_matrix() if t_matrix is None else np.asarray(t_matrix)
     ph = np.kron(dirac_slash(p), ID2)
     half = n0 = L // 2
     try:
@@ -228,7 +216,7 @@ def momentum_green_average(p, t_matrix: DiracColorMatrix | np.ndarray | None, L:
         for h_k in reversed(sums[:-1]):
             poly = m2 @ poly + h_k * ID8
         total -= 2.0 * (m @ poly @ t_inv)
-    return DiracColorMatrix(total / (L + 1))
+    return total / (L + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +277,32 @@ def loop_integrand_matrix(p1: float, p2: float, q, gamma_structure: str, mass: f
     return complex(np.trace(gam @ g0(pv) @ gam @ g0(kv)))
 
 
-def shifted_loop_average(
-    q,
-    gamma_structure: str,
-    cutoff: float,
-    L: int,
-    spacing: float = BASE_SPACING,
-    mass: float = REGULATOR_MASS,
-) -> LoopAverage:
+def shifted_loop_average(q, gamma_structure: str, cutoff: float, L: int) -> LoopAverage:
     """Window-averaged momentum-lattice loop against its unshifted value.
 
-    Midpoint lattice p = (j + 1/2) h on [-cutoff, cutoff]^2 (components p1, p2;
-    the external q stays a 4-vector), shift t = h e1, window n in [-L/2, L/2].
+    Midpoint lattice p = (j + 1/2) h on [-cutoff, cutoff]^2 with h = BASE_SPACING
+    (components p1, p2; the external q stays a 4-vector), regulator mass
+    REGULATOR_MASS, shift t = h e1, window n in [-L/2, L/2].
     Shifts are exact lattice translations, so the difference is purely the
     boundary shell of the shifted window.
     """
     _structures(gamma_structure)
-    if not (cutoff > 0 and spacing > 0):
-        raise DomainError("cutoff and spacing must be positive")
-    if spacing * L > cutoff / 2.0 + 1e-12:
+    if not (cutoff > 0):
+        raise DomainError("cutoff must be positive")
+    h = BASE_SPACING
+    if h * L > cutoff / 2.0 + 1e-12:
         raise WindowError(
-            f"total shift {spacing * L} exceeds half the extent {cutoff / 2.0}: shift leaves the grid"
+            f"total shift {h * L} exceeds half the extent {cutoff / 2.0}: shift leaves the grid"
         )
-    n_side = int(round(2.0 * cutoff / spacing))
+    n_side = int(round(2.0 * cutoff / h))
     if n_side < 8:
-        raise DomainError("grid too small; decrease spacing or increase cutoff")
-    ax = (np.arange(n_side) - n_side / 2 + 0.5) * spacing
+        raise DomainError("grid too small; increase cutoff")
+    ax = (np.arange(n_side) - n_side / 2 + 0.5) * h
     P1, P2 = np.meshgrid(ax, ax, indexing="ij")
 
     def lattice_sum(shift_units: int) -> float:
-        vals = loop_integrand(P1 + shift_units * spacing, P2, q, mass)
-        return float(np.sum(vals)) * spacing**2
+        vals = loop_integrand(P1 + shift_units * h, P2, q, REGULATOR_MASS)
+        return float(np.sum(vals)) * h**2
 
     unshifted = lattice_sum(0)
     ns = window_integers(L)

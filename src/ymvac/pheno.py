@@ -34,7 +34,6 @@ import numpy as np
 from .bps_profiles import (
     FieldVariant,
     MonopoleScale,
-    StencilConfig,
     build_fields,
     covariant_derivative,
     default_stencil,
@@ -71,6 +70,11 @@ __all__ = [
 
 BETA_MOD = 11.0 / (4.0 * math.pi)
 C_SCHWINGER = 2.0 * math.sqrt(math.pi)
+# settings of the quadrature companions below
+_MAGNETIC_R_MAX_OVER_EPS = 1e3  # upper end of the tension integral, in units of eps
+_MAGNETIC_NODES = 48
+_RADIAL_NODES = 64  # inertia and normalization integrals
+_CHECK_TOLERANCE = 0.05  # their ConsistencyError gate, relative to the closed form
 
 _FIELD_DOC = {
     "n_f": "flavor count",
@@ -154,19 +158,14 @@ def magnetic_energy(scale: MonopoleScale) -> float:
     return 4.0 * math.pi / (scale.g**2 * scale.eps)
 
 
-def magnetic_energy_quadrature(
-    scale: MonopoleScale,
-    r_max_over_eps: float = 1e3,
-    n_nodes: int = 48,
-    stencil: StencilConfig | None = None,
-) -> float:
+def magnetic_energy_quadrature(scale: MonopoleScale) -> float:
     """Companion path: integrate the sampled f = +1 tension norm over
-    eps <= r <= r_max.  Log-radial Gauss-Legendre; the tension is produced by
-    the finite-difference tension operator, not the closed form."""
+    eps <= r <= 1e3 eps.  48-node log-radial Gauss-Legendre; the tension is
+    produced by the finite-difference tension operator, not the closed form."""
     g, eps = scale.g, scale.eps
-    stencil = stencil or default_stencil(scale)
+    stencil = default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.WU_YANG_PLUS)
-    t, w = _gauss_legendre(n_nodes, math.log(r_max_over_eps))
+    t, w = _gauss_legendre(_MAGNETIC_NODES, math.log(_MAGNETIC_R_MAX_OVER_EPS))
     r = [eps * math.exp(ti) for ti in t]
     B = magnetic_tension(gauge, np.outer(r, (0.0, 0.0, 1.0)), stencil, g)
     total = 0.0
@@ -175,40 +174,30 @@ def magnetic_energy_quadrature(
     return total
 
 
-def rotary_momentum(
-    scale: MonopoleScale,
-    volume: float = 1.0,
-    method: str = "formula",
-    n_nodes: int = 64,
-    stencil: StencilConfig | None = None,
-    check_tolerance: float = 0.05,
-) -> float:
+def rotary_momentum(scale: MonopoleScale, method: str = "formula") -> float:
     """Vacuum inertia I = 4 pi^2 eps/alpha_s (GeV^-1).
 
     The quadrature path integrates |D Phi0|^2 for the zero-mode scalar on the
-    smooth background over all space (compactified radial Gauss-Legendre) and
-    raises ConsistencyError when it strays more than check_tolerance from the
-    closed form.  The volume argument cancels from both routes and is kept
-    only for interface symmetry with the V<B^2> form.
+    smooth background over all space (64-node compactified radial
+    Gauss-Legendre) and raises ConsistencyError when it strays more than 5%
+    from the closed form.
     """
-    if not (volume > 0):
-        raise DomainError("volume must be positive")
     formula = 4.0 * math.pi**2 * scale.eps / scale.alpha_s
     if method == "formula":
         return formula
     if method != "quadrature":
         raise DomainError("method must be 'formula' or 'quadrature'")
-    stencil = stencil or default_stencil(scale)
+    stencil = default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.BPS)
     phi0 = zero_mode_scalar(scale)
-    r, w = _compactified_radial(n_nodes, scale.eps)
+    r, w = _compactified_radial(_RADIAL_NODES, scale.eps)
     D = covariant_derivative(gauge, phi0, np.outer(r, (0.0, 0.0, 1.0)), stencil, scale.g)
     total = 0.0
     for ri, wi, Di in zip(r, w, D):
         total += wi * 4.0 * math.pi * ri**2 * float(np.sum(Di * Di))
-    if abs(total - formula) > check_tolerance * formula:
+    if abs(total - formula) > _CHECK_TOLERANCE * formula:
         raise ConsistencyError(
-            f"inertia quadrature {total} vs closed form {formula} beyond {check_tolerance:.0%}"
+            f"inertia quadrature {total} vs closed form {formula} beyond {_CHECK_TOLERANCE:.0%}"
         )
     return total
 
@@ -219,18 +208,14 @@ def vacuum_hamiltonian(p_n: float, scale: MonopoleScale) -> float:
     return (2.0 * math.pi / (g2 * scale.eps)) * ((p_n * g2 / (8.0 * math.pi**2)) ** 2 + 1.0)
 
 
-def normalization_check(
-    scale: MonopoleScale,
-    n_nodes: int = 64,
-    stencil: StencilConfig | None = None,
-    check_tolerance: float = 0.05,
-) -> float:
-    """(g^2/8 pi^2) int D(Phi0).B d^3x over the smooth pair; equals 1 for any
-    (g, eps).  Raises ConsistencyError when off by more than check_tolerance."""
-    stencil = stencil or default_stencil(scale)
+def normalization_check(scale: MonopoleScale) -> float:
+    """(g^2/8 pi^2) int D(Phi0).B d^3x over the smooth pair (64-node
+    compactified radial Gauss-Legendre); equals 1 for any (g, eps).  Raises
+    ConsistencyError when off by more than 5%."""
+    stencil = default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.BPS)
     phi0 = zero_mode_scalar(scale)
-    r, w = _compactified_radial(n_nodes, scale.eps)
+    r, w = _compactified_radial(_RADIAL_NODES, scale.eps)
     x = np.outer(r, (0.0, 0.0, 1.0))
     D = covariant_derivative(gauge, phi0, x, stencil, scale.g)
     B = magnetic_tension(gauge, x, stencil, scale.g)
@@ -238,8 +223,8 @@ def normalization_check(
     for ri, wi, Di, Bi in zip(r, w, D, B):
         total += wi * 4.0 * math.pi * ri**2 * float(np.sum(Di * Bi))
     value = scale.g**2 / (8.0 * math.pi**2) * total
-    if abs(value - 1.0) > check_tolerance:
-        raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {check_tolerance:.0%}")
+    if abs(value - 1.0) > _CHECK_TOLERANCE:
+        raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {_CHECK_TOLERANCE:.0%}")
     return value
 
 

@@ -23,6 +23,9 @@ Each sum builds its terms in one numpy array and adds them with math.fsum; a
 cutoff past the term cap raises.  `terms_needed` tells which sides fit, and
 each side has its own theta route as a second check.
 
+RotatorParams reduces theta to [0, 2 pi) when it is built; every consumer,
+the half-window flag `in_half_window` included, reads that reduced value.
+
 The observable-wavefunction average uses the measure weight e^{-i n theta}
 by default, so survival occurs exactly on the quasi-momentum spectrum; the
 e^{+i n theta} variant (survival at 2 pi k - theta) sits behind measure_sign.
@@ -41,7 +44,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "RotatorParams",
-    "ThetaArgs",
     "bloch_spectrum",
     "averaged_wavefunction",
     "interference_bound",
@@ -112,16 +114,6 @@ class RotatorParams:
         return self.theta <= np.pi
 
 
-@dataclass(frozen=True)
-class ThetaArgs:
-    z: complex
-    tau: complex
-
-    def __post_init__(self):
-        if not (complex(self.tau).imag > 0):
-            raise DomainError("Im(tau) must be strictly positive")
-
-
 def bloch_spectrum(theta: float, k_range) -> np.ndarray:
     """Quasi-momenta 2 pi k + theta over an iterable of integers k."""
     ks = np.asarray(list(k_range), dtype=float)
@@ -173,12 +165,9 @@ def _exact_sum(term, k_max: int) -> complex:
     return complex(math.fsum(memoryview(terms.real.copy())), math.fsum(memoryview(terms.imag.copy())))
 
 
-def theta3(z, tau=None, k_max: int | None = None) -> complex:
-    """Truncated symmetric sum of Theta3(Z|tau); terms added until the a-priori
-    tail bound exp(-pi k^2 Im tau + 2|k||Im Z|) drops below 1e-18."""
-    if isinstance(z, ThetaArgs):
-        args = z
-        z, tau = args.z, args.tau
+def theta3(z, tau, k_max: int | None = None) -> complex:
+    """Truncated symmetric sum of Theta3(Z|tau), Im tau > 0; terms added until
+    the a-priori tail bound exp(-pi k^2 Im tau + 2|k||Im Z|) drops below 1e-18."""
     z, tau = complex(z), complex(tau)
     if not (tau.imag > 0):
         raise DomainError("Im(tau) must be strictly positive")

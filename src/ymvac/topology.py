@@ -4,8 +4,8 @@ The stationary group factor with winding index n is
 
     v^(n)(x) = exp(-i pi n f(r) tau.n_hat) = cos(pi n f) 1 - i sin(pi n f) tau.n_hat,
 
-where the radial profile f satisfies f(0) = 0 and f(r) -> 1 (default: the
-smooth phase profile f01).  For odd n the factor tends to the central element
+where the radial profile is the smooth phase profile f01, with f01(0) = 0 and
+f01(r) -> 1.  For odd n the factor tends to the central element
 -1 at spatial infinity; no asymptotic is asserted here.  The same map with an
 amplitude prefactor c and an adjoint rotation R,
 
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -66,6 +64,7 @@ __all__ = [
 ]
 
 _MATRIX_TOL = 1e-12
+_REFINE = 1.5  # node-count factor of QuadratureSpec.refined
 
 
 @dataclass(frozen=True)
@@ -120,12 +119,13 @@ class QuadratureSpec:
         if self.r_max < 50.0 * eps_ref:
             raise DomainError(f"r_max={self.r_max} must be at least 50x the profile scale {eps_ref}")
 
-    def refined(self, factor: float = 1.5) -> "QuadratureSpec":
+    def refined(self) -> "QuadratureSpec":
+        """The same ball with 1.5 times the nodes on each axis."""
         return QuadratureSpec(
             self.r_max,
-            int(np.ceil(self.n_r * factor)),
-            int(np.ceil(self.n_theta * factor)),
-            int(np.ceil(self.n_phi * factor)),
+            int(np.ceil(self.n_r * _REFINE)),
+            int(np.ceil(self.n_theta * _REFINE)),
+            int(np.ceil(self.n_phi * _REFINE)),
         )
 
     def ball_nodes(self, eps_ref: float = 1.0):
@@ -188,44 +188,27 @@ def _sphere_nodes(n_theta: int, n_phi: int):
 # group factors
 # ---------------------------------------------------------------------------
 
-def _check_profile(profile: Callable, eps_ref: float):
-    at0 = float(np.asarray(profile(0.0)).reshape(-1)[0])
-    at_inf = float(np.asarray(profile(1e3 * eps_ref)).reshape(-1)[0])
-    if abs(at0) > 1e-8:
-        raise ContractError("profile must vanish at r = 0")
-    if abs(at_inf - 1.0) > 5e-3:
-        raise ContractError("profile must approach 1 at r = 1e3 * eps_ref")
-
-
 class GribovFactorMap:
     """Map x -> v^(n)(x) with closed-form derivatives.
 
-    v = cos(A) 1 - i sin(A) tau.m_hat with A(r) = c pi n f(r) and
-    m_hat = R n_hat (c: amplitude prefactor, R: optional adjoint rotation).
-    The default profile f01 is differentiated exactly, a custom one by the
-    central stencil.
+    v = cos(A) 1 - i sin(A) tau.m_hat with A(r) = c pi n f01(r) and
+    m_hat = R n_hat (c: amplitude prefactor, R: optional adjoint rotation);
+    f01 is differentiated exactly.  eps_ref is checked where f01 is first
+    evaluated.
     """
 
-    def __init__(self, n: int, eps_ref: float = 1.0, profile=None, prefactor: float = 1.0, rotation=None):
+    def __init__(self, n: int, eps_ref: float = 1.0, prefactor: float = 1.0, rotation=None):
         self.n = int(n)
         self.eps_ref = float(eps_ref)
         self.prefactor = float(prefactor)
-        self._coef = self.prefactor * np.pi * self.n  # A(r) = coef f(r)
+        self._coef = self.prefactor * np.pi * self.n  # A(r) = coef f01(r)
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
-        if profile is None:
-            self.profile = lambda r: f01_bps(r, self.eps_ref)
-            self._slope = lambda r: d_f01_bps(r, self.eps_ref)
-        else:
-            stencil = StencilConfig(1e-6 * self.eps_ref, 2)
-            self.profile = profile
-            self._slope = lambda r: stencil._apply(profile, r, 1.0)
-        _check_profile(self.profile, self.eps_ref)
 
     def _quaternion(self, pts, derivs: bool = True):
         """v = q0 - i q.tau at a batch of N points, component axes first so
         that every elementwise step runs over the points: q0 (N,), q (3, N)
         and, with derivs, d_i q0 (3, N) [i][n] and d_i q (3, 3, N) [a][i][n]
-        (else None), all from one pass over the radii, unit vectors and profile.
+        (else None), all from one pass over the radii, unit vectors and f01.
 
         q0 = cos A and q = sin A m_hat, with d_i m_hat = (R[:, i] - n_i m_hat)/r;
         the derivatives require r > 0 at every point."""
@@ -234,15 +217,15 @@ class GribovFactorMap:
         nh = pts / np.where(r > 0, r, 1.0)[:, None]
         mh = np.ascontiguousarray((nh if self.rotation is None else nh @ self.rotation.T).T)
         nh = np.ascontiguousarray(nh.T)
-        A = self._coef * self.profile(r)
-        A[r == 0] = 0.0  # v = 1 at the origin whatever the profile's rounding there
+        A = self._coef * f01_bps(r, self.eps_ref)
+        A[r == 0] = 0.0  # v = 1 at the origin whatever f01's rounding there
         ca, sa = np.cos(A), np.sin(A)
         q = sa * mh
         if not derivs:
             return ca, q, None, None
         if np.any(r == 0):
             raise DomainError("derivative of the factor is undefined at r = 0")
-        dA = self._coef * self._slope(r)
+        dA = self._coef * d_f01_bps(r, self.eps_ref)
         rot = np.eye(3) if self.rotation is None else self.rotation  # [a][i]
         dmh = (rot[:, :, None] - mh[:, None] * nh[None]) / r
         dq0 = -(sa * dA) * nh
@@ -263,10 +246,9 @@ class GribovFactorMap:
         return GroupElement(self.matrices(_batch(x)[0].reshape(1, 3))[0])
 
 
-def gribov_factor(n: int, x, profile=None, eps_ref: float = 1.0) -> GroupElement:
-    """Exponentiated phase factor exp(-i pi n f(r) tau.n_hat) at a point."""
-    fmap = GribovFactorMap(n, eps_ref=eps_ref, profile=profile)
-    return fmap(x)
+def gribov_factor(n: int, x, eps_ref: float = 1.0) -> GroupElement:
+    """Exponentiated phase factor exp(-i pi n f01(r) tau.n_hat) at a point."""
+    return GribovFactorMap(n, eps_ref=eps_ref)(x)
 
 
 def gribov_phase_matrix(x, eps_ref: float = 1.0) -> AlgebraElement:
@@ -313,7 +295,6 @@ def map_degree(
     n: int,
     quad: QuadratureSpec,
     eps_ref: float = 1.0,
-    profile=None,
     check_resolution: bool = True,
 ) -> float:
     """Degree of the map of v^(n) by 3D quadrature; integer n to tolerance.
@@ -322,7 +303,7 @@ def map_degree(
     ResolutionError if the two levels disagree by more than 1e-2.
     """
     quad.check_reaches(eps_ref)
-    fmap = GribovFactorMap(n, eps_ref=eps_ref, profile=profile)
+    fmap = GribovFactorMap(n, eps_ref=eps_ref)
     coarse = _degree_integral(fmap, quad)
     if not check_resolution:
         return coarse
@@ -334,36 +315,36 @@ def map_degree(
     return fine
 
 
-def map_degree_radial_oracle(n: int, profile=None, eps_ref: float = 1.0, r_inf: float = 1e6) -> float:
-    """1D reduction (1/pi)[alpha - sin(alpha) cos(alpha)] with alpha = pi n f(r),
-    evaluated between r = 0 and r -> infinity.  Independent of the 3D quadrature."""
-    prof = profile or (lambda r: f01_bps(r, eps_ref))
+def map_degree_radial_oracle(n: int, eps_ref: float = 1.0) -> float:
+    """1D reduction (1/pi)[alpha - sin(alpha) cos(alpha)] with alpha = pi n f01(r),
+    evaluated between r = 0 and r = 1e6 (standing in for infinity).  Independent
+    of the 3D quadrature."""
 
     def F(r):
-        a = np.pi * n * prof(r)
+        a = np.pi * n * f01_bps(r, eps_ref)
         return (a - np.sin(a) * np.cos(a)) / np.pi
 
-    return float(F(r_inf) - F(0.0))
+    return float(F(1e6) - F(0.0))
 
 
 def winding_functional(
     field: ColorField,
     quad: QuadratureSpec,
     g: float,
-    stencil: StencilConfig | None = None,
     eps_ref: float = 1.0,
     tail_fraction: float | None = 1e-3,
 ) -> float:
     """Chern-Simons winding functional X[A] over the ball of radius r_max.
 
     Both terms are real (see the module docstring); the derivative term uses
-    central differences on the sampler's components.  Raises TruncationError when the outer 10% radial shell
+    fourth-order central differences with step 1e-3 eps_ref on the sampler's
+    components.  Raises TruncationError when the outer 10% radial shell
     carries more than tail_fraction of the accumulated absolute integrand;
     pass None to skip (e.g. when the boundary flux is being computed
     explicitly).
     """
     quad.check_reaches(eps_ref)
-    stencil = stencil or StencilConfig(1e-3 * eps_ref, 4)
+    stencil = StencilConfig(1e-3 * eps_ref, 4)
     pts, wts = quad.ball_nodes(eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
     pts, wts = pts[keep], wts[keep]

@@ -7,7 +7,6 @@ from ymvac.bps_profiles import (
     ColorField,
     FieldVariant,
     MonopoleScale,
-    SpatialPoint,
     StencilConfig,
     bogomolnyi_residual,
     build_fields,
@@ -119,11 +118,6 @@ class TestScaleAndTypes:
         with pytest.raises(DomainError):
             MonopoleScale(g=1.0, eps=-2.0)
 
-    def test_spatial_point(self):
-        p = SpatialPoint([3.0, 0.0, 4.0])
-        assert p.r == pytest.approx(5.0)
-        assert np.linalg.norm(p.n_hat) == pytest.approx(1.0)
-
     def test_stencil_validation(self):
         with pytest.raises(DomainError):
             StencilConfig(h=0.0)
@@ -136,6 +130,13 @@ class TestScaleAndTypes:
                 MonopoleScale(g=g, eps=eps)
         with pytest.raises(DomainError):
             StencilConfig(h=np.inf)
+
+    def test_derived_power_validation(self):
+        # g^2 under- or overflows, g^3 or eps^3 overflows, g^2 eps underflows
+        for g, eps in ((1e-200, 1.0), (1e200, 1.0), (1e103, 1.0), (1.0, 1e300), (1e-100, 1e-200)):
+            with pytest.raises(DomainError, match="normal floats"):
+                MonopoleScale(g=g, eps=eps)
+        assert MonopoleScale(g=1.0, eps=1e-300).alpha_s == 1.0 / (4.0 * np.pi)
 
     @pytest.mark.parametrize("order, degree", [(2, 2), (4, 4)])
     def test_stencil_exact_on_polynomials(self, order, degree):
@@ -318,18 +319,18 @@ class TestCovariantDerivative:
 class TestBogomolnyiResidual:
     def test_residual_and_refinement(self):
         st = default_stencil(SCALE)
-        pts = [SpatialPoint(p) for p in random_points(20, seed=11)]
+        pts = list(random_points(20, seed=11))
         res = bogomolnyi_residual(SCALE, pts, st)
         res_half = bogomolnyi_residual(SCALE, pts, st.halved())
         assert res < 10.0 * st.h**st.order
         assert res / res_half >= 8.0
 
     def test_pt_exact_zero(self):
-        assert bogomolnyi_residual(SCALE, [SpatialPoint([1.0, 0, 0])], variant="PT") == 0.0
+        assert bogomolnyi_residual(SCALE, [np.array([1.0, 0, 0])], variant="PT") == 0.0
 
     def test_wu_yang_alignment(self):
         st = default_stencil(SCALE)
-        res = bogomolnyi_residual(SCALE, [SpatialPoint([0.0, 0.0, 3.0])], st, variant="WuYangPlus")
+        res = bogomolnyi_residual(SCALE, [np.array([0.0, 0.0, 3.0])], st, variant="WuYangPlus")
         assert res < 100.0 * st.h**st.order
 
     def test_empty_points(self):
@@ -338,7 +339,7 @@ class TestBogomolnyiResidual:
 
     def test_sign_branch(self):
         st = default_stencil(SCALE)
-        pts = [SpatialPoint([0.9, 0.3, -0.2])]
+        pts = [np.array([0.9, 0.3, -0.2])]
         assert bogomolnyi_residual(SCALE, pts, st, sign=-1) > 1.0
         with pytest.raises(DomainError):
             bogomolnyi_residual(SCALE, pts, st, sign=2)
@@ -348,12 +349,12 @@ class TestBogomolnyiResidual:
         st = default_stencil(SCALE)
         pts = random_points(12, seed=14)
         res = bogomolnyi_residual(SCALE, pts, st, variant)
-        assert res == bogomolnyi_residual(SCALE, [SpatialPoint(p) for p in pts], st, variant)
-        assert res == max(bogomolnyi_residual(SCALE, SpatialPoint(p), st, variant) for p in pts)
+        assert res == bogomolnyi_residual(SCALE, list(pts), st, variant)
+        assert res == max(bogomolnyi_residual(SCALE, p, st, variant) for p in pts)
 
     def test_coarse_stencil_rejected(self):
         with pytest.raises(StencilError):
-            bogomolnyi_residual(SCALE, [SpatialPoint([1.0, 0, 0])], StencilConfig(h=0.2, order=4))
+            bogomolnyi_residual(SCALE, [np.array([1.0, 0, 0])], StencilConfig(h=0.2, order=4))
 
 
 class TestGribovResidual:

@@ -113,6 +113,11 @@ class TestExitDiscipline:
     def test_missing_constants_file_exit_2(self, capsys):
         assert main(["pheno", "--constants", "/no/such/file"]) == 2
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        code, out, err = validation_error(capsys, "profiles", "--out", str(tmp_path / "missing" / "r.json"))
+        assert code == 2 and out == ""
+        assert err["error"] == "validation"
+
 
 class TestParameterPrecedence:
     def test_set_overrides_constants_file(self, tmp_path, capsys):
@@ -190,6 +195,15 @@ class TestFlagValidation:
         code, out, err = validation_error(capsys, "pheno", "--set", "n_f=abc")
         assert code == 2 and out == ""
         assert err["message"] == "--set: constant n_f must be a number, got 'abc'"
+
+
+class TestHalfWindow:
+    @pytest.mark.parametrize("theta, inside", [("7", True), ("-1", False)])
+    def test_reads_theta_reduced_to_one_period(self, capsys, theta, inside):
+        # 7 is 0.717 and -1 is 5.283 in [0, 2 pi)
+        code, out = run(capsys, "rotator", "--theta", theta, "--tau", "1.0", "--inertia", "1.0")
+        assert code == 0
+        assert json.loads(out)["inputs"]["theta_in_half_window"] is inside
 
 
 class TestTermCap:
@@ -337,13 +351,21 @@ class TestNoStrayWarnings:
         assert self._run_warnings_as_errors(argvs) == [[0, ""]] * len(argvs)
 
     def test_out_of_range_exponents_exit_2(self):
-        # tau_E/(2I) underflows to 0 or I/(2 tau_E) to a subnormal
-        argvs = [
-            ["rotator", "--inertia", "1e308", "--tau", "1e-10"],
-            ["rotator", "--inertia", "1e-308", "--tau", "1e10"],
+        # tau_E/(2I) underflows to 0 or I/(2 tau_E) to a subnormal; g^2
+        # underflows, g^2, g^3 or eps^3 overflows; a zero step divisor
+        cases = [
+            (["rotator", "--inertia", "1e308", "--tau", "1e-10"], "normal floats"),
+            (["rotator", "--inertia", "1e-308", "--tau", "1e10"], "normal floats"),
+            (["check-gribov", "--inv-h-over-r", "0"], "--inv-h-over-r"),
+            (["check-bogomolnyi", "--inv-h-over-eps", "0"], "--inv-h-over-eps"),
+            (["pheno", "--g", "1e-200"], "g 1e-200"),
+            (["pheno", "--g", "1e200"], "g 1e+200"),
+            (["pheno", "--eps", "1e300"], "eps 1e+300"),
+            (["winding", "--g", "1e200"], "g 1e+200"),
         ]
-        for code, err in self._run_warnings_as_errors(argvs):
+        runs = self._run_warnings_as_errors([argv for argv, _ in cases])
+        for (_, named), (code, err) in zip(cases, runs):
             lines = err.splitlines()
             assert code == 2 and len(lines) == 1
             payload = json.loads(lines[0])
-            assert payload["error"] == "validation" and "normal floats" in payload["message"]
+            assert payload["error"] == "validation" and named in payload["message"]

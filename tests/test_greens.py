@@ -9,10 +9,10 @@ from ymvac.bps_profiles import f1_bps
 from ymvac.errors import DomainError
 from ymvac.greens import (
     EulerSolution,
+    GreenTensor,
     euler_residual,
     golden_roots,
     golden_solution,
-    green_tensor,
     monopole_covariant_laplacian,
     radial_ym_residual,
     shoot_radial,
@@ -148,11 +148,11 @@ class TestGreenTensor:
     def setup_method(self):
         self.s0 = golden_solution(0, -1.0 / (4.0 * np.pi), 0.0)
         self.s1 = golden_solution(1, 1.0 / (4.0 * np.pi), 1.0)
-        self.G = green_tensor(self.s0, self.s1)
+        self.G = GreenTensor(self.s0, self.s1)
 
     def test_requires_correct_indices(self):
         with pytest.raises(DomainError):
-            green_tensor(self.s1, self.s1)
+            GreenTensor(self.s1, self.s1)
 
     def test_colinear_projector_identity(self):
         x = np.array([0.0, 0.0, 2.0])
@@ -169,7 +169,7 @@ class TestGreenTensor:
         y = np.array([0.0, 0.0, 1.0])
         z = np.linalg.norm(x - y)
         s1 = golden_solution(1, 0.0, self.s0.value(z) / z**golden_roots(1)[1])
-        Gsame = green_tensor(self.s0, s1)
+        Gsame = GreenTensor(self.s0, s1)
         np.testing.assert_allclose(Gsame.evaluate(x, y), np.eye(3) * self.s0.value(z), atol=1e-14)
 
     def test_swap_symmetry(self):
@@ -216,7 +216,7 @@ class TestBackgroundOperator:
     def setup_method(self):
         self.s0 = golden_solution(0, -1.0 / (4.0 * np.pi), 0.0)
         self.s1 = golden_solution(1, 1.0, 1.0)
-        self.G = green_tensor(self.s0, self.s1)
+        self.G = GreenTensor(self.s0, self.s1)
         self.y = np.array([0.0, 0.0, 1e-9])
 
     def _residual(self, x, h, order=2):

@@ -42,7 +42,7 @@ class TestMagneticEnergy:
 
     def test_quadrature_matches_with_truncation_deficit(self):
         # integral to 1e3 eps carries exactly the 1 - 1e-3 tail factor
-        quad = magnetic_energy_quadrature(UNIT, r_max_over_eps=1e3)
+        quad = magnetic_energy_quadrature(UNIT)
         assert quad == pytest.approx(4.0 * math.pi * (1.0 - 1e-3), rel=1e-6)
 
     def test_quadrature_within_band(self):
@@ -62,10 +62,10 @@ class TestRotaryMomentum:
         assert abs(quad - 4.0 * math.pi**2) / (4.0 * math.pi**2) < 0.01
 
     def test_equivalent_volume_form(self):
+        # I = 4 pi^2/(alpha_s^2 V<B^2>), with V<B^2> the magnetic energy
         sc = MonopoleScale(1.7, 0.6)
-        for volume in (1.0, 125.0):
-            via_energy = (4.0 * math.pi**2 / sc.alpha_s**2) / (volume * magnetic_energy(sc) / volume)
-            assert rotary_momentum(sc, volume) == pytest.approx(via_energy, rel=1e-12)
+        via_energy = (4.0 * math.pi**2 / sc.alpha_s**2) / magnetic_energy(sc)
+        assert rotary_momentum(sc) == pytest.approx(via_energy, rel=1e-12)
 
     def test_method_validation(self):
         with pytest.raises(DomainError):

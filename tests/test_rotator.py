@@ -14,7 +14,6 @@ from ymvac.errors import ConvergenceError, DomainError
 from ymvac.rotator import (
     TERM_CAP,
     RotatorParams,
-    ThetaArgs,
     averaged_wavefunction,
     bloch_spectrum,
     coleman_spectrum,
@@ -183,10 +182,7 @@ class TestTheta3:
         with pytest.raises(DomainError):
             theta3(0.0, -1j)
         with pytest.raises(DomainError):
-            ThetaArgs(z=0.0, tau=1.0)
-
-    def test_theta_args_accepted(self):
-        assert theta3(ThetaArgs(z=0.2, tau=1j)) == theta3(0.2, 1j)
+            theta3(0.0, 1.0)
 
 
 class TestGreenRepresentations:

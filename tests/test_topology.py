@@ -68,10 +68,6 @@ class TestGribovFactor:
             rhs = gribov_factor(n + m, x).m
             assert np.abs(lhs - rhs).max() < 1e-12
 
-    def test_profile_contract(self):
-        with pytest.raises(ContractError):
-            gribov_factor(1, np.array([1.0, 0, 0]), profile=lambda r: np.atleast_1d(0.5 * np.ones_like(np.asarray(r, dtype=float))))
-
     def test_phase_matrix_algebra_element(self):
         a = gribov_phase_matrix(np.array([0.5, -0.2, 0.8]))
         a.validate()
@@ -128,12 +124,6 @@ class TestGribovFactor:
         a = 2.0 * np.pi * 2 * f01_bps(np.linalg.norm(x), 0.8)
         ref = np.cos(a) * np.eye(2) + 1j * np.sin(a) * sum(m_hat[k] * TAU[k] for k in range(3))
         assert np.abs(v - ref).max() < 1e-14
-
-    def test_custom_profile_derivative_by_stencil(self):
-        # the default profile passed as a custom one takes the stencil route
-        custom = GribovFactorMap(2, profile=lambda r: f01_bps(r, 1.0))
-        x = np.array([[0.6, -0.3, 0.8], [2.0, 1.5, -0.4]])
-        assert np.abs(custom.d_matrices(x) - GribovFactorMap(2).d_matrices(x)).max() < 1e-8
 
 
 class TestMapDegree:
