@@ -1,6 +1,6 @@
-"""Per-kernel timings with accuracy figures for the topology, interference and rotator kernels.
+"""Per-kernel timings with accuracy figures for the topology, interference, rotator and pheno kernels.
 
-Times nine kernels, each at two problem sizes, in two source trees (a
+Times twelve kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -28,7 +28,15 @@ baseline and this checkout's `src/`), and writes one JSON file:
   theta = 0 (10 045 and 31 755 terms), and `spectral_green` at I = 1e4 and
   1e5, tau_E = 0.01, dN = 0, theta = 0.9 (2 923 and 9 231 terms); accuracy:
   the gap to `mpmath.jtheta` at 30 digits on the other side's nome, where the
-  theta series converges in a few terms.
+  theta series converges in a few terms;
+- the three pheno quadrature companions at g = eps = 1, at their default
+  node counts (48 log-radial nodes for the magnetic energy, 64 compactified
+  radial nodes for the other two) and at twice them, set on the module
+  constants `_MAGNETIC_NODES` and `_RADIAL_NODES` inside the worker:
+  `magnetic_energy_quadrature`, accuracy its relative gap to the closed form
+  truncated like the integral, 4 pi (1 - 1e-3)/(g^2 eps);
+  `rotary_momentum_quadrature`, accuracy its relative gap to 4 pi^2 eps/alpha_s;
+  `normalization_check`, accuracy its gap to 1.
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -78,15 +86,12 @@ IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
 SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
                "pheno")
+# off the default path, mostly validation errors: output that must not move
 ERROR_ARGV = (
     ("interference", "--eps", "0"),
     ("interference", "--eps", "-1"),
     ("winding", "--n-r", "10"),
     ("winding", "--r-max", "10"),
-)
-# theta reduced to [0, 2 pi) before the half-window test; argv that once
-# ended in a traceback (exit 1) and now exit 2 naming the flag or value
-CHANGED_ARGV = (
     ("rotator", "--theta", "7"),
     ("rotator", "--theta", "-1"),
     ("check-gribov", "--inv-h-over-r", "0"),
@@ -96,6 +101,21 @@ CHANGED_ARGV = (
     ("pheno", "--eps", "1e300"),
     ("winding", "--g", "1e200"),
     ("profiles", "--out", "missing-dir/x.json"),
+)
+# usage errors, now one JSON line instead of argparse's usage text; --tol and
+# --constants where no report reads them, now usage errors; pheno scales whose
+# squares leave the floats, now refused naming g and eps (were exit 1 or 3)
+CHANGED_ARGV = (
+    (),
+    ("check-bogomolnyi", "--order", "3"),
+    ("profiles", "--unknown-flag", "1"),
+    ("profiles", "--tol", "5", "--constants", "/nonexistent"),
+    ("interference", "--tol", "1e-3"),
+    ("greens", "--constants", "c.txt"),
+    ("pheno", "--eps", "1e-200"),
+    ("pheno", "--eps", "1e-100"),
+    ("pheno", "--eps", "1e80"),
+    ("pheno", "--eps", "1e100"),
 )
 IMPORT_CODE = (
     "import sys, time\n"
@@ -145,7 +165,7 @@ def worker() -> dict:
 
     import numpy as np
 
-    from ymvac import bps_profiles as bp, interference as itf, rotator as rot, topology as topo
+    from ymvac import bps_profiles as bp, interference as itf, pheno, rotator as rot, topology as topo
     from ymvac.cli import _parse_config
 
     sys.path.insert(0, str(ROOT / "tests"))
@@ -206,6 +226,24 @@ def worker() -> dict:
         prm = rot.RotatorParams.euclidean(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
         cases[f"spectral_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_winding(prm)))
+    unit = bp.MonopoleScale(g=1.0, eps=1.0)
+    truncated = pheno.magnetic_energy(unit) * (1.0 - 1.0 / pheno._MAGNETIC_R_MAX_OVER_EPS)
+    inertia = pheno.rotary_momentum(unit)
+    # older trees pick the inertia quadrature with rotary_momentum(scale, method="quadrature")
+    inertia_quadrature = getattr(pheno, "rotary_momentum_quadrature", None) or (
+        lambda scale: pheno.rotary_momentum(scale, method="quadrature"))
+    nodes = pheno._MAGNETIC_NODES, pheno._RADIAL_NODES
+    for factor in (1, 2):
+        pheno._MAGNETIC_NODES, pheno._RADIAL_NODES = (n * factor for n in nodes)
+        times, value = _timed(lambda: pheno.magnetic_energy_quadrature(unit))
+        cases[f"magnetic_energy_quadrature/{pheno._MAGNETIC_NODES}_nodes"] = (
+            times, "truncated_closed_form_gap", abs(value / truncated - 1.0))
+        times, value = _timed(lambda: inertia_quadrature(unit))
+        cases[f"rotary_momentum_quadrature/{pheno._RADIAL_NODES}_nodes"] = (
+            times, "closed_form_gap", abs(value / inertia - 1.0))
+        times, value = _timed(lambda: pheno.normalization_check(unit))
+        cases[f"normalization_check/{pheno._RADIAL_NODES}_nodes"] = (times, "unity_gap", abs(value - 1.0))
+    pheno._MAGNETIC_NODES, pheno._RADIAL_NODES = nodes
     return {
         case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
         for case, (times, name, value) in cases.items()

@@ -21,13 +21,14 @@ Shared numerical core: bps_profiles.ColorField is the one field-sampler type
 every three-axis gradient (over a batch of points in one pass),
 topology.GribovFactorMap is the one group-factor map (the interference
 module's dressed factors included), topology builds every Gauss-Legendre
-node set, and one pheno parser reads both the constants file and the CLI's
---set overrides.
+node set, pheno.read_constants reads both the constants file and the
+CLI's --set overrides, and the pheno quadratures share one shell sum.
 
 Each kernel has one calling convention: points are (3,) or (N, 3) arrays
 (or lists of (3,) arrays), the group factors always use the phase profile
 f01, theta3 takes (z, tau), momentum_green_average returns the (8, 8)
-ndarray, and the quadrature settings the reports use are module constants.
+ndarray, each pheno closed form and its quadrature companion are two
+functions, and the quadrature settings the reports use are module constants.
 """
 
 from . import bps_profiles, greens, interference, pheno, rotator, topology

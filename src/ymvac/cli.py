@@ -326,7 +326,7 @@ def _run_interference(cfg: RunConfig) -> Report:
     diffs = []
     loop_rows = []
     for cut in (1.0, 2.0, 4.0):
-        la = itf.shifted_loop_average(q, "scalar", cut, p["loop_window"])
+        la = itf.shifted_loop_average(q, cut, p["loop_window"])
         diffs.append(abs(la.difference))
         loop_rows.append((cut, la.unshifted, la.shift_averaged, abs(la.difference)))
     monotone = diffs[0] > diffs[1] > diffs[2]
@@ -351,8 +351,7 @@ def _run_interference(cfg: RunConfig) -> Report:
 def _run_pheno(cfg: RunConfig) -> Report:
     p = cfg.params
     # precedence: --set flags > constants file > built-in defaults
-    inputs = pheno.read_constants(cfg.constants) if cfg.constants else pheno.default_inputs()
-    inputs = replace(inputs, **pheno._parse_constants(("--set", item) for item in p.get("set") or []))
+    inputs = pheno.read_constants(cfg.constants, p["set"] or ())
     scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
     alpha0 = pheno.alpha_mod_zero(inputs)
     schwinger = pheno.schwinger_mass(p["e"])
@@ -362,7 +361,7 @@ def _run_pheno(cfg: RunConfig) -> Report:
     me = pheno.magnetic_energy(scale)
     meq = pheno.magnetic_energy_quadrature(scale)
     inertia = pheno.rotary_momentum(scale)
-    inertia_q = pheno.rotary_momentum(scale, method="quadrature")
+    inertia_q = pheno.rotary_momentum_quadrature(scale)
     norm = pheno.normalization_check(scale)
     sens_rows = []
     for f_pi in np.linspace(0.09, 0.13, 5):
@@ -418,20 +417,27 @@ _HANDLERS = {
 # argument parsing and output
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main reports them as one JSON line (exit 2)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ymvac", description=__doc__)
+    ap = _Parser(prog="ymvac", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def common(sp, tol=True):
         sp.add_argument("--output", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        sp.add_argument("--constants", default=None, help="constants file path")
-        sp.add_argument("--tol", type=float, default=None, help="override the main check tolerance")
+        if tol:  # only where a report has a main check tolerance to override
+            sp.add_argument("--tol", type=float, default=None, help="override the main check tolerance")
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("profiles", help="tabulate the radial profiles")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--eps", type=float, default=1.0)
     sp.add_argument("--g", type=float, default=1.0)
     sp.add_argument("--r-min", type=float, default=0.0)
@@ -481,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-probe", type=float, default=0.7)
 
     sp = sub.add_parser("interference", help="dressed factors, window decay, loop shifts")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--eps", type=float, default=1.0)
     sp.add_argument("--angles", default="0.3,1.1,-0.7")
     sp.add_argument("--momentum", default="0.31,0.7,-0.2,0.45")
@@ -490,6 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pheno", help="constants chain report")
     common(sp)
+    sp.add_argument("--constants", default=None, help="constants file path")
     sp.add_argument("--g", type=float, default=1.0)
     sp.add_argument("--eps", type=float, default=1.0)
     sp.add_argument("--e", type=float, default=1.0)
@@ -569,8 +576,8 @@ def _parse_config(argv) -> RunConfig:
         output_format=d.pop("output"),
         output_path=d.pop("out"),
         seed=d.pop("seed"),
-        tol=d.pop("tol"),
-        constants=d.pop("constants"),
+        tol=d.pop("tol", None),
+        constants=d.pop("constants", None),
     )
     for key, val in d.items():
         if key in _LIST_FLAGS:
@@ -588,8 +595,8 @@ def main(argv=None) -> int:
     try:
         cfg = _parse_config(argv if argv is not None else sys.argv[1:])
         rep = _HANDLERS[cfg.subcommand](cfg)
-    except SystemExit as exc:  # argparse validation failure -> exit 2
-        return int(exc.code) if exc.code else 0
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except (ConsistencyError, ConvergenceError, ResolutionError, TruncationError) as exc:
         _error("consistency", exc)
         return _EXIT_CONSISTENCY

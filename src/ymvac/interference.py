@@ -19,12 +19,14 @@ coefficients sum_n n^(-2k-2), so an L-term window costs O(L) scalar work
 (see momentum_green_average).
 
 The shift-averaged loop lives on a midpoint momentum lattice with exact
-lattice shifts t = h e1; the shifted-minus-unshifted discrepancy is the
-boundary shell of the shifted window and shrinks as the extent grows at
-fixed spacing.  (The grid varies two momentum components; with two
-propagators the integrand decays too slowly for the shell to vanish in four
-gridded dimensions, so the cancellation statement is exercised where it is
-true.)
+lattice shifts t = h e1.  It sums the closed-form trace loop_integrand,
+which the scalar and colored gamma structures share (the explicit 8x8
+oracle loop_integrand_matrix checks both).  The shifted-minus-unshifted
+discrepancy is the boundary shell of the shifted window and shrinks as the
+extent grows at fixed spacing.  (The grid varies two momentum components;
+with two propagators the integrand decays too slowly for the shell to
+vanish in four gridded dimensions, so the cancellation statement is
+exercised where it is true.)
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ from .topology import GribovFactorMap, GroupElement
 __all__ = [
     "EulerAngles",
     "GAMMA",
-    "GAMMA5",
     "dirac_slash",
     "color_shift_matrix",
     "dressed_factor",
@@ -68,9 +69,6 @@ GAMMA[0] = np.diag([1.0, 1.0, -1.0, -1.0])
 for _i in range(3):
     GAMMA[_i + 1, :2, 2:] = TAU[_i]
     GAMMA[_i + 1, 2:, :2] = -TAU[_i]
-GAMMA5 = np.zeros((4, 4), dtype=complex)
-GAMMA5[:2, 2:] = np.eye(2)
-GAMMA5[2:, :2] = np.eye(2)
 
 
 def dirac_slash(p) -> np.ndarray:
@@ -79,14 +77,12 @@ def dirac_slash(p) -> np.ndarray:
     return p[0] * GAMMA[0] - p[1] * GAMMA[1] - p[2] * GAMMA[2] - p[3] * GAMMA[3]
 
 
-def color_shift_matrix(r_ref: float = 1.0) -> np.ndarray:
-    """t_hat = (pi/r_ref) sum_a gamma^a (x) tau^a, the Hermitian-generator shift."""
-    if not (r_ref > 0):
-        raise DomainError("reference scale must be positive")
+def color_shift_matrix() -> np.ndarray:
+    """t_hat = pi sum_a gamma^a (x) tau^a, the Hermitian-generator shift (unit reference scale)."""
     out = np.zeros((8, 8), dtype=complex)
     for a in range(3):
         out += np.kron(GAMMA[a + 1], TAU[a])
-    return (math.pi / r_ref) * out
+    return math.pi * out
 
 
 @dataclass(frozen=True)
@@ -277,8 +273,9 @@ def loop_integrand_matrix(p1: float, p2: float, q, gamma_structure: str, mass: f
     return complex(np.trace(gam @ g0(pv) @ gam @ g0(kv)))
 
 
-def shifted_loop_average(q, gamma_structure: str, cutoff: float, L: int) -> LoopAverage:
-    """Window-averaged momentum-lattice loop against its unshifted value.
+def shifted_loop_average(q, cutoff: float, L: int) -> LoopAverage:
+    """Window-averaged momentum-lattice loop against its unshifted value, for
+    the closed-form trace loop_integrand (which both gamma structures share).
 
     Midpoint lattice p = (j + 1/2) h on [-cutoff, cutoff]^2 with h = BASE_SPACING
     (components p1, p2; the external q stays a 4-vector), regulator mass
@@ -286,7 +283,6 @@ def shifted_loop_average(q, gamma_structure: str, cutoff: float, L: int) -> Loop
     Shifts are exact lattice translations, so the difference is purely the
     boundary shell of the shifted window.
     """
-    _structures(gamma_structure)
     if not (cutoff > 0):
         raise DomainError("cutoff must be positive")
     h = BASE_SPACING

@@ -7,27 +7,32 @@ volume in GeV^-3; dm_eta2 in GeV^2; <B^2> in GeV^4).
 
 Closed forms and their independent quadrature companions:
 
-    V<B^2>   = 4 pi/(g^2 eps)                  (radial integral of the f=+1 tension,
-                                                and the full smooth-pair integral)
-    I        = 4 pi^2 eps / alpha_s            (integral of |D Phi0|^2 with the
-                                                zero-mode normalization)
-    (g^2/8 pi^2) int D(Phi0).B d^3x = 1        (parameter-free)
+    V<B^2>   = 4 pi/(g^2 eps)                  (radial integral of the f=+1 tension:
+                                                magnetic_energy_quadrature)
+    I        = 4 pi^2 eps / alpha_s            (integral of |D Phi0|^2 with the zero-mode
+                                                normalization: rotary_momentum_quadrature)
+    (g^2/8 pi^2) int D(Phi0).B d^3x = 1        (parameter-free: normalization_check)
     H(P_N)   = (2 pi/(g^2 eps)) [P_N^2 (g^2/8 pi^2)^2 + 1]
     dM^2     = C_M^2/(I V) = e^2/pi            (C_M = 2 sqrt(pi), I = (2 pi/e)^2/V)
     dm_eta^2 = N_f^2 alpha_s^2 <B^2>/(F_pi^2 2 pi^3)
     <B^2>    = 2 pi^3 F_pi^2 dm_eta^2/(N_f^2 alpha_s^2)
     alpha0   = 1/(beta [1 + 2 ln(4 (N_c V0)^(1/3)/Lambda)]),  beta = 11/(4 pi)
 
+The three companions add their radial nodes with one shell sum, and the last
+two share one set of BPS fields, nodes and zero-mode gradient.  Before sampling,
+each refuses a (g, eps) for which a square or cube it forms would leave the
+floats (DomainError naming g and eps).
+
 The calibration defaults (F_pi = 0.1 GeV, N_f = 3, dm_eta2 = 0.87 GeV^2,
 alpha_s = 0.24) reproduce the 0.06 GeV^4 numerator; they are a documented
-calibration, not a fit, and the constants file makes them explicit.
+calibration, not a fit, and the constants file (read_constants) makes them explicit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +50,12 @@ from .topology import _compactified_radial, _gauss_legendre
 
 __all__ = [
     "PhenoInputs",
-    "VacuumQuantities",
     "read_constants",
     "default_constants_path",
-    "default_inputs",
     "magnetic_energy",
     "magnetic_energy_quadrature",
     "rotary_momentum",
+    "rotary_momentum_quadrature",
     "vacuum_hamiltonian",
     "normalization_check",
     "schwinger_mass",
@@ -65,7 +69,6 @@ __all__ = [
     "omega_ultraviolet",
     "omega_asymptotic",
     "bogomolnyi_bound_energy",
-    "vacuum_quantities",
 ]
 
 BETA_MOD = 11.0 / (4.0 * math.pi)
@@ -75,17 +78,21 @@ _MAGNETIC_R_MAX_OVER_EPS = 1e3  # upper end of the tension integral, in units of
 _MAGNETIC_NODES = 48
 _RADIAL_NODES = 64  # inertia and normalization integrals
 _CHECK_TOLERANCE = 0.05  # their ConsistencyError gate, relative to the closed form
-
-_FIELD_DOC = {
-    "n_f": "flavor count",
-    "n_c": "color count",
-    "f_pi": "pion decay constant (GeV)",
-    "lambda_uv": "ultraviolet cutoff Lambda (GeV)",
-    "v0_cuberoot": "squared-potential scale V0^(1/3) (GeV)",
-    "alpha_s": "infrared coupling (dimensionless)",
-    "dm_eta2": "anomalous eta' mass squared (GeV^2)",
-    "volume": "spatial volume (GeV^-3)",
-}
+# (what, c, a, b) of each magnitude c g^a eps^b the companions form: |B| ~ 1/(g r^2)
+# and |D Phi0| ~ eps/(g r^2) squared at r = eps and at 1e4 eps (past every node),
+# the radial measure, the largest r^3 and the two closed forms the sums reach
+_MAGNITUDES = (
+    ("|B|^2 at r = eps", 1.0, -2, -4),
+    ("|B|^2 at r = 1e4 eps", 1e-16, -2, -4),
+    ("|D Phi0|^2 at r = eps", 1.0, -2, -2),
+    ("|D Phi0|^2 at r = 1e4 eps", 1e-16, -2, -2),
+    ("the radial measure r^2 dr at r = eps", 1.0, 0, 3),
+    ("r^3 at r = 1e4 eps", 1e12, 0, 3),
+    ("the magnetic energy", 4.0 * math.pi, -2, -1),
+    ("the inertia", 16.0 * math.pi**3, -2, 1),
+)
+_LOG_BOUND = 303.0 * math.log(10.0)
+_COUNTS = ("n_f", "n_c")  # the integer constants; the rest are positive floats
 
 
 @dataclass(frozen=True)
@@ -104,29 +111,30 @@ class PhenoInputs:
     def __post_init__(self):
         if self.n_f < 1 or self.n_c < 1:
             raise DomainError("n_f and n_c must be at least 1")
-        for name in ("f_pi", "lambda_uv", "v0_cuberoot", "alpha_s", "dm_eta2", "volume"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _COUNTS and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{f.name} must be positive and finite")
 
 
-def default_inputs() -> PhenoInputs:
-    return PhenoInputs()
-
-
-def _parse_constants(entries) -> dict:
-    """{key: value} from (where, "key = value") pairs, later entries winning.
-
-    The one parser behind the constants file and the CLI's --set flags:
-    unknown keys, malformed items and non-finite values are rejected, and
-    the counts n_f, n_c are rounded to integers."""
+def read_constants(path=None, overrides=()) -> PhenoInputs:
+    """The built-in constants, overridden by the key = value lines of the file
+    at path (if given; '#' starts a comment), then by the "key=value" items of
+    overrides (the CLI's --set flags), later entries winning.  Unknown keys,
+    malformed items and non-finite values are rejected, naming the source
+    (path:line or --set); the counts n_f, n_c are rounded to integers."""
+    entries = []
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = [(f"{path}:{lineno}", raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
+    names = {f.name for f in fields(PhenoInputs)}
     values = {}
-    for where, text in entries:
+    for where, text in [line for line in entries if line[1]] + [("--set", item) for item in overrides]:
         key, sep, val = text.partition("=")
         key = key.strip()
         if not (sep and val.strip()):
             raise ValueError(f"{where}: expected 'key = value', got {text!r}")
-        if key not in _FIELD_DOC:
+        if key not in names:
             raise ValueError(f"{where}: unknown constant {key!r}")
         try:
             value = float(val)
@@ -134,15 +142,8 @@ def _parse_constants(entries) -> dict:
             raise ValueError(f"{where}: constant {key} must be a number, got {val.strip()!r}") from None
         if not math.isfinite(value):
             raise DomainError(f"{where}: constant {key} must be finite, got {val.strip()}")
-        values[key] = int(round(value)) if key in ("n_f", "n_c") else value
-    return values
-
-
-def read_constants(path) -> PhenoInputs:
-    """Parse a key = value constants file (''#'' comments); unknown keys rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(f"{path}:{lineno}", raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
-    return replace(PhenoInputs(), **_parse_constants(line for line in lines if line[1]))
+        values[key] = int(round(value)) if key in _COUNTS else value
+    return PhenoInputs(**values)
 
 
 def default_constants_path():
@@ -158,43 +159,66 @@ def magnetic_energy(scale: MonopoleScale) -> float:
     return 4.0 * math.pi / (scale.g**2 * scale.eps)
 
 
-def magnetic_energy_quadrature(scale: MonopoleScale) -> float:
-    """Companion path: integrate the sampled f = +1 tension norm over
-    eps <= r <= 1e3 eps.  48-node log-radial Gauss-Legendre; the tension is
-    produced by the finite-difference tension operator, not the closed form."""
-    g, eps = scale.g, scale.eps
-    stencil = default_stencil(scale)
-    gauge, _ = build_fields(scale, FieldVariant.WU_YANG_PLUS)
-    t, w = _gauss_legendre(_MAGNETIC_NODES, math.log(_MAGNETIC_R_MAX_OVER_EPS))
-    r = [eps * math.exp(ti) for ti in t]
-    B = magnetic_tension(gauge, np.outer(r, (0.0, 0.0, 1.0)), stencil, g)
+def _check_range(scale: MonopoleScale) -> None:
+    """DomainError unless every _MAGNITUDES entry lies in [1e-303, 1e303], five decades
+    inside the normal floats; compared in logarithms, before any field is sampled."""
+    log_g, log_eps = math.log(scale.g), math.log(scale.eps)
+    for name, c, a, b in _MAGNITUDES:
+        if not abs(math.log(c) + a * log_g + b * log_eps) <= _LOG_BOUND:
+            raise DomainError(
+                f"{name} ({c:.3g} g^{a} eps^{b}) leaves [1e-303, 1e303], so the pheno quadratures cannot run; "
+                f"coupling g {scale.g} and core size eps {scale.eps} are out of range"
+            )
+
+
+def _shell_sum(w, r, power: int, X, Y) -> float:
+    """sum_i w_i 4 pi r_i^power <X_i, Y_i> over radial nodes, in node order:
+    the integral of <X, Y> over all directions of a spherically symmetric pair."""
     total = 0.0
-    for wi, ri, Bi in zip(w, r, B):
-        total += wi * 4.0 * math.pi * ri**3 * float(np.sum(Bi * Bi))  # dr = r dt
+    for wi, ri, Xi, Yi in zip(w, r, X, Y):
+        total += wi * 4.0 * math.pi * ri**power * float(np.sum(Xi * Yi))
     return total
 
 
-def rotary_momentum(scale: MonopoleScale, method: str = "formula") -> float:
-    """Vacuum inertia I = 4 pi^2 eps/alpha_s (GeV^-1).
-
-    The quadrature path integrates |D Phi0|^2 for the zero-mode scalar on the
-    smooth background over all space (64-node compactified radial
-    Gauss-Legendre) and raises ConsistencyError when it strays more than 5%
-    from the closed form.
-    """
-    formula = 4.0 * math.pi**2 * scale.eps / scale.alpha_s
-    if method == "formula":
-        return formula
-    if method != "quadrature":
-        raise DomainError("method must be 'formula' or 'quadrature'")
+def _zero_mode_on_nodes(scale: MonopoleScale):
+    """What the inertia and normalization companions share: the BPS gauge field, its
+    stencil, the compactified radial rule (r, w), its points x and D(Phi0) there."""
+    _check_range(scale)
     stencil = default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.BPS)
-    phi0 = zero_mode_scalar(scale)
     r, w = _compactified_radial(_RADIAL_NODES, scale.eps)
-    D = covariant_derivative(gauge, phi0, np.outer(r, (0.0, 0.0, 1.0)), stencil, scale.g)
-    total = 0.0
-    for ri, wi, Di in zip(r, w, D):
-        total += wi * 4.0 * math.pi * ri**2 * float(np.sum(Di * Di))
+    x = np.outer(r, (0.0, 0.0, 1.0))
+    D = covariant_derivative(gauge, zero_mode_scalar(scale), x, stencil, scale.g)
+    return gauge, stencil, r, w, x, D
+
+
+def magnetic_energy_quadrature(scale: MonopoleScale) -> float:
+    """Companion of magnetic_energy: integrate the sampled f = +1 tension norm
+    over eps <= r <= 1e3 eps, which gives the closed form times (1 - 1e-3).
+    48-node log-radial Gauss-Legendre (dr = r dt); the tension is produced by
+    the finite-difference tension operator, not the closed form."""
+    _check_range(scale)
+    stencil = default_stencil(scale)
+    gauge, _ = build_fields(scale, FieldVariant.WU_YANG_PLUS)
+    t, w = _gauss_legendre(_MAGNETIC_NODES, math.log(_MAGNETIC_R_MAX_OVER_EPS))
+    r = [scale.eps * math.exp(ti) for ti in t]
+    B = magnetic_tension(gauge, np.outer(r, (0.0, 0.0, 1.0)), stencil, scale.g)
+    return _shell_sum(w, r, 3, B, B)
+
+
+def rotary_momentum(scale: MonopoleScale) -> float:
+    """Vacuum inertia I = 4 pi^2 eps/alpha_s (GeV^-1)."""
+    return 4.0 * math.pi**2 * scale.eps / scale.alpha_s
+
+
+def rotary_momentum_quadrature(scale: MonopoleScale) -> float:
+    """Companion of rotary_momentum: integrate |D Phi0|^2 for the zero-mode
+    scalar on the smooth background over all space (64-node compactified
+    radial Gauss-Legendre).  Raises ConsistencyError when it strays more than
+    5% from the closed form."""
+    _, _, r, w, _, D = _zero_mode_on_nodes(scale)
+    total = _shell_sum(w, r, 2, D, D)
+    formula = rotary_momentum(scale)
     if abs(total - formula) > _CHECK_TOLERANCE * formula:
         raise ConsistencyError(
             f"inertia quadrature {total} vs closed form {formula} beyond {_CHECK_TOLERANCE:.0%}"
@@ -212,17 +236,9 @@ def normalization_check(scale: MonopoleScale) -> float:
     """(g^2/8 pi^2) int D(Phi0).B d^3x over the smooth pair (64-node
     compactified radial Gauss-Legendre); equals 1 for any (g, eps).  Raises
     ConsistencyError when off by more than 5%."""
-    stencil = default_stencil(scale)
-    gauge, _ = build_fields(scale, FieldVariant.BPS)
-    phi0 = zero_mode_scalar(scale)
-    r, w = _compactified_radial(_RADIAL_NODES, scale.eps)
-    x = np.outer(r, (0.0, 0.0, 1.0))
-    D = covariant_derivative(gauge, phi0, x, stencil, scale.g)
+    gauge, stencil, r, w, x, D = _zero_mode_on_nodes(scale)
     B = magnetic_tension(gauge, x, stencil, scale.g)
-    total = 0.0
-    for ri, wi, Di, Bi in zip(r, w, D, B):
-        total += wi * 4.0 * math.pi * ri**2 * float(np.sum(Di * Bi))
-    value = scale.g**2 / (8.0 * math.pi**2) * total
+    value = scale.g**2 / (8.0 * math.pi**2) * _shell_sum(w, r, 2, D, B)
     if abs(value - 1.0) > _CHECK_TOLERANCE:
         raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {_CHECK_TOLERANCE:.0%}")
     return value
@@ -323,31 +339,3 @@ def bogomolnyi_bound_energy(magnetic_charge: float, a: float, g: float) -> float
     if not (g > 0):
         raise DomainError("coupling g must be positive")
     return 4.0 * math.pi * magnetic_charge * a / g
-
-
-@dataclass(frozen=True)
-class VacuumQuantities:
-    """Derived vacuum numbers for a given scale and volume."""
-
-    b2: float
-    magnetic_energy: float
-    inertia: float
-    hamiltonian_at: Callable
-
-    def validate(self):
-        for v in (self.b2, self.magnetic_energy, self.inertia):
-            if not (np.isfinite(v) and v > 0):
-                raise ConsistencyError("vacuum quantities must be finite and positive")
-        return self
-
-
-def vacuum_quantities(scale: MonopoleScale, volume: float) -> VacuumQuantities:
-    if not (volume > 0):
-        raise DomainError("volume must be positive")
-    me = magnetic_energy(scale)
-    return VacuumQuantities(
-        b2=me / volume,
-        magnetic_energy=me,
-        inertia=rotary_momentum(scale),
-        hamiltonian_at=lambda p: vacuum_hamiltonian(p, scale),
-    ).validate()

@@ -183,20 +183,20 @@ def test_criterion_08_destructive_interference():
 def test_criterion_09_shift_averaged_loop():
     q = np.array([0.0, 0.125, 0.0625, 0.0])
     cutoffs = (1.0, 2.0, 4.0, 8.0)  # three doublings
-    diffs = [abs(itf.shifted_loop_average(q, "scalar", c, 8).difference) for c in cutoffs]
+    diffs = [abs(itf.shifted_loop_average(q, c, 8).difference) for c in cutoffs]
     monotone = all(a > b for a, b in zip(diffs, diffs[1:]))
     _report(9, "shift-averaged loop", monotone,
             "differences " + " > ".join(f"{d:.2e}" for d in diffs) + " across three cutoff doublings")
 
 
 def test_criterion_10_phenomenology_numbers():
-    inputs = pheno.default_inputs()
+    inputs = pheno.PhenoInputs()
     alpha0 = pheno.alpha_mod_zero(inputs)
     sch = abs(pheno.schwinger_mass(1.7) * math.pi / 1.7**2 - 1.0)
     numer = pheno.b2_numerator(inputs)
     sc = bp.MonopoleScale(g=1.3, eps=0.8)
     inertia = pheno.rotary_momentum(sc)
-    rel_i = abs(pheno.rotary_momentum(sc, method="quadrature") - inertia) / inertia
+    rel_i = abs(pheno.rotary_momentum_quadrature(sc) - inertia) / inertia
     norm = abs(pheno.normalization_check(sc) - 1.0)
     me = pheno.magnetic_energy(sc)
     rel_me = abs(pheno.magnetic_energy_quadrature(sc) - me) / me

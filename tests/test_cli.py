@@ -118,6 +118,32 @@ class TestExitDiscipline:
         assert code == 2 and out == ""
         assert err["error"] == "validation"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["check-bogomolnyi", "--order", "3"], "invalid choice: 3"),
+            (["profiles", "--unknown-flag", "1"], "--unknown-flag"),
+            ([], "subcommand"),
+            (["bogus"], "'bogus'"),
+            (["profiles", "--tol", "5", "--constants", "/nonexistent"], "--tol 5 --constants"),
+            (["interference", "--tol", "1e-3"], "--tol"),
+            (["greens", "--constants", "c.txt"], "--constants"),
+            (["rotator", "--n-z"], "--n-z"),
+            (["pheno", "--g"], "expected one argument"),
+        ],
+    )
+    def test_usage_error_is_one_json_line(self, capsys, argv, named):
+        # argparse's own errors take the same path as every validation error;
+        # --tol and --constants exist only where a report reads them
+        code, out, err = validation_error(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err["error"] == "validation" and named in err["message"]
+
+    def test_help_and_version_exit_0(self, capsys):
+        assert main(["--version"]) == 0
+        assert main(["pheno", "--help"]) == 0
+        assert "--constants" in capsys.readouterr().out
+
 
 class TestParameterPrecedence:
     def test_set_overrides_constants_file(self, tmp_path, capsys):
@@ -369,3 +395,23 @@ class TestNoStrayWarnings:
             assert code == 2 and len(lines) == 1
             payload = json.loads(lines[0])
             assert payload["error"] == "validation" and named in payload["message"]
+
+    def test_pheno_range_sweep(self):
+        # eps and g over the whole float range: a report either runs or is
+        # refused with a line that names g and eps (never a warning, an
+        # overflow, or a check that fails because a square left the floats)
+        argvs = [["pheno", "--eps", f"1e{x}"] for x in [*range(-300, 301, 10), 99, 102]]
+        argvs += [["pheno", "--g", f"1e{y}"] for y in range(-160, 161, 10)]
+        runs = self._run_warnings_as_errors(argvs)
+        for argv, (code, err) in zip(argvs, runs):
+            if code == 0:
+                assert err == "", argv
+                continue
+            lines = err.splitlines()
+            assert code == 2 and len(lines) == 1, argv
+            payload = json.loads(lines[0])
+            assert payload["error"] == "validation", argv
+            assert "coupling g" in payload["message"] and "core size eps" in payload["message"], argv
+        # the default scale and the ends of the range that runs keep running
+        ran = {" ".join(argv[1:]) for argv, (code, _) in zip(argvs, runs) if code == 0}
+        assert {"--eps 1e0", "--eps 1e-70", "--eps 1e70", "--g 1e-150", "--g 1e100"} <= ran

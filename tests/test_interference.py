@@ -340,16 +340,16 @@ class TestShiftedLoop:
     Q = np.array([0.0, 0.125, 0.0625, 0.0])
 
     def test_zero_window_exact(self):
-        la = shifted_loop_average(self.Q, "scalar", 1.0, 0)
+        la = shifted_loop_average(self.Q, 1.0, 0)
         assert la.difference == 0.0
 
     def test_monotone_under_cutoff_doubling(self):
-        diffs = [abs(shifted_loop_average(self.Q, "scalar", c, 8).difference) for c in (1.0, 2.0, 4.0)]
+        diffs = [abs(shifted_loop_average(self.Q, c, 8).difference) for c in (1.0, 2.0, 4.0)]
         assert diffs[0] > diffs[1] > diffs[2]
 
     def test_window_error(self):
         with pytest.raises(WindowError):
-            shifted_loop_average(self.Q, "scalar", 1.0, 20)
+            shifted_loop_average(self.Q, 1.0, 20)
 
     def test_matrix_trace_oracle(self):
         for p1, p2 in ((0.3, -0.2), (0.9, 0.7), (-1.1, 0.05)):
@@ -361,9 +361,9 @@ class TestShiftedLoop:
         v_c = loop_integrand_matrix(0.4, -0.6, self.Q, "colored", 0.1)
         assert v_s == pytest.approx(v_c, rel=1e-12)
 
-    def test_structure_validation(self):
+    def test_matrix_oracle_structure_validation(self):
         with pytest.raises(DomainError):
-            shifted_loop_average(self.Q, "tensor", 1.0, 4)
+            loop_integrand_matrix(0.4, -0.6, self.Q, "tensor", 0.1)
 
 
 class TestColorRatio:

@@ -13,7 +13,6 @@ from ymvac.pheno import (
     b2_numerator,
     bogomolnyi_bound_energy,
     default_constants_path,
-    default_inputs,
     eta_mass_shift,
     gluon_structural_mass,
     magnetic_energy,
@@ -23,11 +22,10 @@ from ymvac.pheno import (
     omega_ultraviolet,
     read_constants,
     rotary_momentum,
+    rotary_momentum_quadrature,
     schwinger_mass,
     vacuum_hamiltonian,
-    vacuum_quantities,
     BETA_MOD,
-    _parse_constants,
 )
 
 UNIT = MonopoleScale(g=1.0, eps=1.0)
@@ -58,7 +56,7 @@ class TestRotaryMomentum:
 
     def test_quadrature_agreement(self):
         sc = MonopoleScale(g=math.sqrt(4.0 * math.pi), eps=1.0)
-        quad = rotary_momentum(sc, method="quadrature")
+        quad = rotary_momentum_quadrature(sc)
         assert abs(quad - 4.0 * math.pi**2) / (4.0 * math.pi**2) < 0.01
 
     def test_equivalent_volume_form(self):
@@ -66,10 +64,6 @@ class TestRotaryMomentum:
         sc = MonopoleScale(1.7, 0.6)
         via_energy = (4.0 * math.pi**2 / sc.alpha_s**2) / magnetic_energy(sc)
         assert rotary_momentum(sc) == pytest.approx(via_energy, rel=1e-12)
-
-    def test_method_validation(self):
-        with pytest.raises(DomainError):
-            rotary_momentum(UNIT, method="montecarlo")
 
 
 class TestVacuumHamiltonian:
@@ -146,7 +140,7 @@ class TestSchwinger:
 
 class TestEtaChain:
     def test_arithmetic_chain(self):
-        inputs = default_inputs()
+        inputs = PhenoInputs()
         b2 = 0.06 / 0.24**2
         shift = eta_mass_shift(inputs, b2)
         expected = 9 * 0.24**2 * b2 / (0.01 * 2.0 * math.pi**3)
@@ -154,27 +148,27 @@ class TestEtaChain:
         assert shift.dm2 == pytest.approx(0.87, rel=0.01)
 
     def test_zero_field(self):
-        assert eta_mass_shift(default_inputs(), 0.0).dm2 == 0.0
+        assert eta_mass_shift(PhenoInputs(), 0.0).dm2 == 0.0
 
     def test_flavor_scaling(self):
-        base = default_inputs()
+        base = PhenoInputs()
         doubled = PhenoInputs(n_f=6, n_c=3, f_pi=base.f_pi, lambda_uv=base.lambda_uv,
                               v0_cuberoot=base.v0_cuberoot, alpha_s=base.alpha_s,
                               dm_eta2=base.dm_eta2, volume=base.volume)
         assert eta_mass_shift(doubled, 1.0).dm2 == pytest.approx(4.0 * eta_mass_shift(base, 1.0).dm2)
 
     def test_implied_anomaly_constant(self):
-        shift = eta_mass_shift(default_inputs(), 1.0)
+        shift = eta_mass_shift(PhenoInputs(), 1.0)
         assert shift.c_eta == pytest.approx(3.0 * math.sqrt(2.0 / math.pi) / 0.1, rel=1e-12)
 
     def test_b2_calibration(self):
-        inputs = default_inputs()
+        inputs = PhenoInputs()
         assert 0.05 <= b2_numerator(inputs) <= 0.07
         assert b2_numerator(inputs) == pytest.approx(0.06, rel=0.03)
         assert b2_estimate(inputs) == pytest.approx(0.06 / 0.24**2, rel=0.03)
 
     def test_inverse_consistency(self):
-        inputs = default_inputs()
+        inputs = PhenoInputs()
         assert eta_mass_shift(inputs, b2_estimate(inputs)).dm2 == pytest.approx(
             inputs.dm_eta2, rel=1e-14
         )
@@ -182,12 +176,12 @@ class TestEtaChain:
 
 class TestAlphaMod:
     def test_quoted_value(self):
-        a = alpha_mod_zero(default_inputs())
+        a = alpha_mod_zero(PhenoInputs())
         assert 0.18 <= a <= 0.21
         assert a == pytest.approx(0.19, abs=0.01)
 
     def test_unit_log_argument(self):
-        inputs = default_inputs()
+        inputs = PhenoInputs()
         lam = 4.0 * 3.0 ** (1.0 / 3.0) * inputs.v0_cuberoot / math.e**0  # make arg e^0... then log=0 needs arg=1
         probe = PhenoInputs(n_f=3, n_c=3, f_pi=0.1, lambda_uv=lam * (1.0 - 1e-12),
                             v0_cuberoot=inputs.v0_cuberoot, alpha_s=0.24, dm_eta2=0.87, volume=125.0)
@@ -227,22 +221,11 @@ class TestVacuumQuantities:
     def test_bound_energy(self):
         assert bogomolnyi_bound_energy(1.0, 2.0, 4.0) == pytest.approx(2.0 * math.pi)
 
-    def test_bundle(self):
-        vq = vacuum_quantities(UNIT, 125.0)
-        assert vq.magnetic_energy == pytest.approx(4.0 * math.pi)
-        assert vq.b2 == pytest.approx(4.0 * math.pi / 125.0)
-        assert vq.inertia == pytest.approx(4.0 * math.pi**2 / UNIT.alpha_s)
-        assert vq.hamiltonian_at(0.0) == pytest.approx(2.0 * math.pi)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            vacuum_quantities(UNIT, 0.0)
-
 
 class TestConstantsFile:
     def test_default_file_parses(self):
         inputs = read_constants(default_constants_path())
-        assert inputs == default_inputs()
+        assert inputs == PhenoInputs() == read_constants()
 
     def test_roundtrip_and_comments(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -250,6 +233,13 @@ class TestConstantsFile:
         inputs = read_constants(path)
         assert inputs.f_pi == 0.12 and inputs.n_f == 2
         assert inputs.n_c == 3  # defaults preserved
+
+    def test_overrides_win_over_file(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("alpha_s = 0.30\nf_pi = 0.102\n")
+        inputs = read_constants(path, ["alpha_s=0.5", "n_f = 2"])
+        assert (inputs.alpha_s, inputs.f_pi, inputs.n_f, inputs.n_c) == (0.5, 0.102, 2, 3)
+        assert read_constants(overrides=["volume=1"]) == PhenoInputs(volume=1.0)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -270,7 +260,7 @@ class TestConstantsFile:
             read_constants(path)
         assert str(err.value) == f"{path}:2: constant n_f must be a number, got 'abc'"
         with pytest.raises(ValueError, match="^--set: constant f_pi must be a number"):
-            _parse_constants([("--set", "f_pi = 0.1x")])
+            read_constants(overrides=["f_pi = 0.1x"])
 
     def test_inputs_validation(self):
         with pytest.raises(DomainError):
