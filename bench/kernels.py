@@ -101,11 +101,6 @@ ERROR_ARGV = (
     ("pheno", "--eps", "1e300"),
     ("winding", "--g", "1e200"),
     ("profiles", "--out", "missing-dir/x.json"),
-)
-# usage errors, now one JSON line instead of argparse's usage text; --tol and
-# --constants where no report reads them, now usage errors; pheno scales whose
-# squares leave the floats, now refused naming g and eps (were exit 1 or 3)
-CHANGED_ARGV = (
     (),
     ("check-bogomolnyi", "--order", "3"),
     ("profiles", "--unknown-flag", "1"),
@@ -116,6 +111,16 @@ CHANGED_ARGV = (
     ("pheno", "--eps", "1e-100"),
     ("pheno", "--eps", "1e80"),
     ("pheno", "--eps", "1e100"),
+)
+# an empty constants path and the retired volume key, now refused (were exit
+# 0); greens coefficients whose potential or operator leaves the floats, now
+# refused naming the coefficient or the operator (were warnings and exit 3)
+CHANGED_ARGV = (
+    ("pheno", "--constants", ""),
+    ("pheno", "--set", "volume=1"),
+    ("greens", "--c1", "1e308"),
+    ("greens", "--d1", "1e308"),
+    ("greens", "--c1", "1e305"),
 )
 IMPORT_CODE = (
     "import sys, time\n"

@@ -20,7 +20,9 @@ Shared numerical core: bps_profiles.ColorField is the one field-sampler type
 (gauge and scalar), StencilConfig owns every finite-difference weight and
 every three-axis gradient (over a batch of points in one pass),
 topology.GribovFactorMap is the one group-factor map (the interference
-module's dressed factors included), topology builds every Gauss-Legendre
+module's dressed factors included), the unit quaternion (q0, q) of
+v = q0 - i q.tau is the one SU(2) representation (complex matrices remain
+only in the 8 x 8 Dirac-color blocks), topology builds every Gauss-Legendre
 node set, pheno.read_constants reads both the constants file and the
 CLI's --set overrides, and the pheno quadratures share one shell sum.
 

@@ -1,4 +1,4 @@
-"""Small su(2) / 3-tensor helpers shared across modules."""
+"""Pauli matrices and the Levi-Civita symbol, shared across modules."""
 from __future__ import annotations
 
 import numpy as np
@@ -24,21 +24,3 @@ def _levi_civita() -> np.ndarray:
 
 
 EPS3 = _levi_civita()
-
-
-def tau_dot(n: np.ndarray) -> np.ndarray:
-    """tau . n for n of shape (..., 3); returns (..., 2, 2)."""
-    return np.einsum("...a,aij->...ij", np.asarray(n, dtype=float), TAU)
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m), 2))
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    return spectral_norm(m @ m.conj().T - np.eye(m.shape[0]))
-
-
-def det_defect(m: np.ndarray) -> float:
-    return abs(np.linalg.det(np.asarray(m)) - 1.0)

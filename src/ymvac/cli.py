@@ -312,8 +312,7 @@ def _run_interference(cfg: RunConfig) -> Report:
     rows = []
     ok_bound = True
     for n in (1, -1, 2, -2):
-        v = itf.dressed_factor(n, ang, np.array([0.0, 0.0, 100.0 * eps]), eps)
-        dev = v.distance_to_identity()
+        dev = float(itf.dressed_factor_map(n, ang, eps).distance_to_identity([0.0, 0.0, 100.0 * eps])[0])
         bound = 1.2 * (1.0 / 100.0) * 2.0 * math.pi * abs(n)
         ok_bound &= dev < bound
         rows.append((n, dev, bound))

@@ -15,10 +15,6 @@ class StencilError(ValueError):
     """Point too close to a singularity for the requested stencil."""
 
 
-class ContractError(ValueError):
-    """Input object violates a declared precondition (e.g. profile boundary values)."""
-
-
 class WindowError(ValueError):
     """Shift window does not fit inside the momentum grid."""
 

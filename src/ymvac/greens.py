@@ -80,7 +80,15 @@ class EulerSolution:
         z = np.asarray(z, dtype=float)
         if not np.all(z > 0):
             raise DomainError("separation z must be positive")
-        out = self.d * z**self.l1 + self.c * z**self.l2
+        with np.errstate(over="ignore", invalid="ignore"):
+            dz, cz = self.d * z**self.l1, self.c * z**self.l2
+            out = dz + cz
+        bad = ~np.isfinite(out)
+        if np.any(bad):  # name the term(s) that overflow, or both if only their sum does
+            terms = [(f"d={self.d:g}", dz), (f"c={self.c:g}", cz)]
+            named = [k for k, t in terms if not np.all(np.isfinite(t))] or [k for k, _ in terms]
+            raise DomainError(f"potential V_{self.n} leaves the float range at z={z[bad][0]:.3g}"
+                              f" with coefficient {' and '.join(named)}")
         return out if out.ndim else float(out)
 
     def vieta_defect(self) -> tuple[float, float]:
@@ -219,9 +227,13 @@ def monopole_covariant_laplacian(S: Callable, x, h: float, order: int = 2) -> np
         raise DomainError("operator singular at the origin")
     stencil = StencilConfig(h, order)
     S0 = S(pts)[0]
-    grad = stencil._gradient(S, pts)[0]  # grad[j][a] = d_j S^a
-    lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))[0]
-    n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))  # broadcasts over columns
-    div = np.trace(grad)
-    nb_da_Sb = np.sum(grad * n, axis=1)  # [a] = n^b d_a S^b
-    return lap - (n * np.sum(n * S0, axis=0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = stencil._gradient(S, pts)[0]  # grad[j][a] = d_j S^a
+        lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))[0]
+        n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))  # broadcasts over columns
+        div = np.trace(grad)
+        nb_da_Sb = np.sum(grad * n, axis=1)  # [a] = n^b d_a S^b
+        out = lap - (n * np.sum(n * S0, axis=0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"the operator leaves the float range at r={r:.3g}, h={h:.3g}, |S| <= {np.abs(S0).max():.3g}")
+    return out

@@ -8,6 +8,9 @@ with R the adjoint rotation of the Euler-angle element
 u = e^{i tau1 phi1/2} e^{i tau2 phi2/2} e^{i tau3 phi3/2} and c the exposed
 amplitude prefactor (default 2, so the phase winds by 2 pi n and the factor
 returns to the identity at spatial infinity as well as at the origin).
+Like topology's group factors, u and the dressed factors are unit
+quaternions (w, x) of w 1 - i x.tau, multiplied with _qmul; complex matrices
+appear only in the 8 x 8 Dirac (x) color blocks below.
 
 Momentum-space averages use the spinor (x) color matrices (4 x 2 = 8 dim),
 Dirac basis with metric (+,-,-,-); shifted propagator averages decay as 1/L
@@ -36,17 +39,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ID2, TAU
+from .algebra import EPS3, ID2, TAU
 from .bps_profiles import _batch
 from .errors import DomainError, SingularTermError, WindowError
-from .topology import GribovFactorMap, GroupElement
+from .topology import GribovFactorMap, _cross
 
 __all__ = [
     "EulerAngles",
     "GAMMA",
     "dirac_slash",
     "color_shift_matrix",
-    "dressed_factor",
     "dressed_factor_map",
     "averaged_two_point",
     "momentum_green_average",
@@ -98,17 +100,20 @@ class EulerAngles:
             if not np.isfinite(v):
                 raise DomainError("angles must be finite")
 
-    def su2_matrix(self) -> np.ndarray:
-        def rot(tau, phi):
-            return math.cos(phi / 2.0) * ID2 + 1j * math.sin(phi / 2.0) * tau
-
-        return rot(TAU[0], self.phi1) @ rot(TAU[1], self.phi2) @ rot(TAU[2], self.phi3)
+    def quaternion(self) -> tuple[float, np.ndarray]:
+        """u = w 1 - i x.tau as (w, x), the product of the three factors
+        e^{i tau_a phi_a/2} = cos(phi_a/2) 1 - i (-sin(phi_a/2) e_a).tau."""
+        w, x = 1.0, np.zeros(3)
+        for axis, phi in zip(np.eye(3), (self.phi1, self.phi2, self.phi3)):
+            w, x = _qmul(w, x, math.cos(phi / 2.0), -math.sin(phi / 2.0) * axis)
+        return w, x
 
     def adjoint_rotation(self) -> np.ndarray:
-        """R_{ab} with u tau^b u^-1 = tau^a R_{ab}; real orthogonal."""
-        u = self.su2_matrix()
-        ud = u.conj().T
-        return 0.5 * np.einsum("aij,bkl,jk,li->ab", TAU, TAU, u, ud).real
+        """R_{ab} with u tau^b u^-1 = tau^a R_{ab}; real orthogonal.  For
+        u = w 1 - i x.tau, R = (w^2 - x.x) 1 + 2 x x^T + 2 w [x]_x with
+        [x]_x a = x cross a, i.e. [x]_x = -EPS3 x."""
+        w, x = self.quaternion()
+        return (w * w - x @ x) * np.eye(3) + 2.0 * np.outer(x, x) - 2.0 * w * (EPS3 @ x)
 
     def diagonal_constraint_satisfied(self, n: int, tol: float = 1e-9) -> bool:
         """Scalar reading of the closure condition: phi1+phi2+phi3 = 4 pi n."""
@@ -121,12 +126,6 @@ def dressed_factor_map(n: int, angles: EulerAngles, eps: float, prefactor: float
     return GribovFactorMap(n, eps, prefactor=-prefactor, rotation=angles.adjoint_rotation())
 
 
-def dressed_factor(n: int, angles: EulerAngles, x, eps: float, prefactor: float = 2.0) -> GroupElement:
-    """Euler-angle-dressed factor exp(i c pi n f01 tau.m_hat); unitary unimodular,
-    identity at r = 0 and (for the default prefactor 2) at r -> infinity."""
-    return dressed_factor_map(n, angles, eps, prefactor)(x)
-
-
 def window_integers(L: int) -> np.ndarray:
     """Symmetric integer window n in [-L/2, L/2]."""
     if L < 0:
@@ -135,18 +134,26 @@ def window_integers(L: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
+def _qmul(a0, a, b0, b):
+    """Product of the quaternions a0 1 - i a.tau and b0 1 - i b.tau, as
+    (a0 b0 - a.b, a0 b + b0 a + a x b); vectors along the first axis."""
+    return a0 * b0 - np.sum(a * b, axis=0), a0 * b + b0 * a + _cross(a, b)
+
+
 def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float) -> np.ndarray:
     """Window average of v^(n)(x) v^(n)(-y) over the unit-asymptotic dressed
-    factors (prefactor 2); tends to the identity as both points recede (the
-    surviving contribution of color two-point functions)."""
+    factors (prefactor 2), as the real 4-vector (w, x1, x2, x3) of
+    w 1 - i x.tau; tends to the identity (1, 0, 0, 0) as both points recede
+    (the surviving contribution of color two-point functions)."""
     if L < 1:
         raise DomainError("window size L must be at least 1")
-    x, y = _batch(x)[0].reshape(1, 3), _batch(y)[0].reshape(1, 3)
+    pts = np.stack([_batch(x)[0].reshape(3), -_batch(y)[0].reshape(3)])
     ns = window_integers(L)
-    acc = np.zeros((2, 2), dtype=complex)
+    acc = np.zeros(4)
     for n in ns:
-        dm = dressed_factor_map(int(n), angles, eps)
-        acc += dm.matrices(x)[0] @ dm.matrices(-y)[0]
+        q0, q, _, _ = dressed_factor_map(int(n), angles, eps).quaternion(pts, derivs=False)
+        w, v = _qmul(q0[0], q[:, 0], q0[1], q[:, 1])
+        acc += (w, *v)
     return acc / len(ns)
 
 

@@ -3,7 +3,7 @@ Hamiltonian, normalization integral, Schwinger-model and eta' mass formulas,
 the <B^2> estimate and the modified infrared coupling.
 
 Unit discipline: GeV powers throughout (F_pi, Lambda, V0^(1/3) in GeV;
-volume in GeV^-3; dm_eta2 in GeV^2; <B^2> in GeV^4).
+dm_eta2 in GeV^2; <B^2> in GeV^4).
 
 Closed forms and their independent quadrature companions:
 
@@ -106,7 +106,6 @@ class PhenoInputs:
     v0_cuberoot: float = 0.234
     alpha_s: float = 0.24
     dm_eta2: float = 0.87
-    volume: float = 125.0
 
     def __post_init__(self):
         if self.n_f < 1 or self.n_c < 1:
@@ -122,9 +121,12 @@ def read_constants(path=None, overrides=()) -> PhenoInputs:
     at path (if given; '#' starts a comment), then by the "key=value" items of
     overrides (the CLI's --set flags), later entries winning.  Unknown keys,
     malformed items and non-finite values are rejected, naming the source
-    (path:line or --set); the counts n_f, n_c are rounded to integers."""
+    (path:line or --set), as is an empty path; the counts n_f, n_c are
+    rounded to integers."""
     entries = []
-    if path:
+    if path is not None:
+        if not str(path):
+            raise ValueError("constants path is empty")
         with open(path, "r", encoding="utf-8") as fh:
             entries = [(f"{path}:{lineno}", raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
     names = {f.name for f in fields(PhenoInputs)}
@@ -248,15 +250,14 @@ def normalization_check(scale: MonopoleScale) -> float:
 # mass formulas
 # ---------------------------------------------------------------------------
 
-def schwinger_mass(e: float, c_m: float | None = None, volume: float = 1.0) -> float:
+def schwinger_mass(e: float, c_m: float | None = None) -> float:
     """Pseudoscalar mass squared C_M^2/(I V) in the (1+1)d model; closes to
-    e^2/pi for C_M = 2 sqrt(pi) and I = (2 pi/e)^2/V.  A perturbed C_M trips
-    the round-off-level equality assertion."""
+    e^2/pi for C_M = 2 sqrt(pi) and I = (2 pi/e)^2/V, in which the volume V
+    cancels.  A perturbed C_M trips the round-off-level equality assertion."""
     if not (math.isfinite(e) and e > 0):
         raise DomainError(f"coupling e must be positive and finite, got {e}")
     c = C_SCHWINGER if c_m is None else c_m
-    inertia = (2.0 * math.pi / e) ** 2 / volume
-    value = c**2 / (inertia * volume)
+    value = c**2 / (2.0 * math.pi / e) ** 2
     if abs(value * math.pi / e**2 - 1.0) > 1e-12:
         raise ConsistencyError(f"C_M^2/(I V) = {value} does not equal e^2/pi")
     return value

@@ -26,8 +26,10 @@ Orientation fixed so that N[n] = n and X[pure gauge v^(n)] = n; the two are
 also cross-checked against the 1D radial reduction
 (1/pi)[alpha - sin(alpha) cos(alpha)] evaluated between r = 0 and infinity.
 
-Every integrand is real: v = q0 - i q.tau is a unit quaternion, an su(2)
-element a real 3-vector, tr[(a.tau)(b.tau)] = 2 a.b and
+The group factors exist only as unit quaternions: v = q0 - i q.tau is the
+real 4-vector (q0, q), and the product of two is (a0 b0 - a.b, a0 b + b0 a +
+a x b).  Every integrand is real: an su(2) element is a real 3-vector,
+tr[(a.tau)(b.tau)] = 2 a.b and
 tr[(a.tau)(b.tau)(c.tau)] = 2i a.(b x c).  With the real current
 c_i = q0 d_i q - d_i q0 q + q x d_i q of d_i v v^-1 = -i c_i.tau:
 
@@ -44,17 +46,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import EPS3, ID2, det_defect, tau_dot, unitarity_defect
-from .bps_profiles import ColorField, StencilConfig, _batch, d_f01_bps, f01_bps
-from .errors import ContractError, DomainError, ResolutionError, TruncationError
+from .algebra import EPS3
+from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
+from .errors import DomainError, ResolutionError, TruncationError
 
 __all__ = [
-    "GroupElement",
-    "AlgebraElement",
     "QuadratureSpec",
     "GribovFactorMap",
-    "gribov_factor",
-    "gribov_phase_matrix",
     "map_degree",
     "map_degree_radial_oracle",
     "winding_functional",
@@ -63,38 +61,7 @@ __all__ = [
     "surface_flux_term",
 ]
 
-_MATRIX_TOL = 1e-12
 _REFINE = 1.5  # node-count factor of QuadratureSpec.refined
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """2x2 unitary unimodular matrix."""
-
-    m: np.ndarray
-
-    def validate(self, tol: float = _MATRIX_TOL) -> "GroupElement":
-        if unitarity_defect(self.m) > tol or det_defect(self.m) > tol:
-            raise ContractError("matrix is not unitary unimodular to tolerance")
-        return self
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.m @ other.m)
-
-    def distance_to_identity(self) -> float:
-        return float(np.linalg.norm(self.m - ID2, 2))
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """2x2 anti-Hermitian traceless matrix."""
-
-    a: np.ndarray
-
-    def validate(self, tol: float = _MATRIX_TOL) -> "AlgebraElement":
-        if np.linalg.norm(self.a + self.a.conj().T, 2) > tol or abs(np.trace(self.a)) > tol:
-            raise ContractError("matrix is not anti-Hermitian traceless to tolerance")
-        return self
 
 
 @dataclass(frozen=True)
@@ -189,7 +156,8 @@ def _sphere_nodes(n_theta: int, n_phi: int):
 # ---------------------------------------------------------------------------
 
 class GribovFactorMap:
-    """Map x -> v^(n)(x) with closed-form derivatives.
+    """Map x -> v^(n)(x) with closed-form derivatives, evaluated as the unit
+    quaternion (q0, q) of v = q0 1 - i q.tau (see quaternion).
 
     v = cos(A) 1 - i sin(A) tau.m_hat with A(r) = c pi n f01(r) and
     m_hat = R n_hat (c: amplitude prefactor, R: optional adjoint rotation);
@@ -204,7 +172,7 @@ class GribovFactorMap:
         self._coef = self.prefactor * np.pi * self.n  # A(r) = coef f01(r)
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
 
-    def _quaternion(self, pts, derivs: bool = True):
+    def quaternion(self, pts, derivs: bool = True):
         """v = q0 - i q.tau at a batch of N points, component axes first so
         that every elementwise step runs over the points: q0 (N,), q (3, N)
         and, with derivs, d_i q0 (3, N) [i][n] and d_i q (3, 3, N) [a][i][n]
@@ -232,32 +200,12 @@ class GribovFactorMap:
         dq = (ca * dA) * nh[None] * mh[:, None] + sa * dmh
         return ca, q, dq0, dq
 
-    def matrices(self, pts: np.ndarray) -> np.ndarray:
-        """v, shape (N, 2, 2)."""
-        q0, q, _, _ = self._quaternion(pts, derivs=False)
-        return q0[:, None, None] * ID2 - 1j * tau_dot(q.T)
-
-    def d_matrices(self, pts: np.ndarray) -> np.ndarray:
-        """d_i v, shape (N, 3, 2, 2); requires r > 0 at every point."""
-        _, _, dq0, dq = self._quaternion(pts)
-        return dq0.T[..., None, None] * ID2 - 1j * tau_dot(dq.transpose(2, 1, 0))
-
-    def __call__(self, x) -> GroupElement:
-        return GroupElement(self.matrices(_batch(x)[0].reshape(1, 3))[0])
-
-
-def gribov_factor(n: int, x, eps_ref: float = 1.0) -> GroupElement:
-    """Exponentiated phase factor exp(-i pi n f01(r) tau.n_hat) at a point."""
-    return GribovFactorMap(n, eps_ref=eps_ref)(x)
-
-
-def gribov_phase_matrix(x, eps_ref: float = 1.0) -> AlgebraElement:
-    """Algebra element -i pi (tau.n_hat) f01(r); the log of the n = 1 factor."""
-    x = _batch(x)[0].reshape(3)
-    r = float(np.linalg.norm(x))
-    if r == 0:
-        return AlgebraElement(np.zeros((2, 2), dtype=complex))
-    return AlgebraElement(-1j * np.pi * f01_bps(r, eps_ref) * tau_dot(x / r))
+    def distance_to_identity(self, pts) -> np.ndarray:
+        """||v - 1||_2 at each point, shape (N,).  A real quaternion
+        a 1 - i b.tau is hypot(a, |b|) times an SU(2) element, so the
+        spectral norm of v - 1 is hypot(1 - q0, |q|)."""
+        q0, q, _, _ = self.quaternion(pts, derivs=False)
+        return np.hypot(1.0 - q0, np.linalg.norm(q, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +234,7 @@ def _degree_integral(fmap: GribovFactorMap, quad: QuadratureSpec) -> float:
     pts, wts = quad.ball_nodes(fmap.eps_ref)
     keep = np.linalg.norm(pts, axis=1) > 0
     pts, wts = pts[keep], wts[keep]
-    dens = _det3(_current(*fmap._quaternion(pts)))
+    dens = _det3(_current(*fmap.quaternion(pts)))
     # det/(2 pi^2) written as the trace form's 12 det/(24 pi^2): same last bit
     return float(12.0 * np.sum(wts * dens) / (24.0 * np.pi**2))
 
@@ -377,7 +325,7 @@ def gauge_transform(field: ColorField, v_map: GribovFactorMap, g: float) -> Colo
     index and c_i the real current of d_i v v^-1 (v d_i v^-1 = i c_i.tau)."""
 
     def sample_batch(pts):
-        q0, q, dq0, dq = v_map._quaternion(pts)
+        q0, q, dq0, dq = v_map.quaternion(pts)
         A = field.sample(pts).T  # [a][i][n]
         qb = q[:, None]
         t = 2.0 * _cross(qb, A)  # R(q) a = a + q0 t + q x t with t = 2 q x a
@@ -408,7 +356,7 @@ def surface_flux_term(
     dirs, wdir = _sphere_nodes(n_theta, n_phi)
     wts = wdir * r_sphere**2
     pts = r_sphere * dirs
-    c = _current(*v_map._quaternion(pts))
+    c = _current(*v_map.quaternion(pts))
     A = field.sample(pts)
     dens = g * np.einsum("ni,ijk,nja,akn->n", dirs, EPS3, A, c)
     return float(-np.sum(wts * dens) / (8.0 * np.pi**2))

@@ -220,12 +220,11 @@ def test_criterion_11_dressed_factor_asymptotics():
     bound_ok = True
     worst = 0.0
     for n in (1, -1, 2, -2):
-        v = itf.dressed_factor(n, ang, np.array([0.0, 0.0, 100.0 * eps]), eps)
-        dev = v.distance_to_identity()
+        dev = itf.dressed_factor_map(n, ang, eps).distance_to_identity([0.0, 0.0, 100.0 * eps])[0]
         bound_ok &= dev < 1.2 * (eps / 100.0) * 2.0 * math.pi * abs(n)
         worst = max(worst, dev)
     origin_dev = max(
-        itf.dressed_factor(n, ang, np.array([0.0, 0.0, 1e-9]), eps).distance_to_identity()
+        itf.dressed_factor_map(n, ang, eps).distance_to_identity([0.0, 0.0, 1e-9])[0]
         for n in (1, -2, 3)
     )
     ok = bound_ok and origin_dev < 1e-7

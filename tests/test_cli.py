@@ -113,6 +113,20 @@ class TestExitDiscipline:
     def test_missing_constants_file_exit_2(self, capsys):
         assert main(["pheno", "--constants", "/no/such/file"]) == 2
 
+    def test_empty_constants_path_exit_2(self, capsys):
+        # an empty path is refused, not read as "no file"
+        code, out, err = validation_error(capsys, "pheno", "--constants", "")
+        assert code == 2 and out == ""
+        assert err["error"] == "validation" and "constants path is empty" in err["message"]
+
+    def test_volume_is_no_constant(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("volume = 125.0\n")
+        for argv in (["--constants", str(path)], ["--set", "volume=1"]):
+            code, out, err = validation_error(capsys, "pheno", *argv)
+            assert code == 2 and out == ""
+            assert err["error"] == "validation" and "unknown constant 'volume'" in err["message"]
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         code, out, err = validation_error(capsys, "profiles", "--out", str(tmp_path / "missing" / "r.json"))
         assert code == 2 and out == ""
@@ -388,6 +402,8 @@ class TestNoStrayWarnings:
             (["pheno", "--g", "1e200"], "g 1e+200"),
             (["pheno", "--eps", "1e300"], "eps 1e+300"),
             (["winding", "--g", "1e200"], "g 1e+200"),
+            (["greens", "--c1", "1e308"], "coefficient c=1e+308"),
+            (["greens", "--d1", "1e308"], "coefficient d=1e+308"),
         ]
         runs = self._run_warnings_as_errors([argv for argv, _ in cases])
         for (_, named), (code, err) in zip(cases, runs):
@@ -415,3 +431,19 @@ class TestNoStrayWarnings:
         # the default scale and the ends of the range that runs keep running
         ran = {" ".join(argv[1:]) for argv, (code, _) in zip(argvs, runs) if code == 0}
         assert {"--eps 1e0", "--eps 1e-70", "--eps 1e70", "--g 1e-150", "--g 1e100"} <= ran
+
+    def test_greens_coefficient_sweep(self):
+        # d1 and c1 up to the top of the float range: a report runs (and may
+        # fail its absolute operator tolerance) or is refused with one line,
+        # never a warning or a non-finite payload
+        exponents = [*range(0, 301, 20), *range(301, 309)]
+        argvs = [["greens", flag, f"1e{x}"] for flag in ("--c1", "--d1") for x in exponents]
+        runs = self._run_warnings_as_errors(argvs)
+        for argv, (code, err) in zip(argvs, runs):
+            if code in (0, 3):
+                assert err == "", argv
+                continue
+            lines = err.splitlines()
+            assert code == 2 and len(lines) == 1, argv
+            assert json.loads(lines[0])["error"] == "validation", argv
+        assert runs[-1][0] == 2  # --d1 1e308

@@ -86,6 +86,16 @@ class TestEulerResidual:
         with pytest.raises(DomainError):
             euler_residual(golden_solution(0, 1.0, 0.0), np.array([1.0, 0.0, 2.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_names_coefficient(self):
+        # the term that leaves the float range is named, or both when only the sum does
+        with pytest.raises(DomainError, match="at z=2.6 with coefficient c=1e[+]308$"):
+            golden_solution(1, 1.0, 1e308).value(np.array([1.0, 2.6]))
+        with pytest.raises(DomainError, match="coefficient d=1e[+]308$"):
+            golden_solution(1, 1e308, 1.0).value(0.5)
+        with pytest.raises(DomainError, match="coefficient d=1e[+]308 and c=1e[+]308$"):
+            EulerSolution(1, 1e308, 1e308, 0.0, 0.0).value(1.0)
+
     def test_array_matches_scalars(self):
         good = golden_solution(1, 0.7, -1.3)
         bad = EulerSolution(n=1, d=0.7, c=-1.3, l1=good.l1 - 0.02, l2=good.l2 + 0.01)
@@ -279,3 +289,11 @@ class TestBackgroundOperator:
             lambda P: self.G.evaluate(P, y)[..., 2], x, h=z / 500.0
         )
         assert np.abs(res).max() < 1e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_field_refused(self):
+        # finite potentials whose second differences leave the float range
+        G = GreenTensor(self.s0, golden_solution(1, 1.0, 1e305))
+        x = np.array([0.0, 0.0, 0.8])
+        with pytest.raises(DomainError, match="operator leaves the float range"):
+            monopole_covariant_laplacian(lambda P: G.evaluate(P, self.y), x, h=0.8 / 500.0)

@@ -134,10 +134,6 @@ class TestSchwinger:
             with pytest.raises(DomainError):
                 schwinger_mass(e)
 
-    def test_volume_cancels(self):
-        assert schwinger_mass(1.0, volume=7.3) == pytest.approx(schwinger_mass(1.0), rel=1e-14)
-
-
 class TestEtaChain:
     def test_arithmetic_chain(self):
         inputs = PhenoInputs()
@@ -154,7 +150,7 @@ class TestEtaChain:
         base = PhenoInputs()
         doubled = PhenoInputs(n_f=6, n_c=3, f_pi=base.f_pi, lambda_uv=base.lambda_uv,
                               v0_cuberoot=base.v0_cuberoot, alpha_s=base.alpha_s,
-                              dm_eta2=base.dm_eta2, volume=base.volume)
+                              dm_eta2=base.dm_eta2)
         assert eta_mass_shift(doubled, 1.0).dm2 == pytest.approx(4.0 * eta_mass_shift(base, 1.0).dm2)
 
     def test_implied_anomaly_constant(self):
@@ -184,7 +180,7 @@ class TestAlphaMod:
         inputs = PhenoInputs()
         lam = 4.0 * 3.0 ** (1.0 / 3.0) * inputs.v0_cuberoot / math.e**0  # make arg e^0... then log=0 needs arg=1
         probe = PhenoInputs(n_f=3, n_c=3, f_pi=0.1, lambda_uv=lam * (1.0 - 1e-12),
-                            v0_cuberoot=inputs.v0_cuberoot, alpha_s=0.24, dm_eta2=0.87, volume=125.0)
+                            v0_cuberoot=inputs.v0_cuberoot, alpha_s=0.24, dm_eta2=0.87)
         assert alpha_mod_zero(probe) == pytest.approx(1.0 / BETA_MOD, rel=1e-6)
 
     def test_beta_value(self):
@@ -193,7 +189,7 @@ class TestAlphaMod:
 
     def test_domain_error(self):
         bad = PhenoInputs(n_f=3, n_c=3, f_pi=0.1, lambda_uv=100.0, v0_cuberoot=0.234,
-                          alpha_s=0.24, dm_eta2=0.87, volume=125.0)
+                          alpha_s=0.24, dm_eta2=0.87)
         with pytest.raises(DomainError):
             alpha_mod_zero(bad)
 
@@ -239,13 +235,23 @@ class TestConstantsFile:
         path.write_text("alpha_s = 0.30\nf_pi = 0.102\n")
         inputs = read_constants(path, ["alpha_s=0.5", "n_f = 2"])
         assert (inputs.alpha_s, inputs.f_pi, inputs.n_f, inputs.n_c) == (0.5, 0.102, 2, 3)
-        assert read_constants(overrides=["volume=1"]) == PhenoInputs(volume=1.0)
+        assert read_constants(overrides=["dm_eta2=1"]) == PhenoInputs(dm_eta2=1.0)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("coupling = 1.0\n")
         with pytest.raises(ValueError):
             read_constants(path)
+        # the spatial volume cancels from every formula and is no constant
+        path.write_text("volume = 125.0\n")
+        with pytest.raises(ValueError, match="unknown constant 'volume'"):
+            read_constants(path)
+        with pytest.raises(ValueError, match="^--set: unknown constant 'volume'"):
+            read_constants(overrides=["volume=1"])
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError, match="constants path is empty"):
+            read_constants("")
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -286,7 +292,7 @@ class TestNonFiniteConstants:
         with pytest.raises(DomainError):
             PhenoInputs(f_pi=math.inf)
         with pytest.raises(DomainError):
-            PhenoInputs(volume=math.nan)
+            PhenoInputs(dm_eta2=math.nan)
 
     def test_file_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.txt"

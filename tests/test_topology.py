@@ -5,17 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ymvac.algebra import EPS3, TAU, tau_dot
+from ymvac.algebra import EPS3, ID2, TAU
 from ymvac.bps_profiles import ColorField, MonopoleScale, StencilConfig, build_fields, f01_bps, f1_bps
-from ymvac.errors import ContractError, DomainError, ResolutionError, TruncationError
-from ymvac.interference import EulerAngles, dressed_factor_map
+from ymvac.errors import DomainError, ResolutionError, TruncationError
+from ymvac.interference import EulerAngles, _qmul, dressed_factor_map
 from ymvac.topology import (
-    AlgebraElement,
     GribovFactorMap,
     QuadratureSpec,
     gauge_transform,
-    gribov_factor,
-    gribov_phase_matrix,
     instanton_amplitude,
     map_degree,
     map_degree_radial_oracle,
@@ -32,9 +29,25 @@ SCALE = MonopoleScale(g=1.3, eps=1.0)
 
 
 # the 2x2 matrix forms the real integrands are checked against
+def tau_dot(a):
+    """a.tau for real vectors a of shape (..., 3); returns (..., 2, 2)."""
+    return np.einsum("...b,bij->...ij", np.asarray(a, dtype=float), TAU)
+
+
+def as_matrix(q0, q):
+    """q0 1 - i q.tau for q0 of shape (...) and q of shape (..., 3)."""
+    return np.asarray(q0)[..., None, None] * ID2 - 1j * tau_dot(q)
+
+
+def factor_matrices(fmap, pts):
+    """v (N, 2, 2) and d_i v (N, 3, 2, 2) built from the map's quaternion."""
+    q0, q, dq0, dq = fmap.quaternion(pts)
+    return as_matrix(q0, q.T), as_matrix(dq0.T, dq.transpose(2, 1, 0))
+
+
 def su2_matrix_from_components(a, g):
     """A_hat = g tau^b A^b / (2i) for component vectors a of shape (..., 3)."""
-    return (-0.5j * g) * np.einsum("...b,bij->...ij", np.asarray(a, dtype=float), TAU)
+    return (-0.5j * g) * tau_dot(a)
 
 
 def su2_components_from_matrix(m, g):
@@ -44,43 +57,50 @@ def su2_components_from_matrix(m, g):
 
 class TestGribovFactor:
     def test_identity_at_n0(self):
-        v = gribov_factor(0, np.array([0.4, 0.5, -0.3]))
-        assert v.distance_to_identity() < 1e-15
+        assert GribovFactorMap(0).distance_to_identity([0.4, 0.5, -0.3])[0] < 1e-15
 
     def test_central_element_at_infinity_odd(self):
-        v = gribov_factor(1, np.array([0.0, 0.0, 1e7]))
-        assert np.abs(v.m + np.eye(2)).max() < 1e-6
+        q0, q, _, _ = GribovFactorMap(1).quaternion([0.0, 0.0, 1e7], derivs=False)
+        assert np.abs(as_matrix(q0, q.T)[0] + np.eye(2)).max() < 1e-6
 
     def test_identity_at_infinity_even(self):
-        v = gribov_factor(2, np.array([0.0, 0.0, 1e7]))
-        assert v.distance_to_identity() < 1e-5
+        assert GribovFactorMap(2).distance_to_identity([0.0, 0.0, 1e7])[0] < 1e-5
+
+    def test_distance_to_identity_is_spectral_norm(self):
+        fmap = dressed_factor_map(3, EulerAngles(0.3, 1.1, -0.7), 0.8)
+        pts = np.random.default_rng(4).normal(size=(6, 3))
+        q0, q, _, _ = fmap.quaternion(pts, derivs=False)
+        ref = np.linalg.norm(as_matrix(q0, q.T) - ID2, 2, axis=(-2, -1))
+        assert np.abs(fmap.distance_to_identity(pts) - ref).max() < 1e-15
 
     def test_unitary_unimodular(self):
+        # unitary unimodular: det v = q0^2 + |q|^2 = 1
         for seed in range(5):
             rng = np.random.default_rng(seed)
             x = rng.normal(size=3)
-            gribov_factor(rng.integers(-3, 4), x).validate()
+            q0, q, _, _ = GribovFactorMap(rng.integers(-3, 4)).quaternion(x, derivs=False)
+            assert abs(q0[0] ** 2 + np.sum(q**2) - 1.0) < 1e-12
 
     def test_group_law(self):
+        # the quaternion product of v^(n) and v^(m) is v^(n+m)
         x = np.array([0.3, 0.2, 0.9])
-        for n, m in ((1, 2), (-1, 3), (2, -2)):
-            lhs = (gribov_factor(n, x) @ gribov_factor(m, x)).m
-            rhs = gribov_factor(n + m, x).m
-            assert np.abs(lhs - rhs).max() < 1e-12
 
-    def test_phase_matrix_algebra_element(self):
-        a = gribov_phase_matrix(np.array([0.5, -0.2, 0.8]))
-        a.validate()
-        with pytest.raises(ContractError):
-            AlgebraElement(np.eye(2, dtype=complex)).validate()
+        def factor(k):
+            return GribovFactorMap(k).quaternion(x, derivs=False)[:2]
+
+        for n, m in ((1, 2), (-1, 3), (2, -2)):
+            (w, v), (w_ref, v_ref) = _qmul(*factor(n), *factor(m)), factor(n + m)
+            assert np.abs(w - w_ref).max() < 1e-12 and np.abs(v - v_ref).max() < 1e-12
 
     def test_closed_form_vs_expm(self):
         from scipy.linalg import expm
 
+        # the phase matrix -i pi f01(r) tau.n_hat, the log of the n = 1 factor
         x = np.array([0.7, -0.2, 0.4])
-        v = gribov_factor(2, x)
-        direct = expm(2 * gribov_phase_matrix(x).a)
-        assert np.abs(v.m - direct).max() < 1e-12
+        r = np.linalg.norm(x)
+        phase = -1j * np.pi * f01_bps(r, 1.0) * tau_dot(x / r)
+        q0, q, _, _ = GribovFactorMap(2).quaternion(x, derivs=False)
+        assert np.abs(as_matrix(q0, q.T)[0] - expm(2 * phase)).max() < 1e-12
 
     def test_analytic_derivative_vs_finite_differences(self):
         fmap = GribovFactorMap(2)
@@ -89,21 +109,22 @@ class TestGribovFactor:
         for _ in range(5):
             x = rng.normal(size=3)
             x *= rng.uniform(0.5, 5.0) / np.linalg.norm(x)
-            dv = fmap.d_matrices(x[None])[0]
+            _, _, dq0, dq = fmap.quaternion(x)
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                fd = (fmap.matrices((x + e)[None])[0] - fmap.matrices((x - e)[None])[0]) / (2 * h)
-                assert np.abs(dv[j] - fd).max() < 1e-8
+                (p0, p, _, _), (m0, m, _, _) = (fmap.quaternion(x + s * e, derivs=False) for s in (1, -1))
+                assert abs(dq0[j, 0] - (p0[0] - m0[0]) / (2 * h)) < 1e-8
+                assert np.abs(dq[:, j, 0] - (p[:, 0] - m[:, 0]) / (2 * h)).max() < 1e-8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_derivative_at_tiny_core_warning_free(self):
         # r/eps_ref = 1e200: the profile derivative's squares would overflow
-        dv = GribovFactorMap(1, eps_ref=1e-200).d_matrices([[1.0, 0.0, 0.0]])
-        assert np.all(np.isfinite(dv))
+        _, _, dq0, dq = GribovFactorMap(1, eps_ref=1e-200).quaternion([[1.0, 0.0, 0.0]])
+        assert np.all(np.isfinite(dq0)) and np.all(np.isfinite(dq))
 
     def test_dressed_derivative_vs_stencil(self):
-        # prefactor 2 with a non-trivial adjoint rotation: the exact d_i v
+        # prefactor 2 with a non-trivial adjoint rotation: the exact (d_i q0, d_i q)
         # against central differences from the stencil engine
         rot = EulerAngles(0.3, 1.1, -0.7).adjoint_rotation()
         fmap = GribovFactorMap(3, eps_ref=0.8, prefactor=2.0, rotation=rot)
@@ -111,19 +132,25 @@ class TestGribovFactor:
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(6, 3))
         pts *= rng.uniform(0.3, 4.0, size=(6, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
-        dv = fmap.d_matrices(pts)
+        _, _, dq0, dq = fmap.quaternion(pts)
+
+        def components(p):  # (N, 4): q0, q1, q2, q3
+            q0, q, _, _ = fmap.quaternion(p, derivs=False)
+            return np.column_stack([q0, q.T])
+
         for j, e in enumerate(np.eye(3)):
-            fd = stencil._apply(fmap.matrices, pts, e)
-            assert np.abs(dv[:, j] - fd).max() < 1e-8
+            fd = stencil._apply(components, pts, e)
+            assert np.abs(dq0[j] - fd[:, 0]).max() < 1e-8
+            assert np.abs(dq[:, j].T - fd[:, 1:]).max() < 1e-8
 
     def test_dressed_factor_is_the_rotated_map(self):
         ang = EulerAngles(0.3, 1.1, -0.7)
         x = np.array([0.4, -1.2, 0.9])
-        v = dressed_factor_map(2, ang, 0.8).matrices(x[None])[0]
+        q0, q, _, _ = dressed_factor_map(2, ang, 0.8).quaternion(x, derivs=False)
         m_hat = ang.adjoint_rotation() @ (x / np.linalg.norm(x))
         a = 2.0 * np.pi * 2 * f01_bps(np.linalg.norm(x), 0.8)
         ref = np.cos(a) * np.eye(2) + 1j * np.sin(a) * sum(m_hat[k] * TAU[k] for k in range(3))
-        assert np.abs(v - ref).max() < 1e-14
+        assert np.abs(as_matrix(q0, q.T)[0] - ref).max() < 1e-14
 
 
 class TestMapDegree:
@@ -228,9 +255,9 @@ POINTS = st.integers(1, 8).flatmap(
 
 def _matrix_current(fmap, pts):
     """v and L_i = v d_i v^-1 from the 2x2 matrix forms."""
-    v = fmap.matrices(pts)
+    v, dv = factor_matrices(fmap, pts)
     vd = v.conj().swapaxes(-1, -2)
-    return v, -np.einsum("nibc,ncd->nibd", fmap.d_matrices(pts), vd)
+    return v, -np.einsum("nibc,ncd->nibd", dv, vd)
 
 
 class TestRealForms:
@@ -239,10 +266,10 @@ class TestRealForms:
     @settings(deadline=None)
     @given(FACTOR_MAPS, POINTS)
     def test_degree_density_matches_matrix_form(self, fmap, pts):
-        v = fmap.matrices(pts)
-        L = np.einsum("nab,nibc->niac", v.conj().swapaxes(-1, -2), fmap.d_matrices(pts))
+        v, dv = factor_matrices(fmap, pts)
+        L = np.einsum("nab,nibc->niac", v.conj().swapaxes(-1, -2), dv)
         ref = -np.einsum("ijk,niab,njbc,nkca->n", EPS3, L, L, L).real / (24.0 * np.pi**2)
-        c = _current(*fmap._quaternion(pts))
+        c = _current(*fmap.quaternion(pts))
         scale = np.prod(np.linalg.norm(c, axis=0), axis=0) / (2.0 * np.pi**2)  # Hadamard bound
         assert np.all(np.abs(_det3(c) / (2.0 * np.pi**2) - ref) <= 1e-13 * (1.0 + scale))
 
@@ -259,7 +286,7 @@ class TestRealForms:
         Ah = su2_matrix_from_components(comps, g)
         M = np.einsum("nab,nibc,ncd->niad", v, Ah, v.conj().swapaxes(-1, -2)) + L
         ref = su2_components_from_matrix(M, g)
-        scale = np.abs(comps).max() + np.abs(_current(*fmap._quaternion(pts))).max() / g
+        scale = np.abs(comps).max() + np.abs(_current(*fmap.quaternion(pts))).max() / g
         assert np.abs(gauge_transform(field, fmap, g).sample(pts) - ref).max() <= 1e-13 * (1.0 + scale)
 
     @settings(deadline=None, max_examples=30)
@@ -321,7 +348,8 @@ class TestGaugeTransform:
         pure = gauge_transform(zero, fmap, SCALE.g)
         x = np.array([0.8, 0.2, -0.4])[None]
         # components must reproduce v d v^-1 through the su(2) dictionary
-        L = -np.einsum("ibc,cd->ibd", fmap.d_matrices(x)[0], fmap.matrices(x)[0].conj().T)
+        v, dv = factor_matrices(fmap, x)
+        L = -np.einsum("ibc,cd->ibd", dv[0], v[0].conj().T)
         M = su2_matrix_from_components(pure.sample(x[0]), SCALE.g)
         assert np.abs(M - L).max() < 1e-12
 
