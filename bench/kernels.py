@@ -1,6 +1,6 @@
-"""Per-kernel timings with accuracy figures for the topology, interference, rotator and pheno kernels.
+"""Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times twelve kernels, each at two problem sizes, in two source trees (a
+Times sixteen kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -36,7 +36,19 @@ baseline and this checkout's `src/`), and writes one JSON file:
   `magnetic_energy_quadrature`, accuracy its relative gap to the closed form
   truncated like the integral, 4 pi (1 - 1e-3)/(g^2 eps);
   `rotary_momentum_quadrature`, accuracy its relative gap to 4 pi^2 eps/alpha_s;
-  `normalization_check`, accuracy its gap to 1.
+  `normalization_check`, accuracy its gap to 1;
+- `bogomolnyi_residual` of the BPS pair (g = eps = 1, default stencil) at
+  check-bogomolnyi's points for --seed 0, N = 20 (the report default) and
+  1000; accuracy: the residual max ||B - D(phi)||/||B|| itself;
+- `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil,
+  float64) at the same kind of points, N = 1000 and 27 648 (the node count
+  of the winding report's default quadrature); accuracy: the largest gap to the
+  closed-form gradient over the largest entry of it;
+- the profile samplers `f0_bps`, `f1_bps` and `d_f01_bps` at eps = 1 on
+  10^3 and 10^5 radii spaced geometrically over [1e-10, 1e5], which reach
+  every branch; accuracy: the largest absolute gap to a 30-digit mpmath
+  evaluation on 1000 of those radii (every one of the 10^3, every 100th of
+  the 10^5).
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -111,17 +123,14 @@ ERROR_ARGV = (
     ("pheno", "--eps", "1e-100"),
     ("pheno", "--eps", "1e80"),
     ("pheno", "--eps", "1e100"),
-)
-# an empty constants path and the retired volume key, now refused (were exit
-# 0); greens coefficients whose potential or operator leaves the floats, now
-# refused naming the coefficient or the operator (were warnings and exit 3)
-CHANGED_ARGV = (
     ("pheno", "--constants", ""),
     ("pheno", "--set", "volume=1"),
     ("greens", "--c1", "1e308"),
     ("greens", "--d1", "1e308"),
     ("greens", "--c1", "1e305"),
 )
+# output that may differ between the trees by design: none in this change
+CHANGED_ARGV = ()
 IMPORT_CODE = (
     "import sys, time\n"
     "t = time.perf_counter()\n"
@@ -162,6 +171,47 @@ def _jtheta_winding(prm) -> complex:
         b = I / (2 * te)
         pref = mpmath.sqrt(I / (8 * mpmath.pi**3 * te)) * mpmath.exp(-b * dn**2)
         return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
+
+
+def _bps_gauge_gradient(pts):
+    """d_j A_i^a, [n][j][i][a], of the BPS gauge field at g = eps = 1 from its
+    closed form A_i^a = eps_{iak} x_k c(r), c = f1(r)/r^2."""
+    import numpy as np
+
+    from ymvac.algebra import EPS3
+
+    r = np.linalg.norm(pts, axis=1)
+    f1 = 1.0 - r / np.sinh(r)
+    c = f1 / r**2
+    dc = (r * np.cosh(r) - np.sinh(r)) / (np.sinh(r) ** 2 * r**2) - 2.0 * f1 / r**3
+    # d_j (x_k c) = delta_jk c + x_j x_k c'/r
+    dxc = c[:, None, None] * np.eye(3) + (dc / r)[:, None, None] * pts[:, :, None] * pts[:, None, :]
+    return np.einsum("iak,njk->njia", EPS3, dxc)
+
+
+def _profile_gaps(r, values) -> dict:
+    """Largest absolute gap of each sampler's values to 30-digit mpmath at
+    eps = 1, over every (len(r) // 1000)-th radius."""
+    import math
+
+    import mpmath
+
+    refs = {
+        "f0_bps": lambda x: mpmath.coth(x) - 1 / x,
+        "f1_bps": lambda x: 1 - x / mpmath.sinh(x),
+        "d_f01_bps": lambda x: 1 / x**2 - 1 / mpmath.sinh(x) ** 2,
+    }
+
+    def ref(name, x):
+        # below x = 1 the two terms cancel in up to 2 log10(1/x) digits
+        with mpmath.workdps(32 + max(0, math.ceil(-2.0 * math.log10(x)))):
+            return refs[name](mpmath.mpf(float(x)))
+
+    step = max(len(r) // 1000, 1)
+    return {
+        name: float(max(abs(mpmath.mpf(float(v)) - ref(name, x)) for x, v in zip(r[::step], values[name][::step])))
+        for name in refs
+    }
 
 
 def worker() -> dict:
@@ -249,6 +299,33 @@ def worker() -> dict:
         times, value = _timed(lambda: pheno.normalization_check(unit))
         cases[f"normalization_check/{pheno._RADIAL_NODES}_nodes"] = (times, "unity_gap", abs(value - 1.0))
     pheno._MAGNETIC_NODES, pheno._RADIAL_NODES = nodes
+
+    bogo = _parse_config(["check-bogomolnyi"]).params
+
+    def report_points(n):  # check-bogomolnyi's points for --seed 0
+        rng = np.random.default_rng(0)
+        radii = np.linspace(bogo["r_lo_over_eps"], bogo["r_hi_over_eps"], n) * bogo["eps"]
+        dirs = rng.normal(size=(n, 3))
+        return radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+    for n in (20, 1000):
+        pts = report_points(n)
+        times, res = _timed(lambda: bp.bogomolnyi_residual(unit, pts))
+        cases[f"bogomolnyi_residual/N={n}"] = (times, "max_relative_residual", res)
+    stencil = bp.default_stencil(unit)
+    for n in (1000, 27648):
+        pts = report_points(n)
+        times, dA = _timed(lambda: stencil._gradient(gauge.sample_batch, pts))
+        exact = _bps_gauge_gradient(pts)
+        gap = float(np.max(np.abs(dA - exact)) / np.max(np.abs(exact)))
+        cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", gap)
+    samplers = {"f0_bps": bp.f0_bps, "f1_bps": bp.f1_bps, "d_f01_bps": bp.d_f01_bps}
+    for n in (1000, 100000):
+        r = np.geomspace(1e-10, 1e5, n)
+        timed = {name: _timed(lambda: fn(r, 1.0)) for name, fn in samplers.items()}
+        gaps = _profile_gaps(r, {name: value for name, (_, value) in timed.items()})
+        for name, (times, _) in timed.items():
+            cases[f"{name}/N={n}"] = (times, "mpmath_gap", gaps[name])
     return {
         case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
         for case, (times, name, value) in cases.items()

@@ -25,6 +25,14 @@ f = +1 hedgehog gives B_i^a = x^i x^a/(g r^4), the smooth pair satisfies
 B = +D(phi) pointwise, and the phase profile below is annihilated by the
 covariant Laplacian.  All three statements are exercised by the test suite.
 
+No eps tensor is multiplied out: with A_i the colour vector A_i^a and
+spatial indices taken mod 3, the contractions are the written-out cross
+products and curl of algebra,
+
+    B_i = (curl A)_i - g A_{i+1} x A_{i+2},    D_i phi = d_i phi - g A_i x phi,
+
+and the covariant Laplacian's colour term is sum_i A_i x D_i phi.
+
 The phase scalar
 
     Phi0^a(x) = -pi * (x^a/r) * f01(r),   f01(r) = 1/tanh(r/eps) - eps/r = eps*f0(r),
@@ -48,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import EPS3
+from .algebra import cross, curl
 from .errors import DomainError, SingularPointError, StencilError
 
 __all__ = [
@@ -230,15 +238,18 @@ def _batch(x):
 # ---------------------------------------------------------------------------
 
 def _coth_minus_inv(x):
-    """coth(x) - 1/x, series-protected near 0 (cancellation) and overflow-safe."""
+    """coth(x) - 1/x, series-protected near 0 (cancellation) and overflow-safe.
+    Each branch is evaluated only on the elements that select it."""
     x = np.asarray(x)
     small = np.abs(x) < 0.05
-    xs = np.where(small, 1.0, x)
-    direct = 1.0 / np.tanh(xs) - 1.0 / xs
-    xm = np.where(small, x, 0.0)  # the series sees only small x: x * x overflows at large x
+    direct = ~small
+    out = np.empty_like(x)
+    xm = x[small]  # the series sees only small x: x * x overflows at large x
     x2 = xm * xm
-    series = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
-    return np.where(small, series, direct)
+    out[small] = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    xs = x[direct]
+    out[direct] = 1.0 / np.tanh(xs) - 1.0 / xs
+    return out
 
 
 def f0_bps(r, eps: float):
@@ -259,17 +270,20 @@ def f0_bps(r, eps: float):
 
 
 def _x_over_sinh(x):
-    """x/sinh(x) without overflow; 1 at x = 0."""
+    """x/sinh(x) without overflow; 1 at x = 0.  Each branch is evaluated only
+    on the elements that select it."""
     x = np.asarray(x)
     small = np.abs(x) < 1e-8
     big = x > 30.0
-    xs = np.where(small | big, 1.0, x)
-    direct = xs / np.sinh(xs)
+    direct = ~(small | big)
+    out = np.empty_like(x)
+    xm = x[small]
+    out[small] = 1.0 - xm * xm / 6.0
     # 2x e^-x/(1 - e^-2x): never overflows, underflow to 0 is the right limit
-    xb = np.where(big, np.minimum(x, 11300.0), 1.0)
-    tail = 2.0 * xb * np.exp(-xb) / (1.0 - np.exp(-2.0 * xb))
-    xm = np.where(small, x, 0.0)
-    out = np.where(small, 1.0 - xm * xm / 6.0, np.where(big, tail, direct))
+    xb = np.minimum(x[big], 11300.0)
+    out[big] = 2.0 * xb * np.exp(-xb) / (1.0 - np.exp(-2.0 * xb))
+    xs = x[direct]
+    out[direct] = xs / np.sinh(xs)
     return out
 
 
@@ -302,15 +316,17 @@ def d_f01_bps(r, eps: float):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("radius must be non-negative")
-    x = r / eps
+    x = np.asarray(r / eps)
     small = np.abs(x) < 0.05
-    # past 1e154 xs**2 overflows: inf gives its limit 1/xs**2 = 0 without a warning
-    xs = np.where(small, 1.0, np.where(x > 1e154, np.inf, x))
-    direct = (1.0 / xs**2 - 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2) / eps
-    xm = np.where(small, x, 0.0)  # the series sees only small x, as in _coth_minus_inv
+    direct = ~small
+    out = np.empty_like(x)
+    xm = x[small]  # the series sees only small x, as in _coth_minus_inv
     x2 = xm * xm
-    series = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
-    out = np.where(small, series, direct)
+    out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
+    # past 1e154 xs**2 overflows: inf gives its limit 1/xs**2 = 0 without a warning
+    xs = x[direct]
+    xs = np.where(xs > 1e154, np.inf, xs)
+    out[direct] = (1.0 / xs**2 - 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2) / eps
     return out if out.ndim else float(out)
 
 
@@ -413,15 +429,14 @@ def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> 
     at a point (3,) or a batch (N, 3), giving (3, 3) or (N, 3, 3).
 
     Curl part by the configured stencil; quadratic self-coupling evaluated
-    exactly at the point.
+    exactly at the point, as (g/2) eps_{ijk} eps_{abc} A_j^b A_k^c
+    = g (A_{i+1} x A_{i+2})^a (spatial indices mod 3).
     """
     pts, single = _batch(x)
     _require_stencil_safe(field, pts, stencil)
     dA = stencil._gradient(field.sample_batch, pts)  # [n][j][k][a]
-    A = field.sample(pts)
-    curl = np.einsum("ijk,njka->nia", EPS3, dA)
-    quad = np.einsum("ijk,abc,njb,nkc->nia", EPS3, EPS3, A, A)
-    B = curl - 0.5 * g * quad
+    At = field.sample(pts).T  # [a][i][n]
+    B = curl(dA) - g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
     return B[0] if single else B
 
 
@@ -434,9 +449,9 @@ def covariant_derivative(
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
     dphi = stencil._gradient(scalar.sample_batch, pts)  # [n][i][a]
-    A = gauge.sample(pts)
+    At = gauge.sample(pts).T  # [a][i][n]
     phi = scalar.sample(pts)
-    D = dphi - g * np.einsum("abc,nib,nc->nia", EPS3, A, phi)
+    D = dphi - g * cross(At, phi.T[:, None]).T  # eps_{abc} A_i^b phi^c = (A_i x phi)^a
     return D[0] if single else D
 
 
@@ -456,7 +471,7 @@ def covariant_laplacian(
     for Dk, (j, w) in zip(D[1:], itertools.product(range(3), wts)):
         div = div + w * Dk[j]
     A = gauge.sample(xc)
-    return div - g * np.einsum("abc,ib,ic->a", EPS3, A, D[0])
+    return div - g * cross(A.T, D[0].T).sum(axis=1)  # sum_i (A_i x D_i phi)^a
 
 
 def bogomolnyi_residual(

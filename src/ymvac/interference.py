@@ -39,10 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import EPS3, ID2, TAU
+from .algebra import EPS3, ID2, TAU, cross
 from .bps_profiles import _batch
 from .errors import DomainError, SingularTermError, WindowError
-from .topology import GribovFactorMap, _cross
+from .topology import GribovFactorMap
 
 __all__ = [
     "EulerAngles",
@@ -137,7 +137,7 @@ def window_integers(L: int) -> np.ndarray:
 def _qmul(a0, a, b0, b):
     """Product of the quaternions a0 1 - i a.tau and b0 1 - i b.tau, as
     (a0 b0 - a.b, a0 b + b0 a + a x b); vectors along the first axis."""
-    return a0 * b0 - np.sum(a * b, axis=0), a0 * b + b0 * a + _cross(a, b)
+    return a0 * b0 - np.sum(a * b, axis=0), a0 * b + b0 * a + cross(a, b)
 
 
 def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float) -> np.ndarray:

@@ -30,14 +30,17 @@ The group factors exist only as unit quaternions: v = q0 - i q.tau is the
 real 4-vector (q0, q), and the product of two is (a0 b0 - a.b, a0 b + b0 a +
 a x b).  Every integrand is real: an su(2) element is a real 3-vector,
 tr[(a.tau)(b.tau)] = 2 a.b and
-tr[(a.tau)(b.tau)(c.tau)] = 2i a.(b x c).  With the real current
-c_i = q0 d_i q - d_i q0 q + q x d_i q of d_i v v^-1 = -i c_i.tau:
+tr[(a.tau)(b.tau)(c.tau)] = 2i a.(b x c), and every eps contraction below is
+a cross product or a curl written out (algebra.cross, algebra.curl).  With
+the real current c_i = q0 d_i q - d_i q0 q + q x d_i q of
+d_i v v^-1 = -i c_i.tau:
 
 - degree density: -eps^{ijk} tr[L_i L_j L_k]/(24 pi^2) = det[c_1, c_2, c_3]/(2 pi^2);
 - Chern-Simons: eps^{ijk} tr[A_hat_i d_j A_hat_k] = -(g^2/2) eps^{ijk} A_i^a d_j A_k^a
   and eps^{ijk} tr[A_hat_i A_hat_j A_hat_k] = -(3 g^3/2) det[A_1, A_2, A_3];
 - gauge transform: v (A_hat_i + d_i) v^-1 has components R(q) A_i - (2/g) c_i,
-  R(q) the adjoint rotation of v, and tr[A_hat_j v d_k v^-1] = g A_j . c_k.
+  R(q) the adjoint rotation of v, and tr[A_hat_j v d_k v^-1] = g A_j . c_k,
+  so the surface flux eps^{ijk} tr[A_hat_j L_k] is g sum_a (A^a x c^a)_i.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import EPS3
+from .algebra import cross, curl
 from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
 from .errors import DomainError, ResolutionError, TruncationError
 
@@ -212,22 +215,17 @@ class GribovFactorMap:
 # integrals
 # ---------------------------------------------------------------------------
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b along the first axis (the rest broadcast), written out."""
-    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-
-
 def _det3(m: np.ndarray) -> np.ndarray:
     """det[m_1, m_2, m_3] = m_1 . (m_2 x m_3) of rows m_i = m[:, i], for m of
     shape (3, 3, N) [a][i][n]."""
-    return np.sum(m[:, 0] * _cross(m[:, 1], m[:, 2]), axis=0)
+    return np.sum(m[:, 0] * cross(m[:, 1], m[:, 2]), axis=0)
 
 
 def _current(q0, q, dq0, dq) -> np.ndarray:
     """Real right current c_i, (3, 3, N) [a][i][n], of d_i v v^-1 = -i c_i.tau:
     c_i = q0 d_i q - d_i q0 q + q x d_i q.  Also v d_i v^-1 = +i c_i.tau."""
     qb = q[:, None]
-    return q0 * dq - qb * dq0 + _cross(qb, dq)
+    return q0 * dq - qb * dq0 + cross(qb, dq)
 
 
 def _degree_integral(fmap: GribovFactorMap, quad: QuadratureSpec) -> float:
@@ -298,8 +296,7 @@ def winding_functional(
     pts, wts = pts[keep], wts[keep]
     A = field.sample(pts)  # [n][i][a]
     dA = stencil._gradient(field.sample, pts)  # [n][j][k][a]
-    curl = np.stack([dA[:, 1, 2] - dA[:, 2, 1], dA[:, 2, 0] - dA[:, 0, 2], dA[:, 0, 1] - dA[:, 1, 0]], axis=1)
-    term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl)
+    term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
     term2 = (-1.5 * g**3) * _det3(A.T)
     dens = wts * (term1 + (2.0 / 3.0) * term2)
     total = -np.sum(dens) / (8.0 * np.pi**2)
@@ -328,8 +325,8 @@ def gauge_transform(field: ColorField, v_map: GribovFactorMap, g: float) -> Colo
         q0, q, dq0, dq = v_map.quaternion(pts)
         A = field.sample(pts).T  # [a][i][n]
         qb = q[:, None]
-        t = 2.0 * _cross(qb, A)  # R(q) a = a + q0 t + q x t with t = 2 q x a
-        return (A + q0 * t + _cross(qb, t) - (2.0 / g) * _current(q0, q, dq0, dq)).T
+        t = 2.0 * cross(qb, A)  # R(q) a = a + q0 t + q x t with t = 2 q x a
+        return (A + q0 * t + cross(qb, t) - (2.0 / g) * _current(q0, q, dq0, dq)).T
 
     return ColorField(
         sample_batch,
@@ -358,7 +355,9 @@ def surface_flux_term(
     pts = r_sphere * dirs
     c = _current(*v_map.quaternion(pts))
     A = field.sample(pts)
-    dens = g * np.einsum("ni,ijk,nja,akn->n", dirs, EPS3, A, c)
+    # eps^{ijk} A_j^a c_k^a: a cross product in space, summed over colour
+    flux = cross(A.transpose(1, 2, 0), c.transpose(1, 0, 2)).sum(axis=1)  # [i][n]
+    dens = g * np.sum(dirs.T * flux, axis=0)
     return float(-np.sum(wts * dens) / (8.0 * np.pi**2))
 
 

@@ -1,13 +1,20 @@
 """Field construction and first-order residual checks."""
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ymvac.algebra import EPS3
 from ymvac.bps_profiles import (
     ColorField,
     FieldVariant,
     MonopoleScale,
     StencilConfig,
+    _coth_minus_inv,
+    _x_over_sinh,
     bogomolnyi_residual,
     build_fields,
     covariant_derivative,
@@ -397,3 +404,228 @@ class TestGribovResidual:
         st = default_stencil(SCALE)
         out = covariant_laplacian(gauge, phase, np.array([1.0, -0.4, 0.3]), st, SCALE.g)
         assert out.shape == (3,)
+
+
+# ---------------------------------------------------------------------------
+# the written-out Levi-Civita contractions against their EPS3 einsums
+# ---------------------------------------------------------------------------
+
+def _affine_field(c0, grad):
+    """The field c0 + x_j grad[j]: its value and gradient are drawn directly."""
+    return ColorField(lambda pts: c0 + np.tensordot(pts, grad, axes=(1, 0)))
+
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_subnormal=False)
+_CONTRACTION_DTYPES = st.sampled_from([np.float64, np.longdouble])
+
+
+def _drawn(values, dtype):
+    # dividing by 3 fills the extended mantissa that float draws leave empty
+    return np.asarray(values, dtype=dtype) / dtype(3.0)
+
+
+# |written out - einsum| over the sum of the absolute values of the einsum's
+# terms: the written-out forms add the same non-zero products in another
+# order, so the gap is a few units in the last place of that scale.  Largest
+# measured over 20 000 draws with entries spread over six decades: 4.4e-16
+# (tension) and 5.5e-16 (Laplacian) in float64, 2.2e-19 and 2.7e-19 in
+# longdouble.
+_REORDER_BOUND = 1e-14
+
+
+class TestLeviCivitaContractions:
+    """magnetic_tension, covariant_derivative and covariant_laplacian against
+    the EPS3 einsums that the cross products replaced, on affine fields whose
+    value A, gradient dA and scalar phi are drawn by hypothesis."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        a0=arrays(float, (3, 3), elements=_ENTRIES),
+        da=arrays(float, (3, 3, 3), elements=_ENTRIES),
+        x=arrays(float, (4, 3), elements=st.floats(-10.0, 10.0)),
+        g=st.floats(0.01, 100.0),
+        dtype=_CONTRACTION_DTYPES,
+    )
+    def test_tension(self, a0, da, x, g, dtype):
+        gauge = _affine_field(_drawn(a0, dtype), _drawn(da, dtype))
+        pts = x.astype(dtype)
+        stencil = StencilConfig(h=0.01, order=4)
+        dA = stencil._gradient(gauge.sample_batch, pts)
+        A = gauge.sample(pts)
+        curl = np.einsum("ijk,njka->nia", EPS3, dA)
+        quad = np.einsum("ijk,abc,njb,nkc->nia", EPS3, EPS3, A, A)
+        # g = 0 leaves the curl alone: two differences per entry, bitwise
+        assert np.array_equal(magnetic_tension(gauge, pts, stencil, 0.0), curl)
+        B = magnetic_tension(gauge, pts, stencil, g)
+        assert B.dtype == dtype
+        abs_quad = np.einsum("ijk,abc,njb,nkc->nia", np.abs(EPS3), np.abs(EPS3), np.abs(A), np.abs(A))
+        scale = np.abs(curl) + 0.5 * g * abs_quad
+        assert np.all(np.abs(B - (curl - 0.5 * g * quad)) <= _REORDER_BOUND * scale)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        a0=arrays(float, (3, 3), elements=_ENTRIES),
+        phi0=arrays(float, 3, elements=_ENTRIES),
+        dphi=arrays(float, (3, 3), elements=_ENTRIES),
+        x=arrays(float, (4, 3), elements=st.floats(-10.0, 10.0)),
+        g=st.floats(0.01, 100.0),
+        dtype=_CONTRACTION_DTYPES,
+    )
+    def test_covariant_derivative_and_laplacian(self, a0, phi0, dphi, x, g, dtype):
+        gauge = _affine_field(_drawn(a0, dtype), np.zeros((3, 3, 3), dtype=dtype))
+        scalar = _affine_field(_drawn(phi0, dtype), _drawn(dphi, dtype))
+        pts = x.astype(dtype)
+        stencil = StencilConfig(h=0.01, order=4)
+        A, phi = gauge.sample(pts), scalar.sample(pts)
+        ref = stencil._gradient(scalar.sample_batch, pts) - g * np.einsum("abc,nib,nc->nia", EPS3, A, phi)
+        # one cross product per entry, bitwise
+        assert np.array_equal(covariant_derivative(gauge, scalar, pts, stencil, g), ref)
+
+        # the Laplacian's colour term, with the outer sum of the previous form
+        xc = pts[0]
+        offs, wts = stencil.offsets_weights()
+        shifted = [xc + o * e for e in np.eye(3, dtype=dtype) * stencil.h for o in offs]
+        D = covariant_derivative(gauge, scalar, np.array([xc] + shifted), stencil, g)
+        div = np.zeros(3, dtype=dtype)
+        for Dk, (j, w) in zip(D[1:], [(j, w) for j in range(3) for w in wts]):
+            div = div + w * Dk[j]
+        A0 = gauge.sample(xc)
+        ref = div - g * np.einsum("abc,ib,ic->a", EPS3, A0, D[0])
+        got = covariant_laplacian(gauge, scalar, xc, stencil, g)
+        assert got.dtype == dtype
+        scale = np.abs(div) + g * np.einsum("abc,ib,ic->a", np.abs(EPS3), np.abs(A0), np.abs(D[0]))
+        assert np.all(np.abs(got - ref) <= _REORDER_BOUND * scale)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_hedgehog_quadratic_term_bitwise(self, dtype):
+        # the hedgehog A_i^a = eps_{iak} y_k vanishes at a = i, so in each
+        # entry A_{i+1}^{a+1} A_{i+2}^{a+2} - A_{i+1}^{a+2} A_{i+2}^{a+1} one
+        # product is zero, and both forms give twice the other one exactly
+        gauge, _ = build_fields(SCALE, "BPS")
+        pts = random_points(64, seed=16).astype(dtype)
+        A = gauge.sample(pts)
+        quad = np.einsum("ijk,abc,njb,nkc->nia", EPS3, EPS3, A, A)
+        stencil = default_stencil(SCALE)
+        dA = stencil._gradient(gauge.sample_batch, pts)
+        curl = np.einsum("ijk,njka->nia", EPS3, dA)
+        assert np.array_equal(magnetic_tension(gauge, pts, stencil, 2.0), curl - 0.5 * 2.0 * quad)
+
+
+# ---------------------------------------------------------------------------
+# branch switches of the profile helpers
+# ---------------------------------------------------------------------------
+
+def _where_coth_minus_inv(x):
+    """The earlier form of _coth_minus_inv, every branch on every element."""
+    x = np.asarray(x)
+    small = np.abs(x) < 0.05
+    xs = np.where(small, 1.0, x)
+    direct = 1.0 / np.tanh(xs) - 1.0 / xs
+    xm = np.where(small, x, 0.0)
+    x2 = xm * xm
+    series = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    return np.where(small, series, direct)
+
+
+def _where_x_over_sinh(x):
+    """The earlier form of _x_over_sinh, every branch on every element."""
+    x = np.asarray(x)
+    small = np.abs(x) < 1e-8
+    big = x > 30.0
+    xs = np.where(small | big, 1.0, x)
+    direct = xs / np.sinh(xs)
+    xb = np.where(big, np.minimum(x, 11300.0), 1.0)
+    tail = 2.0 * xb * np.exp(-xb) / (1.0 - np.exp(-2.0 * xb))
+    xm = np.where(small, x, 0.0)
+    return np.where(small, 1.0 - xm * xm / 6.0, np.where(big, tail, direct))
+
+
+def _where_d_f01(r, eps):
+    """The earlier form of d_f01_bps, every branch on every element."""
+    x = np.asarray(r, dtype=float) / eps
+    small = np.abs(x) < 0.05
+    xs = np.where(small, 1.0, np.where(x > 1e154, np.inf, x))
+    direct = (1.0 / xs**2 - 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2) / eps
+    xm = np.where(small, x, 0.0)
+    x2 = xm * xm
+    series = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
+    out = np.where(small, series, direct)
+    return out if out.ndim else float(out)
+
+
+def _mp(v):
+    """A float64 or longdouble value as an exact mpmath number."""
+    m, e = np.frexp(np.asarray(v)[()])
+    return mpmath.mpf(int(np.ldexp(m, 64))) * mpmath.mpf(2) ** (int(e) - 64)
+
+
+def _switch_inputs(switch, drawn):
+    """Each dtype's neighbours of the switch point (below, at, above) and a
+    hypothesis draw within 1% of it, as (dtype, x) pairs."""
+    for dtype in (np.float64, np.longdouble):
+        c = dtype(switch)
+        for x in (np.nextafter(c, dtype(0)), c, np.nextafter(c, dtype(np.inf)), dtype(drawn)):
+            yield dtype, x
+
+
+def _same_as_where_form(fn, ref, x):
+    """fn(x) bitwise equal to the np.where form, as a 0-d input and inside an
+    (N,) input that mixes every branch; returns fn(x)."""
+    got = fn(np.asarray(x))
+    assert np.array_equal(got, ref(np.asarray(x))) and np.asarray(got).dtype == np.asarray(ref(x)).dtype
+    batch = np.array([0.0, x / 3.0, x, 3.0 * x, 1e-9, 0.04, 31.0, 400.0, 12000.0, 1e160], dtype=x.dtype)
+    assert np.array_equal(fn(batch), ref(batch))
+    assert np.array_equal(fn(batch)[2], got)
+    return got
+
+
+def _near(switch):
+    return st.floats(0.99 * switch, 1.01 * switch)
+
+
+# Gaps to 30-digit mpmath: |got - ref| <= rel |ref| + floor.
+#  - _x_over_sinh: rel 1e-15 (measured 1.5e-16 in float64, 4.9e-19 in
+#    longdouble).  floor: float64's smallest subnormal, 4.9e-324, where the
+#    tail underflows (x > 745); in longdouble 6.8e-4904, since past x = 11300
+#    the tail is evaluated at 11300, where it is 6.706e-4904.
+#  - _coth_minus_inv and d_f01_bps: rel 1e-12.  Largest measured over 3000
+#    draws within 1% of x = 0.05: 3.1e-13 and 4.7e-13 just above it, where
+#    the direct forms cancel, and 2.6e-15 just below, the truncation of the
+#    series in longdouble.  d_f01_bps's floor is 1/sinh(350)^2 = 3.9e-304
+#    (over eps): the sinh argument is capped at 350.
+class TestProfileBranches:
+    """Each branch is evaluated only on its own elements; the values are the
+    earlier np.where forms' bit for bit, on both sides of every switch."""
+
+    @pytest.mark.parametrize("switch", [1e-8, 30.0, 11300.0])
+    @settings(deadline=None, max_examples=20)
+    @given(drawn=st.data())
+    def test_x_over_sinh(self, switch, drawn):
+        with mpmath.workdps(30):
+            for dtype, x in _switch_inputs(switch, drawn.draw(_near(switch))):
+                got = _same_as_where_form(_x_over_sinh, _where_x_over_sinh, x)
+                ref = _mp(x) / mpmath.sinh(_mp(x))
+                floor = mpmath.mpf("6.8e-4904") if dtype is np.longdouble else mpmath.mpf(5e-324)
+                assert abs(_mp(got) - ref) <= 1e-15 * ref + floor
+
+    @settings(deadline=None, max_examples=20)
+    @given(drawn=_near(0.05))
+    def test_coth_minus_inv(self, drawn):
+        with mpmath.workdps(30):
+            for dtype, x in _switch_inputs(0.05, drawn):
+                got = _same_as_where_form(_coth_minus_inv, _where_coth_minus_inv, x)
+                ref = mpmath.coth(_mp(x)) - 1 / _mp(x)
+                assert abs(_mp(got) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("switch", [0.05, 350.0, 1e154])
+    @settings(deadline=None, max_examples=20)
+    @given(drawn=st.data(), eps=st.sampled_from([1.0, 0.25]))
+    def test_d_f01(self, switch, drawn, eps):
+        # d_f01_bps reads its radius as float64; r = eps x puts x at the switch
+        with mpmath.workdps(30):
+            for dtype, x in _switch_inputs(switch, drawn.draw(_near(switch))):
+                r = x * dtype(eps)
+                got = _same_as_where_form(lambda v: d_f01_bps(v, eps), lambda v: _where_d_f01(v, eps), r)
+                xm = _mp(np.float64(r)) / eps
+                ref = (1 / xm**2 - 1 / mpmath.sinh(xm) ** 2) / eps
+                assert abs(_mp(got) - ref) <= 1e-12 * ref + mpmath.mpf("3.95e-304") / eps

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import ymvac
-from ymvac import rotator
-from ymvac.cli import main
+from ymvac import rotator, topology
+from ymvac.cli import _HANDLERS, _parse_config, main
 
 FAST_ARGS = {
     "profiles": ["--n-points", "9"],
@@ -340,6 +340,32 @@ class TestNonFinite:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "consistency"
+
+
+class TestNaNGaps:
+    """A NaN gap in any row of a sweep fails its check; the builtin max, seeded
+    with an earlier row, returned that row and passed."""
+
+    @staticmethod
+    def _checks(*argv):
+        cfg = _parse_config(list(argv))
+        return {c["name"]: c for c in _HANDLERS[cfg.subcommand](cfg).checks}
+
+    def test_winding_nan_degree(self, monkeypatch):
+        exact = topology.map_degree
+        monkeypatch.setattr(
+            topology, "map_degree", lambda n, quad, **kw: float("nan") if n == 1 else exact(n, quad, **kw))
+        checks = self._checks("winding", *FAST_ARGS["winding"])
+        assert not checks["degree-integer-quantization"]["passed"]
+        assert not checks["degree-radial-oracle-agreement"]["passed"]
+        assert checks["monopole-winding-zero"]["passed"]
+
+    def test_rotator_nan_path_green(self, monkeypatch):
+        exact = rotator.path_green
+        monkeypatch.setattr(rotator, "path_green", lambda prm: complex("nan") if prm.dN == 0.3 else exact(prm))
+        checks = self._checks("rotator", *FAST_ARGS["rotator"])
+        assert not checks["spectral-vs-path-identity"]["passed"]
+        assert checks["on-spectrum-survival"]["passed"]
 
 
 class TestImport:
