@@ -1,6 +1,6 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times sixteen kernels, each at two problem sizes, in two source trees (a
+Times eighteen kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -25,10 +25,21 @@ baseline and this checkout's `src/`), and writes one JSON file:
   cost); accuracy: the relative gap of the rule on the integral of e^-r over
   the ball, 4 pi (2 - e^-R (R^2 + 2R + 2));
 - `path_green` (the winding sum) at I = 1e-6 and 1e-7, tau_E = 0.3, dN = 0.3,
-  theta = 0 (10 045 and 31 755 terms), and `spectral_green` at I = 1e4 and
-  1e5, tau_E = 0.01, dN = 0, theta = 0.9 (2 923 and 9 231 terms); accuracy:
-  the gap to `mpmath.jtheta` at 30 digits on the other side's nome, where the
-  theta series converges in a few terms;
+  theta = 0 (10 045 and 31 755 terms) and again at theta = pi/2 (at theta = 0
+  every imaginary part is 0, the cheapest row to add), and `spectral_green`
+  at I = 1e4 and 1e5, tau_E = 0.01, dN = 0, theta = 0.9 (2 923 and 9 231
+  terms); accuracy: the gap to `mpmath.jtheta` at 30 digits on the other
+  side's nome, where the theta series converges in a few terms;
+- `algebra.exact_sums` alone on the real and imaginary rows of winding terms
+  at theta = pi/2, dN = 0.3: those of `path_green` at I = 1e-7 (2 x 31 755)
+  and 2 x 400 001 terms (TERM_CAP) at b = 42/200000^2; accuracy: the number of
+  rows whose sum differs from math.fsum's in any bit (0), and beside it the
+  time of the math.fsum route it replaced (`fsum_median_s`, from the first
+  worker of each tree).  A tree without `exact_sums` times that fsum route;
+- `topology._gauss_legendre`, the node build of the pheno quadratures, at
+  48 nodes on [0, ln 1000] (the magnetic energy's log-radial rule) and 64
+  nodes on [0, 1] (the compactified radial rule); accuracy: the relative gap
+  of the rule on the integral of e^-t over the interval, 1 - e^-U;
 - the three pheno quadrature companions at g = eps = 1, at their default
   node counts (48 log-radial nodes for the magnetic energy, 64 compactified
   radial nodes for the other two) and at twice them, set on the module
@@ -64,8 +75,14 @@ between the two trees (both with `--seed 0`) for those eight argv, every
 argv of `perfbench/workloads.json`, the validation-error argv in
 ERROR_ARGV and the argv in CHANGED_ARGV, whose output may differ between
 trees by design; the JSON lists each argv with its exit codes and whether
-the bytes are identical.  Run from the repository root, for example against
-the parent commit:
+the bytes are identical.
+
+Last, a property campaign runs the hypothesis-driven tests of this checkout
+(`pytest -m hypothesis`) once under each of the CAMPAIGN_SEEDS explicit
+`--hypothesis-seed` values, each run in a fresh directory so that no saved
+example carries over, and records each test's pass count and failing seeds:
+a marginal bound shows there before it makes Tier-1 flaky.  Run from the
+repository root, for example against the parent commit:
 
     mkdir -p ../base && git archive HEAD~1 src tests | tar -x -C ../base
     python3 bench/kernels.py --baseline ../base/src --out BENCH_<PR>.json
@@ -89,6 +106,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3  # alternating worker processes per tree
@@ -96,6 +114,7 @@ COLD_RUNS = 3  # alternating fresh-process runs of each default subcommand per t
 REPEATS = 5  # timed calls per kernel in each worker, after one warm-up call
 IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
+CAMPAIGN_SEEDS = range(1, 21)  # --hypothesis-seed values of the property campaign
 SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
                "pheno")
 # off the default path, mostly validation errors: output that must not move
@@ -173,6 +192,15 @@ def _jtheta_winding(prm) -> complex:
         return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
 
 
+def _fsum_rows(rows) -> list:
+    """The route exact_sums replaced: math.fsum of each row, from a contiguous copy."""
+    import math
+
+    import numpy as np
+
+    return [math.fsum(memoryview(np.ascontiguousarray(row))) for row in rows]
+
+
 def _bps_gauge_gradient(pts):
     """d_j A_i^a, [n][j][i][a], of the BPS gauge field at g = eps = 1 from its
     closed form A_i^a = eps_{iak} x_k c(r), c = f1(r)/r^2."""
@@ -220,7 +248,7 @@ def worker() -> dict:
 
     import numpy as np
 
-    from ymvac import bps_profiles as bp, interference as itf, pheno, rotator as rot, topology as topo
+    from ymvac import algebra, bps_profiles as bp, interference as itf, pheno, rotator as rot, topology as topo
     from ymvac.cli import _parse_config
 
     sys.path.insert(0, str(ROOT / "tests"))
@@ -273,14 +301,30 @@ def worker() -> dict:
         exact = 4.0 * math.pi * (2.0 - math.exp(-quad.r_max) * (quad.r_max**2 + 2.0 * quad.r_max + 2.0))
         gap = abs(np.sum(wts * np.exp(-np.linalg.norm(pts, axis=1))) / exact - 1.0)
         cases[f"ball_nodes/{size}"] = (times, "exp_integral_gap", gap)
-    for inertia in (1e-6, 1e-7):
-        prm = rot.RotatorParams.euclidean(inertia, 0.0, 0.3, 0.3)
-        times, value = _timed(lambda: rot.path_green(prm))
-        cases[f"path_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
+    for theta, label in ((0.0, ""), (math.pi / 2, ",theta=pi_2")):
+        for inertia in (1e-6, 1e-7):
+            prm = rot.RotatorParams.euclidean(inertia, theta, 0.3, 0.3)
+            times, value = _timed(lambda: rot.path_green(prm))
+            cases[f"path_green/I={inertia:g}{label}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
+    exact_sums = getattr(algebra, "exact_sums", _fsum_rows)
+    b_path = 1e-7 / (2.0 * 0.3)  # path_green's b at I = 1e-7, tau_E = 0.3
+    for n_max, b in ((rot._path_n_max(b_path, 0.3), b_path), (rot.TERM_CAP // 2, 42.0 / 200000**2)):
+        n = np.arange(-n_max, n_max + 1)
+        terms = np.exp(-1j * (math.pi / 2) * n - b * ((0.3 + n) * (0.3 + n)))
+        rows = (terms.real, terms.imag)
+        times, sums = _timed(lambda: exact_sums(rows))
+        fsum_times, ref = _timed(lambda: _fsum_rows(rows))
+        mismatches = sum(a.hex() != r.hex() for a, r in zip(sums, ref))
+        cases[f"exact_sums/2x{n.size}"] = (times, "fsum_mismatches", mismatches)
+        extra[f"exact_sums/2x{n.size}"] = {"fsum_median_s": statistics.median(fsum_times)}
     for inertia in (1e4, 1e5):
         prm = rot.RotatorParams.euclidean(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
         cases[f"spectral_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_winding(prm)))
+    for n_nodes, upper in ((48, math.log(pheno._MAGNETIC_R_MAX_OVER_EPS)), (64, 1.0)):
+        times, (t, w) = _timed(lambda: topo._gauss_legendre(n_nodes, upper))
+        gap = abs(np.sum(w * np.exp(-t)) / -math.expm1(-upper) - 1.0)
+        cases[f"gauss_legendre/{n_nodes}_nodes"] = (times, "exp_integral_gap", gap)
     unit = bp.MonopoleScale(g=1.0, eps=1.0)
     truncated = pheno.magnetic_energy(unit) * (1.0 - 1.0 / pheno._MAGNETIC_R_MAX_OVER_EPS)
     inertia = pheno.rotary_momentum(unit)
@@ -400,6 +444,28 @@ def compare_outputs(trees: dict) -> list:
     return rows
 
 
+def property_campaign() -> dict:
+    """Pass count and failing seeds of each hypothesis-driven test of this
+    checkout, one `pytest -m hypothesis` run per seed in CAMPAIGN_SEEDS."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    tests = {}
+    for seed in CAMPAIGN_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:  # a fresh .hypothesis example database
+            report = Path(tmp) / "report.xml"
+            cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "hypothesis",
+                   f"--hypothesis-seed={seed}", f"--junitxml={report}", "-c", str(ROOT / "pyproject.toml"),
+                   "--rootdir", str(ROOT), str(ROOT / "tests")]
+            subprocess.run(cmd, env=env, cwd=tmp, capture_output=True)
+            for case in ElementTree.parse(report).iter("testcase"):
+                name = f"{case.get('classname')}::{case.get('name')}"
+                rec = tests.setdefault(name, {"passed": 0, "failed_seeds": []})
+                if any(child.tag in ("failure", "error") for child in case):
+                    rec["failed_seeds"].append(seed)
+                else:
+                    rec["passed"] += 1
+    return {"seeds": list(CAMPAIGN_SEEDS), "tests": tests}
+
+
 def measure(trees: dict) -> dict:
     samples = {name: {} for name in trees}
     import_s = {name: [] for name in trees}
@@ -468,6 +534,7 @@ def main(argv=None) -> int:
     result = measure(trees)
     result["cold_subcommand_wall"] = cold_subcommands(trees)
     result["output_identity"] = compare_outputs(trees)
+    result["property_campaign"] = property_campaign()
     import numpy as np
 
     result["settings"] = {
@@ -488,6 +555,8 @@ def main(argv=None) -> int:
         if "mpmath_gap_L1000" in row["current"]:
             print(f"{'':>36}mpmath_gap_L1000 {row['baseline']['mpmath_gap_L1000']:.3e} -> "
                   f"{row['current']['mpmath_gap_L1000']:.3e}")
+        if "fsum_median_s" in row["current"]:
+            print(f"{'':>36}math.fsum route {row['current']['fsum_median_s'] * 1e3:.2f} ms")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():
@@ -501,6 +570,12 @@ def main(argv=None) -> int:
                   f"{row['exit']['current']}")
     same = sum(row["identical"] for row in result["output_identity"])
     print(f"identical output: {same} of {len(result['output_identity'])} argv")
+    campaign = result["property_campaign"]
+    for name, rec in campaign["tests"].items():
+        if rec["failed_seeds"]:
+            print(f"property campaign: {name} failed at seeds {rec['failed_seeds']}")
+    clean = sum(not rec["failed_seeds"] for rec in campaign["tests"].values())
+    print(f"property campaign: {clean} of {len(campaign['tests'])} tests pass all {len(campaign['seeds'])} seeds")
     return 0
 
 

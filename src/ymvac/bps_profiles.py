@@ -270,8 +270,8 @@ def f0_bps(r, eps: float):
 
 
 def _x_over_sinh(x):
-    """x/sinh(x) without overflow; 1 at x = 0.  Each branch is evaluated only
-    on the elements that select it."""
+    """x/sinh(x) without overflow; 1 at x = 0 and 0 at x = inf.  Each branch
+    is evaluated only on the elements that select it."""
     x = np.asarray(x)
     small = np.abs(x) < 1e-8
     big = x > 30.0
@@ -279,9 +279,18 @@ def _x_over_sinh(x):
     out = np.empty_like(x)
     xm = x[small]
     out[small] = 1.0 - xm * xm / 6.0
-    # 2x e^-x/(1 - e^-2x): never overflows, underflow to 0 is the right limit
-    xb = np.minimum(x[big], 11300.0)
-    out[big] = 2.0 * xb * np.exp(-xb) / (1.0 - np.exp(-2.0 * xb))
+    # 2x e^-x/(1 - e^-2x), which never overflows and underflows to 0 as it
+    # should.  Past c, where e^-x alone is subnormal, e^-x = e^-c e^(c - x)
+    # keeps the digits that the factor 2x brings back; inf is taken as the
+    # largest float, whose tail is 0 (inf * 0 would be NaN)
+    finfo = np.finfo(x.dtype)
+    c = -np.log(finfo.tiny)
+    xb = np.minimum(x[big], finfo.max)
+    xc = np.minimum(xb, c)
+    tail = xb * (2.0 * np.exp(-xc))
+    deep = xb > c
+    tail[deep] *= np.exp(c - xb[deep])
+    out[big] = tail / (1.0 - np.exp(-2.0 * xc))
     xs = x[direct]
     out[direct] = xs / np.sinh(xs)
     return out
@@ -318,15 +327,20 @@ def d_f01_bps(r, eps: float):
         raise DomainError("radius must be non-negative")
     x = np.asarray(r / eps)
     small = np.abs(x) < 0.05
-    direct = ~small
+    # past 350, 1/sinh(x)^2 = 4e^-2x/(1 - e^-2x)^2 < 4e^-700 is below half
+    # an ulp of 1/x^2 and drops out; past 1e154 x**2 overflows, and
+    # 1/x^2 = (1/x)^2
+    far = x > 1e154
+    tail = (x > 350.0) & ~far
+    direct = ~(small | tail | far)
     out = np.empty_like(x)
     xm = x[small]  # the series sees only small x, as in _coth_minus_inv
     x2 = xm * xm
     out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
-    # past 1e154 xs**2 overflows: inf gives its limit 1/xs**2 = 0 without a warning
     xs = x[direct]
-    xs = np.where(xs > 1e154, np.inf, xs)
-    out[direct] = (1.0 / xs**2 - 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2) / eps
+    out[direct] = (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps
+    out[tail] = 1.0 / x[tail] ** 2 / eps
+    out[far] = (1.0 / x[far]) ** 2 / eps
     return out if out.ndim else float(out)
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import EPS3, ID2, TAU, cross
+from .algebra import EPS3, ID2, TAU, cross, exact_sums
 from .bps_profiles import _batch
 from .errors import DomainError, SingularTermError, WindowError
 from .topology import GribovFactorMap
@@ -209,11 +209,11 @@ def momentum_green_average(p, t_matrix: np.ndarray | None, L: int) -> np.ndarray
     total = inv.sum(axis=0)
     if n0 < half:
         n = np.arange(n0 + 1, half + 1, dtype=float)
-        w = 1.0 / (n * n)
-        power, sums = w, []
-        for _ in range(_NEUMANN_TERMS):  # H_k = sum_n w^(k+1), correctly rounded
-            sums.append(math.fsum(power.tolist()))
-            power = power * w
+        powers = np.empty((_NEUMANN_TERMS, n.size))
+        powers[0] = 1.0 / (n * n)
+        for k in range(1, _NEUMANN_TERMS):
+            np.multiply(powers[k - 1], powers[0], out=powers[k])
+        sums = exact_sums(powers)  # H_k = sum_n w^(k+1), w = 1/n^2, correctly rounded
         m2 = m @ m
         poly = sums[-1] * ID8  # Horner: sum_k H_k M^(2k)
         for h_k in reversed(sums[:-1]):

@@ -19,7 +19,8 @@ transformation of
 with the dictionary tau = 2 pi i tau_E / I, Z = pi dN + i pi theta tau_E / I
 (spectral side).  Real-time evaluation is out of contract and raises.
 
-Each sum builds its terms in one numpy array and adds them with math.fsum; a
+Each sum builds its terms in one numpy array and adds their real and
+imaginary parts correctly rounded (algebra.exact_sums, math.fsum's bits); a
 cutoff past the term cap raises.  `terms_needed` tells which sides fit, and
 each side has its own theta route as a second check.
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import exact_sums
 from .bps_profiles import MonopoleScale
 from .errors import ConvergenceError, DomainError
 
@@ -154,15 +156,13 @@ def interference_bound(p: float, theta: float, L: int, measure_sign: int = -1) -
 def _exact_sum(term, k_max: int) -> complex:
     """sum_{k=-k_max..k_max} term(k), with `term` mapping the integer array of
     all k to their complex terms at once; real and imaginary parts are each
-    correctly rounded (math.fsum, so the order of the terms does not matter).
-    Raises ConvergenceError, before any array is built, when the cutoff is
-    past the term cap: never truncates."""
+    correctly rounded (the bits of math.fsum, through algebra.exact_sums, so
+    the order of the terms does not matter).  Raises ConvergenceError, before
+    any array is built, when the cutoff is past the term cap: never truncates."""
     if k_max > _KCAP:
         raise ConvergenceError(f"sum needs {2 * k_max + 1} terms, more than the cap of {TERM_CAP}")
     terms = term(np.arange(-k_max, k_max + 1))
-    # a memoryview of a contiguous copy hands fsum one float at a time, where
-    # .tolist() would hold all of them as Python floats at once
-    return complex(math.fsum(memoryview(terms.real.copy())), math.fsum(memoryview(terms.imag.copy())))
+    return complex(*exact_sums((terms.real, terms.imag)))
 
 
 def theta3(z, tau, k_max: int | None = None) -> complex:

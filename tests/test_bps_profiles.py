@@ -528,24 +528,34 @@ def _where_coth_minus_inv(x):
 
 
 def _where_x_over_sinh(x):
-    """The earlier form of _x_over_sinh, every branch on every element."""
+    """_x_over_sinh in np.where form, every branch on every element, with the
+    earlier tail 2x e^-x/(1 - e^-2x) (no longer clamped at 11300) wherever
+    e^-x is a normal float, x <= c."""
     x = np.asarray(x)
     small = np.abs(x) < 1e-8
     big = x > 30.0
     xs = np.where(small | big, 1.0, x)
     direct = xs / np.sinh(xs)
-    xb = np.where(big, np.minimum(x, 11300.0), 1.0)
-    tail = 2.0 * xb * np.exp(-xb) / (1.0 - np.exp(-2.0 * xb))
+    c = -np.log(np.finfo(x.dtype).tiny)
+    xb = np.where(big, np.minimum(x, np.finfo(x.dtype).max), 1.0)
+    xc = np.minimum(xb, c)
+    split = xb * (2.0 * np.exp(-xc)) * np.exp(xc - xb)
+    tail = np.where(xb <= c, 2.0 * xb * np.exp(-xb), split) / (1.0 - np.exp(-2.0 * xc))
     xm = np.where(small, x, 0.0)
     return np.where(small, 1.0 - xm * xm / 6.0, np.where(big, tail, direct))
 
 
 def _where_d_f01(r, eps):
-    """The earlier form of d_f01_bps, every branch on every element."""
+    """d_f01_bps in np.where form, every branch on every element: up to
+    x = 1e143 the earlier form, whose subtrahend 1/sinh(min(x, 350))^2 there
+    is below half an ulp of 1/x^2; past it 1/x^2 alone, (1/x)^2 past 1e154."""
     x = np.asarray(r, dtype=float) / eps
     small = np.abs(x) < 0.05
-    xs = np.where(small, 1.0, np.where(x > 1e154, np.inf, x))
-    direct = (1.0 / xs**2 - 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2) / eps
+    far = x > 1e154
+    xs = np.where(small | far, 1.0, x)
+    earlier = 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2
+    direct = (1.0 / xs**2 - np.where(xs <= 1e143, earlier, 0.0)) / eps
+    direct = np.where(far, (1.0 / np.where(far, x, 1.0)) ** 2 / eps, direct)
     xm = np.where(small, x, 0.0)
     x2 = xm * xm
     series = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
@@ -585,19 +595,20 @@ def _near(switch):
 
 # Gaps to 30-digit mpmath: |got - ref| <= rel |ref| + floor.
 #  - _x_over_sinh: rel 1e-15 (measured 1.5e-16 in float64, 4.9e-19 in
-#    longdouble).  floor: float64's smallest subnormal, 4.9e-324, where the
-#    tail underflows (x > 745); in longdouble 6.8e-4904, since past x = 11300
-#    the tail is evaluated at 11300, where it is 6.706e-4904.
+#    longdouble).  floor: each dtype's smallest subnormal (4.9e-324 and
+#    3.6e-4951), the rounding of a result that underflows into the subnormal
+#    range.  Past c = -log(tiny) (708.4 and 11355.1) e^-x alone is subnormal,
+#    so the tail is e^-c e^(c - x).
 #  - _coth_minus_inv and d_f01_bps: rel 1e-12.  Largest measured over 3000
 #    draws within 1% of x = 0.05: 3.1e-13 and 4.7e-13 just above it, where
 #    the direct forms cancel, and 2.6e-15 just below, the truncation of the
-#    series in longdouble.  d_f01_bps's floor is 1/sinh(350)^2 = 3.9e-304
-#    (over eps): the sinh argument is capped at 350.
+#    series in longdouble.  d_f01_bps's floor is float64's smallest subnormal
+#    (over eps): past x = 1e154, 1/x^2 = (1/x)^2 is subnormal.
 class TestProfileBranches:
     """Each branch is evaluated only on its own elements; the values are the
-    earlier np.where forms' bit for bit, on both sides of every switch."""
+    np.where forms' bit for bit, on both sides of every switch."""
 
-    @pytest.mark.parametrize("switch", [1e-8, 30.0, 11300.0])
+    @pytest.mark.parametrize("switch", [1e-8, 30.0, float(-np.log(np.finfo(float).tiny)), 11300.0])
     @settings(deadline=None, max_examples=20)
     @given(drawn=st.data())
     def test_x_over_sinh(self, switch, drawn):
@@ -605,7 +616,7 @@ class TestProfileBranches:
             for dtype, x in _switch_inputs(switch, drawn.draw(_near(switch))):
                 got = _same_as_where_form(_x_over_sinh, _where_x_over_sinh, x)
                 ref = _mp(x) / mpmath.sinh(_mp(x))
-                floor = mpmath.mpf("6.8e-4904") if dtype is np.longdouble else mpmath.mpf(5e-324)
+                floor = _mp(np.finfo(dtype).smallest_subnormal)
                 assert abs(_mp(got) - ref) <= 1e-15 * ref + floor
 
     @settings(deadline=None, max_examples=20)
@@ -628,4 +639,4 @@ class TestProfileBranches:
                 got = _same_as_where_form(lambda v: d_f01_bps(v, eps), lambda v: _where_d_f01(v, eps), r)
                 xm = _mp(np.float64(r)) / eps
                 ref = (1 / xm**2 - 1 / mpmath.sinh(xm) ** 2) / eps
-                assert abs(_mp(got) - ref) <= 1e-12 * ref + mpmath.mpf("3.95e-304") / eps
+                assert abs(_mp(got) - ref) <= 1e-12 * ref + _mp(np.finfo(float).smallest_subnormal) / eps

@@ -2,13 +2,15 @@
 import cmath
 import itertools
 import math
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ymvac import rotator
 from ymvac.bps_profiles import MonopoleScale
 from ymvac.errors import ConvergenceError, DomainError
 from ymvac.rotator import (
@@ -371,6 +373,42 @@ class TestVectorisedSums:
         assert terms_needed(far)[1] > TERM_CAP
         with pytest.raises(ConvergenceError, match=f"needs {terms_needed(far)[1]} terms"):
             path_green(far)
+
+
+def fsum_exact_sum(term, k_max):
+    """rotator._exact_sum as it was before algebra.exact_sums: math.fsum of
+    the real and imaginary parts of the same term array."""
+    terms = term(np.arange(-k_max, k_max + 1))
+    return complex(math.fsum(memoryview(terms.real.copy())), math.fsum(memoryview(terms.imag.copy())))
+
+
+class TestExactSumRoute:
+    """Every rotator sum keeps the bits of the fsum route it replaced, on draws
+    whose long side reaches about 2 10^5 terms (past exact_sums' short-row
+    cutoff and across its blocks)."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        log_inertia=st.floats(-7.0, 5.0),
+        theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        log_tau=st.floats(-2.0, 1.0),
+        dn=st.floats(-3.0, 3.0),
+        im_z=st.floats(-2.0, 2.0),
+    )
+    @example(log_inertia=-7.0, theta=math.pi / 2, log_tau=math.log10(0.3), dn=0.3, im_z=0.5)  # long-sums
+    @example(log_inertia=-7.0, theta=1.0, log_tau=1.0, dn=-2.5, im_z=0.0)  # 183 313 winding terms
+    @example(log_inertia=5.0, theta=0.9, log_tau=-2.0, dn=0.0, im_z=-1.0)  # 9 231 spectral terms
+    def test_matches_fsum_route(self, log_inertia, theta, log_tau, dn, im_z):
+        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        # theta3 on the spectral side's nome, long when I/tau_E is large; Im Z
+        # below min(Im tau, 1) keeps its largest term below e^(4/pi)
+        tau = 2j * math.pi * prm.tau_e / prm.inertia
+        z = complex(dn, im_z * min(tau.imag, 1.0))
+        routes = (lambda: spectral_green(prm), lambda: path_green(prm), lambda: spectral_green_via_theta(prm),
+                  lambda: path_green_via_theta(prm), lambda: theta3(z, tau))
+        got = [_bits(route()) for route in routes]
+        with patch.object(rotator, "_exact_sum", fsum_exact_sum):
+            assert got == [_bits(route()) for route in routes]
 
 
 class TestSecondRoutes:
