@@ -1,11 +1,14 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times eighteen kernels, each at two problem sizes, in two source trees (a
+Times twenty-four kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
   winding report's default quadrature 48/24/24 and its `refined()` spec
   72/36/36; accuracy: the degree gap |N[1] - 1|;
+- the winding report's degree sweep, n in SWEEP_N = (-2, -1, 1, 2), at the
+  same two specs: one `map_degree` call over all n (one call per n in a tree
+  whose `map_degree` takes a single n); accuracy: the largest gap |N[n] - n|;
 - `winding_functional` of the BPS monopole (g = 1) at the same two specs;
   accuracy: |X[monopole]|, which is 0 exactly;
 - the gauge-shifted `winding_functional`: the BPS monopole transformed by
@@ -59,7 +62,24 @@ baseline and this checkout's `src/`), and writes one JSON file:
   10^3 and 10^5 radii spaced geometrically over [1e-10, 1e5], which reach
   every branch; accuracy: the largest absolute gap to a 30-digit mpmath
   evaluation on 1000 of those radii (every one of the 10^3, every 100th of
-  the 10^5).
+  the 10^5);
+- `bps_profiles._hedgehog_gauge`, the BPS gauge sampler (g = eps = 1), at
+  check-bogomolnyi's kind of points, N = 1000 and 27 648; accuracy: the
+  number of entries unlike the np.linalg.norm/np.where form
+  (`_where_hedgehog_gauge`, 0);
+- `algebra.norm` on the same points in their (N, 3) layout; accuracy: the
+  number of values unlike np.linalg.norm's (0), and beside it the time of
+  np.linalg.norm (`linalg_norm_median_s`); a tree without `algebra.norm`
+  times np.linalg.norm itself;
+- `cli._parse_config` per call, on `winding` and on an interference argv with
+  two comma lists, after its first call; accuracy: the number of parsed
+  fields unlike those of a parser built afresh (0);
+- `interference.shifted_loop_average` at the interference report's loop_q,
+  window 8 and cutoffs 2 and 4 (64^2 and 128^2 lattices); accuracy: the number
+  of its three values unlike one `loop_integrand` evaluation per shift
+  (`_per_shift_loop_average`, 0);
+- the whole `winding` report in process (`cli.main`, output to memory) at
+  default arguments and at 72/36/36; accuracy: its exit code (0).
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -68,14 +88,20 @@ with whether the import loaded scipy, and the median wall time of TIER1_RUNS
 alternating runs of each tree's Tier-1 suite (`pytest -q` over the `tests/`
 beside its `src/`) with its summary line.
 
+Minor page faults (ru_minflt) are counted as the perfbench runs the reports:
+for each of FAULT_WORKLOADS, ROUNDS alternating fresh processes per tree run
+its reports through `cli.main` for one untimed and FAULT_PASSES counted
+passes; the JSON holds each report's median and mean faults, and the faults
+of each `shifted_loop_average` call.
+
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
 with default arguments, and byte-compares stdout, stderr and exit code
 between the two trees (both with `--seed 0`) for those eight argv, every
 argv of `perfbench/workloads.json`, the validation-error argv in
-ERROR_ARGV and the argv in CHANGED_ARGV, whose output may differ between
-trees by design; the JSON lists each argv with its exit codes and whether
-the bytes are identical.
+ERROR_ARGV, the off-default argv in EXTRA_ARGV and the argv in CHANGED_ARGV,
+whose output may differ between trees by design; the JSON lists each argv
+with its exit codes and whether the bytes are identical.
 
 Last, a property campaign runs the hypothesis-driven tests of this checkout
 (`pytest -m hypothesis`) once under each of the CAMPAIGN_SEEDS explicit
@@ -114,7 +140,12 @@ COLD_RUNS = 3  # alternating fresh-process runs of each default subcommand per t
 REPEATS = 5  # timed calls per kernel in each worker, after one warm-up call
 IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
-CAMPAIGN_SEEDS = range(1, 21)  # --hypothesis-seed values of the property campaign
+CAMPAIGN_SEEDS = range(1, 51)  # --hypothesis-seed values of the property campaign
+FAULT_WORKLOADS = ("default-reports", "long-sums")  # perfbench workloads whose page faults are counted
+FAULT_PASSES = 20  # counted passes over a workload's reports in each fault worker
+SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degree sweep
+_LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
+_FINE_WINDING_ARGV = ("winding", "--n-r", "72", "--n-theta", "36", "--n-phi", "36")
 SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
                "pheno")
 # off the default path, mostly validation errors: output that must not move
@@ -150,6 +181,14 @@ ERROR_ARGV = (
 )
 # output that may differ between the trees by design: none in this change
 CHANGED_ARGV = ()
+# off-default argv of the degree sweep and the point norms: output that must not move
+EXTRA_ARGV = (
+    ("winding", "--n-min", "-3", "--n-max", "3"),
+    ("winding", "--n-min", "0", "--n-max", "0"),
+    _FINE_WINDING_ARGV,
+    ("check-bogomolnyi", "--variant", "WuYangPlus"),
+    ("check-gribov", "--order", "2"),
+)
 IMPORT_CODE = (
     "import sys, time\n"
     "t = time.perf_counter()\n"
@@ -201,6 +240,127 @@ def _fsum_rows(rows) -> list:
     return [math.fsum(memoryview(np.ascontiguousarray(row))) for row in rows]
 
 
+def _degree_sweep(topo, quad) -> list:
+    """The winding report's degrees at SWEEP_N: one map_degree call over all n,
+    or one call per n in a tree whose map_degree takes a single n."""
+    try:
+        return list(topo.map_degree(SWEEP_N, quad, check_resolution=False))
+    except TypeError:
+        return [topo.map_degree(n, quad, check_resolution=False) for n in SWEEP_N]
+
+
+def _linalg_norm(v):
+    """The route algebra.norm replaced: np.linalg.norm over the first axis."""
+    import numpy as np
+
+    return np.linalg.norm(v, axis=0)
+
+
+def _where_hedgehog_gauge(pts, g, radial_f):
+    """The BPS gauge sampler as _hedgehog_gauge computed it with np.linalg.norm
+    and two np.where (the reference of its bits)."""
+    import numpy as np
+
+    r = np.linalg.norm(pts, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    x = pts * np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)[:, None]
+    A = np.zeros((len(pts), 3, 3), dtype=x.dtype)
+    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
+    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -x[:, 2], -x[:, 0], -x[:, 1]
+    return A
+
+
+def _per_shift_loop_average(itf, q, cutoff, L):
+    """shifted_loop_average as one loop_integrand evaluation per window shift
+    (the reference of its bits)."""
+    import math
+
+    import numpy as np
+
+    h = itf.BASE_SPACING
+    n_side = int(round(2.0 * cutoff / h))
+    ax = (np.arange(n_side) - n_side / 2 + 0.5) * h
+    P1, P2 = np.meshgrid(ax, ax, indexing="ij")
+    sums = {int(n): float(np.sum(itf.loop_integrand(P1 + n * h, P2, q, itf.REGULATOR_MASS))) * h**2
+            for n in itf.window_integers(L)}
+    averaged = math.fsum(sums.values()) / len(sums)
+    return averaged, sums[0], averaged - sums[0]
+
+
+def _minflt() -> int:
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def fault_worker(workload: str) -> dict:
+    """Minor page faults of each report of a perfbench workload, and of each
+    shifted_loop_average call, run in process as the perfbench runs them:
+    one untimed pass, then FAULT_PASSES counted passes."""
+    from ymvac import cli, interference as itf
+
+    with open(ROOT / "perfbench" / "workloads.json", encoding="utf-8") as fh:
+        reports = [tuple(a) for a in json.load(fh)[workload]["reports"]]
+    for argv in reports:
+        _quiet_main(cli.main, [*argv, "--seed", "1"])
+    loop, loop_faults = itf.shifted_loop_average, []
+
+    def counted(*args, **kwargs):
+        before = _minflt()
+        try:
+            return loop(*args, **kwargs)
+        finally:
+            loop_faults.append(_minflt() - before)
+
+    itf.shifted_loop_average = counted  # the interference report calls it through the module
+    per_report = {argv: [] for argv in reports}
+    for _ in range(FAULT_PASSES):
+        for argv in reports:
+            before = _minflt()
+            _quiet_main(cli.main, [*argv, "--seed", "1"])
+            per_report[argv].append(_minflt() - before)
+    return {
+        "reports": {" ".join(argv): faults for argv, faults in per_report.items()},
+        "shifted_loop_average": loop_faults,
+    }
+
+
+def fault_counts(trees: dict) -> dict:
+    """Minor faults per report and per shifted_loop_average call in each tree,
+    pooled over ROUNDS alternating fresh processes per workload."""
+    out = {}
+    for workload in FAULT_WORKLOADS:
+        pooled = {name: {"reports": {}, "shifted_loop_average": []} for name in trees}
+        for _ in range(ROUNDS):
+            for name, src in trees.items():
+                rec = json.loads(_run(src, [__file__, "--faults", workload]))
+                for argv, faults in rec["reports"].items():
+                    pooled[name]["reports"].setdefault(argv, []).extend(faults)
+                pooled[name]["shifted_loop_average"] += rec["shifted_loop_average"]
+        out[workload] = {
+            name: {
+                "reports": {argv: {"median": statistics.median(f), "mean": statistics.mean(f), "samples": len(f)}
+                            for argv, f in rec["reports"].items()},
+                "shifted_loop_average": {
+                    "calls": len(rec["shifted_loop_average"]),
+                    "faulting_calls": sum(f > 0 for f in rec["shifted_loop_average"]),
+                    "mean": statistics.mean(rec["shifted_loop_average"]) if rec["shifted_loop_average"] else 0,
+                },
+            }
+            for name, rec in pooled.items()
+        }
+    return out
+
+
+def _quiet_main(main, argv) -> int:
+    """Exit code of one in-process CLI run, its report written to memory."""
+    import io
+    from contextlib import redirect_stdout
+
+    with redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
 def _bps_gauge_gradient(pts):
     """d_j A_i^a, [n][j][i][a], of the BPS gauge field at g = eps = 1 from its
     closed form A_i^a = eps_{iak} x_k c(r), c = f1(r)/r^2."""
@@ -248,7 +408,7 @@ def worker() -> dict:
 
     import numpy as np
 
-    from ymvac import algebra, bps_profiles as bp, interference as itf, pheno, rotator as rot, topology as topo
+    from ymvac import algebra, bps_profiles as bp, cli, interference as itf, pheno, rotator as rot, topology as topo
     from ymvac.cli import _parse_config
 
     sys.path.insert(0, str(ROOT / "tests"))
@@ -279,6 +439,8 @@ def worker() -> dict:
     for size, quad in specs.items():
         times, deg = _timed(lambda: topo.map_degree(1, quad, check_resolution=False))
         cases[f"map_degree/{size}"] = (times, "degree_gap", abs(deg - 1.0))
+        times, degrees = _timed(lambda: _degree_sweep(topo, quad))
+        cases[f"degree_sweep/{size}"] = (times, "largest_degree_gap", max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
         times, x = _timed(lambda: topo.winding_functional(gauge, quad, 1.0))
         cases[f"winding_functional/{size}"] = (times, "abs_winding_of_monopole", abs(x))
         times, xs = _timed(lambda: topo.winding_functional(shifted, quad, 1.0, tail_fraction=None))
@@ -357,6 +519,16 @@ def worker() -> dict:
         times, res = _timed(lambda: bp.bogomolnyi_residual(unit, pts))
         cases[f"bogomolnyi_residual/N={n}"] = (times, "max_relative_residual", res)
     stencil = bp.default_stencil(unit)
+    point_norm = getattr(algebra, "norm", _linalg_norm)
+    for n in (1000, 27648):
+        pts = report_points(n)
+        times, A = _timed(lambda: bp._hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0)))
+        ref = _where_hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0))
+        cases[f"hedgehog_gauge/N={n}"] = (times, "where_form_mismatches", int(np.sum(A != ref)))
+        times, value = _timed(lambda: point_norm(pts.T))  # the (N, 3) layout of every node batch
+        linalg_times, ref = _timed(lambda: _linalg_norm(pts.T))
+        cases[f"norm/N={n}"] = (times, "linalg_norm_mismatches", int(np.sum(value != ref)))
+        extra[f"norm/N={n}"] = {"linalg_norm_median_s": statistics.median(linalg_times)}
     for n in (1000, 27648):
         pts = report_points(n)
         times, dA = _timed(lambda: stencil._gradient(gauge.sample_batch, pts))
@@ -370,6 +542,21 @@ def worker() -> dict:
         gaps = _profile_gaps(r, {name: value for name, (_, value) in timed.items()})
         for name, (times, _) in timed.items():
             cases[f"{name}/N={n}"] = (times, "mpmath_gap", gaps[name])
+    fresh_parser = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
+    for label, argv in (("winding", ["winding"]), ("interference_lists", list(_LIST_ARGV))):
+        times, _ = _timed(lambda: _parse_config(argv))
+        reused, fresh = vars(cli._build_parser().parse_args(argv)), vars(fresh_parser().parse_args(argv))
+        mismatched = sum(reused[k] != v for k, v in fresh.items())
+        cases[f"parse_config/{label}"] = (times, "fields_unlike_a_fresh_parser", mismatched)
+    q = np.array(_parse_config(["interference"]).params["loop_q"])
+    for cutoff in (2.0, 4.0):
+        times, value = _timed(lambda: itf.shifted_loop_average(q, cutoff, 8))
+        ref = _per_shift_loop_average(itf, q, cutoff, 8)
+        cases[f"shifted_loop_average/cutoff={cutoff:g}"] = (
+            times, "per_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
+    for label, argv in (("default", ["winding"]), ("72x36x36", list(_FINE_WINDING_ARGV))):
+        times, code = _timed(lambda: _quiet_main(cli.main, argv))
+        cases[f"winding_report/{label}"] = (times, "exit_code", code)
     return {
         case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
         for case, (times, name, value) in cases.items()
@@ -425,7 +612,7 @@ def compare_outputs(trees: dict) -> list:
         workloads = json.load(fh)
     groups = [("default", [(sub,) for sub in SUBCOMMANDS])]
     groups += [(f"workload:{w}", [tuple(a) for a in spec["reports"]]) for w, spec in workloads.items()]
-    groups += [("error", ERROR_ARGV), ("changed", CHANGED_ARGV)]
+    groups += [("error", ERROR_ARGV), ("extra", EXTRA_ARGV), ("changed", CHANGED_ARGV)]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for group, argvs in groups:
@@ -521,9 +708,13 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", type=Path, help="src/ directory of the tree to compare against")
     ap.add_argument("--out", type=Path, help="JSON file to write")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--faults", metavar="WORKLOAD", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         print(json.dumps(worker()))
+        return 0
+    if args.faults:
+        print(json.dumps(fault_worker(args.faults)))
         return 0
     if args.baseline is None or args.out is None:
         ap.error("--baseline and --out are required")
@@ -533,6 +724,7 @@ def main(argv=None) -> int:
             ap.error(f"{src} has no ymvac package")
     result = measure(trees)
     result["cold_subcommand_wall"] = cold_subcommands(trees)
+    result["minor_faults"] = fault_counts(trees)
     result["output_identity"] = compare_outputs(trees)
     result["property_campaign"] = property_campaign()
     import numpy as np
@@ -557,6 +749,8 @@ def main(argv=None) -> int:
                   f"{row['current']['mpmath_gap_L1000']:.3e}")
         if "fsum_median_s" in row["current"]:
             print(f"{'':>36}math.fsum route {row['current']['fsum_median_s'] * 1e3:.2f} ms")
+        if "linalg_norm_median_s" in row["current"]:
+            print(f"{'':>36}np.linalg.norm route {row['current']['linalg_norm_median_s'] * 1e3:.3f} ms")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():
@@ -564,6 +758,16 @@ def main(argv=None) -> int:
     for sub in SUBCOMMANDS:
         base, cur = (result["cold_subcommand_wall"][name][sub]["median_s"] for name in ("baseline", "current"))
         print(f"cold {sub:>16}: {base:.3f} -> {cur:.3f} s")
+    for workload, per_tree in result["minor_faults"].items():
+        base, cur = per_tree["baseline"], per_tree["current"]
+        for argv, rec in cur["reports"].items():
+            print(f"minor faults per report ({workload}) {argv}: median {base['reports'][argv]['median']:g} -> "
+                  f"{rec['median']:g}, mean {base['reports'][argv]['mean']:.1f} -> {rec['mean']:.1f}")
+        if cur["shifted_loop_average"]["calls"]:
+            b, c = base["shifted_loop_average"], cur["shifted_loop_average"]
+            print(f"minor faults per shifted_loop_average call ({workload}): mean {b['mean']:.1f} -> "
+                  f"{c['mean']:.1f}, faulting calls {b['faulting_calls']}/{b['calls']} -> "
+                  f"{c['faulting_calls']}/{c['calls']}")
     for row in result["output_identity"]:
         if not row["identical"]:
             print(f"differs ({row['group']}): {' '.join(row['argv'])}, exit {row['exit']['baseline']} -> "

@@ -1,10 +1,11 @@
 """Pauli matrices, the Levi-Civita symbol and its contractions written out,
-and exact summation, shared across modules.
+the Euclidean norm of 3-vectors, and exact summation, shared across modules.
 
 cross and curl are the two Levi-Civita contractions the field and winding
 integrands need.  Each output component is the difference of two products
 (or two derivatives), so none of the 27 entries of EPS3 is ever multiplied
-out; the einsum over EPS3 is their reference in the tests.
+out; the einsum over EPS3 is their reference in the tests.  norm, in their
+layout, adds np.linalg.norm's squares in numpy's order: the same bits, faster.
 
 exact_sums adds long float rows to the bits of math.fsum (correctly rounded,
 so independent of the order of the terms) at numpy speed; the rotator's
@@ -43,6 +44,12 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b along the first axis (the rest broadcast):
     (a x b)_i = eps_{ijk} a_j b_k."""
     return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def norm(v: np.ndarray) -> np.ndarray:
+    """|v| along the first axis of length 3 (the rest broadcast), bit for bit
+    np.linalg.norm over that axis: sqrt((v_0^2 + v_1^2) + v_2^2)."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def curl(dA: np.ndarray) -> np.ndarray:

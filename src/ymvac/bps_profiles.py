@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import cross, curl
+from .algebra import cross, curl, norm
 from .errors import DomainError, SingularPointError, StencilError
 
 __all__ = [
@@ -215,7 +215,7 @@ class ColorField:
 
     def sample(self, x) -> np.ndarray:
         pts, single = _batch(x)
-        if self.singular_origin and np.any(np.linalg.norm(pts, axis=1) == 0.0):
+        if self.singular_origin and np.any(norm(pts.T) == 0.0):
             raise SingularPointError(f"{self.label or 'field'} is singular at r = 0")
         out = self.sample_batch(pts)
         return out[0] if single else out
@@ -350,9 +350,8 @@ def d_f01_bps(r, eps: float):
 
 def _hedgehog_gauge(pts, g, radial_f):
     """A[n,i,a] = eps_{iak} x_k/(g r^2) * radial_f(r), with the r=0 limit 0."""
-    r = np.linalg.norm(pts, axis=1)
-    safe = np.where(r > 0, r, 1.0)
-    coef = np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)
+    r = norm(pts.T)
+    coef = np.divide(radial_f(r), g * (r * r), out=np.zeros_like(r), where=r > 0)
     x = pts * coef[:, None]
     A = np.zeros((len(pts), 3, 3), dtype=x.dtype)  # the six nonzero entries of eps_{iak} x_k
     A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
@@ -362,7 +361,7 @@ def _hedgehog_gauge(pts, g, radial_f):
 
 def _hedgehog_scalar(pts, coef_of_r):
     """phi[n,a] = n_hat_a * coef_of_r(r), with the r=0 limit 0."""
-    r = np.linalg.norm(pts, axis=1)
+    r = norm(pts.T)
     safe = np.where(r > 0, r, 1.0)
     coef = np.where(r > 0, coef_of_r(np.where(r > 0, r, 1e-30)) / safe, 0.0)
     return pts * coef[:, None]
@@ -430,7 +429,7 @@ def zero_mode_scalar(scale: MonopoleScale) -> ColorField:
 # ---------------------------------------------------------------------------
 
 def _require_stencil_safe(field_obj, pts: np.ndarray, stencil: StencilConfig):
-    r = np.linalg.norm(pts, axis=1)
+    r = norm(pts.T)
     close = r[r < 10.0 * stencil.h]
     if getattr(field_obj, "singular_origin", False) and len(close):
         raise StencilError(

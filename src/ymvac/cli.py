@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__, bps_profiles as bp, greens, interference as itf, pheno, rotator, topology as topo
+from .algebra import norm
 from .errors import ConsistencyError, ConvergenceError, ResolutionError, TruncationError
 
 _EXIT_OK = 0
@@ -143,7 +145,7 @@ def _run_check_bogomolnyi(cfg: RunConfig) -> Report:
     rng = np.random.default_rng(cfg.seed)
     radii = np.linspace(p["r_lo_over_eps"], p["r_hi_over_eps"], p["n_points"]) * p["eps"]
     dirs = rng.normal(size=(p["n_points"], 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= norm(dirs.T)[:, None]
     points = radii[:, None] * dirs
     res = bp.bogomolnyi_residual(scale, points, stencil, variant=p["variant"])
     res_half = bp.bogomolnyi_residual(scale, points, stencil.halved(), variant=p["variant"])
@@ -194,14 +196,12 @@ def _run_winding(cfg: RunConfig) -> Report:
     scale = bp.MonopoleScale(g=p["g"], eps=1.0)
     quad = topo.QuadratureSpec(r_max=p["r_max"], n_r=p["n_r"], n_theta=p["n_theta"], n_phi=p["n_phi"])
     tol = cfg.tol if cfg.tol is not None else 1e-3
-    rows = []
-    for n in range(p["n_min"], p["n_max"] + 1):
-        if n == 0:
-            deg, oracle = 0.0, 0.0
-        else:
-            deg = topo.map_degree(n, quad, check_resolution=False)
-            oracle = topo.map_degree_radial_oracle(n)
-        rows.append((n, deg, oracle))
+    ns = [n for n in range(p["n_min"], p["n_max"] + 1) if n != 0]
+    degrees = dict(zip(ns, topo.map_degree(ns, quad, check_resolution=False)))
+    rows = [
+        (n, 0.0, 0.0) if n == 0 else (n, float(degrees[n]), topo.map_degree_radial_oracle(n))
+        for n in range(p["n_min"], p["n_max"] + 1)
+    ]
     worst = _worst(abs(deg - n) for n, deg, _ in rows)
     worst_oracle = _worst(abs(deg - oracle) for _, deg, oracle in rows)
     gauge, _ = bp.build_fields(scale, "BPS")
@@ -427,7 +427,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at first use; parse_args leaves it as it was."""
     ap = _Parser(prog="ymvac", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)

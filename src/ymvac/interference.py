@@ -300,15 +300,18 @@ def shifted_loop_average(q, cutoff: float, L: int) -> LoopAverage:
     n_side = int(round(2.0 * cutoff / h))
     if n_side < 8:
         raise DomainError("grid too small; increase cutoff")
-    ax = (np.arange(n_side) - n_side / 2 + 0.5) * h
-    P1, P2 = np.meshgrid(ax, ax, indexing="ij")
+    ns = window_integers(L)
+    half = L // 2
+    # h is a power of two, so p1 + n h is exactly row j + n's p1: each shifted
+    # lattice is a block of rows of one lattice extended by the window
+    rows = (np.arange(-half, n_side + half) - n_side / 2 + 0.5) * h
+    P1, P2 = np.meshgrid(rows, rows[half:half + n_side], indexing="ij")
+    vals = loop_integrand(P1, P2, q, REGULATOR_MASS)
 
     def lattice_sum(shift_units: int) -> float:
-        vals = loop_integrand(P1 + shift_units * h, P2, q, REGULATOR_MASS)
-        return float(np.sum(vals)) * h**2
+        return float(np.sum(vals[half + shift_units:half + shift_units + n_side])) * h**2
 
     unshifted = lattice_sum(0)
-    ns = window_integers(L)
     averaged = math.fsum(lattice_sum(int(n)) for n in ns) / len(ns)
     return LoopAverage(averaged, unshifted, averaged - unshifted)
 

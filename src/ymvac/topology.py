@@ -41,6 +41,11 @@ d_i v v^-1 = -i c_i.tau:
 - gauge transform: v (A_hat_i + d_i) v^-1 has components R(q) A_i - (2/g) c_i,
   R(q) the adjoint rotation of v, and tr[A_hat_j v d_k v^-1] = g A_j . c_k,
   so the surface flux eps^{ijk} tr[A_hat_j L_k] is g sum_a (A^a x c^a)_i.
+
+quaternion is _step (the n-dependent part) of _frame (the rest), so a
+map_degree sequence of n shares each frame.  Both ball integrals fill one
+density _BLOCK nodes at a time, so no temporary grows with N, and sum it
+whole, so the blocks change no bit.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import cross, curl
+from .algebra import cross, curl, norm
 from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
 from .errors import DomainError, ResolutionError, TruncationError
 
@@ -65,6 +70,9 @@ __all__ = [
 ]
 
 _REFINE = 1.5  # node-count factor of QuadratureSpec.refined
+# nodes per block of the ball integrands: 8 radial shells of the default
+# 24 x 24 sphere rule, so that a (3, 3, block) temporary stays near 330 KiB
+_BLOCK = 4608
 
 
 @dataclass(frozen=True)
@@ -183,22 +191,34 @@ class GribovFactorMap:
 
         q0 = cos A and q = sin A m_hat, with d_i m_hat = (R[:, i] - n_i m_hat)/r;
         the derivatives require r > 0 at every point."""
+        return self._step(self._frame(pts, derivs))
+
+    def _frame(self, pts, derivs: bool):
+        """quaternion's part that maps differing only in n share: r, n_hat,
+        m_hat, f01 and, with derivs (else None), f01' and d_i m_hat."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
+        r = norm(pts.T)
         nh = pts / np.where(r > 0, r, 1.0)[:, None]
         mh = np.ascontiguousarray((nh if self.rotation is None else nh @ self.rotation.T).T)
         nh = np.ascontiguousarray(nh.T)
-        A = self._coef * f01_bps(r, self.eps_ref)
+        f = f01_bps(r, self.eps_ref)
+        if not derivs:
+            return r, nh, mh, f, None, None
+        if np.any(r == 0):
+            raise DomainError("derivative of the factor is undefined at r = 0")
+        rot = np.eye(3) if self.rotation is None else self.rotation  # [a][i]
+        return r, nh, mh, f, d_f01_bps(r, self.eps_ref), (rot[:, :, None] - mh[:, None] * nh[None]) / r
+
+    def _step(self, frame):
+        """quaternion's n-dependent part on a frame from _frame."""
+        r, nh, mh, f, df, dmh = frame
+        A = self._coef * f
         A[r == 0] = 0.0  # v = 1 at the origin whatever f01's rounding there
         ca, sa = np.cos(A), np.sin(A)
         q = sa * mh
-        if not derivs:
+        if df is None:
             return ca, q, None, None
-        if np.any(r == 0):
-            raise DomainError("derivative of the factor is undefined at r = 0")
-        dA = self._coef * d_f01_bps(r, self.eps_ref)
-        rot = np.eye(3) if self.rotation is None else self.rotation  # [a][i]
-        dmh = (rot[:, :, None] - mh[:, None] * nh[None]) / r
+        dA = self._coef * df
         dq0 = -(sa * dA) * nh
         dq = (ca * dA) * nh[None] * mh[:, None] + sa * dmh
         return ca, q, dq0, dq
@@ -208,7 +228,7 @@ class GribovFactorMap:
         a 1 - i b.tau is hypot(a, |b|) times an SU(2) element, so the
         spectral norm of v - 1 is hypot(1 - q0, |q|)."""
         q0, q, _, _ = self.quaternion(pts, derivs=False)
-        return np.hypot(1.0 - q0, np.linalg.norm(q, axis=0))
+        return np.hypot(1.0 - q0, norm(q))
 
 
 # ---------------------------------------------------------------------------
@@ -228,37 +248,52 @@ def _current(q0, q, dq0, dq) -> np.ndarray:
     return q0 * dq - qb * dq0 + cross(qb, dq)
 
 
-def _degree_integral(fmap: GribovFactorMap, quad: QuadratureSpec) -> float:
-    pts, wts = quad.ball_nodes(fmap.eps_ref)
-    keep = np.linalg.norm(pts, axis=1) > 0
+def _blocks(n: int):
+    """Consecutive slices of at most _BLOCK nodes covering n nodes."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+def _degree_integrals(fmaps, quad: QuadratureSpec, eps_ref: float) -> list[float]:
+    """The degree integral of each map; the maps differ only in n and share
+    each block's frame."""
+    if not fmaps:
+        return []
+    pts, wts = quad.ball_nodes(eps_ref)
+    keep = norm(pts.T) > 0
     pts, wts = pts[keep], wts[keep]
-    dens = _det3(_current(*fmap.quaternion(pts)))
+    dens = np.empty((len(fmaps), len(pts)))
+    for block in _blocks(len(pts)):
+        frame = fmaps[0]._frame(pts[block], derivs=True)
+        for row, fmap in zip(dens, fmaps):
+            row[block] = _det3(_current(*fmap._step(frame)))
     # det/(2 pi^2) written as the trace form's 12 det/(24 pi^2): same last bit
-    return float(12.0 * np.sum(wts * dens) / (24.0 * np.pi**2))
+    return [float(12.0 * np.sum(wts * row) / (24.0 * np.pi**2)) for row in dens]
 
 
 def map_degree(
-    n: int,
+    n,
     quad: QuadratureSpec,
     eps_ref: float = 1.0,
     check_resolution: bool = True,
-) -> float:
+):
     """Degree of the map of v^(n) by 3D quadrature; integer n to tolerance.
 
-    Runs a refined node set when check_resolution is on and raises
-    ResolutionError if the two levels disagree by more than 1e-2.
+    n is one integer (a float is returned) or a sequence of them (an array
+    of their degrees, each bit for bit the value of its own call): all n
+    share one pass over the nodes' radii, directions and f01.  Runs a refined
+    node set when check_resolution is on and raises ResolutionError if the
+    two levels disagree by more than 1e-2 for any n.
     """
     quad.check_reaches(eps_ref)
-    fmap = GribovFactorMap(n, eps_ref=eps_ref)
-    coarse = _degree_integral(fmap, quad)
-    if not check_resolution:
-        return coarse
-    fine = _degree_integral(fmap, quad.refined())
-    if abs(fine - coarse) > 1e-2:
-        raise ResolutionError(
-            f"degree quadrature under-resolved: {coarse} vs {fine} after refinement"
-        )
-    return fine
+    fmaps = [GribovFactorMap(k, eps_ref=eps_ref) for k in np.atleast_1d(n)]
+    degrees = _degree_integrals(fmaps, quad, eps_ref)
+    if check_resolution:
+        fine = _degree_integrals(fmaps, quad.refined(), eps_ref)
+        for coarse, refined in zip(degrees, fine):
+            if abs(refined - coarse) > 1e-2:
+                raise ResolutionError(f"degree quadrature under-resolved: {coarse} vs {refined} after refinement")
+        degrees = fine
+    return degrees[0] if np.ndim(n) == 0 else np.array(degrees)
 
 
 def map_degree_radial_oracle(n: int, eps_ref: float = 1.0) -> float:
@@ -292,17 +327,19 @@ def winding_functional(
     quad.check_reaches(eps_ref)
     stencil = StencilConfig(1e-3 * eps_ref, 4)
     pts, wts = quad.ball_nodes(eps_ref)
-    keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
-    pts, wts = pts[keep], wts[keep]
-    A = field.sample(pts)  # [n][i][a]
-    dA = stencil._gradient(field.sample, pts)  # [n][j][k][a]
-    term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
-    term2 = (-1.5 * g**3) * _det3(A.T)
-    dens = wts * (term1 + (2.0 / 3.0) * term2)
+    r = norm(pts.T)
+    keep = r > 10.0 * stencil.h
+    pts, wts, r = pts[keep], wts[keep], r[keep]
+    dens = np.empty(len(pts))
+    for block in _blocks(len(pts)):
+        A = field.sample(pts[block])  # [n][i][a]
+        dA = stencil._gradient(field.sample, pts[block])  # [n][j][k][a]
+        term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
+        term2 = (-1.5 * g**3) * _det3(A.T)
+        np.multiply(wts[block], term1 + (2.0 / 3.0) * term2, out=dens[block])
     total = -np.sum(dens) / (8.0 * np.pi**2)
 
     if tail_fraction is not None:
-        r = np.linalg.norm(pts, axis=1)
         shell = r >= np.quantile(r, 0.9)  # outermost 10% of radial shells
         tail_abs = np.sum(np.abs(dens[shell])) / (8.0 * np.pi**2)
         total_abs = max(np.sum(np.abs(dens)) / (8.0 * np.pi**2), 1e-8)

@@ -1,12 +1,13 @@
 """exact_sums against math.fsum, bit for bit (value and sign of zero), and
-its fallbacks to fsum: inf, nan and fsum's own errors."""
+its fallbacks to fsum: inf, nan and fsum's own errors; norm against
+np.linalg.norm, bit for bit."""
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ymvac.algebra import _CHUNK, _FSUM_BELOW, exact_sums
+from ymvac.algebra import _CHUNK, _FSUM_BELOW, exact_sums, norm
 from ymvac.rotator import TERM_CAP
 
 # both sides of the short-row cutoff and of the block size, and a few blocks
@@ -94,3 +95,37 @@ class TestExactSums:
         rng = np.random.default_rng(7)
         row = rng.normal(size=TERM_CAP) * np.exp(-rng.uniform(0.0, 45.0, TERM_CAP))
         _assert_same(exact_sums([row])[0], math.fsum(row.tolist()))
+
+
+@st.composite
+def vector_batches(draw):
+    """(N, 3) float64 or longdouble rows: uniform mantissas times 2^e, e drawn
+    from a sub-range of the dtype's whole exponent range (subnormals at the
+    bottom; at the top, squares that overflow to inf), some entries zero."""
+    dtype = draw(st.sampled_from([np.float64, np.longdouble]))
+    fi = np.finfo(dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    e_lo = draw(st.integers(fi.minexp - fi.nmant, fi.maxexp - 1))
+    e_hi = draw(st.integers(e_lo, min(e_lo + draw(st.sampled_from([0, 40, 400, 40000])), fi.maxexp - 1)))
+    v = np.ldexp(rng.uniform(-1.0, 1.0, (n, 3)).astype(dtype), rng.integers(e_lo, e_hi + 1, (n, 3)))
+    v[rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return v
+
+
+class TestNorm:
+    @settings(deadline=None, max_examples=100)
+    @given(vector_batches())
+    @example(np.zeros((4, 3)))
+    @example(np.full((2, 3), 5e-324))
+    @example(np.array([[1e200, 0.0, 0.0], [1e154, 1e154, 1e154], [0.0, 0.0, 1e-160]]))
+    @example(np.ldexp(np.ones((2, 3), dtype=np.longdouble), [[9000], [-16440]]))
+    @example(np.random.default_rng(3).normal(size=(27648, 3)))
+    def test_matches_linalg_norm(self, v):
+        # the (N, 3) point layout (points.T) and the (3, N) component layout
+        vt = np.ascontiguousarray(v.T)
+        with np.errstate(over="ignore"):  # squares past the dtype's range give inf in both
+            pairs = [(norm(v.T), np.linalg.norm(v, axis=1)), (norm(vt), np.linalg.norm(vt, axis=0))]
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)

@@ -3,7 +3,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from ymvac.bps_profiles import (
     MonopoleScale,
     StencilConfig,
     _coth_minus_inv,
+    _hedgehog_gauge,
     _x_over_sinh,
     bogomolnyi_residual,
     build_fields,
@@ -207,6 +208,51 @@ class TestBuildFields:
     def test_variant_parse_error(self):
         with pytest.raises(DomainError):
             FieldVariant.parse("NoSuch")
+
+
+def _where_hedgehog_gauge(pts, g, radial_f):
+    """_hedgehog_gauge as it was written before the masked divide: r from
+    np.linalg.norm, the r = 0 limit by two np.where."""
+    r = np.linalg.norm(pts, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    coef = np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)
+    x = pts * coef[:, None]
+    A = np.zeros((len(pts), 3, 3), dtype=x.dtype)
+    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
+    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -x[:, 2], -x[:, 0], -x[:, 1]
+    return A
+
+
+# coordinates 0 or of magnitude in [1e-6, 1e3]; whole rows of zeros are drawn too
+_COORD = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+_HEDGEHOG_PROFILES = {
+    "BPS": lambda eps: lambda r: f1_bps(r, eps),
+    "WuYangPlus": lambda eps: lambda r: np.full_like(r, 1.0),
+    "WuYangMinus": lambda eps: lambda r: np.full_like(r, -1.0),
+}
+
+
+class TestHedgehogGauge:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=_COORD),
+        st.lists(st.booleans(), min_size=40, max_size=40),
+        st.sampled_from(sorted(_HEDGEHOG_PROFILES)),
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+        st.sampled_from([np.float64, np.longdouble]),
+    )
+    @example(np.zeros((3, 3)), [False] * 40, "BPS", 1.0, 1.0, np.float64)
+    @example(np.zeros((2, 3)), [False] * 40, "WuYangMinus", 1.3, 1.0, np.longdouble)
+    @example(random_points(27648, r_lo=0.01, r_hi=300.0, seed=8), [False] * 40, "BPS", 1.0, 1.0, np.float64)
+    def test_matches_where_form(self, pts, zero_rows, profile, g, eps, dtype):
+        pts = pts.astype(dtype)
+        zero = np.array(zero_rows[:len(pts)])
+        pts[:len(zero)][zero] = 0.0  # r = 0 rows among the first 40
+        radial_f = _HEDGEHOG_PROFILES[profile](eps)
+        got, ref = _hedgehog_gauge(pts, g, radial_f), _where_hedgehog_gauge(pts, g, radial_f)
+        assert got.dtype == ref.dtype == dtype
+        assert np.array_equal(got, ref)
 
 
 def _analytic_bps_tension(x, g=1.0, eps=1.0):

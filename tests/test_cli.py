@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ymvac
-from ymvac import rotator, topology
+from ymvac import cli, rotator, topology
 from ymvac.cli import _HANDLERS, _parse_config, main
 
 FAST_ARGS = {
@@ -75,6 +75,32 @@ class TestDeterminism:
         _, out1 = run(capsys, "check-bogomolnyi", "--n-points", "4", "--seed", "1")
         _, out2 = run(capsys, "check-bogomolnyi", "--n-points", "4", "--seed", "2")
         assert out1 != out2
+
+
+class TestParserReuse:
+    # a non-default value of every kind of flag: scalars, comma lists, a
+    # repeated --set, --tol, --output and the choices
+    NON_DEFAULT = {
+        "profiles": ["--n-points", "5", "--eps", "2", "--output", "csv"],
+        "check-bogomolnyi": ["--n-points", "4", "--variant", "WuYangPlus", "--order", "2", "--tol", "1"],
+        "check-gribov": ["--order", "2", "--radii-over-eps", "3"],
+        "winding": FAST_ARGS["winding"],
+        "greens": ["--n-z", "5", "--c1", "2"],
+        "rotator": FAST_ARGS["rotator"],
+        "interference": ["--angles", "1.0,0.2,0.5", "--loop-window", "4"],
+        "pheno": ["--set", "f_pi=0.1", "--set", "f_pi=0.12", "--g", "1.2"],
+    }
+
+    def test_default_payloads_after_non_default_flags(self, capsys, monkeypatch):
+        # the parser is built once per process; the flags of one report must
+        # not reach the next
+        for sub, flags in self.NON_DEFAULT.items():
+            main([sub, *flags])
+        capsys.readouterr()
+        reused = {sub: run(capsys, sub) for sub in self.NON_DEFAULT}
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+        assert reused == {sub: run(capsys, sub) for sub in self.NON_DEFAULT}
 
 
 class TestExitDiscipline:
@@ -353,8 +379,13 @@ class TestNaNGaps:
 
     def test_winding_nan_degree(self, monkeypatch):
         exact = topology.map_degree
-        monkeypatch.setattr(
-            topology, "map_degree", lambda n, quad, **kw: float("nan") if n == 1 else exact(n, quad, **kw))
+
+        def nan_at_one(ns, quad, **kw):  # the report asks for every non-zero n in one call
+            degrees = exact(ns, quad, **kw)
+            degrees[list(ns).index(1)] = float("nan")
+            return degrees
+
+        monkeypatch.setattr(topology, "map_degree", nan_at_one)
         checks = self._checks("winding", *FAST_ARGS["winding"])
         assert not checks["degree-integer-quantization"]["passed"]
         assert not checks["degree-radial-oracle-agreement"]["passed"]

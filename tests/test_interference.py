@@ -5,13 +5,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ymvac.algebra import ID2, TAU
 from ymvac.errors import DomainError, SingularTermError, WindowError
 from ymvac.interference import (
+    BASE_SPACING,
     GAMMA,
+    REGULATOR_MASS,
+    LoopAverage,
     EulerAngles,
     averaged_two_point,
     color_ratio_check,
@@ -379,8 +382,35 @@ class TestMomentumGreenAverage:
         assert np.abs(GAMMA[1] @ GAMMA[2] + GAMMA[2] @ GAMMA[1]).max() < 1e-15
 
 
+def per_shift_loop_average(q, cutoff, L):
+    """shifted_loop_average as it was written before the extended lattice:
+    one integrand evaluation per shift of the window."""
+    h = BASE_SPACING
+    n_side = int(round(2.0 * cutoff / h))
+    ax = (np.arange(n_side) - n_side / 2 + 0.5) * h
+    P1, P2 = np.meshgrid(ax, ax, indexing="ij")
+
+    def lattice_sum(shift_units):
+        return float(np.sum(loop_integrand(P1 + shift_units * h, P2, q, REGULATOR_MASS))) * h**2
+
+    unshifted = lattice_sum(0)
+    ns = window_integers(L)
+    averaged = math.fsum(lattice_sum(int(n)) for n in ns) / len(ns)
+    return LoopAverage(averaged, unshifted, averaged - unshifted)
+
+
 class TestShiftedLoop:
     Q = np.array([0.0, 0.125, 0.0625, 0.0])
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(0.5, 5.0), st.integers(0, 40))
+    @example([0.0, 0.125, 0.0625, 0.0], 4.0, 8)  # the interference report's largest lattice
+    @example([1.3, -0.4, 0.25, 0.9], 1.0, 8)
+    def test_matches_per_shift_evaluation(self, q, cutoff, L):
+        # odd and even windows that stay on lattices of any side
+        assume(BASE_SPACING * L <= cutoff / 2.0)
+        got, ref = shifted_loop_average(q, cutoff, L), per_shift_loop_average(np.array(q), cutoff, L)
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
 
     def test_zero_window_exact(self):
         la = shifted_loop_average(self.Q, 1.0, 0)

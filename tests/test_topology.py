@@ -1,11 +1,11 @@
 """Group factors, degree-of-map and winding quadrature."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ymvac.algebra import EPS3, ID2, TAU
+from ymvac.algebra import EPS3, ID2, TAU, curl
 from ymvac.bps_profiles import ColorField, MonopoleScale, StencilConfig, build_fields, f01_bps, f1_bps
 from ymvac.errors import DomainError, ResolutionError, TruncationError
 from ymvac.interference import EulerAngles, _qmul, dressed_factor_map
@@ -18,6 +18,7 @@ from ymvac.topology import (
     map_degree_radial_oracle,
     surface_flux_term,
     winding_functional,
+    _BLOCK,
     _ball_rules,
     _current,
     _det3,
@@ -195,6 +196,31 @@ class TestMapDegree:
         for n, value in pinned.items():
             assert map_degree(n, quad, check_resolution=False) == value
 
+    @pytest.mark.parametrize("check_resolution", [False, True])
+    def test_batch_matches_single_calls(self, check_resolution):
+        # one pass over the nodes for every n gives each n the bits of its own
+        # call, n = 0 (-0.0) included
+        ns = (-2, -1, 0, 1, 2)
+        batch = map_degree(ns, QUAD, check_resolution=check_resolution)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(ns),)
+        singles = [map_degree(n, QUAD, check_resolution=check_resolution) for n in ns]
+        assert all(isinstance(x, float) for x in singles)
+        assert [x.hex() for x in batch.tolist()] == [x.hex() for x in singles]
+
+    def test_batch_resolution_error_for_one_n(self):
+        # the refined spec is compared for every n: n = 5 fails inside a batch
+        # with the message of its own call
+        coarse = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
+        assert np.abs(map_degree([1, 3], coarse) - [1, 3]).max() < 1e-2
+        with pytest.raises(ResolutionError) as single:
+            map_degree(5, coarse)
+        with pytest.raises(ResolutionError) as batch:
+            map_degree([1, 5, 3], coarse)
+        assert str(batch.value) == str(single.value)
+
+    def test_empty_batch(self):
+        assert map_degree([], QUAD).shape == (0,)
+
     def test_ball_rules_built_once_read_only(self):
         spec = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
         pts, wts = spec.ball_nodes(2.0)
@@ -310,6 +336,94 @@ class TestRealForms:
             a = np.pi * n * f01_bps(R, 1.0)
             exact = -f1_bps(R, SCALE.eps) * np.sin(a) * np.cos(a) / np.pi
             assert abs(surface_flux_term(gauge, GribovFactorMap(n), SCALE.g, R) - exact) < 1e-14
+
+
+def unblocked_degree(fmap, quad):
+    """The degree integral evaluated on every node at once, as before the
+    blocks."""
+    pts, wts = quad.ball_nodes(fmap.eps_ref)
+    keep = np.linalg.norm(pts, axis=1) > 0
+    pts, wts = pts[keep], wts[keep]
+    dens = _det3(_current(*fmap.quaternion(pts)))
+    return float(12.0 * np.sum(wts * dens) / (24.0 * np.pi**2))
+
+
+def unblocked_winding(field, quad, g, eps_ref=1.0, tail_fraction=1e-3):
+    """winding_functional evaluated on every node at once, as before the
+    blocks."""
+    quad.check_reaches(eps_ref)
+    stencil = StencilConfig(1e-3 * eps_ref, 4)
+    pts, wts = quad.ball_nodes(eps_ref)
+    keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
+    pts, wts = pts[keep], wts[keep]
+    A = field.sample(pts)
+    dA = stencil._gradient(field.sample, pts)
+    term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
+    term2 = (-1.5 * g**3) * _det3(A.T)
+    dens = wts * (term1 + (2.0 / 3.0) * term2)
+    total = -np.sum(dens) / (8.0 * np.pi**2)
+    if tail_fraction is not None:
+        r = np.linalg.norm(pts, axis=1)
+        shell = r >= np.quantile(r, 0.9)
+        tail_abs = np.sum(np.abs(dens[shell])) / (8.0 * np.pi**2)
+        total_abs = max(np.sum(np.abs(dens)) / (8.0 * np.pi**2), 1e-8)
+        if tail_abs > tail_fraction * total_abs:
+            raise TruncationError("tail")
+    return float(total)
+
+
+def _value_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).hex()
+    except TruncationError as exc:
+        return type(exc)
+
+
+# 17 x 24 x 24 = 9 792 nodes: two blocks and part of a third; 16^3 = 4 096:
+# less than one block
+STRADDLING = QuadratureSpec(r_max=300.0, n_r=17, n_theta=24, n_phi=24)
+SUB_BLOCK = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
+SPECS = st.builds(
+    lambda n_r, n_theta, n_phi: QuadratureSpec(r_max=300.0, n_r=n_r, n_theta=n_theta, n_phi=n_phi),
+    st.integers(16, 40), st.integers(16, 28), st.integers(16, 28),
+)
+# constant A_i^a = 0.1 delta_ia: a cubic density that does not decay
+CONSTANT_FIELD = ColorField(lambda pts: np.tile(0.1 * np.eye(3), (len(pts), 1, 1)))
+
+
+class TestBlocks:
+    """The ball integrands filled block by block keep the bits of the
+    integrals over all nodes at once."""
+
+    def test_example_specs_straddle_the_block(self):
+        assert 17 * 24 * 24 % _BLOCK and 17 * 24 * 24 > 2 * _BLOCK
+        assert 16**3 < _BLOCK
+
+    @settings(deadline=None, max_examples=20)
+    @given(SPECS, st.integers(-3, 3), st.floats(0.5, 2.0))
+    @example(STRADDLING, 2, 1.0)
+    @example(SUB_BLOCK, -1, 1.0)
+    @example(QUAD, 1, 1.0)
+    def test_degree_matches_unblocked(self, quad, n, eps):
+        got = map_degree(n, quad, eps_ref=eps, check_resolution=False)
+        assert got.hex() == unblocked_degree(GribovFactorMap(n, eps_ref=eps), quad).hex()
+
+    @settings(deadline=None, max_examples=15)
+    @given(SPECS, st.sampled_from(["BPS", "pure gauge", "constant"]), st.floats(0.5, 2.0),
+           st.sampled_from([1e-3, None]))
+    @example(STRADDLING, "BPS", 1.3, 1e-3)
+    @example(SUB_BLOCK, "pure gauge", 1.0, None)
+    @example(STRADDLING, "constant", 1.0, 1e-3)
+    @example(QUAD, "BPS", 1.0, 1e-3)
+    def test_winding_matches_unblocked(self, quad, kind, g, tail_fraction):
+        zero, _ = build_fields(MonopoleScale(g, 1.0), "PT")
+        field = {
+            "BPS": lambda: build_fields(MonopoleScale(g, 1.0), "BPS")[0],
+            "pure gauge": lambda: gauge_transform(zero, GribovFactorMap(1), g),
+            "constant": lambda: CONSTANT_FIELD,
+        }[kind]()
+        got = _value_or_error(winding_functional, field, quad, g, tail_fraction=tail_fraction)
+        assert got == _value_or_error(unblocked_winding, field, quad, g, tail_fraction=tail_fraction)
 
 
 class TestWindingFunctional:
