@@ -1,6 +1,6 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times twenty-four kernels, each at two problem sizes, in two source trees (a
+Times twenty-nine kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -41,8 +41,10 @@ baseline and this checkout's `src/`), and writes one JSON file:
   worker of each tree).  A tree without `exact_sums` times that fsum route;
 - `topology._gauss_legendre`, the node build of the pheno quadratures, at
   48 nodes on [0, ln 1000] (the magnetic energy's log-radial rule) and 64
-  nodes on [0, 1] (the compactified radial rule); accuracy: the relative gap
-  of the rule on the integral of e^-t over the interval, 1 - e^-U;
+  nodes on [0, 1] (the compactified radial rule), called again after its
+  first call (a tree that caches leggauss(n) maps the cached rule);
+  accuracy: the relative gap of the rule on the integral of e^-t over the
+  interval, 1 - e^-U;
 - the three pheno quadrature companions at g = eps = 1, at their default
   node counts (48 log-radial nodes for the magnetic energy, 64 compactified
   radial nodes for the other two) and at twice them, set on the module
@@ -78,6 +80,24 @@ baseline and this checkout's `src/`), and writes one JSON file:
   window 8 and cutoffs 2 and 4 (64^2 and 128^2 lattices); accuracy: the number
   of its three values unlike one `loop_integrand` evaluation per shift
   (`_per_shift_loop_average`, 0);
+- `gribov_residual` as check-gribov calls it (g = eps = 1, order 4): the
+  radii of GRIBOV_RADII (the report default) and DENSE_GRIBOV_RADII (the
+  dense-stencil workload), each at h = min(r, 8)/100 and at h/2, in one call
+  over all centres with an array of steps; accuracy: the smallest observed
+  order log2(|res(h)|/|res(h/2)|);
+- `greens.monopole_covariant_laplacian` on the greens report's tensor at
+  h = z/500, at its 3 points (0, 0, r) and at 24 radii spaced geometrically
+  over [0.8, 5], in one call with an array of steps; accuracy: the largest
+  operator residual;
+- the three pheno companions (magnetic energy, inertia, normalization) at
+  g = eps = 1 with a step h = c max(r, eps) per radial node instead of
+  eps/200, at c in PER_NODE_C, in one stencil pass per sampled field with an
+  array of steps (no report uses this step yet); accuracy: the relative gap
+  to the closed form (the truncated one for the magnetic energy).
+  These last three kernels are each timed beside one call per point with a
+  scalar step (`loop_median_s`, the form the batched calls replaced) and the
+  number of entries in which the two differ (`loop_mismatches`, 0); a tree
+  whose StencilConfig takes no step arrays times the loop alone;
 - the whole `winding` report in process (`cli.main`, output to memory) at
   default arguments and at 72/36/36; accuracy: its exit code (0).
 
@@ -144,6 +164,10 @@ CAMPAIGN_SEEDS = range(1, 51)  # --hypothesis-seed values of the property campai
 FAULT_WORKLOADS = ("default-reports", "long-sums")  # perfbench workloads whose page faults are counted
 FAULT_PASSES = 20  # counted passes over a workload's reports in each fault worker
 SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degree sweep
+GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
+DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
+GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
+PER_NODE_C = (1.25e-3, 2.5e-4)  # per-node pheno steps h = c max(r, eps)
 _LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
 _FINE_WINDING_ARGV = ("winding", "--n-r", "72", "--n-theta", "36", "--n-phi", "36")
 SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
@@ -179,8 +203,12 @@ ERROR_ARGV = (
     ("greens", "--d1", "1e308"),
     ("greens", "--c1", "1e305"),
 )
-# output that may differ between the trees by design: none in this change
-CHANGED_ARGV = ()
+# output that may differ between the trees by design: residual norms past the
+# float range, which printed a RuntimeWarning before their one JSON line
+CHANGED_ARGV = (
+    ("check-gribov", "--eps", "1e-100"),
+    ("check-gribov", "--radii-over-eps", "1e-300,2"),
+)
 # off-default argv of the degree sweep and the point norms: output that must not move
 EXTRA_ARGV = (
     ("winding", "--n-min", "-3", "--n-max", "3"),
@@ -402,13 +430,103 @@ def _profile_gaps(r, values) -> dict:
     }
 
 
+def _takes_step_arrays(bp) -> bool:
+    """Whether this tree's StencilConfig takes an array of per-point steps."""
+    import numpy as np
+
+    try:
+        bp.StencilConfig(np.array([0.1, 0.2]), 4)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _mismatches(a, b) -> int:
+    """Entries of two equally shaped arrays (or tuples of them) that differ
+    in value or in the sign of zero."""
+    import numpy as np
+
+    if isinstance(a, tuple):
+        return sum(_mismatches(x, y) for x, y in zip(a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return int(np.sum((a != b) | (np.signbit(a) != np.signbit(b))))
+
+
+def _gribov_radii(bp, unit, radii_over_eps, batched):
+    """check-gribov's residuals at radii r (eps = 1) with h = min(r, 8)/100 and
+    at h/2, (2M, 3): one gribov_residual call over all 2M centres, or (the
+    form it replaced) one call per centre."""
+    import numpy as np
+
+    r = np.array(radii_over_eps, dtype=float)
+    h = np.minimum(r, 8.0) / 100.0
+    centres = np.outer(np.concatenate([r, r]), (0.0, 0.0, 1.0))
+    steps = np.concatenate([h, h / 2.0])
+    if batched:
+        return bp.gribov_residual(unit, centres, bp.StencilConfig(steps, 4))
+    return np.stack([bp.gribov_residual(unit, x, bp.StencilConfig(float(hx), 4)) for x, hx in zip(centres, steps)])
+
+
+def _greens_operator(greens, radii, batched):
+    """The greens report's operator on its tensor at points (0, 0, r) with
+    h = z/500: one call over all points, or one call per point."""
+    import math
+
+    import numpy as np
+
+    s0 = greens.golden_solution(0, -1.0 / (4.0 * math.pi), 0.0)
+    G = greens.GreenTensor(s0, greens.golden_solution(1, 1.0 / (4.0 * math.pi), 1.0))
+    y = np.array([0.0, 0.0, 1e-6])
+    x = np.outer(radii, (0.0, 0.0, 1.0))
+    h = np.array([np.linalg.norm(xi - y) for xi in x]) / 500.0
+
+    def S(P):
+        return G.evaluate(P, y)
+
+    if batched:
+        return greens.monopole_covariant_laplacian(S, x, h=h)
+    return np.stack([greens.monopole_covariant_laplacian(S, xi, h=float(hi)) for xi, hi in zip(x, h)])
+
+
+def _per_node_companion(bp, pheno, topo, unit, name, c, batched):
+    """A pheno quadrature companion (magnetic_energy, rotary_momentum or
+    normalization) at g = eps = 1 with the step h = c max(r, eps) at each
+    radial node instead of eps/200, from one stencil pass with an array of
+    steps or one pass per node; its value and the B and D(Phi0) samples it
+    was summed from."""
+    import math
+
+    import numpy as np
+
+    def on_nodes(op, fields, r):
+        x = np.outer(r, (0.0, 0.0, 1.0))
+        h = c * np.maximum(r, unit.eps)
+        if batched:
+            return op(*fields, x, bp.StencilConfig(h, 4), unit.g)
+        return np.stack([op(*fields, xi, bp.StencilConfig(float(hi), 4), unit.g) for xi, hi in zip(x, h)])
+
+    if name == "magnetic_energy":
+        t, w = topo._gauss_legendre(pheno._MAGNETIC_NODES, math.log(pheno._MAGNETIC_R_MAX_OVER_EPS))
+        r = unit.eps * np.exp(t)
+        B = on_nodes(bp.magnetic_tension, bp.build_fields(unit, "WuYangPlus")[:1], r)
+        return pheno._shell_sum(w, list(r), 3, B, B), B
+    r, w = topo._compactified_radial(pheno._RADIAL_NODES, unit.eps)
+    gauge, _ = bp.build_fields(unit, "BPS")
+    D = on_nodes(bp.covariant_derivative, (gauge, bp.zero_mode_scalar(unit)), r)
+    if name == "rotary_momentum":
+        return pheno._shell_sum(w, r, 2, D, D), D
+    B = on_nodes(bp.magnetic_tension, (gauge,), r)
+    return unit.g**2 / (8.0 * math.pi**2) * pheno._shell_sum(w, r, 2, D, B), D, B
+
+
 def worker() -> dict:
     """Time every kernel case in this process; `ymvac` comes from PYTHONPATH."""
     import math
 
     import numpy as np
 
-    from ymvac import algebra, bps_profiles as bp, cli, interference as itf, pheno, rotator as rot, topology as topo
+    from ymvac import algebra, bps_profiles as bp, cli, greens, interference as itf, pheno, rotator as rot
+    from ymvac import topology as topo
     from ymvac.cli import _parse_config
 
     sys.path.insert(0, str(ROOT / "tests"))
@@ -554,6 +672,35 @@ def worker() -> dict:
         ref = _per_shift_loop_average(itf, q, cutoff, 8)
         cases[f"shifted_loop_average/cutoff={cutoff:g}"] = (
             times, "per_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
+    # batched stencil passes, each beside one call per point (`loop_median_s`)
+    # and the number of entries in which the two differ (`loop_mismatches`);
+    # a tree without step arrays times the loop alone
+    batched = _takes_step_arrays(bp)
+
+    def beside_loop(case, route, accuracy_name, accuracy):
+        times, value = _timed(lambda: route(batched))
+        loop_times, ref = _timed(lambda: route(False))
+        cases[case] = (times, accuracy_name, accuracy(value))
+        extra[case] = {"loop_median_s": statistics.median(loop_times), "loop_mismatches": _mismatches(value, ref)}
+
+    def min_order(res):  # the report's smallest log2(|res(h)| / |res(h/2)|) over the radii
+        norms = [float(np.linalg.norm(v)) for v in res]
+        m = len(norms) // 2
+        return min(math.log2(a / b) for a, b in zip(norms[:m], norms[m:]))
+
+    for radii in (GRIBOV_RADII, DENSE_GRIBOV_RADII):
+        beside_loop(f"gribov_residual/{len(radii)}x2_centres", lambda b: _gribov_radii(bp, unit, radii, b),
+                    "min_observed_order", min_order)
+    for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, 24)):
+        beside_loop(f"monopole_covariant_laplacian/{len(radii)}_points", lambda b: _greens_operator(greens, radii, b),
+                    "max_operator_residual", lambda res: float(np.abs(res).max()))
+    # ROADMAP item 2's per-node step h = c max(r, eps) for the pheno companions
+    references = {"magnetic_energy": truncated, "rotary_momentum": inertia, "normalization": 1.0}
+    for c in PER_NODE_C:
+        for name, ref_value in references.items():
+            beside_loop(f"{name}_per_node_step/c={c:g}",
+                        lambda b: _per_node_companion(bp, pheno, topo, unit, name, c, b),
+                        "closed_form_gap", lambda value: abs(value[0] / ref_value - 1.0))
     for label, argv in (("default", ["winding"]), ("72x36x36", list(_FINE_WINDING_ARGV))):
         times, code = _timed(lambda: _quiet_main(cli.main, argv))
         cases[f"winding_report/{label}"] = (times, "exit_code", code)
@@ -751,6 +898,9 @@ def main(argv=None) -> int:
             print(f"{'':>36}math.fsum route {row['current']['fsum_median_s'] * 1e3:.2f} ms")
         if "linalg_norm_median_s" in row["current"]:
             print(f"{'':>36}np.linalg.norm route {row['current']['linalg_norm_median_s'] * 1e3:.3f} ms")
+        if "loop_median_s" in row["current"]:
+            print(f"{'':>36}one call per point {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():

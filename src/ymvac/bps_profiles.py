@@ -41,9 +41,10 @@ is dimensionless and interpolates between 0 at the origin and -pi*n_hat at
 infinity; a rescaled copy (factor -2/g, see zero_mode_scalar) carries the
 normalization used by the vacuum-energy integrals.
 
-All samplers and the stencil operators magnetic_tension and
-covariant_derivative are pure functions of the evaluation point (no grids);
-they accept a single point of shape (3,) or a batch of shape (N, 3).
+All samplers and the stencil operators magnetic_tension, covariant_derivative,
+covariant_laplacian and gribov_residual are pure functions of the evaluation
+point (no grids); they accept a single point of shape (3,) or a batch of
+shape (N, 3), and a stencil with one step or with one step per point.
 """
 from __future__ import annotations
 
@@ -114,6 +115,11 @@ class MonopoleScale:
 class StencilConfig:
     """Central finite-difference stencil: step h (GeV^-1) and accuracy order.
 
+    h is one step, or an (N,) array holding one step per point of the batch
+    that the stencil is applied to (stored as a read-only float64 copy).
+    Each point's value then has the bits of a stencil built with its own
+    scalar step.
+
     The one owner of the difference weights.  Every finite difference in the
     package goes through _apply, and every three-axis gradient through
     _gradient, which takes a batch of points in one pass (the greens
@@ -121,43 +127,64 @@ class StencilConfig:
     covariant_laplacian's outer sum, which runs over all axes at once.
     """
 
-    h: float
+    h: float | np.ndarray
     order: int = 4
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
+        if np.ndim(self.h):
+            h = np.array(self.h, dtype=float)
+            if h.ndim != 1 or not h.size:
+                raise DomainError(f"stencil steps must be one float or a non-empty 1-D array, got shape {h.shape}")
+            h.flags.writeable = False
+            object.__setattr__(self, "h", h)
+            valid = bool(np.all(np.isfinite(h) & (h > 0)))
+        else:
+            valid = math.isfinite(self.h) and self.h > 0
+        if not valid:
             raise DomainError("stencil step h must be positive and finite")
         if self.order not in (2, 4):
             raise DomainError("stencil order must be 2 or 4")
 
     def offsets_weights(self, deriv: int = 1):
         """Offsets (in units of h) and weights of the first (deriv=1) or
-        second (deriv=2) derivative."""
+        second (deriv=2) derivative: weights (K,) for one step, (K, N) (one
+        column per point) for an array of steps."""
         h = self.h
         if deriv == 1:
             if self.order == 2:
-                return np.array([-1.0, 1.0]), np.array([-0.5, 0.5]) / h
-            return np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-        if self.order == 2:
-            return np.array([-1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]) / (h * h)
-        return (
-            np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-            np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h),
-        )
+                offs, coef, scale = (-1.0, 1.0), (-0.5, 0.5), h
+            else:
+                offs, coef, scale = (-2.0, -1.0, 1.0, 2.0), (1.0, -8.0, 8.0, -1.0), 12.0 * h
+        elif self.order == 2:
+            offs, coef, scale = (-1.0, 0.0, 1.0), (1.0, -2.0, 1.0), h * h
+        else:
+            offs, coef, scale = (-2.0, -1.0, 0.0, 1.0, 2.0), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0 * h * h
+        return np.array(offs), np.divide.outer(np.array(coef), scale)
 
     def _apply(self, sample, x, e, deriv: int = 1):
         """sum_k w_k sample(x + o_k h e): the deriv-th derivative of `sample`
         along e, accumulated one offset at a time from zeros in offset order.
 
         x is a coordinate, a point or a batch of points; e the step direction
-        broadcast against it.  Each term is freed before the next offset is
-        sampled.
+        broadcast against it.  An array of steps needs one step per entry of
+        x's first axis, and each step and weight is broadcast along that
+        axis.  Each term is freed before the next offset is sampled.
         """
+        self._require_steps_for(x)
         offs, wts = self.offsets_weights(deriv)
         acc = 0.0
-        for w, s in zip(wts, offs * self.h):
-            acc += w * sample(x + s * e)
+        for w, s in zip(wts, np.multiply.outer(offs, self.h)):
+            acc += _weighted(w, sample(x + _along_points(s, x) * e))
         return acc
+
+    def _step_at(self, i: int):
+        """The step of point i (the one step, when there is one)."""
+        return self.h if np.ndim(self.h) == 0 else float(self.h[i])
+
+    def _require_steps_for(self, x):
+        """An array of steps must hold one step per entry of x's first axis."""
+        if np.ndim(self.h) and np.shape(x)[:1] != self.h.shape:
+            raise DomainError(f"{len(self.h)} stencil steps for points of shape {np.shape(x)}")
 
     def _gradient(self, sample, pts):
         """d_j of a sampler of point batches at pts (N, 3), shape (N, 3) +
@@ -176,15 +203,28 @@ class StencilConfig:
         return StencilConfig(self.h / 2.0, self.order)
 
 
+def _weighted(w, term):
+    """w * term, an array w broadcast along term's first axis; the term is
+    freed on return, before the caller adds the product."""
+    return _along_points(w, term) * term
+
+
+def _along_points(v, like):
+    """A per-point (N,) array shaped to broadcast along the first axis of
+    `like`; a scalar is returned as it is."""
+    return v if np.ndim(v) == 0 else v.reshape(v.shape + (1,) * (np.ndim(like) - 1))
+
+
 def default_stencil(scale: MonopoleScale) -> StencilConfig:
     """h = eps/200, order 4: resolves the profile curvature near r ~ eps."""
     return StencilConfig(scale.eps / 200.0, 4)
 
 
 def _check_stencil_scale(stencil: StencilConfig, scale: MonopoleScale):
-    if not (stencil.h < scale.eps / 10.0):
+    coarse = ~(np.asarray(stencil.h) < scale.eps / 10.0)
+    if np.any(coarse):
         raise StencilError(
-            f"stencil step {stencil.h} too coarse for eps={scale.eps} (need h < eps/10)"
+            f"stencil step {stencil._step_at(np.argmax(coarse))} too coarse for eps={scale.eps} (need h < eps/10)"
         )
 
 
@@ -429,11 +469,13 @@ def zero_mode_scalar(scale: MonopoleScale) -> ColorField:
 # ---------------------------------------------------------------------------
 
 def _require_stencil_safe(field_obj, pts: np.ndarray, stencil: StencilConfig):
+    stencil._require_steps_for(pts)
     r = norm(pts.T)
-    close = r[r < 10.0 * stencil.h]
-    if getattr(field_obj, "singular_origin", False) and len(close):
+    close = r < 10.0 * stencil.h
+    if getattr(field_obj, "singular_origin", False) and np.any(close):
+        i = np.argmax(close)
         raise StencilError(
-            f"point at r={float(close[0]):.3e} within 10 h = {10 * stencil.h:.3e} of the singular origin"
+            f"point at r={float(r[i]):.3e} within 10 h = {10 * stencil._step_at(i):.3e} of the singular origin"
         )
 
 
@@ -471,20 +513,29 @@ def covariant_derivative(
 def covariant_laplacian(
     gauge: ColorField, scalar: ColorField, x, stencil: StencilConfig, g: float
 ) -> np.ndarray:
-    """(D_i D_i phi)^a by nesting covariant_derivative in an outer stencil.
+    """(D_i D_i phi)^a by nesting covariant_derivative in an outer stencil,
+    at a centre (3,) or a batch of centres (M, 3), giving (3,) or (M, 3).
+    With an (M,) array of steps each centre takes its own step, inner and
+    outer, and each row has the bits of a call with that step alone.
 
-    One inner call covers the centre and the shifted points.  The outer
+    One inner call covers every centre and its shifted points.  The outer
     divergence keeps one running sum over all axes and offsets; regrouping
     it per axis moves the reported residuals in their last bits."""
-    xc = _batch(x)[0].reshape(3)
+    xc, single = _batch(x)
+    stencil._require_steps_for(xc)
     offs, wts = stencil.offsets_weights()
-    shifted = [xc + o * e for e in np.eye(3, dtype=xc.dtype) * stencil.h for o in offs]
-    D = covariant_derivative(gauge, scalar, np.array([xc] + shifted), stencil, g)
-    div = np.zeros(3, dtype=xc.dtype)
+    steps = np.eye(3, dtype=xc.dtype)[:, None, :] * _along_points(stencil.h, xc)  # [j][m] = h_m e_j
+    shifted = xc + offs[:, None, None] * steps[:, None]  # [j][k][m]: xc_m + o_k h_m e_j
+    pts = np.concatenate([xc[None], shifted.reshape(-1, *xc.shape)]).reshape(-1, 3)
+    # each centre's step again for its shifted points, one block of M per shift
+    inner = stencil if np.ndim(stencil.h) == 0 else StencilConfig(np.tile(stencil.h, 1 + 3 * len(offs)), stencil.order)
+    D = covariant_derivative(gauge, scalar, pts, inner, g).reshape(-1, *xc.shape, 3)  # [centre or shift][m][i][a]
+    div = np.zeros(xc.shape, dtype=xc.dtype)
     for Dk, (j, w) in zip(D[1:], itertools.product(range(3), wts)):
-        div = div + w * Dk[j]
-    A = gauge.sample(xc)
-    return div - g * cross(A.T, D[0].T).sum(axis=1)  # sum_i (A_i x D_i phi)^a
+        div = div + _along_points(w, div) * Dk[:, j]
+    At = gauge.sample(xc).T  # [a][i][m]
+    out = div - g * cross(At, D[0].T).sum(axis=1).T  # sum_i (A_i x D_i phi)^a
+    return out[0] if single else out
 
 
 def bogomolnyi_residual(
@@ -537,8 +588,12 @@ def gribov_residual(
     variant=FieldVariant.BPS,
     scalar: ColorField | None = None,
 ) -> np.ndarray:
-    """Color components of D^2(A) Phi0 at x; zero for the phase scalar on the
-    smooth background (and on the singular one far outside the core).
+    """Color components of D^2(A) Phi0 at a centre x (3,), or at a batch of
+    centres (M, 3) in one pass, giving (3,) or (M, 3); zero for the phase
+    scalar on the smooth background (and on the singular one far outside the
+    core).  A stencil with an (M,) array of steps gives each centre its own
+    step, with the bits of one call per centre.  Components beyond the
+    float64 range come back as inf.
 
     `scalar` overrides the phase scalar (negative controls)."""
     variant = FieldVariant.parse(variant)
@@ -550,6 +605,8 @@ def gribov_residual(
     phase = scalar if scalar is not None else gribov_phase_scalar(scale)
     # extended precision: the nested stencil's cancellation floor in double
     # precision sits above the h^4 term at the probe radii
-    xe = _batch(x)[0].reshape(3).astype(np.longdouble)
-    out = covariant_laplacian(gauge, phase, xe, stencil, scale.g)
-    return np.asarray(out, dtype=float)
+    xe, single = _batch(x)
+    out = covariant_laplacian(gauge, phase, xe.astype(np.longdouble), stencil, scale.g)
+    with np.errstate(over="ignore"):
+        out = out.astype(float)
+    return out[0] if single else out

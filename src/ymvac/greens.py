@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bps_profiles import StencilConfig, _batch
+from .bps_profiles import StencilConfig, _along_points, _batch
 from .errors import DomainError
 
 __all__ = [
@@ -214,26 +214,33 @@ class GreenTensor:
         return out[0] if single_x and single_y else out
 
 
-def monopole_covariant_laplacian(S: Callable, x, h: float, order: int = 2) -> np.ndarray:
-    """Apply the f = +1 background operator, by central differences, at the
-    point x to a color field S mapping a batch (N, 3) to one color vector
-    (N, 3) or to k color columns (N, 3, k); the result is (3,) or (3, k).
+def monopole_covariant_laplacian(S: Callable, x, h, order: int = 2) -> np.ndarray:
+    """Apply the f = +1 background operator, by central differences, at a
+    point x (3,) or at a batch of points (M, 3) in one pass, to a color field
+    S mapping a batch (N, 3) to one color vector (N, 3) or to k color columns
+    (N, 3, k); the result is (3,) or (3, k) per point, with a leading M axis
+    for a batch.  h is one step, or an (M,) array of steps, one per point;
+    each point's result has the bits of a call at that point alone.
 
     Lap S^a - (n^a n^b + d^{ab}) S_b/r^2 + (2/r)(n^a d_b S^b - n^b d_a S^b).
     """
-    pts = _batch(x)[0].reshape(1, 3)
-    r = float(np.linalg.norm(pts))
-    if r == 0:
+    pts, single = _batch(x)
+    r = np.array([float(np.linalg.norm(p)) for p in pts])  # float64 also for longdouble points
+    if np.any(r == 0):
         raise DomainError("operator singular at the origin")
     stencil = StencilConfig(h, order)
-    S0 = S(pts)[0]
+    S0 = S(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = stencil._gradient(S, pts)[0]  # grad[j][a] = d_j S^a
-        lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))[0]
-        n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))  # broadcasts over columns
-        div = np.trace(grad)
-        nb_da_Sb = np.sum(grad * n, axis=1)  # [a] = n^b d_a S^b
-        out = lap - (n * np.sum(n * S0, axis=0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"the operator leaves the float range at r={r:.3g}, h={h:.3g}, |S| <= {np.abs(S0).max():.3g}")
-    return out
+        grad = stencil._gradient(S, pts)  # grad[m][j][a] = d_j S^a
+        lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))
+        n = (pts / r[:, None]).reshape(pts.shape + (1,) * (S0.ndim - 2))  # broadcasts over columns
+        div = np.trace(grad, axis1=1, axis2=2)[:, None]
+        nb_da_Sb = np.sum(grad * n[:, None], axis=2)  # [m][a] = n^b d_a S^b
+        out = (lap - (n * np.sum(n * S0, axis=1, keepdims=True) + S0) / _along_points(r * r, S0)
+               + _along_points(2.0 / r, S0) * (n * div - nb_da_Sb))
+    bad = ~np.isfinite(out.reshape(len(pts), -1)).all(axis=1)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise DomainError(f"the operator leaves the float range at r={r[i]:.3g}, "
+                          f"h={stencil._step_at(i):.3g}, |S| <= {np.abs(S0[i]).max():.3g}")
+    return out[0] if single else out

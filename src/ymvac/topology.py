@@ -129,9 +129,18 @@ def _ball_rules(spec: QuadratureSpec, eps_ref: float):
     return rules
 
 
+@lru_cache(maxsize=16)
+def _leggauss(n: int):
+    """leggauss(n), built once per n and read-only."""
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_legendre(n: int, upper: float):
     """n-point Gauss-Legendre nodes and weights mapped affinely onto [0, upper]."""
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * upper * (x + 1.0), 0.5 * upper * w
 
 
@@ -147,7 +156,7 @@ def _compactified_radial(n: int, eps_ref: float, u_max: float = 1.0):
 def _sphere_nodes(n_theta: int, n_phi: int):
     """Unit directions (N, 3) and solid-angle weights (N,): Gauss-Legendre in
     cos(theta), uniform midpoint in azimuth."""
-    ct, wc = leggauss(n_theta)
+    ct, wc = _leggauss(n_theta)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     wp = 2.0 * np.pi / n_phi
     st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))

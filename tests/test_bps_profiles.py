@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ymvac.algebra import EPS3
+from ymvac.algebra import EPS3, cross
 from ymvac.bps_profiles import (
     ColorField,
     FieldVariant,
@@ -450,6 +450,125 @@ class TestGribovResidual:
         st = default_stencil(SCALE)
         out = covariant_laplacian(gauge, phase, np.array([1.0, -0.4, 0.3]), st, SCALE.g)
         assert out.shape == (3,)
+
+
+# ---------------------------------------------------------------------------
+# per-point stencil steps against one scalar-step call per point
+# ---------------------------------------------------------------------------
+
+def _points_and_steps(max_points=5, coord=10.0):
+    """n points (n, 3) and n steps below eps/10 = 0.1, for n in 1..max_points."""
+    return st.integers(1, max_points).flatmap(lambda n: st.tuples(
+        arrays(float, (n, 3), elements=st.floats(-coord, coord)),
+        arrays(float, n, elements=st.floats(1e-4, 0.05)),
+    ))
+
+
+def _same_bits(got, ref):
+    """Equal values, signs of zero and dtype (tobytes would also compare
+    the padding bytes of longdouble)."""
+    return (got.dtype == ref.dtype and np.array_equal(got, ref, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(ref)))
+
+
+def single_centre_laplacian(gauge, scalar, xc, stencil, g):
+    """covariant_laplacian as it was written for one centre and one step
+    (the reference of its bits)."""
+    offs, wts = stencil.offsets_weights()
+    shifted = [xc + o * e for e in np.eye(3, dtype=xc.dtype) * stencil.h for o in offs]
+    D = covariant_derivative(gauge, scalar, np.array([xc] + shifted), stencil, g)
+    div = np.zeros(3, dtype=xc.dtype)
+    for Dk, (j, w) in zip(D[1:], [(j, w) for j in range(3) for w in wts]):
+        div = div + w * Dk[j]
+    A = gauge.sample(xc)
+    return div - g * cross(A.T, D[0].T).sum(axis=1)
+
+
+class TestPerPointSteps:
+    """A stencil with an (N,) array of steps gives each point the bits of a
+    stencil built with that point's step alone."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(batch=_points_and_steps(), order=st.sampled_from([2, 4]), dtype=st.sampled_from([np.float64, np.longdouble]))
+    def test_gradient_matches_scalar_steps(self, batch, order, dtype):
+        x, steps = batch
+        pts = x.astype(dtype)
+        gauge, scalar = build_fields(SCALE, "BPS")
+        for sample in (gauge.sample_batch, scalar.sample_batch):
+            got = StencilConfig(steps, order)._gradient(sample, pts)
+            ref = np.concatenate([StencilConfig(h, order)._gradient(sample, p[None]) for p, h in zip(pts, steps)])
+            assert _same_bits(got, ref)
+
+    @settings(deadline=None, max_examples=30)
+    @given(batch=_points_and_steps(), order=st.sampled_from([2, 4]), dtype=st.sampled_from([np.float64, np.longdouble]))
+    def test_covariant_laplacian_matches_scalar_steps(self, batch, order, dtype):
+        x, steps = batch
+        xc = x.astype(dtype)
+        gauge, _ = build_fields(SCALE, "BPS")
+        phase = gribov_phase_scalar(SCALE)
+        got = covariant_laplacian(gauge, phase, xc, StencilConfig(steps, order), SCALE.g)
+        calls = np.stack([covariant_laplacian(gauge, phase, p, StencilConfig(h, order), SCALE.g)
+                          for p, h in zip(xc, steps)])
+        ref = np.stack([single_centre_laplacian(gauge, phase, p, StencilConfig(h, order), SCALE.g)
+                        for p, h in zip(xc, steps)])
+        assert _same_bits(got, calls) and _same_bits(got, ref)
+
+    @settings(deadline=None, max_examples=30)
+    @given(batch=_points_and_steps(max_points=8, coord=30.0), order=st.sampled_from([2, 4]))
+    @example(  # check-gribov's default radii at h = r/100 and h/2, on the z axis
+        batch=(np.outer([2.0, 5.0, 20.0] * 2, [0.0, 0.0, 1.0]), np.array([0.02, 0.05, 0.08, 0.01, 0.025, 0.04])),
+        order=4,
+    )
+    def test_gribov_residual_matches_scalar_steps(self, batch, order):
+        x, steps = batch
+        got = gribov_residual(SCALE, x, StencilConfig(steps, order))
+        ref = np.stack([gribov_residual(SCALE, p, StencilConfig(h, order)) for p, h in zip(x, steps)])
+        assert _same_bits(got, ref)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=_points_and_steps(),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-3, -np.finfo(float).tiny]),
+        where=st.integers(0, 4),
+    )
+    def test_invalid_steps_refused(self, batch, bad, where):
+        x, steps = batch
+        steps = steps.copy()
+        steps[where % len(steps)] = bad
+        with pytest.raises(DomainError, match="positive and finite"):
+            StencilConfig(steps, 4)
+
+    @settings(deadline=None, max_examples=40)
+    @given(batch=_points_and_steps(), extra=st.integers(-5, 5).filter(bool))
+    def test_wrong_step_count_refused(self, batch, extra):
+        x, steps = batch
+        n = len(steps) + extra
+        if n < 1:
+            n = len(steps) - extra
+        stencil = StencilConfig(np.resize(steps, n), 4)
+        gauge, scalar = build_fields(SCALE, "BPS")
+        with pytest.raises(DomainError, match="stencil steps for points"):
+            stencil._gradient(gauge.sample_batch, x)
+        with pytest.raises(DomainError, match="stencil steps for points"):
+            stencil._apply(scalar.sample_batch, x, np.array([1.0, 0.0, 0.0]), deriv=2)
+        with pytest.raises(DomainError, match="stencil steps for points"):
+            gribov_residual(SCALE, x, stencil)
+        with pytest.raises(DomainError, match="stencil steps for points"):
+            bogomolnyi_residual(SCALE, x, stencil, "WuYangPlus")
+
+    def test_steps_are_a_read_only_copy(self):
+        steps = np.array([0.01, 0.02])
+        stencil = StencilConfig(steps, 4)
+        steps[0] = -1.0
+        assert stencil.h[0] == 0.01 and not stencil.h.flags.writeable
+        assert np.array_equal(stencil.halved().h, [0.005, 0.01])
+        for shape in ((0,), (2, 1)):
+            with pytest.raises(DomainError, match="non-empty 1-D array"):
+                StencilConfig(np.full(shape, 0.01), 4)
+
+    def test_first_coarse_step_named(self):
+        with pytest.raises(StencilError, match="stencil step 0.5 too coarse"):
+            gribov_residual(SCALE, np.outer([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]), StencilConfig([0.01, 0.5, 0.7], 4))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ymvac
-from ymvac import cli, rotator, topology
+from ymvac import bps_profiles as bp, cli, greens, rotator, topology
 from ymvac.cli import _HANDLERS, _parse_config, main
 
 FAST_ARGS = {
@@ -233,6 +233,41 @@ class TestRefinementExpectations:
         assert code == 0
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["stencil-refinement-factor"]["value"] == 0.0
+
+
+class TestOneStencilPass:
+    """check-gribov evaluates every radius at h and at h/2 in one
+    gribov_residual call, and greens its three radii in one operator call."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["check-gribov"],
+        ["check-gribov", "--order", "2"],
+        ["check-gribov", "--radii-over-eps", "1,2,3,5,8,12,20,30"],
+    ])
+    def test_one_gribov_residual_call(self, capsys, monkeypatch, argv):
+        calls = self._count(monkeypatch, bp, "gribov_residual")
+        code, out = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+        radii = json.loads(out)["results"]["table"]["rows"]
+        _, centres, stencil = calls[0]
+        assert centres.shape == (2 * len(radii), 3) and stencil.h.shape == (2 * len(radii),)
+
+    def test_one_operator_call(self, capsys, monkeypatch):
+        calls = self._count(monkeypatch, greens, "monopole_covariant_laplacian")
+        assert run(capsys, "greens")[0] == 0
+        assert len(calls) == 1 and calls[0][1].shape == (3, 3)
 
 
 class TestFlagValidation:
@@ -468,6 +503,23 @@ class TestNoStrayWarnings:
             assert code == 2 and len(lines) == 1
             payload = json.loads(lines[0])
             assert payload["error"] == "validation" and named in payload["message"]
+
+    def test_overflowing_gribov_residual_exit_3(self):
+        # a residual norm past the float range (eps = 1e-100 scales the
+        # residual by 1e200, so its square overflows; at eps = 1e-200 the
+        # residual itself leaves float64; at r = 1e-300 eps the stencil is
+        # all rounding) is refused with one line that names the radius
+        cases = [
+            (["check-gribov", "--eps", "1e-100"], "r = 2 eps"),
+            (["check-gribov", "--eps", "1e-200"], "r = 2 eps"),
+            (["check-gribov", "--radii-over-eps", "1e-300,2"], "r = 1e-300 eps"),
+        ]
+        runs = self._run_warnings_as_errors([argv for argv, _ in cases])
+        for (_, named), (code, err) in zip(cases, runs):
+            lines = err.splitlines()
+            assert code == 3 and len(lines) == 1
+            payload = json.loads(lines[0])
+            assert payload["error"] == "consistency" and named in payload["message"]
 
     def test_pheno_range_sweep(self):
         # eps and g over the whole float range: a report either runs or is

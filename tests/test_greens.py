@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ymvac.bps_profiles import f1_bps
+from ymvac.bps_profiles import StencilConfig, f1_bps
 from ymvac.errors import DomainError
 from ymvac.greens import (
     EulerSolution,
@@ -219,6 +219,21 @@ class TestGreenTensor:
         )
 
 
+def single_point_operator(S, x, h, order=2):
+    """monopole_covariant_laplacian as it was written for one point and one
+    step (the reference of its bits)."""
+    pts = np.asarray(x).reshape(1, 3)
+    r = float(np.linalg.norm(pts))
+    stencil = StencilConfig(h, order)
+    S0 = S(pts)[0]
+    grad = stencil._gradient(S, pts)[0]
+    lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))[0]
+    n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))
+    div = np.trace(grad)
+    nb_da_Sb = np.sum(grad * n, axis=1)
+    return lap - (n * np.sum(n * S0, axis=0) + S0) / (r * r) + (2.0 / r) * (n * div - nb_da_Sb)
+
+
 class TestBackgroundOperator:
     """The operator is exact on the assembled tensor in the center-anchored
     colinear configuration (source next to the monopole center)."""
@@ -289,6 +304,61 @@ class TestBackgroundOperator:
             lambda P: self.G.evaluate(P, y)[..., 2], x, h=z / 500.0
         )
         assert np.abs(res).max() < 1e-6
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=st.integers(1, 5).flatmap(lambda n: st.tuples(
+            arrays(np.float64, (n, 3), elements=_COORD), arrays(np.float64, n, elements=st.floats(1e-4, 1e-2)))),
+        order=st.sampled_from([2, 4]),
+        column=st.sampled_from([None, 0, 2]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+    )
+    def test_batch_matches_point_calls_bitwise(self, batch, order, column, dtype):
+        # one call over a batch with per-point steps against one call per point
+        x, steps = batch
+        pts = x.astype(dtype)
+
+        def S(P):
+            G = self.G.evaluate(P, self.y)
+            return G if column is None else G[..., column]
+
+        got = monopole_covariant_laplacian(S, pts, h=steps, order=order)
+        calls = np.stack([monopole_covariant_laplacian(S, p, h=h, order=order) for p, h in zip(pts, steps)])
+        ref = np.stack([single_point_operator(S, p, h, order) for p, h in zip(pts, steps)])
+        for other in (calls, ref):
+            assert got.dtype == other.dtype and got.shape == other.shape
+            assert np.array_equal(got, other) and np.array_equal(np.signbit(got), np.signbit(other))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=st.integers(1, 5).flatmap(lambda n: st.tuples(
+            arrays(np.float64, (n, 3), elements=_COORD), arrays(np.float64, n, elements=st.floats(1e-4, 1e-2)))),
+        bad=st.sampled_from([np.nan, np.inf, 0.0, -1e-3]),
+        where=st.integers(0, 4),
+        extra=st.integers(1, 3),
+    )
+    def test_invalid_steps_refused(self, batch, bad, where, extra):
+        x, steps = batch
+
+        def S(P):
+            return self.G.evaluate(P, self.y)
+
+        wrong = steps.copy()
+        wrong[where % len(steps)] = bad
+        with pytest.raises(DomainError, match="positive and finite"):
+            monopole_covariant_laplacian(S, x, h=wrong)
+        with pytest.raises(DomainError, match="stencil steps for points"):
+            monopole_covariant_laplacian(S, x, h=np.resize(steps, len(steps) + extra))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_point_named_in_a_batch(self):
+        # at c = 1e303 the operator stays finite at r = 5 and overflows at
+        # r = 0.8 and 2; the first of those in the batch is named
+        G = GreenTensor(self.s0, golden_solution(1, 1.0, 1e303))
+        x = np.outer((5.0, 0.8, 2.0), (0.0, 0.0, 1.0))
+        h = np.array([1e-2, 0.8 / 500.0, 4e-3])
+        with pytest.raises(DomainError, match=r"at r=0\.8, h=0\.0016, \|S\| <= 8\.71e\+302"):
+            monopole_covariant_laplacian(lambda P: G.evaluate(P, self.y), x, h=h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_field_refused(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ymvac.algebra import ID2, TAU
 from ymvac.errors import DomainError, SingularTermError, WindowError
@@ -399,8 +400,36 @@ def per_shift_loop_average(q, cutoff, L):
     return LoopAverage(averaged, unshifted, averaged - unshifted)
 
 
+def expression_loop_integrand(p1, p2, q, mass):
+    """loop_integrand as one expression, before its work arrays were updated
+    in place (the reference of its bits)."""
+    q = np.asarray(q, dtype=float).reshape(4)
+    p_sq = p1 * p1 + p2 * p2
+    k1, k2 = q[1] - p1, q[2] - p2
+    k_sq = q[0] ** 2 + k1 * k1 + k2 * k2 + q[3] ** 2
+    p_dot_k = p1 * k1 + p2 * k2
+    m2 = mass * mass
+    return 8.0 * (p_dot_k - m2) / ((p_sq + m2) * (k_sq + m2))
+
+
 class TestShiftedLoop:
     Q = np.array([0.0, 0.125, 0.0625, 0.0])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        p=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+                 elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
+        q=arrays(float, 4, elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
+        mass=st.floats(1e-3, 10.0),
+    )
+    def test_integrand_matches_one_expression(self, p, q, mass):
+        # the in-place steps keep the operation order of the expression, on
+        # lattices and on single momenta
+        p1, p2 = p[..., 0], p[..., 1]
+        got, ref = loop_integrand(p1, p2, q, mass), expression_loop_integrand(p1, p2, q, mass)
+        assert got.shape == ref.shape and np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        one = loop_integrand(float(p[0, 0, 0]), float(p[0, 0, 1]), q, mass)
+        assert type(one) is np.float64 and one == ref[0, 0]
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(0.5, 5.0), st.integers(0, 40))

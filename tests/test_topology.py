@@ -1,4 +1,6 @@
 """Group factors, degree-of-map and winding quadrature."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,8 @@ from ymvac.topology import (
     _BLOCK,
     _ball_rules,
     _current,
+    _gauss_legendre,
+    _leggauss,
     _det3,
     _sphere_nodes,
 )
@@ -237,6 +241,19 @@ class TestMapDegree:
         assert np.array_equal(wts, ((wr * r**2)[:, None] * wdir[None, :]).reshape(-1))
         pts[0, 0] = 1.0  # the nodes themselves are the caller's own
         assert spec.ball_nodes(2.0)[0][0, 0] != 1.0
+
+    def test_legendre_rule_built_once_read_only(self):
+        # pheno's rules: leggauss(n) is cached by n, the affine map is not
+        from numpy.polynomial.legendre import leggauss
+
+        for n, upper in ((48, math.log(1e3)), (64, 1.0)):
+            assert all(a is b for a, b in zip(_leggauss(n), _leggauss(n)))
+            assert not any(a.flags.writeable for a in _leggauss(n))
+            t, w = _gauss_legendre(n, upper)
+            x, wx = leggauss(n)
+            assert np.array_equal(t, 0.5 * upper * (x + 1.0)) and np.array_equal(w, 0.5 * upper * wx)
+            t[0] = -1.0  # the mapped nodes are the caller's own
+            assert _gauss_legendre(n, upper)[0][0] != -1.0
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(DomainError):
