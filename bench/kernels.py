@@ -1,6 +1,6 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times twenty-nine kernels, each at two problem sizes, in two source trees (a
+Times thirty-one kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -65,10 +65,21 @@ baseline and this checkout's `src/`), and writes one JSON file:
   every branch; accuracy: the largest absolute gap to a 30-digit mpmath
   evaluation on 1000 of those radii (every one of the 10^3, every 100th of
   the 10^5);
-- `bps_profiles._hedgehog_gauge`, the BPS gauge sampler (g = eps = 1), at
+- the BPS gauge sampler (g = eps = 1; `bps_profiles._hedgehog_gauge`, or
+  `_eps_lift` of `_hedgehog_vector` in a tree with the vector sampler), at
   check-bogomolnyi's kind of points, N = 1000 and 27 648; accuracy: the
   number of entries unlike the np.linalg.norm/np.where form
   (`_where_hedgehog_gauge`, 0);
+- `ColorField.curl` of the BPS gauge field at the winding functional's step
+  (1e-3, order 4, float64), at the same kind of points, N = 4 608 (one block
+  of the ball integrals) and 27 648, and `magnetic_tension` of that field in
+  longdouble (default stencil) at check-bogomolnyi's points, N = 20 and
+  1000; accuracy: the largest gap to the closed-form curl or tension over
+  its largest entry.  Each is timed beside the same sampler without its
+  vector, through the curl of the nine-component gradient
+  (`generic_median_s`), with the number of entries in which the two routes
+  differ (`route_mismatches`, 0); a tree without `ColorField.curl` has only
+  that route;
 - `algebra.norm` on the same points in their (N, 3) layout; accuracy: the
   number of values unlike np.linalg.norm's (0), and beside it the time of
   np.linalg.norm (`linalg_norm_median_s`); a tree without `algebra.norm`
@@ -99,7 +110,8 @@ baseline and this checkout's `src/`), and writes one JSON file:
   number of entries in which the two differ (`loop_mismatches`, 0); a tree
   whose StencilConfig takes no step arrays times the loop alone;
 - the whole `winding` report in process (`cli.main`, output to memory) at
-  default arguments and at 72/36/36; accuracy: its exit code (0).
+  default arguments and at 72/36/36; accuracy: its exit code (0).  Its
+  minor page faults are among those of the `default-reports` workload below.
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -208,6 +220,12 @@ ERROR_ARGV = (
 CHANGED_ARGV = (
     ("check-gribov", "--eps", "1e-100"),
     ("check-gribov", "--radii-over-eps", "1e-300,2"),
+    # residual norms at the rounding floor (0): the strict-JSON refusal of an
+    # infinite observed order (both norms 0), and the exit 2 "math domain
+    # error" of log2(0) (the norm at h alone 0), became a line that names
+    # the radius
+    ("check-gribov", "--radii-over-eps", "1e300"),
+    ("check-gribov", "--radii-over-eps", "5e143"),
 )
 # off-default argv of the degree sweep and the point norms: output that must not move
 EXTRA_ARGV = (
@@ -403,6 +421,18 @@ def _bps_gauge_gradient(pts):
     # d_j (x_k c) = delta_jk c + x_j x_k c'/r
     dxc = c[:, None, None] * np.eye(3) + (dc / r)[:, None, None] * pts[:, :, None] * pts[:, None, :]
     return np.einsum("iak,njk->njia", EPS3, dxc)
+
+
+def _bps_tension(pts):
+    """B_i^a, [n][i][a], of the BPS pair at g = eps = 1 in closed form:
+    f1'/r (delta - n n) + (2 f1 - f1^2)/r^2 n n."""
+    import numpy as np
+
+    r = np.linalg.norm(pts, axis=1)
+    f1 = 1.0 - r / np.sinh(r)
+    df1 = (r * np.cosh(r) - np.sinh(r)) / np.sinh(r) ** 2
+    nn = pts[:, :, None] * pts[:, None, :] / (r * r)[:, None, None]
+    return (df1 / r)[:, None, None] * (np.eye(3) - nn) + ((2.0 * f1 - f1 * f1) / (r * r))[:, None, None] * nn
 
 
 def _profile_gaps(r, values) -> dict:
@@ -638,9 +668,11 @@ def worker() -> dict:
         cases[f"bogomolnyi_residual/N={n}"] = (times, "max_relative_residual", res)
     stencil = bp.default_stencil(unit)
     point_norm = getattr(algebra, "norm", _linalg_norm)
+    hedgehog_gauge = getattr(bp, "_hedgehog_gauge", None) or (
+        lambda pts, g, radial_f: bp._eps_lift(bp._hedgehog_vector(pts, g, radial_f)))
     for n in (1000, 27648):
         pts = report_points(n)
-        times, A = _timed(lambda: bp._hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0)))
+        times, A = _timed(lambda: hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0)))
         ref = _where_hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0))
         cases[f"hedgehog_gauge/N={n}"] = (times, "where_form_mismatches", int(np.sum(A != ref)))
         times, value = _timed(lambda: point_norm(pts.T))  # the (N, 3) layout of every node batch
@@ -653,6 +685,30 @@ def worker() -> dict:
         exact = _bps_gauge_gradient(pts)
         gap = float(np.max(np.abs(dA - exact)) / np.max(np.abs(exact)))
         cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", gap)
+    # the curl by the hedgehog's vector beside the curl of the nine-component
+    # gradient, of the same sampler without its vector
+    nine = bp.ColorField(gauge.sample_batch, gauge.singular_origin, gauge.label)
+
+    def field_curl(field, stencil, pts):
+        if hasattr(field, "curl"):
+            return field.curl(stencil, pts)
+        return algebra.curl(stencil._gradient(field.sample_batch, pts))
+
+    def beside_generic(case, route, exact):
+        times, value = _timed(lambda: route(gauge))
+        generic_times, ref = _timed(lambda: route(nine))
+        cases[case] = (times, "closed_form_gap", float(np.max(np.abs(value - exact)) / np.max(np.abs(exact))))
+        extra[case] = {"generic_median_s": statistics.median(generic_times), "route_mismatches": _mismatches(value, ref)}
+
+    winding_stencil = bp.StencilConfig(1e-3, 4)
+    for n in (4608, 27648):
+        pts = report_points(n)
+        exact = np.einsum("ijk,njka->nia", algebra.EPS3, _bps_gauge_gradient(pts))
+        beside_generic(f"color_field_curl/N={n}", lambda field: field_curl(field, winding_stencil, pts), exact)
+    for n in (20, 1000):
+        pts = report_points(n).astype(np.longdouble)
+        beside_generic(f"magnetic_tension_longdouble/N={n}", lambda field: bp.magnetic_tension(field, pts, stencil, 1.0),
+                       _bps_tension(pts.astype(float)))
     samplers = {"f0_bps": bp.f0_bps, "f1_bps": bp.f1_bps, "d_f01_bps": bp.d_f01_bps}
     for n in (1000, 100000):
         r = np.geomspace(1e-10, 1e5, n)
@@ -898,6 +954,9 @@ def main(argv=None) -> int:
             print(f"{'':>36}math.fsum route {row['current']['fsum_median_s'] * 1e3:.2f} ms")
         if "linalg_norm_median_s" in row["current"]:
             print(f"{'':>36}np.linalg.norm route {row['current']['linalg_norm_median_s'] * 1e3:.3f} ms")
+        if "generic_median_s" in row["current"]:
+            print(f"{'':>36}nine-component route {row['baseline']['generic_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['generic_median_s'] * 1e3:.2f} ms, mismatches {row['current']['route_mismatches']}")
         if "loop_median_s" in row["current"]:
             print(f"{'':>36}one call per point {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")

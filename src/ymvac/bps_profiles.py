@@ -31,7 +31,11 @@ products and curl of algebra,
 
     B_i = (curl A)_i - g A_{i+1} x A_{i+2},    D_i phi = d_i phi - g A_i x phi,
 
-and the covariant Laplacian's colour term is sum_i A_i x D_i phi.
+and the covariant Laplacian's colour term is sum_i A_i x D_i phi.  Every
+gauge field of build_fields is a hedgehog A_i^a = eps_{iak} w_k of a
+3-vector w (x f1/(g r^2), x (+-1)/(g r^2), or 0 for PT), and its curl is
+differenced from w's three components alone (ColorField.curl), with the
+bits of the curl of all nine.
 
 The phase scalar
 
@@ -121,10 +125,13 @@ class StencilConfig:
     scalar step.
 
     The one owner of the difference weights.  Every finite difference in the
-    package goes through _apply, and every three-axis gradient through
-    _gradient, which takes a batch of points in one pass (the greens
-    background operator included); the one exception is
-    covariant_laplacian's outer sum, which runs over all axes at once.
+    package goes through _apply, the one routine that forms shifted samples
+    (one coordinate of a copy of the points is shifted, and each sample is
+    weighted and accumulated in place), and every three-axis gradient
+    through _gradient, which takes a batch of points in one pass (the greens
+    background operator included; a gauge field's curl differences only its
+    vector, see ColorField.curl); the one exception is covariant_laplacian's
+    outer sum, which runs over all axes at once.
     """
 
     h: float | np.ndarray
@@ -161,20 +168,28 @@ class StencilConfig:
             offs, coef, scale = (-2.0, -1.0, 0.0, 1.0, 2.0), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0 * h * h
         return np.array(offs), np.divide.outer(np.array(coef), scale)
 
-    def _apply(self, sample, x, e, deriv: int = 1):
-        """sum_k w_k sample(x + o_k h e): the deriv-th derivative of `sample`
-        along e, accumulated one offset at a time from zeros in offset order.
+    def _apply(self, sample, x, axis: int | None = None, deriv: int = 1):
+        """sum_k w_k sample(x + o_k h e_axis): the deriv-th derivative of
+        `sample` along a coordinate axis, accumulated one offset at a time
+        from zeros in offset order.
 
-        x is a coordinate, a point or a batch of points; e the step direction
-        broadcast against it.  An array of steps needs one step per entry of
-        x's first axis, and each step and weight is broadcast along that
-        axis.  Each term is freed before the next offset is sampled.
+        x is a batch of points (N, 3) or a point (3,), each shifted along
+        `axis` in a copy; with axis None, x is a coordinate (or an array of
+        them) shifted as it is.  An array of steps needs one step per entry
+        of x's first axis, and each step and weight is broadcast along that
+        axis.  Each sample is weighted in place (a fresh array owned by its
+        sampler) and freed before the next offset is sampled.
         """
         self._require_steps_for(x)
         offs, wts = self.offsets_weights(deriv)
         acc = 0.0
         for w, s in zip(wts, np.multiply.outer(offs, self.h)):
-            acc += _weighted(w, sample(x + _along_points(s, x) * e))
+            if axis is None:
+                xs = x + _along_points(s, x)
+            else:
+                xs = x.astype(np.result_type(x, s))
+                xs[..., axis] += s
+            acc += _weighted(w, sample(xs))
         return acc
 
     def _step_at(self, i: int):
@@ -191,8 +206,8 @@ class StencilConfig:
         value-shape, filled axis by axis into one preallocated array
         (stacking the axes would hold all three at once)."""
         out = None
-        for j, e in enumerate(np.eye(3)):
-            d = self._apply(sample, pts, e)
+        for j in range(3):
+            d = self._apply(sample, pts, j)
             if out is None:
                 out = np.empty((len(pts), 3) + d.shape[1:], dtype=d.dtype)
             out[:, j] = d
@@ -204,9 +219,15 @@ class StencilConfig:
 
 
 def _weighted(w, term):
-    """w * term, an array w broadcast along term's first axis; the term is
-    freed on return, before the caller adds the product."""
-    return _along_points(w, term) * term
+    """w * term, an array w broadcast along term's first axis; a term that
+    is a writeable array owning its data and keeping its dtype in the
+    product is scaled in place."""
+    w = _along_points(w, term)
+    if (isinstance(term, np.ndarray) and term.flags.writeable and term.flags.owndata
+            and np.result_type(term, w) == term.dtype):
+        term *= w
+        return term
+    return w * term
 
 
 def _along_points(v, like):
@@ -247,11 +268,21 @@ class FieldVariant(Enum):
 @dataclass(frozen=True)
 class ColorField:
     """Sampler x -> field value: A[i][a] (spatial i, color a) for gauge fields,
-    phi^a for color scalars; units GeV (phase variants: dimensionless)."""
+    phi^a for color scalars; units GeV (phase variants: dimensionless).
+
+    A hedgehog gauge field also carries its vector sampler w (from_vector),
+    A_i^a = eps_{iak} w_k; curl then differences w's three components, not
+    the nine of A."""
 
     sample_batch: Callable = field(repr=False)
     singular_origin: bool = False
     label: str = ""
+    vector_batch: Callable | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_vector(cls, vector_batch: Callable, singular_origin: bool = False, label: str = "") -> "ColorField":
+        """The gauge field A_i^a = eps_{iak} w_k of a sampler of w (N, 3)."""
+        return cls(lambda pts: _eps_lift(vector_batch(pts)), singular_origin, label, vector_batch)
 
     def sample(self, x) -> np.ndarray:
         pts, single = _batch(x)
@@ -259,6 +290,26 @@ class ColorField:
             raise SingularPointError(f"{self.label or 'field'} is singular at r = 0")
         out = self.sample_batch(pts)
         return out[0] if single else out
+
+    def curl(self, stencil: StencilConfig, pts: np.ndarray) -> np.ndarray:
+        """eps_{ijk} d_j A_k^a at a batch pts (N, 3) by the stencil, shape
+        (N, 3, 3) [n][i][a], C-contiguous: an einsum over it adds in the
+        order it adds over algebra.curl's result.
+
+        With a vector w, d_j A_k^a = eps_{kam} d_j w_m, so the entry a = i is
+        d_{i+1} w_{i+1} + d_{i+2} w_{i+2} and every a != i is 0.0 - d_a w_i:
+        the bits of the curl of the nine-component gradient, signs of zero
+        included (with finite weights a stencil sum is never -0.0, and the
+        gradient of a zero entry is +0.0).  Without a vector, the curl of the
+        gradient of all nine components."""
+        if self.vector_batch is None:
+            return curl(stencil._gradient(self.sample_batch, pts))
+        dw = stencil._gradient(self.vector_batch, pts)  # [n][j][m] = d_j w_m
+        out = np.subtract(0.0, dw.transpose(0, 2, 1), out=np.empty_like(dw))  # [n][i][a] = 0.0 - d_a w_i
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            out[:, i, i] = dw[:, j, j] + dw[:, k, k]
+        return out
 
 
 def _batch(x):
@@ -279,16 +330,19 @@ def _batch(x):
 
 def _coth_minus_inv(x):
     """coth(x) - 1/x, series-protected near 0 (cancellation) and overflow-safe.
-    Each branch is evaluated only on the elements that select it."""
+    Each branch is evaluated only on the elements that select it, and not at
+    all when there are none."""
     x = np.asarray(x)
     small = np.abs(x) < 0.05
     direct = ~small
     out = np.empty_like(x)
-    xm = x[small]  # the series sees only small x: x * x overflows at large x
-    x2 = xm * xm
-    out[small] = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
-    xs = x[direct]
-    out[direct] = 1.0 / np.tanh(xs) - 1.0 / xs
+    if small.any():
+        xm = x[small]  # the series sees only small x: x * x overflows at large x
+        x2 = xm * xm
+        out[small] = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    if direct.any():
+        xs = x[direct]
+        out[direct] = 1.0 / np.tanh(xs) - 1.0 / xs
     return out
 
 
@@ -311,28 +365,32 @@ def f0_bps(r, eps: float):
 
 def _x_over_sinh(x):
     """x/sinh(x) without overflow; 1 at x = 0 and 0 at x = inf.  Each branch
-    is evaluated only on the elements that select it."""
+    is evaluated only on the elements that select it, and not at all when
+    there are none."""
     x = np.asarray(x)
     small = np.abs(x) < 1e-8
     big = x > 30.0
     direct = ~(small | big)
     out = np.empty_like(x)
-    xm = x[small]
-    out[small] = 1.0 - xm * xm / 6.0
-    # 2x e^-x/(1 - e^-2x), which never overflows and underflows to 0 as it
-    # should.  Past c, where e^-x alone is subnormal, e^-x = e^-c e^(c - x)
-    # keeps the digits that the factor 2x brings back; inf is taken as the
-    # largest float, whose tail is 0 (inf * 0 would be NaN)
-    finfo = np.finfo(x.dtype)
-    c = -np.log(finfo.tiny)
-    xb = np.minimum(x[big], finfo.max)
-    xc = np.minimum(xb, c)
-    tail = xb * (2.0 * np.exp(-xc))
-    deep = xb > c
-    tail[deep] *= np.exp(c - xb[deep])
-    out[big] = tail / (1.0 - np.exp(-2.0 * xc))
-    xs = x[direct]
-    out[direct] = xs / np.sinh(xs)
+    if small.any():
+        xm = x[small]
+        out[small] = 1.0 - xm * xm / 6.0
+    if big.any():
+        # 2x e^-x/(1 - e^-2x), which never overflows and underflows to 0 as
+        # it should.  Past c, where e^-x alone is subnormal, e^-x =
+        # e^-c e^(c - x) keeps the digits that the factor 2x brings back; inf
+        # is taken as the largest float, whose tail is 0 (inf * 0 would be NaN)
+        finfo = np.finfo(x.dtype)
+        c = -np.log(finfo.tiny)
+        xb = np.minimum(x[big], finfo.max)
+        xc = np.minimum(xb, c)
+        tail = xb * (2.0 * np.exp(-xc))
+        deep = xb > c
+        tail[deep] *= np.exp(c - xb[deep])
+        out[big] = tail / (1.0 - np.exp(-2.0 * xc))
+    if direct.any():
+        xs = x[direct]
+        out[direct] = xs / np.sinh(xs)
     return out
 
 
@@ -359,7 +417,9 @@ def f01_bps(r, eps: float):
 
 
 def d_f01_bps(r, eps: float):
-    """Exact radial derivative of f01_bps (series-protected near the origin)."""
+    """Exact radial derivative of f01_bps (series-protected near the origin).
+    Each branch is evaluated only on its own elements, and not at all when
+    there are none."""
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     r = np.asarray(r, dtype=float)
@@ -374,13 +434,17 @@ def d_f01_bps(r, eps: float):
     tail = (x > 350.0) & ~far
     direct = ~(small | tail | far)
     out = np.empty_like(x)
-    xm = x[small]  # the series sees only small x, as in _coth_minus_inv
-    x2 = xm * xm
-    out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
-    xs = x[direct]
-    out[direct] = (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps
-    out[tail] = 1.0 / x[tail] ** 2 / eps
-    out[far] = (1.0 / x[far]) ** 2 / eps
+    if small.any():
+        xm = x[small]  # the series sees only small x, as in _coth_minus_inv
+        x2 = xm * xm
+        out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
+    if direct.any():
+        xs = x[direct]
+        out[direct] = (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps
+    if tail.any():
+        out[tail] = 1.0 / x[tail] ** 2 / eps
+    if far.any():
+        out[far] = (1.0 / x[far]) ** 2 / eps
     return out if out.ndim else float(out)
 
 
@@ -388,14 +452,19 @@ def d_f01_bps(r, eps: float):
 # field construction
 # ---------------------------------------------------------------------------
 
-def _hedgehog_gauge(pts, g, radial_f):
-    """A[n,i,a] = eps_{iak} x_k/(g r^2) * radial_f(r), with the r=0 limit 0."""
+def _hedgehog_vector(pts, g, radial_f):
+    """w[n,k] = x_k/(g r^2) * radial_f(r), with the r=0 limit 0: the vector
+    of the hedgehog A_i^a = eps_{iak} w_k."""
     r = norm(pts.T)
     coef = np.divide(radial_f(r), g * (r * r), out=np.zeros_like(r), where=r > 0)
-    x = pts * coef[:, None]
-    A = np.zeros((len(pts), 3, 3), dtype=x.dtype)  # the six nonzero entries of eps_{iak} x_k
-    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
-    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -x[:, 2], -x[:, 0], -x[:, 1]
+    return pts * coef[:, None]
+
+
+def _eps_lift(w):
+    """A[n,i,a] = eps_{iak} w[n,k]: the six nonzero entries of a vector batch."""
+    A = np.zeros((len(w), 3, 3), dtype=w.dtype)
+    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = w[:, 2], w[:, 0], w[:, 1]
+    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -w[:, 2], -w[:, 0], -w[:, 1]
     return A
 
 
@@ -417,16 +486,15 @@ def build_fields(scale: MonopoleScale, variant) -> tuple[ColorField, ColorField]
     g, eps = scale.g, scale.eps
 
     if variant is FieldVariant.PT:
-        zero_a = lambda pts: np.zeros((len(pts), 3, 3))
         zero_s = lambda pts: np.zeros((len(pts), 3))
         return (
-            ColorField(zero_a, label="PT gauge"),
+            ColorField.from_vector(zero_s, label="PT gauge"),
             ColorField(zero_s, label="PT scalar"),
         )
 
     if variant is FieldVariant.BPS:
-        gauge = ColorField(
-            lambda pts: _hedgehog_gauge(pts, g, lambda r: f1_bps(r, eps)),
+        gauge = ColorField.from_vector(
+            lambda pts: _hedgehog_vector(pts, g, lambda r: f1_bps(r, eps)),
             label="BPS gauge",
         )
         scalar = ColorField(
@@ -436,8 +504,8 @@ def build_fields(scale: MonopoleScale, variant) -> tuple[ColorField, ColorField]
         return gauge, scalar
 
     sign = 1.0 if variant is FieldVariant.WU_YANG_PLUS else -1.0
-    gauge = ColorField(
-        lambda pts: _hedgehog_gauge(pts, g, lambda r: np.full_like(r, sign)),
+    gauge = ColorField.from_vector(
+        lambda pts: _hedgehog_vector(pts, g, lambda r: np.full_like(r, sign)),
         singular_origin=True,
         label=f"WuYang{'Plus' if sign > 0 else 'Minus'} gauge",
     )
@@ -483,15 +551,16 @@ def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> 
     """Non-Abelian magnetic tension B[i][a] (GeV^2) by central differences,
     at a point (3,) or a batch (N, 3), giving (3, 3) or (N, 3, 3).
 
-    Curl part by the configured stencil; quadratic self-coupling evaluated
-    exactly at the point, as (g/2) eps_{ijk} eps_{abc} A_j^b A_k^c
-    = g (A_{i+1} x A_{i+2})^a (spatial indices mod 3).
+    Curl part by the configured stencil through ColorField.curl (for the
+    hedgehog fields, from the three components of their vector); quadratic
+    self-coupling evaluated exactly at the point, as
+    (g/2) eps_{ijk} eps_{abc} A_j^b A_k^c = g (A_{i+1} x A_{i+2})^a (spatial
+    indices mod 3).
     """
     pts, single = _batch(x)
     _require_stencil_safe(field, pts, stencil)
-    dA = stencil._gradient(field.sample_batch, pts)  # [n][j][k][a]
     At = field.sample(pts).T  # [a][i][n]
-    B = curl(dA) - g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
+    B = field.curl(stencil, pts) - g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
     return B[0] if single else B
 
 

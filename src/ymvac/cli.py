@@ -184,7 +184,13 @@ def _run_check_gribov(cfg: RunConfig) -> Report:
                 f"the phase-equation residual norm at r = {r_over:g} eps leaves the float range "
                 f"(eps = {p['eps']:g}): {n1:g} at h, {n2:g} at h/2"
             )
-        order = math.log2(n1 / n2) if n2 > 0 else math.inf
+        if n1 == 0.0 or n2 == 0.0:
+            raise ConsistencyError(
+                f"the phase-equation residual at r = {r_over:g} eps is at the rounding floor "
+                f"(eps = {p['eps']:g}): its norm is {n1:g} at h and {n2:g} at h/2, so no refinement order "
+                f"can be observed"
+            )
+        order = math.log2(n1 / n2)
         min_order = min(min_order, order)
         rows.append((r_over, n1, n2, order))
     tol = cfg.tol if cfg.tol is not None else p["order"] - 1.0
@@ -236,7 +242,10 @@ def _run_greens(cfg: RunConfig) -> Report:
     s1 = greens.golden_solution(1, p["d1"], p["c1"])
     zs = rng.uniform(0.25, 4.0, p["n_z"])
     worst_euler = _worst(np.max(np.abs(greens.euler_residual(s, zs))) for s in (s0, s1))
-    pot_rows = [(z, s0.value(z), s1.value(z)) for z in np.linspace(0.2, 5.0, 25)]
+    # one call per solution over the grid: its array powers are the per-z
+    # scalar powers bit for bit (pinned in the tests)
+    z_grid = np.linspace(0.2, 5.0, 25)
+    pot_rows = list(zip(z_grid, s0.value(z_grid), s1.value(z_grid)))
     G = greens.GreenTensor(s0, s1)
     y = np.array([0.0, 0.0, 1e-6])
     x = np.outer((0.8, 2.0, 5.0), (0.0, 0.0, 1.0))

@@ -84,10 +84,11 @@ class EulerSolution:
             dz, cz = self.d * z**self.l1, self.c * z**self.l2
             out = dz + cz
         bad = ~np.isfinite(out)
-        if np.any(bad):  # name the term(s) that overflow, or both if only their sum does
+        if np.any(bad):  # name the term(s) that overflow at the first such z, or both if only their sum does
+            first = np.flatnonzero(bad)[0]
             terms = [(f"d={self.d:g}", dz), (f"c={self.c:g}", cz)]
-            named = [k for k, t in terms if not np.all(np.isfinite(t))] or [k for k, _ in terms]
-            raise DomainError(f"potential V_{self.n} leaves the float range at z={z[bad][0]:.3g}"
+            named = [k for k, t in terms if not np.isfinite(t.flat[first])] or [k for k, _ in terms]
+            raise DomainError(f"potential V_{self.n} leaves the float range at z={z.flat[first]:.3g}"
                               f" with coefficient {' and '.join(named)}")
         return out if out.ndim else float(out)
 
@@ -118,7 +119,7 @@ def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
     if not (r > 0):
         raise DomainError("radius must be positive")
     f0 = f(r)
-    fpp = StencilConfig(h or r / 500.0, 4)._apply(lambda s: f(s) - f0, r, 1.0, deriv=2)
+    fpp = StencilConfig(h or r / 500.0, 4)._apply(lambda s: f(s) - f0, r, deriv=2)
     return float(fpp + f0 * (f0 * f0 - 1.0) / (r * r))
 
 
@@ -232,7 +233,7 @@ def monopole_covariant_laplacian(S: Callable, x, h, order: int = 2) -> np.ndarra
     S0 = S(pts)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = stencil._gradient(S, pts)  # grad[m][j][a] = d_j S^a
-        lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))
+        lap = sum(stencil._apply(S, pts, j, deriv=2) for j in range(3))
         n = (pts / r[:, None]).reshape(pts.shape + (1,) * (S0.ndim - 2))  # broadcasts over columns
         div = np.trace(grad, axis1=1, axis2=2)[:, None]
         nb_da_Sb = np.sum(grad * n[:, None], axis=2)  # [m][a] = n^b d_a S^b

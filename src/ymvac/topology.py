@@ -45,7 +45,10 @@ d_i v v^-1 = -i c_i.tau:
 quaternion is _step (the n-dependent part) of _frame (the rest), so a
 map_degree sequence of n shares each frame.  Both ball integrals fill one
 density _BLOCK nodes at a time, so no temporary grows with N, and sum it
-whole, so the blocks change no bit.
+whole, so the blocks change no bit.  The Chern-Simons derivative term needs
+only the curl eps^{ijk} d_j A_k, which ColorField.curl differences from the
+hedgehog's 3-vector (a gauge field built without one, such as
+gauge_transform's, falls back to the gradient of all nine components).
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import cross, curl, norm
+from .algebra import cross, norm
 from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
 from .errors import DomainError, ResolutionError, TruncationError
 
@@ -326,9 +329,10 @@ def winding_functional(
 ) -> float:
     """Chern-Simons winding functional X[A] over the ball of radius r_max.
 
-    Both terms are real (see the module docstring); the derivative term uses
-    fourth-order central differences with step 1e-3 eps_ref on the sampler's
-    components.  Raises TruncationError when the outer 10% radial shell
+    Both terms are real (see the module docstring); the derivative term is
+    the field's curl (ColorField.curl) by fourth-order central differences
+    with step 1e-3 eps_ref, on the three components of a hedgehog's vector
+    or, for a field without one, on all nine of the sampler.  Raises TruncationError when the outer 10% radial shell
     carries more than tail_fraction of the accumulated absolute integrand;
     pass None to skip (e.g. when the boundary flux is being computed
     explicitly).
@@ -342,8 +346,7 @@ def winding_functional(
     dens = np.empty(len(pts))
     for block in _blocks(len(pts)):
         A = field.sample(pts[block])  # [n][i][a]
-        dA = stencil._gradient(field.sample, pts[block])  # [n][j][k][a]
-        term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
+        term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, field.curl(stencil, pts[block]))
         term2 = (-1.5 * g**3) * _det3(A.T)
         np.multiply(wts[block], term1 + (2.0 / 3.0) * term2, out=dens[block])
     total = -np.sum(dens) / (8.0 * np.pi**2)

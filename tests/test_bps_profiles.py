@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ymvac import algebra
 from ymvac.algebra import EPS3, cross
 from ymvac.bps_profiles import (
     ColorField,
@@ -14,7 +15,8 @@ from ymvac.bps_profiles import (
     MonopoleScale,
     StencilConfig,
     _coth_minus_inv,
-    _hedgehog_gauge,
+    _eps_lift,
+    _hedgehog_vector,
     _x_over_sinh,
     bogomolnyi_residual,
     build_fields,
@@ -151,8 +153,8 @@ class TestScaleAndTypes:
         # central stencils of order p differentiate polynomials of degree p exactly
         st = StencilConfig(h=0.125, order=order)
         x = 0.75
-        d1 = st._apply(lambda t: t**degree, x, 1.0)
-        d2 = st._apply(lambda t: t**degree, x, 1.0, deriv=2)
+        d1 = st._apply(lambda t: t**degree, x)
+        d2 = st._apply(lambda t: t**degree, x, deriv=2)
         assert d1 == pytest.approx(degree * x ** (degree - 1), rel=1e-13)
         assert d2 == pytest.approx(degree * (degree - 1) * x ** (degree - 2), rel=1e-12)
 
@@ -211,8 +213,9 @@ class TestBuildFields:
 
 
 def _where_hedgehog_gauge(pts, g, radial_f):
-    """_hedgehog_gauge as it was written before the masked divide: r from
-    np.linalg.norm, the r = 0 limit by two np.where."""
+    """The hedgehog gauge sampler as it was written before the masked divide
+    and the vector sampler: r from np.linalg.norm, the r = 0 limit by two
+    np.where, the six eps entries filled in place."""
     r = np.linalg.norm(pts, axis=1)
     safe = np.where(r > 0, r, 1.0)
     coef = np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)
@@ -250,7 +253,7 @@ class TestHedgehogGauge:
         zero = np.array(zero_rows[:len(pts)])
         pts[:len(zero)][zero] = 0.0  # r = 0 rows among the first 40
         radial_f = _HEDGEHOG_PROFILES[profile](eps)
-        got, ref = _hedgehog_gauge(pts, g, radial_f), _where_hedgehog_gauge(pts, g, radial_f)
+        got, ref = _eps_lift(_hedgehog_vector(pts, g, radial_f)), _where_hedgehog_gauge(pts, g, radial_f)
         assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref)
 
@@ -550,7 +553,7 @@ class TestPerPointSteps:
         with pytest.raises(DomainError, match="stencil steps for points"):
             stencil._gradient(gauge.sample_batch, x)
         with pytest.raises(DomainError, match="stencil steps for points"):
-            stencil._apply(scalar.sample_batch, x, np.array([1.0, 0.0, 0.0]), deriv=2)
+            stencil._apply(scalar.sample_batch, x, 0, deriv=2)
         with pytest.raises(DomainError, match="stencil steps for points"):
             gribov_residual(SCALE, x, stencil)
         with pytest.raises(DomainError, match="stencil steps for points"):
@@ -569,6 +572,76 @@ class TestPerPointSteps:
     def test_first_coarse_step_named(self):
         with pytest.raises(StencilError, match="stencil step 0.5 too coarse"):
             gribov_residual(SCALE, np.outer([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]), StencilConfig([0.01, 0.5, 0.7], 4))
+
+
+# ---------------------------------------------------------------------------
+# the curl of a hedgehog's vector against the curl of its nine components
+# ---------------------------------------------------------------------------
+
+# coordinates +-0 or of magnitude in [1e-3, 10]: a shifted copy keeps the
+# -0.0 that x + o h e turned into +0.0
+_SIGNED_COORD = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+def _signed_points_and_steps(max_points=6):
+    """n points (n, 3) holding signed zeros and n steps below eps/10."""
+    return st.integers(1, max_points).flatmap(lambda n: st.tuples(
+        arrays(float, (n, 3), elements=_SIGNED_COORD),
+        arrays(float, n, elements=st.floats(1e-4, 0.05)),
+    ))
+
+
+def _all_coordinates_shifted_gradient(stencil, sample, pts):
+    """d_j of a sampler as the engine formed it when each sample point was
+    x + o h e_j, all three coordinates shifted, and each weighted sample a
+    new array (the reference of the engine's bits)."""
+    offs, wts = stencil.offsets_weights()
+
+    def along(v, like):
+        return v if np.ndim(v) == 0 else v.reshape(v.shape + (1,) * (like.ndim - 1))
+
+    axes = []
+    for e in np.eye(3):
+        acc = 0.0
+        for w, s in zip(wts, np.multiply.outer(offs, stencil.h)):
+            term = sample(pts + along(s, pts) * e)
+            acc += along(w, term) * term
+        axes.append(acc)
+    return np.stack(axes, axis=1)
+
+
+class TestVectorCurl:
+    """ColorField.curl of a field built from its vector w differences only
+    w's three components; it has the bits of the curl of the nine-component
+    gradient, signs of zero included, and the engine's shifted copies the
+    bits of shifting every coordinate."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=_signed_points_and_steps(),
+        variant=st.sampled_from(["BPS", "WuYangPlus", "WuYangMinus", "PT"]),
+        order=st.sampled_from([2, 4]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+        per_point=st.booleans(),
+        g=st.floats(0.3, 3.0),
+    )
+    @example(
+        batch=(np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0], [0.5, -0.0, 0.0], [-0.0, 2.0, -0.0]]),
+               np.array([0.01, 0.02, 0.005, 0.05])),
+        variant="BPS", order=4, dtype=np.longdouble, per_point=True, g=1.0,
+    )
+    def test_vector_route_matches_nine_components(self, batch, variant, order, dtype, per_point, g):
+        x, steps = batch
+        pts = x.astype(dtype)
+        stencil = StencilConfig(steps if per_point else float(steps[0]), order)
+        gauge, _ = build_fields(MonopoleScale(g, 1.0), variant)
+        assert gauge.vector_batch is not None
+        got = gauge.curl(stencil, pts)
+        nine = stencil._gradient(gauge.sample_batch, pts)
+        generic = ColorField(gauge.sample_batch).curl(stencil, pts)  # a field without a vector
+        assert got.shape == (len(pts), 3, 3) and got.flags.c_contiguous
+        assert _same_bits(got, generic) and _same_bits(generic, algebra.curl(nine))
+        assert _same_bits(nine, _all_coordinates_shifted_gradient(stencil, gauge.sample_batch, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +831,26 @@ def _near(switch):
     return st.floats(0.99 * switch, 1.01 * switch)
 
 
+# each profile helper, its np.where form and the elements of each branch
+_BRANCHES = {
+    "x_over_sinh": (_x_over_sinh, _where_x_over_sinh, {
+        "small": st.floats(-1e-8, 1e-8, exclude_min=True, exclude_max=True),
+        "big": st.floats(30.0, 1e300, exclude_min=True),
+        "direct": st.one_of(st.floats(1e-8, 30.0), st.floats(-30.0, -1e-8)),
+    }),
+    "coth_minus_inv": (_coth_minus_inv, _where_coth_minus_inv, {
+        "small": st.floats(-0.05, 0.05, exclude_min=True, exclude_max=True),
+        "direct": st.one_of(st.floats(0.05, 1e300), st.floats(-1e300, -0.05)),
+    }),
+    "d_f01": (lambda r: d_f01_bps(r, 1.0), lambda r: _where_d_f01(r, 1.0), {
+        "small": st.floats(0.0, 0.05, exclude_max=True),
+        "direct": st.floats(0.05, 350.0),
+        "tail": st.floats(350.0, 1e154, exclude_min=True),
+        "far": st.floats(1e154, 1e300, exclude_min=True),
+    }),
+}
+
+
 # Gaps to 30-digit mpmath: |got - ref| <= rel |ref| + floor.
 #  - _x_over_sinh: rel 1e-15 (measured 1.5e-16 in float64, 4.9e-19 in
 #    longdouble).  floor: each dtype's smallest subnormal (4.9e-324 and
@@ -792,6 +885,22 @@ class TestProfileBranches:
                 got = _same_as_where_form(_coth_minus_inv, _where_coth_minus_inv, x)
                 ref = mpmath.coth(_mp(x)) - 1 / _mp(x)
                 assert abs(_mp(got) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("helper, branch", [(h, b) for h, (_, _, bs) in _BRANCHES.items() for b in bs])
+    @settings(deadline=None, max_examples=20)
+    @given(drawn=st.data(), dtype=st.sampled_from([np.float64, np.longdouble]))
+    def test_empty_branches(self, helper, branch, drawn, dtype):
+        # arrays without any element of one branch, with only that branch,
+        # and with no element at all: a skipped branch changes no bit
+        fn, ref, branches = _BRANCHES[helper]
+
+        def values(names):
+            return [v for name in names for v in drawn.draw(st.lists(branches[name], min_size=1, max_size=4))]
+
+        without = values([name for name in branches if name != branch])
+        for vals in (without, values([branch]), []):
+            x = np.array(drawn.draw(st.permutations(vals)), dtype=dtype)
+            assert _same_bits(fn(x), ref(x))
 
     @pytest.mark.parametrize("switch", [0.05, 350.0, 1e154])
     @settings(deadline=None, max_examples=20)

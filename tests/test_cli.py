@@ -1,15 +1,21 @@
 """CLI contract: schema, determinism, exit discipline."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ymvac
 from ymvac import bps_profiles as bp, cli, greens, rotator, topology
 from ymvac.cli import _HANDLERS, _parse_config, main
+from ymvac.errors import DomainError
 
 FAST_ARGS = {
     "profiles": ["--n-points", "9"],
@@ -434,6 +440,42 @@ class TestNaNGaps:
         assert checks["on-spectrum-survival"]["passed"]
 
 
+# potential coefficients: any float, or a signed power of ten over the range
+_COEF = st.one_of(st.floats(-1e308, 1e308),
+                  st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 308.0)))
+
+
+class TestGreensTable:
+    @settings(deadline=None, max_examples=30)
+    @given(d1=_COEF, c1=_COEF)
+    @example(d1=1e308, c1=1e308)  # both terms overflow on the grid, only d at its first bad z
+    @example(d1=1.0, c1=1e308)
+    @example(d1=-0.0, c1=0.0)
+    @example(d1=1.0, c1=1e305)  # refused by the operator, after the table
+    def test_table_is_the_scalar_calls(self, d1, c1):
+        # the potentials come from one value() call per solution over the
+        # grid; each row has the bits of one scalar call per z, and a
+        # refused run names the z and the coefficient that the scalar calls
+        # would name first
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["greens", f"--d1={d1!r}", f"--c1={c1!r}"])
+        s0 = greens.golden_solution(0, -1.0 / (4.0 * np.pi), 0.0)
+        s1 = greens.golden_solution(1, d1, c1)
+        try:
+            rows = [[float(z).hex(), s0.value(z).hex(), s1.value(z).hex()] for z in np.linspace(0.2, 5.0, 25)]
+        except DomainError as exc:
+            assert code == 2 and json.loads(err.getvalue())["message"] == str(exc)
+            return
+        if code == 2:  # refused after the table, by the operator's range check
+            assert json.loads(err.getvalue())["message"].startswith("the operator leaves the float range")
+            return
+        assert code in (0, 3)
+        table = json.loads(out.getvalue())["results"]["table"]
+        assert table["columns"] == ["z", "V0", "V1"]
+        assert [[v.hex() for v in row] for row in table["rows"]] == rows
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         # scipy.integrate serves only greens.shoot_radial and is imported there
@@ -520,6 +562,23 @@ class TestNoStrayWarnings:
             assert code == 3 and len(lines) == 1
             payload = json.loads(lines[0])
             assert payload["error"] == "consistency" and named in payload["message"]
+
+    def test_rounding_floor_gribov_residual_exit_3(self):
+        # far out the residual norms underflow to 0, both (the observed order
+        # would be inf) or only the one at h (log2 of 0): refused with one
+        # line that names the radius
+        cases = [
+            (["check-gribov", "--radii-over-eps", "1e300"], "r = 1e+300 eps"),
+            (["check-gribov", "--radii-over-eps", "2,1e300"], "r = 1e+300 eps"),
+            (["check-gribov", "--radii-over-eps", "5e143"], "r = 5e+143 eps"),
+        ]
+        runs = self._run_warnings_as_errors([argv for argv, _ in cases])
+        for (_, named), (code, err) in zip(cases, runs):
+            lines = err.splitlines()
+            assert code == 3 and len(lines) == 1
+            payload = json.loads(lines[0])
+            assert payload["error"] == "consistency"
+            assert named in payload["message"] and "rounding floor" in payload["message"]
 
     def test_pheno_range_sweep(self):
         # eps and g over the whole float range: a report either runs or is

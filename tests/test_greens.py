@@ -227,7 +227,7 @@ def single_point_operator(S, x, h, order=2):
     stencil = StencilConfig(h, order)
     S0 = S(pts)[0]
     grad = stencil._gradient(S, pts)[0]
-    lap = sum(stencil._apply(S, pts, e, deriv=2) for e in np.eye(3))[0]
+    lap = sum(stencil._apply(S, pts, j, deriv=2) for j in range(3))[0]
     n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))
     div = np.trace(grad)
     nb_da_Sb = np.sum(grad * n, axis=1)

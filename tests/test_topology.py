@@ -143,8 +143,8 @@ class TestGribovFactor:
             q0, q, _, _ = fmap.quaternion(p, derivs=False)
             return np.column_stack([q0, q.T])
 
-        for j, e in enumerate(np.eye(3)):
-            fd = stencil._apply(components, pts, e)
+        for j in range(3):
+            fd = stencil._apply(components, pts, j)
             assert np.abs(dq0[j] - fd[:, 0]).max() < 1e-8
             assert np.abs(dq[:, j].T - fd[:, 1:]).max() < 1e-8
 
