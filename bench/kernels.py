@@ -7,8 +7,8 @@ baseline and this checkout's `src/`), and writes one JSON file:
   winding report's default quadrature 48/24/24 and its `refined()` spec
   72/36/36; accuracy: the degree gap |N[1] - 1|;
 - the winding report's degree sweep, n in SWEEP_N = (-2, -1, 1, 2), at the
-  same two specs: one `map_degree` call over all n (one call per n in a tree
-  whose `map_degree` takes a single n); accuracy: the largest gap |N[n] - n|;
+  same two specs: one `map_degree` call over all n; accuracy: the largest gap
+  |N[n] - n|;
 - `winding_functional` of the BPS monopole (g = 1) at the same two specs;
   accuracy: |X[monopole]|, which is 0 exactly;
 - the gauge-shifted `winding_functional`: the BPS monopole transformed by
@@ -38,7 +38,7 @@ baseline and this checkout's `src/`), and writes one JSON file:
   and 2 x 400 001 terms (TERM_CAP) at b = 42/200000^2; accuracy: the number of
   rows whose sum differs from math.fsum's in any bit (0), and beside it the
   time of the math.fsum route it replaced (`fsum_median_s`, from the first
-  worker of each tree).  A tree without `exact_sums` times that fsum route;
+  worker of each tree);
 - `topology._gauss_legendre`, the node build of the pheno quadratures, at
   48 nodes on [0, ln 1000] (the magnetic energy's log-radial rule) and 64
   nodes on [0, 1] (the compactified radial rule), called again after its
@@ -65,11 +65,10 @@ baseline and this checkout's `src/`), and writes one JSON file:
   every branch; accuracy: the largest absolute gap to a 30-digit mpmath
   evaluation on 1000 of those radii (every one of the 10^3, every 100th of
   the 10^5);
-- the BPS gauge sampler (g = eps = 1; `bps_profiles._hedgehog_gauge`, or
-  `_eps_lift` of `_hedgehog_vector` in a tree with the vector sampler), at
-  check-bogomolnyi's kind of points, N = 1000 and 27 648; accuracy: the
-  number of entries unlike the np.linalg.norm/np.where form
-  (`_where_hedgehog_gauge`, 0);
+- the BPS gauge sampler (g = eps = 1; `sample_batch` of the gauge field of
+  `build_fields`), at check-bogomolnyi's kind of points, N = 1000 and
+  27 648; accuracy: the number of entries unlike the np.linalg.norm/np.where
+  form (`_where_hedgehog_gauge`, 0);
 - `ColorField.curl` of the BPS gauge field at the winding functional's step
   (1e-3, order 4, float64), at the same kind of points, N = 4 608 (one block
   of the ball integrals) and 27 648, and `magnetic_tension` of that field in
@@ -78,12 +77,10 @@ baseline and this checkout's `src/`), and writes one JSON file:
   its largest entry.  Each is timed beside the same sampler without its
   vector, through the curl of the nine-component gradient
   (`generic_median_s`), with the number of entries in which the two routes
-  differ (`route_mismatches`, 0); a tree without `ColorField.curl` has only
-  that route;
+  differ (`route_mismatches`, 0);
 - `algebra.norm` on the same points in their (N, 3) layout; accuracy: the
   number of values unlike np.linalg.norm's (0), and beside it the time of
-  np.linalg.norm (`linalg_norm_median_s`); a tree without `algebra.norm`
-  times np.linalg.norm itself;
+  np.linalg.norm (`linalg_norm_median_s`);
 - `cli._parse_config` per call, on `winding` and on an interference argv with
   two comma lists, after its first call; accuracy: the number of parsed
   fields unlike those of a parser built afresh (0);
@@ -107,8 +104,7 @@ baseline and this checkout's `src/`), and writes one JSON file:
   to the closed form (the truncated one for the magnetic energy).
   These last three kernels are each timed beside one call per point with a
   scalar step (`loop_median_s`, the form the batched calls replaced) and the
-  number of entries in which the two differ (`loop_mismatches`, 0); a tree
-  whose StencilConfig takes no step arrays times the loop alone;
+  number of entries in which the two differ (`loop_mismatches`, 0);
 - the whole `winding` report in process (`cli.main`, output to memory) at
   default arguments and at 72/36/36; accuracy: its exit code (0).  Its
   minor page faults are among those of the `default-reports` workload below.
@@ -226,6 +222,10 @@ CHANGED_ARGV = (
     # the radius
     ("check-gribov", "--radii-over-eps", "1e300"),
     ("check-gribov", "--radii-over-eps", "5e143"),
+    # a step so small that the first-derivative weights overflow: RuntimeWarnings
+    # and an exit 3 on a nan, now one validation line that names the step
+    ("check-bogomolnyi", "--eps", "1e-10", "--inv-h-over-eps", "1e300"),
+    ("check-gribov", "--eps", "1e-10", "--inv-h-over-r", "1e300"),
 )
 # off-default argv of the degree sweep and the point norms: output that must not move
 EXTRA_ARGV = (
@@ -286,15 +286,6 @@ def _fsum_rows(rows) -> list:
     return [math.fsum(memoryview(np.ascontiguousarray(row))) for row in rows]
 
 
-def _degree_sweep(topo, quad) -> list:
-    """The winding report's degrees at SWEEP_N: one map_degree call over all n,
-    or one call per n in a tree whose map_degree takes a single n."""
-    try:
-        return list(topo.map_degree(SWEEP_N, quad, check_resolution=False))
-    except TypeError:
-        return [topo.map_degree(n, quad, check_resolution=False) for n in SWEEP_N]
-
-
 def _linalg_norm(v):
     """The route algebra.norm replaced: np.linalg.norm over the first axis."""
     import numpy as np
@@ -303,8 +294,8 @@ def _linalg_norm(v):
 
 
 def _where_hedgehog_gauge(pts, g, radial_f):
-    """The BPS gauge sampler as _hedgehog_gauge computed it with np.linalg.norm
-    and two np.where (the reference of its bits)."""
+    """The BPS gauge sampler as it was first written, with np.linalg.norm and
+    two np.where (the reference of its bits)."""
     import numpy as np
 
     r = np.linalg.norm(pts, axis=1)
@@ -460,17 +451,6 @@ def _profile_gaps(r, values) -> dict:
     }
 
 
-def _takes_step_arrays(bp) -> bool:
-    """Whether this tree's StencilConfig takes an array of per-point steps."""
-    import numpy as np
-
-    try:
-        bp.StencilConfig(np.array([0.1, 0.2]), 4)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
 def _mismatches(a, b) -> int:
     """Entries of two equally shaped arrays (or tuples of them) that differ
     in value or in the sign of zero."""
@@ -567,9 +547,8 @@ def worker() -> dict:
     gauge, _ = bp.build_fields(bp.MonopoleScale(g=1.0, eps=1.0), "BPS")
     momentum = np.array(_parse_config(["interference"]).params["momentum"])
 
-    def average(L):  # an (8, 8) ndarray, or an object holding it in `.m` in older trees
-        S = itf.momentum_green_average(momentum, None, L)
-        return getattr(S, "m", S)
+    def average(L):
+        return itf.momentum_green_average(momentum, None, L)
 
     def norm(L):
         return float(np.linalg.norm(average(L), 2))
@@ -587,7 +566,7 @@ def worker() -> dict:
     for size, quad in specs.items():
         times, deg = _timed(lambda: topo.map_degree(1, quad, check_resolution=False))
         cases[f"map_degree/{size}"] = (times, "degree_gap", abs(deg - 1.0))
-        times, degrees = _timed(lambda: _degree_sweep(topo, quad))
+        times, degrees = _timed(lambda: list(topo.map_degree(SWEEP_N, quad, check_resolution=False)))
         cases[f"degree_sweep/{size}"] = (times, "largest_degree_gap", max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
         times, x = _timed(lambda: topo.winding_functional(gauge, quad, 1.0))
         cases[f"winding_functional/{size}"] = (times, "abs_winding_of_monopole", abs(x))
@@ -616,13 +595,12 @@ def worker() -> dict:
             prm = rot.RotatorParams.euclidean(inertia, theta, 0.3, 0.3)
             times, value = _timed(lambda: rot.path_green(prm))
             cases[f"path_green/I={inertia:g}{label}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
-    exact_sums = getattr(algebra, "exact_sums", _fsum_rows)
     b_path = 1e-7 / (2.0 * 0.3)  # path_green's b at I = 1e-7, tau_E = 0.3
     for n_max, b in ((rot._path_n_max(b_path, 0.3), b_path), (rot.TERM_CAP // 2, 42.0 / 200000**2)):
         n = np.arange(-n_max, n_max + 1)
         terms = np.exp(-1j * (math.pi / 2) * n - b * ((0.3 + n) * (0.3 + n)))
         rows = (terms.real, terms.imag)
-        times, sums = _timed(lambda: exact_sums(rows))
+        times, sums = _timed(lambda: algebra.exact_sums(rows))
         fsum_times, ref = _timed(lambda: _fsum_rows(rows))
         mismatches = sum(a.hex() != r.hex() for a, r in zip(sums, ref))
         cases[f"exact_sums/2x{n.size}"] = (times, "fsum_mismatches", mismatches)
@@ -638,16 +616,13 @@ def worker() -> dict:
     unit = bp.MonopoleScale(g=1.0, eps=1.0)
     truncated = pheno.magnetic_energy(unit) * (1.0 - 1.0 / pheno._MAGNETIC_R_MAX_OVER_EPS)
     inertia = pheno.rotary_momentum(unit)
-    # older trees pick the inertia quadrature with rotary_momentum(scale, method="quadrature")
-    inertia_quadrature = getattr(pheno, "rotary_momentum_quadrature", None) or (
-        lambda scale: pheno.rotary_momentum(scale, method="quadrature"))
     nodes = pheno._MAGNETIC_NODES, pheno._RADIAL_NODES
     for factor in (1, 2):
         pheno._MAGNETIC_NODES, pheno._RADIAL_NODES = (n * factor for n in nodes)
         times, value = _timed(lambda: pheno.magnetic_energy_quadrature(unit))
         cases[f"magnetic_energy_quadrature/{pheno._MAGNETIC_NODES}_nodes"] = (
             times, "truncated_closed_form_gap", abs(value / truncated - 1.0))
-        times, value = _timed(lambda: inertia_quadrature(unit))
+        times, value = _timed(lambda: pheno.rotary_momentum_quadrature(unit))
         cases[f"rotary_momentum_quadrature/{pheno._RADIAL_NODES}_nodes"] = (
             times, "closed_form_gap", abs(value / inertia - 1.0))
         times, value = _timed(lambda: pheno.normalization_check(unit))
@@ -667,15 +642,12 @@ def worker() -> dict:
         times, res = _timed(lambda: bp.bogomolnyi_residual(unit, pts))
         cases[f"bogomolnyi_residual/N={n}"] = (times, "max_relative_residual", res)
     stencil = bp.default_stencil(unit)
-    point_norm = getattr(algebra, "norm", _linalg_norm)
-    hedgehog_gauge = getattr(bp, "_hedgehog_gauge", None) or (
-        lambda pts, g, radial_f: bp._eps_lift(bp._hedgehog_vector(pts, g, radial_f)))
     for n in (1000, 27648):
         pts = report_points(n)
-        times, A = _timed(lambda: hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0)))
+        times, A = _timed(lambda: gauge.sample_batch(pts))
         ref = _where_hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0))
         cases[f"hedgehog_gauge/N={n}"] = (times, "where_form_mismatches", int(np.sum(A != ref)))
-        times, value = _timed(lambda: point_norm(pts.T))  # the (N, 3) layout of every node batch
+        times, value = _timed(lambda: algebra.norm(pts.T))  # the (N, 3) layout of every node batch
         linalg_times, ref = _timed(lambda: _linalg_norm(pts.T))
         cases[f"norm/N={n}"] = (times, "linalg_norm_mismatches", int(np.sum(value != ref)))
         extra[f"norm/N={n}"] = {"linalg_norm_median_s": statistics.median(linalg_times)}
@@ -689,11 +661,6 @@ def worker() -> dict:
     # gradient, of the same sampler without its vector
     nine = bp.ColorField(gauge.sample_batch, gauge.singular_origin, gauge.label)
 
-    def field_curl(field, stencil, pts):
-        if hasattr(field, "curl"):
-            return field.curl(stencil, pts)
-        return algebra.curl(stencil._gradient(field.sample_batch, pts))
-
     def beside_generic(case, route, exact):
         times, value = _timed(lambda: route(gauge))
         generic_times, ref = _timed(lambda: route(nine))
@@ -704,7 +671,7 @@ def worker() -> dict:
     for n in (4608, 27648):
         pts = report_points(n)
         exact = np.einsum("ijk,njka->nia", algebra.EPS3, _bps_gauge_gradient(pts))
-        beside_generic(f"color_field_curl/N={n}", lambda field: field_curl(field, winding_stencil, pts), exact)
+        beside_generic(f"color_field_curl/N={n}", lambda field: field.curl(winding_stencil, pts), exact)
     for n in (20, 1000):
         pts = report_points(n).astype(np.longdouble)
         beside_generic(f"magnetic_tension_longdouble/N={n}", lambda field: bp.magnetic_tension(field, pts, stencil, 1.0),
@@ -716,7 +683,7 @@ def worker() -> dict:
         gaps = _profile_gaps(r, {name: value for name, (_, value) in timed.items()})
         for name, (times, _) in timed.items():
             cases[f"{name}/N={n}"] = (times, "mpmath_gap", gaps[name])
-    fresh_parser = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
+    fresh_parser = cli._build_parser.__wrapped__
     for label, argv in (("winding", ["winding"]), ("interference_lists", list(_LIST_ARGV))):
         times, _ = _timed(lambda: _parse_config(argv))
         reused, fresh = vars(cli._build_parser().parse_args(argv)), vars(fresh_parser().parse_args(argv))
@@ -729,12 +696,9 @@ def worker() -> dict:
         cases[f"shifted_loop_average/cutoff={cutoff:g}"] = (
             times, "per_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
     # batched stencil passes, each beside one call per point (`loop_median_s`)
-    # and the number of entries in which the two differ (`loop_mismatches`);
-    # a tree without step arrays times the loop alone
-    batched = _takes_step_arrays(bp)
-
+    # and the number of entries in which the two differ (`loop_mismatches`)
     def beside_loop(case, route, accuracy_name, accuracy):
-        times, value = _timed(lambda: route(batched))
+        times, value = _timed(lambda: route(True))
         loop_times, ref = _timed(lambda: route(False))
         cases[case] = (times, accuracy_name, accuracy(value))
         extra[case] = {"loop_median_s": statistics.median(loop_times), "loop_mismatches": _mismatches(value, ref)}

@@ -35,7 +35,8 @@ and the covariant Laplacian's colour term is sum_i A_i x D_i phi.  Every
 gauge field of build_fields is a hedgehog A_i^a = eps_{iak} w_k of a
 3-vector w (x f1/(g r^2), x (+-1)/(g r^2), or 0 for PT), and its curl is
 differenced from w's three components alone (ColorField.curl), with the
-bits of the curl of all nine.
+bits of the curl of all nine.  That w and the scalar hedgehogs below come
+from one sampler, x times a radial coefficient that is 0 at the origin.
 
 The phase scalar
 
@@ -126,12 +127,14 @@ class StencilConfig:
 
     The one owner of the difference weights.  Every finite difference in the
     package goes through _apply, the one routine that forms shifted samples
-    (one coordinate of a copy of the points is shifted, and each sample is
-    weighted and accumulated in place), and every three-axis gradient
-    through _gradient, which takes a batch of points in one pass (the greens
+    (it always differences along a coordinate axis: one coordinate of a copy
+    of the points is shifted), and every three-axis gradient through
+    _gradient, which takes a batch of points in one pass (the greens
     background operator included; a gauge field's curl differences only its
     vector, see ColorField.curl); the one exception is covariant_laplacian's
     outer sum, which runs over all axes at once.
+
+    A step so small that a first-derivative weight overflows is refused.
     """
 
     h: float | np.ndarray
@@ -151,6 +154,10 @@ class StencilConfig:
             raise DomainError("stencil step h must be positive and finite")
         if self.order not in (2, 4):
             raise DomainError("stencil order must be 2 or 4")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.offsets_weights(1)[1]).all()
+        if not finite:
+            raise DomainError(f"stencil step {np.min(self.h):g} is too small: its first-derivative weights overflow")
 
     def offsets_weights(self, deriv: int = 1):
         """Offsets (in units of h) and weights of the first (deriv=1) or
@@ -168,28 +175,26 @@ class StencilConfig:
             offs, coef, scale = (-2.0, -1.0, 0.0, 1.0, 2.0), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0 * h * h
         return np.array(offs), np.divide.outer(np.array(coef), scale)
 
-    def _apply(self, sample, x, axis: int | None = None, deriv: int = 1):
+    def _apply(self, sample, x, axis: int, deriv: int = 1):
         """sum_k w_k sample(x + o_k h e_axis): the deriv-th derivative of
         `sample` along a coordinate axis, accumulated one offset at a time
         from zeros in offset order.
 
         x is a batch of points (N, 3) or a point (3,), each shifted along
-        `axis` in a copy; with axis None, x is a coordinate (or an array of
-        them) shifted as it is.  An array of steps needs one step per entry
-        of x's first axis, and each step and weight is broadcast along that
-        axis.  Each sample is weighted in place (a fresh array owned by its
-        sampler) and freed before the next offset is sampled.
+        `axis` in a copy.  An array of steps needs one step per entry of x's
+        first axis, and each step and weight is broadcast along that axis.
+        Each sample is freed before its weighted term is added.
         """
         self._require_steps_for(x)
         offs, wts = self.offsets_weights(deriv)
         acc = 0.0
         for w, s in zip(wts, np.multiply.outer(offs, self.h)):
-            if axis is None:
-                xs = x + _along_points(s, x)
-            else:
-                xs = x.astype(np.result_type(x, s))
-                xs[..., axis] += s
-            acc += _weighted(w, sample(xs))
+            xs = x.astype(np.result_type(x, s))
+            xs[..., axis] += s
+            term = sample(xs)
+            term = _along_points(w, term) * term  # frees the sample before the add
+            acc += term
+            del term  # and the product before the next sample
         return acc
 
     def _step_at(self, i: int):
@@ -216,18 +221,6 @@ class StencilConfig:
 
     def halved(self) -> "StencilConfig":
         return StencilConfig(self.h / 2.0, self.order)
-
-
-def _weighted(w, term):
-    """w * term, an array w broadcast along term's first axis; a term that
-    is a writeable array owning its data and keeping its dtype in the
-    product is scaled in place."""
-    w = _along_points(w, term)
-    if (isinstance(term, np.ndarray) and term.flags.writeable and term.flags.owndata
-            and np.result_type(term, w) == term.dtype):
-        term *= w
-        return term
-    return w * term
 
 
 def _along_points(v, like):
@@ -452,12 +445,12 @@ def d_f01_bps(r, eps: float):
 # field construction
 # ---------------------------------------------------------------------------
 
-def _hedgehog_vector(pts, g, radial_f):
-    """w[n,k] = x_k/(g r^2) * radial_f(r), with the r=0 limit 0: the vector
-    of the hedgehog A_i^a = eps_{iak} w_k."""
+def _hedgehog(pts, numer, denom):
+    """pts[n] * numer(r)/denom(r), with the r=0 limit 0: the vector w of a
+    gauge hedgehog A_i^a = eps_{iak} w_k (numer f1 or +-1, denom g r^2) or a
+    scalar hedgehog phi^a = n_hat_a c(r) (numer c, denom r)."""
     r = norm(pts.T)
-    coef = np.divide(radial_f(r), g * (r * r), out=np.zeros_like(r), where=r > 0)
-    return pts * coef[:, None]
+    return pts * np.divide(numer(r), denom(r), out=np.zeros_like(r), where=r > 0)[:, None]
 
 
 def _eps_lift(w):
@@ -466,14 +459,6 @@ def _eps_lift(w):
     A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = w[:, 2], w[:, 0], w[:, 1]
     A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -w[:, 2], -w[:, 0], -w[:, 1]
     return A
-
-
-def _hedgehog_scalar(pts, coef_of_r):
-    """phi[n,a] = n_hat_a * coef_of_r(r), with the r=0 limit 0."""
-    r = norm(pts.T)
-    safe = np.where(r > 0, r, 1.0)
-    coef = np.where(r > 0, coef_of_r(np.where(r > 0, r, 1e-30)) / safe, 0.0)
-    return pts * coef[:, None]
 
 
 def build_fields(scale: MonopoleScale, variant) -> tuple[ColorField, ColorField]:
@@ -494,18 +479,18 @@ def build_fields(scale: MonopoleScale, variant) -> tuple[ColorField, ColorField]
 
     if variant is FieldVariant.BPS:
         gauge = ColorField.from_vector(
-            lambda pts: _hedgehog_vector(pts, g, lambda r: f1_bps(r, eps)),
+            lambda pts: _hedgehog(pts, lambda r: f1_bps(r, eps), lambda r: g * (r * r)),
             label="BPS gauge",
         )
         scalar = ColorField(
-            lambda pts: _hedgehog_scalar(pts, lambda r: f0_bps(r, eps) / g),
+            lambda pts: _hedgehog(pts, lambda r: f0_bps(r, eps) / g, lambda r: r),
             label="BPS scalar",
         )
         return gauge, scalar
 
     sign = 1.0 if variant is FieldVariant.WU_YANG_PLUS else -1.0
     gauge = ColorField.from_vector(
-        lambda pts: _hedgehog_vector(pts, g, lambda r: np.full_like(r, sign)),
+        lambda pts: _hedgehog(pts, lambda r: np.full_like(r, sign), lambda r: g * (r * r)),
         singular_origin=True,
         label=f"WuYang{'Plus' if sign > 0 else 'Minus'} gauge",
     )
@@ -517,7 +502,7 @@ def gribov_phase_scalar(scale: MonopoleScale) -> ColorField:
     smooth at the origin (f01/r has a finite limit)."""
     eps = scale.eps
     return ColorField(
-        lambda pts: _hedgehog_scalar(pts, lambda r: -np.pi * f01_bps(r, eps)),
+        lambda pts: _hedgehog(pts, lambda r: -np.pi * f01_bps(r, eps), lambda r: r),
         label="phase scalar",
     )
 
@@ -527,7 +512,7 @@ def zero_mode_scalar(scale: MonopoleScale) -> ColorField:
     the vacuum inertia integral closes to 4 pi^2 eps / alpha_s."""
     g, eps = scale.g, scale.eps
     return ColorField(
-        lambda pts: _hedgehog_scalar(pts, lambda r: (2.0 * np.pi / g) * f01_bps(r, eps)),
+        lambda pts: _hedgehog(pts, lambda r: (2.0 * np.pi / g) * f01_bps(r, eps), lambda r: r),
         label="zero-mode scalar",
     )
 

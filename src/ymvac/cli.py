@@ -121,10 +121,7 @@ def _run_profiles(cfg: RunConfig) -> Report:
     scale = bp.MonopoleScale(g=p["g"], eps=p["eps"])
     eps, g = scale.eps, scale.g
     r = np.linspace(p["r_min"], p["r_max"], p["n_points"])
-    rows = [
-        (ri, bp.f0_bps(ri, eps), bp.f1_bps(ri, eps), bp.f01_bps(ri, eps))
-        for ri in r
-    ]
+    rows = zip(r, bp.f0_bps(r, eps), bp.f1_bps(r, eps), bp.f01_bps(r, eps))
     rep = Report(
         meta=_meta(cfg, ["bps-profiles", "phase-profile"], {"boundary": 5e-3}),
         inputs={"eps": eps, "g": g},

@@ -114,12 +114,13 @@ def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
     """Residual of f'' + f(f^2 - 1)/r^2 for a radial profile f(r).
 
     f'' by a 4th-order central stencil with step h (default r/500), applied
-    to f - f(r) so that the constant fixed points f = 0, +1, -1 are exact.
+    to f - f(r) so that the constant fixed points f = 0, +1, -1 are exact;
+    the profile is differenced along axis 0 of the point (r, 0, 0).
     """
     if not (r > 0):
         raise DomainError("radius must be positive")
     f0 = f(r)
-    fpp = StencilConfig(h or r / 500.0, 4)._apply(lambda s: f(s) - f0, r, deriv=2)
+    fpp = StencilConfig(h or r / 500.0, 4)._apply(lambda x: f(x[0]) - f0, np.array([r, 0.0, 0.0]), 0, deriv=2)
     return float(fpp + f0 * (f0 * f0 - 1.0) / (r * r))
 
 

@@ -251,33 +251,16 @@ def loop_integrand(p1, p2, q, mass: float):
     Euclidean slash with {g,g} = 2 delta gives G0 = (p_slash - i m)/(p^2 + m^2)
     and tr = 8 [p.(q-p) - m^2] / ((p^2+m^2)((q-p)^2+m^2)); the colored choice
     tau^3 squares to the identity in color space and leaves the value unchanged.
+    p = (0, p1, p2, 0) with p1, p2 floats or arrays broadcast against each
+    other, k = q - p, and the expression is evaluated elementwise as written.
     """
     q = np.asarray(q, dtype=float).reshape(4)
+    p_sq = p1 * p1 + p2 * p2
+    k1, k2 = q[1] - p1, q[2] - p2
+    k_sq = q[0] ** 2 + k1 * k1 + k2 * k2 + q[3] ** 2
+    p_dot_k = p1 * k1 + p2 * k2
     m2 = mass * mass
-    # four work arrays, updated in place in the operation order of
-    # 8 (p.k - m^2) / ((p^2 + m^2)(k^2 + m^2)) with k^2 = ((q0^2 + k1^2) + k2^2) + q3^2
-    shape = np.broadcast_shapes(np.shape(p1), np.shape(p2))
-    k1, k2, num, den = (np.empty(shape, dtype=np.result_type(p1, p2, q)) for _ in range(4))
-    np.subtract(q[1], p1, out=k1)
-    np.subtract(q[2], p2, out=k2)
-    np.multiply(p1, k1, out=num)
-    np.multiply(p2, k2, out=den)
-    num += den
-    num -= m2
-    num *= 8.0
-    k1 *= k1
-    k1 += q[0] ** 2
-    k2 *= k2
-    k1 += k2
-    k1 += q[3] ** 2
-    k1 += m2
-    np.multiply(p1, p1, out=den)
-    np.multiply(p2, p2, out=k2)
-    den += k2
-    den += m2
-    den *= k1
-    num /= den
-    return num[()]
+    return 8.0 * (p_dot_k - m2) / ((p_sq + m2) * (k_sq + m2))
 
 
 def loop_integrand_matrix(p1: float, p2: float, q, gamma_structure: str, mass: float) -> complex:

@@ -16,7 +16,7 @@ from ymvac.bps_profiles import (
     StencilConfig,
     _coth_minus_inv,
     _eps_lift,
-    _hedgehog_vector,
+    _hedgehog,
     _x_over_sinh,
     bogomolnyi_residual,
     build_fields,
@@ -141,6 +141,17 @@ class TestScaleAndTypes:
         with pytest.raises(DomainError):
             StencilConfig(h=np.inf)
 
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_step_whose_weights_overflow_refused(self, order):
+        # 1/(12 h) and 0.5/h leave the float range at h = 1e-310; the check
+        # itself warns of nothing (RuntimeWarnings are errors here)
+        for h in (1e-310, np.array([1e-3, 1e-310, 1e-300])):
+            with pytest.raises(DomainError, match="stencil step 1e-310 is too small"):
+                StencilConfig(h, order)
+        for h in (1e-300, np.array([1e-3, 1e-300])):
+            _, wts = StencilConfig(h, order).offsets_weights()
+            assert np.all(np.isfinite(wts))
+
     def test_derived_power_validation(self):
         # g^2 under- or overflows, g^3 or eps^3 overflows, g^2 eps underflows
         for g, eps in ((1e-200, 1.0), (1e200, 1.0), (1e103, 1.0), (1.0, 1e300), (1e-100, 1e-200)):
@@ -153,8 +164,8 @@ class TestScaleAndTypes:
         # central stencils of order p differentiate polynomials of degree p exactly
         st = StencilConfig(h=0.125, order=order)
         x = 0.75
-        d1 = st._apply(lambda t: t**degree, x)
-        d2 = st._apply(lambda t: t**degree, x, deriv=2)
+        d1 = st._apply(lambda p: p[0] ** degree, np.array([x, 0.0, 0.0]), 0)
+        d2 = st._apply(lambda p: p[0] ** degree, np.array([x, 0.0, 0.0]), 0, deriv=2)
         assert d1 == pytest.approx(degree * x ** (degree - 1), rel=1e-13)
         assert d2 == pytest.approx(degree * (degree - 1) * x ** (degree - 2), rel=1e-12)
 
@@ -253,9 +264,54 @@ class TestHedgehogGauge:
         zero = np.array(zero_rows[:len(pts)])
         pts[:len(zero)][zero] = 0.0  # r = 0 rows among the first 40
         radial_f = _HEDGEHOG_PROFILES[profile](eps)
-        got, ref = _eps_lift(_hedgehog_vector(pts, g, radial_f)), _where_hedgehog_gauge(pts, g, radial_f)
+        got, ref = _eps_lift(_hedgehog(pts, radial_f, lambda r: g * (r * r))), _where_hedgehog_gauge(pts, g, radial_f)
         assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref)
+
+
+def _where_hedgehog_scalar(pts, coef_of_r):
+    """The scalar hedgehog sampler as it was written before the one masked
+    divide: phi[n,a] = n_hat_a coef_of_r(r), the r = 0 limit by three np.where."""
+    r = algebra.norm(pts.T)
+    safe = np.where(r > 0, r, 1.0)
+    coef = np.where(r > 0, coef_of_r(np.where(r > 0, r, 1e-30)) / safe, 0.0)
+    return pts * coef[:, None]
+
+
+# the radial coefficients of the BPS, phase and zero-mode scalars at (g, eps)
+_SCALAR_COEFS = {
+    "BPS": lambda g, eps: lambda r: f0_bps(r, eps) / g,
+    "phase": lambda g, eps: lambda r: -np.pi * f01_bps(r, eps),
+    "zero-mode": lambda g, eps: lambda r: (2.0 * np.pi / g) * f01_bps(r, eps),
+}
+
+
+class TestHedgehogScalar:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
+               elements=st.one_of(st.sampled_from([0.0, -0.0]), _COORD)),
+        st.lists(st.booleans(), min_size=40, max_size=40),
+        st.sampled_from(sorted(_SCALAR_COEFS)),
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+        st.sampled_from([np.float64, np.longdouble]),
+    )
+    @example(np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, -0.0, 0.0]]), [False] * 40, "BPS", 1.0, 1.0,
+             np.float64)
+    @example(np.array([[-0.0, 0.0, -0.0], [0.0, 2.0, -0.0]]), [False] * 40, "phase", 1.3, 0.7, np.longdouble)
+    @example(random_points(27648, r_lo=0.01, r_hi=300.0, seed=9), [False] * 40, "zero-mode", 1.0, 1.0, np.float64)
+    def test_matches_where_form(self, pts, zero_rows, coef, g, eps, dtype):
+        # the one masked divide numer(r)/r gives the where form's values,
+        # signs of zero and dtype, also on r = 0 rows of +-0 coordinates
+        pts = pts.astype(dtype)
+        zero = np.array(zero_rows[:len(pts)])
+        pts[:len(zero)][zero] = 0.0  # r = 0 rows among the first 40
+        coef_of_r = _SCALAR_COEFS[coef](g, eps)
+        got, ref = _hedgehog(pts, coef_of_r, lambda r: r), _where_hedgehog_scalar(pts, coef_of_r)
+        assert got.dtype == ref.dtype == dtype
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _analytic_bps_tension(x, g=1.0, eps=1.0):

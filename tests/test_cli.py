@@ -476,6 +476,37 @@ class TestGreensTable:
         assert [[v.hex() for v in row] for row in table["rows"]] == rows
 
 
+class TestProfilesTable:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        eps=st.one_of(st.floats(1e-3, 1e3), st.builds(lambda e: 10.0**e, st.floats(-90.0, 90.0))),
+        r_min=st.one_of(st.just(0.0), st.floats(-10.0, 1e6)),
+        r_max=st.floats(0.0, 1e6),
+        n_points=st.integers(1, 60),
+    )
+    @example(eps=1.0, r_min=0.0, r_max=10.0, n_points=41)  # the default table
+    @example(eps=1.0, r_min=-1.0, r_max=10.0, n_points=41)
+    @example(eps=1e-80, r_min=0.0, r_max=1e6, n_points=7)
+    def test_table_is_the_scalar_calls(self, eps, r_min, r_max, n_points):
+        # the profiles come from one array call each over the grid; each row
+        # has the bits of the three scalar calls at its radius, and a
+        # refused grid gives the scalar calls' message
+        argv = ["profiles", f"--eps={eps!r}", f"--r-min={r_min!r}", f"--r-max={r_max!r}", f"--n-points={n_points}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        try:
+            rows = [[float(r).hex(), bp.f0_bps(r, eps).hex(), bp.f1_bps(r, eps).hex(), bp.f01_bps(r, eps).hex()]
+                    for r in np.linspace(r_min, r_max, n_points)]
+        except DomainError as exc:
+            assert code == 2 and json.loads(err.getvalue())["message"] == str(exc)
+            return
+        assert code == 0
+        table = json.loads(out.getvalue())["results"]["table"]
+        assert table["columns"] == ["r", "f0", "f1", "f01"]
+        assert [[v.hex() for v in row] for row in table["rows"]] == rows
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         # scipy.integrate serves only greens.shoot_radial and is imported there
@@ -526,8 +557,11 @@ class TestNoStrayWarnings:
 
     def test_out_of_range_exponents_exit_2(self):
         # tau_E/(2I) underflows to 0 or I/(2 tau_E) to a subnormal; g^2
-        # underflows, g^2, g^3 or eps^3 overflows; a zero step divisor
+        # underflows, g^2, g^3 or eps^3 overflows; a zero step divisor; a
+        # step so small that the stencil weights overflow
         cases = [
+            (["check-bogomolnyi", "--eps", "1e-10", "--inv-h-over-eps", "1e300"], "stencil step 1e-310 is too small"),
+            (["check-gribov", "--eps", "1e-10", "--inv-h-over-r", "1e300"], "stencil step 1e-310 is too small"),
             (["rotator", "--inertia", "1e308", "--tau", "1e-10"], "normal floats"),
             (["rotator", "--inertia", "1e-308", "--tau", "1e10"], "normal floats"),
             (["check-gribov", "--inv-h-over-r", "0"], "--inv-h-over-r"),
