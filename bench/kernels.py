@@ -53,9 +53,13 @@ baseline and this checkout's `src/`), and writes one JSON file:
   truncated like the integral, 4 pi (1 - 1e-3)/(g^2 eps);
   `rotary_momentum_quadrature`, accuracy its relative gap to 4 pi^2 eps/alpha_s;
   `normalization_check`, accuracy its gap to 1;
-- `bogomolnyi_residual` of the BPS pair (g = eps = 1, default stencil) at
-  check-bogomolnyi's points for --seed 0, N = 20 (the report default) and
-  1000; accuracy: the residual max ||B - D(phi)||/||B|| itself;
+- check-bogomolnyi's pair of residuals max ||B - D(phi)||/||B|| of the BPS
+  pair (g = eps = 1) at the default step h and at h/2, at its points for
+  --seed 0, N = 100 and 1000: one `bogomolnyi_residual` call in a tree where
+  it returns the pair, two calls (the second at `halved()`) in a tree where
+  it returns one residual; accuracy: the residual at h, and beside it the
+  residual at h/2, their ratio and the number of the two residuals in which
+  the trees differ (`tree_mismatches`, 0);
 - `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil,
   float64) at the same kind of points, N = 1000 and 27 648 (the node count
   of the winding report's default quadrature); accuracy: the largest gap to the
@@ -234,6 +238,18 @@ EXTRA_ARGV = (
     _FINE_WINDING_ARGV,
     ("check-bogomolnyi", "--variant", "WuYangPlus"),
     ("check-gribov", "--order", "2"),
+    # the shared walk over h and h/2: every variant and order, a dense sweep,
+    # subnormal steps h = 1e-308 (its half exact) and 9.09e-309 (its half
+    # inexact, so no sample is shared), and h = 5e-309, whose half has
+    # overflowing weights
+    ("check-bogomolnyi", "--variant", "BPS"),
+    ("check-bogomolnyi", "--variant", "WuYangMinus"),
+    ("check-bogomolnyi", "--variant", "PT"),
+    ("check-bogomolnyi", "--order", "2"),
+    ("check-bogomolnyi", "--n-points", "1000"),
+    ("check-bogomolnyi", "--eps", "1e-300", "--inv-h-over-eps", "1e8"),
+    ("check-bogomolnyi", "--eps", "1e-300", "--inv-h-over-eps", "1.1e8"),
+    ("check-bogomolnyi", "--eps", "1e-300", "--inv-h-over-eps", "2e8"),
 )
 IMPORT_CODE = (
     "import sys, time\n"
@@ -396,6 +412,14 @@ def _quiet_main(main, argv) -> int:
 
     with redirect_stdout(io.StringIO()):
         return main(argv)
+
+
+def _bogomolnyi_pair(bp, scale, pts) -> tuple:
+    """The residuals at the default step h and at h/2: one call where
+    bogomolnyi_residual returns the pair, else a second call at h/2."""
+    stencil = bp.default_stencil(scale)
+    pair = bp.bogomolnyi_residual(scale, pts, stencil)
+    return pair if isinstance(pair, tuple) else (pair, bp.bogomolnyi_residual(scale, pts, stencil.halved()))
 
 
 def _bps_gauge_gradient(pts):
@@ -637,10 +661,12 @@ def worker() -> dict:
         dirs = rng.normal(size=(n, 3))
         return radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
-    for n in (20, 1000):
+    for n in (100, 1000):
         pts = report_points(n)
-        times, res = _timed(lambda: bp.bogomolnyi_residual(unit, pts))
-        cases[f"bogomolnyi_residual/N={n}"] = (times, "max_relative_residual", res)
+        times, pair = _timed(lambda: _bogomolnyi_pair(bp, unit, pts))
+        cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", pair[0])
+        extra[f"bogomolnyi_pair/N={n}"] = {"residual_half_h": pair[1], "refinement_ratio": pair[0] / pair[1],
+                                           "pair": list(pair)}
     stencil = bp.default_stencil(unit)
     for n in (1000, 27648):
         pts = report_points(n)
@@ -854,6 +880,8 @@ def measure(trees: dict) -> dict:
                 **{k: v for k, v in rec.items() if k not in ("times_s", "accuracy_name", "accuracy")},
             }
         row["speedup"] = row["baseline"]["median_s"] / row["current"]["median_s"]
+        if "pair" in row["current"]:
+            row["tree_mismatches"] = _mismatches(*(tuple(row[name]["pair"]) for name in trees))
         kernels.append(row)
     return {
         "kernels": kernels,
@@ -921,6 +949,9 @@ def main(argv=None) -> int:
         if "generic_median_s" in row["current"]:
             print(f"{'':>36}nine-component route {row['baseline']['generic_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['generic_median_s'] * 1e3:.2f} ms, mismatches {row['current']['route_mismatches']}")
+        if "tree_mismatches" in row:
+            print(f"{'':>36}residual at h/2 {row['current']['residual_half_h']:.3e}, ratio "
+                  f"{row['current']['refinement_ratio']:.2f}, tree mismatches {row['tree_mismatches']}")
         if "loop_median_s" in row["current"]:
             print(f"{'':>36}one call per point {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")

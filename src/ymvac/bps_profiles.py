@@ -132,9 +132,12 @@ class StencilConfig:
     _gradient, which takes a batch of points in one pass (the greens
     background operator included; a gauge field's curl differences only its
     vector, see ColorField.curl); the one exception is covariant_laplacian's
-    outer sum, which runs over all axes at once.
+    outer sum, which runs over all axes at once.  Both can also difference
+    at h and at h/2 in one shared walk over the shifted samples (with_half;
+    bogomolnyi_residual's pair of steps).
 
-    A step so small that a first-derivative weight overflows is refused.
+    A step so small that a first- or second-derivative weight overflows is
+    refused.
     """
 
     h: float | np.ndarray
@@ -154,15 +157,13 @@ class StencilConfig:
             raise DomainError("stencil step h must be positive and finite")
         if self.order not in (2, 4):
             raise DomainError("stencil order must be 2 or 4")
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(self.offsets_weights(1)[1]).all()
-        if not finite:
-            raise DomainError(f"stencil step {np.min(self.h):g} is too small: its first-derivative weights overflow")
+        self.offsets_weights(1)  # refuses a step whose weights overflow
 
     def offsets_weights(self, deriv: int = 1):
         """Offsets (in units of h) and weights of the first (deriv=1) or
         second (deriv=2) derivative: weights (K,) for one step, (K, N) (one
-        column per point) for an array of steps."""
+        column per point) for an array of steps.  Weights past the float
+        range are refused, and warn of nothing."""
         h = self.h
         if deriv == 1:
             if self.order == 2:
@@ -173,9 +174,14 @@ class StencilConfig:
             offs, coef, scale = (-1.0, 0.0, 1.0), (1.0, -2.0, 1.0), h * h
         else:
             offs, coef, scale = (-2.0, -1.0, 0.0, 1.0, 2.0), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0 * h * h
-        return np.array(offs), np.divide.outer(np.array(coef), scale)
+        with np.errstate(over="ignore", divide="ignore"):  # h * h may underflow to 0
+            wts = np.divide.outer(np.array(coef), scale)
+        if not np.isfinite(wts).all():
+            kind = "first" if deriv == 1 else "second"
+            raise DomainError(f"stencil step {np.min(h):g} is too small: its {kind}-derivative weights overflow")
+        return np.array(offs), wts
 
-    def _apply(self, sample, x, axis: int, deriv: int = 1):
+    def _apply(self, sample, x, axis: int, deriv: int = 1, with_half: bool = False):
         """sum_k w_k sample(x + o_k h e_axis): the deriv-th derivative of
         `sample` along a coordinate axis, accumulated one offset at a time
         from zeros in offset order.
@@ -183,19 +189,34 @@ class StencilConfig:
         x is a batch of points (N, 3) or a point (3,), each shifted along
         `axis` in a copy.  An array of steps needs one step per entry of x's
         first axis, and each step and weight is broadcast along that axis.
-        Each sample is freed before its weighted term is added.
+        Each sample is freed before its weighted terms are added.
+
+        with_half also differences at h/2 (self.halved()) and returns the
+        pair (at h, at h/2).  One walk then visits the union of both levels'
+        shifts in increasing order (-2h, -h, -h/2, h/2, h, 2h at order 4),
+        sampling each shifted point once, and a level adds its term only at
+        its own offsets, so each level has the bits of a one-level call.  A
+        sample is shared only where the two levels' shifts are bitwise equal
+        (never, where h/2 is inexact).
         """
         self._require_steps_for(x)
-        offs, wts = self.offsets_weights(deriv)
-        acc = 0.0
-        for w, s in zip(wts, np.multiply.outer(offs, self.h)):
+        levels = (self, self.halved()) if with_half else (self,)
+        walk = {}  # shift bits -> (offset in units of h, shift, [(level, weight)])
+        for level, stencil in enumerate(levels):
+            offs, wts = stencil.offsets_weights(deriv)
+            for o, s, w in zip(offs.tolist(), np.multiply.outer(offs, stencil.h), wts):
+                walk.setdefault(s.tobytes(), (o / 2**level, s, []))[2].append((level, w))
+        acc = [0.0] * len(levels)
+        for _, s, shared in sorted(walk.values(), key=lambda step: step[0]):  # stable: level 0 first
             xs = x.astype(np.result_type(x, s))
             xs[..., axis] += s
             term = sample(xs)
-            term = _along_points(w, term) * term  # frees the sample before the add
-            acc += term
-            del term  # and the product before the next sample
-        return acc
+            terms = [(level, _along_points(w, term) * term) for level, w in shared]
+            del xs, term  # free the sample before the adds
+            for level, term in terms:
+                acc[level] += term
+            del terms, term  # and the products before the next sample
+        return tuple(acc) if with_half else acc[0]
 
     def _step_at(self, i: int):
         """The step of point i (the one step, when there is one)."""
@@ -206,18 +227,20 @@ class StencilConfig:
         if np.ndim(self.h) and np.shape(x)[:1] != self.h.shape:
             raise DomainError(f"{len(self.h)} stencil steps for points of shape {np.shape(x)}")
 
-    def _gradient(self, sample, pts):
+    def _gradient(self, sample, pts, with_half: bool = False):
         """d_j of a sampler of point batches at pts (N, 3), shape (N, 3) +
         value-shape, filled axis by axis into one preallocated array
-        (stacking the axes would hold all three at once)."""
-        out = None
+        (stacking the axes would hold all three at once); with_half, the
+        pair (at h, at h/2) from _apply's shared walk."""
+        outs = []
         for j in range(3):
-            d = self._apply(sample, pts, j)
-            if out is None:
-                out = np.empty((len(pts), 3) + d.shape[1:], dtype=d.dtype)
-            out[:, j] = d
-            del d  # free each axis before the next is sampled
-        return out
+            ds = self._apply(sample, pts, j, with_half=with_half)
+            for level, d in enumerate(ds if with_half else (ds,)):
+                if not j:
+                    outs.append(np.empty((len(pts), 3) + d.shape[1:], dtype=d.dtype))
+                outs[level][:, j] = d
+            del ds, d  # free each axis before the next is sampled
+        return tuple(outs) if with_half else outs[0]
 
     def halved(self) -> "StencilConfig":
         return StencilConfig(self.h / 2.0, self.order)
@@ -297,12 +320,18 @@ class ColorField:
         gradient of all nine components."""
         if self.vector_batch is None:
             return curl(stencil._gradient(self.sample_batch, pts))
-        dw = stencil._gradient(self.vector_batch, pts)  # [n][j][m] = d_j w_m
-        out = np.subtract(0.0, dw.transpose(0, 2, 1), out=np.empty_like(dw))  # [n][i][a] = 0.0 - d_a w_i
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            out[:, i, i] = dw[:, j, j] + dw[:, k, k]
-        return out
+        return _vector_curl(stencil._gradient(self.vector_batch, pts))
+
+
+def _vector_curl(dw):
+    """The curl (N, 3, 3) [n][i][a] of the hedgehog A_i^a = eps_{iak} w_k
+    from the gradient of its vector, dw[n][j][m] = d_j w_m (see
+    ColorField.curl)."""
+    out = np.subtract(0.0, dw.transpose(0, 2, 1), out=np.empty_like(dw))  # [n][i][a] = 0.0 - d_a w_i
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out[:, i, i] = dw[:, j, j] + dw[:, k, k]
+    return out
 
 
 def _batch(x):
@@ -545,8 +574,20 @@ def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> 
     pts, single = _batch(x)
     _require_stencil_safe(field, pts, stencil)
     At = field.sample(pts).T  # [a][i][n]
-    B = field.curl(stencil, pts) - g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
+    B = field.curl(stencil, pts) - _self_coupling(At, g)
     return B[0] if single else B
+
+
+def _self_coupling(At, g):
+    """g (A_{i+1} x A_{i+2})^a, [n][i][a], of the gauge sample At [a][i][n]:
+    the quadratic term of the magnetic tension."""
+    return g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
+
+
+def _colour_rotation(At, phi, g):
+    """g eps_{abc} A_i^b phi^c = g (A_i x phi)^a, [n][i][a], of the samples
+    At [a][i][n] and phi [n][a]: the colour term of the covariant gradient."""
+    return g * cross(At, phi.T[:, None]).T
 
 
 def covariant_derivative(
@@ -558,9 +599,7 @@ def covariant_derivative(
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
     dphi = stencil._gradient(scalar.sample_batch, pts)  # [n][i][a]
-    At = gauge.sample(pts).T  # [a][i][n]
-    phi = scalar.sample(pts)
-    D = dphi - g * cross(At, phi.T[:, None]).T  # eps_{abc} A_i^b phi^c = (A_i x phi)^a
+    D = dphi - _colour_rotation(gauge.sample(pts).T, scalar.sample(pts), g)
     return D[0] if single else D
 
 
@@ -598,15 +637,21 @@ def bogomolnyi_residual(
     stencil: StencilConfig | None = None,
     variant=FieldVariant.BPS,
     sign: int = 1,
-) -> float:
+) -> tuple[float, float]:
     """Max pointwise first-order residual over the given points (an (N, 3)
-    array, a point, or a list of points).
+    array, a point, or a list of points), at the stencil's step h and at h/2:
+    the pair (residual at h, residual at h/2).
 
     BPS: max ||B - sign*D(phi)|| / ||B||  (Frobenius norms).
     PT: both sides vanish identically; the 0/0 is reported as exact zero.
     WuYang variants: the phase scalar matches B only up to an overall scale,
     so the scale-invariant alignment residual sqrt(1 - <B_hat, D_hat>^2) is
     returned instead.
+
+    B and D at both steps come from one shared stencil walk over the gauge
+    vector, one over the scalar and one unshifted sample of each
+    (_first_order_pairs); each residual has the bits of magnetic_tension and
+    covariant_derivative at its step alone.
     """
     variant = FieldVariant.parse(variant)
     if sign not in (1, -1):
@@ -619,20 +664,36 @@ def bogomolnyi_residual(
     gauge, scalar = build_fields(scale, variant)
 
     if variant is FieldVariant.PT:
-        return 0.0
+        return 0.0, 0.0
 
     # extended precision keeps the stencil's own order visible below the
     # double-precision cancellation floor
-    xe = pts.astype(np.longdouble)
-    B = magnetic_tension(gauge, xe, stencil, scale.g)
-    D = covariant_derivative(gauge, scalar, xe, stencil, scale.g)
-    nb, nd = np.linalg.norm(B, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
-    if variant is FieldVariant.BPS:
-        res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
-    else:
-        cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * nd)
-        res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-    return float(np.max(res, initial=0.0))
+    residuals = []
+    for B, D in _first_order_pairs(gauge, scalar, pts.astype(np.longdouble), stencil, scale.g):
+        nb, nd = np.linalg.norm(B, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
+        if variant is FieldVariant.BPS:
+            res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
+        else:
+            cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * nd)
+            res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+        residuals.append(float(np.max(res, initial=0.0)))
+    return tuple(residuals)
+
+
+def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, stencil: StencilConfig, g: float):
+    """[(B, D) at h, (B, D) at h/2] at a batch pts (N, 3) for a hedgehog
+    gauge field (one with a vector): magnetic_tension and
+    covariant_derivative at both steps, bit for bit, from one shared walk
+    over the gauge vector, one over the scalar and one unshifted sample of
+    each."""
+    _require_stencil_safe(gauge, pts, stencil)
+    _require_stencil_safe(scalar, pts, stencil)
+    At = gauge.sample(pts).T  # [a][i][n]
+    quad = _self_coupling(At, g)
+    Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, with_half=True)]
+    rot = _colour_rotation(At, scalar.sample(pts), g)
+    del At, quad
+    return [(B, dphi - rot) for B, dphi in zip(Bs, stencil._gradient(scalar.sample_batch, pts, with_half=True))]
 
 
 def gribov_residual(

@@ -115,7 +115,9 @@ def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
 
     f'' by a 4th-order central stencil with step h (default r/500), applied
     to f - f(r) so that the constant fixed points f = 0, +1, -1 are exact;
-    the profile is differenced along axis 0 of the point (r, 0, 0).
+    the profile is differenced along axis 0 of the point (r, 0, 0).  A step
+    whose second-derivative weights overflow (the default one below r of
+    about 1e-151) is refused with a DomainError.
     """
     if not (r > 0):
         raise DomainError("radius must be positive")

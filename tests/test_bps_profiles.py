@@ -1,4 +1,7 @@
 """Field construction and first-order residual checks."""
+import contextlib
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from ymvac.bps_profiles import (
     StencilConfig,
     _coth_minus_inv,
     _eps_lift,
+    _first_order_pairs,
     _hedgehog,
     _x_over_sinh,
     bogomolnyi_residual,
@@ -151,6 +155,21 @@ class TestScaleAndTypes:
         for h in (1e-300, np.array([1e-3, 1e-300])):
             _, wts = StencilConfig(h, order).offsets_weights()
             assert np.all(np.isfinite(wts))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_step_whose_second_derivative_weights_overflow_refused(self, order):
+        # the first-derivative weights of these steps are finite; h * h
+        # underflows to 0 (2e-163) or its inverse overflows (1e-155)
+        for h, named in ((2e-163, "2e-163"), (1e-155, "1e-155"), (np.array([1e-3, 1e-155, 1e-150]), "1e-155")):
+            stencil = StencilConfig(h, order)
+            assert np.all(np.isfinite(stencil.offsets_weights(1)[1]))
+            with pytest.raises(DomainError, match=f"stencil step {named} is too small: its second-derivative"):
+                stencil.offsets_weights(2)
+            with pytest.raises(DomainError, match="second-derivative weights overflow"):
+                stencil._apply(lambda p: p[..., 0], np.zeros((np.size(h), 3)), 0, deriv=2)
+        _, wts = StencilConfig(1e-150, order).offsets_weights(2)
+        assert np.all(np.isfinite(wts))
 
     def test_derived_power_validation(self):
         # g^2 under- or overflows, g^3 or eps^3 overflows, g^2 eps underflows
@@ -432,17 +451,16 @@ class TestBogomolnyiResidual:
     def test_residual_and_refinement(self):
         st = default_stencil(SCALE)
         pts = list(random_points(20, seed=11))
-        res = bogomolnyi_residual(SCALE, pts, st)
-        res_half = bogomolnyi_residual(SCALE, pts, st.halved())
+        res, res_half = bogomolnyi_residual(SCALE, pts, st)
         assert res < 10.0 * st.h**st.order
         assert res / res_half >= 8.0
 
     def test_pt_exact_zero(self):
-        assert bogomolnyi_residual(SCALE, [np.array([1.0, 0, 0])], variant="PT") == 0.0
+        assert bogomolnyi_residual(SCALE, [np.array([1.0, 0, 0])], variant="PT") == (0.0, 0.0)
 
     def test_wu_yang_alignment(self):
         st = default_stencil(SCALE)
-        res = bogomolnyi_residual(SCALE, [np.array([0.0, 0.0, 3.0])], st, variant="WuYangPlus")
+        res, _ = bogomolnyi_residual(SCALE, [np.array([0.0, 0.0, 3.0])], st, variant="WuYangPlus")
         assert res < 100.0 * st.h**st.order
 
     def test_empty_points(self):
@@ -452,7 +470,7 @@ class TestBogomolnyiResidual:
     def test_sign_branch(self):
         st = default_stencil(SCALE)
         pts = [np.array([0.9, 0.3, -0.2])]
-        assert bogomolnyi_residual(SCALE, pts, st, sign=-1) > 1.0
+        assert min(bogomolnyi_residual(SCALE, pts, st, sign=-1)) > 1.0
         with pytest.raises(DomainError):
             bogomolnyi_residual(SCALE, pts, st, sign=2)
 
@@ -462,7 +480,8 @@ class TestBogomolnyiResidual:
         pts = random_points(12, seed=14)
         res = bogomolnyi_residual(SCALE, pts, st, variant)
         assert res == bogomolnyi_residual(SCALE, list(pts), st, variant)
-        assert res == max(bogomolnyi_residual(SCALE, p, st, variant) for p in pts)
+        per_point = [bogomolnyi_residual(SCALE, p, st, variant) for p in pts]
+        assert res == tuple(map(max, zip(*per_point)))
 
     def test_coarse_stencil_rejected(self):
         with pytest.raises(StencilError):
@@ -698,6 +717,106 @@ class TestVectorCurl:
         assert got.shape == (len(pts), 3, 3) and got.flags.c_contiguous
         assert _same_bits(got, generic) and _same_bits(generic, algebra.curl(nine))
         assert _same_bits(nine, _all_coordinates_shifted_gradient(stencil, gauge.sample_batch, pts))
+
+
+# ---------------------------------------------------------------------------
+# one walk over the shifts of h and h/2 against one call per step
+# ---------------------------------------------------------------------------
+
+_TINY_EPS = 1e-306  # a core whose steps below eps/10 are subnormal
+# odd multiples of the smallest subnormal 2^-1074 (their halves are inexact)
+# between the refusal floor of h/2's weights (h near 7.4e-309) and eps/10
+_ODD_SUBNORMAL = st.integers(int(7.5e-309 / 2.0**-1074) // 2, int(9.9e-309 / 2.0**-1074) // 2).map(
+    lambda k: math.ldexp(2 * k + 1, -1074))
+
+
+def _two_level_batch(max_points=5):
+    """(tiny, coordinates, steps): n points (n, 3) in units of eps holding
+    signed zeros, and n steps, below eps/10 at eps = 1 or (tiny) odd
+    subnormal multiples at eps = _TINY_EPS, where no shift of h is bitwise
+    one of h/2."""
+    def drawn(n, tiny):
+        steps = arrays(float, n, elements=_ODD_SUBNORMAL if tiny else st.floats(1e-4, 0.05))
+        return st.tuples(st.just(tiny), arrays(float, (n, 3), elements=_SIGNED_COORD), steps)
+    return st.tuples(st.integers(1, max_points), st.booleans()).flatmap(lambda a: drawn(*a))
+
+
+def _outcome(fn):
+    """fn's value, or the message of the StencilError it raised."""
+    try:
+        return fn()
+    except StencilError as exc:
+        return f"StencilError: {exc}"
+
+
+def _one_step_residual(scale, pts, stencil, variant, sign):
+    """bogomolnyi_residual at one step, as it was written before both steps
+    shared a walk (the reference of its bits)."""
+    if FieldVariant.parse(variant) is FieldVariant.PT:
+        return 0.0
+    gauge, scalar = build_fields(scale, variant)
+    xe = pts.astype(np.longdouble)
+    B = magnetic_tension(gauge, xe, stencil, scale.g)
+    D = covariant_derivative(gauge, scalar, xe, stencil, scale.g)
+    nb, nd = np.linalg.norm(B, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
+    if FieldVariant.parse(variant) is FieldVariant.BPS:
+        res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
+    else:
+        cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * nd)
+        res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+    return float(np.max(res, initial=0.0))
+
+
+class TestSharedHalfStep:
+    """A stencil walk at h and h/2 gives each step the bits of a one-step
+    call: the gradients, B and D(phi) at both steps, and both residuals."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=_two_level_batch(),
+        variant=st.sampled_from(["BPS", "WuYangPlus", "WuYangMinus", "PT"]),
+        order=st.sampled_from([2, 4]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+        per_point=st.booleans(),
+        sign=st.sampled_from([1, -1]),
+        g=st.floats(0.3, 3.0),
+    )
+    @example(  # h/2 exact: the shifts +-h of both steps are one sample each
+        batch=(False, np.array([[0.0, -0.0, 1.0], [-0.0, 0.5, -0.0], [2.0, -3.0, 0.25]]), np.array([0.01, 0.02, 0.005])),
+        variant="BPS", order=4, dtype=np.longdouble, per_point=False, sign=1, g=1.0,
+    )
+    @example(  # h/2 inexact: no shift is shared
+        batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([math.ldexp(2 * 759375 * 10**9 + 1, -1074)] * 2)),
+        variant="BPS", order=4, dtype=np.longdouble, per_point=True, sign=1, g=1.0,
+    )
+    def test_matches_one_step_calls(self, batch, variant, order, dtype, per_point, sign, g):
+        tiny, coords, steps = batch
+        scale = MonopoleScale(g, _TINY_EPS if tiny else 1.0)
+        x = coords * scale.eps
+        pts = x.astype(dtype)
+        stencil = StencilConfig(steps if per_point else float(steps[0]), order)
+        half = stencil.halved()
+        gauge, scalar = build_fields(scale, variant)
+        # float64 squares of a tiny core underflow: both routes divide by 0 alike
+        with np.errstate(all="ignore") if tiny else contextlib.nullcontext():
+            for sample in (gauge.vector_batch, scalar.sample_batch):
+                got = stencil._gradient(sample, pts, with_half=True)
+                ref = stencil._gradient(sample, pts), half._gradient(sample, pts)
+                assert all(_same_bits(a, b) for a, b in zip(got, ref))
+            pairs = _outcome(lambda: _first_order_pairs(gauge, scalar, pts, stencil, g))
+            ref_pairs = _outcome(lambda: [
+                (magnetic_tension(gauge, pts, s, g), covariant_derivative(gauge, scalar, pts, s, g))
+                for s in (stencil, half)])
+            if isinstance(ref_pairs, str):
+                assert pairs == ref_pairs
+            else:
+                assert all(_same_bits(a, b) for got, ref in zip(pairs, ref_pairs) for a, b in zip(got, ref))
+            res = _outcome(lambda: bogomolnyi_residual(scale, x, stencil, variant, sign))
+            ref_res = _outcome(lambda: tuple(_one_step_residual(scale, x, s, variant, sign) for s in (stencil, half)))
+        if isinstance(ref_res, str):
+            assert res == ref_res
+        else:
+            assert [v.hex() for v in res] == [v.hex() for v in ref_res]
 
 
 # ---------------------------------------------------------------------------

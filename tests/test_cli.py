@@ -243,7 +243,9 @@ class TestRefinementExpectations:
 
 class TestOneStencilPass:
     """check-gribov evaluates every radius at h and at h/2 in one
-    gribov_residual call, and greens its three radii in one operator call."""
+    gribov_residual call, check-bogomolnyi its points at h and at h/2 in one
+    bogomolnyi_residual call, and greens its three radii in one operator
+    call."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -269,6 +271,15 @@ class TestOneStencilPass:
         radii = json.loads(out)["results"]["table"]["rows"]
         _, centres, stencil = calls[0]
         assert centres.shape == (2 * len(radii), 3) and stencil.h.shape == (2 * len(radii),)
+
+    def test_one_sampling_pass_for_both_bogomolnyi_steps(self, capsys, monkeypatch):
+        # h and h/2 share their shifts +-h and the unshifted samples: the gauge
+        # vector and the scalar at 3 axes x 6 shifts and once unshifted, 38
+        # hedgehog samples at order 4 where one pass per step took 54
+        residual_calls = self._count(monkeypatch, bp, "bogomolnyi_residual")
+        samples = self._count(monkeypatch, bp, "_hedgehog")
+        assert run(capsys, "check-bogomolnyi")[0] == 0
+        assert len(residual_calls) == 1 and len(samples) <= 38
 
     def test_one_operator_call(self, capsys, monkeypatch):
         calls = self._count(monkeypatch, greens, "monopole_covariant_laplacian")

@@ -123,6 +123,14 @@ class TestRadialYM:
         with pytest.raises(DomainError):
             radial_ym_residual(lambda r: 0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_radius_whose_step_squares_to_zero_refused(self):
+        # the default step r/500 = 2e-163 squares to 0: the second-derivative
+        # weights are refused before any sample, with no warning
+        with pytest.raises(DomainError, match="stencil step 2e-163 is too small: its second-derivative weights"):
+            radial_ym_residual(lambda r: 0.5, 1e-160)
+        assert radial_ym_residual(lambda r: 0.5, 1e-140) == 0.5 * (0.25 - 1.0) / 1e-280
+
 
 class TestShooting:
     def test_fixed_points_stay(self):
