@@ -1,14 +1,17 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times thirty-one kernels, each at two problem sizes, in two source trees (a
+Times thirty-two kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
   winding report's default quadrature 48/24/24 and its `refined()` spec
   72/36/36; accuracy: the degree gap |N[1] - 1|;
 - the winding report's degree sweep, n in SWEEP_N = (-2, -1, 1, 2), at the
-  same two specs: one `map_degree` call over all n; accuracy: the largest gap
-  |N[n] - n|;
+  same two specs: one `map_degree` call over all n, which shares each
+  block's frame and, where the tree does, each pair +-n's step; accuracy:
+  the largest gap |N[n] - n|, and beside it the time of one call per n
+  (`loop_median_s`) and the number of degrees in which the two differ
+  (`loop_mismatches`, 0);
 - `winding_functional` of the BPS monopole (g = 1) at the same two specs;
   accuracy: |X[monopole]|, which is 0 exactly;
 - the gauge-shifted `winding_functional`: the BPS monopole transformed by
@@ -64,6 +67,15 @@ baseline and this checkout's `src/`), and writes one JSON file:
   float64) at the same kind of points, N = 1000 and 27 648 (the node count
   of the winding report's default quadrature); accuracy: the largest gap to the
   closed-form gradient over the largest entry of it;
+- the stencil walk's small passes (`stacked_gradient`), `_gradient` as the
+  reports call it: the zero-mode scalar at pheno's 64 compactified radial
+  nodes (default stencil, float64), the phase scalar at check-gribov's 78
+  inner points (its 6 centres and their 72 shifts, one step per point,
+  longdouble), and the gauge vector at check-bogomolnyi's points for
+  --seed 0, N = 20 and 1000, at h and h/2 in one walk (longdouble).  Each is
+  timed beside the same walk held to one shift per sampler call (`_BLOCK`
+  set to 1; `per_shift_median_s`), with the number of entries in which the
+  two differ; accuracy: that number (`per_shift_mismatches`, 0);
 - the profile samplers `f0_bps`, `f1_bps` and `d_f01_bps` at eps = 1 on
   10^3 and 10^5 radii spaced geometrically over [1e-10, 1e5], which reach
   every branch; accuracy: the largest absolute gap to a 30-digit mpmath
@@ -120,11 +132,14 @@ with whether the import loaded scipy, and the median wall time of TIER1_RUNS
 alternating runs of each tree's Tier-1 suite (`pytest -q` over the `tests/`
 beside its `src/`) with its summary line.
 
-Minor page faults (ru_minflt) are counted as the perfbench runs the reports:
-for each of FAULT_WORKLOADS, ROUNDS alternating fresh processes per tree run
-its reports through `cli.main` for one untimed and FAULT_PASSES counted
-passes; the JSON holds each report's median and mean faults, and the faults
-of each `shifted_loop_average` call.
+Minor page faults (ru_minflt) are counted in two ways for each of
+FAULT_WORKLOADS, in ROUNDS alternating fresh processes per tree, each with
+one untimed pass and FAULT_PASSES counted ones through `cli.main`: as the
+perfbench runs the reports, all of the workload's reports in one loop
+(`reports_in_loop`, which depends on the reports run before each one), and
+each report alone in its own process (`reports_alone`).  The JSON holds
+each report's median and mean faults for both, and the faults of each
+`shifted_loop_average` call in the loop.
 
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
@@ -250,6 +265,12 @@ EXTRA_ARGV = (
     ("check-bogomolnyi", "--eps", "1e-300", "--inv-h-over-eps", "1e8"),
     ("check-bogomolnyi", "--eps", "1e-300", "--inv-h-over-eps", "1.1e8"),
     ("check-bogomolnyi", "--eps", "1e-300", "--inv-h-over-eps", "2e8"),
+    # the shared +-n steps of the degree sweep: an asymmetric and a one-signed
+    # sweep; the stacked walk: 18 shifts of 300 points in a full and a
+    # ragged sampler call
+    ("winding", "--n-min", "-1", "--n-max", "3"),
+    ("winding", "--n-min", "-4", "--n-max", "-1"),
+    ("check-bogomolnyi", "--n-points", "300"),
 )
 IMPORT_CODE = (
     "import sys, time\n"
@@ -346,14 +367,21 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def fault_worker(workload: str) -> dict:
+def _workload_reports(workload: str) -> list:
+    with open(ROOT / "perfbench" / "workloads.json", encoding="utf-8") as fh:
+        return [tuple(a) for a in json.load(fh)[workload]["reports"]]
+
+
+def fault_worker(workload: str, alone: int | None = None) -> dict:
     """Minor page faults of each report of a perfbench workload, and of each
     shifted_loop_average call, run in process as the perfbench runs them:
-    one untimed pass, then FAULT_PASSES counted passes."""
+    one untimed pass, then FAULT_PASSES counted passes.  With `alone`, only
+    the report at that index of the workload runs."""
     from ymvac import cli, interference as itf
 
-    with open(ROOT / "perfbench" / "workloads.json", encoding="utf-8") as fh:
-        reports = [tuple(a) for a in json.load(fh)[workload]["reports"]]
+    reports = _workload_reports(workload)
+    if alone is not None:
+        reports = reports[alone:alone + 1]
     for argv in reports:
         _quiet_main(cli.main, [*argv, "--seed", "1"])
     loop, loop_faults = itf.shifted_loop_average, []
@@ -379,21 +407,28 @@ def fault_worker(workload: str) -> dict:
 
 
 def fault_counts(trees: dict) -> dict:
-    """Minor faults per report and per shifted_loop_average call in each tree,
-    pooled over ROUNDS alternating fresh processes per workload."""
+    """Minor faults per report, in the workload loop and alone, and per
+    shifted_loop_average call (in the loop) in each tree, pooled over ROUNDS
+    alternating fresh processes per workload and per report."""
     out = {}
     for workload in FAULT_WORKLOADS:
-        pooled = {name: {"reports": {}, "shifted_loop_average": []} for name in trees}
+        pooled = {name: {"reports_in_loop": {}, "reports_alone": {}, "shifted_loop_average": []} for name in trees}
         for _ in range(ROUNDS):
             for name, src in trees.items():
                 rec = json.loads(_run(src, [__file__, "--faults", workload]))
                 for argv, faults in rec["reports"].items():
-                    pooled[name]["reports"].setdefault(argv, []).extend(faults)
+                    pooled[name]["reports_in_loop"].setdefault(argv, []).extend(faults)
                 pooled[name]["shifted_loop_average"] += rec["shifted_loop_average"]
+            for index in range(len(_workload_reports(workload))):
+                for name, src in trees.items():
+                    rec = json.loads(_run(src, [__file__, "--faults", workload, "--alone", str(index)]))
+                    for argv, faults in rec["reports"].items():
+                        pooled[name]["reports_alone"].setdefault(argv, []).extend(faults)
         out[workload] = {
             name: {
-                "reports": {argv: {"median": statistics.median(f), "mean": statistics.mean(f), "samples": len(f)}
-                            for argv, f in rec["reports"].items()},
+                **{key: {argv: {"median": statistics.median(f), "mean": statistics.mean(f), "samples": len(f)}
+                         for argv, f in rec[key].items()}
+                   for key in ("reports_in_loop", "reports_alone")},
                 "shifted_loop_average": {
                     "calls": len(rec["shifted_loop_average"]),
                     "faulting_calls": sum(f > 0 for f in rec["shifted_loop_average"]),
@@ -412,6 +447,38 @@ def _quiet_main(main, argv) -> int:
 
     with redirect_stdout(io.StringIO()):
         return main(argv)
+
+
+def _one_shift_per_call(bp, route):
+    """route() with the stencil walk held to one shift per sampler call
+    (bps_profiles._BLOCK set to 1), the form that stacking replaced; a tree
+    without _BLOCK walks that way anyway."""
+    block = getattr(bp, "_BLOCK", None)
+    bp._BLOCK = 1
+    try:
+        return route()
+    finally:
+        if block is None:
+            del bp._BLOCK
+        else:
+            bp._BLOCK = block
+
+
+def _gribov_inner_points(bp, radii_over_eps):
+    """check-gribov's centres (0, 0, r) at h = min(r, 8)/100 and at h/2 (eps =
+    1) with their shifted points, as covariant_laplacian forms them for its
+    inner stencil, in longdouble, and that stencil (one step per point)."""
+    import numpy as np
+
+    r = np.array(radii_over_eps * 2, dtype=float)
+    h = np.minimum(r, 8.0) / 100.0
+    h[len(radii_over_eps):] /= 2.0
+    xc = np.outer(r, (0.0, 0.0, 1.0)).astype(np.longdouble)
+    offs, _ = bp.StencilConfig(h, 4).offsets_weights()
+    steps = np.eye(3, dtype=xc.dtype)[:, None, :] * h[:, None]  # [j][m] = h_m e_j
+    shifted = xc + offs[:, None, None] * steps[:, None]  # [j][k][m]
+    pts = np.concatenate([xc[None], shifted.reshape(-1, *xc.shape)]).reshape(-1, 3)
+    return pts, bp.StencilConfig(np.tile(h, 1 + 3 * len(offs)), 4)
 
 
 def _bogomolnyi_pair(bp, scale, pts) -> tuple:
@@ -587,11 +654,26 @@ def worker() -> dict:
     surface_exact = -bp.f1_bps(default.r_max, 1.0) * math.sin(a) * math.cos(a) / math.pi
 
     cases = {}
+    extra = {}  # second accuracy figures, by case
+
+    # batched passes, each beside one call per point or per n (`loop_median_s`)
+    # and the number of entries in which the two differ (`loop_mismatches`)
+    def beside_loop(case, route, accuracy_name, accuracy):
+        times, value = _timed(lambda: route(True))
+        loop_times, ref = _timed(lambda: route(False))
+        cases[case] = (times, accuracy_name, accuracy(value))
+        extra[case] = {"loop_median_s": statistics.median(loop_times), "loop_mismatches": _mismatches(value, ref)}
+
+    def sweep(quad, shared):
+        if shared:
+            return list(topo.map_degree(SWEEP_N, quad, check_resolution=False))
+        return [topo.map_degree(n, quad, check_resolution=False) for n in SWEEP_N]
+
     for size, quad in specs.items():
         times, deg = _timed(lambda: topo.map_degree(1, quad, check_resolution=False))
         cases[f"map_degree/{size}"] = (times, "degree_gap", abs(deg - 1.0))
-        times, degrees = _timed(lambda: list(topo.map_degree(SWEEP_N, quad, check_resolution=False)))
-        cases[f"degree_sweep/{size}"] = (times, "largest_degree_gap", max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
+        beside_loop(f"degree_sweep/{size}", lambda shared: sweep(quad, shared), "largest_degree_gap",
+                    lambda degrees: max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
         times, x = _timed(lambda: topo.winding_functional(gauge, quad, 1.0))
         cases[f"winding_functional/{size}"] = (times, "abs_winding_of_monopole", abs(x))
         times, xs = _timed(lambda: topo.winding_functional(shifted, quad, 1.0, tail_fraction=None))
@@ -603,7 +685,6 @@ def worker() -> dict:
     oracle = resolvent_window_sums(tuple(momentum), (1000,))[1000]
     s_1000 = average(1000)
     mpmath_gap = float(np.linalg.norm(s_1000 - oracle, 2) / np.linalg.norm(oracle, 2))
-    extra = {}  # second accuracy figures, by case
     for L in (10000, 100000):
         times, value = _timed(lambda: norm(L))
         gamma = -math.log(value / norm(L // 10)) / math.log(10.0)
@@ -683,6 +764,24 @@ def worker() -> dict:
         exact = _bps_gauge_gradient(pts)
         gap = float(np.max(np.abs(dA - exact)) / np.max(np.abs(exact)))
         cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", gap)
+
+    # the walk's small passes, stacked, beside one shift per sampler call
+    def beside_per_shift(case, route):
+        times, value = _timed(route)
+        per_shift_times, ref = _timed(lambda: _one_shift_per_call(bp, route))
+        cases[case] = (times, "per_shift_mismatches", _mismatches(value, ref))
+        extra[case] = {"per_shift_median_s": statistics.median(per_shift_times)}
+
+    nodes = np.outer(topo._compactified_radial(pheno._RADIAL_NODES, unit.eps)[0], (0.0, 0.0, 1.0))
+    beside_per_shift(f"stacked_gradient/pheno_{len(nodes)}_nodes",
+                     lambda: stencil._gradient(bp.zero_mode_scalar(unit).sample_batch, nodes))
+    inner, inner_stencil = _gribov_inner_points(bp, GRIBOV_RADII)
+    beside_per_shift(f"stacked_gradient/gribov_{len(inner)}_points",
+                     lambda: inner_stencil._gradient(bp.gribov_phase_scalar(unit).sample_batch, inner))
+    for n in (20, 1000):
+        pts = report_points(n).astype(np.longdouble)
+        beside_per_shift(f"stacked_gradient/bogomolnyi_{n}_points",
+                         lambda: stencil._gradient(gauge.vector_batch, pts, with_half=True))
     # the curl by the hedgehog's vector beside the curl of the nine-component
     # gradient, of the same sampler without its vector
     nine = bp.ColorField(gauge.sample_batch, gauge.singular_origin, gauge.label)
@@ -721,14 +820,6 @@ def worker() -> dict:
         ref = _per_shift_loop_average(itf, q, cutoff, 8)
         cases[f"shifted_loop_average/cutoff={cutoff:g}"] = (
             times, "per_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
-    # batched stencil passes, each beside one call per point (`loop_median_s`)
-    # and the number of entries in which the two differ (`loop_mismatches`)
-    def beside_loop(case, route, accuracy_name, accuracy):
-        times, value = _timed(lambda: route(True))
-        loop_times, ref = _timed(lambda: route(False))
-        cases[case] = (times, accuracy_name, accuracy(value))
-        extra[case] = {"loop_median_s": statistics.median(loop_times), "loop_mismatches": _mismatches(value, ref)}
-
     def min_order(res):  # the report's smallest log2(|res(h)| / |res(h/2)|) over the radii
         norms = [float(np.linalg.norm(v)) for v in res]
         m = len(norms) // 2
@@ -904,12 +995,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="JSON file to write")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--faults", metavar="WORKLOAD", help=argparse.SUPPRESS)
+    ap.add_argument("--alone", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         print(json.dumps(worker()))
         return 0
     if args.faults:
-        print(json.dumps(fault_worker(args.faults)))
+        print(json.dumps(fault_worker(args.faults, args.alone)))
         return 0
     if args.baseline is None or args.out is None:
         ap.error("--baseline and --out are required")
@@ -953,8 +1045,11 @@ def main(argv=None) -> int:
             print(f"{'':>36}residual at h/2 {row['current']['residual_half_h']:.3e}, ratio "
                   f"{row['current']['refinement_ratio']:.2f}, tree mismatches {row['tree_mismatches']}")
         if "loop_median_s" in row["current"]:
-            print(f"{'':>36}one call per point {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
+            print(f"{'':>36}one call per point or n {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")
+        if "per_shift_median_s" in row["current"]:
+            print(f"{'':>36}one shift per call {row['baseline']['per_shift_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['per_shift_median_s'] * 1e3:.2f} ms")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():
@@ -964,9 +1059,10 @@ def main(argv=None) -> int:
         print(f"cold {sub:>16}: {base:.3f} -> {cur:.3f} s")
     for workload, per_tree in result["minor_faults"].items():
         base, cur = per_tree["baseline"], per_tree["current"]
-        for argv, rec in cur["reports"].items():
-            print(f"minor faults per report ({workload}) {argv}: median {base['reports'][argv]['median']:g} -> "
-                  f"{rec['median']:g}, mean {base['reports'][argv]['mean']:.1f} -> {rec['mean']:.1f}")
+        for key in ("reports_alone", "reports_in_loop"):
+            for argv, rec in cur[key].items():
+                print(f"minor faults per report ({workload}, {key}) {argv}: median {base[key][argv]['median']:g} -> "
+                      f"{rec['median']:g}, mean {base[key][argv]['mean']:.1f} -> {rec['mean']:.1f}")
         if cur["shifted_loop_average"]["calls"]:
             b, c = base["shifted_loop_average"], cur["shifted_loop_average"]
             print(f"minor faults per shifted_loop_average call ({workload}): mean {b['mean']:.1f} -> "

@@ -49,7 +49,10 @@ normalization used by the vacuum-energy integrals.
 All samplers and the stencil operators magnetic_tension, covariant_derivative,
 covariant_laplacian and gribov_residual are pure functions of the evaluation
 point (no grids); they accept a single point of shape (3,) or a batch of
-shape (N, 3), and a stencil with one step or with one step per point.
+shape (N, 3), and a stencil with one step or with one step per point.  Every
+sampler is row-wise: each row of its value depends on that row of its input
+alone, so the stencil engine may stack shifted copies of a batch into one
+call.
 """
 from __future__ import annotations
 
@@ -84,6 +87,12 @@ __all__ = [
     "gribov_residual",
     "default_stencil",
 ]
+
+# rows per batch: a stencil walk stacks shifted copies of a small batch into
+# sampler calls of at most this many rows, and the ball integrals of topology
+# take their nodes this many at a time (8 radial shells of the default 24 x 24
+# sphere rule, so that a (3, 3, block) temporary stays near 330 KiB)
+_BLOCK = 4608
 
 
 @dataclass(frozen=True)
@@ -126,14 +135,15 @@ class StencilConfig:
     scalar step.
 
     The one owner of the difference weights.  Every finite difference in the
-    package goes through _apply, the one routine that forms shifted samples
-    (it always differences along a coordinate axis: one coordinate of a copy
-    of the points is shifted), and every three-axis gradient through
-    _gradient, which takes a batch of points in one pass (the greens
-    background operator included; a gauge field's curl differences only its
-    vector, see ColorField.curl); the one exception is covariant_laplacian's
-    outer sum, which runs over all axes at once.  Both can also difference
-    at h and at h/2 in one shared walk over the shifted samples (with_half;
+    package goes through _walk, the one routine that forms shifted samples
+    (it always differences along coordinate axes: one coordinate of a copy
+    of the points is shifted), either along one axis (_apply) or along all
+    three (_gradient, the greens background operator's Laplacian included;
+    a gauge field's curl differences only its vector, see ColorField.curl);
+    the one exception is covariant_laplacian's outer sum, which runs over
+    all axes at once.  A walk stacks the shifted copies of a small batch
+    into sampler calls of up to _BLOCK rows, and can also difference at h and
+    at h/2 in one pass over the shifted samples (with_half;
     bogomolnyi_residual's pair of steps).
 
     A step so small that a first- or second-derivative weight overflows is
@@ -181,23 +191,28 @@ class StencilConfig:
             raise DomainError(f"stencil step {np.min(h):g} is too small: its {kind}-derivative weights overflow")
         return np.array(offs), wts
 
-    def _apply(self, sample, x, axis: int, deriv: int = 1, with_half: bool = False):
-        """sum_k w_k sample(x + o_k h e_axis): the deriv-th derivative of
-        `sample` along a coordinate axis, accumulated one offset at a time
-        from zeros in offset order.
+    def _walk(self, sample, x, axes, deriv: int = 1, with_half: bool = False):
+        """The deriv-th derivative of `sample` along each of `axes` at each
+        level, [level][axis]: sum_k w_k sample(x + o_k h e_axis), accumulated
+        one offset at a time from zeros in offset order.  The levels are h
+        alone, or h and h/2 (self.halved()) with with_half.
 
-        x is a batch of points (N, 3) or a point (3,), each shifted along
-        `axis` in a copy.  An array of steps needs one step per entry of x's
+        x is a batch of points (N, 3) or a point (3,), each shifted along an
+        axis in a copy.  An array of steps needs one step per entry of x's
         first axis, and each step and weight is broadcast along that axis.
-        Each sample is freed before its weighted terms are added.
 
-        with_half also differences at h/2 (self.halved()) and returns the
-        pair (at h, at h/2).  One walk then visits the union of both levels'
-        shifts in increasing order (-2h, -h, -h/2, h/2, h, 2h at order 4),
-        sampling each shifted point once, and a level adds its term only at
-        its own offsets, so each level has the bits of a one-level call.  A
-        sample is shared only where the two levels' shifts are bitwise equal
-        (never, where h/2 is inexact).
+        Along each axis the walk visits the union of the levels' shifts in
+        increasing order (-2h, -h, -h/2, h/2, h, 2h at order 4 with h/2),
+        and a level adds its term only at its own offsets; a shift is shared
+        only where the two levels' shifts are bitwise equal (never, where h/2
+        is inexact).  The axes are visited one after another, and consecutive
+        shifted copies of a batch are stacked into one sampler call of at
+        most _BLOCK rows (always at least one shift; a single point, or a
+        batch of _BLOCK rows or more, takes one shift per call).  The sampler
+        must be row-wise (each row of its value depends on that row of its
+        input alone), as every sampler of the package is; then each level
+        has the bits of a walk over its own shifts, one call per shift.  Each
+        stacked sample is freed before its weighted terms are added.
         """
         self._require_steps_for(x)
         levels = (self, self.halved()) if with_half else (self,)
@@ -206,17 +221,31 @@ class StencilConfig:
             offs, wts = stencil.offsets_weights(deriv)
             for o, s, w in zip(offs.tolist(), np.multiply.outer(offs, stencil.h), wts):
                 walk.setdefault(s.tobytes(), (o / 2**level, s, []))[2].append((level, w))
-        acc = [0.0] * len(levels)
-        for _, s, shared in sorted(walk.values(), key=lambda step: step[0]):  # stable: level 0 first
-            xs = x.astype(np.result_type(x, s))
-            xs[..., axis] += s
-            term = sample(xs)
-            terms = [(level, _along_points(w, term) * term) for level, w in shared]
-            del xs, term  # free the sample before the adds
-            for level, term in terms:
-                acc[level] += term
+        walk = sorted(walk.values(), key=lambda step: step[0])  # stable: level 0 first
+        shifts = [(i, axis, s, shared) for i, axis in enumerate(axes) for _, s, shared in walk]
+        dtype = np.result_type(x, walk[0][1])
+        per_call = _BLOCK // len(x) if x.ndim == 2 and 0 < len(x) < _BLOCK else 1
+        acc = [[0.0] * len(axes) for _ in levels]
+        for start in range(0, len(shifts), per_call):
+            group = shifts[start:start + per_call]
+            xs = np.empty((len(group),) + x.shape, dtype)
+            for xk, (_, axis, s, _) in zip(xs, group):
+                xk[...] = x
+                xk[..., axis] += s
+            term = sample(xs.reshape((-1,) + x.shape[1:]))
+            pieces = (term,) if len(group) == 1 else np.split(term, len(group))
+            terms = [(i, level, _along_points(w, t) * t) for (i, _, _, shared), t in zip(group, pieces)
+                     for level, w in shared]
+            del xs, term, pieces  # free the stacked sample before the adds
+            for i, level, term in terms:
+                acc[level][i] += term
             del terms, term  # and the products before the next sample
-        return tuple(acc) if with_half else acc[0]
+        return acc
+
+    def _apply(self, sample, x, axis: int, deriv: int = 1):
+        """The deriv-th derivative of `sample` along one coordinate axis at
+        x, a batch of points (N, 3) or a point (3,): the one-axis _walk."""
+        return self._walk(sample, x, (axis,), deriv)[0][0]
 
     def _step_at(self, i: int):
         """The step of point i (the one step, when there is one)."""
@@ -228,18 +257,13 @@ class StencilConfig:
             raise DomainError(f"{len(self.h)} stencil steps for points of shape {np.shape(x)}")
 
     def _gradient(self, sample, pts, with_half: bool = False):
-        """d_j of a sampler of point batches at pts (N, 3), shape (N, 3) +
-        value-shape, filled axis by axis into one preallocated array
-        (stacking the axes would hold all three at once); with_half, the
-        pair (at h, at h/2) from _apply's shared walk."""
-        outs = []
-        for j in range(3):
-            ds = self._apply(sample, pts, j, with_half=with_half)
-            for level, d in enumerate(ds if with_half else (ds,)):
-                if not j:
-                    outs.append(np.empty((len(pts), 3) + d.shape[1:], dtype=d.dtype))
-                outs[level][:, j] = d
-            del ds, d  # free each axis before the next is sampled
+        """d_j of a row-wise sampler of point batches at pts (N, 3), shape
+        (N, 3) + value-shape, from one _walk over the three axes; with_half,
+        the pair (at h, at h/2).  The result is C-contiguous whatever the
+        layout of the sampler's value: an einsum over it adds in the order
+        that layout fixes."""
+        outs = [np.stack(ds, axis=1, out=np.empty((len(pts), 3) + ds[0].shape[1:], ds[0].dtype))
+                for ds in self._walk(sample, pts, range(3), with_half=with_half)]
         return tuple(outs) if with_half else outs[0]
 
     def halved(self) -> "StencilConfig":

@@ -236,7 +236,7 @@ def monopole_covariant_laplacian(S: Callable, x, h, order: int = 2) -> np.ndarra
     S0 = S(pts)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = stencil._gradient(S, pts)  # grad[m][j][a] = d_j S^a
-        lap = sum(stencil._apply(S, pts, j, deriv=2) for j in range(3))
+        lap = sum(stencil._walk(S, pts, range(3), deriv=2)[0])  # d_0^2 S + d_1^2 S + d_2^2 S
         n = (pts / r[:, None]).reshape(pts.shape + (1,) * (S0.ndim - 2))  # broadcasts over columns
         div = np.trace(grad, axis1=1, axis2=2)[:, None]
         nb_da_Sb = np.sum(grad * n[:, None], axis=2)  # [m][a] = n^b d_a S^b

@@ -43,12 +43,15 @@ d_i v v^-1 = -i c_i.tau:
   so the surface flux eps^{ijk} tr[A_hat_j L_k] is g sum_a (A^a x c^a)_i.
 
 quaternion is _step (the n-dependent part) of _frame (the rest), so a
-map_degree sequence of n shares each frame.  Both ball integrals fill one
-density _BLOCK nodes at a time, so no temporary grows with N, and sum it
-whole, so the blocks change no bit.  The Chern-Simons derivative term needs
-only the curl eps^{ijk} d_j A_k, which ColorField.curl differences from the
-hedgehog's 3-vector (a gauge field built without one, such as
-gauge_transform's, falls back to the gradient of all nine components).
+map_degree sequence of n shares each frame, and n and -n share one step (the
+step of -n is that of +n with q and d_i q negated, bit for bit; see
+_degree_integrals).  Both ball integrals fill one density _BLOCK nodes (the
+package's one batch size, from bps_profiles) at a time, so no temporary
+grows with N, and sum it whole, so the blocks change no bit.  The
+Chern-Simons derivative term needs only the curl eps^{ijk} d_j A_k, which
+ColorField.curl differences from the hedgehog's 3-vector (a gauge field
+built without one, such as gauge_transform's, falls back to the gradient of
+all nine components).
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import cross, norm
-from .bps_profiles import ColorField, StencilConfig, d_f01_bps, f01_bps
+from .bps_profiles import _BLOCK, ColorField, StencilConfig, d_f01_bps, f01_bps
 from .errors import DomainError, ResolutionError, TruncationError
 
 __all__ = [
@@ -73,9 +76,6 @@ __all__ = [
 ]
 
 _REFINE = 1.5  # node-count factor of QuadratureSpec.refined
-# nodes per block of the ball integrands: 8 radial shells of the default
-# 24 x 24 sphere rule, so that a (3, 3, block) temporary stays near 330 KiB
-_BLOCK = 4608
 
 
 @dataclass(frozen=True)
@@ -253,11 +253,21 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return np.sum(m[:, 0] * cross(m[:, 1], m[:, 2]), axis=0)
 
 
+def _current_terms(q0, q, dq0, dq):
+    """The terms a = q0 d_i q, b = d_i q0 q and x = q x d_i q, each (3, 3, N)
+    [a][i][n], of the current c_i = (a - b) + x (see _current)."""
+    qb = q[:, None]
+    x = cross(qb, dq)  # first: its temporaries come and go before a and b are held
+    return q0 * dq, qb * dq0, x
+
+
 def _current(q0, q, dq0, dq) -> np.ndarray:
     """Real right current c_i, (3, 3, N) [a][i][n], of d_i v v^-1 = -i c_i.tau:
     c_i = q0 d_i q - d_i q0 q + q x d_i q.  Also v d_i v^-1 = +i c_i.tau."""
-    qb = q[:, None]
-    return q0 * dq - qb * dq0 + cross(qb, dq)
+    a, b, x = _current_terms(q0, q, dq0, dq)
+    a -= b  # in place, as numpy reuses the temporaries of the unnamed a - b + x
+    a += x
+    return a
 
 
 def _blocks(n: int):
@@ -265,19 +275,32 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
-def _degree_integrals(fmaps, quad: QuadratureSpec, eps_ref: float) -> list[float]:
-    """The degree integral of each map; the maps differ only in n and share
-    each block's frame."""
-    if not fmaps:
+def _degree_integrals(ns, quad: QuadratureSpec, eps_ref: float) -> list[float]:
+    """The degree integral of the map of each n of the sweep ns, in its
+    order (duplicates and one-signed sweeps included).  The maps share each
+    block's frame, and n and -n share their step: A(-n) = -A(n) exactly and
+    numpy's sin is odd and cos even bit for bit (the tests compare each
+    degree with its own call), so the step of -n is (q0, -q, dq0, -dq) of
+    the step of +n.  With a, b and x the _current_terms of +n, whose
+    current is (a - b) + x, the current of -n is ((-a) - (-b)) + x, that is
+    (b - a) + x bit for bit, signs of zero included."""
+    if not ns:
         return []
     pts, wts = quad.ball_nodes(eps_ref)
     keep = norm(pts.T) > 0
     pts, wts = pts[keep], wts[keep]
-    dens = np.empty((len(fmaps), len(pts)))
+    pairs = {}  # |n| -> the map of +|n| and the positions of +-|n| in the sweep
+    for row, n in enumerate(ns):
+        pairs.setdefault(abs(n), (GribovFactorMap(abs(n), eps_ref=eps_ref), []))[1].append(row)
+    dens = np.empty((len(ns), len(pts)))
+    frames = GribovFactorMap(0, eps_ref=eps_ref)  # every n's frame
     for block in _blocks(len(pts)):
-        frame = fmaps[0]._frame(pts[block], derivs=True)
-        for row, fmap in zip(dens, fmaps):
-            row[block] = _det3(_current(*fmap._step(frame)))
+        frame = frames._frame(pts[block], derivs=True)
+        for fmap, rows in pairs.values():
+            a, b, x = _current_terms(*fmap._step(frame))
+            for row in rows:
+                dens[row, block] = _det3((a - b if ns[row] >= 0 else b - a) + x)
+            del a, b, x  # free the terms before the next step is built
     # det/(2 pi^2) written as the trace form's 12 det/(24 pi^2): same last bit
     return [float(12.0 * np.sum(wts * row) / (24.0 * np.pi**2)) for row in dens]
 
@@ -297,10 +320,10 @@ def map_degree(
     two levels disagree by more than 1e-2 for any n.
     """
     quad.check_reaches(eps_ref)
-    fmaps = [GribovFactorMap(k, eps_ref=eps_ref) for k in np.atleast_1d(n)]
-    degrees = _degree_integrals(fmaps, quad, eps_ref)
+    ns = [int(k) for k in np.atleast_1d(n)]
+    degrees = _degree_integrals(ns, quad, eps_ref)
     if check_resolution:
-        fine = _degree_integrals(fmaps, quad.refined(), eps_ref)
+        fine = _degree_integrals(ns, quad.refined(), eps_ref)
         for coarse, refined in zip(degrees, fine):
             if abs(refined - coarse) > 1e-2:
                 raise ResolutionError(f"degree quadrature under-resolved: {coarse} vs {refined} after refinement")

@@ -6,13 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ymvac import algebra
 from ymvac.algebra import EPS3, cross
 from ymvac.bps_profiles import (
+    _BLOCK,
     ColorField,
     FieldVariant,
     MonopoleScale,
@@ -726,8 +727,8 @@ class TestVectorCurl:
 _TINY_EPS = 1e-306  # a core whose steps below eps/10 are subnormal
 # odd multiples of the smallest subnormal 2^-1074 (their halves are inexact)
 # between the refusal floor of h/2's weights (h near 7.4e-309) and eps/10
-_ODD_SUBNORMAL = st.integers(int(7.5e-309 / 2.0**-1074) // 2, int(9.9e-309 / 2.0**-1074) // 2).map(
-    lambda k: math.ldexp(2 * k + 1, -1074))
+_ODD_SUBNORMAL_K = (int(7.5e-309 / 2.0**-1074) // 2, int(9.9e-309 / 2.0**-1074) // 2)  # k of 2k + 1
+_ODD_SUBNORMAL = st.integers(*_ODD_SUBNORMAL_K).map(lambda k: math.ldexp(2 * k + 1, -1074))
 
 
 def _two_level_batch(max_points=5):
@@ -817,6 +818,130 @@ class TestSharedHalfStep:
             assert res == ref_res
         else:
             assert [v.hex() for v in res] == [v.hex() for v in ref_res]
+
+
+# ---------------------------------------------------------------------------
+# the stacked walk against one sampler call per shift
+# ---------------------------------------------------------------------------
+
+def _per_shift_walk(stencil, sample, x, axis, deriv, with_half):
+    """One axis of StencilConfig._walk, [at each level], as it was written
+    before shifted copies were stacked: one sampler call per shift (the
+    reference of the walk's bits)."""
+    levels = (stencil, stencil.halved()) if with_half else (stencil,)
+    walk = {}
+    for level, s_level in enumerate(levels):
+        offs, wts = s_level.offsets_weights(deriv)
+        for o, s, w in zip(offs.tolist(), np.multiply.outer(offs, s_level.h), wts):
+            walk.setdefault(s.tobytes(), (o / 2**level, s, []))[2].append((level, w))
+    acc = [0.0] * len(levels)
+    for _, s, shared in sorted(walk.values(), key=lambda step: step[0]):
+        xs = x.astype(np.result_type(x, s))
+        xs[..., axis] += s
+        term = sample(xs)
+        for level, w in shared:
+            acc[level] += (w if np.ndim(w) == 0 else w.reshape(w.shape + (1,) * (np.ndim(term) - 1))) * term
+    return acc
+
+
+# batch sizes: one stacked call (1, 20), several full ones (2304: two shifts
+# per call), several with a ragged last one (300, 1000, 1537), and one shift
+# per call (_BLOCK and more)
+_WALK_SIZES = st.sampled_from([1, 20, 300, 1000, 1537, 2304, _BLOCK, _BLOCK + 1])
+
+
+class TestStackedWalk:
+    """The walk stacks consecutive shifted copies of a small batch into one
+    sampler call of at most _BLOCK rows; each value keeps the bits of one
+    call per shift: values, signs of zero and dtype."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=_WALK_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+        tiny=st.booleans(),
+        order=st.sampled_from([2, 4]),
+        deriv=st.sampled_from([1, 2]),
+        with_half=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+        per_point=st.booleans(),
+        field=st.sampled_from(["gauge vector", "scalar"]),
+    )
+    @example(  # an inexact half: odd subnormal steps, no shift shared between the levels
+        n=300, seed=0, tiny=True, order=4, deriv=1, with_half=True, dtype=np.longdouble, per_point=True,
+        field="gauge vector",
+    )
+    @example(n=20, seed=1, tiny=False, order=4, deriv=1, with_half=True, dtype=np.longdouble, per_point=False,
+             field="scalar")
+    def test_matches_one_call_per_shift(self, n, seed, tiny, order, deriv, with_half, dtype, per_point, field):
+        assume(not (tiny and deriv == 2))  # second-derivative weights of subnormal steps overflow
+        rng = np.random.default_rng(seed)
+        scale = MonopoleScale(1.0, _TINY_EPS if tiny else 1.0)
+        x = rng.normal(size=(n, 3))
+        x[rng.random((n, 3)) < 0.1] = -0.0  # signed zeros on some coordinates
+        pts = (x * scale.eps).astype(dtype)
+        if tiny:
+            steps = np.array([math.ldexp(2 * int(k) + 1, -1074) for k in rng.integers(*_ODD_SUBNORMAL_K, n)])
+        else:
+            steps = rng.uniform(1e-4, 0.05, n)
+        stencil = StencilConfig(steps if per_point else float(steps[0]), order)
+        gauge, scalar = build_fields(scale, "BPS")
+        sampler = gauge.vector_batch if field == "gauge vector" else scalar.sample_batch
+        rows = []
+
+        def recording(p):
+            rows.append(len(p))
+            return sampler(p)
+
+        # float64 squares of a tiny core underflow: both routes divide by 0 alike
+        with np.errstate(all="ignore") if tiny else contextlib.nullcontext():
+            got = stencil._walk(recording, pts, range(3), deriv, with_half)
+            ref = [_per_shift_walk(stencil, sampler, pts, axis, deriv, with_half) for axis in range(3)]
+        assert len(got) == 1 + with_half
+        for level, axes in enumerate(got):
+            for axis, value in enumerate(axes):
+                assert _same_bits(value, ref[axis][level])
+        assert all(r <= _BLOCK or r == n for r in rows) and sum(rows) % n == 0
+        shifts = sum(rows) // n
+        assert len(rows) == -(-shifts // max(1, _BLOCK // n))  # ceil: groups of whole shifts
+
+    @pytest.mark.parametrize("n", [20, _BLOCK + 1])
+    def test_gradient_c_contiguous_for_any_sampler_layout(self, n):
+        # a sampler whose value is not C-contiguous (a gauge transform's is a
+        # transpose) still gives a C-contiguous gradient, as one written into
+        # a preallocated array did: einsum's order of adds follows the layout
+        pts = random_points(n)
+        stencil = StencilConfig(0.01, 4)
+        for with_half in (False, True):
+            got = stencil._gradient(lambda p: np.asfortranarray(p * p), pts, with_half=with_half)
+            assert all(d.flags.c_contiguous for d in (got if with_half else (got,)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        point=arrays(float, 3, elements=_SIGNED_COORD),
+        h=st.floats(1e-4, 0.05),
+        order=st.sampled_from([2, 4]),
+        deriv=st.sampled_from([1, 2]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+    )
+    def test_single_point_one_shift_per_call(self, point, h, order, deriv, dtype):
+        # a point (3,) is sampled one shift at a time, as radial_ym_residual's
+        # sampler reads its first coordinate
+        x = point.astype(dtype)
+        shapes = []
+
+        def profile(p):
+            return f1_bps(abs(p[0]) + 0.5, 1.0) - 0.25
+
+        def recording(p):
+            shapes.append(p.shape)
+            return profile(p)
+
+        stencil = StencilConfig(h, order)
+        got = stencil._apply(recording, x, 0, deriv)
+        ref = _per_shift_walk(stencil, profile, x, 0, deriv, False)[0]
+        assert shapes and all(shape == (3,) for shape in shapes)
+        assert _same_bits(np.asarray(got), np.asarray(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,14 @@ class TestOneStencilPass:
         assert centres.shape == (2 * len(radii), 3) and stencil.h.shape == (2 * len(radii),)
 
     def test_one_sampling_pass_for_both_bogomolnyi_steps(self, capsys, monkeypatch):
-        # h and h/2 share their shifts +-h and the unshifted samples: the gauge
-        # vector and the scalar at 3 axes x 6 shifts and once unshifted, 38
-        # hedgehog samples at order 4 where one pass per step took 54
+        # h and h/2 share their shifts +-h and the unshifted samples, and the
+        # 3 axes x 6 shifts of the 20 points stack into one sampler call: the
+        # gauge vector and the scalar each once shifted and once unshifted, 4
+        # hedgehog samples at order 4 where one call per shift took 38
         residual_calls = self._count(monkeypatch, bp, "bogomolnyi_residual")
         samples = self._count(monkeypatch, bp, "_hedgehog")
         assert run(capsys, "check-bogomolnyi")[0] == 0
-        assert len(residual_calls) == 1 and len(samples) <= 38
+        assert len(residual_calls) == 1 and len(samples) <= 4
 
     def test_one_operator_call(self, capsys, monkeypatch):
         calls = self._count(monkeypatch, greens, "monopole_covariant_laplacian")

@@ -211,6 +211,28 @@ class TestMapDegree:
         assert all(isinstance(x, float) for x in singles)
         assert [x.hex() for x in batch.tolist()] == [x.hex() for x in singles]
 
+    @pytest.mark.parametrize("quad", [QUAD, QUAD.refined()], ids=["48x24x24", "72x36x36"])
+    @pytest.mark.parametrize("ns", [(-2, -1, 1, 2), (-1, 0, 1, 2, 3), (-4, -3, -2, -1), (1, -1, 1)],
+                             ids=["symmetric", "asymmetric", "one-signed", "duplicates"])
+    def test_shared_pairs_match_single_calls(self, quad, ns):
+        # n and -n share one step per block: each keeps the bits of its own call
+        batch = map_degree(ns, quad, check_resolution=False)
+        assert [x.hex() for x in batch.tolist()] == [map_degree(n, quad, check_resolution=False).hex() for n in ns]
+
+    @pytest.mark.parametrize("ns", [(-2, -1, 1, 2), (-1, 0, 1, 2, 3), (-4, -3, -2, -1), (1, -1, 1)])
+    def test_one_step_per_size_per_block(self, monkeypatch, ns):
+        sizes = []
+        step = GribovFactorMap._step
+
+        def counted(fmap, frame):
+            sizes.append(fmap.n)
+            return step(fmap, frame)
+
+        monkeypatch.setattr(GribovFactorMap, "_step", counted)
+        map_degree(ns, QUAD, check_resolution=False)
+        blocks = -(-QUAD.n_r * QUAD.n_theta * QUAD.n_phi // _BLOCK)
+        assert sizes == list(dict.fromkeys(abs(n) for n in ns)) * blocks
+
     def test_batch_resolution_error_for_one_n(self):
         # the refined spec is compared for every n: n = 5 fails inside a batch
         # with the message of its own call
