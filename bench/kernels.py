@@ -1,6 +1,6 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times thirty-two kernels, each at two problem sizes, in two source trees (a
+Times thirty-three kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -58,15 +58,15 @@ baseline and this checkout's `src/`), and writes one JSON file:
   `normalization_check`, accuracy its gap to 1;
 - check-bogomolnyi's pair of residuals max ||B - D(phi)||/||B|| of the BPS
   pair (g = eps = 1) at the default step h and at h/2, at its points for
-  --seed 0, N = 100 and 1000: one `bogomolnyi_residual` call in a tree where
-  it returns the pair, two calls (the second at `halved()`) in a tree where
-  it returns one residual; accuracy: the residual at h, and beside it the
-  residual at h/2, their ratio and the number of the two residuals in which
-  the trees differ (`tree_mismatches`, 0);
-- `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil,
-  float64) at the same kind of points, N = 1000 and 27 648 (the node count
-  of the winding report's default quadrature); accuracy: the largest gap to the
-  closed-form gradient over the largest entry of it;
+  --seed 0, N = 100 and 1000, one `bogomolnyi_residual` call for the pair;
+  accuracy: the residual at h, and beside it the residual at h/2, their
+  ratio and the number of the two residuals in which the trees differ
+  (`tree_mismatches`, 0);
+- `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil
+  s at the level (s, 1), float64) at the same kind of points, N = 1000 and
+  27 648 (the node count of the winding report's default quadrature);
+  accuracy: the largest gap to the closed-form gradient over the largest
+  entry of it;
 - the stencil walk's small passes (`stacked_gradient`), `_gradient` as the
   reports call it: the zero-mode scalar at pheno's 64 compactified radial
   nodes (default stencil, float64), the phase scalar at check-gribov's 78
@@ -113,6 +113,14 @@ baseline and this checkout's `src/`), and writes one JSON file:
   h = z/500, at its 3 points (0, 0, r) and at 24 radii spaced geometrically
   over [0.8, 5], in one call with an array of steps; accuracy: the largest
   operator residual;
+- the same operator at its 3 points and at GREENS_SCALING_POINTS radii
+  spaced geometrically over [0.8, 5] (`greens_operator_walks`), which
+  differences the tensor in one walk at the levels (s, 1) and (s, 2); it is
+  timed beside the same call with each walk split into one walk per level
+  (`two_walk_median_s`, the form the one walk replaced; a tree without
+  levels runs that form in both), with the number of entries in which the
+  two differ (`two_walk_mismatches`, 0); accuracy: the largest operator
+  residual;
 - the three pheno companions (magnetic energy, inertia, normalization) at
   g = eps = 1 with a step h = c max(r, eps) per radial node instead of
   eps/200, at c in PER_NODE_C, in one stencil pass per sampled field with an
@@ -137,7 +145,11 @@ FAULT_WORKLOADS, in ROUNDS alternating fresh processes per tree, each with
 one untimed pass and FAULT_PASSES counted ones through `cli.main`: as the
 perfbench runs the reports, all of the workload's reports in one loop
 (`reports_in_loop`, which depends on the reports run before each one), and
-each report alone in its own process (`reports_alone`).  The JSON holds
+each report alone in its own process (`reports_alone`).  The fault
+workers alone run with glibc's mmap and trim thresholds fixed and with
+Python's small objects taken from malloc (FAULT_MALLOC_ENV), so that a count
+depends less on the allocator's history (a fresh process's winding count
+still varies from run to run).  The JSON holds
 each report's median and mean faults for both, and the faults of each
 `shifted_loop_average` call in the loop.
 
@@ -171,6 +183,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import inspect
 import json
 import platform
 import statistics
@@ -194,6 +207,17 @@ SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degre
 GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
 GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
+GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
+# allocator settings of the fault workers alone, so that a fault count depends
+# less on the allocator's history: glibc's mmap threshold fixed (no dynamic
+# raise after a large block is freed), a trim threshold that no report's heap
+# reaches (the heap top is never given back), and Python's small objects from
+# malloc too (with the two thresholds alone, a docstring-only edit of
+# bps_profiles.py still moved the interference counts).  A fresh process's
+# winding count still takes one of a few values (2 185, 2 595 or 4 882 per
+# report) from run to run of one tree, so compare medians over ROUNDS.
+FAULT_MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "1073741824",
+                    "PYTHONMALLOC": "malloc"}
 PER_NODE_C = (1.25e-3, 2.5e-4)  # per-node pheno steps h = c max(r, eps)
 _LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
 _FINE_WINDING_ARGV = ("winding", "--n-r", "72", "--n-theta", "36", "--n-phi", "36")
@@ -415,13 +439,14 @@ def fault_counts(trees: dict) -> dict:
         pooled = {name: {"reports_in_loop": {}, "reports_alone": {}, "shifted_loop_average": []} for name in trees}
         for _ in range(ROUNDS):
             for name, src in trees.items():
-                rec = json.loads(_run(src, [__file__, "--faults", workload]))
+                rec = json.loads(_run(src, [__file__, "--faults", workload], **FAULT_MALLOC_ENV))
                 for argv, faults in rec["reports"].items():
                     pooled[name]["reports_in_loop"].setdefault(argv, []).extend(faults)
                 pooled[name]["shifted_loop_average"] += rec["shifted_loop_average"]
             for index in range(len(_workload_reports(workload))):
                 for name, src in trees.items():
-                    rec = json.loads(_run(src, [__file__, "--faults", workload, "--alone", str(index)]))
+                    rec = json.loads(_run(src, [__file__, "--faults", workload, "--alone", str(index)],
+                                          **FAULT_MALLOC_ENV))
                     for argv, faults in rec["reports"].items():
                         pooled[name]["reports_alone"].setdefault(argv, []).extend(faults)
         out[workload] = {
@@ -451,17 +476,45 @@ def _quiet_main(main, argv) -> int:
 
 def _one_shift_per_call(bp, route):
     """route() with the stencil walk held to one shift per sampler call
-    (bps_profiles._BLOCK set to 1), the form that stacking replaced; a tree
-    without _BLOCK walks that way anyway."""
-    block = getattr(bp, "_BLOCK", None)
-    bp._BLOCK = 1
+    (bps_profiles._BLOCK set to 1), the form that stacking replaced."""
+    block, bp._BLOCK = bp._BLOCK, 1
     try:
         return route()
     finally:
-        if block is None:
-            del bp._BLOCK
-        else:
-            bp._BLOCK = block
+        bp._BLOCK = block
+
+
+def _has_levels(bp) -> bool:
+    """Whether the tree's stencil walk takes explicit levels [(stencil,
+    deriv)]; its parent's walk took a derivative order and a flag for h/2."""
+    return "levels" in inspect.signature(bp.StencilConfig._walk).parameters
+
+
+def _gradient(bp, sample, pts, levels):
+    """StencilConfig._gradient at explicit levels, one array per level: h
+    alone or h and h/2 (first derivatives) in a tree without levels."""
+    if _has_levels(bp):
+        return bp.StencilConfig._gradient(sample, pts, levels)
+    out = levels[0][0]._gradient(sample, pts, len(levels) > 1)  # the parent's flag for h/2
+    return list(out) if len(levels) > 1 else [out]
+
+
+def _one_walk_per_level(bp, route):
+    """route() with each _gradient call over several levels split into one
+    walk per level, the form before the levels of a walk shared its shifts;
+    a tree without levels walks that way anyway."""
+    if not _has_levels(bp):
+        return route()
+    shared = bp.StencilConfig.__dict__["_gradient"]
+
+    def per_level(sample, pts, levels):
+        return [shared.__func__(sample, pts, [level])[0] for level in levels]
+
+    bp.StencilConfig._gradient = staticmethod(per_level)
+    try:
+        return route()
+    finally:
+        bp.StencilConfig._gradient = shared
 
 
 def _gribov_inner_points(bp, radii_over_eps):
@@ -479,14 +532,6 @@ def _gribov_inner_points(bp, radii_over_eps):
     shifted = xc + offs[:, None, None] * steps[:, None]  # [j][k][m]
     pts = np.concatenate([xc[None], shifted.reshape(-1, *xc.shape)]).reshape(-1, 3)
     return pts, bp.StencilConfig(np.tile(h, 1 + 3 * len(offs)), 4)
-
-
-def _bogomolnyi_pair(bp, scale, pts) -> tuple:
-    """The residuals at the default step h and at h/2: one call where
-    bogomolnyi_residual returns the pair, else a second call at h/2."""
-    stencil = bp.default_stencil(scale)
-    pair = bp.bogomolnyi_residual(scale, pts, stencil)
-    return pair if isinstance(pair, tuple) else (pair, bp.bogomolnyi_residual(scale, pts, stencil.halved()))
 
 
 def _bps_gauge_gradient(pts):
@@ -543,11 +588,11 @@ def _profile_gaps(r, values) -> dict:
 
 
 def _mismatches(a, b) -> int:
-    """Entries of two equally shaped arrays (or tuples of them) that differ
-    in value or in the sign of zero."""
+    """Entries of two equally shaped arrays (or tuples or lists of them)
+    that differ in value or in the sign of zero."""
     import numpy as np
 
-    if isinstance(a, tuple):
+    if isinstance(a, (tuple, list)):
         return sum(_mismatches(x, y) for x, y in zip(a, b))
     a, b = np.asarray(a), np.asarray(b)
     return int(np.sum((a != b) | (np.signbit(a) != np.signbit(b))))
@@ -744,7 +789,7 @@ def worker() -> dict:
 
     for n in (100, 1000):
         pts = report_points(n)
-        times, pair = _timed(lambda: _bogomolnyi_pair(bp, unit, pts))
+        times, pair = _timed(lambda: bp.bogomolnyi_residual(unit, pts, bp.default_stencil(unit)))
         cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", pair[0])
         extra[f"bogomolnyi_pair/N={n}"] = {"residual_half_h": pair[1], "refinement_ratio": pair[0] / pair[1],
                                            "pair": list(pair)}
@@ -760,7 +805,7 @@ def worker() -> dict:
         extra[f"norm/N={n}"] = {"linalg_norm_median_s": statistics.median(linalg_times)}
     for n in (1000, 27648):
         pts = report_points(n)
-        times, dA = _timed(lambda: stencil._gradient(gauge.sample_batch, pts))
+        times, (dA,) = _timed(lambda: _gradient(bp, gauge.sample_batch, pts, [(stencil, 1)]))
         exact = _bps_gauge_gradient(pts)
         gap = float(np.max(np.abs(dA - exact)) / np.max(np.abs(exact)))
         cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", gap)
@@ -774,14 +819,14 @@ def worker() -> dict:
 
     nodes = np.outer(topo._compactified_radial(pheno._RADIAL_NODES, unit.eps)[0], (0.0, 0.0, 1.0))
     beside_per_shift(f"stacked_gradient/pheno_{len(nodes)}_nodes",
-                     lambda: stencil._gradient(bp.zero_mode_scalar(unit).sample_batch, nodes))
+                     lambda: _gradient(bp, bp.zero_mode_scalar(unit).sample_batch, nodes, [(stencil, 1)]))
     inner, inner_stencil = _gribov_inner_points(bp, GRIBOV_RADII)
     beside_per_shift(f"stacked_gradient/gribov_{len(inner)}_points",
-                     lambda: inner_stencil._gradient(bp.gribov_phase_scalar(unit).sample_batch, inner))
+                     lambda: _gradient(bp, bp.gribov_phase_scalar(unit).sample_batch, inner, [(inner_stencil, 1)]))
     for n in (20, 1000):
         pts = report_points(n).astype(np.longdouble)
         beside_per_shift(f"stacked_gradient/bogomolnyi_{n}_points",
-                         lambda: stencil._gradient(gauge.vector_batch, pts, with_half=True))
+                         lambda: _gradient(bp, gauge.vector_batch, pts, [(stencil, 1), (stencil.halved(), 1)]))
     # the curl by the hedgehog's vector beside the curl of the nine-component
     # gradient, of the same sampler without its vector
     nine = bp.ColorField(gauge.sample_batch, gauge.singular_origin, gauge.label)
@@ -831,6 +876,13 @@ def worker() -> dict:
     for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, 24)):
         beside_loop(f"monopole_covariant_laplacian/{len(radii)}_points", lambda b: _greens_operator(greens, radii, b),
                     "max_operator_residual", lambda res: float(np.abs(res).max()))
+    # the operator's one walk at (s, 1) and (s, 2) beside one walk per level
+    for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, GREENS_SCALING_POINTS)):
+        case = f"greens_operator_walks/{len(radii)}_points"
+        times, value = _timed(lambda: _greens_operator(greens, radii, True))
+        two_times, ref = _timed(lambda: _one_walk_per_level(bp, lambda: _greens_operator(greens, radii, True)))
+        cases[case] = (times, "max_operator_residual", float(np.abs(value).max()))
+        extra[case] = {"two_walk_median_s": statistics.median(two_times), "two_walk_mismatches": _mismatches(value, ref)}
     # ROADMAP item 2's per-node step h = c max(r, eps) for the pheno companions
     references = {"magnetic_energy": truncated, "rotary_momentum": inertia, "normalization": 1.0}
     for c in PER_NODE_C:
@@ -847,8 +899,8 @@ def worker() -> dict:
     }
 
 
-def _run(src: Path, args: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _run(src: Path, args: list[str], **extra_env) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
     proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"worker on {src} failed:\n{proc.stderr.strip()[-2000:]}")
@@ -1047,6 +1099,10 @@ def main(argv=None) -> int:
         if "loop_median_s" in row["current"]:
             print(f"{'':>36}one call per point or n {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")
+        if "two_walk_median_s" in row["current"]:
+            print(f"{'':>36}one walk per level {row['baseline']['two_walk_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['two_walk_median_s'] * 1e3:.2f} ms, mismatches "
+                  f"{row['current']['two_walk_mismatches']}")
         if "per_shift_median_s" in row["current"]:
             print(f"{'':>36}one shift per call {row['baseline']['per_shift_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['per_shift_median_s'] * 1e3:.2f} ms")

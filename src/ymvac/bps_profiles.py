@@ -136,15 +136,11 @@ class StencilConfig:
 
     The one owner of the difference weights.  Every finite difference in the
     package goes through _walk, the one routine that forms shifted samples
-    (it always differences along coordinate axes: one coordinate of a copy
-    of the points is shifted), either along one axis (_apply) or along all
-    three (_gradient, the greens background operator's Laplacian included;
-    a gauge field's curl differences only its vector, see ColorField.curl);
-    the one exception is covariant_laplacian's outer sum, which runs over
-    all axes at once.  A walk stacks the shifted copies of a small batch
-    into sampler calls of up to _BLOCK rows, and can also difference at h and
-    at h/2 in one pass over the shifted samples (with_half;
-    bogomolnyi_residual's pair of steps).
+    (along coordinate axes: one coordinate of a copy of the points is
+    shifted), at explicit levels (stencil, deriv); the one exception is
+    covariant_laplacian's outer sum, which runs over all axes at once.  A
+    walk stacks the shifted copies of a small batch into sampler calls of up
+    to _BLOCK rows, and samples a shift that two levels share once.
 
     A step so small that a first- or second-derivative weight overflows is
     refused.
@@ -191,21 +187,24 @@ class StencilConfig:
             raise DomainError(f"stencil step {np.min(h):g} is too small: its {kind}-derivative weights overflow")
         return np.array(offs), wts
 
-    def _walk(self, sample, x, axes, deriv: int = 1, with_half: bool = False):
-        """The deriv-th derivative of `sample` along each of `axes` at each
-        level, [level][axis]: sum_k w_k sample(x + o_k h e_axis), accumulated
-        one offset at a time from zeros in offset order.  The levels are h
-        alone, or h and h/2 (self.halved()) with with_half.
+    @staticmethod
+    def _walk(sample, x, axes, levels):
+        """The derivative of `sample` along each of `axes` at each level,
+        [level][axis].  A level is a (stencil, deriv) pair: a gradient is
+        [(s, 1)], bogomolnyi_residual's pair [(s, 1), (s.halved(), 1)], the
+        greens operator [(s, 1), (s, 2)].  Its value is sum_k w_k sample(x +
+        o_k h e_axis) with the stencil's deriv-th derivative weights, added
+        one offset at a time from zeros in offset order.
 
         x is a batch of points (N, 3) or a point (3,), each shifted along an
         axis in a copy.  An array of steps needs one step per entry of x's
         first axis, and each step and weight is broadcast along that axis.
 
         Along each axis the walk visits the union of the levels' shifts in
-        increasing order (-2h, -h, -h/2, h/2, h, 2h at order 4 with h/2),
-        and a level adds its term only at its own offsets; a shift is shared
-        only where the two levels' shifts are bitwise equal (never, where h/2
-        is inexact).  The axes are visited one after another, and consecutive
+        increasing order (of the first point's shift), and a level adds its
+        term only at its own offsets; a shift is shared only where two
+        levels' shifts are bitwise equal (h/2 never shares where it is
+        inexact).  The axes are visited one after another, and consecutive
         shifted copies of a batch are stacked into one sampler call of at
         most _BLOCK rows (always at least one shift; a single point, or a
         batch of _BLOCK rows or more, takes one shift per call).  The sampler
@@ -214,16 +213,15 @@ class StencilConfig:
         has the bits of a walk over its own shifts, one call per shift.  Each
         stacked sample is freed before its weighted terms are added.
         """
-        self._require_steps_for(x)
-        levels = (self, self.halved()) if with_half else (self,)
-        walk = {}  # shift bits -> (offset in units of h, shift, [(level, weight)])
-        for level, stencil in enumerate(levels):
+        walk = {}  # shift bits -> (shift, [(level, weight)])
+        for level, (stencil, deriv) in enumerate(levels):
+            stencil._require_steps_for(x)
             offs, wts = stencil.offsets_weights(deriv)
-            for o, s, w in zip(offs.tolist(), np.multiply.outer(offs, stencil.h), wts):
-                walk.setdefault(s.tobytes(), (o / 2**level, s, []))[2].append((level, w))
-        walk = sorted(walk.values(), key=lambda step: step[0])  # stable: level 0 first
-        shifts = [(i, axis, s, shared) for i, axis in enumerate(axes) for _, s, shared in walk]
-        dtype = np.result_type(x, walk[0][1])
+            for s, w in zip(np.multiply.outer(offs, stencil.h), wts):
+                walk.setdefault(s.tobytes(), (s, []))[1].append((level, w))
+        walk = sorted(walk.values(), key=lambda step: np.ravel(step[0])[0])  # stable: ties keep level order
+        shifts = [(i, axis, s, shared) for i, axis in enumerate(axes) for s, shared in walk]
+        dtype = np.result_type(x, walk[0][0])
         per_call = _BLOCK // len(x) if x.ndim == 2 and 0 < len(x) < _BLOCK else 1
         acc = [[0.0] * len(axes) for _ in levels]
         for start in range(0, len(shifts), per_call):
@@ -242,11 +240,6 @@ class StencilConfig:
             del terms, term  # and the products before the next sample
         return acc
 
-    def _apply(self, sample, x, axis: int, deriv: int = 1):
-        """The deriv-th derivative of `sample` along one coordinate axis at
-        x, a batch of points (N, 3) or a point (3,): the one-axis _walk."""
-        return self._walk(sample, x, (axis,), deriv)[0][0]
-
     def _step_at(self, i: int):
         """The step of point i (the one step, when there is one)."""
         return self.h if np.ndim(self.h) == 0 else float(self.h[i])
@@ -256,15 +249,14 @@ class StencilConfig:
         if np.ndim(self.h) and np.shape(x)[:1] != self.h.shape:
             raise DomainError(f"{len(self.h)} stencil steps for points of shape {np.shape(x)}")
 
-    def _gradient(self, sample, pts, with_half: bool = False):
-        """d_j of a row-wise sampler of point batches at pts (N, 3), shape
-        (N, 3) + value-shape, from one _walk over the three axes; with_half,
-        the pair (at h, at h/2).  The result is C-contiguous whatever the
-        layout of the sampler's value: an einsum over it adds in the order
-        that layout fixes."""
-        outs = [np.stack(ds, axis=1, out=np.empty((len(pts), 3) + ds[0].shape[1:], ds[0].dtype))
-                for ds in self._walk(sample, pts, range(3), with_half=with_half)]
-        return tuple(outs) if with_half else outs[0]
+    @staticmethod
+    def _gradient(sample, pts, levels):
+        """The three-axis _walk at pts (N, 3), one array (N, 3) + value-shape
+        [n][j] per level (d_j at (s, 1)), C-contiguous whatever the layout of
+        the sampler's value: an einsum over it adds in the order that layout
+        fixes."""
+        return [np.stack(ds, axis=1, out=np.empty((len(pts), 3) + ds[0].shape[1:], ds[0].dtype))
+                for ds in StencilConfig._walk(sample, pts, range(3), levels)]
 
     def halved(self) -> "StencilConfig":
         return StencilConfig(self.h / 2.0, self.order)
@@ -343,8 +335,8 @@ class ColorField:
         gradient of a zero entry is +0.0).  Without a vector, the curl of the
         gradient of all nine components."""
         if self.vector_batch is None:
-            return curl(stencil._gradient(self.sample_batch, pts))
-        return _vector_curl(stencil._gradient(self.vector_batch, pts))
+            return curl(stencil._gradient(self.sample_batch, pts, [(stencil, 1)])[0])
+        return _vector_curl(stencil._gradient(self.vector_batch, pts, [(stencil, 1)])[0])
 
 
 def _vector_curl(dw):
@@ -622,7 +614,7 @@ def covariant_derivative(
     pts, single = _batch(x)
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
-    dphi = stencil._gradient(scalar.sample_batch, pts)  # [n][i][a]
+    dphi, = stencil._gradient(scalar.sample_batch, pts, [(stencil, 1)])  # [n][i][a]
     D = dphi - _colour_rotation(gauge.sample(pts).T, scalar.sample(pts), g)
     return D[0] if single else D
 
@@ -713,11 +705,12 @@ def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, s
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
     At = gauge.sample(pts).T  # [a][i][n]
+    levels = [(stencil, 1), (stencil.halved(), 1)]
     quad = _self_coupling(At, g)
-    Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, with_half=True)]
+    Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, levels)]
     rot = _colour_rotation(At, scalar.sample(pts), g)
     del At, quad
-    return [(B, dphi - rot) for B, dphi in zip(Bs, stencil._gradient(scalar.sample_batch, pts, with_half=True))]
+    return [(B, dphi - rot) for B, dphi in zip(Bs, stencil._gradient(scalar.sample_batch, pts, levels))]
 
 
 def gribov_residual(

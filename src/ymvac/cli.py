@@ -49,17 +49,11 @@ class Report:
     checks: list = field(default_factory=list)
 
     def check(self, name: str, value, tolerance, passed: bool):
-        self.checks.append(
-            {"name": name, "value": _jsonable(value), "tolerance": _jsonable(tolerance), "passed": bool(passed)}
-        )
+        self.checks.append({"name": name, "value": value, "tolerance": tolerance, "passed": bool(passed)})
 
     def payload(self) -> dict:
-        return {
-            "meta": self.meta,
-            "inputs": _jsonable(self.inputs),
-            "results": _jsonable(self.results),
-            "checks": self.checks,
-        }
+        """The report in JSON types, converted here once."""
+        return _jsonable({"meta": self.meta, "inputs": self.inputs, "results": self.results, "checks": self.checks})
 
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -85,14 +79,14 @@ def _meta(cfg: RunConfig, tags, tolerances) -> dict:
         "version": __version__,
         "subcommand": cfg.subcommand,
         "quantity_tags": sorted(tags),
-        "parameters": _jsonable(cfg.params),
-        "tolerances": _jsonable(tolerances),
+        "parameters": cfg.params,
+        "tolerances": tolerances,
         "seed": cfg.seed,
     }
 
 
 def _table(columns, rows):
-    return {"columns": list(columns), "rows": [[_jsonable(v) for v in row] for row in rows]}
+    return {"columns": list(columns), "rows": list(rows)}
 
 
 def _worst(gaps) -> float:

@@ -28,7 +28,9 @@ the f = +1 background, is
 implemented by central differences in monopole_covariant_laplacian; it
 annihilates the assembled tensor at colinear configurations.  The tensor is
 sampled on point batches, and the operator differentiates all of its color
-columns at once through the shared stencil engine (StencilConfig).
+columns at once through the shared stencil engine (StencilConfig): one walk
+at the levels (stencil, 1) and (stencil, 2) gives the gradient and the
+Laplacian, sampling each shift once.
 """
 from __future__ import annotations
 
@@ -113,16 +115,18 @@ def euler_residual(sol: EulerSolution, z):
 def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
     """Residual of f'' + f(f^2 - 1)/r^2 for a radial profile f(r).
 
-    f'' by a 4th-order central stencil with step h (default r/500), applied
-    to f - f(r) so that the constant fixed points f = 0, +1, -1 are exact;
-    the profile is differenced along axis 0 of the point (r, 0, 0).  A step
-    whose second-derivative weights overflow (the default one below r of
-    about 1e-151) is refused with a DomainError.
+    f'' by a 4th-order central stencil with step h (r/500 when h is None),
+    applied to f - f(r) so that the constant fixed points f = 0, +1, -1 are
+    exact; the profile is differenced along axis 0 of the point (r, 0, 0).
+    A step that is not positive and finite, or whose second-derivative
+    weights overflow (the default one below r of about 1e-151), is refused
+    with a DomainError.
     """
     if not (r > 0):
         raise DomainError("radius must be positive")
     f0 = f(r)
-    fpp = StencilConfig(h or r / 500.0, 4)._apply(lambda x: f(x[0]) - f0, np.array([r, 0.0, 0.0]), 0, deriv=2)
+    stencil = StencilConfig(r / 500.0 if h is None else h, 4)
+    fpp = StencilConfig._walk(lambda x: f(x[0]) - f0, np.array([r, 0.0, 0.0]), (0,), [(stencil, 2)])[0][0]
     return float(fpp + f0 * (f0 * f0 - 1.0) / (r * r))
 
 
@@ -235,8 +239,8 @@ def monopole_covariant_laplacian(S: Callable, x, h, order: int = 2) -> np.ndarra
     stencil = StencilConfig(h, order)
     S0 = S(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = stencil._gradient(S, pts)  # grad[m][j][a] = d_j S^a
-        lap = sum(stencil._walk(S, pts, range(3), deriv=2)[0])  # d_0^2 S + d_1^2 S + d_2^2 S
+        grad, second = stencil._gradient(S, pts, [(stencil, 1), (stencil, 2)])  # [m][j][a]: d_j S^a, d_j^2 S^a
+        lap = sum(second[:, j] for j in range(3))
         n = (pts / r[:, None]).reshape(pts.shape + (1,) * (S0.ndim - 2))  # broadcasts over columns
         div = np.trace(grad, axis1=1, axis2=2)[:, None]
         nb_da_Sb = np.sum(grad * n[:, None], axis=2)  # [m][a] = n^b d_a S^b

@@ -93,11 +93,16 @@ class QuadratureSpec:
     n_phi: int = 24
 
     def __post_init__(self):
-        if min(self.n_r, self.n_theta, self.n_phi) < 16:
+        counts = (self.n_r, self.n_theta, self.n_phi)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise DomainError(f"node counts must be integers, got {counts}")
+        if min(counts) < 16:
             raise DomainError("node counts must be at least 16")
+        if not self.r_max > 0:  # NaN too: it would drop every node
+            raise DomainError(f"r_max must be positive, got {self.r_max}")
 
     def check_reaches(self, eps_ref: float):
-        if self.r_max < 50.0 * eps_ref:
+        if not self.r_max >= 50.0 * eps_ref:
             raise DomainError(f"r_max={self.r_max} must be at least 50x the profile scale {eps_ref}")
 
     def refined(self) -> "QuadratureSpec":

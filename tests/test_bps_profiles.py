@@ -168,7 +168,7 @@ class TestScaleAndTypes:
             with pytest.raises(DomainError, match=f"stencil step {named} is too small: its second-derivative"):
                 stencil.offsets_weights(2)
             with pytest.raises(DomainError, match="second-derivative weights overflow"):
-                stencil._apply(lambda p: p[..., 0], np.zeros((np.size(h), 3)), 0, deriv=2)
+                StencilConfig._walk(lambda p: p[..., 0], np.zeros((np.size(h), 3)), (0,), [(stencil, 2)])
         _, wts = StencilConfig(1e-150, order).offsets_weights(2)
         assert np.all(np.isfinite(wts))
 
@@ -184,8 +184,7 @@ class TestScaleAndTypes:
         # central stencils of order p differentiate polynomials of degree p exactly
         st = StencilConfig(h=0.125, order=order)
         x = 0.75
-        d1 = st._apply(lambda p: p[0] ** degree, np.array([x, 0.0, 0.0]), 0)
-        d2 = st._apply(lambda p: p[0] ** degree, np.array([x, 0.0, 0.0]), 0, deriv=2)
+        (d1,), (d2,) = st._walk(lambda p: p[0] ** degree, np.array([x, 0.0, 0.0]), (0,), [(st, 1), (st, 2)])
         assert d1 == pytest.approx(degree * x ** (degree - 1), rel=1e-13)
         assert d2 == pytest.approx(degree * (degree - 1) * x ** (degree - 2), rel=1e-12)
 
@@ -574,8 +573,10 @@ class TestPerPointSteps:
         pts = x.astype(dtype)
         gauge, scalar = build_fields(SCALE, "BPS")
         for sample in (gauge.sample_batch, scalar.sample_batch):
-            got = StencilConfig(steps, order)._gradient(sample, pts)
-            ref = np.concatenate([StencilConfig(h, order)._gradient(sample, p[None]) for p, h in zip(pts, steps)])
+            stencil = StencilConfig(steps, order)
+            got, = stencil._gradient(sample, pts, [(stencil, 1)])
+            ref = np.concatenate([StencilConfig._gradient(sample, p[None], [(StencilConfig(h, order), 1)])[0]
+                                  for p, h in zip(pts, steps)])
             assert _same_bits(got, ref)
 
     @settings(deadline=None, max_examples=30)
@@ -627,9 +628,9 @@ class TestPerPointSteps:
         stencil = StencilConfig(np.resize(steps, n), 4)
         gauge, scalar = build_fields(SCALE, "BPS")
         with pytest.raises(DomainError, match="stencil steps for points"):
-            stencil._gradient(gauge.sample_batch, x)
+            stencil._gradient(gauge.sample_batch, x, [(stencil, 1)])
         with pytest.raises(DomainError, match="stencil steps for points"):
-            stencil._apply(scalar.sample_batch, x, 0, deriv=2)
+            stencil._walk(scalar.sample_batch, x, (0,), [(stencil, 2)])
         with pytest.raises(DomainError, match="stencil steps for points"):
             gribov_residual(SCALE, x, stencil)
         with pytest.raises(DomainError, match="stencil steps for points"):
@@ -713,7 +714,7 @@ class TestVectorCurl:
         gauge, _ = build_fields(MonopoleScale(g, 1.0), variant)
         assert gauge.vector_batch is not None
         got = gauge.curl(stencil, pts)
-        nine = stencil._gradient(gauge.sample_batch, pts)
+        nine, = stencil._gradient(gauge.sample_batch, pts, [(stencil, 1)])
         generic = ColorField(gauge.sample_batch).curl(stencil, pts)  # a field without a vector
         assert got.shape == (len(pts), 3, 3) and got.flags.c_contiguous
         assert _same_bits(got, generic) and _same_bits(generic, algebra.curl(nine))
@@ -801,8 +802,8 @@ class TestSharedHalfStep:
         # float64 squares of a tiny core underflow: both routes divide by 0 alike
         with np.errstate(all="ignore") if tiny else contextlib.nullcontext():
             for sample in (gauge.vector_batch, scalar.sample_batch):
-                got = stencil._gradient(sample, pts, with_half=True)
-                ref = stencil._gradient(sample, pts), half._gradient(sample, pts)
+                got = stencil._gradient(sample, pts, [(stencil, 1), (half, 1)])
+                ref = stencil._gradient(sample, pts, [(stencil, 1)]) + half._gradient(sample, pts, [(half, 1)])
                 assert all(_same_bits(a, b) for a, b in zip(got, ref))
             pairs = _outcome(lambda: _first_order_pairs(gauge, scalar, pts, stencil, g))
             ref_pairs = _outcome(lambda: [
@@ -824,23 +825,18 @@ class TestSharedHalfStep:
 # the stacked walk against one sampler call per shift
 # ---------------------------------------------------------------------------
 
-def _per_shift_walk(stencil, sample, x, axis, deriv, with_half):
-    """One axis of StencilConfig._walk, [at each level], as it was written
-    before shifted copies were stacked: one sampler call per shift (the
-    reference of the walk's bits)."""
-    levels = (stencil, stencil.halved()) if with_half else (stencil,)
-    walk = {}
-    for level, s_level in enumerate(levels):
-        offs, wts = s_level.offsets_weights(deriv)
-        for o, s, w in zip(offs.tolist(), np.multiply.outer(offs, s_level.h), wts):
-            walk.setdefault(s.tobytes(), (o / 2**level, s, []))[2].append((level, w))
-    acc = [0.0] * len(levels)
-    for _, s, shared in sorted(walk.values(), key=lambda step: step[0]):
+def _per_shift_level(stencil, deriv, sample, x, axis):
+    """One level and one axis of StencilConfig._walk as it was written
+    before shifted copies were stacked or shared between levels: one
+    sampler call per shift, in offset order (the reference of the walk's
+    bits)."""
+    offs, wts = stencil.offsets_weights(deriv)
+    acc = 0.0
+    for s, w in zip(np.multiply.outer(offs, stencil.h), wts):
         xs = x.astype(np.result_type(x, s))
         xs[..., axis] += s
         term = sample(xs)
-        for level, w in shared:
-            acc[level] += (w if np.ndim(w) == 0 else w.reshape(w.shape + (1,) * (np.ndim(term) - 1))) * term
+        acc += (w if np.ndim(w) == 0 else w.reshape(w.shape + (1,) * (np.ndim(term) - 1))) * term
     return acc
 
 
@@ -848,12 +844,19 @@ def _per_shift_walk(stencil, sample, x, axis, deriv, with_half):
 # per call), several with a ragged last one (300, 1000, 1537), and one shift
 # per call (_BLOCK and more)
 _WALK_SIZES = st.sampled_from([1, 20, 300, 1000, 1537, 2304, _BLOCK, _BLOCK + 1])
+# explicit levels of a walk, (step, deriv) with the step h or h/2: one level,
+# the operators' pairs (check-bogomolnyi's h and h/2, the greens operator's
+# first and second derivatives), and all three at once
+_LEVELS = st.sampled_from([
+    (("h", 1),), (("h", 2),), (("h", 1), ("h/2", 1)), (("h", 1), ("h", 2)), (("h/2", 1), ("h", 1), ("h", 2)),
+])
 
 
 class TestStackedWalk:
     """The walk stacks consecutive shifted copies of a small batch into one
-    sampler call of at most _BLOCK rows; each value keeps the bits of one
-    call per shift: values, signs of zero and dtype."""
+    sampler call of at most _BLOCK rows, and samples a shift that two levels
+    share once; each level's value keeps the bits of one call per shift of
+    that level alone: values, signs of zero and dtype."""
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -861,20 +864,24 @@ class TestStackedWalk:
         seed=st.integers(0, 2**32 - 1),
         tiny=st.booleans(),
         order=st.sampled_from([2, 4]),
-        deriv=st.sampled_from([1, 2]),
-        with_half=st.booleans(),
+        levels=_LEVELS,
         dtype=st.sampled_from([np.float64, np.longdouble]),
         per_point=st.booleans(),
         field=st.sampled_from(["gauge vector", "scalar"]),
     )
     @example(  # an inexact half: odd subnormal steps, no shift shared between the levels
-        n=300, seed=0, tiny=True, order=4, deriv=1, with_half=True, dtype=np.longdouble, per_point=True,
+        n=300, seed=0, tiny=True, order=4, levels=(("h", 1), ("h/2", 1)), dtype=np.longdouble, per_point=True,
         field="gauge vector",
     )
-    @example(n=20, seed=1, tiny=False, order=4, deriv=1, with_half=True, dtype=np.longdouble, per_point=False,
+    @example(n=20, seed=1, tiny=False, order=4, levels=(("h", 1), ("h/2", 1)), dtype=np.longdouble,
+             per_point=False, field="scalar")
+    @example(n=3, seed=2, tiny=False, order=2, levels=(("h", 1), ("h", 2)), dtype=np.float64, per_point=True,
              field="scalar")
-    def test_matches_one_call_per_shift(self, n, seed, tiny, order, deriv, with_half, dtype, per_point, field):
-        assume(not (tiny and deriv == 2))  # second-derivative weights of subnormal steps overflow
+    @example(n=1000, seed=3, tiny=False, order=4, levels=(("h", 1), ("h", 2)), dtype=np.longdouble,
+             per_point=False, field="gauge vector")
+    def test_matches_one_call_per_shift(self, n, seed, tiny, order, levels, dtype, per_point, field):
+        # second-derivative weights of subnormal steps overflow
+        assume(not (tiny and any(deriv == 2 for _, deriv in levels)))
         rng = np.random.default_rng(seed)
         scale = MonopoleScale(1.0, _TINY_EPS if tiny else 1.0)
         x = rng.normal(size=(n, 3))
@@ -885,6 +892,7 @@ class TestStackedWalk:
         else:
             steps = rng.uniform(1e-4, 0.05, n)
         stencil = StencilConfig(steps if per_point else float(steps[0]), order)
+        walk_levels = [(stencil if step == "h" else stencil.halved(), deriv) for step, deriv in levels]
         gauge, scalar = build_fields(scale, "BPS")
         sampler = gauge.vector_batch if field == "gauge vector" else scalar.sample_batch
         rows = []
@@ -895,14 +903,17 @@ class TestStackedWalk:
 
         # float64 squares of a tiny core underflow: both routes divide by 0 alike
         with np.errstate(all="ignore") if tiny else contextlib.nullcontext():
-            got = stencil._walk(recording, pts, range(3), deriv, with_half)
-            ref = [_per_shift_walk(stencil, sampler, pts, axis, deriv, with_half) for axis in range(3)]
-        assert len(got) == 1 + with_half
+            got = StencilConfig._walk(recording, pts, range(3), walk_levels)
+            ref = [[_per_shift_level(s, deriv, sampler, pts, axis) for axis in range(3)] for s, deriv in walk_levels]
+        assert len(got) == len(walk_levels)
         for level, axes in enumerate(got):
             for axis, value in enumerate(axes):
-                assert _same_bits(value, ref[axis][level])
+                assert _same_bits(value, ref[level][axis])
         assert all(r <= _BLOCK or r == n for r in rows) and sum(rows) % n == 0
         shifts = sum(rows) // n
+        union = {shift.tobytes() for s, deriv in walk_levels
+                 for shift in np.multiply.outer(s.offsets_weights(deriv)[0], s.h)}
+        assert shifts == 3 * len(union)  # a shift that two levels share is sampled once
         assert len(rows) == -(-shifts // max(1, _BLOCK // n))  # ceil: groups of whole shifts
 
     @pytest.mark.parametrize("n", [20, _BLOCK + 1])
@@ -912,9 +923,9 @@ class TestStackedWalk:
         # a preallocated array did: einsum's order of adds follows the layout
         pts = random_points(n)
         stencil = StencilConfig(0.01, 4)
-        for with_half in (False, True):
-            got = stencil._gradient(lambda p: np.asfortranarray(p * p), pts, with_half=with_half)
-            assert all(d.flags.c_contiguous for d in (got if with_half else (got,)))
+        for levels in ([(stencil, 1)], [(stencil, 1), (stencil.halved(), 1)], [(stencil, 1), (stencil, 2)]):
+            got = stencil._gradient(lambda p: np.asfortranarray(p * p), pts, levels)
+            assert len(got) == len(levels) and all(d.flags.c_contiguous for d in got)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -937,9 +948,9 @@ class TestStackedWalk:
             shapes.append(p.shape)
             return profile(p)
 
-        stencil = StencilConfig(h, order)
-        got = stencil._apply(recording, x, 0, deriv)
-        ref = _per_shift_walk(stencil, profile, x, 0, deriv, False)[0]
+        level = (StencilConfig(h, order), deriv)
+        got = StencilConfig._walk(recording, x, (0,), [level])[0][0]
+        ref = _per_shift_level(*level, profile, x, 0)
         assert shapes and all(shape == (3,) for shape in shapes)
         assert _same_bits(np.asarray(got), np.asarray(ref))
 
@@ -988,7 +999,7 @@ class TestLeviCivitaContractions:
         gauge = _affine_field(_drawn(a0, dtype), _drawn(da, dtype))
         pts = x.astype(dtype)
         stencil = StencilConfig(h=0.01, order=4)
-        dA = stencil._gradient(gauge.sample_batch, pts)
+        dA, = stencil._gradient(gauge.sample_batch, pts, [(stencil, 1)])
         A = gauge.sample(pts)
         curl = np.einsum("ijk,njka->nia", EPS3, dA)
         quad = np.einsum("ijk,abc,njb,nkc->nia", EPS3, EPS3, A, A)
@@ -1015,7 +1026,8 @@ class TestLeviCivitaContractions:
         pts = x.astype(dtype)
         stencil = StencilConfig(h=0.01, order=4)
         A, phi = gauge.sample(pts), scalar.sample(pts)
-        ref = stencil._gradient(scalar.sample_batch, pts) - g * np.einsum("abc,nib,nc->nia", EPS3, A, phi)
+        dphi, = stencil._gradient(scalar.sample_batch, pts, [(stencil, 1)])
+        ref = dphi - g * np.einsum("abc,nib,nc->nia", EPS3, A, phi)
         # one cross product per entry, bitwise
         assert np.array_equal(covariant_derivative(gauge, scalar, pts, stencil, g), ref)
 
@@ -1044,7 +1056,7 @@ class TestLeviCivitaContractions:
         A = gauge.sample(pts)
         quad = np.einsum("ijk,abc,njb,nkc->nia", EPS3, EPS3, A, A)
         stencil = default_stencil(SCALE)
-        dA = stencil._gradient(gauge.sample_batch, pts)
+        dA, = stencil._gradient(gauge.sample_batch, pts, [(stencil, 1)])
         curl = np.einsum("ijk,njka->nia", EPS3, dA)
         assert np.array_equal(magnetic_tension(gauge, pts, stencil, 2.0), curl - 0.5 * 2.0 * quad)
 
@@ -1086,8 +1098,10 @@ def _where_x_over_sinh(x):
 def _where_d_f01(r, eps):
     """d_f01_bps in np.where form, every branch on every element: up to
     x = 1e143 the earlier form, whose subtrahend 1/sinh(min(x, 350))^2 there
-    is below half an ulp of 1/x^2; past it 1/x^2 alone, (1/x)^2 past 1e154."""
-    x = np.asarray(r, dtype=float) / eps
+    is below half an ulp of 1/x^2; past it 1/x^2 alone, (1/x)^2 past 1e154.
+    A single radius is taken as a batch of one: ** 2 of a numpy scalar is
+    libm's pow, which can differ in the last bit from the array square."""
+    x = np.atleast_1d(np.asarray(r, dtype=float) / eps)
     small = np.abs(x) < 0.05
     far = x > 1e154
     xs = np.where(small | far, 1.0, x)
@@ -1098,7 +1112,7 @@ def _where_d_f01(r, eps):
     x2 = xm * xm
     series = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
     out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+    return out if np.ndim(r) else float(out[0])
 
 
 def _mp(v):

@@ -1,4 +1,7 @@
 """Radial potentials, Euler/radial residuals and the background operator."""
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ymvac.bps_profiles import StencilConfig, f1_bps
+from ymvac.cli import main
 from ymvac.errors import DomainError
 from ymvac.greens import (
     EulerSolution,
@@ -131,6 +135,13 @@ class TestRadialYM:
             radial_ym_residual(lambda r: 0.5, 1e-160)
         assert radial_ym_residual(lambda r: 0.5, 1e-140) == 0.5 * (0.25 - 1.0) / 1e-280
 
+    @pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, np.nan])
+    def test_step_that_is_not_positive_refused(self, h):
+        # h = 0.0 silently took the default step r/500
+        with pytest.raises(DomainError, match="stencil step h must be positive and finite"):
+            radial_ym_residual(lambda r: 0.5, 1.0, h=h)
+        assert radial_ym_residual(lambda r: 0.5, 1.0, h=None) == radial_ym_residual(lambda r: 0.5, 1.0, h=1.0 / 500.0)
+
 
 class TestShooting:
     def test_fixed_points_stay(self):
@@ -234,8 +245,8 @@ def single_point_operator(S, x, h, order=2):
     r = float(np.linalg.norm(pts))
     stencil = StencilConfig(h, order)
     S0 = S(pts)[0]
-    grad = stencil._gradient(S, pts)[0]
-    lap = sum(stencil._apply(S, pts, j, deriv=2) for j in range(3))[0]
+    grad = stencil._gradient(S, pts, [(stencil, 1)])[0][0]
+    lap = sum(stencil._walk(S, pts, (j,), [(stencil, 2)])[0][0] for j in range(3))[0]
     n = (pts[0] / r).reshape((3,) + (1,) * (S0.ndim - 1))
     div = np.trace(grad)
     nb_da_Sb = np.sum(grad * n, axis=1)
@@ -336,6 +347,23 @@ class TestBackgroundOperator:
         for other in (calls, ref):
             assert got.dtype == other.dtype and got.shape == other.shape
             assert np.array_equal(got, other) and np.array_equal(np.signbit(got), np.signbit(other))
+
+    def test_default_report_samples_each_shift_once(self, monkeypatch):
+        # the greens report's operator (3 points, order 2) differences its
+        # tensor in one walk at the levels (s, 1) and (s, 2): one unshifted
+        # call of 3 rows and one of the 9 shifts -h, 0, +h per axis, 27 rows
+        # (two walks sampled 3 + 18 + 27)
+        rows = []
+        evaluate = GreenTensor.evaluate
+
+        def recording(self, x, y):
+            rows.append(len(x))
+            return evaluate(self, x, y)
+
+        monkeypatch.setattr(GreenTensor, "evaluate", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["greens"]) == 0
+        assert rows == [3, 27]
 
     @settings(deadline=None, max_examples=40)
     @given(

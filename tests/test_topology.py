@@ -144,7 +144,7 @@ class TestGribovFactor:
             return np.column_stack([q0, q.T])
 
         for j in range(3):
-            fd = stencil._apply(components, pts, j)
+            fd = stencil._walk(components, pts, (j,), [(stencil, 1)])[0][0]
             assert np.abs(dq0[j] - fd[:, 0]).max() < 1e-8
             assert np.abs(dq[:, j].T - fd[:, 1:]).max() < 1e-8
 
@@ -283,6 +283,26 @@ class TestMapDegree:
         with pytest.raises(DomainError):
             QuadratureSpec(r_max=10.0).check_reaches(1.0)
 
+    @pytest.mark.parametrize("r_max", [math.nan, 0.0, -0.0, -300.0, -math.inf])
+    def test_quadrature_spec_refuses_r_max(self, r_max):
+        # a NaN r_max dropped every node: map_degree returned 0.0 silently
+        # and winding_functional raised IndexError
+        with pytest.raises(DomainError, match="r_max must be positive"):
+            QuadratureSpec(r_max=r_max)
+
+    @pytest.mark.parametrize("counts", [(16.5, 24, 24), (48, 24.0, 24), (48, 24, "24"), (48, 24, None)])
+    def test_quadrature_spec_refuses_non_integer_counts(self, counts):
+        # n_r = 16.5 failed inside numpy with a TypeError
+        with pytest.raises(DomainError, match="node counts must be integers"):
+            QuadratureSpec(300.0, *counts)
+        assert QuadratureSpec(300.0, *(np.int64(48) for _ in counts)).n_r == 48
+
+    @pytest.mark.parametrize("eps_ref", [math.nan, 7.0])
+    def test_check_reaches_refuses_nan_scale(self, eps_ref):
+        with pytest.raises(DomainError, match="must be at least 50x"):
+            QuadratureSpec(r_max=300.0).check_reaches(eps_ref)
+        QuadratureSpec(r_max=300.0).check_reaches(6.0)
+
 
 class TestCubicTrace:
     # components 0 or of magnitude in [1e-3, 10], so no triple product underflows
@@ -396,7 +416,7 @@ def unblocked_winding(field, quad, g, eps_ref=1.0, tail_fraction=1e-3):
     keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
     pts, wts = pts[keep], wts[keep]
     A = field.sample(pts)
-    dA = stencil._gradient(field.sample, pts)
+    dA, = stencil._gradient(field.sample, pts, [(stencil, 1)])
     term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
     term2 = (-1.5 * g**3) * _det3(A.T)
     dens = wts * (term1 + (2.0 / 3.0) * term2)
