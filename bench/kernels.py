@@ -1,6 +1,6 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times thirty-three kernels, each at two problem sizes, in two source trees (a
+Times thirty-five kernels, each at two problem sizes, in two source trees (a
 baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -130,8 +130,17 @@ baseline and this checkout's `src/`), and writes one JSON file:
   scalar step (`loop_median_s`, the form the batched calls replaced) and the
   number of entries in which the two differ (`loop_mismatches`, 0);
 - the whole `winding` report in process (`cli.main`, output to memory) at
-  default arguments and at 72/36/36; accuracy: its exit code (0).  Its
-  minor page faults are among those of the `default-reports` workload below.
+  default arguments and at 72/36/36; accuracy: its exit code (0);
+- `path_green` over the 9-row table of `rotator --inertia I --tau 0.3`
+  (theta in 0, pi/2, pi; dN in 0, 0.3, 1) at I = 1e-7 and 1e-6, as one call
+  over the table (a tree whose `path_green` takes one row only makes one
+  call per row there too), beside one call per row (`row_median_s`) and the
+  number of rows in which the two differ (`row_mismatches`, 0); accuracy:
+  the largest gap to `mpmath.jtheta` at 30 digits on the spectral nome;
+- the whole `rotator` report in process at default arguments (81 short
+  rows) and at `--inertia 1e-7 --tau 0.3`; accuracy: its exit code (0), and
+  beside it the report's tracemalloc peak (`traced_peak_bytes`, taken in a
+  separate untimed call).
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -139,19 +148,6 @@ median over all calls, the median of IMPORTS cold `import ymvac.cli` times
 with whether the import loaded scipy, and the median wall time of TIER1_RUNS
 alternating runs of each tree's Tier-1 suite (`pytest -q` over the `tests/`
 beside its `src/`) with its summary line.
-
-Minor page faults (ru_minflt) are counted in two ways for each of
-FAULT_WORKLOADS, in ROUNDS alternating fresh processes per tree, each with
-one untimed pass and FAULT_PASSES counted ones through `cli.main`: as the
-perfbench runs the reports, all of the workload's reports in one loop
-(`reports_in_loop`, which depends on the reports run before each one), and
-each report alone in its own process (`reports_alone`).  The fault
-workers alone run with glibc's mmap and trim thresholds fixed and with
-Python's small objects taken from malloc (FAULT_MALLOC_ENV), so that a count
-depends less on the allocator's history (a fresh process's winding count
-still varies from run to run).  The JSON holds
-each report's median and mean faults for both, and the faults of each
-`shifted_loop_average` call in the loop.
 
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
@@ -201,23 +197,11 @@ REPEATS = 5  # timed calls per kernel in each worker, after one warm-up call
 IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
 CAMPAIGN_SEEDS = range(1, 51)  # --hypothesis-seed values of the property campaign
-FAULT_WORKLOADS = ("default-reports", "long-sums")  # perfbench workloads whose page faults are counted
-FAULT_PASSES = 20  # counted passes over a workload's reports in each fault worker
 SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degree sweep
 GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
 GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
 GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
-# allocator settings of the fault workers alone, so that a fault count depends
-# less on the allocator's history: glibc's mmap threshold fixed (no dynamic
-# raise after a large block is freed), a trim threshold that no report's heap
-# reaches (the heap top is never given back), and Python's small objects from
-# malloc too (with the two thresholds alone, a docstring-only edit of
-# bps_profiles.py still moved the interference counts).  A fresh process's
-# winding count still takes one of a few values (2 185, 2 595 or 4 882 per
-# report) from run to run of one tree, so compare medians over ROUNDS.
-FAULT_MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "1073741824",
-                    "PYTHONMALLOC": "malloc"}
 PER_NODE_C = (1.25e-3, 2.5e-4)  # per-node pheno steps h = c max(r, eps)
 _LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
 _FINE_WINDING_ARGV = ("winding", "--n-r", "72", "--n-theta", "36", "--n-phi", "36")
@@ -385,84 +369,29 @@ def _per_shift_loop_average(itf, q, cutoff, L):
     return averaged, sums[0], averaged - sums[0]
 
 
-def _minflt() -> int:
-    import resource
-
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
 
 
-def _workload_reports(workload: str) -> list:
-    with open(ROOT / "perfbench" / "workloads.json", encoding="utf-8") as fh:
-        return [tuple(a) for a in json.load(fh)[workload]["reports"]]
+def _path_table(rot, table) -> list:
+    """path_green over a table of rows in one call, or one call per row in a
+    tree whose path_green takes one row only."""
+    try:
+        return rot.path_green(table)
+    except AttributeError:  # that tree's path_green reads params.tau_e off the list
+        return [rot.path_green(prm) for prm in table]
 
 
-def fault_worker(workload: str, alone: int | None = None) -> dict:
-    """Minor page faults of each report of a perfbench workload, and of each
-    shifted_loop_average call, run in process as the perfbench runs them:
-    one untimed pass, then FAULT_PASSES counted passes.  With `alone`, only
-    the report at that index of the workload runs."""
-    from ymvac import cli, interference as itf
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees during one call of fn."""
+    import tracemalloc
 
-    reports = _workload_reports(workload)
-    if alone is not None:
-        reports = reports[alone:alone + 1]
-    for argv in reports:
-        _quiet_main(cli.main, [*argv, "--seed", "1"])
-    loop, loop_faults = itf.shifted_loop_average, []
-
-    def counted(*args, **kwargs):
-        before = _minflt()
-        try:
-            return loop(*args, **kwargs)
-        finally:
-            loop_faults.append(_minflt() - before)
-
-    itf.shifted_loop_average = counted  # the interference report calls it through the module
-    per_report = {argv: [] for argv in reports}
-    for _ in range(FAULT_PASSES):
-        for argv in reports:
-            before = _minflt()
-            _quiet_main(cli.main, [*argv, "--seed", "1"])
-            per_report[argv].append(_minflt() - before)
-    return {
-        "reports": {" ".join(argv): faults for argv, faults in per_report.items()},
-        "shifted_loop_average": loop_faults,
-    }
-
-
-def fault_counts(trees: dict) -> dict:
-    """Minor faults per report, in the workload loop and alone, and per
-    shifted_loop_average call (in the loop) in each tree, pooled over ROUNDS
-    alternating fresh processes per workload and per report."""
-    out = {}
-    for workload in FAULT_WORKLOADS:
-        pooled = {name: {"reports_in_loop": {}, "reports_alone": {}, "shifted_loop_average": []} for name in trees}
-        for _ in range(ROUNDS):
-            for name, src in trees.items():
-                rec = json.loads(_run(src, [__file__, "--faults", workload], **FAULT_MALLOC_ENV))
-                for argv, faults in rec["reports"].items():
-                    pooled[name]["reports_in_loop"].setdefault(argv, []).extend(faults)
-                pooled[name]["shifted_loop_average"] += rec["shifted_loop_average"]
-            for index in range(len(_workload_reports(workload))):
-                for name, src in trees.items():
-                    rec = json.loads(_run(src, [__file__, "--faults", workload, "--alone", str(index)],
-                                          **FAULT_MALLOC_ENV))
-                    for argv, faults in rec["reports"].items():
-                        pooled[name]["reports_alone"].setdefault(argv, []).extend(faults)
-        out[workload] = {
-            name: {
-                **{key: {argv: {"median": statistics.median(f), "mean": statistics.mean(f), "samples": len(f)}
-                         for argv, f in rec[key].items()}
-                   for key in ("reports_in_loop", "reports_alone")},
-                "shifted_loop_average": {
-                    "calls": len(rec["shifted_loop_average"]),
-                    "faulting_calls": sum(f > 0 for f in rec["shifted_loop_average"]),
-                    "mean": statistics.mean(rec["shifted_loop_average"]) if rec["shifted_loop_average"] else 0,
-                },
-            }
-            for name, rec in pooled.items()
-        }
-    return out
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _quiet_main(main, argv) -> int:
@@ -893,6 +822,21 @@ def worker() -> dict:
     for label, argv in (("default", ["winding"]), ("72x36x36", list(_FINE_WINDING_ARGV))):
         times, code = _timed(lambda: _quiet_main(cli.main, argv))
         cases[f"winding_report/{label}"] = (times, "exit_code", code)
+    # the rotator report's winding sides: one call over its table beside one call per row
+    for inertia in (1e-7, 1e-6):
+        case = f"path_green_table/I={inertia:g}"
+        table = [rot.RotatorParams.euclidean(inertia, theta, 0.3, dn) for theta in (0.0, math.pi / 2, math.pi)
+                 for dn in (0.0, 0.3, 1.0)]
+        times, value = _timed(lambda: _path_table(rot, table))
+        row_times, ref = _timed(lambda: [rot.path_green(prm) for prm in table])
+        gap = max(abs(z - _jtheta_spectral(prm)) for z, prm in zip(value, table))
+        cases[case] = (times, "max_jtheta_gap", gap)
+        extra[case] = {"row_median_s": statistics.median(row_times),
+                       "row_mismatches": sum(_bits(a) != _bits(b) for a, b in zip(value, ref))}
+    for label, argv in (("default", ["rotator"]), ("I=1e-7", ["rotator", "--inertia", "1e-7", "--tau", "0.3"])):
+        times, code = _timed(lambda: _quiet_main(cli.main, argv))
+        cases[f"rotator_report/{label}"] = (times, "exit_code", code)
+        extra[f"rotator_report/{label}"] = {"traced_peak_bytes": _traced_peak(lambda: _quiet_main(cli.main, argv))}
     return {
         case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
         for case, (times, name, value) in cases.items()
@@ -1046,14 +990,9 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", type=Path, help="src/ directory of the tree to compare against")
     ap.add_argument("--out", type=Path, help="JSON file to write")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--faults", metavar="WORKLOAD", help=argparse.SUPPRESS)
-    ap.add_argument("--alone", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         print(json.dumps(worker()))
-        return 0
-    if args.faults:
-        print(json.dumps(fault_worker(args.faults, args.alone)))
         return 0
     if args.baseline is None or args.out is None:
         ap.error("--baseline and --out are required")
@@ -1063,7 +1002,6 @@ def main(argv=None) -> int:
             ap.error(f"{src} has no ymvac package")
     result = measure(trees)
     result["cold_subcommand_wall"] = cold_subcommands(trees)
-    result["minor_faults"] = fault_counts(trees)
     result["output_identity"] = compare_outputs(trees)
     result["property_campaign"] = property_campaign()
     import numpy as np
@@ -1103,6 +1041,12 @@ def main(argv=None) -> int:
             print(f"{'':>36}one walk per level {row['baseline']['two_walk_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['two_walk_median_s'] * 1e3:.2f} ms, mismatches "
                   f"{row['current']['two_walk_mismatches']}")
+        if "row_median_s" in row["current"]:
+            print(f"{'':>36}one call per row {row['baseline']['row_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['row_median_s'] * 1e3:.2f} ms, mismatches {row['current']['row_mismatches']}")
+        if "traced_peak_bytes" in row["current"]:
+            print(f"{'':>36}traced peak {row['baseline']['traced_peak_bytes'] / 1e6:.3f} -> "
+                  f"{row['current']['traced_peak_bytes'] / 1e6:.3f} MB")
         if "per_shift_median_s" in row["current"]:
             print(f"{'':>36}one shift per call {row['baseline']['per_shift_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['per_shift_median_s'] * 1e3:.2f} ms")
@@ -1113,17 +1057,6 @@ def main(argv=None) -> int:
     for sub in SUBCOMMANDS:
         base, cur = (result["cold_subcommand_wall"][name][sub]["median_s"] for name in ("baseline", "current"))
         print(f"cold {sub:>16}: {base:.3f} -> {cur:.3f} s")
-    for workload, per_tree in result["minor_faults"].items():
-        base, cur = per_tree["baseline"], per_tree["current"]
-        for key in ("reports_alone", "reports_in_loop"):
-            for argv, rec in cur[key].items():
-                print(f"minor faults per report ({workload}, {key}) {argv}: median {base[key][argv]['median']:g} -> "
-                      f"{rec['median']:g}, mean {base[key][argv]['mean']:.1f} -> {rec['mean']:.1f}")
-        if cur["shifted_loop_average"]["calls"]:
-            b, c = base["shifted_loop_average"], cur["shifted_loop_average"]
-            print(f"minor faults per shifted_loop_average call ({workload}): mean {b['mean']:.1f} -> "
-                  f"{c['mean']:.1f}, faulting calls {b['faulting_calls']}/{b['calls']} -> "
-                  f"{c['faulting_calls']}/{c['calls']}")
     for row in result["output_identity"]:
         if not row["identical"]:
             print(f"differs ({row['group']}): {' '.join(row['argv'])}, exit {row['exit']['baseline']} -> "

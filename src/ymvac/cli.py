@@ -265,27 +265,28 @@ def _run_rotator(cfg: RunConfig) -> Report:
     thetas = [0.0, math.pi / 2, math.pi] if p["theta"] is None else [p["theta"]]
     taus = [0.3, 1.0, 3.0] if p["tau"] is None else [p["tau"]]
     inertias = [0.5, 1.0, 5.0] if p["inertia"] is None else [p["inertia"]]
+    grid = [(th, te, dn, inertia, rotator.RotatorParams.euclidean(inertia, th, te, dn))
+            for th in thetas for te in taus for dn in (0.0, 0.3, 1.0) for inertia in inertias]
+    # evaluate only the sides that fit the term cap; a lone side is checked
+    # against its own theta route instead.  Every winding side that fits is
+    # summed in one call, which shares its Gaussians and phases across rows.
+    needs = [rotator.terms_needed(prm) for *_, prm in grid]
+    paths = iter(rotator.path_green([prm for (*_, prm), (_, need_w) in zip(grid, needs)
+                                     if need_w <= rotator.TERM_CAP]))
     rows, skipped = [], []
-    for th in thetas:
-        for te in taus:
-            for dn in (0.0, 0.3, 1.0):
-                for inertia in inertias:
-                    prm = rotator.RotatorParams.euclidean(inertia, th, te, dn)
-                    # evaluate only the sides that fit the term cap; a lone
-                    # side is checked against its own theta route instead
-                    need_s, need_w = rotator.terms_needed(prm)
-                    if need_w > rotator.TERM_CAP:
-                        s = rotator.spectral_green(prm)
-                        d = abs(s - rotator.spectral_green_via_theta(prm))
-                        skipped.append((len(rows), "path", need_w, "spectral_green_via_theta"))
-                    elif need_s > rotator.TERM_CAP:
-                        s = rotator.path_green(prm)
-                        d = abs(s - rotator.path_green_via_theta(prm))
-                        skipped.append((len(rows), "spectral", need_s, "path_green_via_theta"))
-                    else:
-                        s = rotator.spectral_green(prm)
-                        d = abs(s - rotator.path_green(prm))
-                    rows.append((th, te, dn, inertia, s.real, s.imag, d))
+    for (th, te, dn, inertia, prm), (need_s, need_w) in zip(grid, needs):
+        if need_w > rotator.TERM_CAP:
+            s = rotator.spectral_green(prm)
+            d = abs(s - rotator.spectral_green_via_theta(prm))
+            skipped.append((len(rows), "path", need_w, "spectral_green_via_theta"))
+        elif need_s > rotator.TERM_CAP:
+            s = next(paths)
+            d = abs(s - rotator.path_green_via_theta(prm))
+            skipped.append((len(rows), "spectral", need_s, "path_green_via_theta"))
+        else:
+            s = rotator.spectral_green(prm)
+            d = abs(s - next(paths))
+        rows.append((th, te, dn, inertia, s.real, s.imag, d))
     decay_rows = []
     p_off = p["theta_probe"] + math.pi
     for L in (10, 100, 1000):

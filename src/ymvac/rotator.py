@@ -19,10 +19,13 @@ transformation of
 with the dictionary tau = 2 pi i tau_E / I, Z = pi dN + i pi theta tau_E / I
 (spectral side).  Real-time evaluation is out of contract and raises.
 
-Each sum builds its terms in one numpy array and adds their real and
-imaginary parts correctly rounded (algebra.exact_sums, math.fsum's bits); a
-cutoff past the term cap raises.  `terms_needed` tells which sides fit, and
-each side has its own theta route as a second check.
+Each sum adds the real and imaginary parts of its terms correctly rounded
+(algebra.exact_sums, math.fsum's bits); a cutoff past the term cap raises.
+The winding sum takes a table of rows that share their Gaussians and phases
+and still keep the bits of numpy's complex exp of each whole term (libm's
+cexp is exp(x) (cos y, sin y), with cos even and sin odd; see path_green).
+`terms_needed` tells which sides fit, and each side has its own theta route
+as a second check.
 
 RotatorParams reduces theta to [0, 2 pi) when it is built; every consumer,
 the half-window flag `in_half_window` included, reads that reduced value.
@@ -244,20 +247,73 @@ def spectral_green_via_theta(params: RotatorParams) -> complex:
     return pref * theta3(z, tau)
 
 
-def path_green(params: RotatorParams, n_max: int | None = None) -> complex:
+def path_green(params, n_max: int | None = None):
     """Winding sum sqrt(I/(8 pi^3 tau_E)) sum_n e^{-i theta n} e^{-(dN+n)^2 I/(2 tau_E)}.
 
     Normalization and measure sign follow from Poisson resummation of the
     spectral sum, making the two representations equal term by term in the
     theta-function identity.
+
+    `params` is one RotatorParams (a complex comes back) or a sequence of
+    them (a list, in order); `n_max` overrides every row's cutoff, and a
+    cutoff past the term cap raises before any array is built.  Within one
+    call, rows with the same (b, dN, n_max) share one Gaussian e^{-b (dN+n)^2},
+    and each theta's phase e^{-i theta n} is built once, at n >= 0, and
+    mirrored.  numpy's complex exp is libm's cexp, (exp(x) cos y, exp(x) sin y),
+    so the terms keep its bits: the Gaussian comes from its zero-imaginary
+    branch, exp(x) itself (numpy's float exp differs in the last bit), and
+    the phase at -n is the conjugate of the phase at n (cos even, sin odd).
     """
-    tau_e = params.tau_e
-    I, th, dN = params.inertia, params.theta, params.dN
-    b = I / (2.0 * tau_e)
-    if n_max is None:
-        n_max = _path_n_max(b, dN)
-    pref = math.sqrt(I / (8.0 * math.pi**3 * tau_e))
-    return pref * _exact_sum(lambda n: np.exp(-1j * th * n - b * ((dN + n) * (dN + n))), n_max)
+    single = isinstance(params, RotatorParams)
+    rows, reach = [], {}  # reach: the largest cutoff of each theta, whose phase serves all its rows
+    for prm in [params] if single else params:
+        tau_e = prm.tau_e
+        b = prm.inertia / (2.0 * tau_e)
+        m = _path_n_max(b, prm.dN) if n_max is None else n_max
+        if m > _KCAP:
+            raise ConvergenceError(f"sum needs {2 * m + 1} terms, more than the cap of {TERM_CAP}")
+        rows.append((prm, tau_e, b, m))
+        reach[prm.theta] = max(reach.get(prm.theta, 0), m)
+    terms = np.empty((2, 2 * max(reach.values(), default=0) + 1))  # one row's real and imaginary parts
+    gaussians, theta, phase, sums = {}, None, None, []
+    for prm, tau_e, b, m in rows:
+        key = (b, prm.dN, m)
+        if key not in gaussians:
+            gaussians[key] = _gaussian(b, prm.dN, m)
+        if prm.theta != theta:
+            phase = None  # freed before the next one is built
+            theta, phase = prm.theta, _phase(prm.theta, reach[prm.theta])
+        top = reach[theta]
+        row = terms[:, :2 * m + 1]
+        np.multiply(gaussians[key], phase[:, top - m:top + m + 1], out=row)
+        pref = math.sqrt(prm.inertia / (8.0 * math.pi**3 * tau_e))
+        sums.append(pref * complex(*exact_sums(row)))
+    return sums[0] if single else sums
+
+
+def _gaussian(b: float, dN: float, m: int) -> np.ndarray:
+    """e^{-b (dN+n)^2} for n = -m..m, through numpy's complex exp (libm's
+    cexp) of the exponents with imaginary part 0."""
+    x = np.arange(-m, m + 1, dtype=float)
+    x += dN
+    x *= x
+    x *= -b
+    z = x.astype(complex)
+    np.copyto(x, np.exp(z, out=z).real)
+    return x
+
+
+def _phase(theta: float, top: int) -> np.ndarray:
+    """Real and imaginary rows of e^{-i theta n} for n = -top..top: numpy's
+    complex exp of the exponent -1j theta n (its signed zeros included) at
+    n >= 0, mirrored as the conjugate to n < 0."""
+    half = -1j * theta * np.arange(top + 1)
+    np.exp(half, out=half)
+    phase = np.empty((2, 2 * top + 1))
+    phase[0, top:], phase[1, top:] = half.real, half.imag
+    phase[0, :top] = half.real[:0:-1]
+    np.negative(half.imag[:0:-1], out=phase[1, :top])
+    return phase
 
 
 def path_green_via_theta(params: RotatorParams) -> complex:

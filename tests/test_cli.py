@@ -1,5 +1,6 @@
 """CLI contract: schema, determinism, exit discipline."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -446,10 +447,63 @@ class TestNaNGaps:
 
     def test_rotator_nan_path_green(self, monkeypatch):
         exact = rotator.path_green
-        monkeypatch.setattr(rotator, "path_green", lambda prm: complex("nan") if prm.dN == 0.3 else exact(prm))
+
+        def nan_at_dn(table):  # the report sums every winding side in one call
+            return [complex("nan") if prm.dN == 0.3 else z for prm, z in zip(table, exact(table))]
+
+        monkeypatch.setattr(rotator, "path_green", nan_at_dn)
         checks = self._checks("rotator", *FAST_ARGS["rotator"])
         assert not checks["spectral-vs-path-identity"]["passed"]
         assert checks["on-spectrum-survival"]["passed"]
+
+
+# SHA-256 of stdout, a NUL byte, stderr, a NUL byte and the exit code of each
+# argv run with --seed 0: the eight default reports and every report of
+# perfbench/workloads.json.  Taken under numpy 2.4.6 (glibc 2.36,
+# x86-64); a change that moves a payload on purpose updates its digest here
+# and lists it in CHANGES.md.
+DIGEST_NUMPY = "2.4.6"
+OUTPUT_DIGESTS = {
+    "profiles": "fa4cec8289dcefea19715a8b2153cd0efc15e9f3db5b4baae07e78cbe21569ac",
+    "check-bogomolnyi": "a341b18feeba25f672cf1971a258ff601c7e374cb1ec303e605e426e6ca40619",
+    "check-gribov": "4f435cca5b9c3dce4166c5c59271e393ae76342b56aeeabe8146fac33282836b",
+    "winding": "be0aa5496e3511c6d7e67c7fba19b224bc0eb40f473af40095cc2c8c852b4081",
+    "greens": "60ebccfeff5d4eef9e7a897d7ec172605f1fe75015d90d14d00b3a46cfd73579",
+    "rotator": "e9f5a012fbd8067f6020cf0fbd77589ed61f5b01c64fc5f0fa5bec9d415703c3",
+    "interference": "32060ba4dbeedffe8c98e4b0e51861c1d6b6bc251751d280a9a9c827ec5ee745",
+    "pheno": "a2d036b63e3b64d0765031151261ccc8eeff26e474d368ba84de7f83929fbda1",
+    "check-bogomolnyi --n-points 1000": "e228fe12f1329bae0e416b4519bcce552aaf8e0a39ed07fd125d8954bf27a671",
+    "check-gribov --radii-over-eps 1,2,3,5,8,12,20,30": "d9c2c4aabd3cccded905bc5e059808dd65072330c5e36d3ed2fdeab70bb5da49",
+    "greens --n-z 5000": "0f68689410d7fb7ed1e2fd7392184df4f8ca535d6a87de5811b6fca16926353f",
+    "rotator --inertia 1e-7 --tau 0.3": "c70045b1be47b73e87609975e0db0c279d0480ac99dea63abf64da677f1961aa",
+    "rotator --inertia 1e5 --tau 0.01": "5ee00e5b037036346e535cb8eb9b99bb32456208adf969b7f447fa5d10421995",
+    "rotator --inertia 1e-12 --tau 1 --theta 0": "5d773bba80a4b1c8972976fb701ed716ed28e864da11aaed68726119929b1a52",
+    "interference --momentum 1.3,-0.4,0.25,0.9 --angles 1.0,0.2,0.5": "7246afb59b3062b1b413cd861c28c04a9fc01ec5dbc29b8b8cdd311dc02abc51",
+}
+
+
+def _digest_argvs():
+    workloads = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text())
+    argvs = [" ".join(argv) for spec in workloads.values() for argv in spec["reports"]]
+    return {*_HANDLERS, *argvs}
+
+
+class TestOutputDigests:
+    """Every default and workload payload stays byte-identical, exit code and
+    stderr included."""
+
+    def test_every_argv_has_a_digest(self):
+        assert set(OUTPUT_DIGESTS) == _digest_argvs()
+
+    @pytest.mark.skipif(np.__version__ != DIGEST_NUMPY,
+                        reason=f"digests taken under numpy {DIGEST_NUMPY}; another numpy may round differently")
+    @pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))
+    def test_output_digest(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv.split(), "--seed", "0"])
+        data = b"\0".join([out.getvalue().encode(), err.getvalue().encode(), str(code).encode()])
+        assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
 # potential coefficients: any float, or a signed power of ten over the range

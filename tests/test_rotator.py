@@ -375,6 +375,63 @@ class TestVectorisedSums:
             path_green(far)
 
 
+def direct_path_sum(prm, n_max=None):
+    """The winding sum as path_green built it before rows shared their
+    Gaussians and phases: numpy's complex exp of each whole exponent, added
+    with math.fsum."""
+    if n_max is None:
+        n_max = (terms_needed(prm)[1] - 1) // 2
+    b = prm.inertia / (2.0 * prm.tau_e)
+    n = np.arange(-n_max, n_max + 1)
+    terms = np.exp(-1j * prm.theta * n - b * ((prm.dN + n) * (prm.dN + n)))
+    pref = math.sqrt(prm.inertia / (8.0 * math.pi**3 * prm.tau_e))
+    return pref * complex(math.fsum(memoryview(terms.real.copy())), math.fsum(memoryview(terms.imag.copy())))
+
+
+@st.composite
+def _winding_rows(draw):
+    """(theta, dN) rows drawn from a few thetas and a few dN, so that rows
+    share phases and Gaussians, in any order."""
+    thetas = draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True), min_size=1, max_size=3))
+    dns = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from(thetas), st.sampled_from(dns)), min_size=1, max_size=6))
+
+
+# the rows of the long-sums rotator reports, in the report's order
+_REPORT_ROWS = [(theta, dn) for theta in (0.0, math.pi / 2, math.pi) for dn in (0.0, 0.3, 1.0)]
+
+
+class TestWindingTable:
+    """path_green over a table of rows sharing (I, tau_E) keeps the bits of
+    each row's direct terms and of one call per row.  The mirrored phase
+    needs libm's sin to be odd and its cos even, and the Gaussian needs
+    cexp's zero-imaginary branch to return exp itself: on a libm where
+    either fails, so does this property."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        inertia=st.builds(lambda e: 10.0**e, st.floats(-7.0, 5.0)),
+        tau=st.builds(lambda e: 10.0**e, st.floats(-2.0, 1.0)),
+        rows=_winding_rows(),
+        n_max=st.none() | st.integers(0, 40),
+    )
+    @example(inertia=1e-7, tau=0.3, rows=_REPORT_ROWS, n_max=None)  # rotator --inertia 1e-7 --tau 0.3
+    @example(inertia=1e5, tau=0.01, rows=_REPORT_ROWS, n_max=None)  # rotator --inertia 1e5 --tau 0.01
+    def test_matches_direct_terms(self, inertia, tau, rows, n_max):
+        table = [RotatorParams.euclidean(inertia, theta, tau, dn) for theta, dn in rows]
+        got = [_bits(z) for z in path_green(table, n_max=n_max)]
+        assert got == [_bits(direct_path_sum(prm, n_max)) for prm in table]
+        assert got == [_bits(path_green(prm, n_max=n_max)) for prm in table]
+
+    def test_table_forms(self):
+        prm = RotatorParams.euclidean(0.7, 1.0, 0.4, 2.5)
+        assert path_green([]) == []
+        assert path_green((prm,)) == [path_green(prm)]
+        far = RotatorParams.euclidean(1e-12, 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match=f"needs {terms_needed(far)[1]} terms"):
+            path_green([prm, far])
+
+
 def fsum_exact_sum(term, k_max):
     """rotator._exact_sum as it was before algebra.exact_sums: math.fsum of
     the real and imaginary parts of the same term array."""
@@ -383,9 +440,10 @@ def fsum_exact_sum(term, k_max):
 
 
 class TestExactSumRoute:
-    """Every rotator sum keeps the bits of the fsum route it replaced, on draws
-    whose long side reaches about 2 10^5 terms (past exact_sums' short-row
-    cutoff and across its blocks)."""
+    """Every rotator sum that adds through _exact_sum keeps the bits of the
+    fsum route it replaced, on draws whose long side reaches about 2 10^5
+    terms (past exact_sums' short-row cutoff and across its blocks); the
+    winding sum has its own bitwise reference (TestWindingTable)."""
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -404,7 +462,7 @@ class TestExactSumRoute:
         # below min(Im tau, 1) keeps its largest term below e^(4/pi)
         tau = 2j * math.pi * prm.tau_e / prm.inertia
         z = complex(dn, im_z * min(tau.imag, 1.0))
-        routes = (lambda: spectral_green(prm), lambda: path_green(prm), lambda: spectral_green_via_theta(prm),
+        routes = (lambda: spectral_green(prm), lambda: spectral_green_via_theta(prm),
                   lambda: path_green_via_theta(prm), lambda: theta3(z, tau))
         got = [_bits(route()) for route in routes]
         with patch.object(rotator, "_exact_sum", fsum_exact_sum):
