@@ -1,7 +1,7 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times thirty-five kernels, each at two problem sizes, in two source trees (a
-baseline and this checkout's `src/`), and writes one JSON file:
+Times thirty-five kernels, each at two problem sizes or more, in two source
+trees (a baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
   winding report's default quadrature 48/24/24 and its `refined()` spec
@@ -39,9 +39,7 @@ baseline and this checkout's `src/`), and writes one JSON file:
 - `algebra.exact_sums` alone on the real and imaginary rows of winding terms
   at theta = pi/2, dN = 0.3: those of `path_green` at I = 1e-7 (2 x 31 755)
   and 2 x 400 001 terms (TERM_CAP) at b = 42/200000^2; accuracy: the number of
-  rows whose sum differs from math.fsum's in any bit (0), and beside it the
-  time of the math.fsum route it replaced (`fsum_median_s`, from the first
-  worker of each tree);
+  rows whose sum differs from math.fsum's in any bit (0);
 - `topology._gauss_legendre`, the node build of the pheno quadratures, at
   48 nodes on [0, ln 1000] (the magnetic energy's log-radial rule) and 64
   nodes on [0, 1] (the compactified radial rule), called again after its
@@ -58,10 +56,16 @@ baseline and this checkout's `src/`), and writes one JSON file:
   `normalization_check`, accuracy its gap to 1;
 - check-bogomolnyi's pair of residuals max ||B - D(phi)||/||B|| of the BPS
   pair (g = eps = 1) at the default step h and at h/2, at its points for
-  --seed 0, N = 100 and 1000, one `bogomolnyi_residual` call for the pair;
-  accuracy: the residual at h, and beside it the residual at h/2, their
-  ratio and the number of the two residuals in which the trees differ
-  (`tree_mismatches`, 0);
+  --seed 0, N in BOGOMOLNYI_POINTS (either side of the gate past which the
+  scalar's walk runs on a second thread), one `bogomolnyi_residual` call for
+  the pair; accuracy: the residual at h, and beside it the residual at h/2,
+  their ratio and the number of the two residuals in which the trees differ
+  (`tree_mismatches`, 0).  Beside it: the time with the scalar's walk held to
+  the calling thread (`one_thread_median_s`) and the number of residuals in
+  which the two differ (`one_thread_mismatches`, 0); the time to start and
+  join one empty thread (`thread_start_join_median_s`, the fixed cost of the
+  second thread); and the calls and rows of the hedgehog sampler in one call
+  (`hedgehog_calls`, `hedgehog_rows`: the work, equal in both trees);
 - `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil
   s at the level (s, 1), float64) at the same kind of points, N = 1000 and
   27 648 (the node count of the winding report's default quadrature);
@@ -84,7 +88,7 @@ baseline and this checkout's `src/`), and writes one JSON file:
 - the BPS gauge sampler (g = eps = 1; `sample_batch` of the gauge field of
   `build_fields`), at check-bogomolnyi's kind of points, N = 1000 and
   27 648; accuracy: the number of entries unlike the np.linalg.norm/np.where
-  form (`_where_hedgehog_gauge`, 0);
+  form (`_where_hedgehog_gauge` of tests/test_bps_profiles.py, 0);
 - `ColorField.curl` of the BPS gauge field at the winding functional's step
   (1e-3, order 4, float64), at the same kind of points, N = 4 608 (one block
   of the ball integrals) and 27 648, and `magnetic_tension` of that field in
@@ -95,15 +99,14 @@ baseline and this checkout's `src/`), and writes one JSON file:
   (`generic_median_s`), with the number of entries in which the two routes
   differ (`route_mismatches`, 0);
 - `algebra.norm` on the same points in their (N, 3) layout; accuracy: the
-  number of values unlike np.linalg.norm's (0), and beside it the time of
-  np.linalg.norm (`linalg_norm_median_s`);
+  number of values unlike np.linalg.norm's (0);
 - `cli._parse_config` per call, on `winding` and on an interference argv with
   two comma lists, after its first call; accuracy: the number of parsed
   fields unlike those of a parser built afresh (0);
 - `interference.shifted_loop_average` at the interference report's loop_q,
   window 8 and cutoffs 2 and 4 (64^2 and 128^2 lattices); accuracy: the number
   of its three values unlike one `loop_integrand` evaluation per shift
-  (`_per_shift_loop_average`, 0);
+  (`per_shift_loop_average` of tests/test_interference.py, 0);
 - `gribov_residual` as check-gribov calls it (g = eps = 1, order 4): the
   radii of GRIBOV_RADII (the report default) and DENSE_GRIBOV_RADII (the
   dense-stencil workload), each at h = min(r, 8)/100 and at h/2, in one call
@@ -115,12 +118,8 @@ baseline and this checkout's `src/`), and writes one JSON file:
   operator residual;
 - the same operator at its 3 points and at GREENS_SCALING_POINTS radii
   spaced geometrically over [0.8, 5] (`greens_operator_walks`), which
-  differences the tensor in one walk at the levels (s, 1) and (s, 2); it is
-  timed beside the same call with each walk split into one walk per level
-  (`two_walk_median_s`, the form the one walk replaced; a tree without
-  levels runs that form in both), with the number of entries in which the
-  two differ (`two_walk_mismatches`, 0); accuracy: the largest operator
-  residual;
+  differences the tensor in one walk at the levels (s, 1) and (s, 2);
+  accuracy: the largest operator residual;
 - the three pheno companions (magnetic energy, inertia, normalization) at
   g = eps = 1 with a step h = c max(r, eps) per radial node instead of
   eps/200, at c in PER_NODE_C, in one stencil pass per sampled field with an
@@ -151,12 +150,12 @@ beside its `src/`) with its summary line.
 
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
-with default arguments, and byte-compares stdout, stderr and exit code
-between the two trees (both with `--seed 0`) for those eight argv, every
-argv of `perfbench/workloads.json`, the validation-error argv in
-ERROR_ARGV, the off-default argv in EXTRA_ARGV and the argv in CHANGED_ARGV,
-whose output may differ between trees by design; the JSON lists each argv
-with its exit codes and whether the bytes are identical.
+with default arguments and of COLD_EXTRA_ARGV, and byte-compares stdout,
+stderr and exit code between the two trees (both with `--seed 0`) for those
+eight argv, every argv of `perfbench/workloads.json`, the validation-error
+argv in ERROR_ARGV, the off-default argv in EXTRA_ARGV and the argv in
+CHANGED_ARGV, whose output may differ between trees by design; the JSON lists
+each argv with its exit codes and whether the bytes are identical.
 
 Last, a property campaign runs the hypothesis-driven tests of this checkout
 (`pytest -m hypothesis`) once under each of the CAMPAIGN_SEEDS explicit
@@ -179,7 +178,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
-import inspect
 import json
 import platform
 import statistics
@@ -203,10 +201,12 @@ DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in
 GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
 GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
 PER_NODE_C = (1.25e-3, 2.5e-4)  # per-node pheno steps h = c max(r, eps)
+BOGOMOLNYI_POINTS = (20, 100, 300, 1000)  # either side of the pair's two-thread gate (256 points)
 _LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
 _FINE_WINDING_ARGV = ("winding", "--n-r", "72", "--n-theta", "36", "--n-phi", "36")
 SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
                "pheno")
+COLD_EXTRA_ARGV = (("check-bogomolnyi", "--n-points", "1000"),)  # its two walks on two threads
 # off the default path, mostly validation errors: output that must not move
 ERROR_ARGV = (
     ("interference", "--eps", "0"),
@@ -322,53 +322,6 @@ def _jtheta_winding(prm) -> complex:
         return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
 
 
-def _fsum_rows(rows) -> list:
-    """The route exact_sums replaced: math.fsum of each row, from a contiguous copy."""
-    import math
-
-    import numpy as np
-
-    return [math.fsum(memoryview(np.ascontiguousarray(row))) for row in rows]
-
-
-def _linalg_norm(v):
-    """The route algebra.norm replaced: np.linalg.norm over the first axis."""
-    import numpy as np
-
-    return np.linalg.norm(v, axis=0)
-
-
-def _where_hedgehog_gauge(pts, g, radial_f):
-    """The BPS gauge sampler as it was first written, with np.linalg.norm and
-    two np.where (the reference of its bits)."""
-    import numpy as np
-
-    r = np.linalg.norm(pts, axis=1)
-    safe = np.where(r > 0, r, 1.0)
-    x = pts * np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)[:, None]
-    A = np.zeros((len(pts), 3, 3), dtype=x.dtype)
-    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
-    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -x[:, 2], -x[:, 0], -x[:, 1]
-    return A
-
-
-def _per_shift_loop_average(itf, q, cutoff, L):
-    """shifted_loop_average as one loop_integrand evaluation per window shift
-    (the reference of its bits)."""
-    import math
-
-    import numpy as np
-
-    h = itf.BASE_SPACING
-    n_side = int(round(2.0 * cutoff / h))
-    ax = (np.arange(n_side) - n_side / 2 + 0.5) * h
-    P1, P2 = np.meshgrid(ax, ax, indexing="ij")
-    sums = {int(n): float(np.sum(itf.loop_integrand(P1 + n * h, P2, q, itf.REGULATOR_MASS))) * h**2
-            for n in itf.window_integers(L)}
-    averaged = math.fsum(sums.values()) / len(sums)
-    return averaged, sums[0], averaged - sums[0]
-
-
 def _bits(z: complex) -> tuple:
     return z.real.hex(), z.imag.hex()
 
@@ -413,37 +366,60 @@ def _one_shift_per_call(bp, route):
         bp._BLOCK = block
 
 
-def _has_levels(bp) -> bool:
-    """Whether the tree's stencil walk takes explicit levels [(stencil,
-    deriv)]; its parent's walk took a derivative order and a flag for h/2."""
-    return "levels" in inspect.signature(bp.StencilConfig._walk).parameters
+class _ThreadAtJoin:
+    """A stand-in for threading.Thread whose target runs on the calling
+    thread at join(): the one-thread order of work, gauge walk first."""
+
+    def __init__(self, target, args=()):
+        self._run = lambda: target(*args)
+
+    def start(self):
+        pass
+
+    def join(self):
+        self._run()
 
 
-def _gradient(bp, sample, pts, levels):
-    """StencilConfig._gradient at explicit levels, one array per level: h
-    alone or h and h/2 (first derivatives) in a tree without levels."""
-    if _has_levels(bp):
-        return bp.StencilConfig._gradient(sample, pts, levels)
-    out = levels[0][0]._gradient(sample, pts, len(levels) > 1)  # the parent's flag for h/2
-    return list(out) if len(levels) > 1 else [out]
+def _one_thread(route):
+    """route() with threading.Thread replaced by _ThreadAtJoin, which holds
+    bogomolnyi_residual's scalar walk to the calling thread: the form before
+    the walks of the pair ran on two threads."""
+    import threading
 
-
-def _one_walk_per_level(bp, route):
-    """route() with each _gradient call over several levels split into one
-    walk per level, the form before the levels of a walk shared its shifts;
-    a tree without levels walks that way anyway."""
-    if not _has_levels(bp):
-        return route()
-    shared = bp.StencilConfig.__dict__["_gradient"]
-
-    def per_level(sample, pts, levels):
-        return [shared.__func__(sample, pts, [level])[0] for level in levels]
-
-    bp.StencilConfig._gradient = staticmethod(per_level)
+    thread, threading.Thread = threading.Thread, _ThreadAtJoin
     try:
         return route()
     finally:
-        bp.StencilConfig._gradient = shared
+        threading.Thread = thread
+
+
+def _thread_start_join() -> None:
+    """Start and join one empty thread in a copy of the context, the fixed
+    cost of the pair's second thread."""
+    import contextvars
+    import threading
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(lambda: None,))
+    worker.start()
+    worker.join()
+
+
+def _hedgehog_work(bp, route) -> tuple[int, int]:
+    """Calls and rows of the hedgehog sampler (bps_profiles._hedgehog) in
+    one run of route(), on both threads."""
+    calls = []
+    sampler = bp._hedgehog
+
+    def counted(pts, *args):
+        calls.append(len(pts))
+        return sampler(pts, *args)
+
+    bp._hedgehog = counted
+    try:
+        route()
+    finally:
+        bp._hedgehog = sampler
+    return len(calls), sum(calls)
 
 
 def _gribov_inner_points(bp, radii_over_eps):
@@ -605,7 +581,8 @@ def worker() -> dict:
     from ymvac.cli import _parse_config
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_interference import resolvent_window_sums
+    from test_bps_profiles import _where_hedgehog_gauge
+    from test_interference import per_shift_loop_average, resolvent_window_sums
 
     default = topo.QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
     specs = {"48x24x24": default, "72x36x36": default.refined()}
@@ -680,10 +657,8 @@ def worker() -> dict:
         terms = np.exp(-1j * (math.pi / 2) * n - b * ((0.3 + n) * (0.3 + n)))
         rows = (terms.real, terms.imag)
         times, sums = _timed(lambda: algebra.exact_sums(rows))
-        fsum_times, ref = _timed(lambda: _fsum_rows(rows))
-        mismatches = sum(a.hex() != r.hex() for a, r in zip(sums, ref))
+        mismatches = sum(a.hex() != math.fsum(row.tolist()).hex() for a, row in zip(sums, rows))
         cases[f"exact_sums/2x{n.size}"] = (times, "fsum_mismatches", mismatches)
-        extra[f"exact_sums/2x{n.size}"] = {"fsum_median_s": statistics.median(fsum_times)}
     for inertia in (1e4, 1e5):
         prm = rot.RotatorParams.euclidean(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
@@ -716,25 +691,34 @@ def worker() -> dict:
         dirs = rng.normal(size=(n, 3))
         return radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
-    for n in (100, 1000):
+    start_join_s = statistics.median(_timed(_thread_start_join)[0])
+    for n in BOGOMOLNYI_POINTS:
         pts = report_points(n)
-        times, pair = _timed(lambda: bp.bogomolnyi_residual(unit, pts, bp.default_stencil(unit)))
-        cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", pair[0])
-        extra[f"bogomolnyi_pair/N={n}"] = {"residual_half_h": pair[1], "refinement_ratio": pair[0] / pair[1],
-                                           "pair": list(pair)}
+
+        def pair():
+            return bp.bogomolnyi_residual(unit, pts, bp.default_stencil(unit))
+
+        times, value = _timed(pair)
+        one_times, ref = _timed(lambda: _one_thread(pair))
+        calls, rows = _hedgehog_work(bp, pair)
+        cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", value[0])
+        extra[f"bogomolnyi_pair/N={n}"] = {
+            "residual_half_h": value[1], "refinement_ratio": value[0] / value[1], "pair": list(value),
+            "one_thread_median_s": statistics.median(one_times), "one_thread_mismatches": _mismatches(value, ref),
+            "thread_start_join_median_s": start_join_s, "hedgehog_calls": calls, "hedgehog_rows": rows,
+        }
     stencil = bp.default_stencil(unit)
+    gradient = bp.StencilConfig._gradient
     for n in (1000, 27648):
         pts = report_points(n)
         times, A = _timed(lambda: gauge.sample_batch(pts))
         ref = _where_hedgehog_gauge(pts, 1.0, lambda r: bp.f1_bps(r, 1.0))
         cases[f"hedgehog_gauge/N={n}"] = (times, "where_form_mismatches", int(np.sum(A != ref)))
         times, value = _timed(lambda: algebra.norm(pts.T))  # the (N, 3) layout of every node batch
-        linalg_times, ref = _timed(lambda: _linalg_norm(pts.T))
-        cases[f"norm/N={n}"] = (times, "linalg_norm_mismatches", int(np.sum(value != ref)))
-        extra[f"norm/N={n}"] = {"linalg_norm_median_s": statistics.median(linalg_times)}
+        cases[f"norm/N={n}"] = (times, "linalg_norm_mismatches", int(np.sum(value != np.linalg.norm(pts, axis=1))))
     for n in (1000, 27648):
         pts = report_points(n)
-        times, (dA,) = _timed(lambda: _gradient(bp, gauge.sample_batch, pts, [(stencil, 1)]))
+        times, (dA,) = _timed(lambda: gradient(gauge.sample_batch, pts, [(stencil, 1)]))
         exact = _bps_gauge_gradient(pts)
         gap = float(np.max(np.abs(dA - exact)) / np.max(np.abs(exact)))
         cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", gap)
@@ -748,14 +732,14 @@ def worker() -> dict:
 
     nodes = np.outer(topo._compactified_radial(pheno._RADIAL_NODES, unit.eps)[0], (0.0, 0.0, 1.0))
     beside_per_shift(f"stacked_gradient/pheno_{len(nodes)}_nodes",
-                     lambda: _gradient(bp, bp.zero_mode_scalar(unit).sample_batch, nodes, [(stencil, 1)]))
+                     lambda: gradient(bp.zero_mode_scalar(unit).sample_batch, nodes, [(stencil, 1)]))
     inner, inner_stencil = _gribov_inner_points(bp, GRIBOV_RADII)
     beside_per_shift(f"stacked_gradient/gribov_{len(inner)}_points",
-                     lambda: _gradient(bp, bp.gribov_phase_scalar(unit).sample_batch, inner, [(inner_stencil, 1)]))
+                     lambda: gradient(bp.gribov_phase_scalar(unit).sample_batch, inner, [(inner_stencil, 1)]))
     for n in (20, 1000):
         pts = report_points(n).astype(np.longdouble)
         beside_per_shift(f"stacked_gradient/bogomolnyi_{n}_points",
-                         lambda: _gradient(bp, gauge.vector_batch, pts, [(stencil, 1), (stencil.halved(), 1)]))
+                         lambda: gradient(gauge.vector_batch, pts, [(stencil, 1), (stencil.halved(), 1)]))
     # the curl by the hedgehog's vector beside the curl of the nine-component
     # gradient, of the same sampler without its vector
     nine = bp.ColorField(gauge.sample_batch, gauge.singular_origin, gauge.label)
@@ -791,7 +775,7 @@ def worker() -> dict:
     q = np.array(_parse_config(["interference"]).params["loop_q"])
     for cutoff in (2.0, 4.0):
         times, value = _timed(lambda: itf.shifted_loop_average(q, cutoff, 8))
-        ref = _per_shift_loop_average(itf, q, cutoff, 8)
+        ref = per_shift_loop_average(q, cutoff, 8)
         cases[f"shifted_loop_average/cutoff={cutoff:g}"] = (
             times, "per_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
     def min_order(res):  # the report's smallest log2(|res(h)| / |res(h/2)|) over the radii
@@ -805,13 +789,11 @@ def worker() -> dict:
     for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, 24)):
         beside_loop(f"monopole_covariant_laplacian/{len(radii)}_points", lambda b: _greens_operator(greens, radii, b),
                     "max_operator_residual", lambda res: float(np.abs(res).max()))
-    # the operator's one walk at (s, 1) and (s, 2) beside one walk per level
+    # the operator's one walk at (s, 1) and (s, 2), at the dense-stencil size too
     for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, GREENS_SCALING_POINTS)):
-        case = f"greens_operator_walks/{len(radii)}_points"
         times, value = _timed(lambda: _greens_operator(greens, radii, True))
-        two_times, ref = _timed(lambda: _one_walk_per_level(bp, lambda: _greens_operator(greens, radii, True)))
-        cases[case] = (times, "max_operator_residual", float(np.abs(value).max()))
-        extra[case] = {"two_walk_median_s": statistics.median(two_times), "two_walk_mismatches": _mismatches(value, ref)}
+        residual = float(np.abs(value).max())
+        cases[f"greens_operator_walks/{len(radii)}_points"] = (times, "max_operator_residual", residual)
     # ROADMAP item 2's per-node step h = c max(r, eps) for the pheno companions
     references = {"magnetic_energy": truncated, "rotary_momentum": inertia, "normalization": 1.0}
     for c in PER_NODE_C:
@@ -873,12 +855,14 @@ def _cli(src: Path, argv, cwd: Path) -> tuple[float, dict]:
 
 
 def cold_subcommands(trees: dict) -> dict:
-    """Median of COLD_RUNS fresh-process wall times of each default subcommand."""
-    times = {name: {sub: [] for sub in SUBCOMMANDS} for name in trees}
+    """Median of COLD_RUNS fresh-process wall times of each default
+    subcommand and each argv of COLD_EXTRA_ARGV, keyed by the argv."""
+    argvs = [(sub,) for sub in SUBCOMMANDS] + list(COLD_EXTRA_ARGV)
+    times = {name: {" ".join(argv): [] for argv in argvs} for name in trees}
     for _ in range(COLD_RUNS):
-        for sub in SUBCOMMANDS:
+        for argv in argvs:
             for name, src in trees.items():
-                times[name][sub].append(_cli(src, [sub], ROOT)[0])
+                times[name][" ".join(argv)].append(_cli(src, list(argv), ROOT)[0])
     return {
         name: {sub: {"median_s": statistics.median(ts), "samples": COLD_RUNS} for sub, ts in per.items()}
         for name, per in times.items()
@@ -1024,10 +1008,6 @@ def main(argv=None) -> int:
         if "mpmath_gap_L1000" in row["current"]:
             print(f"{'':>36}mpmath_gap_L1000 {row['baseline']['mpmath_gap_L1000']:.3e} -> "
                   f"{row['current']['mpmath_gap_L1000']:.3e}")
-        if "fsum_median_s" in row["current"]:
-            print(f"{'':>36}math.fsum route {row['current']['fsum_median_s'] * 1e3:.2f} ms")
-        if "linalg_norm_median_s" in row["current"]:
-            print(f"{'':>36}np.linalg.norm route {row['current']['linalg_norm_median_s'] * 1e3:.3f} ms")
         if "generic_median_s" in row["current"]:
             print(f"{'':>36}nine-component route {row['baseline']['generic_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['generic_median_s'] * 1e3:.2f} ms, mismatches {row['current']['route_mismatches']}")
@@ -1037,10 +1017,12 @@ def main(argv=None) -> int:
         if "loop_median_s" in row["current"]:
             print(f"{'':>36}one call per point or n {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")
-        if "two_walk_median_s" in row["current"]:
-            print(f"{'':>36}one walk per level {row['baseline']['two_walk_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['two_walk_median_s'] * 1e3:.2f} ms, mismatches "
-                  f"{row['current']['two_walk_mismatches']}")
+        if "one_thread_median_s" in row["current"]:
+            print(f"{'':>36}one thread {row['baseline']['one_thread_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['one_thread_median_s'] * 1e3:.2f} ms, mismatches "
+                  f"{row['current']['one_thread_mismatches']}; hedgehog calls/rows "
+                  f"{row['baseline']['hedgehog_calls']}/{row['baseline']['hedgehog_rows']} -> "
+                  f"{row['current']['hedgehog_calls']}/{row['current']['hedgehog_rows']}")
         if "row_median_s" in row["current"]:
             print(f"{'':>36}one call per row {row['baseline']['row_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['row_median_s'] * 1e3:.2f} ms, mismatches {row['current']['row_mismatches']}")
@@ -1054,7 +1036,7 @@ def main(argv=None) -> int:
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():
         print(f"Tier-1 suite ({name}): {rec['median_s']:.1f} s wall, {rec['summary']}")
-    for sub in SUBCOMMANDS:
+    for sub in result["cold_subcommand_wall"]["current"]:
         base, cur = (result["cold_subcommand_wall"][name][sub]["median_s"] for name in ("baseline", "current"))
         print(f"cold {sub:>16}: {base:.3f} -> {cur:.3f} s")
     for row in result["output_identity"]:

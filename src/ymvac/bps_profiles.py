@@ -52,13 +52,19 @@ point (no grids); they accept a single point of shape (3,) or a batch of
 shape (N, 3), and a stencil with one step or with one step per point.  Every
 sampler is row-wise: each row of its value depends on that row of its input
 alone, so the stencil engine may stack shifted copies of a batch into one
-call.
+call.  Every sampler is also pure (it keeps no state), so two walks may run
+it on two threads at once: bogomolnyi_residual walks the scalar on a second
+thread beside the gauge walk when each walk takes more than one sampler
+call, under the caller's np.errstate and raising the worker's exception in
+the caller (_first_order_pairs).
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -213,13 +219,7 @@ class StencilConfig:
         has the bits of a walk over its own shifts, one call per shift.  Each
         stacked sample is freed before its weighted terms are added.
         """
-        walk = {}  # shift bits -> (shift, [(level, weight)])
-        for level, (stencil, deriv) in enumerate(levels):
-            stencil._require_steps_for(x)
-            offs, wts = stencil.offsets_weights(deriv)
-            for s, w in zip(np.multiply.outer(offs, stencil.h), wts):
-                walk.setdefault(s.tobytes(), (s, []))[1].append((level, w))
-        walk = sorted(walk.values(), key=lambda step: np.ravel(step[0])[0])  # stable: ties keep level order
+        walk = StencilConfig._shifts(x, levels)
         shifts = [(i, axis, s, shared) for i, axis in enumerate(axes) for s, shared in walk]
         dtype = np.result_type(x, walk[0][0])
         per_call = _BLOCK // len(x) if x.ndim == 2 and 0 < len(x) < _BLOCK else 1
@@ -239,6 +239,19 @@ class StencilConfig:
                 acc[level][i] += term
             del terms, term  # and the products before the next sample
         return acc
+
+    @staticmethod
+    def _shifts(x, levels):
+        """The union of the levels' shifts along one axis, [(shift, [(level,
+        weight)])] in increasing order (of the first point's shift): a shift
+        that two levels share bitwise is listed once, with both weights."""
+        walk = {}  # shift bits -> (shift, [(level, weight)])
+        for level, (stencil, deriv) in enumerate(levels):
+            stencil._require_steps_for(x)
+            offs, wts = stencil.offsets_weights(deriv)
+            for s, w in zip(np.multiply.outer(offs, stencil.h), wts):
+                walk.setdefault(s.tobytes(), (s, []))[1].append((level, w))
+        return sorted(walk.values(), key=lambda step: np.ravel(step[0])[0])  # stable: ties keep level order
 
     def _step_at(self, i: int):
         """The step of point i (the one step, when there is one)."""
@@ -667,7 +680,12 @@ def bogomolnyi_residual(
     B and D at both steps come from one shared stencil walk over the gauge
     vector, one over the scalar and one unshifted sample of each
     (_first_order_pairs); each residual has the bits of magnetic_tension and
-    covariant_derivative at its step alone.
+    covariant_derivative at its step alone.  Past 256 points (order 4; 384
+    at order 2), where each walk takes more than one sampler call, the
+    scalar's walk runs on a second thread beside the gauge walk; the
+    caller's np.errstate holds on that thread, no thread outlives the call,
+    and an exception or error-filtered RuntimeWarning of the worker is
+    raised here, after any of the calling thread's own.
     """
     variant = FieldVariant.parse(variant)
     if sign not in (1, -1):
@@ -701,16 +719,46 @@ def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, s
     gauge field (one with a vector): magnetic_tension and
     covariant_derivative at both steps, bit for bit, from one shared walk
     over the gauge vector, one over the scalar and one unshifted sample of
-    each."""
+    each.
+
+    When each walk takes more than one sampler call (more than _BLOCK rows),
+    the scalar's walk runs on a second thread while this one walks the gauge
+    vector and takes both unshifted samples; the samplers are pure and
+    row-wise, so both run on two threads at once.  The worker runs in a copy
+    of the caller's context (its np.errstate) and is joined before this
+    returns or raises; its exception is raised after the join unless this
+    thread raised first, as in one thread.  Warnings that are only printed
+    may come from the two walks in either order."""
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
-    At = gauge.sample(pts).T  # [a][i][n]
     levels = [(stencil, 1), (stencil.halved(), 1)]
-    quad = _self_coupling(At, g)
-    Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, levels)]
-    rot = _colour_rotation(At, scalar.sample(pts), g)
+    scalar_walk = []  # the scalar's gradients, or the exception its walk raised
+
+    def walk_scalar():
+        try:
+            scalar_walk.append(stencil._gradient(scalar.sample_batch, pts, levels))
+        except BaseException as exc:
+            scalar_walk.append(exc)
+
+    worker = None
+    if 3 * len(StencilConfig._shifts(pts, levels)) * len(pts) > _BLOCK:  # rows of one walk
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(walk_scalar,))
+        worker.start()
+    try:
+        At = gauge.sample(pts).T  # [a][i][n]
+        quad = _self_coupling(At, g)
+        Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, levels)]
+        rot = _colour_rotation(At, scalar.sample(pts), g)
+    finally:
+        if worker is not None:
+            worker.join()
     del At, quad
-    return [(B, dphi - rot) for B, dphi in zip(Bs, stencil._gradient(scalar.sample_batch, pts, levels))]
+    if worker is None:
+        walk_scalar()
+    dphis, = scalar_walk
+    if isinstance(dphis, BaseException):
+        raise dphis
+    return [(B, dphi - rot) for B, dphi in zip(Bs, dphis)]
 
 
 def gribov_residual(

@@ -1,6 +1,9 @@
 """Field construction and first-order residual checks."""
 import contextlib
 import math
+import sys
+import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -819,6 +822,183 @@ class TestSharedHalfStep:
             assert res == ref_res
         else:
             assert [v.hex() for v in res] == [v.hex() for v in ref_res]
+
+
+# ---------------------------------------------------------------------------
+# the scalar's walk on a second thread beside the gauge walk
+# ---------------------------------------------------------------------------
+
+def _thread_logged(field, log, record=threading.get_ident):
+    """field with a sampler that appends record() (by default the calling
+    thread's id) to log before each call; list.append is atomic, so both
+    threads of a pair may log."""
+    def logged(pts):
+        log.append(record())
+        return field.sample_batch(pts)
+    return ColorField(logged, field.singular_origin, field.label)
+
+
+def _bps_pair_inputs(n):
+    """The BPS pair (g = eps = 1), n points and the default stencil."""
+    gauge, scalar = build_fields(SCALE, "BPS")
+    return gauge, scalar, random_points(n), default_stencil(SCALE)
+
+
+class TestScalarWalkOnSecondThread:
+    """Past the gate, where each walk of the pair takes more than one
+    sampler call, the scalar's walk runs on a worker thread: the pair keeps
+    the bits, the errors and the caller's np.errstate of one thread, and no
+    thread outlives the call."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=_two_level_batch(),
+        size=st.sampled_from([300, 1000]),
+        variant=st.sampled_from(["BPS", "WuYangPlus", "WuYangMinus", "PT"]),
+        order=st.sampled_from([2, 4]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+        per_point=st.booleans(),
+        sign=st.sampled_from([1, -1]),
+        g=st.floats(0.3, 3.0),
+    )
+    @example(  # an inexact half at subnormal steps, its walk on the worker under the caller's errstate
+        batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([math.ldexp(2 * 759375 * 10**9 + 1, -1074)] * 2)),
+        size=1000, variant="BPS", order=4, dtype=np.longdouble, per_point=True, sign=1, g=1.0,
+    )
+    @example(  # float64 at a subnormal step: the gauge's squares underflow and divide by 0
+        batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([1e-308, 1e-308])),
+        size=300, variant="BPS", order=4, dtype=np.float64, per_point=False, sign=1, g=1.0,
+    )
+    def test_tiled_batches_match_one_step_calls(self, batch, size, variant, order, dtype, per_point, sign, g):
+        # TestSharedHalfStep's batches tiled past the gate (more than _BLOCK
+        # rows per walk: every order-4 batch here, and every one of 1000 rows)
+        tiny, coords, steps = batch
+        scale = MonopoleScale(g, _TINY_EPS if tiny else 1.0)
+        x = np.resize(coords, (size, 3)) * scale.eps
+        pts = x.astype(dtype)
+        steps = np.resize(steps, size)
+        stencil = StencilConfig(steps if per_point else float(steps[0]), order)
+        gauge, scalar = build_fields(scale, variant)
+        threads = []
+        logged = _thread_logged(scalar, threads)
+        before = threading.active_count()
+        # float64 squares of a tiny core underflow: both routes divide by 0 alike
+        with np.errstate(all="ignore") if tiny else contextlib.nullcontext():
+            pairs = _outcome(lambda: _first_order_pairs(gauge, logged, pts, stencil, g))
+            ref_pairs = _outcome(lambda: [
+                (magnetic_tension(gauge, pts, s, g), covariant_derivative(gauge, scalar, pts, s, g))
+                for s in (stencil, stencil.halved())])
+            res = _outcome(lambda: bogomolnyi_residual(scale, x, stencil, variant, sign))
+            ref_res = _outcome(lambda: tuple(_one_step_residual(scale, x, s, variant, sign)
+                                             for s in (stencil, stencil.halved())))
+        assert threading.active_count() == before
+        if isinstance(ref_pairs, str):
+            assert pairs == ref_pairs and not threads  # refused before any sample
+        else:
+            assert all(_same_bits(a, b) for got, ref in zip(pairs, ref_pairs) for a, b in zip(got, ref))
+            on_worker = set(threads) - {threading.get_ident()}
+            assert len(on_worker) == (order == 4 or size == 1000)
+        if isinstance(ref_res, str):
+            assert res == ref_res
+        else:
+            assert [v.hex() for v in res] == [v.hex() for v in ref_res]
+
+    @pytest.mark.parametrize("n, order, threaded", [(256, 4, False), (257, 4, True), (384, 2, False), (385, 2, True)])
+    def test_gate_at_one_sampler_call_per_walk(self, n, order, threaded):
+        # a walk of the pair is 18 n rows at order 4 and 12 n at order 2
+        gauge, scalar, pts, _ = _bps_pair_inputs(n)
+        threads = []
+        _first_order_pairs(gauge, _thread_logged(scalar, threads), pts, StencilConfig(5e-3, order), 1.0)
+        assert (set(threads) != {threading.get_ident()}) == threaded
+
+    def test_concurrent_callers_keep_bits(self):
+        # four callers on two cores, each with its own worker, switching
+        # threads as often as the interpreter allows: the samplers share no state
+        gauge, scalar, pts, stencil = _bps_pair_inputs(300)
+        ref = [(magnetic_tension(gauge, pts, s, 1.0), covariant_derivative(gauge, scalar, pts, s, 1.0))
+               for s in (stencil, stencil.halved())]
+        results = [None] * 4
+
+        def call(i):
+            results[i] = _first_order_pairs(gauge, scalar, pts, stencil, 1.0)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for pairs in results:
+            assert pairs is not None
+            assert all(_same_bits(a, b) for got, want in zip(pairs, ref) for a, b in zip(got, want))
+
+    def test_worker_exception_reaches_caller(self):
+        gauge, scalar, pts, stencil = _bps_pair_inputs(1000)
+        caller = threading.get_ident()
+        raised = []
+
+        def failing(p):
+            if threading.get_ident() != caller:
+                raised.append(ArithmeticError("scalar walk failed"))
+                raise raised[-1]
+            return scalar.sample_batch(p)
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as info:
+            _first_order_pairs(gauge, ColorField(failing), pts, stencil, 1.0)
+        assert len(raised) == 1 and info.value is raised[0]
+        assert threading.active_count() == before
+
+    def test_caller_exception_comes_first(self):
+        # as in one thread, where the gauge walk runs before the scalar's
+        gauge, scalar, pts, stencil = _bps_pair_inputs(1000)
+
+        def failing(exc):
+            def sample(p):
+                if len(p) > len(pts):  # a stacked walk call, not the unshifted sample
+                    raise exc
+                return scalar.sample_batch(p)
+            return sample
+
+        gauge_failing = ColorField.from_vector(failing(KeyError("gauge")))
+        scalar_failing = ColorField(failing(IndexError("scalar")))
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            _first_order_pairs(gauge_failing, scalar_failing, pts, stencil, 1.0)
+        assert threading.active_count() == before
+
+    def test_worker_runtime_warning_reaches_caller(self):
+        # a RuntimeWarning that a filter makes an error, as pyproject.toml's does
+        gauge, scalar, pts, stencil = _bps_pair_inputs(1000)
+        caller = threading.get_ident()
+
+        def dividing(p):
+            if threading.get_ident() != caller:
+                np.divide(1.0, np.zeros(len(p)))
+            return scalar.sample_batch(p)
+
+        before = threading.active_count()
+        with warnings.catch_warnings(), np.errstate(divide="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                _first_order_pairs(gauge, ColorField(dividing), pts, stencil, 1.0)
+        assert threading.active_count() == before
+
+    def test_worker_keeps_caller_errstate(self):
+        gauge, scalar, pts, stencil = _bps_pair_inputs(1000)
+        seen = []
+        logged = _thread_logged(scalar, seen, record=lambda: (threading.get_ident(), np.geterr()))
+        with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+            caller = np.geterr()
+            _first_order_pairs(gauge, logged, pts, stencil, 1.0)
+        on_worker = [err for ident, err in seen if ident != threading.get_ident()]
+        assert on_worker and all(err == caller for err in on_worker)
+        assert caller != np.geterr()  # a setting other than the default
 
 
 # ---------------------------------------------------------------------------

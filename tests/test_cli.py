@@ -274,14 +274,19 @@ class TestOneStencilPass:
         assert centres.shape == (2 * len(radii), 3) and stencil.h.shape == (2 * len(radii),)
 
     def test_one_sampling_pass_for_both_bogomolnyi_steps(self, capsys, monkeypatch):
-        # h and h/2 share their shifts +-h and the unshifted samples, and the
-        # 3 axes x 6 shifts of the 20 points stack into one sampler call: the
-        # gauge vector and the scalar each once shifted and once unshifted, 4
-        # hedgehog samples at order 4 where one call per shift took 38
+        # h and h/2 share their shifts +-h and the unshifted samples: per
+        # walk, 3 axes x 6 shifts of the points in sampler calls of at most
+        # _BLOCK rows (one call at 20 points, where one call per shift took
+        # 18; five at 1000), for the gauge vector and the scalar, and one
+        # unshifted sample of each.  Counted across both threads where the
+        # scalar walks on a second one (list.append is atomic).
         residual_calls = self._count(monkeypatch, bp, "bogomolnyi_residual")
         samples = self._count(monkeypatch, bp, "_hedgehog")
-        assert run(capsys, "check-bogomolnyi")[0] == 0
-        assert len(residual_calls) == 1 and len(samples) <= 4
+        for n_points, calls, rows in ((20, 4, 760), (1000, 12, 38000)):
+            samples.clear()
+            assert run(capsys, "check-bogomolnyi", "--n-points", str(n_points), "--seed", "0")[0] == 0
+            assert (len(samples), sum(len(pts) for pts, *_ in samples)) == (calls, rows)
+        assert len(residual_calls) == 2
 
     def test_one_operator_call(self, capsys, monkeypatch):
         calls = self._count(monkeypatch, greens, "monopole_covariant_laplacian")
