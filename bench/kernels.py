@@ -1,6 +1,6 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times thirty-five kernels, each at two problem sizes or more, in two source
+Times forty kernels, each at two problem sizes or more, in two source
 trees (a baseline and this checkout's `src/`), and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
@@ -64,8 +64,24 @@ trees (a baseline and this checkout's `src/`), and writes one JSON file:
   the calling thread (`one_thread_median_s`) and the number of residuals in
   which the two differ (`one_thread_mismatches`, 0); the time to start and
   join one empty thread (`thread_start_join_median_s`, the fixed cost of the
-  second thread); and the calls and rows of the hedgehog sampler in one call
-  (`hedgehog_calls`, `hedgehog_rows`: the work, equal in both trees);
+  second thread); the calls and rows of the hedgehog sampler in one call
+  (`hedgehog_calls`, `hedgehog_rows`: the work, equal in both trees); and the
+  CPU time (`time.thread_time`) of the calling thread over one call and of
+  the thread it starts (`caller_busy_median_s`, `worker_busy_median_s`, 0 on
+  one thread), which shows how evenly the two threads share the pair;
+- the radial kernels `_x_over_sinh` (x = r), `_coth_minus_inv` (x = r) and
+  `d_f01_bps` (eps = 1), as `radial_<name>`, and the hedgehog sampler
+  (`hedgehog_vector`: `_hedgehog` as the BPS gauge's vector samples it,
+  g = eps = 1) at the radii or points of check-bogomolnyi's kind,
+  RADIAL_ROWS rows in float64 and in longdouble (`d_f01_bps` reads its
+  radii as float64), each as they come (no element selects a guarded
+  branch) and with one element set to 0 (`+guard`: the series branch, and
+  an r = 0 row); accuracy: the number of entries unlike one call per
+  element or row alone (`alone_mismatches`, 0);
+- `pheno._shell_sum` on the magnetic energy's 48 nodes (<B, B>) and the
+  inertia's 64 nodes (<D, D>) at g = eps = 1; accuracy: the number of sums
+  unlike the one-np.sum-per-node loop (`per_node_shell_sum` of
+  tests/test_pheno.py, 0), and beside it the sum (`value`);
 - `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil
   s at the level (s, 1), float64) at the same kind of points, N = 1000 and
   27 648 (the node count of the winding report's default quadrature);
@@ -202,6 +218,7 @@ GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
 GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
 PER_NODE_C = (1.25e-3, 2.5e-4)  # per-node pheno steps h = c max(r, eps)
 BOGOMOLNYI_POINTS = (20, 100, 300, 1000)  # either side of the pair's two-thread gate (256 points)
+RADIAL_ROWS = (("float64", 4608), ("longdouble", 4000))  # a full sampler call; check-bogomolnyi's at 1000 points
 _LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
 _FINE_WINDING_ARGV = ("winding", "--n-r", "72", "--n-theta", "36", "--n-phi", "36")
 SUBCOMMANDS = ("profiles", "check-bogomolnyi", "check-gribov", "winding", "greens", "rotator", "interference",
@@ -404,6 +421,33 @@ def _thread_start_join() -> None:
     worker.join()
 
 
+def _busy_times(route) -> tuple[float, float]:
+    """CPU seconds (time.thread_time) of the calling thread over one run of
+    route() and of the threads that it starts, summed."""
+    import threading
+    from time import thread_time
+
+    worker_s = []
+    thread = threading.Thread
+
+    class Busy(thread):
+        def run(self):
+            t = thread_time()
+            try:
+                super().run()
+            finally:
+                worker_s.append(thread_time() - t)
+
+    threading.Thread = Busy
+    try:
+        t = thread_time()
+        route()
+        caller_s = thread_time() - t
+    finally:
+        threading.Thread = thread
+    return caller_s, sum(worker_s)
+
+
 def _hedgehog_work(bp, route) -> tuple[int, int]:
     """Calls and rows of the hedgehog sampler (bps_profiles._hedgehog) in
     one run of route(), on both threads."""
@@ -583,6 +627,7 @@ def worker() -> dict:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_bps_profiles import _where_hedgehog_gauge
     from test_interference import per_shift_loop_average, resolvent_window_sums
+    from test_pheno import per_node_shell_sum
 
     default = topo.QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
     specs = {"48x24x24": default, "72x36x36": default.refined()}
@@ -701,12 +746,53 @@ def worker() -> dict:
         times, value = _timed(pair)
         one_times, ref = _timed(lambda: _one_thread(pair))
         calls, rows = _hedgehog_work(bp, pair)
+        caller_s, worker_s = zip(*(_busy_times(pair) for _ in range(REPEATS)))
         cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", value[0])
         extra[f"bogomolnyi_pair/N={n}"] = {
             "residual_half_h": value[1], "refinement_ratio": value[0] / value[1], "pair": list(value),
             "one_thread_median_s": statistics.median(one_times), "one_thread_mismatches": _mismatches(value, ref),
             "thread_start_join_median_s": start_join_s, "hedgehog_calls": calls, "hedgehog_rows": rows,
+            "caller_busy_median_s": statistics.median(caller_s), "worker_busy_median_s": statistics.median(worker_s),
         }
+    # the radial kernels and the hedgehog sampler on one sampler call's rows,
+    # as they come (no guarded element) and with one element set to 0
+    radial = {
+        "radial_x_over_sinh": bp._x_over_sinh,
+        "radial_coth_minus_inv": bp._coth_minus_inv,
+        "radial_d_f01_bps": lambda r: bp.d_f01_bps(r, 1.0),
+    }
+    for dtype, n in RADIAL_ROWS:
+        for guard in ("", "+guard"):
+            pts = report_points(n).astype(dtype)
+            if guard:
+                pts[n // 2] = 0.0
+            r = np.linalg.norm(pts, axis=1)
+            for name, fn in radial.items():
+                times, value = _timed(lambda: fn(r))
+                alone = np.array([fn(np.asarray(v)) for v in r], dtype=value.dtype)
+                cases[f"{name}/{dtype}x{n}{guard}"] = (times, "alone_mismatches", _mismatches(value, alone))
+            times, value = _timed(lambda: gauge.vector_batch(pts))
+            alone = np.concatenate([gauge.vector_batch(pts[i:i + 1]) for i in range(n)])
+            cases[f"hedgehog_vector/{dtype}x{n}{guard}"] = (times, "alone_mismatches", _mismatches(value, alone))
+    # the shell sums of the magnetic energy (48 nodes) and the inertia (64)
+    shell_sums = {}  # node count -> the arguments of its call
+    shell_sum = pheno._shell_sum
+
+    def recorded(*args):
+        shell_sums.setdefault(len(args[0]), args)
+        return shell_sum(*args)
+
+    pheno._shell_sum = recorded
+    try:
+        pheno.magnetic_energy_quadrature(unit)
+        pheno.rotary_momentum_quadrature(unit)
+    finally:
+        pheno._shell_sum = shell_sum
+    for n_nodes, args in sorted(shell_sums.items()):
+        times, value = _timed(lambda: pheno._shell_sum(*args))
+        mismatches = int(float(value).hex() != float(per_node_shell_sum(*args)).hex())
+        cases[f"shell_sum/{n_nodes}_nodes"] = (times, "per_node_mismatches", mismatches)
+        extra[f"shell_sum/{n_nodes}_nodes"] = {"value": float(value)}
     stencil = bp.default_stencil(unit)
     gradient = bp.StencilConfig._gradient
     for n in (1000, 27648):
@@ -1023,6 +1109,12 @@ def main(argv=None) -> int:
                   f"{row['current']['one_thread_mismatches']}; hedgehog calls/rows "
                   f"{row['baseline']['hedgehog_calls']}/{row['baseline']['hedgehog_rows']} -> "
                   f"{row['current']['hedgehog_calls']}/{row['current']['hedgehog_rows']}")
+            print(f"{'':>36}busy caller/worker {row['baseline']['caller_busy_median_s'] * 1e3:.2f}/"
+                  f"{row['baseline']['worker_busy_median_s'] * 1e3:.2f} -> "
+                  f"{row['current']['caller_busy_median_s'] * 1e3:.2f}/"
+                  f"{row['current']['worker_busy_median_s'] * 1e3:.2f} ms")
+        if "value" in row["current"]:
+            print(f"{'':>36}value {row['baseline']['value']!r} -> {row['current']['value']!r}")
         if "row_median_s" in row["current"]:
             print(f"{'':>36}one call per row {row['baseline']['row_median_s'] * 1e3:.2f} -> "
                   f"{row['current']['row_median_s'] * 1e3:.2f} ms, mismatches {row['current']['row_mismatches']}")

@@ -53,10 +53,10 @@ shape (N, 3), and a stencil with one step or with one step per point.  Every
 sampler is row-wise: each row of its value depends on that row of its input
 alone, so the stencil engine may stack shifted copies of a batch into one
 call.  Every sampler is also pure (it keeps no state), so two walks may run
-it on two threads at once: bogomolnyi_residual walks the scalar on a second
-thread beside the gauge walk when each walk takes more than one sampler
-call, under the caller's np.errstate and raising the worker's exception in
-the caller (_first_order_pairs).
+it on two threads at once: bogomolnyi_residual hands the whole scalar side
+to a second thread beside the gauge side when each walk takes more than one
+sampler call, under the caller's np.errstate and raising the worker's
+exception in the caller (_first_order_pairs).
 """
 from __future__ import annotations
 
@@ -381,19 +381,21 @@ def _batch(x):
 
 def _coth_minus_inv(x):
     """coth(x) - 1/x, series-protected near 0 (cancellation) and overflow-safe.
-    Each branch is evaluated only on the elements that select it, and not at
-    all when there are none."""
+    With no element near 0 the direct formula runs on all of x (0-d: a numpy
+    scalar); else each branch only on its own elements, and only if any."""
+    formula = lambda xs: 1.0 / np.tanh(xs) - 1.0 / xs
     x = np.asarray(x)
     small = np.abs(x) < 0.05
     direct = ~small
+    if direct.all():
+        return formula(x)
     out = np.empty_like(x)
     if small.any():
         xm = x[small]  # the series sees only small x: x * x overflows at large x
         x2 = xm * xm
         out[small] = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
     if direct.any():
-        xs = x[direct]
-        out[direct] = 1.0 / np.tanh(xs) - 1.0 / xs
+        out[direct] = formula(x[direct])
     return out
 
 
@@ -415,13 +417,17 @@ def f0_bps(r, eps: float):
 
 
 def _x_over_sinh(x):
-    """x/sinh(x) without overflow; 1 at x = 0 and 0 at x = inf.  Each branch
-    is evaluated only on the elements that select it, and not at all when
-    there are none."""
+    """x/sinh(x) without overflow; 1 at x = 0 and 0 at x = inf.  With no
+    element in a guard (|x| < 1e-8 or x > 30) the direct formula runs on all
+    of x (0-d: a numpy scalar); else each branch only on its own elements,
+    and only if any."""
+    formula = lambda xs: xs / np.sinh(xs)
     x = np.asarray(x)
     small = np.abs(x) < 1e-8
     big = x > 30.0
     direct = ~(small | big)
+    if direct.all():
+        return formula(x)
     out = np.empty_like(x)
     if small.any():
         xm = x[small]
@@ -440,8 +446,7 @@ def _x_over_sinh(x):
         tail[deep] *= np.exp(c - xb[deep])
         out[big] = tail / (1.0 - np.exp(-2.0 * xc))
     if direct.any():
-        xs = x[direct]
-        out[direct] = xs / np.sinh(xs)
+        out[direct] = formula(x[direct])
     return out
 
 
@@ -469,14 +474,17 @@ def f01_bps(r, eps: float):
 
 def d_f01_bps(r, eps: float):
     """Exact radial derivative of f01_bps (series-protected near the origin).
-    Each branch is evaluated only on its own elements, and not at all when
-    there are none."""
+    With no element in a guard (x = r/eps below 0.05 or above 350) the direct
+    formula runs on all of x; else each branch only on its own elements, and
+    only if any.  One radius is a batch of one: ** 2 of a numpy scalar is
+    libm's pow, which can differ in the last bit from the array square."""
+    formula = lambda xs: (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("radius must be non-negative")
-    x = np.asarray(r / eps)
+    x = np.atleast_1d(r / eps)
     small = np.abs(x) < 0.05
     # past 350, 1/sinh(x)^2 = 4e^-2x/(1 - e^-2x)^2 < 4e^-700 is below half
     # an ulp of 1/x^2 and drops out; past 1e154 x**2 overflows, and
@@ -484,19 +492,21 @@ def d_f01_bps(r, eps: float):
     far = x > 1e154
     tail = (x > 350.0) & ~far
     direct = ~(small | tail | far)
-    out = np.empty_like(x)
-    if small.any():
-        xm = x[small]  # the series sees only small x, as in _coth_minus_inv
-        x2 = xm * xm
-        out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
-    if direct.any():
-        xs = x[direct]
-        out[direct] = (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps
-    if tail.any():
-        out[tail] = 1.0 / x[tail] ** 2 / eps
-    if far.any():
-        out[far] = (1.0 / x[far]) ** 2 / eps
-    return out if out.ndim else float(out)
+    if direct.all():
+        out = formula(x)
+    else:
+        out = np.empty_like(x)
+        if small.any():
+            xm = x[small]  # the series sees only small x, as in _coth_minus_inv
+            x2 = xm * xm
+            out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
+        if direct.any():
+            out[direct] = formula(x[direct])
+        if tail.any():
+            out[tail] = 1.0 / x[tail] ** 2 / eps
+        if far.any():
+            out[far] = (1.0 / x[far]) ** 2 / eps
+    return out if r.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +516,11 @@ def d_f01_bps(r, eps: float):
 def _hedgehog(pts, numer, denom):
     """pts[n] * numer(r)/denom(r), with the r=0 limit 0: the vector w of a
     gauge hedgehog A_i^a = eps_{iak} w_k (numer f1 or +-1, denom g r^2) or a
-    scalar hedgehog phi^a = n_hat_a c(r) (numer c, denom r)."""
+    scalar hedgehog phi^a = n_hat_a c(r) (numer c, denom r); without an r=0
+    row, a plain divide."""
     r = norm(pts.T)
-    return pts * np.divide(numer(r), denom(r), out=np.zeros_like(r), where=r > 0)[:, None]
+    c = numer(r) / denom(r) if (r > 0).all() else np.divide(numer(r), denom(r), out=np.zeros_like(r), where=r > 0)
+    return pts * c[:, None]
 
 
 def _eps_lift(w):
@@ -681,11 +693,12 @@ def bogomolnyi_residual(
     vector, one over the scalar and one unshifted sample of each
     (_first_order_pairs); each residual has the bits of magnetic_tension and
     covariant_derivative at its step alone.  Past 256 points (order 4; 384
-    at order 2), where each walk takes more than one sampler call, the
-    scalar's walk runs on a second thread beside the gauge walk; the
-    caller's np.errstate holds on that thread, no thread outlives the call,
-    and an exception or error-filtered RuntimeWarning of the worker is
-    raised here, after any of the calling thread's own.
+    at order 2), where each walk takes more than one sampler call, a second
+    thread takes the scalar side (sample, colour term, walk, D) and this one
+    the gauge side (sample, self-coupling, walk, curls); the caller's
+    np.errstate holds on that thread, no thread outlives the call, and an
+    exception or error-filtered RuntimeWarning of the worker is raised here,
+    after any of the calling thread's own.
     """
     variant = FieldVariant.parse(variant)
     if sign not in (1, -1):
@@ -704,11 +717,11 @@ def bogomolnyi_residual(
     # double-precision cancellation floor
     residuals = []
     for B, D in _first_order_pairs(gauge, scalar, pts.astype(np.longdouble), stencil, scale.g):
-        nb, nd = np.linalg.norm(B, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
+        nb = np.linalg.norm(B, axis=(1, 2))
         if variant is FieldVariant.BPS:
             res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
         else:
-            cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * nd)
+            cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * np.linalg.norm(D, axis=(1, 2)))
             res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
         residuals.append(float(np.max(res, initial=0.0)))
     return tuple(residuals)
@@ -722,43 +735,42 @@ def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, s
     each.
 
     When each walk takes more than one sampler call (more than _BLOCK rows),
-    the scalar's walk runs on a second thread while this one walks the gauge
-    vector and takes both unshifted samples; the samplers are pure and
-    row-wise, so both run on two threads at once.  The worker runs in a copy
-    of the caller's context (its np.errstate) and is joined before this
-    returns or raises; its exception is raised after the join unless this
-    thread raised first, as in one thread.  Warnings that are only printed
-    may come from the two walks in either order."""
+    the scalar side (its unshifted sample, the colour term, its walk and
+    dphi - rot) runs on a second thread, after the gauge's unshifted sample,
+    while this one takes the self-coupling, the gauge walk and the curls; the
+    samplers are pure and row-wise.  The worker runs in a copy of the
+    caller's context (its np.errstate) and is joined before this returns or
+    raises; its exception is raised after the join unless this thread raised
+    first, as in one thread.  Printed warnings may come in either order."""
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
     levels = [(stencil, 1), (stencil.halved(), 1)]
-    scalar_walk = []  # the scalar's gradients, or the exception its walk raised
+    At = gauge.sample(pts).T  # [a][i][n]
+    scalar_side = []  # D(phi) at both steps, or the exception the scalar side raised
 
     def walk_scalar():
         try:
-            scalar_walk.append(stencil._gradient(scalar.sample_batch, pts, levels))
+            rot = _colour_rotation(At, scalar.sample(pts), g)
+            scalar_side.append([dphi - rot for dphi in stencil._gradient(scalar.sample_batch, pts, levels)])
         except BaseException as exc:
-            scalar_walk.append(exc)
+            scalar_side.append(exc)
 
     worker = None
     if 3 * len(StencilConfig._shifts(pts, levels)) * len(pts) > _BLOCK:  # rows of one walk
         worker = threading.Thread(target=contextvars.copy_context().run, args=(walk_scalar,))
         worker.start()
     try:
-        At = gauge.sample(pts).T  # [a][i][n]
         quad = _self_coupling(At, g)
         Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, levels)]
-        rot = _colour_rotation(At, scalar.sample(pts), g)
     finally:
         if worker is not None:
             worker.join()
-    del At, quad
     if worker is None:
         walk_scalar()
-    dphis, = scalar_walk
-    if isinstance(dphis, BaseException):
-        raise dphis
-    return [(B, dphi - rot) for B, dphi in zip(Bs, dphis)]
+    Ds, = scalar_side
+    if isinstance(Ds, BaseException):
+        raise Ds
+    return list(zip(Bs, Ds))
 
 
 def gribov_residual(

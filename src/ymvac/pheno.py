@@ -175,10 +175,11 @@ def _check_range(scale: MonopoleScale) -> None:
 
 def _shell_sum(w, r, power: int, X, Y) -> float:
     """sum_i w_i 4 pi r_i^power <X_i, Y_i> over radial nodes, in node order:
-    the integral of <X, Y> over all directions of a spherically symmetric pair."""
+    the integral of <X, Y> over all directions of a spherically symmetric pair.
+    One numpy sum over C-contiguous (n, 3, 3) X * Y has each node's np.sum bits."""
     total = 0.0
-    for wi, ri, Xi, Yi in zip(w, r, X, Y):
-        total += wi * 4.0 * math.pi * ri**power * float(np.sum(Xi * Yi))
+    for wi, ri, s in zip(w, r, np.sum(X * Y, axis=(1, 2)).tolist()):
+        total += wi * 4.0 * math.pi * ri**power * s
     return total
 
 

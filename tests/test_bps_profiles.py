@@ -846,8 +846,9 @@ def _bps_pair_inputs(n):
 
 class TestScalarWalkOnSecondThread:
     """Past the gate, where each walk of the pair takes more than one
-    sampler call, the scalar's walk runs on a worker thread: the pair keeps
-    the bits, the errors and the caller's np.errstate of one thread, and no
+    sampler call, the whole scalar side (its unshifted sample, the colour
+    term, its walk and D(phi)) runs on a worker thread: the pair keeps the
+    bits, the errors and the caller's np.errstate of one thread, and no
     thread outlives the call."""
 
     @settings(deadline=None, max_examples=40)
@@ -954,6 +955,26 @@ class TestScalarWalkOnSecondThread:
         assert len(raised) == 1 and info.value is raised[0]
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_unshifted_scalar_sample_exception_reaches_caller(self, n):
+        # the scalar's unshifted sample is taken on the worker past the gate
+        gauge, scalar, pts, stencil = _bps_pair_inputs(n)
+        raised, threads = [], []
+
+        def failing(p):
+            if np.array_equal(p, pts):  # the unshifted sample
+                threads.append(threading.get_ident())
+                raised.append(ArithmeticError("unshifted scalar sample failed"))
+                raise raised[-1]
+            return scalar.sample_batch(p)
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as info:
+            _first_order_pairs(gauge, ColorField(failing), pts, stencil, 1.0)
+        assert len(raised) == 1 and info.value is raised[0]
+        assert (threads != [threading.get_ident()]) == (n == 257)
+        assert threading.active_count() == before
+
     def test_caller_exception_comes_first(self):
         # as in one thread, where the gauge walk runs before the scalar's
         gauge, scalar, pts, stencil = _bps_pair_inputs(1000)
@@ -967,6 +988,27 @@ class TestScalarWalkOnSecondThread:
 
         gauge_failing = ColorField.from_vector(failing(KeyError("gauge")))
         scalar_failing = ColorField(failing(IndexError("scalar")))
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            _first_order_pairs(gauge_failing, scalar_failing, pts, stencil, 1.0)
+        assert threading.active_count() == before
+
+    def test_caller_exception_comes_before_the_unshifted_scalar_sample(self):
+        # the worker's first step fails, while this thread walks the gauge
+        gauge, scalar, pts, stencil = _bps_pair_inputs(1000)
+
+        def gauge_walk_fails(p):
+            if len(p) > len(pts):  # a stacked walk call
+                raise KeyError("gauge")
+            return gauge.vector_batch(p)
+
+        def unshifted_fails(p):
+            if len(p) == len(pts):  # the unshifted sample
+                raise IndexError("scalar")
+            return scalar.sample_batch(p)
+
+        gauge_failing = ColorField.from_vector(gauge_walk_fails)
+        scalar_failing = ColorField(unshifted_fails)
         before = threading.active_count()
         with pytest.raises(KeyError):
             _first_order_pairs(gauge_failing, scalar_failing, pts, stencil, 1.0)
@@ -987,6 +1029,25 @@ class TestScalarWalkOnSecondThread:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="divide by zero"):
                 _first_order_pairs(gauge, ColorField(dividing), pts, stencil, 1.0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_worker_colour_term_keeps_caller_errstate(self, n):
+        # an unshifted scalar sample near 1e300 makes g (A x phi) overflow in
+        # the colour term alone, which runs on the worker past the gate
+        gauge, scalar, pts, stencil = _bps_pair_inputs(n)
+        threads = []
+
+        def huge(p):
+            if np.array_equal(p, pts):  # the unshifted sample
+                threads.append(threading.get_ident())
+                return 1e300 * scalar.sample_batch(p)
+            return scalar.sample_batch(p)
+
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            _first_order_pairs(gauge, ColorField(huge), pts, stencil, 1e10)
+        assert (threads != [threading.get_ident()]) == (n == 257)
         assert threading.active_count() == before
 
     def test_worker_keeps_caller_errstate(self):
@@ -1408,3 +1469,88 @@ class TestProfileBranches:
                 xm = _mp(np.float64(r)) / eps
                 ref = (1 / xm**2 - 1 / mpmath.sinh(xm) ** 2) / eps
                 assert abs(_mp(got) - ref) <= 1e-12 * ref + _mp(np.finfo(float).smallest_subnormal) / eps
+
+
+# ---------------------------------------------------------------------------
+# the radial kernels on batches with and without a guarded element
+# ---------------------------------------------------------------------------
+
+def _switch_neighbours(switches, dtype):
+    """Each switch point in dtype with its neighbours below and above."""
+    points = [dtype(s) for s in switches]
+    return [v for c in points for v in (np.nextafter(c, dtype(-np.inf)), c, np.nextafter(c, dtype(np.inf)))]
+
+
+# the switch points of each helper's branches; d_f01_bps refuses negative radii
+_SWITCHES = {"x_over_sinh": (-1e-8, 1e-8, 30.0), "coth_minus_inv": (-0.05, 0.05), "d_f01": (0.05, 350.0, 1e154)}
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan)
+
+
+def _raises(fn):
+    """Whether fn() raised a FloatingPointError."""
+    try:
+        fn()
+    except FloatingPointError:
+        return True
+    return False
+
+
+class TestGuardFreeKernels:
+    """A batch in which no element selects a guarded branch runs the direct
+    formula on the whole array; a batch with such an element runs each
+    branch on its own elements.  Either way each element has the bits of
+    that element evaluated alone, as a 0-d value, signs of zero included;
+    and under np.errstate(all="raise") the batch raises when, and only when,
+    one of its elements raises alone."""
+
+    @pytest.mark.parametrize("helper", sorted(_BRANCHES))
+    @settings(deadline=None, max_examples=40)
+    @given(drawn=st.data(), dtype=st.sampled_from([np.float64, np.longdouble]), guard_free=st.booleans())
+    def test_elements_alone(self, helper, drawn, dtype, guard_free):
+        fn, _, branches = _BRANCHES[helper]
+        direct = branches["direct"]
+        if guard_free:  # the direct branch and nan, which selects no guard
+            value = st.one_of(direct, st.just(math.nan))
+        else:  # every branch, the switch points, +-0.0, subnormals, +-inf and nan
+            specials = [v for v in _SPECIALS if helper != "d_f01" or not v < 0.0]
+            value = st.one_of(*branches.values(), st.sampled_from(_switch_neighbours(_SWITCHES[helper], dtype)),
+                              st.sampled_from(specials))
+        x = np.array(drawn.draw(st.lists(value, min_size=1, max_size=12)), dtype=dtype)
+        with np.errstate(all="ignore"):
+            got = fn(x)
+            alone = [fn(np.asarray(v)) for v in x]
+        assert got.shape == x.shape
+        assert all(_same_bits(np.asarray(g), np.asarray(a)) for g, a in zip(got, alone))
+        with np.errstate(all="raise"):
+            assert _raises(lambda: fn(x)) == any(_raises(lambda: fn(np.asarray(v))) for v in x)
+
+    @pytest.mark.parametrize("profile", ["gauge", "scalar"])
+    @settings(deadline=None, max_examples=30)
+    @given(
+        pts=arrays(float, st.tuples(st.integers(1, 30), st.just(3)),
+                   elements=st.one_of(st.sampled_from([0.0, -0.0]), _COORD)),
+        zero_row=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+    )
+    def test_hedgehog_rows_alone(self, profile, pts, zero_row, dtype):
+        # a batch without an r = 0 row divides directly, one with such a row
+        # through the where= mask; each row has the bits of that row alone
+        pts = pts.astype(dtype)
+        origin = ~pts.any(axis=1)
+        pts[origin, 0] = 1.0
+        if zero_row:
+            pts[len(pts) // 2] = -0.0
+        if profile == "gauge":
+            numer, denom = (lambda r: f1_bps(r, 0.7)), (lambda r: 1.3 * (r * r))
+        else:
+            numer, denom = (lambda r: f0_bps(r, 0.7) / 1.3), (lambda r: r)
+        got = _hedgehog(pts, numer, denom)
+        assert got.dtype == dtype
+        assert all(_same_bits(got[i:i + 1], _hedgehog(pts[i:i + 1], numer, denom)) for i in range(len(pts)))
+        assert np.all(got[~pts.any(axis=1)] == 0.0) and np.any(~pts.any(axis=1)) == zero_row
+
+    @pytest.mark.parametrize("r", [0.5889133518671319, 0.9135262095868372, 1.647801194703896])
+    def test_single_radius_is_a_batch_of_one(self, r):
+        # at these radii sinh(x) ** 2 of a numpy scalar (libm's pow) differs in
+        # the last bit from the square of a batch
+        assert d_f01_bps(r, 1.0) == d_f01_bps(np.array([r]), 1.0)[0] == d_f01_bps(np.asarray(r), 1.0)

@@ -288,6 +288,28 @@ class TestOneStencilPass:
             assert (len(samples), sum(len(pts) for pts, *_ in samples)) == (calls, rows)
         assert len(residual_calls) == 2
 
+    @pytest.mark.parametrize("argv, calls, rows", [
+        (["winding"], 78, 344448),
+        (["pheno"], 10, 3248),
+        (["check-gribov"], 4, 1098),
+    ])
+    def test_hedgehog_work_per_default_report(self, capsys, monkeypatch, argv, calls, rows):
+        # the hedgehog sampler's calls and rows per default report at --seed 0
+        samples = self._count(monkeypatch, bp, "_hedgehog")
+        assert run(capsys, *argv, "--seed", "0")[0] == 0
+        assert (len(samples), sum(len(pts) for pts, *_ in samples)) == (calls, rows)
+
+    def test_bogomolnyi_kernel_calls_need_no_guard(self, capsys, monkeypatch):
+        # at 1000 points no radius of the pair's samples selects a guarded
+        # branch (|x| < 1e-8 or x > 30 of x/sinh x, |x| < 0.05 of coth x - 1/x),
+        # so each of the 12 kernel calls runs its direct formula on the whole batch
+        guards = {"_x_over_sinh": lambda x: (np.abs(x) < 1e-8) | (x > 30.0),
+                  "_coth_minus_inv": lambda x: np.abs(x) < 0.05}
+        calls = {name: self._count(monkeypatch, bp, name) for name in guards}
+        assert run(capsys, "check-bogomolnyi", "--n-points", "1000", "--seed", "0")[0] == 0
+        guarded = [bool(guards[name](x).any()) for name, seen in calls.items() for x, in seen]
+        assert (len(guarded), sum(guarded)) == (12, 0)
+
     def test_one_operator_call(self, capsys, monkeypatch):
         calls = self._count(monkeypatch, greens, "monopole_covariant_laplacian")
         assert run(capsys, "greens")[0] == 0

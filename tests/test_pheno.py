@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ymvac import pheno
 from ymvac.bps_profiles import MonopoleScale
 from ymvac.errors import ConsistencyError, DomainError
 from ymvac.pheno import (
@@ -299,3 +303,81 @@ class TestNonFiniteConstants:
         path.write_text("alpha_s = inf\n")
         with pytest.raises(DomainError, match="alpha_s"):
             read_constants(path)
+
+
+def per_node_shell_sum(w, r, power, X, Y):
+    """_shell_sum as it was written before the inner products were batched:
+    one np.sum per node (the reference of its bits)."""
+    total = 0.0
+    for wi, ri, Xi, Yi in zip(w, r, X, Y):
+        total += wi * 4.0 * math.pi * ri**power * float(np.sum(Xi * Yi))
+    return total
+
+
+def _companion_shell_sums():
+    """The arguments (w, r, power, X, Y) of each _shell_sum call of the three
+    quadrature companions at g = eps = 1."""
+    calls = []
+    shell_sum = pheno._shell_sum
+    pheno._shell_sum = lambda *args: calls.append(args) or shell_sum(*args)
+    try:
+        magnetic_energy_quadrature(UNIT)
+        rotary_momentum_quadrature(UNIT)
+        normalization_check(UNIT)
+    finally:
+        pheno._shell_sum = shell_sum
+    return calls
+
+
+# entries +-0.0, subnormal, or of magnitude 1e-300 to 1e300
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+)
+
+
+def _like_sized(shape):
+    """Arrays of uniform entries in [-4, 4] with full mantissas, where the
+    total shows any change to the order of the adds (hypothesis's own floats
+    favour short mantissas, and one entry near 1e300 hides the rest)."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).uniform(-4.0, 4.0, shape))
+
+
+@st.composite
+def _shell_sum_args(draw):
+    """(w, r, power, X, Y) at n nodes: weights and radii of a radial rule, r
+    an array or a list as the callers pass it, and C-contiguous (n, 3, 3) X
+    and Y (Y may be X itself)."""
+    n = draw(st.integers(1, 64))
+    w = draw(arrays(float, n, elements=st.floats(1e-6, 2.0)))
+    r = draw(arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    drawn = draw(st.sampled_from([arrays(float, (n, 3, 3), elements=_ENTRY), _like_sized((n, 3, 3))]))
+    X = draw(drawn)
+    Y = X if draw(st.booleans()) else draw(drawn)
+    return w, r.tolist() if draw(st.booleans()) else r, draw(st.sampled_from([2, 3])), X, Y
+
+
+_COMPANIONS = _companion_shell_sums()
+
+
+class TestShellSum:
+    """The inner products of all nodes from one numpy sum keep the bits of
+    one np.sum per node, and the scalar loop keeps its node order."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(args=_shell_sum_args())
+    @example(args=_COMPANIONS[0])  # magnetic energy: 48 log-radial nodes, <B, B>
+    @example(args=_COMPANIONS[1])  # inertia: 64 compactified nodes, <D, D>
+    @example(args=_COMPANIONS[2])  # normalization: <D, B>
+    def test_matches_per_node_loop(self, args):
+        # products past the float range give inf or nan alike in both forms
+        with np.errstate(all="ignore"):
+            got, ref = pheno._shell_sum(*args), per_node_shell_sum(*args)
+        assert float(got).hex() == float(ref).hex()
+
+    def test_companions_pass_c_contiguous_arrays(self):
+        assert len(_COMPANIONS) == 3
+        for *_, X, Y in _COMPANIONS:
+            assert X.flags.c_contiguous and Y.flags.c_contiguous and X.shape[1:] == (3, 3)
