@@ -1,161 +1,95 @@
 """Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
 
-Times forty kernels, each at two problem sizes or more, in two source
-trees (a baseline and this checkout's `src/`), and writes one JSON file:
+Times each kernel once in each of two source trees (a baseline and this
+checkout's `src/`), at two problem sizes or more and beside an accuracy
+figure, and writes one JSON file:
 
 - `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
   winding report's default quadrature 48/24/24 and its `refined()` spec
   72/36/36; accuracy: the degree gap |N[1] - 1|;
-- the winding report's degree sweep, n in SWEEP_N = (-2, -1, 1, 2), at the
-  same two specs: one `map_degree` call over all n, which shares each
-  block's frame and, where the tree does, each pair +-n's step; accuracy:
-  the largest gap |N[n] - n|, and beside it the time of one call per n
-  (`loop_median_s`) and the number of degrees in which the two differ
-  (`loop_mismatches`, 0);
+- the winding report's degree sweep, one `map_degree` call over n in SWEEP_N,
+  at the same two specs; accuracy: the largest gap |N[n] - n|;
 - `winding_functional` of the BPS monopole (g = 1) at the same two specs;
   accuracy: |X[monopole]|, which is 0 exactly;
 - the gauge-shifted `winding_functional`: the BPS monopole transformed by
   `GribovFactorMap(1)`, with `tail_fraction=None`, at the same two specs;
-  accuracy: the shift defect |X[v(A + d)v^-1] - X[A] - 1 - surface term|;
+  accuracy: the shift defect |X[v(A + d)v^-1] - X[A] - N(R) - surface term|,
+  N(R) = (a - sin a cos a)/pi with a = pi f01(R) the degree truncated at
+  R = r_max like the integral;
 - `surface_flux_term` of the BPS monopole and `GribovFactorMap(1)` on the
-  sphere r = 300 with 48x48 and 72x72 nodes; accuracy: the gap to its closed
-  form -f1(R) sin(a) cos(a)/pi, a = pi f01(R) (the flux density of two
-  hedgehogs is constant on the sphere);
+  sphere r = R with 48x48 and 72x72 nodes; accuracy: the gap to its closed
+  form -f1(R) sin(a) cos(a)/pi (the flux density of two hedgehogs is
+  constant on the sphere);
 - `momentum_green_average` at the interference report's default momentum,
   L = 10000 and 100000; accuracy: the decay exponent gap |gamma - 1|, with
   gamma the slope of log ||S|| between L/10 and L, and beside it the relative
   2-norm gap of S at L = 1000 to the 30-digit mpmath sum
   (`resolvent_window_sums` of tests/test_interference.py);
 - `QuadratureSpec.ball_nodes` at 48/24/24 and 72/36/36, called again after
-  its first call (what the second to fifth node builds of a `winding` report
-  cost); accuracy: the relative gap of the rule on the integral of e^-r over
-  the ball, 4 pi (2 - e^-R (R^2 + 2R + 2));
+  its first call; accuracy: the relative gap of the rule on the integral of
+  e^-r over the ball, 4 pi (2 - e^-R (R^2 + 2R + 2));
 - `path_green` (the winding sum) at I = 1e-6 and 1e-7, tau_E = 0.3, dN = 0.3,
-  theta = 0 (10 045 and 31 755 terms) and again at theta = pi/2 (at theta = 0
-  every imaginary part is 0, the cheapest row to add), and `spectral_green`
-  at I = 1e4 and 1e5, tau_E = 0.01, dN = 0, theta = 0.9 (2 923 and 9 231
-  terms); accuracy: the gap to `mpmath.jtheta` at 30 digits on the other
-  side's nome, where the theta series converges in a few terms;
-- `algebra.exact_sums` alone on the real and imaginary rows of winding terms
-  at theta = pi/2, dN = 0.3: those of `path_green` at I = 1e-7 (2 x 31 755)
-  and 2 x 400 001 terms (TERM_CAP) at b = 42/200000^2; accuracy: the number of
-  rows whose sum differs from math.fsum's in any bit (0);
-- `topology._gauss_legendre`, the node build of the pheno quadratures, at
-  48 nodes on [0, ln 1000] (the magnetic energy's log-radial rule) and 64
-  nodes on [0, 1] (the compactified radial rule), called again after its
-  first call (a tree that caches leggauss(n) maps the cached rule);
-  accuracy: the relative gap of the rule on the integral of e^-t over the
-  interval, 1 - e^-U;
-- the three pheno quadrature companions at g = eps = 1, at their default
-  node counts (48 log-radial nodes for the magnetic energy, 64 compactified
-  radial nodes for the other two) and at twice them, set on the module
-  constants `_MAGNETIC_NODES` and `_RADIAL_NODES` inside the worker:
-  `magnetic_energy_quadrature`, accuracy its relative gap to the closed form
-  truncated like the integral, 4 pi (1 - 1e-3)/(g^2 eps);
-  `rotary_momentum_quadrature`, accuracy its relative gap to 4 pi^2 eps/alpha_s;
-  `normalization_check`, accuracy its gap to 1;
-- check-bogomolnyi's pair of residuals max ||B - D(phi)||/||B|| of the BPS
-  pair (g = eps = 1) at the default step h and at h/2, at its points for
-  --seed 0, N in BOGOMOLNYI_POINTS (either side of the gate past which the
-  scalar's walk runs on a second thread), one `bogomolnyi_residual` call for
-  the pair; accuracy: the residual at h, and beside it the residual at h/2,
-  their ratio and the number of the two residuals in which the trees differ
-  (`tree_mismatches`, 0).  Beside it: the time with the scalar's walk held to
-  the calling thread (`one_thread_median_s`) and the number of residuals in
-  which the two differ (`one_thread_mismatches`, 0); the time to start and
-  join one empty thread (`thread_start_join_median_s`, the fixed cost of the
-  second thread); the calls and rows of the hedgehog sampler in one call
-  (`hedgehog_calls`, `hedgehog_rows`: the work, equal in both trees); and the
-  CPU time (`time.thread_time`) of the calling thread over one call and of
-  the thread it starts (`caller_busy_median_s`, `worker_busy_median_s`, 0 on
-  one thread), which shows how evenly the two threads share the pair;
-- the radial kernels `_x_over_sinh` (x = r), `_coth_minus_inv` (x = r) and
-  `d_f01_bps` (eps = 1), as `radial_<name>`, and the hedgehog sampler
-  (`hedgehog_vector`: `_hedgehog` as the BPS gauge's vector samples it,
-  g = eps = 1) at the radii or points of check-bogomolnyi's kind,
-  RADIAL_ROWS rows in float64 and in longdouble (`d_f01_bps` reads its
-  radii as float64), each as they come (no element selects a guarded
-  branch) and with one element set to 0 (`+guard`: the series branch, and
-  an r = 0 row); accuracy: the number of entries unlike one call per
-  element or row alone (`alone_mismatches`, 0);
-- `pheno._shell_sum` on the magnetic energy's 48 nodes (<B, B>) and the
-  inertia's 64 nodes (<D, D>) at g = eps = 1; accuracy: the number of sums
-  unlike the one-np.sum-per-node loop (`per_node_shell_sum` of
-  tests/test_pheno.py, 0), and beside it the sum (`value`);
-- `StencilConfig._gradient` of the BPS gauge sampler alone (default stencil
-  s at the level (s, 1), float64) at the same kind of points, N = 1000 and
-  27 648 (the node count of the winding report's default quadrature);
-  accuracy: the largest gap to the closed-form gradient over the largest
-  entry of it;
-- the stencil walk's small passes (`stacked_gradient`), `_gradient` as the
-  reports call it: the zero-mode scalar at pheno's 64 compactified radial
-  nodes (default stencil, float64), the phase scalar at check-gribov's 78
-  inner points (its 6 centres and their 72 shifts, one step per point,
-  longdouble), and the gauge vector at check-bogomolnyi's points for
-  --seed 0, N = 20 and 1000, at h and h/2 in one walk (longdouble).  Each is
-  timed beside the same walk held to one shift per sampler call (`_BLOCK`
-  set to 1; `per_shift_median_s`), with the number of entries in which the
-  two differ; accuracy: that number (`per_shift_mismatches`, 0);
-- the profile samplers `f0_bps`, `f1_bps` and `d_f01_bps` at eps = 1 on
-  10^3 and 10^5 radii spaced geometrically over [1e-10, 1e5], which reach
-  every branch; accuracy: the largest absolute gap to a 30-digit mpmath
-  evaluation on 1000 of those radii (every one of the 10^3, every 100th of
-  the 10^5);
-- the BPS gauge sampler (g = eps = 1; `sample_batch` of the gauge field of
-  `build_fields`), at check-bogomolnyi's kind of points, N = 1000 and
-  27 648; accuracy: the number of entries unlike the np.linalg.norm/np.where
-  form (`_where_hedgehog_gauge` of tests/test_bps_profiles.py, 0);
+  at theta = 0 and pi/2, and `spectral_green` at I = 1e4 and 1e5,
+  tau_E = 0.01, dN = 0, theta = 0.9; accuracy: the gap to `mpmath.jtheta` at
+  30 digits on the other side's nome;
+- `algebra.exact_sums` on the real and imaginary rows of winding terms at
+  theta = pi/2, dN = 0.3: those of `path_green` at I = 1e-7 and 2 x 400 001
+  terms (TERM_CAP); accuracy: the number of rows whose sum differs from
+  math.fsum's in any bit (0);
+- `topology._gauss_legendre` at 48 nodes on [0, ln 1000] and 64 nodes on
+  [0, 1], called again after its first call; accuracy: the relative gap of
+  the rule on the integral of e^-t over the interval;
+- the three pheno quadrature companions at g = eps = 1, at their default node
+  counts and at twice them: `magnetic_energy_quadrature` (accuracy: its
+  relative gap to the closed form truncated like the integral,
+  4 pi (1 - 1e-3)/(g^2 eps)), `rotary_momentum_quadrature` (its relative gap
+  to 4 pi^2 eps/alpha_s) and `normalization_check` (its gap to 1);
+- check-bogomolnyi's pair of residuals at h and h/2 (g = eps = 1) at its
+  points for --seed 0, N in BOGOMOLNYI_POINTS, one `bogomolnyi_residual`
+  call; accuracy: the residual at h, and beside it the residual at h/2, their
+  ratio, the number of the two in which the trees differ (`tree_mismatches`,
+  0), the hedgehog sampler's calls and rows in one call (`hedgehog_calls`,
+  `hedgehog_rows`) and the CPU time of the calling thread and of the thread
+  it starts (`caller_busy_median_s`, `worker_busy_median_s`);
+- the radial kernels `_x_over_sinh`, `_coth_minus_inv` and `d_f01_bps` (as
+  `radial_<name>`) and the hedgehog sampler (`hedgehog_vector`) on RADIAL_ROWS
+  rows of check-bogomolnyi's kind, as they come and with one element set to 0
+  (`+guard`); accuracy: the number of entries unlike one call per element or
+  row alone (0);
+- `pheno._shell_sum` on the magnetic energy's 48 nodes and the inertia's 64;
+  accuracy: the number of sums unlike `per_node_shell_sum` of
+  tests/test_pheno.py (0), and beside it the sum (`value`);
+- the BPS gauge sampler (`sample_batch`), `algebra.norm` and
+  `StencilConfig._gradient` of that sampler at N = 1000 and 27 648 points;
+  accuracy: the entries unlike `_where_hedgehog_gauge` of
+  tests/test_bps_profiles.py or np.linalg.norm (0), and the gradient's
+  largest gap to the closed form over its largest entry;
 - `ColorField.curl` of the BPS gauge field at the winding functional's step
-  (1e-3, order 4, float64), at the same kind of points, N = 4 608 (one block
-  of the ball integrals) and 27 648, and `magnetic_tension` of that field in
-  longdouble (default stencil) at check-bogomolnyi's points, N = 20 and
-  1000; accuracy: the largest gap to the closed-form curl or tension over
-  its largest entry.  Each is timed beside the same sampler without its
-  vector, through the curl of the nine-component gradient
-  (`generic_median_s`), with the number of entries in which the two routes
-  differ (`route_mismatches`, 0);
-- `algebra.norm` on the same points in their (N, 3) layout; accuracy: the
-  number of values unlike np.linalg.norm's (0);
-- `cli._parse_config` per call, on `winding` and on an interference argv with
-  two comma lists, after its first call; accuracy: the number of parsed
-  fields unlike those of a parser built afresh (0);
-- `interference.shifted_loop_average` at the interference report's loop_q,
-  window 8 and cutoffs 2 and 4 (64^2 and 128^2 lattices); accuracy: the number
-  of its three values unlike one `loop_integrand` evaluation per shift
-  (`per_shift_loop_average` of tests/test_interference.py, 0);
-- `gribov_residual` as check-gribov calls it (g = eps = 1, order 4): the
-  radii of GRIBOV_RADII (the report default) and DENSE_GRIBOV_RADII (the
-  dense-stencil workload), each at h = min(r, 8)/100 and at h/2, in one call
-  over all centres with an array of steps; accuracy: the smallest observed
+  (N = 4 608 and 27 648) and `magnetic_tension` in longdouble at
+  check-bogomolnyi's points (N = 20 and 1000); accuracy: the largest gap to
+  the closed-form curl or tension over its largest entry;
+- the profile samplers `f0_bps`, `f1_bps` and `d_f01_bps` at eps = 1 on 10^3
+  and 10^5 radii spaced geometrically over [1e-10, 1e5]; accuracy: the
+  largest absolute gap to 30-digit mpmath on 1000 of those radii;
+- `cli._parse_config` on `winding` and on an interference argv with two comma
+  lists; accuracy: the number of parsed fields unlike a fresh parser's (0);
+- `interference.shifted_loop_average` at the report's loop_q, window 8 and
+  cutoffs 2 and 4; accuracy: the number of its three values unlike one
+  `loop_integrand` evaluation per shift (`shift_by_shift_mismatches`, 0;
+  `per_shift_loop_average` of tests/test_interference.py);
+- `gribov_residual` over the radii of GRIBOV_RADII and DENSE_GRIBOV_RADII at
+  h = min(r, 8)/100 and h/2 in one call; accuracy: the smallest observed
   order log2(|res(h)|/|res(h/2)|);
 - `greens.monopole_covariant_laplacian` on the greens report's tensor at
-  h = z/500, at its 3 points (0, 0, r) and at 24 radii spaced geometrically
-  over [0.8, 5], in one call with an array of steps; accuracy: the largest
-  operator residual;
-- the same operator at its 3 points and at GREENS_SCALING_POINTS radii
-  spaced geometrically over [0.8, 5] (`greens_operator_walks`), which
-  differences the tensor in one walk at the levels (s, 1) and (s, 2);
-  accuracy: the largest operator residual;
-- the three pheno companions (magnetic energy, inertia, normalization) at
-  g = eps = 1 with a step h = c max(r, eps) per radial node instead of
-  eps/200, at c in PER_NODE_C, in one stencil pass per sampled field with an
-  array of steps (no report uses this step yet); accuracy: the relative gap
-  to the closed form (the truncated one for the magnetic energy).
-  These last three kernels are each timed beside one call per point with a
-  scalar step (`loop_median_s`, the form the batched calls replaced) and the
-  number of entries in which the two differ (`loop_mismatches`, 0);
-- the whole `winding` report in process (`cli.main`, output to memory) at
-  default arguments and at 72/36/36; accuracy: its exit code (0);
-- `path_green` over the 9-row table of `rotator --inertia I --tau 0.3`
-  (theta in 0, pi/2, pi; dN in 0, 0.3, 1) at I = 1e-7 and 1e-6, as one call
-  over the table (a tree whose `path_green` takes one row only makes one
-  call per row there too), beside one call per row (`row_median_s`) and the
-  number of rows in which the two differ (`row_mismatches`, 0); accuracy:
-  the largest gap to `mpmath.jtheta` at 30 digits on the spectral nome;
-- the whole `rotator` report in process at default arguments (81 short
-  rows) and at `--inertia 1e-7 --tau 0.3`; accuracy: its exit code (0), and
-  beside it the report's tracemalloc peak (`traced_peak_bytes`, taken in a
-  separate untimed call).
+  h = z/500, at its 3 points and at GREENS_SCALING_POINTS radii over
+  [0.8, 5], in one call; accuracy: the largest operator residual;
+- the whole `winding` report in process at default arguments and at
+  72/36/36; accuracy: its exit code (0);
+- `path_green` over the 9-row table of `rotator --inertia I --tau 0.3` at
+  I = 1e-7 and 1e-6, one call; accuracy: the largest gap to `mpmath.jtheta`;
+- the whole `rotator` report in process at default arguments and at
+  `--inertia 1e-7 --tau 0.3`; accuracy: its exit code (0), and beside it its
+  tracemalloc peak (`traced_peak_bytes`, from a separate untimed call).
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
@@ -216,7 +150,6 @@ GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
 GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
 GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
-PER_NODE_C = (1.25e-3, 2.5e-4)  # per-node pheno steps h = c max(r, eps)
 BOGOMOLNYI_POINTS = (20, 100, 300, 1000)  # either side of the pair's two-thread gate (256 points)
 RADIAL_ROWS = (("float64", 4608), ("longdouble", 4000))  # a full sampler call; check-bogomolnyi's at 1000 points
 _LIST_ARGV = ("interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5")
@@ -339,19 +272,6 @@ def _jtheta_winding(prm) -> complex:
         return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
 
 
-def _bits(z: complex) -> tuple:
-    return z.real.hex(), z.imag.hex()
-
-
-def _path_table(rot, table) -> list:
-    """path_green over a table of rows in one call, or one call per row in a
-    tree whose path_green takes one row only."""
-    try:
-        return rot.path_green(table)
-    except AttributeError:  # that tree's path_green reads params.tau_e off the list
-        return [rot.path_green(prm) for prm in table]
-
-
 def _traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees during one call of fn."""
     import tracemalloc
@@ -373,79 +293,16 @@ def _quiet_main(main, argv) -> int:
         return main(argv)
 
 
-def _one_shift_per_call(bp, route):
-    """route() with the stencil walk held to one shift per sampler call
-    (bps_profiles._BLOCK set to 1), the form that stacking replaced."""
-    block, bp._BLOCK = bp._BLOCK, 1
-    try:
-        return route()
-    finally:
-        bp._BLOCK = block
-
-
-class _ThreadAtJoin:
-    """A stand-in for threading.Thread whose target runs on the calling
-    thread at join(): the one-thread order of work, gauge walk first."""
-
-    def __init__(self, target, args=()):
-        self._run = lambda: target(*args)
-
-    def start(self):
-        pass
-
-    def join(self):
-        self._run()
-
-
-def _one_thread(route):
-    """route() with threading.Thread replaced by _ThreadAtJoin, which holds
-    bogomolnyi_residual's scalar walk to the calling thread: the form before
-    the walks of the pair ran on two threads."""
-    import threading
-
-    thread, threading.Thread = threading.Thread, _ThreadAtJoin
-    try:
-        return route()
-    finally:
-        threading.Thread = thread
-
-
-def _thread_start_join() -> None:
-    """Start and join one empty thread in a copy of the context, the fixed
-    cost of the pair's second thread."""
-    import contextvars
-    import threading
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(lambda: None,))
-    worker.start()
-    worker.join()
-
-
 def _busy_times(route) -> tuple[float, float]:
-    """CPU seconds (time.thread_time) of the calling thread over one run of
-    route() and of the threads that it starts, summed."""
-    import threading
-    from time import thread_time
+    """CPU seconds of the calling thread over one run of route()
+    (time.thread_time), and of the rest of the process (time.process_time
+    less that): the thread that route() starts."""
+    from time import process_time, thread_time
 
-    worker_s = []
-    thread = threading.Thread
-
-    class Busy(thread):
-        def run(self):
-            t = thread_time()
-            try:
-                super().run()
-            finally:
-                worker_s.append(thread_time() - t)
-
-    threading.Thread = Busy
-    try:
-        t = thread_time()
-        route()
-        caller_s = thread_time() - t
-    finally:
-        threading.Thread = thread
-    return caller_s, sum(worker_s)
+    p, t = process_time(), thread_time()
+    route()
+    caller_s = thread_time() - t
+    return caller_s, process_time() - p - caller_s
 
 
 def _hedgehog_work(bp, route) -> tuple[int, int]:
@@ -464,23 +321,6 @@ def _hedgehog_work(bp, route) -> tuple[int, int]:
     finally:
         bp._hedgehog = sampler
     return len(calls), sum(calls)
-
-
-def _gribov_inner_points(bp, radii_over_eps):
-    """check-gribov's centres (0, 0, r) at h = min(r, 8)/100 and at h/2 (eps =
-    1) with their shifted points, as covariant_laplacian forms them for its
-    inner stencil, in longdouble, and that stencil (one step per point)."""
-    import numpy as np
-
-    r = np.array(radii_over_eps * 2, dtype=float)
-    h = np.minimum(r, 8.0) / 100.0
-    h[len(radii_over_eps):] /= 2.0
-    xc = np.outer(r, (0.0, 0.0, 1.0)).astype(np.longdouble)
-    offs, _ = bp.StencilConfig(h, 4).offsets_weights()
-    steps = np.eye(3, dtype=xc.dtype)[:, None, :] * h[:, None]  # [j][m] = h_m e_j
-    shifted = xc + offs[:, None, None] * steps[:, None]  # [j][k][m]
-    pts = np.concatenate([xc[None], shifted.reshape(-1, *xc.shape)]).reshape(-1, 3)
-    return pts, bp.StencilConfig(np.tile(h, 1 + 3 * len(offs)), 4)
 
 
 def _bps_gauge_gradient(pts):
@@ -536,6 +376,13 @@ def _profile_gaps(r, values) -> dict:
     }
 
 
+def _relative_gap(value, exact) -> float:
+    """Largest absolute gap of value to exact over the largest entry of exact."""
+    import numpy as np
+
+    return float(np.max(np.abs(value - exact)) / np.max(np.abs(exact)))
+
+
 def _mismatches(a, b) -> int:
     """Entries of two equally shaped arrays (or tuples or lists of them)
     that differ in value or in the sign of zero."""
@@ -547,24 +394,20 @@ def _mismatches(a, b) -> int:
     return int(np.sum((a != b) | (np.signbit(a) != np.signbit(b))))
 
 
-def _gribov_radii(bp, unit, radii_over_eps, batched):
+def _gribov_radii(bp, unit, radii_over_eps):
     """check-gribov's residuals at radii r (eps = 1) with h = min(r, 8)/100 and
-    at h/2, (2M, 3): one gribov_residual call over all 2M centres, or (the
-    form it replaced) one call per centre."""
+    at h/2, (2M, 3), from one gribov_residual call over all 2M centres."""
     import numpy as np
 
     r = np.array(radii_over_eps, dtype=float)
     h = np.minimum(r, 8.0) / 100.0
     centres = np.outer(np.concatenate([r, r]), (0.0, 0.0, 1.0))
-    steps = np.concatenate([h, h / 2.0])
-    if batched:
-        return bp.gribov_residual(unit, centres, bp.StencilConfig(steps, 4))
-    return np.stack([bp.gribov_residual(unit, x, bp.StencilConfig(float(hx), 4)) for x, hx in zip(centres, steps)])
+    return bp.gribov_residual(unit, centres, bp.StencilConfig(np.concatenate([h, h / 2.0]), 4))
 
 
-def _greens_operator(greens, radii, batched):
+def _greens_operator(greens, radii):
     """The greens report's operator on its tensor at points (0, 0, r) with
-    h = z/500: one call over all points, or one call per point."""
+    h = z/500, from one call over all points."""
     import math
 
     import numpy as np
@@ -574,44 +417,7 @@ def _greens_operator(greens, radii, batched):
     y = np.array([0.0, 0.0, 1e-6])
     x = np.outer(radii, (0.0, 0.0, 1.0))
     h = np.array([np.linalg.norm(xi - y) for xi in x]) / 500.0
-
-    def S(P):
-        return G.evaluate(P, y)
-
-    if batched:
-        return greens.monopole_covariant_laplacian(S, x, h=h)
-    return np.stack([greens.monopole_covariant_laplacian(S, xi, h=float(hi)) for xi, hi in zip(x, h)])
-
-
-def _per_node_companion(bp, pheno, topo, unit, name, c, batched):
-    """A pheno quadrature companion (magnetic_energy, rotary_momentum or
-    normalization) at g = eps = 1 with the step h = c max(r, eps) at each
-    radial node instead of eps/200, from one stencil pass with an array of
-    steps or one pass per node; its value and the B and D(Phi0) samples it
-    was summed from."""
-    import math
-
-    import numpy as np
-
-    def on_nodes(op, fields, r):
-        x = np.outer(r, (0.0, 0.0, 1.0))
-        h = c * np.maximum(r, unit.eps)
-        if batched:
-            return op(*fields, x, bp.StencilConfig(h, 4), unit.g)
-        return np.stack([op(*fields, xi, bp.StencilConfig(float(hi), 4), unit.g) for xi, hi in zip(x, h)])
-
-    if name == "magnetic_energy":
-        t, w = topo._gauss_legendre(pheno._MAGNETIC_NODES, math.log(pheno._MAGNETIC_R_MAX_OVER_EPS))
-        r = unit.eps * np.exp(t)
-        B = on_nodes(bp.magnetic_tension, bp.build_fields(unit, "WuYangPlus")[:1], r)
-        return pheno._shell_sum(w, list(r), 3, B, B), B
-    r, w = topo._compactified_radial(pheno._RADIAL_NODES, unit.eps)
-    gauge, _ = bp.build_fields(unit, "BPS")
-    D = on_nodes(bp.covariant_derivative, (gauge, bp.zero_mode_scalar(unit)), r)
-    if name == "rotary_momentum":
-        return pheno._shell_sum(w, r, 2, D, D), D
-    B = on_nodes(bp.magnetic_tension, (gauge,), r)
-    return unit.g**2 / (8.0 * math.pi**2) * pheno._shell_sum(w, r, 2, D, B), D, B
+    return greens.monopole_covariant_laplacian(lambda P: G.evaluate(P, y), x, h=h)
 
 
 def worker() -> dict:
@@ -648,32 +454,21 @@ def worker() -> dict:
 
     a = math.pi * bp.f01_bps(default.r_max, 1.0)
     surface_exact = -bp.f1_bps(default.r_max, 1.0) * math.sin(a) * math.cos(a) / math.pi
+    degree_at_r_max = (a - math.sin(a) * math.cos(a)) / math.pi  # the degree truncated like the integral
 
     cases = {}
     extra = {}  # second accuracy figures, by case
 
-    # batched passes, each beside one call per point or per n (`loop_median_s`)
-    # and the number of entries in which the two differ (`loop_mismatches`)
-    def beside_loop(case, route, accuracy_name, accuracy):
-        times, value = _timed(lambda: route(True))
-        loop_times, ref = _timed(lambda: route(False))
-        cases[case] = (times, accuracy_name, accuracy(value))
-        extra[case] = {"loop_median_s": statistics.median(loop_times), "loop_mismatches": _mismatches(value, ref)}
-
-    def sweep(quad, shared):
-        if shared:
-            return list(topo.map_degree(SWEEP_N, quad, check_resolution=False))
-        return [topo.map_degree(n, quad, check_resolution=False) for n in SWEEP_N]
-
     for size, quad in specs.items():
         times, deg = _timed(lambda: topo.map_degree(1, quad, check_resolution=False))
         cases[f"map_degree/{size}"] = (times, "degree_gap", abs(deg - 1.0))
-        beside_loop(f"degree_sweep/{size}", lambda shared: sweep(quad, shared), "largest_degree_gap",
-                    lambda degrees: max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
+        times, degrees = _timed(lambda: topo.map_degree(SWEEP_N, quad, check_resolution=False))
+        cases[f"degree_sweep/{size}"] = (times, "largest_degree_gap",
+                                         max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
         times, x = _timed(lambda: topo.winding_functional(gauge, quad, 1.0))
         cases[f"winding_functional/{size}"] = (times, "abs_winding_of_monopole", abs(x))
         times, xs = _timed(lambda: topo.winding_functional(shifted, quad, 1.0, tail_fraction=None))
-        defect = abs(xs - x - 1.0 - surface(48))
+        defect = abs(xs - x - degree_at_r_max - surface(48))
         cases[f"gauge_shifted_winding/{size}"] = (times, "shift_defect", defect)
     for n_nodes in (48, 72):
         times, value = _timed(lambda: surface(n_nodes))
@@ -736,7 +531,6 @@ def worker() -> dict:
         dirs = rng.normal(size=(n, 3))
         return radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
-    start_join_s = statistics.median(_timed(_thread_start_join)[0])
     for n in BOGOMOLNYI_POINTS:
         pts = report_points(n)
 
@@ -744,14 +538,12 @@ def worker() -> dict:
             return bp.bogomolnyi_residual(unit, pts, bp.default_stencil(unit))
 
         times, value = _timed(pair)
-        one_times, ref = _timed(lambda: _one_thread(pair))
         calls, rows = _hedgehog_work(bp, pair)
         caller_s, worker_s = zip(*(_busy_times(pair) for _ in range(REPEATS)))
         cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", value[0])
         extra[f"bogomolnyi_pair/N={n}"] = {
             "residual_half_h": value[1], "refinement_ratio": value[0] / value[1], "pair": list(value),
-            "one_thread_median_s": statistics.median(one_times), "one_thread_mismatches": _mismatches(value, ref),
-            "thread_start_join_median_s": start_join_s, "hedgehog_calls": calls, "hedgehog_rows": rows,
+            "hedgehog_calls": calls, "hedgehog_rows": rows,
             "caller_busy_median_s": statistics.median(caller_s), "worker_busy_median_s": statistics.median(worker_s),
         }
     # the radial kernels and the hedgehog sampler on one sampler call's rows,
@@ -806,45 +598,19 @@ def worker() -> dict:
         pts = report_points(n)
         times, (dA,) = _timed(lambda: gradient(gauge.sample_batch, pts, [(stencil, 1)]))
         exact = _bps_gauge_gradient(pts)
-        gap = float(np.max(np.abs(dA - exact)) / np.max(np.abs(exact)))
-        cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", gap)
-
-    # the walk's small passes, stacked, beside one shift per sampler call
-    def beside_per_shift(case, route):
-        times, value = _timed(route)
-        per_shift_times, ref = _timed(lambda: _one_shift_per_call(bp, route))
-        cases[case] = (times, "per_shift_mismatches", _mismatches(value, ref))
-        extra[case] = {"per_shift_median_s": statistics.median(per_shift_times)}
-
-    nodes = np.outer(topo._compactified_radial(pheno._RADIAL_NODES, unit.eps)[0], (0.0, 0.0, 1.0))
-    beside_per_shift(f"stacked_gradient/pheno_{len(nodes)}_nodes",
-                     lambda: gradient(bp.zero_mode_scalar(unit).sample_batch, nodes, [(stencil, 1)]))
-    inner, inner_stencil = _gribov_inner_points(bp, GRIBOV_RADII)
-    beside_per_shift(f"stacked_gradient/gribov_{len(inner)}_points",
-                     lambda: gradient(bp.gribov_phase_scalar(unit).sample_batch, inner, [(inner_stencil, 1)]))
-    for n in (20, 1000):
-        pts = report_points(n).astype(np.longdouble)
-        beside_per_shift(f"stacked_gradient/bogomolnyi_{n}_points",
-                         lambda: gradient(gauge.vector_batch, pts, [(stencil, 1), (stencil.halved(), 1)]))
-    # the curl by the hedgehog's vector beside the curl of the nine-component
-    # gradient, of the same sampler without its vector
-    nine = bp.ColorField(gauge.sample_batch, gauge.singular_origin, gauge.label)
-
-    def beside_generic(case, route, exact):
-        times, value = _timed(lambda: route(gauge))
-        generic_times, ref = _timed(lambda: route(nine))
-        cases[case] = (times, "closed_form_gap", float(np.max(np.abs(value - exact)) / np.max(np.abs(exact))))
-        extra[case] = {"generic_median_s": statistics.median(generic_times), "route_mismatches": _mismatches(value, ref)}
+        cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", _relative_gap(dA, exact))
 
     winding_stencil = bp.StencilConfig(1e-3, 4)
     for n in (4608, 27648):
         pts = report_points(n)
+        times, value = _timed(lambda: gauge.curl(winding_stencil, pts))
         exact = np.einsum("ijk,njka->nia", algebra.EPS3, _bps_gauge_gradient(pts))
-        beside_generic(f"color_field_curl/N={n}", lambda field: field.curl(winding_stencil, pts), exact)
+        cases[f"color_field_curl/N={n}"] = (times, "closed_form_gap", _relative_gap(value, exact))
     for n in (20, 1000):
         pts = report_points(n).astype(np.longdouble)
-        beside_generic(f"magnetic_tension_longdouble/N={n}", lambda field: bp.magnetic_tension(field, pts, stencil, 1.0),
-                       _bps_tension(pts.astype(float)))
+        times, value = _timed(lambda: bp.magnetic_tension(gauge, pts, stencil, 1.0))
+        cases[f"magnetic_tension_longdouble/N={n}"] = (
+            times, "closed_form_gap", _relative_gap(value, _bps_tension(pts.astype(float))))
     samplers = {"f0_bps": bp.f0_bps, "f1_bps": bp.f1_bps, "d_f01_bps": bp.d_f01_bps}
     for n in (1000, 100000):
         r = np.geomspace(1e-10, 1e5, n)
@@ -863,44 +629,30 @@ def worker() -> dict:
         times, value = _timed(lambda: itf.shifted_loop_average(q, cutoff, 8))
         ref = per_shift_loop_average(q, cutoff, 8)
         cases[f"shifted_loop_average/cutoff={cutoff:g}"] = (
-            times, "per_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
+            times, "shift_by_shift_mismatches", sum(a.hex() != b.hex() for a, b in zip(value, ref)))
+
     def min_order(res):  # the report's smallest log2(|res(h)| / |res(h/2)|) over the radii
         norms = [float(np.linalg.norm(v)) for v in res]
         m = len(norms) // 2
         return min(math.log2(a / b) for a, b in zip(norms[:m], norms[m:]))
 
     for radii in (GRIBOV_RADII, DENSE_GRIBOV_RADII):
-        beside_loop(f"gribov_residual/{len(radii)}x2_centres", lambda b: _gribov_radii(bp, unit, radii, b),
-                    "min_observed_order", min_order)
-    for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, 24)):
-        beside_loop(f"monopole_covariant_laplacian/{len(radii)}_points", lambda b: _greens_operator(greens, radii, b),
-                    "max_operator_residual", lambda res: float(np.abs(res).max()))
-    # the operator's one walk at (s, 1) and (s, 2), at the dense-stencil size too
+        times, res = _timed(lambda: _gribov_radii(bp, unit, radii))
+        cases[f"gribov_residual/{len(radii)}x2_centres"] = (times, "min_observed_order", min_order(res))
     for radii in (GREENS_RADII, np.geomspace(0.8, 5.0, GREENS_SCALING_POINTS)):
-        times, value = _timed(lambda: _greens_operator(greens, radii, True))
-        residual = float(np.abs(value).max())
-        cases[f"greens_operator_walks/{len(radii)}_points"] = (times, "max_operator_residual", residual)
-    # ROADMAP item 2's per-node step h = c max(r, eps) for the pheno companions
-    references = {"magnetic_energy": truncated, "rotary_momentum": inertia, "normalization": 1.0}
-    for c in PER_NODE_C:
-        for name, ref_value in references.items():
-            beside_loop(f"{name}_per_node_step/c={c:g}",
-                        lambda b: _per_node_companion(bp, pheno, topo, unit, name, c, b),
-                        "closed_form_gap", lambda value: abs(value[0] / ref_value - 1.0))
+        times, res = _timed(lambda: _greens_operator(greens, radii))
+        cases[f"monopole_covariant_laplacian/{len(radii)}_points"] = (
+            times, "max_operator_residual", float(np.abs(res).max()))
     for label, argv in (("default", ["winding"]), ("72x36x36", list(_FINE_WINDING_ARGV))):
         times, code = _timed(lambda: _quiet_main(cli.main, argv))
         cases[f"winding_report/{label}"] = (times, "exit_code", code)
-    # the rotator report's winding sides: one call over its table beside one call per row
+    # the rotator report's winding sides, one call over its table
     for inertia in (1e-7, 1e-6):
-        case = f"path_green_table/I={inertia:g}"
         table = [rot.RotatorParams.euclidean(inertia, theta, 0.3, dn) for theta in (0.0, math.pi / 2, math.pi)
                  for dn in (0.0, 0.3, 1.0)]
-        times, value = _timed(lambda: _path_table(rot, table))
-        row_times, ref = _timed(lambda: [rot.path_green(prm) for prm in table])
+        times, value = _timed(lambda: rot.path_green(table))
         gap = max(abs(z - _jtheta_spectral(prm)) for z, prm in zip(value, table))
-        cases[case] = (times, "max_jtheta_gap", gap)
-        extra[case] = {"row_median_s": statistics.median(row_times),
-                       "row_mismatches": sum(_bits(a) != _bits(b) for a, b in zip(value, ref))}
+        cases[f"path_green_table/I={inertia:g}"] = (times, "max_jtheta_gap", gap)
     for label, argv in (("default", ["rotator"]), ("I=1e-7", ["rotator", "--inertia", "1e-7", "--tau", "0.3"])):
         times, code = _timed(lambda: _quiet_main(cli.main, argv))
         cases[f"rotator_report/{label}"] = (times, "exit_code", code)
@@ -1094,19 +846,11 @@ def main(argv=None) -> int:
         if "mpmath_gap_L1000" in row["current"]:
             print(f"{'':>36}mpmath_gap_L1000 {row['baseline']['mpmath_gap_L1000']:.3e} -> "
                   f"{row['current']['mpmath_gap_L1000']:.3e}")
-        if "generic_median_s" in row["current"]:
-            print(f"{'':>36}nine-component route {row['baseline']['generic_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['generic_median_s'] * 1e3:.2f} ms, mismatches {row['current']['route_mismatches']}")
         if "tree_mismatches" in row:
             print(f"{'':>36}residual at h/2 {row['current']['residual_half_h']:.3e}, ratio "
                   f"{row['current']['refinement_ratio']:.2f}, tree mismatches {row['tree_mismatches']}")
-        if "loop_median_s" in row["current"]:
-            print(f"{'':>36}one call per point or n {row['baseline']['loop_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['loop_median_s'] * 1e3:.2f} ms, mismatches {row['current']['loop_mismatches']}")
-        if "one_thread_median_s" in row["current"]:
-            print(f"{'':>36}one thread {row['baseline']['one_thread_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['one_thread_median_s'] * 1e3:.2f} ms, mismatches "
-                  f"{row['current']['one_thread_mismatches']}; hedgehog calls/rows "
+        if "hedgehog_calls" in row["current"]:
+            print(f"{'':>36}hedgehog calls/rows "
                   f"{row['baseline']['hedgehog_calls']}/{row['baseline']['hedgehog_rows']} -> "
                   f"{row['current']['hedgehog_calls']}/{row['current']['hedgehog_rows']}")
             print(f"{'':>36}busy caller/worker {row['baseline']['caller_busy_median_s'] * 1e3:.2f}/"
@@ -1115,15 +859,9 @@ def main(argv=None) -> int:
                   f"{row['current']['worker_busy_median_s'] * 1e3:.2f} ms")
         if "value" in row["current"]:
             print(f"{'':>36}value {row['baseline']['value']!r} -> {row['current']['value']!r}")
-        if "row_median_s" in row["current"]:
-            print(f"{'':>36}one call per row {row['baseline']['row_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['row_median_s'] * 1e3:.2f} ms, mismatches {row['current']['row_mismatches']}")
         if "traced_peak_bytes" in row["current"]:
             print(f"{'':>36}traced peak {row['baseline']['traced_peak_bytes'] / 1e6:.3f} -> "
                   f"{row['current']['traced_peak_bytes'] / 1e6:.3f} MB")
-        if "per_shift_median_s" in row["current"]:
-            print(f"{'':>36}one shift per call {row['baseline']['per_shift_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['per_shift_median_s'] * 1e3:.2f} ms")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():

@@ -318,11 +318,9 @@ def _run_interference(cfg: RunConfig) -> Report:
     eps = p["eps"]
     ang = itf.EulerAngles(*p["angles"])
     rows = []
-    ok_bound = True
     for n in (1, -1, 2, -2):
         dev = float(itf.dressed_factor_map(n, ang, eps).distance_to_identity([0.0, 0.0, 100.0 * eps])[0])
         bound = 1.2 * (1.0 / 100.0) * 2.0 * math.pi * abs(n)
-        ok_bound &= dev < bound
         rows.append((n, dev, bound))
     norms = {}
     for L in (100, 1000, 10000):
@@ -349,7 +347,8 @@ def _run_interference(cfg: RunConfig) -> Report:
             "table": _table(["cutoff", "unshifted", "shift_averaged", "difference"], loop_rows),
         },
     )
-    rep.check("dressed-factor-unit-asymptotics", float(ok_bound), 1.0, ok_bound)
+    ratio = _worst(dev / bound for _, dev, bound in rows)
+    rep.check("dressed-factor-unit-asymptotics", ratio, 1.0, ratio < 1.0)
     rep.check("window-average-decay-exponent", gamma, [0.9, 1.1], 0.9 <= gamma <= 1.1)
     rep.check("loop-difference-monotone", diffs[-1], diffs[0], monotone)
     return rep
@@ -367,6 +366,8 @@ def _run_pheno(cfg: RunConfig) -> Report:
     shift = pheno.eta_mass_shift(inputs, b2)
     me = pheno.magnetic_energy(scale)
     meq = pheno.magnetic_energy_quadrature(scale)
+    me_shell = pheno.magnetic_energy_shell(scale)  # what the quadrature integrates
+    tol_me = cfg.tol if cfg.tol is not None else 1e-8
     inertia = pheno.rotary_momentum(scale)
     inertia_q = pheno.rotary_momentum_quadrature(scale)
     norm = pheno.normalization_check(scale)
@@ -377,7 +378,7 @@ def _run_pheno(cfg: RunConfig) -> Report:
         meta=_meta(cfg, ["modified-coupling", "schwinger-mass", "b2-estimate", "vacuum-inertia",
                          "normalization-integral", "vacuum-magnetic-energy"],
                    {"alpha_band": [0.18, 0.21], "numerator_band": [0.05, 0.07],
-                    "inertia": 0.01, "normalization": 0.01, "magnetic_energy": 0.002}),
+                    "inertia": 0.01, "normalization": 0.01, "magnetic_energy": tol_me}),
         inputs={"constants": dict(inputs.__dict__), "g": p["g"], "eps": p["eps"], "e": p["e"]},
         results={
             "alpha_mod_zero": alpha0,
@@ -402,8 +403,7 @@ def _run_pheno(cfg: RunConfig) -> Report:
     rel_i = abs(inertia_q - inertia) / inertia
     rep.check("inertia-quadrature-vs-closed-form", rel_i, 0.01, rel_i < 0.01)
     rep.check("normalization-integral-unity", abs(norm - 1.0), 0.01, abs(norm - 1.0) < 0.01)
-    rel_me = abs(meq - me) / me
-    tol_me = cfg.tol if cfg.tol is not None else 0.002
+    rel_me = abs(meq - me_shell) / me_shell
     rep.check("magnetic-energy-quadrature", rel_me, tol_me, rel_me < tol_me)
     return rep
 

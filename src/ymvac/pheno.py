@@ -53,6 +53,7 @@ __all__ = [
     "read_constants",
     "default_constants_path",
     "magnetic_energy",
+    "magnetic_energy_shell",
     "magnetic_energy_quadrature",
     "rotary_momentum",
     "rotary_momentum_quadrature",
@@ -161,6 +162,12 @@ def magnetic_energy(scale: MonopoleScale) -> float:
     return 4.0 * math.pi / (scale.g**2 * scale.eps)
 
 
+def magnetic_energy_shell(scale: MonopoleScale) -> float:
+    """magnetic_energy over the shell eps <= r <= _MAGNETIC_R_MAX_OVER_EPS eps
+    that magnetic_energy_quadrature integrates: 4 pi/(g^2 eps) (1 - eps/r_max)."""
+    return magnetic_energy(scale) * (1.0 - 1.0 / _MAGNETIC_R_MAX_OVER_EPS)
+
+
 def _check_range(scale: MonopoleScale) -> None:
     """DomainError unless every _MAGNITUDES entry lies in [1e-303, 1e303], five decades
     inside the normal floats; compared in logarithms, before any field is sampled."""
@@ -196,8 +203,8 @@ def _zero_mode_on_nodes(scale: MonopoleScale):
 
 
 def magnetic_energy_quadrature(scale: MonopoleScale) -> float:
-    """Companion of magnetic_energy: integrate the sampled f = +1 tension norm
-    over eps <= r <= 1e3 eps, which gives the closed form times (1 - 1e-3).
+    """Companion of magnetic_energy_shell: integrate the sampled f = +1 tension
+    norm over its shell eps <= r <= _MAGNETIC_R_MAX_OVER_EPS eps.
     48-node log-radial Gauss-Legendre (dr = r dt); the tension is produced by
     the finite-difference tension operator, not the closed form."""
     _check_range(scale)

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ymvac
-from ymvac import bps_profiles as bp, cli, greens, rotator, topology
+from ymvac import bps_profiles as bp, cli, greens, interference as itf, pheno, rotator, topology
 from ymvac.cli import _HANDLERS, _parse_config, main
 from ymvac.errors import DomainError
 
@@ -316,6 +317,43 @@ class TestOneStencilPass:
         assert len(calls) == 1 and calls[0][1].shape == (3, 3)
 
 
+class TestPhenoMagneticCheck:
+    """The magnetic check compares the quadrature with the closed form over the
+    shell eps <= r <= 1e3 eps that it integrates."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(log_g=st.floats(-150.0, 100.0), log_eps=st.floats(-75.0, 75.0))
+    @example(log_g=0.0, log_eps=0.0)
+    def test_gap_to_the_shell_closed_form(self, log_g, log_eps):
+        g, eps = 10.0**log_g, 10.0**log_eps
+        try:
+            pheno._check_range(bp.MonopoleScale(g=g, eps=eps))
+        except DomainError:
+            assume(False)
+        rep = _HANDLERS["pheno"](_parse_config(["pheno", "--g", repr(g), "--eps", repr(eps)]))
+        check = {c["name"]: c for c in rep.checks}["magnetic-energy-quadrature"]
+        shell = 4.0 * math.pi / (g**2 * eps) * (1.0 - 1e-3)
+        assert check["value"] == abs(rep.results["magnetic_energy_quadrature"] - shell) / shell
+        assert check["value"] < 1e-8 and check["passed"]
+
+    def test_tolerance_in_meta_follows_tol(self, capsys):
+        code, out = run(capsys, "pheno", "--tol", "1e-3")
+        payload = json.loads(out)
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert code == 0
+        assert payload["meta"]["tolerances"]["magnetic_energy"] == 1e-3
+        assert checks["magnetic-energy-quadrature"]["tolerance"] == 1e-3
+
+
+class TestDressedRatio:
+    def test_value_is_the_worst_ratio_of_its_table(self):
+        rep = _HANDLERS["interference"](_parse_config(["interference"]))
+        check = {c["name"]: c for c in rep.checks}["dressed-factor-unit-asymptotics"]
+        rows = rep.results["dressed_asymptotics"]["rows"]
+        assert check["value"] == max(dev / bound for _, dev, bound in rows)
+        assert check["value"] < check["tolerance"] == 1.0 and check["passed"]
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -483,6 +521,18 @@ class TestNaNGaps:
         assert not checks["spectral-vs-path-identity"]["passed"]
         assert checks["on-spectrum-survival"]["passed"]
 
+    def test_interference_nan_dressed_deviation(self, monkeypatch):
+        exact = itf.dressed_factor_map
+
+        class NaNDistance:
+            def distance_to_identity(self, x):
+                return [float("nan")]
+
+        monkeypatch.setattr(itf, "dressed_factor_map", lambda n, *args: NaNDistance() if n == -1 else exact(n, *args))
+        checks = self._checks("interference")
+        assert not checks["dressed-factor-unit-asymptotics"]["passed"]
+        assert checks["window-average-decay-exponent"]["passed"]
+
 
 # SHA-256 of stdout, a NUL byte, stderr, a NUL byte and the exit code of each
 # argv run with --seed 0: the eight default reports and every report of
@@ -497,15 +547,15 @@ OUTPUT_DIGESTS = {
     "winding": "be0aa5496e3511c6d7e67c7fba19b224bc0eb40f473af40095cc2c8c852b4081",
     "greens": "60ebccfeff5d4eef9e7a897d7ec172605f1fe75015d90d14d00b3a46cfd73579",
     "rotator": "e9f5a012fbd8067f6020cf0fbd77589ed61f5b01c64fc5f0fa5bec9d415703c3",
-    "interference": "32060ba4dbeedffe8c98e4b0e51861c1d6b6bc251751d280a9a9c827ec5ee745",
-    "pheno": "a2d036b63e3b64d0765031151261ccc8eeff26e474d368ba84de7f83929fbda1",
+    "interference": "c4a7211752db9643148779c54b2005f472d9d281f244a961b38815e37fcc3ba2",
+    "pheno": "58e698f5b8863368369903c840e9d5f0967877beda2e71e9fe535d82d44cfc38",
     "check-bogomolnyi --n-points 1000": "e228fe12f1329bae0e416b4519bcce552aaf8e0a39ed07fd125d8954bf27a671",
     "check-gribov --radii-over-eps 1,2,3,5,8,12,20,30": "d9c2c4aabd3cccded905bc5e059808dd65072330c5e36d3ed2fdeab70bb5da49",
     "greens --n-z 5000": "0f68689410d7fb7ed1e2fd7392184df4f8ca535d6a87de5811b6fca16926353f",
     "rotator --inertia 1e-7 --tau 0.3": "c70045b1be47b73e87609975e0db0c279d0480ac99dea63abf64da677f1961aa",
     "rotator --inertia 1e5 --tau 0.01": "5ee00e5b037036346e535cb8eb9b99bb32456208adf969b7f447fa5d10421995",
     "rotator --inertia 1e-12 --tau 1 --theta 0": "5d773bba80a4b1c8972976fb701ed716ed28e864da11aaed68726119929b1a52",
-    "interference --momentum 1.3,-0.4,0.25,0.9 --angles 1.0,0.2,0.5": "7246afb59b3062b1b413cd861c28c04a9fc01ec5dbc29b8b8cdd311dc02abc51",
+    "interference --momentum 1.3,-0.4,0.25,0.9 --angles 1.0,0.2,0.5": "90be195efd22415a375f67393151650410d17042f8e5f121064cc2c45928fa19",
 }
 
 
