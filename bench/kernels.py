@@ -93,10 +93,14 @@ figure, and writes one JSON file:
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
-median over all calls, the median of IMPORTS cold `import ymvac.cli` times
-with whether the import loaded scipy, and the median wall time of TIER1_RUNS
-alternating runs of each tree's Tier-1 suite (`pytest -q` over the `tests/`
-beside its `src/`) with its summary line.
+median and the quartiles over all calls, and marks a case `within_noise`
+when its two medians differ by less than the baseline's interquartile range
+(its printed speedup then says so).  Beside them it holds the median of
+IMPORTS cold `import ymvac.cli` times with whether the import loaded scipy,
+the median wall time of TIER1_RUNS alternating runs of each tree's Tier-1
+suite (`pytest -q` over the `tests/` beside its `src/`) with its summary
+line, and each tree's code lines per module of `src/ymvac` (lines that are
+not blank, a comment or a docstring; `src_code_lines`).
 
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
@@ -128,12 +132,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import ast
+import io
 import json
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 from time import perf_counter
 from xml.etree import ElementTree
@@ -663,6 +670,32 @@ def worker() -> dict:
     }
 
 
+def code_lines(path: Path) -> int:
+    """Lines of a Python file that hold a token other than a comment (by
+    tokenize), less the lines of the module's, classes' and functions'
+    docstrings (by ast)."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines(src: Path) -> dict:
+    """code_lines of each module of the ymvac package under src, and their total."""
+    modules = {path.name: code_lines(path) for path in sorted((src / "ymvac").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def _run(src: Path, args: list[str], **extra_env) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), **extra_env)
     proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True, text=True)
@@ -782,13 +815,17 @@ def measure(trees: dict) -> dict:
         row = {"kernel": kernel, "size": size, "accuracy_name": samples["current"][case]["accuracy_name"]}
         for name in trees:
             rec = samples[name][case]
+            q1, _, q3 = statistics.quantiles(rec["times_s"], n=4)
             row[name] = {
                 "median_s": statistics.median(rec["times_s"]),
+                "quartiles_s": [q1, q3],
                 "samples": len(rec["times_s"]),
                 "accuracy": rec["accuracy"],
                 **{k: v for k, v in rec.items() if k not in ("times_s", "accuracy_name", "accuracy")},
             }
-        row["speedup"] = row["baseline"]["median_s"] / row["current"]["median_s"]
+        base, cur = row["baseline"], row["current"]
+        row["speedup"] = base["median_s"] / cur["median_s"]
+        row["within_noise"] = abs(base["median_s"] - cur["median_s"]) < base["quartiles_s"][1] - base["quartiles_s"][0]
         if "pair" in row["current"]:
             row["tree_mismatches"] = _mismatches(*(tuple(row[name]["pair"]) for name in trees))
         kernels.append(row)
@@ -823,6 +860,7 @@ def main(argv=None) -> int:
         if not (src / "ymvac" / "__init__.py").is_file():
             ap.error(f"{src} has no ymvac package")
     result = measure(trees)
+    result["src_code_lines"] = {name: src_code_lines(src) for name, src in trees.items()}
     result["cold_subcommand_wall"] = cold_subcommands(trees)
     result["output_identity"] = compare_outputs(trees)
     result["property_campaign"] = property_campaign()
@@ -840,8 +878,10 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for row in result["kernels"]:
+        q1, q3 = (q * 1e3 for q in row["baseline"]["quartiles_s"])
+        noise = f", within noise: baseline IQR {q3 - q1:.2f} ms" if row["within_noise"] else ""
         print(f"{row['kernel']:>24} {row['size']:>9}: {row['baseline']['median_s'] * 1e3:8.2f} -> "
-              f"{row['current']['median_s'] * 1e3:8.2f} ms ({row['speedup']:.2f}x); {row['accuracy_name']} "
+              f"{row['current']['median_s'] * 1e3:8.2f} ms ({row['speedup']:.2f}x{noise}); {row['accuracy_name']} "
               f"{row['baseline']['accuracy']:.3e} -> {row['current']['accuracy']:.3e}")
         if "mpmath_gap_L1000" in row["current"]:
             print(f"{'':>36}mpmath_gap_L1000 {row['baseline']['mpmath_gap_L1000']:.3e} -> "
@@ -862,6 +902,11 @@ def main(argv=None) -> int:
         if "traced_peak_bytes" in row["current"]:
             print(f"{'':>36}traced peak {row['baseline']['traced_peak_bytes'] / 1e6:.3f} -> "
                   f"{row['current']['traced_peak_bytes'] / 1e6:.3f} MB")
+    lines = result["src_code_lines"]
+    for module in sorted(lines["baseline"]["modules"].keys() | lines["current"]["modules"].keys()):
+        base, cur = (lines[name]["modules"].get(module, 0) for name in ("baseline", "current"))
+        print(f"code lines {module:>16}: {base} -> {cur}")
+    print(f"code lines {'src/ymvac':>16}: {lines['baseline']['total']} -> {lines['current']['total']}")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
     for name, rec in result["tier1_wall"].items():

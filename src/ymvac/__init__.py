@@ -18,7 +18,10 @@ cli            command-line frontend (json/csv reports)
 
 Shared numerical core: bps_profiles.ColorField is the one field-sampler type
 (gauge and scalar), StencilConfig owns every finite-difference weight and
-every three-axis gradient (over a batch of points in one pass),
+every three-axis gradient (over a batch of points in one pass), the
+first-order pair B and D(phi) is assembled in one place at any list of
+stencil levels (bps_profiles._tensions and _covariant_gradients, behind
+magnetic_tension, covariant_derivative and bogomolnyi_residual),
 topology.GribovFactorMap is the one group-factor map (the interference
 module's dressed factors included), the unit quaternion (q0, q) of
 v = q0 - i q.tau is the one SU(2) representation (complex matrices remain

@@ -31,7 +31,10 @@ products and curl of algebra,
 
     B_i = (curl A)_i - g A_{i+1} x A_{i+2},    D_i phi = d_i phi - g A_i x phi,
 
-and the covariant Laplacian's colour term is sum_i A_i x D_i phi.  Every
+and the covariant Laplacian's colour term is sum_i A_i x D_i phi.  B and
+D phi are each written once, at a list of stencil levels from one gauge
+sample (_tensions, _covariant_gradients): magnetic_tension and
+covariant_derivative take one level, bogomolnyi_residual's pair two.  Every
 gauge field of build_fields is a hedgehog A_i^a = eps_{iak} w_k of a
 3-vector w (x f1/(g r^2), x (+-1)/(g r^2), or 0 for PT), and its curl is
 differenced from w's three components alone (ColorField.curl), with the
@@ -54,17 +57,22 @@ sampler is row-wise: each row of its value depends on that row of its input
 alone, so the stencil engine may stack shifted copies of a batch into one
 call.  Every sampler is also pure (it keeps no state), so two walks may run
 it on two threads at once: bogomolnyi_residual hands the whole scalar side
-to a second thread beside the gauge side when each walk takes more than one
-sampler call, under the caller's np.errstate and raising the worker's
-exception in the caller (_first_order_pairs).
+to a concurrent.futures future on a one-thread pool beside the gauge side
+when each walk takes more than one sampler call, under the caller's
+np.errstate and raising the worker's exception in the caller
+(_first_order_pairs).
+
+The radial kernels behind the profiles guard their series and tails in one
+way (_guarded): the closed formula on the whole batch when no element needs
+a guard, else each branch on its own elements only.
 """
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import sys
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -347,9 +355,14 @@ class ColorField:
         included (with finite weights a stencil sum is never -0.0, and the
         gradient of a zero entry is +0.0).  Without a vector, the curl of the
         gradient of all nine components."""
+        return self._curls(pts, [(stencil, 1)])[0]
+
+    def _curls(self, pts: np.ndarray, levels) -> list:
+        """curl at each first-derivative level [(stencil, 1)] of one walk,
+        each with the bits of curl(stencil, pts) alone."""
         if self.vector_batch is None:
-            return curl(stencil._gradient(self.sample_batch, pts, [(stencil, 1)])[0])
-        return _vector_curl(stencil._gradient(self.vector_batch, pts, [(stencil, 1)])[0])
+            return [curl(dA) for dA in StencilConfig._gradient(self.sample_batch, pts, levels)]
+        return [_vector_curl(dw) for dw in StencilConfig._gradient(self.vector_batch, pts, levels)]
 
 
 def _vector_curl(dw):
@@ -379,24 +392,46 @@ def _batch(x):
 # radial profiles
 # ---------------------------------------------------------------------------
 
-def _coth_minus_inv(x):
-    """coth(x) - 1/x, series-protected near 0 (cancellation) and overflow-safe.
-    With no element near 0 the direct formula runs on all of x (0-d: a numpy
-    scalar); else each branch only on its own elements, and only if any."""
-    formula = lambda xs: 1.0 / np.tanh(xs) - 1.0 / xs
-    x = np.asarray(x)
-    small = np.abs(x) < 0.05
-    direct = ~small
-    if direct.all():
+def _guarded(x, formula, guards):
+    """formula(x) on all of x when no mask of guards [(mask, branch)] holds
+    anywhere (0-d: a numpy scalar); else each branch, then the formula on
+    the unguarded rest, only on its own elements and only if it has any."""
+    guarded = functools.reduce(np.logical_or, [mask for mask, _ in guards])
+    if not guarded.any():
         return formula(x)
     out = np.empty_like(x)
-    if small.any():
-        xm = x[small]  # the series sees only small x: x * x overflows at large x
-        x2 = xm * xm
-        out[small] = xm * (1.0 / 3.0 - x2 * (1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 / 4725.0)))
-    if direct.any():
-        out[direct] = formula(x[direct])
+    for mask, branch in guards + [(~guarded, formula)]:
+        if mask.any():
+            out[mask] = branch(x[mask])
     return out
+
+
+def _radii(r, eps: float, dtype=None):
+    """r as a float array (its float dtype kept, or dtype), once eps > 0 and
+    every radius >= 0 are checked."""
+    if not (eps > 0):
+        raise DomainError(f"eps must be positive, got {eps}")
+    r = np.asarray(r, dtype=dtype)
+    if r.dtype.kind != "f":
+        r = r.astype(float)
+    if np.any(r < 0):
+        raise DomainError("radius must be non-negative")
+    return r
+
+
+def _series(x2, c1, c2, d3):
+    """1/3 - x2 (c1 - x2 (c2 - x2/d3)) in x2 = x^2: the Taylor series near 0
+    of (coth x - 1/x)/x and of 1/x^2 - 1/sinh(x)^2.  Their guards hand it
+    only small x, where x * x cannot overflow."""
+    return 1.0 / 3.0 - x2 * (c1 - x2 * (c2 - x2 / d3))
+
+
+def _coth_minus_inv(x):
+    """coth(x) - 1/x, series-protected near 0 (|x| < 0.05: cancellation) and
+    overflow-safe, through _guarded."""
+    x = np.asarray(x)
+    return _guarded(x, lambda xs: 1.0 / np.tanh(xs) - 1.0 / xs,
+                    [(np.abs(x) < 0.05, lambda xm: xm * _series(xm * xm, 1.0 / 45.0, 2.0 / 945.0, 4725.0))])
 
 
 def f0_bps(r, eps: float):
@@ -405,49 +440,33 @@ def f0_bps(r, eps: float):
     Vanishes like r/(3 eps^2) at the origin and approaches 1/eps - 1/r for
     r >> eps.  Units GeV.
     """
-    if not (eps > 0):
-        raise DomainError(f"eps must be positive, got {eps}")
-    r = np.asarray(r)
-    if r.dtype.kind != "f":
-        r = r.astype(float)
-    if np.any(r < 0):
-        raise DomainError("radius must be non-negative")
-    out = _coth_minus_inv(r / eps) / eps
+    out = _coth_minus_inv(_radii(r, eps) / eps) / eps
     return out if out.ndim else float(out)
 
 
 def _x_over_sinh(x):
-    """x/sinh(x) without overflow; 1 at x = 0 and 0 at x = inf.  With no
-    element in a guard (|x| < 1e-8 or x > 30) the direct formula runs on all
-    of x (0-d: a numpy scalar); else each branch only on its own elements,
-    and only if any."""
-    formula = lambda xs: xs / np.sinh(xs)
+    """x/sinh(x) without overflow; 1 at x = 0 and 0 at x = inf.  Through
+    _guarded, with the guards |x| < 1e-8 (1 - x^2/6) and x > 30
+    (_sinh_tail)."""
     x = np.asarray(x)
-    small = np.abs(x) < 1e-8
-    big = x > 30.0
-    direct = ~(small | big)
-    if direct.all():
-        return formula(x)
-    out = np.empty_like(x)
-    if small.any():
-        xm = x[small]
-        out[small] = 1.0 - xm * xm / 6.0
-    if big.any():
-        # 2x e^-x/(1 - e^-2x), which never overflows and underflows to 0 as
-        # it should.  Past c, where e^-x alone is subnormal, e^-x =
-        # e^-c e^(c - x) keeps the digits that the factor 2x brings back; inf
-        # is taken as the largest float, whose tail is 0 (inf * 0 would be NaN)
-        finfo = np.finfo(x.dtype)
-        c = -np.log(finfo.tiny)
-        xb = np.minimum(x[big], finfo.max)
-        xc = np.minimum(xb, c)
-        tail = xb * (2.0 * np.exp(-xc))
-        deep = xb > c
-        tail[deep] *= np.exp(c - xb[deep])
-        out[big] = tail / (1.0 - np.exp(-2.0 * xc))
-    if direct.any():
-        out[direct] = formula(x[direct])
-    return out
+    return _guarded(x, lambda xs: xs / np.sinh(xs),
+                    [(np.abs(x) < 1e-8, lambda xm: 1.0 - xm * xm / 6.0), (x > 30.0, _sinh_tail)])
+
+
+def _sinh_tail(x):
+    """x/sinh(x) for x > 30 as 2x e^-x/(1 - e^-2x), which never overflows
+    and underflows to 0 as it should.  Past c, where e^-x alone is
+    subnormal, e^-x = e^-c e^(c - x) keeps the digits that the factor 2x
+    brings back; inf is taken as the largest float, whose tail is 0 (inf * 0
+    would be NaN)."""
+    finfo = np.finfo(x.dtype)
+    c = -np.log(finfo.tiny)
+    xb = np.minimum(x, finfo.max)
+    xc = np.minimum(xb, c)
+    tail = xb * (2.0 * np.exp(-xc))
+    deep = xb > c
+    tail[deep] *= np.exp(c - xb[deep])
+    return tail / (1.0 - np.exp(-2.0 * xc))
 
 
 def f1_bps(r, eps: float):
@@ -456,14 +475,7 @@ def f1_bps(r, eps: float):
     Vanishes like r^2/(6 eps^2) at the origin and tends to 1 (the singular
     hedgehog value) as r/eps -> infinity.  Dimensionless.
     """
-    if not (eps > 0):
-        raise DomainError(f"eps must be positive, got {eps}")
-    r = np.asarray(r)
-    if r.dtype.kind != "f":
-        r = r.astype(float)
-    if np.any(r < 0):
-        raise DomainError("radius must be non-negative")
-    out = 1.0 - _x_over_sinh(r / eps)
+    out = 1.0 - _x_over_sinh(_radii(r, eps) / eps)
     return out if out.ndim else float(out)
 
 
@@ -473,39 +485,21 @@ def f01_bps(r, eps: float):
 
 
 def d_f01_bps(r, eps: float):
-    """Exact radial derivative of f01_bps (series-protected near the origin).
-    With no element in a guard (x = r/eps below 0.05 or above 350) the direct
-    formula runs on all of x; else each branch only on its own elements, and
-    only if any.  One radius is a batch of one: ** 2 of a numpy scalar is
+    """Exact radial derivative of f01_bps (series-protected near the origin),
+    in float64, through _guarded with the guards x = r/eps below 0.05 and
+    above 350.  One radius is a batch of one: ** 2 of a numpy scalar is
     libm's pow, which can differ in the last bit from the array square."""
-    formula = lambda xs: (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps
-    if not (eps > 0):
-        raise DomainError(f"eps must be positive, got {eps}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("radius must be non-negative")
+    r = _radii(r, eps, float)
     x = np.atleast_1d(r / eps)
-    small = np.abs(x) < 0.05
     # past 350, 1/sinh(x)^2 = 4e^-2x/(1 - e^-2x)^2 < 4e^-700 is below half
     # an ulp of 1/x^2 and drops out; past 1e154 x**2 overflows, and
     # 1/x^2 = (1/x)^2
     far = x > 1e154
-    tail = (x > 350.0) & ~far
-    direct = ~(small | tail | far)
-    if direct.all():
-        out = formula(x)
-    else:
-        out = np.empty_like(x)
-        if small.any():
-            xm = x[small]  # the series sees only small x, as in _coth_minus_inv
-            x2 = xm * xm
-            out[small] = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
-        if direct.any():
-            out[direct] = formula(x[direct])
-        if tail.any():
-            out[tail] = 1.0 / x[tail] ** 2 / eps
-        if far.any():
-            out[far] = (1.0 / x[far]) ** 2 / eps
+    out = _guarded(x, lambda xs: (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps, [
+        (np.abs(x) < 0.05, lambda xm: _series(xm * xm, 1.0 / 15.0, 2.0 / 189.0, 675.0) / eps),
+        ((x > 350.0) & ~far, lambda xt: 1.0 / xt**2 / eps),
+        (far, lambda xf: (1.0 / xf) ** 2 / eps),
+    ])
     return out if r.ndim else float(out[0])
 
 
@@ -608,39 +602,42 @@ def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> 
 
     Curl part by the configured stencil through ColorField.curl (for the
     hedgehog fields, from the three components of their vector); quadratic
-    self-coupling evaluated exactly at the point, as
-    (g/2) eps_{ijk} eps_{abc} A_j^b A_k^c = g (A_{i+1} x A_{i+2})^a (spatial
-    indices mod 3).
+    self-coupling evaluated exactly at the point (_tensions).
     """
     pts, single = _batch(x)
     _require_stencil_safe(field, pts, stencil)
-    At = field.sample(pts).T  # [a][i][n]
-    B = field.curl(stencil, pts) - _self_coupling(At, g)
+    B, = _tensions(field, field.sample(pts).T, pts, [(stencil, 1)], g)
     return B[0] if single else B
 
 
-def _self_coupling(At, g):
-    """g (A_{i+1} x A_{i+2})^a, [n][i][a], of the gauge sample At [a][i][n]:
-    the quadratic term of the magnetic tension."""
-    return g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
+def _tensions(gauge: ColorField, At, pts, levels, g) -> list:
+    """B = curl A - g A_{i+1} x A_{i+2}, [n][i][a], at each level of one
+    walk, from the gauge sample At [a][i][n]: first the quadratic term
+    (g/2) eps_{ijk} eps_{abc} A_j^b A_k^c = g (A_{i+1} x A_{i+2})^a (spatial
+    indices mod 3), then the curls (ColorField._curls)."""
+    quad = g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
+    return [c - quad for c in gauge._curls(pts, levels)]
 
 
-def _colour_rotation(At, phi, g):
-    """g eps_{abc} A_i^b phi^c = g (A_i x phi)^a, [n][i][a], of the samples
-    At [a][i][n] and phi [n][a]: the colour term of the covariant gradient."""
-    return g * cross(At, phi.T[:, None]).T
+def _covariant_gradients(At, scalar: ColorField, pts, levels, g) -> list:
+    """D(phi) = d phi - g A_i x phi, [n][i][a], at each level of one walk
+    over the scalar, from the gauge sample At [a][i][n]: first the scalar's
+    unshifted sample and the colour term g eps_{abc} A_i^b phi^c, then the
+    walk."""
+    rot = g * cross(At, scalar.sample(pts).T[:, None]).T
+    return [dphi - rot for dphi in StencilConfig._gradient(scalar.sample_batch, pts, levels)]
 
 
 def covariant_derivative(
     gauge: ColorField, scalar: ColorField, x, stencil: StencilConfig, g: float
 ) -> np.ndarray:
     """Adjoint covariant gradient (D_i phi)^a = d_i phi^a - g eps_{abc} A_i^b phi^c
-    at a point (3,) or a batch (N, 3), giving (3, 3) or (N, 3, 3)."""
+    at a point (3,) or a batch (N, 3), giving (3, 3) or (N, 3, 3)
+    (_covariant_gradients)."""
     pts, single = _batch(x)
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
-    dphi, = stencil._gradient(scalar.sample_batch, pts, [(stencil, 1)])  # [n][i][a]
-    D = dphi - _colour_rotation(gauge.sample(pts).T, scalar.sample(pts), g)
+    D, = _covariant_gradients(gauge.sample(pts).T, scalar, pts, [(stencil, 1)], g)
     return D[0] if single else D
 
 
@@ -689,14 +686,16 @@ def bogomolnyi_residual(
     so the scale-invariant alignment residual sqrt(1 - <B_hat, D_hat>^2) is
     returned instead.
 
-    B and D at both steps come from one shared stencil walk over the gauge
-    vector, one over the scalar and one unshifted sample of each
-    (_first_order_pairs); each residual has the bits of magnetic_tension and
-    covariant_derivative at its step alone.  Past 256 points (order 4; 384
-    at order 2), where each walk takes more than one sampler call, a second
-    thread takes the scalar side (sample, colour term, walk, D) and this one
-    the gauge side (sample, self-coupling, walk, curls); the caller's
-    np.errstate holds on that thread, no thread outlives the call, and an
+    B and D at both steps come from the helpers that magnetic_tension and
+    covariant_derivative use, _tensions and _covariant_gradients, at both
+    levels: one shared stencil walk over the gauge vector, one over the
+    scalar and one unshifted sample of each (_first_order_pairs); each
+    residual has the bits of magnetic_tension and covariant_derivative at
+    its step alone.  Past 256 points (order 4; 384 at order 2), where each
+    walk takes more than one sampler call, the scalar side (sample, colour
+    term, walk, D) runs as a future on a one-thread pool and this thread
+    takes the gauge side (self-coupling, walk, curls); the caller's
+    np.errstate holds on the worker, no thread outlives the call, and an
     exception or error-filtered RuntimeWarning of the worker is raised here,
     after any of the calling thread's own.
     """
@@ -728,49 +727,31 @@ def bogomolnyi_residual(
 
 
 def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, stencil: StencilConfig, g: float):
-    """[(B, D) at h, (B, D) at h/2] at a batch pts (N, 3) for a hedgehog
-    gauge field (one with a vector): magnetic_tension and
-    covariant_derivative at both steps, bit for bit, from one shared walk
-    over the gauge vector, one over the scalar and one unshifted sample of
-    each.
+    """[(B, D) at h, (B, D) at h/2] at a batch pts (N, 3): magnetic_tension
+    and covariant_derivative at both steps, bit for bit, from the shared
+    _tensions and _covariant_gradients at both levels, that is one walk
+    over the gauge (its vector, if it has one), one over the scalar and one
+    unshifted sample of each.
 
     When each walk takes more than one sampler call (more than _BLOCK rows),
-    the scalar side (its unshifted sample, the colour term, its walk and
-    dphi - rot) runs on a second thread, after the gauge's unshifted sample,
-    while this one takes the self-coupling, the gauge walk and the curls; the
-    samplers are pure and row-wise.  The worker runs in a copy of the
-    caller's context (its np.errstate) and is joined before this returns or
-    raises; its exception is raised after the join unless this thread raised
-    first, as in one thread.  Printed warnings may come in either order."""
+    the scalar side runs as a concurrent.futures future on a one-thread
+    pool, in a copy of the caller's context (its np.errstate), while this
+    thread takes the gauge side; the samplers are pure and row-wise.  The
+    pool's with block joins the worker before this returns or raises, and
+    the future's exception is raised here unless this thread raised first,
+    as in one thread.  Printed warnings may come in either order."""
     _require_stencil_safe(gauge, pts, stencil)
     _require_stencil_safe(scalar, pts, stencil)
     levels = [(stencil, 1), (stencil.halved(), 1)]
     At = gauge.sample(pts).T  # [a][i][n]
-    scalar_side = []  # D(phi) at both steps, or the exception the scalar side raised
+    if 3 * len(StencilConfig._shifts(pts, levels)) * len(pts) <= _BLOCK:  # rows of one walk
+        return list(zip(_tensions(gauge, At, pts, levels, g), _covariant_gradients(At, scalar, pts, levels, g)))
+    from concurrent.futures import ThreadPoolExecutor  # here only: import ymvac.cli does not load it
 
-    def walk_scalar():
-        try:
-            rot = _colour_rotation(At, scalar.sample(pts), g)
-            scalar_side.append([dphi - rot for dphi in stencil._gradient(scalar.sample_batch, pts, levels)])
-        except BaseException as exc:
-            scalar_side.append(exc)
-
-    worker = None
-    if 3 * len(StencilConfig._shifts(pts, levels)) * len(pts) > _BLOCK:  # rows of one walk
-        worker = threading.Thread(target=contextvars.copy_context().run, args=(walk_scalar,))
-        worker.start()
-    try:
-        quad = _self_coupling(At, g)
-        Bs = [_vector_curl(dw) - quad for dw in stencil._gradient(gauge.vector_batch, pts, levels)]
-    finally:
-        if worker is not None:
-            worker.join()
-    if worker is None:
-        walk_scalar()
-    Ds, = scalar_side
-    if isinstance(Ds, BaseException):
-        raise Ds
-    return list(zip(Bs, Ds))
+    with ThreadPoolExecutor(1) as pool:
+        Ds = pool.submit(contextvars.copy_context().run, _covariant_gradients, At, scalar, pts, levels, g)
+        Bs = _tensions(gauge, At, pts, levels, g)
+    return list(zip(Bs, Ds.result()))
 
 
 def gribov_residual(

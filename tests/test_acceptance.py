@@ -197,7 +197,7 @@ def test_criterion_10_phenomenology_numbers():
     inertia = pheno.rotary_momentum(sc)
     rel_i = abs(pheno.rotary_momentum_quadrature(sc) - inertia) / inertia
     norm = abs(pheno.normalization_check(sc) - 1.0)
-    me = pheno.magnetic_energy(sc)
+    me = pheno.magnetic_energy_shell(sc)  # over the shell eps <= r <= 1e3 eps that the quadrature integrates
     rel_me = abs(pheno.magnetic_energy_quadrature(sc) - me) / me
     ok = (
         0.18 <= alpha0 <= 0.21
@@ -205,12 +205,12 @@ def test_criterion_10_phenomenology_numbers():
         and 0.05 <= numer <= 0.07
         and rel_i < 0.01
         and norm < 0.01
-        and rel_me < 0.002
+        and rel_me < 1e-8
     )
     _report(10, "phenomenology chain", ok,
             f"alpha0 {alpha0:.4f} in [0.18, 0.21], schwinger defect {sch:.1e} (tol 1e-14), "
             f"numerator {numer:.4f} GeV^4 in [0.05, 0.07], inertia rel {rel_i:.1e} (tol 1e-2), "
-            f"normalization defect {norm:.1e} (tol 1e-2), energy rel {rel_me:.1e} (tol 2e-3)")
+            f"normalization defect {norm:.1e} (tol 1e-2), energy rel {rel_me:.1e} (tol 1e-8)")
 
 
 def test_criterion_11_dressed_factor_asymptotics():

@@ -41,6 +41,7 @@ from ymvac.bps_profiles import (
     zero_mode_scalar,
 )
 from ymvac.errors import DomainError, SingularPointError, StencilError
+from ymvac.topology import GribovFactorMap, gauge_transform
 
 SCALE = MonopoleScale(g=1.0, eps=1.0)
 RNG = np.random.default_rng(42)
@@ -822,6 +823,49 @@ class TestSharedHalfStep:
             assert res == ref_res
         else:
             assert [v.hex() for v in res] == [v.hex() for v in ref_res]
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        batch=_two_level_batch(),
+        variant=st.sampled_from(["BPS", "WuYangPlus", "WuYangMinus", "PT"]),
+        order=st.sampled_from([2, 4]),
+        dtype=st.sampled_from([np.float64, np.longdouble]),
+        per_point=st.booleans(),
+        g=st.floats(0.3, 3.0),
+    )
+    @example(  # h/2 inexact at subnormal steps: no shift is shared
+        batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([math.ldexp(2 * 759375 * 10**9 + 1, -1074)] * 2)),
+        variant="BPS", order=4, dtype=np.longdouble, per_point=True, g=1.0,
+    )
+    def test_level_aware_curl_matches_one_level_calls(self, batch, variant, order, dtype, per_point, g):
+        # the curls of the pair's two levels from one walk: a hedgehog with
+        # its vector, the same field without it (all nine components), and
+        # the gauge transform of the BPS field (nine components, no vector)
+        tiny, coords, steps = batch
+        scale = MonopoleScale(g, _TINY_EPS if tiny else 1.0)
+        pts = (coords * scale.eps).astype(dtype)
+        stencil = StencilConfig(steps if per_point else float(steps[0]), order)
+        half = stencil.halved()
+        gauge, _ = build_fields(scale, variant)
+        bps_gauge, _ = build_fields(scale, "BPS")
+        fields = (gauge, ColorField(gauge.sample_batch), gauge_transform(bps_gauge, GribovFactorMap(1, scale.eps), g))
+        assert gauge.vector_batch is not None and fields[1].vector_batch is fields[2].vector_batch is None
+
+        def outcome(fn):  # the curls, or the transform's refusal of a sample whose float64 radius is 0
+            try:
+                return fn()
+            except DomainError as exc:
+                return f"DomainError: {exc}"
+
+        # float64 squares of a tiny core underflow: both routes alike
+        with np.errstate(all="ignore"):
+            for f in fields:
+                got = outcome(lambda: f._curls(pts, [(stencil, 1), (half, 1)]))
+                ref = outcome(lambda: [f.curl(stencil, pts), f.curl(half, pts)])
+                if isinstance(ref, str):
+                    assert got == ref and f is fields[2]
+                else:
+                    assert len(got) == 2 and all(_same_bits(a, b) for a, b in zip(got, ref))
 
 
 # ---------------------------------------------------------------------------

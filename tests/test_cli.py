@@ -652,9 +652,12 @@ class TestProfilesTable:
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
-        # scipy.integrate serves only greens.shoot_radial and is imported there
+        # scipy.integrate serves only greens.shoot_radial and is imported
+        # there; concurrent.futures serves only the BPS pair's worker, past
+        # its gate, and is imported there
         env = dict(os.environ, PYTHONPATH=str(Path(ymvac.__file__).resolve().parents[1]))
-        code = "import sys, ymvac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = ("import sys, ymvac.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
