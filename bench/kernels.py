@@ -15,10 +15,13 @@ figure, and writes one JSON file:
   `GribovFactorMap(1)`, with `tail_fraction=None`, at the same two specs;
   accuracy: the shift defect |X[v(A + d)v^-1] - X[A] - N(R) - surface term|,
   N(R) = (a - sin a cos a)/pi with a = pi f01(R) the degree truncated at
-  R = r_max like the integral;
+  R = r_max like the integral, and beside it the covariance gaps
+  max |B[A'] - R(q) B[A]| and max |D phi' - R(q) D phi| of the BPS pair at
+  `covariance_setup` of tests/test_topology.py (h = 5e-3;
+  `covariance_gap_B`, `covariance_gap_D`), which no spec changes;
 - `surface_flux_term` of the BPS monopole and `GribovFactorMap(1)` on the
   sphere r = R with 48x48 and 72x72 nodes; accuracy: the gap to its closed
-  form -f1(R) sin(a) cos(a)/pi (the flux density of two hedgehogs is
+  form f1(R) sin(a) cos(a)/pi (the flux density of two hedgehogs is
   constant on the sphere);
 - `momentum_green_average` at the interference report's default momentum,
   L = 10000 and 100000; accuracy: the decay exponent gap |gamma - 1|, with
@@ -49,8 +52,9 @@ figure, and writes one JSON file:
   call; accuracy: the residual at h, and beside it the residual at h/2, their
   ratio, the number of the two in which the trees differ (`tree_mismatches`,
   0), the hedgehog sampler's calls and rows in one call (`hedgehog_calls`,
-  `hedgehog_rows`) and the CPU time of the calling thread and of the thread
-  it starts (`caller_busy_median_s`, `worker_busy_median_s`);
+  `hedgehog_rows`, equal in every round) and the median CPU time of the
+  calling thread and of the thread it starts over every round's calls
+  (`caller_busy_median_s`, `worker_busy_median_s`);
 - the radial kernels `_x_over_sinh`, `_coth_minus_inv` and `d_f01_bps` (as
   `radial_<name>`) and the hedgehog sampler (`hedgehog_vector`) on RADIAL_ROWS
   rows of check-bogomolnyi's kind, as they come and with one element set to 0
@@ -135,15 +139,20 @@ import argparse
 import ast
 import io
 import json
+import math
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import tokenize
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time, thread_time
 from xml.etree import ElementTree
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3  # alternating worker processes per tree
@@ -152,6 +161,8 @@ REPEATS = 5  # timed calls per kernel in each worker, after one warm-up call
 IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
 CAMPAIGN_SEEDS = range(1, 51)  # --hypothesis-seed values of the property campaign
+POOLED = ("times_s", "caller_busy_s", "worker_busy_s")  # per-call seconds of a case, pooled over the rounds
+COUNTS = ("hedgehog_calls", "hedgehog_rows")  # work counts of a case, equal in every round
 SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degree sweep
 GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
@@ -281,8 +292,6 @@ def _jtheta_winding(prm) -> complex:
 
 def _traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees during one call of fn."""
-    import tracemalloc
-
     tracemalloc.start()
     try:
         fn()
@@ -293,9 +302,6 @@ def _traced_peak(fn) -> int:
 
 def _quiet_main(main, argv) -> int:
     """Exit code of one in-process CLI run, its report written to memory."""
-    import io
-    from contextlib import redirect_stdout
-
     with redirect_stdout(io.StringIO()):
         return main(argv)
 
@@ -304,8 +310,6 @@ def _busy_times(route) -> tuple[float, float]:
     """CPU seconds of the calling thread over one run of route()
     (time.thread_time), and of the rest of the process (time.process_time
     less that): the thread that route() starts."""
-    from time import process_time, thread_time
-
     p, t = process_time(), thread_time()
     route()
     caller_s = thread_time() - t
@@ -333,8 +337,6 @@ def _hedgehog_work(bp, route) -> tuple[int, int]:
 def _bps_gauge_gradient(pts):
     """d_j A_i^a, [n][j][i][a], of the BPS gauge field at g = eps = 1 from its
     closed form A_i^a = eps_{iak} x_k c(r), c = f1(r)/r^2."""
-    import numpy as np
-
     from ymvac.algebra import EPS3
 
     r = np.linalg.norm(pts, axis=1)
@@ -349,8 +351,6 @@ def _bps_gauge_gradient(pts):
 def _bps_tension(pts):
     """B_i^a, [n][i][a], of the BPS pair at g = eps = 1 in closed form:
     f1'/r (delta - n n) + (2 f1 - f1^2)/r^2 n n."""
-    import numpy as np
-
     r = np.linalg.norm(pts, axis=1)
     f1 = 1.0 - r / np.sinh(r)
     df1 = (r * np.cosh(r) - np.sinh(r)) / np.sinh(r) ** 2
@@ -361,8 +361,6 @@ def _bps_tension(pts):
 def _profile_gaps(r, values) -> dict:
     """Largest absolute gap of each sampler's values to 30-digit mpmath at
     eps = 1, over every (len(r) // 1000)-th radius."""
-    import math
-
     import mpmath
 
     refs = {
@@ -385,16 +383,12 @@ def _profile_gaps(r, values) -> dict:
 
 def _relative_gap(value, exact) -> float:
     """Largest absolute gap of value to exact over the largest entry of exact."""
-    import numpy as np
-
     return float(np.max(np.abs(value - exact)) / np.max(np.abs(exact)))
 
 
 def _mismatches(a, b) -> int:
     """Entries of two equally shaped arrays (or tuples or lists of them)
     that differ in value or in the sign of zero."""
-    import numpy as np
-
     if isinstance(a, (tuple, list)):
         return sum(_mismatches(x, y) for x, y in zip(a, b))
     a, b = np.asarray(a), np.asarray(b)
@@ -404,8 +398,6 @@ def _mismatches(a, b) -> int:
 def _gribov_radii(bp, unit, radii_over_eps):
     """check-gribov's residuals at radii r (eps = 1) with h = min(r, 8)/100 and
     at h/2, (2M, 3), from one gribov_residual call over all 2M centres."""
-    import numpy as np
-
     r = np.array(radii_over_eps, dtype=float)
     h = np.minimum(r, 8.0) / 100.0
     centres = np.outer(np.concatenate([r, r]), (0.0, 0.0, 1.0))
@@ -415,10 +407,6 @@ def _gribov_radii(bp, unit, radii_over_eps):
 def _greens_operator(greens, radii):
     """The greens report's operator on its tensor at points (0, 0, r) with
     h = z/500, from one call over all points."""
-    import math
-
-    import numpy as np
-
     s0 = greens.golden_solution(0, -1.0 / (4.0 * math.pi), 0.0)
     G = greens.GreenTensor(s0, greens.golden_solution(1, 1.0 / (4.0 * math.pi), 1.0))
     y = np.array([0.0, 0.0, 1e-6])
@@ -429,10 +417,6 @@ def _greens_operator(greens, radii):
 
 def worker() -> dict:
     """Time every kernel case in this process; `ymvac` comes from PYTHONPATH."""
-    import math
-
-    import numpy as np
-
     from ymvac import algebra, bps_profiles as bp, cli, greens, interference as itf, pheno, rotator as rot
     from ymvac import topology as topo
     from ymvac.cli import _parse_config
@@ -441,6 +425,7 @@ def worker() -> dict:
     from test_bps_profiles import _where_hedgehog_gauge
     from test_interference import per_shift_loop_average, resolvent_window_sums
     from test_pheno import per_node_shell_sum
+    from test_topology import covariance_gaps, covariance_setup
 
     default = topo.QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
     specs = {"48x24x24": default, "72x36x36": default.refined()}
@@ -460,8 +445,10 @@ def worker() -> dict:
         return topo.surface_flux_term(gauge, fmap, 1.0, default.r_max, n_theta=n_nodes, n_phi=n_nodes)
 
     a = math.pi * bp.f01_bps(default.r_max, 1.0)
-    surface_exact = -bp.f1_bps(default.r_max, 1.0) * math.sin(a) * math.cos(a) / math.pi
+    surface_exact = bp.f1_bps(default.r_max, 1.0) * math.sin(a) * math.cos(a) / math.pi
     degree_at_r_max = (a - math.sin(a) * math.cos(a)) / math.pi  # the degree truncated like the integral
+    gaps = covariance_gaps(*covariance_setup())  # no quadrature spec enters: one figure beside both shift defects
+    covariance = {f"covariance_gap_{k}": float(gaps[k][0].max()) for k in ("B", "D")}
 
     cases = {}
     extra = {}  # second accuracy figures, by case
@@ -477,6 +464,7 @@ def worker() -> dict:
         times, xs = _timed(lambda: topo.winding_functional(shifted, quad, 1.0, tail_fraction=None))
         defect = abs(xs - x - degree_at_r_max - surface(48))
         cases[f"gauge_shifted_winding/{size}"] = (times, "shift_defect", defect)
+        extra[f"gauge_shifted_winding/{size}"] = covariance
     for n_nodes in (48, 72):
         times, value = _timed(lambda: surface(n_nodes))
         cases[f"surface_flux_term/{n_nodes}x{n_nodes}"] = (times, "closed_form_gap", abs(value - surface_exact))
@@ -551,7 +539,7 @@ def worker() -> dict:
         extra[f"bogomolnyi_pair/N={n}"] = {
             "residual_half_h": value[1], "refinement_ratio": value[0] / value[1], "pair": list(value),
             "hedgehog_calls": calls, "hedgehog_rows": rows,
-            "caller_busy_median_s": statistics.median(caller_s), "worker_busy_median_s": statistics.median(worker_s),
+            "caller_busy_s": list(caller_s), "worker_busy_s": list(worker_s),
         }
     # the radial kernels and the hedgehog sampler on one sampler call's rows,
     # as they come (no guarded element) and with one element set to 0
@@ -796,8 +784,12 @@ def measure(trees: dict) -> dict:
         for name, src in trees.items():
             out = json.loads(_run(src, [__file__, "--worker"]))
             for case, rec in out.items():
-                acc = samples[name].setdefault(case, {**rec, "times_s": []})
-                acc["times_s"] += rec["times_s"]
+                acc = samples[name].setdefault(case, {k: [] if k in POOLED else v for k, v in rec.items()})
+                for k, v in rec.items():
+                    if k in POOLED:
+                        acc[k] += v
+                    elif k in COUNTS and v != acc[k]:
+                        sys.exit(f"{name} {case}: {k} is {acc[k]} in one round and {v} in another")
     for _ in range(IMPORTS):
         for name, src in trees.items():
             seconds, loaded = _run(src, ["-c", IMPORT_CODE]).split()
@@ -821,7 +813,8 @@ def measure(trees: dict) -> dict:
                 "quartiles_s": [q1, q3],
                 "samples": len(rec["times_s"]),
                 "accuracy": rec["accuracy"],
-                **{k: v for k, v in rec.items() if k not in ("times_s", "accuracy_name", "accuracy")},
+                **{k: v for k, v in rec.items() if k not in (*POOLED, "accuracy_name", "accuracy")},
+                **{f"{k[:-2]}_median_s": statistics.median(rec[k]) for k in POOLED[1:] if k in rec},
             }
         base, cur = row["baseline"], row["current"]
         row["speedup"] = base["median_s"] / cur["median_s"]
@@ -864,8 +857,6 @@ def main(argv=None) -> int:
     result["cold_subcommand_wall"] = cold_subcommands(trees)
     result["output_identity"] = compare_outputs(trees)
     result["property_campaign"] = property_campaign()
-    import numpy as np
-
     result["settings"] = {
         "rounds": ROUNDS,
         "repeats": REPEATS,

@@ -16,6 +16,16 @@ interference   dressed factors, window-averaged propagators, lattice loop
 pheno          vacuum energetics and the constants chain
 cli            command-line frontend (json/csv reports)
 
+One sign of the coupling g: every layer's covariant derivative is
+D = d + [A_hat, .] with A_hat_i = -g tau^a A_i^a/(2i), that is
+
+    (D_i phi)^a = d_i phi^a - g eps_abc A_i^b phi^c,
+
+so bps_profiles' B and D(phi), topology's gauge transform
+A_i -> R(q) A_i + (2/g) c_i, its Chern-Simons functional and its surface
+flux share it, and B, D(phi) and the covariant Laplacian of a transformed
+pair are the rotated originals.
+
 Shared numerical core: bps_profiles.ColorField is the one field-sampler type
 (gauge and scalar), StencilConfig owns every finite-difference weight and
 every three-axis gradient (over a batch of points in one pass), the

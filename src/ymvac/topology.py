@@ -17,7 +17,8 @@ The degree of the map is computed as
 
     N[n] = -1/(24 pi^2) int d^3x eps^{ijk} tr[ L_i L_j L_k ],   L_i = v^-1 d_i v,
 
-and the Chern-Simons winding functional, with A_hat_i = g tau^a A_i^a/(2i), as
+and the Chern-Simons winding functional, with A_hat the su(2) matrix of the
+package's one sign of g (A_hat_i = -g tau^a A_i^a/(2i), see ymvac), as
 
     X[A] = -1/(8 pi^2) int d^3x eps^{ijk} tr[ A_hat_i d_j A_hat_k
                                               + (2/3) A_hat_i A_hat_j A_hat_k ].
@@ -25,6 +26,8 @@ and the Chern-Simons winding functional, with A_hat_i = g tau^a A_i^a/(2i), as
 Orientation fixed so that N[n] = n and X[pure gauge v^(n)] = n; the two are
 also cross-checked against the 1D radial reduction
 (1/pi)[alpha - sin(alpha) cos(alpha)] evaluated between r = 0 and infinity.
+Both integrate over the nodes of QuadratureSpec.ball_nodes, the same node
+set, so a pure gauge's X and the degree differ only by the curl's stencil.
 
 The group factors exist only as unit quaternions: v = q0 - i q.tau is the
 real 4-vector (q0, q), and the product of two is (a0 b0 - a.b, a0 b + b0 a +
@@ -37,10 +40,10 @@ d_i v v^-1 = -i c_i.tau:
 
 - degree density: -eps^{ijk} tr[L_i L_j L_k]/(24 pi^2) = det[c_1, c_2, c_3]/(2 pi^2);
 - Chern-Simons: eps^{ijk} tr[A_hat_i d_j A_hat_k] = -(g^2/2) eps^{ijk} A_i^a d_j A_k^a
-  and eps^{ijk} tr[A_hat_i A_hat_j A_hat_k] = -(3 g^3/2) det[A_1, A_2, A_3];
-- gauge transform: v (A_hat_i + d_i) v^-1 has components R(q) A_i - (2/g) c_i,
-  R(q) the adjoint rotation of v, and tr[A_hat_j v d_k v^-1] = g A_j . c_k,
-  so the surface flux eps^{ijk} tr[A_hat_j L_k] is g sum_a (A^a x c^a)_i.
+  and eps^{ijk} tr[A_hat_i A_hat_j A_hat_k] = +(3 g^3/2) det[A_1, A_2, A_3];
+- gauge transform: v (A_hat_i + d_i) v^-1 has components R(q) A_i + (2/g) c_i,
+  R(q) the adjoint rotation of v, and tr[A_hat_j v d_k v^-1] = -g A_j . c_k,
+  so the surface flux eps^{ijk} tr[A_hat_j L_k] is -g sum_a (A^a x c^a)_i.
 
 quaternion is _step (the n-dependent part) of _frame (the rest), so a
 map_degree sequence of n shares each frame, and n and -n share one step (the
@@ -61,7 +64,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import cross, norm
-from .bps_profiles import _BLOCK, ColorField, StencilConfig, d_f01_bps, f01_bps
+from .bps_profiles import _BLOCK, ColorField, StencilConfig, _batch, d_f01_bps, f01_bps
 from .errors import DomainError, ResolutionError, TruncationError
 
 __all__ = [
@@ -115,10 +118,13 @@ class QuadratureSpec:
         )
 
     def ball_nodes(self, eps_ref: float = 1.0):
-        """Nodes (N, 3) and weights (N,) including the r^2 volume factor.  The
-        radial and angular rules behind them are built once per spec and
-        eps_ref."""
+        """Nodes (N, 3) and weights (N,) including the r^2 volume factor, the
+        one node set of both ball integrals.  Shells of radius 0 are
+        dropped: the Gauss-Legendre radii are interior, so only a radius
+        eps_ref tan(pi u/2) that underflows is 0.  The radial and angular
+        rules behind them are built once per spec and eps_ref."""
         r, wr, dirs, wdir = _ball_rules(self, eps_ref)
+        r, wr = r[r > 0], wr[r > 0]
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         wts = (wr * r**2)[:, None] * wdir[None, :]
         return pts, wts.reshape(-1)
@@ -190,7 +196,8 @@ class GribovFactorMap:
     v = cos(A) 1 - i sin(A) tau.m_hat with A(r) = c pi n f01(r) and
     m_hat = R n_hat (c: amplitude prefactor, R: optional adjoint rotation);
     f01 is differentiated exactly.  eps_ref is checked where f01 is first
-    evaluated.
+    evaluated.  Points keep their float dtype (bps_profiles._batch), and a
+    point other than the origin whose norm underflows to 0 is refused.
     """
 
     def __init__(self, n: int, eps_ref: float = 1.0, prefactor: float = 1.0, rotation=None):
@@ -213,8 +220,10 @@ class GribovFactorMap:
     def _frame(self, pts, derivs: bool):
         """quaternion's part that maps differing only in n share: r, n_hat,
         m_hat, f01 and, with derivs (else None), f01' and d_i m_hat."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = _batch(pts)[0]
         r = norm(pts.T)
+        if np.any(pts[r == 0]):
+            raise DomainError(f"the norm of a point other than the origin underflows to 0 in {pts.dtype}")
         nh = pts / np.where(r > 0, r, 1.0)[:, None]
         mh = np.ascontiguousarray((nh if self.rotation is None else nh @ self.rotation.T).T)
         nh = np.ascontiguousarray(nh.T)
@@ -292,8 +301,6 @@ def _degree_integrals(ns, quad: QuadratureSpec, eps_ref: float) -> list[float]:
     if not ns:
         return []
     pts, wts = quad.ball_nodes(eps_ref)
-    keep = norm(pts.T) > 0
-    pts, wts = pts[keep], wts[keep]
     pairs = {}  # |n| -> the map of +|n| and the positions of +-|n| in the sweep
     for row, n in enumerate(ns):
         pairs.setdefault(abs(n), (GribovFactorMap(abs(n), eps_ref=eps_ref), []))[1].append(row)
@@ -355,7 +362,8 @@ def winding_functional(
     eps_ref: float = 1.0,
     tail_fraction: float | None = 1e-3,
 ) -> float:
-    """Chern-Simons winding functional X[A] over the ball of radius r_max.
+    """Chern-Simons winding functional X[A] over the ball of radius r_max, on
+    map_degree's nodes, with the package's sign of g (see ymvac).
 
     Both terms are real (see the module docstring); the derivative term is
     the field's curl (ColorField.curl) by fourth-order central differences
@@ -369,13 +377,11 @@ def winding_functional(
     stencil = StencilConfig(1e-3 * eps_ref, 4)
     pts, wts = quad.ball_nodes(eps_ref)
     r = norm(pts.T)
-    keep = r > 10.0 * stencil.h
-    pts, wts, r = pts[keep], wts[keep], r[keep]
     dens = np.empty(len(pts))
     for block in _blocks(len(pts)):
         A = field.sample(pts[block])  # [n][i][a]
         term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, field.curl(stencil, pts[block]))
-        term2 = (-1.5 * g**3) * _det3(A.T)
+        term2 = (1.5 * g**3) * _det3(A.T)
         np.multiply(wts[block], term1 + (2.0 / 3.0) * term2, out=dens[block])
     total = -np.sum(dens) / (8.0 * np.pi**2)
 
@@ -391,19 +397,22 @@ def winding_functional(
 
 
 def gauge_transform(field: ColorField, v_map: GribovFactorMap, g: float) -> ColorField:
-    """Return the sampler of v (A_hat + d) v^-1 converted back to components,
+    """Return the sampler of v (A_hat + d) v^-1 converted back to components
+    with the package's sign of g (see ymvac),
 
-        A_i -> R(q) A_i - (2/g) c_i,
+        A_i -> R(q) A_i + (2/g) c_i,
 
     with R(q) the adjoint rotation of v = q0 - i q.tau acting on the colour
-    index and c_i the real current of d_i v v^-1 (v d_i v^-1 = i c_i.tau)."""
+    index and c_i the real current of d_i v v^-1 (v d_i v^-1 = i c_i.tau).
+    B, D(phi) and the covariant Laplacian of bps_profiles then rotate by
+    R(q) with phi -> R(q) phi."""
 
     def sample_batch(pts):
         q0, q, dq0, dq = v_map.quaternion(pts)
         A = field.sample(pts).T  # [a][i][n]
         qb = q[:, None]
         t = 2.0 * cross(qb, A)  # R(q) a = a + q0 t + q x t with t = 2 q x a
-        return (A + q0 * t + cross(qb, t) - (2.0 / g) * _current(q0, q, dq0, dq)).T
+        return (A + q0 * t + cross(qb, t) + (2.0 / g) * _current(q0, q, dq0, dq)).T
 
     return ColorField(
         sample_batch,
@@ -426,7 +435,8 @@ def surface_flux_term(
 
     i.e. -(1/8 pi^2) oint_{r=r_sphere} dS_i eps^{ijk} tr[ A_hat_j L_k ],
     with L_k = v d_k v^-1 = i c_k.tau from the map's exact derivative, so
-    that tr[ A_hat_j L_k ] = g A_j^a c_k^a."""
+    that tr[ A_hat_j L_k ] = -g A_j^a c_k^a with the package's sign of g
+    (see ymvac)."""
     dirs, wdir = _sphere_nodes(n_theta, n_phi)
     wts = wdir * r_sphere**2
     pts = r_sphere * dirs
@@ -434,7 +444,7 @@ def surface_flux_term(
     A = field.sample(pts)
     # eps^{ijk} A_j^a c_k^a: a cross product in space, summed over colour
     flux = cross(A.transpose(1, 2, 0), c.transpose(1, 0, 2)).sum(axis=1)  # [i][n]
-    dens = g * np.sum(dirs.T * flux, axis=0)
+    dens = -g * np.sum(dirs.T * flux, axis=0)
     return float(-np.sum(wts * dens) / (8.0 * np.pi**2))
 
 

@@ -90,11 +90,17 @@ def test_criterion_04_degree_quantization_and_shift():
     transformed = topo.gauge_transform(gauge, fmap, UNIT.g)
     x_shift = topo.winding_functional(transformed, quad, UNIT.g, tail_fraction=None)
     surf = topo.surface_flux_term(gauge, fmap, UNIT.g, quad.r_max)
-    defect = abs(x_shift - x_mono - 1.0 - surf)
-    ok = worst_int < 1e-3 and worst_oracle < 1e-4 and abs(x_mono) < 1e-3 and defect < 1e-3
+
+    def F(r):  # the radial reduction of the degree of v^(1)
+        a = math.pi * bp.f01_bps(r, UNIT.eps)
+        return (a - math.sin(a) * math.cos(a)) / math.pi
+
+    # the shift's degree over the same ball: F(r_max) - F(0), not the cutoff-free 1
+    defect = abs(x_shift - x_mono - (F(quad.r_max) - F(0.0)) - surf)
+    ok = worst_int < 1e-3 and worst_oracle < 1e-4 and abs(x_mono) < 1e-3 and defect < 1e-9
     _report(4, "degree quantization / winding shift", ok,
             f"|deg-n| {worst_int:.1e} (tol 1e-3), oracle gap {worst_oracle:.1e} (tol 1e-4), "
-            f"X[monopole] {x_mono:.1e} (tol 1e-3), shift defect {defect:.1e} (tol 1e-3)")
+            f"X[monopole] {x_mono:.1e} (tol 1e-3), shift defect {defect:.1e} (tol 1e-9)")
 
 
 def test_criterion_05_golden_section_sector():

@@ -851,7 +851,7 @@ class TestSharedHalfStep:
         fields = (gauge, ColorField(gauge.sample_batch), gauge_transform(bps_gauge, GribovFactorMap(1, scale.eps), g))
         assert gauge.vector_batch is not None and fields[1].vector_batch is fields[2].vector_batch is None
 
-        def outcome(fn):  # the curls, or the transform's refusal of a sample whose float64 radius is 0
+        def outcome(fn):  # the curls, or the transform's refusal of a float64 sample whose norm underflows to 0
             try:
                 return fn()
             except DomainError as exc:

@@ -290,7 +290,7 @@ class TestOneStencilPass:
         assert len(residual_calls) == 2
 
     @pytest.mark.parametrize("argv, calls, rows", [
-        (["winding"], 78, 344448),
+        (["winding"], 78, 359424),
         (["pheno"], 10, 3248),
         (["check-gribov"], 4, 1098),
     ])
@@ -544,7 +544,7 @@ OUTPUT_DIGESTS = {
     "profiles": "fa4cec8289dcefea19715a8b2153cd0efc15e9f3db5b4baae07e78cbe21569ac",
     "check-bogomolnyi": "a341b18feeba25f672cf1971a258ff601c7e374cb1ec303e605e426e6ca40619",
     "check-gribov": "4f435cca5b9c3dce4166c5c59271e393ae76342b56aeeabe8146fac33282836b",
-    "winding": "be0aa5496e3511c6d7e67c7fba19b224bc0eb40f473af40095cc2c8c852b4081",
+    "winding": "83cc800bf0b4b1328d03d3d18c8b3c823699f1b989e40dd1811dc6a2984499dd",
     "greens": "60ebccfeff5d4eef9e7a897d7ec172605f1fe75015d90d14d00b3a46cfd73579",
     "rotator": "e9f5a012fbd8067f6020cf0fbd77589ed61f5b01c64fc5f0fa5bec9d415703c3",
     "interference": "c4a7211752db9643148779c54b2005f472d9d281f244a961b38815e37fcc3ba2",

@@ -7,8 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ymvac.algebra import EPS3, ID2, TAU, curl
-from ymvac.bps_profiles import ColorField, MonopoleScale, StencilConfig, build_fields, f01_bps, f1_bps
+from ymvac.algebra import EPS3, ID2, TAU, cross, curl
+from ymvac.bps_profiles import (
+    ColorField,
+    MonopoleScale,
+    StencilConfig,
+    build_fields,
+    covariant_derivative,
+    covariant_laplacian,
+    f01_bps,
+    f1_bps,
+    magnetic_tension,
+)
 from ymvac.errors import DomainError, ResolutionError, TruncationError
 from ymvac.interference import EulerAngles, _qmul, dressed_factor_map
 from ymvac.topology import (
@@ -51,13 +61,14 @@ def factor_matrices(fmap, pts):
 
 
 def su2_matrix_from_components(a, g):
-    """A_hat = g tau^b A^b / (2i) for component vectors a of shape (..., 3)."""
-    return (-0.5j * g) * tau_dot(a)
+    """A_hat = -g tau^b A^b / (2i), the package's sign of g, for component
+    vectors a of shape (..., 3)."""
+    return (0.5j * g) * tau_dot(a)
 
 
 def su2_components_from_matrix(m, g):
     """Inverse of su2_matrix_from_components; returns real components (..., 3)."""
-    return ((1j / g) * np.einsum("aij,...ji->...a", TAU, np.asarray(m))).real
+    return ((-1j / g) * np.einsum("aij,...ji->...a", TAU, np.asarray(m))).real
 
 
 class TestGribovFactor:
@@ -127,6 +138,23 @@ class TestGribovFactor:
         # r/eps_ref = 1e200: the profile derivative's squares would overflow
         _, _, dq0, dq = GribovFactorMap(1, eps_ref=1e-200).quaternion([[1.0, 0.0, 0.0]])
         assert np.all(np.isfinite(dq0)) and np.all(np.isfinite(dq))
+
+    def test_underflowing_norm_refused(self):
+        # the float64 squares of 3e-307 and 4e-307 underflow: the norm of a
+        # point that is not the origin is 0, so its frame would be the origin's
+        with pytest.raises(DomainError, match="underflows to 0 in float64"):
+            GribovFactorMap(1, 1e-306).quaternion(np.array([[3e-307, 4e-307, 0.0]]))
+        with pytest.raises(DomainError, match="underflows"):
+            GribovFactorMap(1, 1e-306).quaternion(np.array([[3e-307, 4e-307, 0.0]]), derivs=False)
+
+    def test_extended_precision_kept(self):
+        # a longdouble batch is sampled in longdouble: the tiny core's map at
+        # r = eps/2 is the unit core's, its derivatives scaled by 1/eps
+        tiny = GribovFactorMap(1, 1e-306).quaternion(np.array([[3e-307, 4e-307, 0.0]], dtype=np.longdouble))
+        unit = GribovFactorMap(1, 1.0).quaternion(np.array([[0.3, 0.4, 0.0]]))
+        assert all(a.dtype == np.longdouble for a in tiny)
+        for a, b, scale in zip(tiny, unit, (1.0, 1.0, 1e-306, 1e-306)):
+            assert np.abs((a * np.longdouble(scale)).astype(float) - b).max() < 1e-14
 
     def test_dressed_derivative_vs_stencil(self):
         # prefactor 2 with a non-trivial adjoint rotation: the exact (d_i q0, d_i q)
@@ -389,11 +417,11 @@ class TestRealForms:
 
     def test_surface_term_closed_form(self):
         # hedgehog A and v: the flux density is constant on the sphere and the
-        # term closes to -f1(R) sin(a) cos(a)/pi with a = pi n f01(R)
+        # term closes to f1(R) sin(a) cos(a)/pi with a = pi n f01(R)
         gauge, _ = build_fields(SCALE, "BPS")
         for n, R in ((1, 300.0), (2, 3.0), (-3, 1.5)):
             a = np.pi * n * f01_bps(R, 1.0)
-            exact = -f1_bps(R, SCALE.eps) * np.sin(a) * np.cos(a) / np.pi
+            exact = f1_bps(R, SCALE.eps) * np.sin(a) * np.cos(a) / np.pi
             assert abs(surface_flux_term(gauge, GribovFactorMap(n), SCALE.g, R) - exact) < 1e-14
 
 
@@ -401,8 +429,6 @@ def unblocked_degree(fmap, quad):
     """The degree integral evaluated on every node at once, as before the
     blocks."""
     pts, wts = quad.ball_nodes(fmap.eps_ref)
-    keep = np.linalg.norm(pts, axis=1) > 0
-    pts, wts = pts[keep], wts[keep]
     dens = _det3(_current(*fmap.quaternion(pts)))
     return float(12.0 * np.sum(wts * dens) / (24.0 * np.pi**2))
 
@@ -413,12 +439,10 @@ def unblocked_winding(field, quad, g, eps_ref=1.0, tail_fraction=1e-3):
     quad.check_reaches(eps_ref)
     stencil = StencilConfig(1e-3 * eps_ref, 4)
     pts, wts = quad.ball_nodes(eps_ref)
-    keep = np.linalg.norm(pts, axis=1) > 10.0 * stencil.h
-    pts, wts = pts[keep], wts[keep]
     A = field.sample(pts)
     dA, = stencil._gradient(field.sample, pts, [(stencil, 1)])
     term1 = (-0.5 * g**2) * np.einsum("nia,nia->n", A, curl(dA))
-    term2 = (-1.5 * g**3) * _det3(A.T)
+    term2 = (1.5 * g**3) * _det3(A.T)
     dens = wts * (term1 + (2.0 / 3.0) * term2)
     total = -np.sum(dens) / (8.0 * np.pi**2)
     if tail_fraction is not None:
@@ -495,9 +519,14 @@ class TestWindingFunctional:
         assert abs(winding_functional(gauge, QUAD, SCALE.g)) < 1e-3
 
     def test_pure_gauge_winding_is_degree(self):
+        # X of v d v^-1 is the degree density node by node: over the same
+        # nodes only the curl's stencil separates them (3.4e-13, 5.1e-12 and
+        # 3.4e-11 for n = 1, 2, 3)
         zero, _ = build_fields(SCALE, "PT")
-        pure = gauge_transform(zero, GribovFactorMap(1), SCALE.g)
-        assert abs(winding_functional(pure, QUAD, SCALE.g) - 1.0) < 1e-3
+        for n in (1, 2, 3):
+            pure = gauge_transform(zero, GribovFactorMap(n), SCALE.g)
+            x = winding_functional(pure, QUAD, SCALE.g, tail_fraction=None)
+            assert abs(x - map_degree(n, QUAD, check_resolution=False)) < 1e-9
 
     def test_tail_error_for_nondecaying(self):
         from ymvac.bps_profiles import ColorField
@@ -541,6 +570,95 @@ class TestGaugeTransform:
         x1 = winding_functional(transformed, QUAD, SCALE.g, tail_fraction=None)
         surf = surface_flux_term(gauge, fmap, SCALE.g, QUAD.r_max)
         assert abs(x1 - x0 - 1.0 - surf) < 1e-3
+
+
+def rotated(fmap, pts, a):
+    """R(q) a at the points pts: the adjoint rotation of v = q0 - i q.tau
+    on the colour axis (the first) of a, whose last axis runs over pts."""
+    q0, q, _, _ = fmap.quaternion(pts, derivs=False)
+    q = q.reshape(3, *[1] * (a.ndim - 2), -1)
+    t = 2.0 * cross(q, a)
+    return a + q0 * t + cross(q, t)
+
+
+def covariance_gaps(fmap, g, pts, h=5e-3, transform_g=None):
+    """{name: (gap, bound)}, each (N,) over the points, for the BPS pair
+    (eps = 1) and its transform A' = gauge_transform(A, v, transform_g or g),
+    phi' = R(q) phi at the step h (order 4).  For Q = B, D(phi) and the
+    covariant Laplacian the gap is max |Q[A', phi'] - R(q) Q[A, phi]| and the
+    bound twice the two pairs' own max |Q(h) - Q(h/2)| plus the rounding
+    floor 1024 eps S / h^d (S the largest entry of A' and phi', d the order
+    of the derivative: the nested Laplacian has met 70 eps S / h^2 where
+    a point's h and h/2 round alike); |B - D(phi)| and tr B^2 (Frobenius)
+    are compared with the bounds of B and D(phi) carried through."""
+    gauge, scalar = build_fields(MonopoleScale(g, 1.0), "BPS")
+    pair = (gauge, scalar)
+    moved = (gauge_transform(gauge, fmap, g if transform_g is None else transform_g),
+             ColorField(lambda p: rotated(fmap, p, scalar.sample_batch(p).T).T))
+    S = max(np.abs(f.sample(pts)).max() for f in moved)
+    stencil = StencilConfig(h, 4)
+    routes = {"B": (lambda a, phi, s: magnetic_tension(a, pts, s, g), 1),
+              "D": (lambda a, phi, s: covariant_derivative(a, phi, pts, s, g), 1),
+              "L": (lambda a, phi, s: covariant_laplacian(a, phi, pts, s, g), 2)}
+
+    def worst(x):  # the largest entry of each point's row
+        return np.abs(x).reshape(len(pts), -1).max(axis=1)
+
+    def frob(x):
+        return np.linalg.norm(x, axis=(1, 2))
+
+    out, at_h = {}, {}
+    for name, (route, d) in routes.items():
+        (q, q_half), (m, m_half) = ([route(*f, s) for s in (stencil, stencil.halved())] for f in (pair, moved))
+        at_h[name] = q, m
+        floor = 1024.0 * np.finfo(float).eps * S / h**d
+        out[name] = worst(m - rotated(fmap, pts, q.T).T), 2.0 * (worst(q - q_half) + worst(m - m_half)) + floor
+    (B, B_moved), (D, D_moved) = at_h["B"], at_h["D"]
+    # a Frobenius norm of nine entries is at most 3 times their largest
+    out["|B - D|"] = np.abs(frob(B_moved - D_moved) - frob(B - D)), 3.0 * (out["B"][1] + out["D"][1])
+    out["tr B^2"] = np.abs(frob(B_moved) ** 2 - frob(B) ** 2), 3.0 * out["B"][1] * (frob(B_moved) + frob(B))
+    return out
+
+
+def covariance_setup():
+    """v, g and points of the covariance figures that bench/kernels.py
+    records: n = 1, prefactor 0.37, Euler angles (1.0, 0.2, 0.5), g = 1.3
+    and 100 normal points of scale 3 outside r = 0.3."""
+    rng = np.random.default_rng(5)
+    pts = rng.normal(scale=3.0, size=(200, 3))
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.3][:100]
+    fmap = GribovFactorMap(1, 1.0, prefactor=0.37, rotation=EulerAngles(1.0, 0.2, 0.5).adjoint_rotation())
+    return fmap, 1.3, pts
+
+
+class TestGaugeCovariance:
+    """The transformed BPS pair's B, D(phi) and covariant Laplacian are R(q)
+    times the originals, and |B - D(phi)| and tr B^2 are invariant: topology
+    and bps_profiles use one sign of g."""
+
+    # POINTS moved out by 0.3: clear of the transform's singular origin at the step 5e-3
+    @settings(deadline=None, max_examples=25)
+    @example(  # one point on an axis, whose float64 Laplacian rounds alike at h and h/2
+        GribovFactorMap(-2, eps_ref=2.6398619123409066, prefactor=-1.125,
+                        rotation=EulerAngles(-3.0, 1.0, 3.125).adjoint_rotation()),
+        1.0, np.array([[-0.35, 0.0, 0.0]]),
+    )
+    @given(FACTOR_MAPS, st.floats(0.3, 3.0), POINTS.map(lambda p: p * (1.0 + 0.3 / np.linalg.norm(p, axis=1, keepdims=True))))
+    def test_transformed_pair_is_rotated(self, fmap, g, pts):
+        for name, (gap, bound) in covariance_gaps(fmap, g, pts).items():
+            assert np.all(gap <= bound), (name, gap, bound)
+
+    def test_setup_gaps(self):
+        fmap, g, pts = covariance_setup()
+        gaps = covariance_gaps(fmap, g, pts)
+        assert all(np.all(gap <= bound) for gap, bound in gaps.values())
+        assert gaps["B"][0].max() <= 1e-9 and gaps["D"][0].max() <= 1e-9
+
+    def test_one_layer_sign_flipped_fails(self):
+        # sentinel: the gauge transform alone with the other sign of g
+        fmap, g, pts = covariance_setup()
+        gaps = covariance_gaps(fmap, g, pts, transform_g=-g)
+        assert all(np.any(gap > 1e3 * bound) for gap, bound in gaps.values())
 
 
 class TestInstanton:
