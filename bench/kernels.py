@@ -1,110 +1,96 @@
-"""Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator and pheno kernels.
+"""Per-kernel timings with accuracy figures for the stencil, topology, interference, rotator, pheno and greens kernels.
 
 Times each kernel once in each of two source trees (a baseline and this
 checkout's `src/`), at two problem sizes or more and beside an accuracy
 figure, and writes one JSON file:
 
-- `map_degree` (the degree-density integral, n = 1, no refinement pass) at the
-  winding report's default quadrature 48/24/24 and its `refined()` spec
-  72/36/36; accuracy: the degree gap |N[1] - 1|;
-- the winding report's degree sweep, one `map_degree` call over n in SWEEP_N,
-  at the same two specs; accuracy: the largest gap |N[n] - n|;
-- `winding_functional` of the BPS monopole (g = 1) at the same two specs;
-  accuracy: |X[monopole]|, which is 0 exactly;
-- the gauge-shifted `winding_functional`: the BPS monopole transformed by
-  `GribovFactorMap(1)`, with `tail_fraction=None`, at the same two specs;
-  accuracy: the shift defect |X[v(A + d)v^-1] - X[A] - N(R) - surface term|,
-  N(R) = (a - sin a cos a)/pi with a = pi f01(R) the degree truncated at
-  R = r_max like the integral, and beside it the covariance gaps
-  max |B[A'] - R(q) B[A]| and max |D phi' - R(q) D phi| of the BPS pair at
-  `covariance_setup` of tests/test_topology.py (h = 5e-3;
-  `covariance_gap_B`, `covariance_gap_D`), which no spec changes;
-- `surface_flux_term` of the BPS monopole and `GribovFactorMap(1)` on the
-  sphere r = R with 48x48 and 72x72 nodes; accuracy: the gap to its closed
-  form f1(R) sin(a) cos(a)/pi (the flux density of two hedgehogs is
-  constant on the sphere);
-- `momentum_green_average` at the interference report's default momentum,
-  L = 10000 and 100000; accuracy: the decay exponent gap |gamma - 1|, with
-  gamma the slope of log ||S|| between L/10 and L, and beside it the relative
-  2-norm gap of S at L = 1000 to the 30-digit mpmath sum
-  (`resolvent_window_sums` of tests/test_interference.py);
-- `QuadratureSpec.ball_nodes` at 48/24/24 and 72/36/36, called again after
-  its first call; accuracy: the relative gap of the rule on the integral of
-  e^-r over the ball, 4 pi (2 - e^-R (R^2 + 2R + 2));
-- `path_green` (the winding sum) at I = 1e-6 and 1e-7, tau_E = 0.3, dN = 0.3,
-  at theta = 0 and pi/2, and `spectral_green` at I = 1e4 and 1e5,
-  tau_E = 0.01, dN = 0, theta = 0.9; accuracy: the gap to `mpmath.jtheta` at
-  30 digits on the other side's nome;
-- `algebra.exact_sums` on the real and imaginary rows of winding terms at
-  theta = pi/2, dN = 0.3: those of `path_green` at I = 1e-7 and 2 x 400 001
-  terms (TERM_CAP); accuracy: the number of rows whose sum differs from
-  math.fsum's in any bit (0);
-- `topology._gauss_legendre` at 48 nodes on [0, ln 1000] and 64 nodes on
-  [0, 1], called again after its first call; accuracy: the relative gap of
-  the rule on the integral of e^-t over the interval;
-- the three pheno quadrature companions at g = eps = 1, at their default node
-  counts and at twice them: `magnetic_energy_quadrature` (accuracy: its
-  relative gap to the closed form truncated like the integral,
-  4 pi (1 - 1e-3)/(g^2 eps)), `rotary_momentum_quadrature` (its relative gap
-  to 4 pi^2 eps/alpha_s) and `normalization_check` (its gap to 1);
-- check-bogomolnyi's pair of residuals at h and h/2 (g = eps = 1) at its
-  points for --seed 0, N in BOGOMOLNYI_POINTS, one `bogomolnyi_residual`
-  call; accuracy: the residual at h, and beside it the residual at h/2, their
-  ratio, the number of the two in which the trees differ (`tree_mismatches`,
-  0), the hedgehog sampler's calls and rows in one call (`hedgehog_calls`,
-  `hedgehog_rows`, equal in every round) and the median CPU time of the
-  calling thread and of the thread it starts over every round's calls
-  (`caller_busy_median_s`, `worker_busy_median_s`);
-- the radial kernels `_x_over_sinh`, `_coth_minus_inv` and `d_f01_bps` (as
-  `radial_<name>`) and the hedgehog sampler (`hedgehog_vector`) on RADIAL_ROWS
-  rows of check-bogomolnyi's kind, as they come and with one element set to 0
-  (`+guard`); accuracy: the number of entries unlike one call per element or
-  row alone (0);
+- `map_degree` (n = 1, no refinement pass), the winding report's degree sweep
+  (one call over SWEEP_N) and `winding_functional` of the BPS monopole (g = 1),
+  each at the winding report's quadrature 48/24/24 and its `refined()`
+  72/36/36; accuracy: |N[1] - 1|, the largest |N[n] - n| and |X[monopole]| (0);
+- the gauge-shifted `winding_functional` (the monopole transformed by
+  `GribovFactorMap(1)`, `tail_fraction=None`) at the same specs; accuracy:
+  the shift defect |X[v(A + d)v^-1] - X[A] - N(R) - surface term|, N(R) =
+  (a - sin a cos a)/pi with a = pi f01(R), R = r_max, and beside it the
+  covariance gaps max |B[A'] - R(q) B[A]| and max |D phi' - R(q) D phi| at
+  `covariance_setup` of tests/test_topology.py (`covariance_gap_B`, `_D`);
+- `surface_flux_term` of the monopole and `GribovFactorMap(1)` on r = R with
+  48x48 and 72x72 nodes; accuracy: the gap to f1(R) sin(a) cos(a)/pi;
+- `momentum_green_average` at the interference report's momentum, L = 10000
+  and 100000; accuracy: |gamma - 1|, gamma the slope of log ||S|| between L/10
+  and L, and beside it the relative 2-norm gap of S at L = 1000 to the
+  30-digit `resolvent_window_sums` of tests/test_interference.py;
+- `QuadratureSpec.ball_nodes` at 48/24/24 and 72/36/36; accuracy: the
+  relative gap of the rule on the ball integral of e^-r;
+- `path_green` at I = 1e-6 and 1e-7 (tau_E = 0.3, dN = 0.3, theta = 0 and
+  pi/2) and `spectral_green` at I = 1e4 and 1e5 (tau_E = 0.01, dN = 0, theta =
+  0.9); accuracy: the gap to 30-digit `mpmath.jtheta` on the other side's nome;
+- `algebra.exact_sums` on the rows of winding terms of `path_green` at
+  I = 1e-7 and at 2 x 400 001 terms (TERM_CAP); accuracy: the rows whose sum
+  differs from math.fsum's in any bit (0);
+- `topology._gauss_legendre` at 48 nodes on [0, ln 1000] and 64 on [0, 1],
+  called again after its first call; accuracy: the gap on the integral of e^-t;
+- the pheno companions `magnetic_energy_quadrature`, `rotary_momentum_quadrature`
+  and `normalization_check` (g = eps = 1) at their node counts and twice them;
+  accuracy: the relative gap to the truncated closed form 4 pi (1 - 1e-3), to
+  4 pi^2/alpha_s, and the gap to 1;
+- `bogomolnyi_residual` at check-bogomolnyi's points for --seed 0, N in
+  BOGOMOLNYI_POINTS; accuracy: the residual at h, and beside it the residual at
+  h/2, their ratio, the number of the two in which the trees differ
+  (`tree_mismatches`, 0), the hedgehog sampler's calls and rows per call (equal
+  in every round) and the median CPU time of the calling thread and of the
+  thread it starts (`caller_busy_median_s`, `worker_busy_median_s`);
+- the radial kernels `_x_over_sinh`, `_coth_minus_inv`, `d_f01_bps` (as
+  `radial_<name>`) and `hedgehog_vector` on RADIAL_ROWS rows, as they come
+  and with one element set to 0 (`+guard`); accuracy: entries unlike one call
+  per element or row alone (0);
 - `pheno._shell_sum` on the magnetic energy's 48 nodes and the inertia's 64;
-  accuracy: the number of sums unlike `per_node_shell_sum` of
-  tests/test_pheno.py (0), and beside it the sum (`value`);
+  accuracy: sums unlike `per_node_shell_sum` of tests/test_pheno.py (0), and
+  beside it the sum (`value`);
 - the BPS gauge sampler (`sample_batch`), `algebra.norm` and
-  `StencilConfig._gradient` of that sampler at N = 1000 and 27 648 points;
-  accuracy: the entries unlike `_where_hedgehog_gauge` of
-  tests/test_bps_profiles.py or np.linalg.norm (0), and the gradient's
-  largest gap to the closed form over its largest entry;
-- `ColorField.curl` of the BPS gauge field at the winding functional's step
-  (N = 4 608 and 27 648) and `magnetic_tension` in longdouble at
-  check-bogomolnyi's points (N = 20 and 1000); accuracy: the largest gap to
-  the closed-form curl or tension over its largest entry;
-- the profile samplers `f0_bps`, `f1_bps` and `d_f01_bps` at eps = 1 on 10^3
-  and 10^5 radii spaced geometrically over [1e-10, 1e5]; accuracy: the
-  largest absolute gap to 30-digit mpmath on 1000 of those radii;
+  `StencilConfig._gradient` of that sampler at N = 1000 and 27 648; accuracy:
+  entries unlike `_where_hedgehog_gauge` of tests/test_bps_profiles.py or
+  np.linalg.norm (0), and the gradient's relative gap to its closed form;
+- `ColorField.curl` of the BPS gauge field at h = 1e-3 (N = 4 608 and 27 648)
+  and longdouble `magnetic_tension` at check-bogomolnyi's points (N = 20 and
+  1000); accuracy: the relative gap to the closed-form curl or tension;
+- `f0_bps`, `f1_bps` and `d_f01_bps` at eps = 1 on 10^3 and 10^5 radii over
+  [1e-10, 1e5]; accuracy: the largest gap to 30-digit mpmath on 1000 radii;
 - `cli._parse_config` on `winding` and on an interference argv with two comma
-  lists; accuracy: the number of parsed fields unlike a fresh parser's (0);
-- `interference.shifted_loop_average` at the report's loop_q, window 8 and
-  cutoffs 2 and 4; accuracy: the number of its three values unlike one
-  `loop_integrand` evaluation per shift (`shift_by_shift_mismatches`, 0;
-  `per_shift_loop_average` of tests/test_interference.py);
-- `gribov_residual` over the radii of GRIBOV_RADII and DENSE_GRIBOV_RADII at
-  h = min(r, 8)/100 and h/2 in one call; accuracy: the smallest observed
-  order log2(|res(h)|/|res(h/2)|);
-- `greens.monopole_covariant_laplacian` on the greens report's tensor at
-  h = z/500, at its 3 points and at GREENS_SCALING_POINTS radii over
-  [0.8, 5], in one call; accuracy: the largest operator residual;
-- the whole `winding` report in process at default arguments and at
-  72/36/36; accuracy: its exit code (0);
+  lists; accuracy: parsed fields unlike a fresh parser's (0);
+- `shifted_loop_average` at the report's loop_q, window 8, cutoffs 2 and 4;
+  accuracy: values unlike `per_shift_loop_average` of tests/test_interference.py;
+- `gribov_residual` over GRIBOV_RADII and DENSE_GRIBOV_RADII at h = min(r, 8)/100
+  and h/2 in one call; accuracy: the smallest observed order;
+- `monopole_covariant_laplacian` on the greens report's tensor at h = z/500,
+  at its 3 points and at GREENS_SCALING_POINTS radii over [0.8, 5]; accuracy:
+  the largest operator residual;
+- the `winding` report in process at default arguments and at 72/36/36, and
+  the `rotator` report at default arguments and at `--inertia 1e-7 --tau
+  0.3`; accuracy: the exit code (0), and beside the rotator's its tracemalloc
+  peak (`traced_peak_bytes`, from a separate untimed call);
 - `path_green` over the 9-row table of `rotator --inertia I --tau 0.3` at
   I = 1e-7 and 1e-6, one call; accuracy: the largest gap to `mpmath.jtheta`;
-- the whole `rotator` report in process at default arguments and at
-  `--inertia 1e-7 --tau 0.3`; accuracy: its exit code (0), and beside it its
-  tracemalloc peak (`traced_peak_bytes`, from a separate untimed call).
+- `greens.shoot_radial(0.97, 0.05, (1, r1))` at r1 in SHOT_SPANS; accuracy:
+  the gap of f(r1) to `_radial_oracle`, and beside it the step count;
+- `shoot_radial` at DRAWS random starts (f0 ~ U(-1.5, 1.5), slope ~ U(-2, 2),
+  r0 = 10^U(-2, 0.5), r1 = r0 10^U(0.5, 2.5), drawn in that order from
+  default_rng(0)), each shot timed once, at DOP853 with rtol 1e-13 and atol
+  1e-14 in a tree whose `shoot_radial` still takes scipy's `method`;
+  accuracy: the divergent shots, and beside it the starts whose class agrees
+  between the trees (`class_agreement`) and the largest gap of f(r1) where
+  neither diverged (`worst_end_gap`).
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
 median and the quartiles over all calls, and marks a case `within_noise`
-when its two medians differ by less than the baseline's interquartile range
-(its printed speedup then says so).  Beside them it holds the median of
-IMPORTS cold `import ymvac.cli` times with whether the import loaded scipy,
-the median wall time of TIER1_RUNS alternating runs of each tree's Tier-1
-suite (`pytest -q` over the `tests/` beside its `src/`) with its summary
-line, and each tree's code lines per module of `src/ymvac` (lines that are
-not blank, a comment or a docstring; `src_code_lines`).
+when its two medians differ by less than the baseline's interquartile range.
+Beside them it holds the median of IMPORTS cold `import ymvac.cli` times, the
+shot of LONG_SHOT_CODE in this checkout alone, the median wall time of
+TIER1_RUNS alternating runs of each tree's Tier-1 suite (`pytest -q` over the
+`tests/` beside its `src/`) with its summary line, and each tree's code lines
+per module of `src/ymvac` (lines that are not blank, a comment or a
+docstring; `src_code_lines`).
 
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
@@ -137,6 +123,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import ast
+import inspect
 import io
 import json
 import math
@@ -152,6 +139,7 @@ from pathlib import Path
 from time import perf_counter, process_time, thread_time
 from xml.etree import ElementTree
 
+import mpmath
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,6 +155,8 @@ SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degre
 GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
 GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
+SHOT_SPANS = (60.0, 1e4)  # r1 of shoot_radial's timed shots from r0 = 1
+DRAWS = 300  # random starts of shoot_radial
 GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
 BOGOMOLNYI_POINTS = (20, 100, 300, 1000)  # either side of the pair's two-thread gate (256 points)
 RADIAL_ROWS = (("float64", 4608), ("longdouble", 4000))  # a full sampler call; check-bogomolnyi's at 1000 points
@@ -221,6 +211,10 @@ CHANGED_ARGV = (
     # and an exit 3 on a nan, now one validation line that names the step
     ("check-bogomolnyi", "--eps", "1e-10", "--inv-h-over-eps", "1e300"),
     ("check-gribov", "--eps", "1e-10", "--inv-h-over-r", "1e300"),
+    # squares past the float range (a traceback or a RuntimeWarning, now exit 2); a probe reduced before + pi
+    ("pheno", "--e", "1e-160"), ("pheno", "--e", "1e160"), ("pheno", "--e", "1e200"), ("pheno", "--set", "n_f=1e300"),
+    ("pheno", "--set", "f_pi=1e200"), ("pheno", "--set", "f_pi=1e-200"), ("pheno", "--set", "alpha_s=1e-200"),
+    ("interference", "--loop-q", "1e160,0,0,0"), ("rotator", "--theta-probe", "1e17"),
 )
 # off-default argv of the degree sweep and the point norms: output that must not move
 EXTRA_ARGV = (
@@ -249,17 +243,28 @@ EXTRA_ARGV = (
     ("check-bogomolnyi", "--n-points", "300"),
 )
 IMPORT_CODE = (
-    "import sys, time\n"
+    "import time\n"
     "t = time.perf_counter()\n"
     "import ymvac.cli\n"
-    "print(repr(time.perf_counter() - t), 'scipy' in sys.modules)\n"
+    "print(repr(time.perf_counter() - t))\n"
+)
+LONG_SHOT_CODE = (  # the steps and seconds of a shot over 12 decades of r, and two refused inputs
+    "import json, time\n"
+    "from ymvac.greens import shoot_radial\n"
+    "t = time.perf_counter()\n"
+    "out = {'steps_1_to_1e12': len(shoot_radial(0.5, 0.0, (1.0, 1e12)).r) - 1, 'seconds': time.perf_counter() - t}\n"
+    "for label, args in (('r1=inf', ((1.0, float('inf')),)), ('blowup=-1', ((1.0, 10.0), -1.0))):\n"
+    "    try:\n"
+    "        out[label] = shoot_radial(0.5, 0.0, *args).classification\n"
+    "    except ValueError as exc:\n"
+    "        out[label] = f'{type(exc).__name__}: {exc}'\n"
+    "print(json.dumps(out))\n"
 )
 
 
 def _timed(fn):
     """Seconds of each of REPEATS calls (after one warm-up call) and the last value."""
-    value = fn()
-    times = []
+    value, times = fn(), []
     for _ in range(REPEATS):
         t = perf_counter()
         value = fn()
@@ -269,8 +274,6 @@ def _timed(fn):
 
 def _jtheta_spectral(prm) -> complex:
     """The Green function through mpmath.jtheta on the spectral nome e^(-4 pi^2 a)."""
-    import mpmath
-
     with mpmath.workdps(30):
         I, th, te, dn = (mpmath.mpf(v) for v in (prm.inertia, prm.theta, prm.tau_e, prm.dN))
         a = te / (2 * I)
@@ -281,13 +284,19 @@ def _jtheta_spectral(prm) -> complex:
 
 def _jtheta_winding(prm) -> complex:
     """The Green function through mpmath.jtheta on the winding nome e^(-b), b = I/(2 tau_E)."""
-    import mpmath
-
     with mpmath.workdps(30):
         I, th, te, dn = (mpmath.mpf(v) for v in (prm.inertia, prm.theta, prm.tau_e, prm.dN))
         b = I / (2 * te)
         pref = mpmath.sqrt(I / (8 * mpmath.pi**3 * te)) * mpmath.exp(-b * dn**2)
         return complex(pref * mpmath.jtheta(3, -th / 2 + 1j * b * dn, mpmath.exp(-b)))
+
+
+def _radial_oracle(f0, slope, r1) -> float:
+    """f(r1) of f'' = f(1 - f^2)/r^2 from f(1) = f0, f'(1) = slope by mpmath.odefun at 20 digits
+    in t = ln r, f_tt = f_t + f(1 - f^2) (in r itself it takes 20 s to r1 = 1e3)."""
+    with mpmath.workdps(20):
+        sol = mpmath.odefun(lambda t, y: [y[1], y[1] + y[0] * (1 - y[0] ** 2)], 0, [mpmath.mpf(f0), mpmath.mpf(slope)])
+        return float(sol(mpmath.log(r1))[0])
 
 
 def _traced_peak(fn) -> int:
@@ -361,8 +370,6 @@ def _bps_tension(pts):
 def _profile_gaps(r, values) -> dict:
     """Largest absolute gap of each sampler's values to 30-digit mpmath at
     eps = 1, over every (len(r) // 1000)-th radius."""
-    import mpmath
-
     refs = {
         "f0_bps": lambda x: mpmath.coth(x) - 1 / x,
         "f1_bps": lambda x: 1 - x / mpmath.sinh(x),
@@ -465,6 +472,10 @@ def worker() -> dict:
         defect = abs(xs - x - degree_at_r_max - surface(48))
         cases[f"gauge_shifted_winding/{size}"] = (times, "shift_defect", defect)
         extra[f"gauge_shifted_winding/{size}"] = covariance
+        times, (pts, wts) = _timed(lambda: quad.ball_nodes(1.0))
+        exact = 4.0 * math.pi * (2.0 - math.exp(-quad.r_max) * (quad.r_max**2 + 2.0 * quad.r_max + 2.0))
+        gap = abs(np.sum(wts * np.exp(-np.linalg.norm(pts, axis=1))) / exact - 1.0)
+        cases[f"ball_nodes/{size}"] = (times, "exp_integral_gap", gap)
     for n_nodes in (48, 72):
         times, value = _timed(lambda: surface(n_nodes))
         cases[f"surface_flux_term/{n_nodes}x{n_nodes}"] = (times, "closed_form_gap", abs(value - surface_exact))
@@ -476,11 +487,6 @@ def worker() -> dict:
         gamma = -math.log(value / norm(L // 10)) / math.log(10.0)
         cases[f"momentum_green_average/L={L}"] = (times, "decay_exponent_gap", abs(gamma - 1.0))
         extra[f"momentum_green_average/L={L}"] = {"mpmath_gap_L1000": mpmath_gap}
-    for size, quad in specs.items():
-        times, (pts, wts) = _timed(lambda: quad.ball_nodes(1.0))
-        exact = 4.0 * math.pi * (2.0 - math.exp(-quad.r_max) * (quad.r_max**2 + 2.0 * quad.r_max + 2.0))
-        gap = abs(np.sum(wts * np.exp(-np.linalg.norm(pts, axis=1))) / exact - 1.0)
-        cases[f"ball_nodes/{size}"] = (times, "exp_integral_gap", gap)
     for theta, label in ((0.0, ""), (math.pi / 2, ",theta=pi_2")):
         for inertia in (1e-6, 1e-7):
             prm = rot.RotatorParams.euclidean(inertia, theta, 0.3, 0.3)
@@ -589,12 +595,9 @@ def worker() -> dict:
         cases[f"hedgehog_gauge/N={n}"] = (times, "where_form_mismatches", int(np.sum(A != ref)))
         times, value = _timed(lambda: algebra.norm(pts.T))  # the (N, 3) layout of every node batch
         cases[f"norm/N={n}"] = (times, "linalg_norm_mismatches", int(np.sum(value != np.linalg.norm(pts, axis=1))))
-    for n in (1000, 27648):
-        pts = report_points(n)
         times, (dA,) = _timed(lambda: gradient(gauge.sample_batch, pts, [(stencil, 1)]))
         exact = _bps_gauge_gradient(pts)
         cases[f"stencil_gradient/N={n}"] = (times, "relative_gap_to_closed_form", _relative_gap(dA, exact))
-
     winding_stencil = bp.StencilConfig(1e-3, 4)
     for n in (4608, 27648):
         pts = report_points(n)
@@ -652,6 +655,22 @@ def worker() -> dict:
         times, code = _timed(lambda: _quiet_main(cli.main, argv))
         cases[f"rotator_report/{label}"] = (times, "exit_code", code)
         extra[f"rotator_report/{label}"] = {"traced_peak_bytes": _traced_peak(lambda: _quiet_main(cli.main, argv))}
+    for r1 in SHOT_SPANS:
+        times, shot = _timed(lambda: greens.shoot_radial(0.97, 0.05, (1.0, r1)))
+        cases[f"shoot_radial/r1={r1:g}"] = (times, "mpmath_gap", abs(shot.f[-1] - _radial_oracle(0.97, 0.05, r1)))
+        extra[f"shoot_radial/r1={r1:g}"] = {"steps": len(shot.r) - 1}
+    scipy_route = "method" in inspect.signature(greens.shoot_radial).parameters
+    options = {"method": "DOP853", "rtol": 1e-13, "atol": 1e-14} if scipy_route else {}
+    rng, times, ends = np.random.default_rng(0), [], []
+    for _ in range(DRAWS):
+        f0, slope, r0 = rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 0.5)
+        span = (r0, r0 * 10.0 ** rng.uniform(0.5, 2.5))
+        t = perf_counter()
+        shot = greens.shoot_radial(f0, slope, span, **options)
+        times.append(perf_counter() - t)
+        ends.append([shot.classification, float(shot.f[-1])])
+    cases[f"shoot_radial_draws/{DRAWS}"] = (times, "divergent_shots", sum(c == "divergent" for c, _ in ends))
+    extra[f"shoot_radial_draws/{DRAWS}"] = {"ends": ends}
     return {
         case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
         for case, (times, name, value) in cases.items()
@@ -779,7 +798,6 @@ def property_campaign() -> dict:
 def measure(trees: dict) -> dict:
     samples = {name: {} for name in trees}
     import_s = {name: [] for name in trees}
-    scipy_loaded = {}
     for _ in range(ROUNDS):
         for name, src in trees.items():
             out = json.loads(_run(src, [__file__, "--worker"]))
@@ -792,9 +810,7 @@ def measure(trees: dict) -> dict:
                         sys.exit(f"{name} {case}: {k} is {acc[k]} in one round and {v} in another")
     for _ in range(IMPORTS):
         for name, src in trees.items():
-            seconds, loaded = _run(src, ["-c", IMPORT_CODE]).split()
-            import_s[name].append(float(seconds))
-            scipy_loaded[name] = loaded == "True"
+            import_s[name].append(float(_run(src, ["-c", IMPORT_CODE])))
     tier1_s = {name: [] for name in trees}
     tier1_summary = {}
     for _ in range(TIER1_RUNS):
@@ -821,20 +837,23 @@ def measure(trees: dict) -> dict:
         row["within_noise"] = abs(base["median_s"] - cur["median_s"]) < base["quartiles_s"][1] - base["quartiles_s"][0]
         if "pair" in row["current"]:
             row["tree_mismatches"] = _mismatches(*(tuple(row[name]["pair"]) for name in trees))
+        if "ends" in row["current"]:
+            pairs = list(zip(*(row[name].pop("ends") for name in trees)))
+            row["class_agreement"] = sum(b[0] == c[0] for b, c in pairs)
+            row["worst_end_gap"] = max(abs(b[1] - c[1]) for b, c in pairs if "divergent" not in (b[0], c[0]))
         kernels.append(row)
     return {
         "kernels": kernels,
-        "import_ymvac_cli": {
-            name: {"median_s": statistics.median(import_s[name]), "samples": IMPORTS,
-                   "loads_scipy": scipy_loaded[name]}
-            for name in trees
-        },
-        "tier1_wall": {
-            name: {"median_s": statistics.median(tier1_s[name]), "samples": TIER1_RUNS,
-                   "summary": tier1_summary[name]}
-            for name in trees
-        },
+        "import_ymvac_cli": {name: {"median_s": statistics.median(import_s[name]), "samples": IMPORTS}
+                             for name in trees},
+        "shoot_radial_long_span": json.loads(_run(trees["current"], ["-c", LONG_SHOT_CODE])),
+        "tier1_wall": {name: {"median_s": statistics.median(tier1_s[name]), "samples": TIER1_RUNS,
+                              "summary": tier1_summary[name]} for name in trees},
     }
+
+
+def _brief(v) -> str:
+    return f"{v:.3e}" if isinstance(v, float) else repr(v)
 
 
 def main(argv=None) -> int:
@@ -858,14 +877,9 @@ def main(argv=None) -> int:
     result["output_identity"] = compare_outputs(trees)
     result["property_campaign"] = property_campaign()
     result["settings"] = {
-        "rounds": ROUNDS,
-        "repeats": REPEATS,
+        "rounds": ROUNDS, "repeats": REPEATS, "nproc": os.cpu_count(), "machine": platform.machine(),
         "statistic": "median over rounds x repeats timed calls, each tree in fresh alternating processes",
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_threads": 1,
+        "python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for row in result["kernels"]:
@@ -874,32 +888,18 @@ def main(argv=None) -> int:
         print(f"{row['kernel']:>24} {row['size']:>9}: {row['baseline']['median_s'] * 1e3:8.2f} -> "
               f"{row['current']['median_s'] * 1e3:8.2f} ms ({row['speedup']:.2f}x{noise}); {row['accuracy_name']} "
               f"{row['baseline']['accuracy']:.3e} -> {row['current']['accuracy']:.3e}")
-        if "mpmath_gap_L1000" in row["current"]:
-            print(f"{'':>36}mpmath_gap_L1000 {row['baseline']['mpmath_gap_L1000']:.3e} -> "
-                  f"{row['current']['mpmath_gap_L1000']:.3e}")
-        if "tree_mismatches" in row:
-            print(f"{'':>36}residual at h/2 {row['current']['residual_half_h']:.3e}, ratio "
-                  f"{row['current']['refinement_ratio']:.2f}, tree mismatches {row['tree_mismatches']}")
-        if "hedgehog_calls" in row["current"]:
-            print(f"{'':>36}hedgehog calls/rows "
-                  f"{row['baseline']['hedgehog_calls']}/{row['baseline']['hedgehog_rows']} -> "
-                  f"{row['current']['hedgehog_calls']}/{row['current']['hedgehog_rows']}")
-            print(f"{'':>36}busy caller/worker {row['baseline']['caller_busy_median_s'] * 1e3:.2f}/"
-                  f"{row['baseline']['worker_busy_median_s'] * 1e3:.2f} -> "
-                  f"{row['current']['caller_busy_median_s'] * 1e3:.2f}/"
-                  f"{row['current']['worker_busy_median_s'] * 1e3:.2f} ms")
-        if "value" in row["current"]:
-            print(f"{'':>36}value {row['baseline']['value']!r} -> {row['current']['value']!r}")
-        if "traced_peak_bytes" in row["current"]:
-            print(f"{'':>36}traced peak {row['baseline']['traced_peak_bytes'] / 1e6:.3f} -> "
-                  f"{row['current']['traced_peak_bytes'] / 1e6:.3f} MB")
+        for key in [k for k in row["current"] if k not in ("median_s", "quartiles_s", "samples", "accuracy")]:
+            print(f"{'':>36}{key} {_brief(row['baseline'][key])} -> {_brief(row['current'][key])}")
+        for key in [k for k in row if k not in (*trees, "kernel", "size", "accuracy_name", "speedup", "within_noise")]:
+            print(f"{'':>36}{key} {_brief(row[key])}")
     lines = result["src_code_lines"]
     for module in sorted(lines["baseline"]["modules"].keys() | lines["current"]["modules"].keys()):
         base, cur = (lines[name]["modules"].get(module, 0) for name in ("baseline", "current"))
         print(f"code lines {module:>16}: {base} -> {cur}")
     print(f"code lines {'src/ymvac':>16}: {lines['baseline']['total']} -> {lines['current']['total']}")
     for name, rec in result["import_ymvac_cli"].items():
-        print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s, loads scipy: {rec['loads_scipy']}")
+        print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s")
+    print(f"shoot_radial over r in (1, 1e12): {result['shoot_radial_long_span']}")
     for name, rec in result["tier1_wall"].items():
         print(f"Tier-1 suite ({name}): {rec['median_s']:.1f} s wall, {rec['summary']}")
     for sub in result["cold_subcommand_wall"]["current"]:

@@ -288,10 +288,11 @@ def _run_rotator(cfg: RunConfig) -> Report:
             d = abs(s - next(paths))
         rows.append((th, te, dn, inertia, s.real, s.imag, d))
     decay_rows = []
-    p_off = p["theta_probe"] + math.pi
+    probe = rotator._normalize_theta(p["theta_probe"])  # reduced first, so that adding pi moves it off-spectrum
+    p_off = probe + math.pi
     for L in (10, 100, 1000):
-        m = abs(rotator.averaged_wavefunction(p_off, p["theta_probe"], L))
-        decay_rows.append((L, m, rotator.interference_bound(p_off, p["theta_probe"], L)))
+        m = abs(rotator.averaged_wavefunction(p_off, probe, L))
+        decay_rows.append((L, m, rotator.interference_bound(p_off, probe, L)))
     rep = Report(
         meta=_meta(cfg, ["theta-function-identity", "interference-decay"], {"representation": tol}),
         inputs={"theta": p["theta"], "tau": p["tau"], "inertia": p["inertia"], "theta_probe": p["theta_probe"],

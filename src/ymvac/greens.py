@@ -34,6 +34,7 @@ Laplacian, sampling each shift once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,6 +131,9 @@ def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
     return float(fpp + f0 * (f0 * f0 - 1.0) / (r * r))
 
 
+_SHOT_DT = 5e-4  # shoot_radial's largest RK4 step in t = ln r
+
+
 @dataclass(frozen=True)
 class RadialTrajectory:
     r: np.ndarray
@@ -139,50 +143,52 @@ class RadialTrajectory:
     diverged: bool
 
 
-def shoot_radial(
-    f0: float,
-    f0_slope: float,
-    r_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    method: str = "RK45",
-    blowup: float = 1e6,
-) -> RadialTrajectory:
-    """Integrate f'' = f(1 - f^2)/r^2 and classify the terminal behaviour.
+def shoot_radial(f0: float, f0_slope: float, r_span: tuple[float, float], blowup: float = 1e6) -> RadialTrajectory:
+    """Integrate f'' = f(1 - f^2)/r^2 from f(r0) = f0, f'(r0) = f0_slope and
+    classify the terminal behaviour.
 
-    Blow-up (|f| > 1e6) is a valid classification outcome, not a failure.
+    In t = ln r the equation is autonomous, f_tt = f_t + f(1 - f^2).  A
+    fixed-step RK4 in t advances the pair (f, r f') as Python floats, in equal
+    steps of at most _SHOT_DT, the last one landing on r1.  Blow-up (|f| >
+    blowup, or a non-finite f, after a step) ends the shot and is a valid
+    classification outcome, not a failure.  A non-finite r1 or blowup, or a
+    blowup that is not positive, is refused with a DomainError.
     """
     r0, r1 = r_span
-    if not (0 < r0 < r1):
-        raise DomainError("r_span must satisfy 0 < r0 < r1")
-    if not (np.isfinite(f0) and np.isfinite(f0_slope)):
-        raise DomainError("initial data must be finite")
-
-    def rhs(r, y):
-        return [y[1], y[0] * (1.0 - y[0] ** 2) / (r * r)]
-
-    def blow(r, y):
-        return abs(y[0]) - blowup
-
-    blow.terminal = True
-
-    from scipy.integrate import solve_ivp  # lazy: it costs more than importing all of ymvac
-
-    sol = solve_ivp(
-        rhs, (r0, r1), [f0, f0_slope], method=method, rtol=rtol, atol=atol,
-        events=blow, dense_output=False,
-    )
-    diverged = len(sol.t_events[0]) > 0
-    f_end = sol.y[0, -1]
-    if diverged:
-        cls = "divergent"
-    else:
-        cls = "undecided"
-        for target, name in ((0.0, "fixed:0"), (1.0, "fixed:+1"), (-1.0, "fixed:-1")):
-            if abs(f_end - target) < 0.05:
-                cls = f"{name}"
-                break
-    return RadialTrajectory(r=sol.t, f=sol.y[0], fp=sol.y[1], classification=cls, diverged=diverged)
+    if not (0 < r0 < r1 < math.inf):
+        raise DomainError(f"r_span must satisfy 0 < r0 < r1 < inf, got {r_span}")
+    f, g = float(f0), float(r0) * float(f0_slope)
+    if not (math.isfinite(f) and math.isfinite(g)):
+        raise DomainError("initial data f0 and r0 f'(r0) must be finite")
+    if not (0 < blowup < math.inf):
+        raise DomainError(f"blowup must be positive and finite, got {blowup}")
+    span = math.log(r1) - math.log(r0)
+    steps = max(1, math.ceil(span / _SHOT_DT))
+    dt = span / steps
+    half, sixth = dt / 2.0, dt / 6.0
+    fs, gs = [f], [g]
+    for _ in range(steps):  # k_i = (g_i, g_i + f_i (1 - f_i^2)) at the four RK4 stages
+        k1 = g + f * (1.0 - f * f)
+        f2, g2 = f + half * g, g + half * k1
+        k2 = g2 + f2 * (1.0 - f2 * f2)
+        f3, g3 = f + half * g2, g + half * k2
+        k3 = g3 + f3 * (1.0 - f3 * f3)
+        f4, g4 = f + dt * g3, g + dt * k3
+        k4 = g4 + f4 * (1.0 - f4 * f4)
+        f, g = f + sixth * (g + 2.0 * (g2 + g3) + g4), g + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        fs.append(f)
+        gs.append(g)
+        if not abs(f) <= blowup:
+            break
+    diverged = not abs(f) <= blowup
+    with np.errstate(over="ignore"):  # r f' may be past the float range once divided by r < 1
+        r = r0 * np.exp(dt * np.arange(len(fs)))
+        if len(fs) > steps:
+            r[-1] = r1
+        fp = np.array(gs) / r
+    near = [name for x, name in ((0.0, "fixed:0"), (1.0, "fixed:+1"), (-1.0, "fixed:-1")) if abs(f - x) < 0.05]
+    cls = "divergent" if diverged else near[0] if near else "undecided"
+    return RadialTrajectory(r=r, f=np.array(fs), fp=fp, classification=cls, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,14 @@ def shifted_loop_average(q, cutoff: float, L: int) -> LoopAverage:
     (components p1, p2; the external q stays a 4-vector), regulator mass
     REGULATOR_MASS, shift t = h e1, window n in [-L/2, L/2].
     Shifts are exact lattice translations, so the difference is purely the
-    boundary shell of the shifted window.
+    boundary shell of the shifted window.  A q with |q| above 1e150, whose
+    square leaves the float range, is refused.
     """
     if not (cutoff > 0):
         raise DomainError("cutoff must be positive")
+    q = np.asarray(q, dtype=float).reshape(4)
+    if not math.hypot(*q) <= 1e150:
+        raise DomainError(f"loop momentum q = {q.tolist()} must have |q| <= 1e150, so that its square stays a float")
     h = BASE_SPACING
     if h * L > cutoff / 2.0 + 1e-12:
         raise WindowError(

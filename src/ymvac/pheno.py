@@ -94,11 +94,14 @@ _MAGNITUDES = (
 )
 _LOG_BOUND = 303.0 * math.log(10.0)
 _COUNTS = ("n_f", "n_c")  # the integer constants; the rest are positive floats
+# every constant lies here, so that each product the chain forms (at most seven
+# such factors: b2_estimate's F_pi^2 dm_eta^2/(N_f^2 alpha_s^2)) stays in [1e-303, 1e303]
+_CONSTANT_RANGE = (1e-40, 1e40)
 
 
 @dataclass(frozen=True)
 class PhenoInputs:
-    """Physical constants bundle; all entries strictly positive."""
+    """Physical constants bundle; every entry in _CONSTANT_RANGE, the counts at least 1."""
 
     n_f: int = 3
     n_c: int = 3
@@ -111,10 +114,11 @@ class PhenoInputs:
     def __post_init__(self):
         if self.n_f < 1 or self.n_c < 1:
             raise DomainError("n_f and n_c must be at least 1")
+        lo, hi = _CONSTANT_RANGE
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in _COUNTS and not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{f.name} must be positive and finite")
+            if not lo <= getattr(self, f.name) <= hi:
+                raise DomainError(f"{f.name} must lie in [{lo:g}, {hi:g}], so that every product of the pheno "
+                                  f"chain stays a normal float")
 
 
 def read_constants(path=None, overrides=()) -> PhenoInputs:
@@ -261,9 +265,11 @@ def normalization_check(scale: MonopoleScale) -> float:
 def schwinger_mass(e: float, c_m: float | None = None) -> float:
     """Pseudoscalar mass squared C_M^2/(I V) in the (1+1)d model; closes to
     e^2/pi for C_M = 2 sqrt(pi) and I = (2 pi/e)^2/V, in which the volume V
-    cancels.  A perturbed C_M trips the round-off-level equality assertion."""
-    if not (math.isfinite(e) and e > 0):
-        raise DomainError(f"coupling e must be positive and finite, got {e}")
+    cancels.  A perturbed C_M trips the round-off-level equality assertion.
+    An e for which e^2 or (2 pi/e)^2 leaves [1e-303, 1e303] is refused."""
+    if not (math.isfinite(e) and e > 0 and max(abs(math.log(e)), abs(math.log(2.0 * math.pi / e))) <= _LOG_BOUND / 2):
+        raise DomainError(f"coupling e must be positive and finite, with e^2 and (2 pi/e)^2 in [1e-303, 1e303], "
+                          f"got {e}")
     c = C_SCHWINGER if c_m is None else c_m
     value = c**2 / (2.0 * math.pi / e) ** 2
     if abs(value * math.pi / e**2 - 1.0) > 1e-12:

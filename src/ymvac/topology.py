@@ -121,26 +121,14 @@ class QuadratureSpec:
         """Nodes (N, 3) and weights (N,) including the r^2 volume factor, the
         one node set of both ball integrals.  Shells of radius 0 are
         dropped: the Gauss-Legendre radii are interior, so only a radius
-        eps_ref tan(pi u/2) that underflows is 0.  The radial and angular
-        rules behind them are built once per spec and eps_ref."""
-        r, wr, dirs, wdir = _ball_rules(self, eps_ref)
+        eps_ref tan(pi u/2) that underflows is 0."""
+        u_max = (2.0 / np.pi) * np.arctan(self.r_max / eps_ref)
+        r, wr = _compactified_radial(self.n_r, eps_ref, u_max)
+        dirs, wdir = _sphere_nodes(self.n_theta, self.n_phi)
         r, wr = r[r > 0], wr[r > 0]
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         wts = (wr * r**2)[:, None] * wdir[None, :]
         return pts, wts.reshape(-1)
-
-
-@lru_cache(maxsize=4)
-def _ball_rules(spec: QuadratureSpec, eps_ref: float):
-    """Radial nodes and weights, unit directions and their weights, read-only.
-    Only these leggauss-built rules are cached: the (N, 3) node product takes
-    a tenth of the build to redo, and keeping it alive between reports raised
-    the peak memory of the default reports."""
-    u_max = (2.0 / np.pi) * np.arctan(spec.r_max / eps_ref)
-    rules = (*_compactified_radial(spec.n_r, eps_ref, u_max), *_sphere_nodes(spec.n_theta, spec.n_phi))
-    for a in rules:
-        a.flags.writeable = False
-    return rules
 
 
 @lru_cache(maxsize=16)

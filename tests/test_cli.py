@@ -390,6 +390,13 @@ class TestHalfWindow:
         assert code == 0
         assert json.loads(out)["inputs"]["theta_in_half_window"] is inside
 
+    def test_theta_probe_reduced_before_moving_off_spectrum(self, capsys):
+        # 1e17 + pi rounds to 1e17, on the spectrum, where the bound is inf; the
+        # probe is reduced to [0, 2 pi) first
+        code, out = run(capsys, "rotator", "--theta-probe", "1e17")
+        rows = json.loads(out)["results"]["interference_decay"]["rows"]
+        assert code == 0 and all(m <= bound < math.inf for _, m, bound in rows)
+
 
 class TestTermCap:
     """A side past the term cap is skipped, never truncated; the side that fits
@@ -651,15 +658,20 @@ class TestProfilesTable:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_out(self):
-        # scipy.integrate serves only greens.shoot_radial and is imported
-        # there; concurrent.futures serves only the BPS pair's worker, past
-        # its gate, and is imported there
+    def test_cli_import_loads_numpy_alone(self):
+        # concurrent.futures serves only the BPS pair's worker, past its gate,
+        # and is imported there; ymvac, shoot_radial included, loads no
+        # module from outside the standard library but numpy
         env = dict(os.environ, PYTHONPATH=str(Path(ymvac.__file__).resolve().parents[1]))
-        code = ("import sys, ymvac.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
+        code = ("import sys, numpy\n"
+                "before = set(sys.modules)\n"
+                "import ymvac.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
+                "ymvac.greens.shoot_radial(0.5, 0.0, (1.0, 10.0))\n"
+                "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+                "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'ymvac'}))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "[]"]
 
 
 class TestNoStrayWarnings:
@@ -725,6 +737,27 @@ class TestNoStrayWarnings:
             assert code == 2 and len(lines) == 1
             payload = json.loads(lines[0])
             assert payload["error"] == "validation" and named in payload["message"]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["pheno", "--e", "1e-160"], "coupling e"),
+            (["pheno", "--e", "1e160"], "coupling e"),
+            (["pheno", "--e", "1e200"], "coupling e"),
+            (["pheno", "--set", "n_f=1e300"], "n_f"),
+            (["pheno", "--set", "f_pi=1e200"], "f_pi"),
+            (["pheno", "--set", "f_pi=1e-200"], "f_pi"),
+            (["pheno", "--set", "alpha_s=1e-200"], "alpha_s"),
+            (["interference", "--loop-q", "1e160,0,0,0"], "loop momentum q"),
+        ],
+    )
+    def test_out_of_range_constant_exit_2(self, capsys, argv, named):
+        # squares and quotients past the float range: once an OverflowError or
+        # ZeroDivisionError traceback (exit 1), or a RuntimeWarning (which
+        # pytest turns into an error here) and an exit 3
+        code, out, err = validation_error(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err["error"] == "validation" and named in err["message"]
 
     def test_overflowing_gribov_residual_exit_3(self):
         # a residual norm past the float range (eps = 1e-100 scales the

@@ -1,13 +1,16 @@
 """Radial potentials, Euler/radial residuals and the background operator."""
 import contextlib
 import io
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ymvac import greens
 from ymvac.bps_profiles import StencilConfig, f1_bps
 from ymvac.cli import main
 from ymvac.errors import DomainError
@@ -143,6 +146,16 @@ class TestRadialYM:
         assert radial_ym_residual(lambda r: 0.5, 1.0, h=None) == radial_ym_residual(lambda r: 0.5, 1.0, h=1.0 / 500.0)
 
 
+def radial_oracle(f0, slope, r_span):
+    """f(r1) for f'' = f(1 - f^2)/r^2 from f(r0) = f0, f'(r0) = slope, by
+    mpmath's Taylor-series solver at 20 digits in r itself: it shares neither
+    the ln r substitution nor the RK4 of shoot_radial."""
+    with mpmath.workdps(20):
+        sol = mpmath.odefun(lambda r, y: [y[1], y[0] * (1 - y[0] ** 2) / r**2], mpmath.mpf(r_span[0]),
+                            [mpmath.mpf(f0), mpmath.mpf(slope)])
+        return float(sol(mpmath.mpf(r_span[1]))[0])
+
+
 class TestShooting:
     def test_fixed_points_stay(self):
         for f0, name in ((1.0, "fixed:+1"), (0.0, "fixed:0"), (-1.0, "fixed:-1")):
@@ -150,27 +163,42 @@ class TestShooting:
             assert t.classification == name
             assert abs(t.f[-1] - f0) < 1e-8
 
-    def test_classification_stable_under_tolerance(self):
-        a = shoot_radial(0.999, 0.0, (1.0, 100.0), rtol=1e-10)
-        b = shoot_radial(0.999, 0.0, (1.0, 100.0), rtol=1e-12)
-        assert a.classification == b.classification
+    def test_classification_stable_under_tolerance(self, monkeypatch):
+        # the step is the shot's one accuracy setting: halving it keeps each
+        # class, and the gap to the oracle falls by about 16 (fourth order) on
+        # a large-amplitude shot, whose gap (9.6e-11) sits well above rounding
+        shots = [(0.999, 0.0, (1.0, 100.0)), (6.0, 0.0, (1.0, 2.0))]
+        coarse = [shoot_radial(*shot) for shot in shots]
+        monkeypatch.setattr(greens, "_SHOT_DT", greens._SHOT_DT / 2.0)
+        fine = [shoot_radial(*shot) for shot in shots]
+        assert [t.classification for t in coarse] == [t.classification for t in fine]
+        ref = radial_oracle(*shots[1])
+        assert abs(coarse[1].f[-1] - ref) >= 8.0 * abs(fine[1].f[-1] - ref)
 
     def test_independent_integrator_oracle(self):
-        a = shoot_radial(0.97, 0.05, (1.0, 60.0), method="RK45")
-        b = shoot_radial(0.97, 0.05, (1.0, 60.0), method="DOP853")
-        assert a.classification == b.classification
-        assert abs(a.f[-1] - b.f[-1]) < 1e-6
+        t = shoot_radial(0.97, 0.05, (1.0, 60.0))
+        assert t.r[-1] == 60.0
+        assert abs(t.f[-1] - radial_oracle(0.97, 0.05, (1.0, 60.0))) < 1e-11
+
+    def test_long_span_steps(self):
+        # equal steps of at most _SHOT_DT in ln r, the last landing on r1
+        t = shoot_radial(0.5, 0.0, (1.0, 1e12))
+        assert len(t.r) == math.ceil(math.log(1e12) / greens._SHOT_DT) + 1
+        assert t.r[0] == 1.0 and t.r[-1] == 1e12
+        assert np.diff(np.log(t.r)).max() <= greens._SHOT_DT * (1.0 + 1e-9)
 
     def test_blowup_is_classified(self):
         # growing trajectory crossing a finite escape threshold: a valid outcome
         t = shoot_radial(0.0, 3.0, (1.0, 400.0), blowup=5.0)
         assert t.classification == "divergent" and t.diverged
+        assert abs(t.f[-1]) > 5.0 and t.r[-1] < 400.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            shoot_radial(1.0, 0.0, (0.0, 10.0))
-        with pytest.raises(DomainError):
-            shoot_radial(np.inf, 0.0, (1.0, 10.0))
+        for args in [(1.0, 0.0, (0.0, 10.0)), (np.inf, 0.0, (1.0, 10.0)), (1.0, 0.0, (1.0, np.inf)),
+                     (1.0, 0.0, (1.0, 10.0), -1.0), (1.0, 0.0, (1.0, 10.0), np.inf),
+                     (1.0, 0.0, (1.0, 10.0), np.nan)]:
+            with pytest.raises(DomainError):
+                shoot_radial(*args)
 
 
 class TestGreenTensor:

@@ -278,6 +278,16 @@ class TestConstantsFile:
         with pytest.raises(DomainError):
             PhenoInputs(f_pi=-0.1)
 
+    def test_inputs_range(self):
+        # the ends of the range run the whole chain with normal floats; past them, refused
+        for lo_hi in ({"f_pi": 1e-40, "alpha_s": 1e-40, "n_f": 10**40}, {"f_pi": 1e40, "dm_eta2": 1e-40}):
+            inputs = PhenoInputs(**lo_hi)
+            shift = eta_mass_shift(inputs, b2_estimate(inputs))
+            assert all(1e-303 < v < 1e303 for v in (b2_numerator(inputs), b2_estimate(inputs), *shift))
+        for bad in ({"n_f": 10**41}, {"f_pi": 1e41}, {"alpha_s": 1e-41}, {"lambda_uv": 1e300}):
+            with pytest.raises(DomainError, match=f"^{next(iter(bad))} must lie in"):
+                PhenoInputs(**bad)
+
 
 class TestOmegaAsymptotic:
     def test_branch_dispatch(self):

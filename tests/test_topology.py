@@ -1,6 +1,7 @@
 """Group factors, degree-of-map and winding quadrature."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from ymvac.topology import (
     surface_flux_term,
     winding_functional,
     _BLOCK,
-    _ball_rules,
+    _compactified_radial,
     _current,
     _gauss_legendre,
     _leggauss,
@@ -109,14 +110,15 @@ class TestGribovFactor:
             assert np.abs(w - w_ref).max() < 1e-12 and np.abs(v - v_ref).max() < 1e-12
 
     def test_closed_form_vs_expm(self):
-        from scipy.linalg import expm
-
-        # the phase matrix -i pi f01(r) tau.n_hat, the log of the n = 1 factor
+        # the phase matrix -i pi f01(r) tau.n_hat, the log of the n = 1 factor,
+        # exponentiated by mpmath's Taylor series at 30 digits
         x = np.array([0.7, -0.2, 0.4])
         r = np.linalg.norm(x)
         phase = -1j * np.pi * f01_bps(r, 1.0) * tau_dot(x / r)
+        with mpmath.workdps(30):
+            ref = np.array(mpmath.expm(mpmath.matrix((2 * phase).tolist())).tolist(), dtype=complex)
         q0, q, _, _ = GribovFactorMap(2).quaternion(x, derivs=False)
-        assert np.abs(as_matrix(q0, q.T)[0] - expm(2 * phase)).max() < 1e-12
+        assert np.abs(as_matrix(q0, q.T)[0] - ref).max() < 1e-12
 
     def test_analytic_derivative_vs_finite_differences(self):
         fmap = GribovFactorMap(2)
@@ -275,18 +277,12 @@ class TestMapDegree:
     def test_empty_batch(self):
         assert map_degree([], QUAD).shape == (0,)
 
-    def test_ball_rules_built_once_read_only(self):
+    def test_ball_nodes_are_the_callers_own(self):
         spec = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
         pts, wts = spec.ball_nodes(2.0)
-        rules = _ball_rules(spec, 2.0)
-        again = _ball_rules(QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16), 2.0)
-        assert all(a is b for a, b in zip(rules, again))
-        assert _ball_rules(spec, 1.0)[0] is not rules[0]
-        for a in rules:
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-        # the nodes from cached rules equal those from rules built afresh, bit for bit
-        r, wr, dirs, wdir = _ball_rules.__wrapped__(spec, 2.0)
+        # the nodes equal the product of radial and angular rules built afresh, bit for bit
+        r, wr = _compactified_radial(16, 2.0, (2.0 / np.pi) * np.arctan(300.0 / 2.0))
+        dirs, wdir = _sphere_nodes(16, 16)
         assert np.array_equal(pts, (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3))
         assert np.array_equal(wts, ((wr * r**2)[:, None] * wdir[None, :]).reshape(-1))
         pts[0, 0] = 1.0  # the nodes themselves are the caller's own
