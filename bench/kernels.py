@@ -30,10 +30,10 @@ figure, and writes one JSON file:
   differs from math.fsum's in any bit (0);
 - `topology._gauss_legendre` at 48 nodes on [0, ln 1000] and 64 on [0, 1],
   called again after its first call; accuracy: the gap on the integral of e^-t;
-- the pheno companions `magnetic_energy_quadrature`, `rotary_momentum_quadrature`
-  and `normalization_check` (g = eps = 1) at their node counts and twice them;
-  accuracy: the relative gap to the truncated closed form 4 pi (1 - 1e-3), to
-  4 pi^2/alpha_s, and the gap to 1;
+- the pheno companions `magnetic_energy_quadrature` and `zero_mode_integrals`
+  (g = eps = 1) at their node counts and twice them; accuracy: the relative
+  gap to the truncated closed form 4 pi (1 - 1e-3), and the inertia's to
+  4 pi^2/alpha_s with the normalization's gap to 1 beside it;
 - `bogomolnyi_residual` at check-bogomolnyi's points for --seed 0, N in
   BOGOMOLNYI_POINTS; accuracy: the residual at h, and beside it the residual at
   h/2, their ratio, the number of the two in which the trees differ
@@ -72,34 +72,25 @@ figure, and writes one JSON file:
 - `path_green` over the 9-row table of `rotator --inertia I --tau 0.3` at
   I = 1e-7 and 1e-6, one call; accuracy: the largest gap to `mpmath.jtheta`;
 - `greens.shoot_radial(0.97, 0.05, (1, r1))` at r1 in SHOT_SPANS; accuracy:
-  the gap of f(r1) to `_radial_oracle`, and beside it the step count;
-- `shoot_radial` at DRAWS random starts (f0 ~ U(-1.5, 1.5), slope ~ U(-2, 2),
-  r0 = 10^U(-2, 0.5), r1 = r0 10^U(0.5, 2.5), drawn in that order from
-  default_rng(0)), each shot timed once, at DOP853 with rtol 1e-13 and atol
-  1e-14 in a tree whose `shoot_radial` still takes scipy's `method`;
-  accuracy: the divergent shots, and beside it the starts whose class agrees
-  between the trees (`class_agreement`) and the largest gap of f(r1) where
-  neither diverged (`worst_end_gap`).
+  the gap of f(r1) to `_radial_oracle`, and beside it the step count.
 
 Each tree is timed in fresh worker processes, alternating baseline and
 current for ROUNDS rounds of REPEATS calls per kernel; the JSON holds the
 median and the quartiles over all calls, and marks a case `within_noise`
 when its two medians differ by less than the baseline's interquartile range.
 Beside them it holds the median of IMPORTS cold `import ymvac.cli` times, the
-shot of LONG_SHOT_CODE in this checkout alone, the median wall time of
-TIER1_RUNS alternating runs of each tree's Tier-1 suite (`pytest -q` over the
-`tests/` beside its `src/`) with its summary line, and each tree's code lines
-per module of `src/ymvac` (lines that are not blank, a comment or a
-docstring; `src_code_lines`).
+median wall time of TIER1_RUNS alternating runs of each tree's Tier-1 suite
+(`pytest -q` over the `tests/` beside its `src/`) with its summary line, and
+each tree's code lines per module of `src/ymvac` (lines that are not blank, a
+comment or a docstring; `src_code_lines`).
 
 End to end, it times COLD_RUNS alternating fresh-process runs
 (`python -m ymvac.cli`, import included) of each of the eight subcommands
 with default arguments and of COLD_EXTRA_ARGV, and byte-compares stdout,
 stderr and exit code between the two trees (both with `--seed 0`) for those
 eight argv, every argv of `perfbench/workloads.json`, the validation-error
-argv in ERROR_ARGV, the off-default argv in EXTRA_ARGV and the argv in
-CHANGED_ARGV, whose output may differ between trees by design; the JSON lists
-each argv with its exit codes and whether the bytes are identical.
+argv in ERROR_ARGV and the off-default argv in EXTRA_ARGV; the JSON lists each
+argv with its exit codes and whether the bytes are identical.
 
 Last, a property campaign runs the hypothesis-driven tests of this checkout
 (`pytest -m hypothesis`) once under each of the CAMPAIGN_SEEDS explicit
@@ -123,7 +114,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import ast
-import inspect
 import io
 import json
 import math
@@ -156,7 +146,6 @@ GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
 GREENS_RADII = (0.8, 2.0, 5.0)  # the greens report's operator points
 SHOT_SPANS = (60.0, 1e4)  # r1 of shoot_radial's timed shots from r0 = 1
-DRAWS = 300  # random starts of shoot_radial
 GREENS_SCALING_POINTS = 5000  # the operator's second size: as many points as dense-stencil's --n-z 5000
 BOGOMOLNYI_POINTS = (20, 100, 300, 1000)  # either side of the pair's two-thread gate (256 points)
 RADIAL_ROWS = (("float64", 4608), ("longdouble", 4000))  # a full sampler call; check-bogomolnyi's at 1000 points
@@ -195,26 +184,17 @@ ERROR_ARGV = (
     ("greens", "--c1", "1e308"),
     ("greens", "--d1", "1e308"),
     ("greens", "--c1", "1e305"),
-)
-# output that may differ between the trees by design: residual norms past the
-# float range, which printed a RuntimeWarning before their one JSON line
-CHANGED_ARGV = (
-    ("check-gribov", "--eps", "1e-100"),
-    ("check-gribov", "--radii-over-eps", "1e-300,2"),
-    # residual norms at the rounding floor (0): the strict-JSON refusal of an
-    # infinite observed order (both norms 0), and the exit 2 "math domain
-    # error" of log2(0) (the norm at h alone 0), became a line that names
-    # the radius
-    ("check-gribov", "--radii-over-eps", "1e300"),
-    ("check-gribov", "--radii-over-eps", "5e143"),
-    # a step so small that the first-derivative weights overflow: RuntimeWarnings
-    # and an exit 3 on a nan, now one validation line that names the step
+    # residual norms past the float range, and at the rounding floor (0)
+    ("check-gribov", "--eps", "1e-100"), ("check-gribov", "--radii-over-eps", "1e-300,2"),
+    ("check-gribov", "--radii-over-eps", "1e300"), ("check-gribov", "--radii-over-eps", "5e143"),
+    # a step so small that the first-derivative weights overflow
     ("check-bogomolnyi", "--eps", "1e-10", "--inv-h-over-eps", "1e300"),
     ("check-gribov", "--eps", "1e-10", "--inv-h-over-r", "1e300"),
-    # squares past the float range (a traceback or a RuntimeWarning, now exit 2); a probe reduced before + pi
+    # squares past the float range; a probe reduced before + pi; a time before an inertia
     ("pheno", "--e", "1e-160"), ("pheno", "--e", "1e160"), ("pheno", "--e", "1e200"), ("pheno", "--set", "n_f=1e300"),
     ("pheno", "--set", "f_pi=1e200"), ("pheno", "--set", "f_pi=1e-200"), ("pheno", "--set", "alpha_s=1e-200"),
     ("interference", "--loop-q", "1e160,0,0,0"), ("rotator", "--theta-probe", "1e17"),
+    ("rotator", "--inertia", "-1", "--tau", "0"),
 )
 # off-default argv of the degree sweep and the point norms: output that must not move
 EXTRA_ARGV = (
@@ -247,18 +227,6 @@ IMPORT_CODE = (
     "t = time.perf_counter()\n"
     "import ymvac.cli\n"
     "print(repr(time.perf_counter() - t))\n"
-)
-LONG_SHOT_CODE = (  # the steps and seconds of a shot over 12 decades of r, and two refused inputs
-    "import json, time\n"
-    "from ymvac.greens import shoot_radial\n"
-    "t = time.perf_counter()\n"
-    "out = {'steps_1_to_1e12': len(shoot_radial(0.5, 0.0, (1.0, 1e12)).r) - 1, 'seconds': time.perf_counter() - t}\n"
-    "for label, args in (('r1=inf', ((1.0, float('inf')),)), ('blowup=-1', ((1.0, 10.0), -1.0))):\n"
-    "    try:\n"
-    "        out[label] = shoot_radial(0.5, 0.0, *args).classification\n"
-    "    except ValueError as exc:\n"
-    "        out[label] = f'{type(exc).__name__}: {exc}'\n"
-    "print(json.dumps(out))\n"
 )
 
 
@@ -428,6 +396,9 @@ def worker() -> dict:
     from ymvac import topology as topo
     from ymvac.cli import _parse_config
 
+    if not hasattr(pheno, "zero_mode_integrals"):  # a baseline that still splits the two zero-mode integrals
+        pheno.zero_mode_integrals = lambda s: (pheno.rotary_momentum_quadrature(s), pheno.normalization_check(s))
+    params = getattr(rot.RotatorParams, "euclidean", rot.RotatorParams)  # a baseline's tau_E constructor
     sys.path.insert(0, str(ROOT / "tests"))
     from test_bps_profiles import _where_hedgehog_gauge
     from test_interference import per_shift_loop_average, resolvent_window_sums
@@ -489,7 +460,7 @@ def worker() -> dict:
         extra[f"momentum_green_average/L={L}"] = {"mpmath_gap_L1000": mpmath_gap}
     for theta, label in ((0.0, ""), (math.pi / 2, ",theta=pi_2")):
         for inertia in (1e-6, 1e-7):
-            prm = rot.RotatorParams.euclidean(inertia, theta, 0.3, 0.3)
+            prm = params(inertia, theta, 0.3, 0.3)
             times, value = _timed(lambda: rot.path_green(prm))
             cases[f"path_green/I={inertia:g}{label}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
     b_path = 1e-7 / (2.0 * 0.3)  # path_green's b at I = 1e-7, tau_E = 0.3
@@ -501,7 +472,7 @@ def worker() -> dict:
         mismatches = sum(a.hex() != math.fsum(row.tolist()).hex() for a, row in zip(sums, rows))
         cases[f"exact_sums/2x{n.size}"] = (times, "fsum_mismatches", mismatches)
     for inertia in (1e4, 1e5):
-        prm = rot.RotatorParams.euclidean(inertia, 0.9, 0.01, 0.0)
+        prm = params(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
         cases[f"spectral_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_winding(prm)))
     for n_nodes, upper in ((48, math.log(pheno._MAGNETIC_R_MAX_OVER_EPS)), (64, 1.0)):
@@ -517,11 +488,9 @@ def worker() -> dict:
         times, value = _timed(lambda: pheno.magnetic_energy_quadrature(unit))
         cases[f"magnetic_energy_quadrature/{pheno._MAGNETIC_NODES}_nodes"] = (
             times, "truncated_closed_form_gap", abs(value / truncated - 1.0))
-        times, value = _timed(lambda: pheno.rotary_momentum_quadrature(unit))
-        cases[f"rotary_momentum_quadrature/{pheno._RADIAL_NODES}_nodes"] = (
-            times, "closed_form_gap", abs(value / inertia - 1.0))
-        times, value = _timed(lambda: pheno.normalization_check(unit))
-        cases[f"normalization_check/{pheno._RADIAL_NODES}_nodes"] = (times, "unity_gap", abs(value - 1.0))
+        times, (value, unity) = _timed(lambda: pheno.zero_mode_integrals(unit))
+        cases[f"zero_mode_integrals/{pheno._RADIAL_NODES}_nodes"] = (times, "closed_form_gap", abs(value / inertia - 1.0))
+        extra[f"zero_mode_integrals/{pheno._RADIAL_NODES}_nodes"] = {"unity_gap": abs(unity - 1.0)}
     pheno._MAGNETIC_NODES, pheno._RADIAL_NODES = nodes
 
     bogo = _parse_config(["check-bogomolnyi"]).params
@@ -578,7 +547,7 @@ def worker() -> dict:
     pheno._shell_sum = recorded
     try:
         pheno.magnetic_energy_quadrature(unit)
-        pheno.rotary_momentum_quadrature(unit)
+        pheno.zero_mode_integrals(unit)
     finally:
         pheno._shell_sum = shell_sum
     for n_nodes, args in sorted(shell_sums.items()):
@@ -646,8 +615,7 @@ def worker() -> dict:
         cases[f"winding_report/{label}"] = (times, "exit_code", code)
     # the rotator report's winding sides, one call over its table
     for inertia in (1e-7, 1e-6):
-        table = [rot.RotatorParams.euclidean(inertia, theta, 0.3, dn) for theta in (0.0, math.pi / 2, math.pi)
-                 for dn in (0.0, 0.3, 1.0)]
+        table = [params(inertia, theta, 0.3, dn) for theta in (0.0, math.pi / 2, math.pi) for dn in (0.0, 0.3, 1.0)]
         times, value = _timed(lambda: rot.path_green(table))
         gap = max(abs(z - _jtheta_spectral(prm)) for z, prm in zip(value, table))
         cases[f"path_green_table/I={inertia:g}"] = (times, "max_jtheta_gap", gap)
@@ -659,18 +627,6 @@ def worker() -> dict:
         times, shot = _timed(lambda: greens.shoot_radial(0.97, 0.05, (1.0, r1)))
         cases[f"shoot_radial/r1={r1:g}"] = (times, "mpmath_gap", abs(shot.f[-1] - _radial_oracle(0.97, 0.05, r1)))
         extra[f"shoot_radial/r1={r1:g}"] = {"steps": len(shot.r) - 1}
-    scipy_route = "method" in inspect.signature(greens.shoot_radial).parameters
-    options = {"method": "DOP853", "rtol": 1e-13, "atol": 1e-14} if scipy_route else {}
-    rng, times, ends = np.random.default_rng(0), [], []
-    for _ in range(DRAWS):
-        f0, slope, r0 = rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 0.5)
-        span = (r0, r0 * 10.0 ** rng.uniform(0.5, 2.5))
-        t = perf_counter()
-        shot = greens.shoot_radial(f0, slope, span, **options)
-        times.append(perf_counter() - t)
-        ends.append([shot.classification, float(shot.f[-1])])
-    cases[f"shoot_radial_draws/{DRAWS}"] = (times, "divergent_shots", sum(c == "divergent" for c, _ in ends))
-    extra[f"shoot_radial_draws/{DRAWS}"] = {"ends": ends}
     return {
         case: {"times_s": times, "accuracy_name": name, "accuracy": value, **extra.get(case, {})}
         for case, (times, name, value) in cases.items()
@@ -754,7 +710,7 @@ def compare_outputs(trees: dict) -> list:
         workloads = json.load(fh)
     groups = [("default", [(sub,) for sub in SUBCOMMANDS])]
     groups += [(f"workload:{w}", [tuple(a) for a in spec["reports"]]) for w, spec in workloads.items()]
-    groups += [("error", ERROR_ARGV), ("extra", EXTRA_ARGV), ("changed", CHANGED_ARGV)]
+    groups += [("error", ERROR_ARGV), ("extra", EXTRA_ARGV)]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for group, argvs in groups:
@@ -837,16 +793,11 @@ def measure(trees: dict) -> dict:
         row["within_noise"] = abs(base["median_s"] - cur["median_s"]) < base["quartiles_s"][1] - base["quartiles_s"][0]
         if "pair" in row["current"]:
             row["tree_mismatches"] = _mismatches(*(tuple(row[name]["pair"]) for name in trees))
-        if "ends" in row["current"]:
-            pairs = list(zip(*(row[name].pop("ends") for name in trees)))
-            row["class_agreement"] = sum(b[0] == c[0] for b, c in pairs)
-            row["worst_end_gap"] = max(abs(b[1] - c[1]) for b, c in pairs if "divergent" not in (b[0], c[0]))
         kernels.append(row)
     return {
         "kernels": kernels,
         "import_ymvac_cli": {name: {"median_s": statistics.median(import_s[name]), "samples": IMPORTS}
                              for name in trees},
-        "shoot_radial_long_span": json.loads(_run(trees["current"], ["-c", LONG_SHOT_CODE])),
         "tier1_wall": {name: {"median_s": statistics.median(tier1_s[name]), "samples": TIER1_RUNS,
                               "summary": tier1_summary[name]} for name in trees},
     }
@@ -899,7 +850,6 @@ def main(argv=None) -> int:
     print(f"code lines {'src/ymvac':>16}: {lines['baseline']['total']} -> {lines['current']['total']}")
     for name, rec in result["import_ymvac_cli"].items():
         print(f"import ymvac.cli ({name}): {rec['median_s']:.3f} s")
-    print(f"shoot_radial over r in (1, 1e12): {result['shoot_radial_long_span']}")
     for name, rec in result["tier1_wall"].items():
         print(f"Tier-1 suite ({name}): {rec['median_s']:.1f} s wall, {rec['summary']}")
     for sub in result["cold_subcommand_wall"]["current"]:

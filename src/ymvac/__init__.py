@@ -42,8 +42,10 @@ CLI's --set overrides, and the pheno quadratures share one shell sum.
 Each kernel has one calling convention: points are (3,) or (N, 3) arrays
 (or lists of (3,) arrays), the group factors always use the phase profile
 f01, theta3 takes (z, tau), momentum_green_average returns the (8, 8)
-ndarray, each pheno closed form and its quadrature companion are two
-functions, and the quadrature settings the reports use are module constants.
+ndarray, each pheno closed form is one function beside its quadrature
+companion (the inertia and the normalization share one, zero_mode_integrals,
+over one zero-mode sample), and the quadrature settings the reports use are
+module constants.
 """
 
 from . import bps_profiles, greens, interference, pheno, rotator, topology

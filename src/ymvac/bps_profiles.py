@@ -674,13 +674,12 @@ def bogomolnyi_residual(
     points,
     stencil: StencilConfig | None = None,
     variant=FieldVariant.BPS,
-    sign: int = 1,
 ) -> tuple[float, float]:
     """Max pointwise first-order residual over the given points (an (N, 3)
     array, a point, or a list of points), at the stencil's step h and at h/2:
     the pair (residual at h, residual at h/2).
 
-    BPS: max ||B - sign*D(phi)|| / ||B||  (Frobenius norms).
+    BPS: max ||B - D(phi)|| / ||B||  (Frobenius norms).
     PT: both sides vanish identically; the 0/0 is reported as exact zero.
     WuYang variants: the phase scalar matches B only up to an overall scale,
     so the scale-invariant alignment residual sqrt(1 - <B_hat, D_hat>^2) is
@@ -700,8 +699,6 @@ def bogomolnyi_residual(
     after any of the calling thread's own.
     """
     variant = FieldVariant.parse(variant)
-    if sign not in (1, -1):
-        raise DomainError("sign branch must be +1 or -1")
     pts = _batch(points)[0]
     if pts.size == 0:
         raise ValueError("empty point list")
@@ -718,7 +715,7 @@ def bogomolnyi_residual(
     for B, D in _first_order_pairs(gauge, scalar, pts.astype(np.longdouble), stencil, scale.g):
         nb = np.linalg.norm(B, axis=(1, 2))
         if variant is FieldVariant.BPS:
-            res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
+            res = np.linalg.norm(B - D, axis=(1, 2)) / nb
         else:
             cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * np.linalg.norm(D, axis=(1, 2)))
             res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
@@ -759,27 +756,23 @@ def gribov_residual(
     x,
     stencil: StencilConfig | None = None,
     variant=FieldVariant.BPS,
-    scalar: ColorField | None = None,
 ) -> np.ndarray:
     """Color components of D^2(A) Phi0 at a centre x (3,), or at a batch of
     centres (M, 3) in one pass, giving (3,) or (M, 3); zero for the phase
     scalar on the smooth background (and on the singular one far outside the
     core).  A stencil with an (M,) array of steps gives each centre its own
     step, with the bits of one call per centre.  Components beyond the
-    float64 range come back as inf.
-
-    `scalar` overrides the phase scalar (negative controls)."""
+    float64 range come back as inf."""
     variant = FieldVariant.parse(variant)
     if variant not in (FieldVariant.BPS, FieldVariant.WU_YANG_PLUS, FieldVariant.WU_YANG_MINUS):
         raise DomainError("gribov_residual needs a monopole background")
     stencil = stencil or default_stencil(scale)
     _check_stencil_scale(stencil, scale)
     gauge, _ = build_fields(scale, variant)
-    phase = scalar if scalar is not None else gribov_phase_scalar(scale)
     # extended precision: the nested stencil's cancellation floor in double
     # precision sits above the h^4 term at the probe radii
     xe, single = _batch(x)
-    out = covariant_laplacian(gauge, phase, xe.astype(np.longdouble), stencil, scale.g)
+    out = covariant_laplacian(gauge, gribov_phase_scalar(scale), xe.astype(np.longdouble), stencil, scale.g)
     with np.errstate(over="ignore"):
         out = out.astype(float)
     return out[0] if single else out

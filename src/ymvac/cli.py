@@ -265,7 +265,7 @@ def _run_rotator(cfg: RunConfig) -> Report:
     thetas = [0.0, math.pi / 2, math.pi] if p["theta"] is None else [p["theta"]]
     taus = [0.3, 1.0, 3.0] if p["tau"] is None else [p["tau"]]
     inertias = [0.5, 1.0, 5.0] if p["inertia"] is None else [p["inertia"]]
-    grid = [(th, te, dn, inertia, rotator.RotatorParams.euclidean(inertia, th, te, dn))
+    grid = [(th, te, dn, inertia, rotator.RotatorParams(inertia, th, te, dn))
             for th in thetas for te in taus for dn in (0.0, 0.3, 1.0) for inertia in inertias]
     # evaluate only the sides that fit the term cap; a lone side is checked
     # against its own theta route instead.  Every winding side that fits is
@@ -370,8 +370,7 @@ def _run_pheno(cfg: RunConfig) -> Report:
     me_shell = pheno.magnetic_energy_shell(scale)  # what the quadrature integrates
     tol_me = cfg.tol if cfg.tol is not None else 1e-8
     inertia = pheno.rotary_momentum(scale)
-    inertia_q = pheno.rotary_momentum_quadrature(scale)
-    norm = pheno.normalization_check(scale)
+    inertia_q, norm = pheno.zero_mode_integrals(scale)
     sens_rows = []
     for f_pi in np.linspace(0.09, 0.13, 5):
         sens_rows.append((float(f_pi), pheno.b2_numerator(replace(inputs, f_pi=float(f_pi)))))

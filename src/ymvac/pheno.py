@@ -10,18 +10,18 @@ Closed forms and their independent quadrature companions:
     V<B^2>   = 4 pi/(g^2 eps)                  (radial integral of the f=+1 tension:
                                                 magnetic_energy_quadrature)
     I        = 4 pi^2 eps / alpha_s            (integral of |D Phi0|^2 with the zero-mode
-                                                normalization: rotary_momentum_quadrature)
-    (g^2/8 pi^2) int D(Phi0).B d^3x = 1        (parameter-free: normalization_check)
+                                                normalization: zero_mode_integrals)
+    (g^2/8 pi^2) int D(Phi0).B d^3x = 1        (parameter-free: zero_mode_integrals)
     H(P_N)   = (2 pi/(g^2 eps)) [P_N^2 (g^2/8 pi^2)^2 + 1]
     dM^2     = C_M^2/(I V) = e^2/pi            (C_M = 2 sqrt(pi), I = (2 pi/e)^2/V)
     dm_eta^2 = N_f^2 alpha_s^2 <B^2>/(F_pi^2 2 pi^3)
     <B^2>    = 2 pi^3 F_pi^2 dm_eta^2/(N_f^2 alpha_s^2)
     alpha0   = 1/(beta [1 + 2 ln(4 (N_c V0)^(1/3)/Lambda)]),  beta = 11/(4 pi)
 
-The three companions add their radial nodes with one shell sum, and the last
-two share one set of BPS fields, nodes and zero-mode gradient.  Before sampling,
-each refuses a (g, eps) for which a square or cube it forms would leave the
-floats (DomainError naming g and eps).
+The companions add their radial nodes with one shell sum, and the inertia and
+the normalization are two integrals of one zero-mode gradient, sampled once.
+Before sampling, each companion refuses a (g, eps) for which a square or cube
+it forms would leave the floats (DomainError naming g and eps).
 
 The calibration defaults (F_pi = 0.1 GeV, N_f = 3, dm_eta2 = 0.87 GeV^2,
 alpha_s = 0.24) reproduce the 0.06 GeV^4 numerator; they are a documented
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -51,24 +50,18 @@ from .topology import _compactified_radial, _gauss_legendre
 __all__ = [
     "PhenoInputs",
     "read_constants",
-    "default_constants_path",
     "magnetic_energy",
     "magnetic_energy_shell",
     "magnetic_energy_quadrature",
     "rotary_momentum",
-    "rotary_momentum_quadrature",
     "vacuum_hamiltonian",
-    "normalization_check",
+    "zero_mode_integrals",
     "schwinger_mass",
     "EtaMassShift",
     "eta_mass_shift",
     "b2_numerator",
     "b2_estimate",
     "alpha_mod_zero",
-    "gluon_structural_mass",
-    "omega_infrared",
-    "omega_ultraviolet",
-    "omega_asymptotic",
     "bogomolnyi_bound_energy",
 ]
 
@@ -153,10 +146,6 @@ def read_constants(path=None, overrides=()) -> PhenoInputs:
     return PhenoInputs(**values)
 
 
-def default_constants_path():
-    return resources.files("ymvac.data").joinpath("default_constants.txt")
-
-
 # ---------------------------------------------------------------------------
 # vacuum energetics
 # ---------------------------------------------------------------------------
@@ -194,18 +183,6 @@ def _shell_sum(w, r, power: int, X, Y) -> float:
     return total
 
 
-def _zero_mode_on_nodes(scale: MonopoleScale):
-    """What the inertia and normalization companions share: the BPS gauge field, its
-    stencil, the compactified radial rule (r, w), its points x and D(Phi0) there."""
-    _check_range(scale)
-    stencil = default_stencil(scale)
-    gauge, _ = build_fields(scale, FieldVariant.BPS)
-    r, w = _compactified_radial(_RADIAL_NODES, scale.eps)
-    x = np.outer(r, (0.0, 0.0, 1.0))
-    D = covariant_derivative(gauge, zero_mode_scalar(scale), x, stencil, scale.g)
-    return gauge, stencil, r, w, x, D
-
-
 def magnetic_energy_quadrature(scale: MonopoleScale) -> float:
     """Companion of magnetic_energy_shell: integrate the sampled f = +1 tension
     norm over its shell eps <= r <= _MAGNETIC_R_MAX_OVER_EPS eps.
@@ -225,19 +202,31 @@ def rotary_momentum(scale: MonopoleScale) -> float:
     return 4.0 * math.pi**2 * scale.eps / scale.alpha_s
 
 
-def rotary_momentum_quadrature(scale: MonopoleScale) -> float:
-    """Companion of rotary_momentum: integrate |D Phi0|^2 for the zero-mode
-    scalar on the smooth background over all space (64-node compactified
-    radial Gauss-Legendre).  Raises ConsistencyError when it strays more than
-    5% from the closed form."""
-    _, _, r, w, _, D = _zero_mode_on_nodes(scale)
-    total = _shell_sum(w, r, 2, D, D)
+def zero_mode_integrals(scale: MonopoleScale) -> tuple[float, float]:
+    """Companions of rotary_momentum and of the normalization, from one sample
+    of D(Phi0) for the zero-mode scalar on the smooth background (64-node
+    compactified radial Gauss-Legendre over all space): the inertia, the
+    integral of |D Phi0|^2, and (g^2/8 pi^2) int D(Phi0).B d^3x, which equals
+    1 for any (g, eps).  Raises ConsistencyError when the inertia strays more
+    than 5% from the closed form, then when the normalization is off by more
+    than 5%."""
+    _check_range(scale)
+    stencil = default_stencil(scale)
+    gauge, _ = build_fields(scale, FieldVariant.BPS)
+    r, w = _compactified_radial(_RADIAL_NODES, scale.eps)
+    x = np.outer(r, (0.0, 0.0, 1.0))
+    D = covariant_derivative(gauge, zero_mode_scalar(scale), x, stencil, scale.g)
+    inertia = _shell_sum(w, r, 2, D, D)
     formula = rotary_momentum(scale)
-    if abs(total - formula) > _CHECK_TOLERANCE * formula:
+    if abs(inertia - formula) > _CHECK_TOLERANCE * formula:
         raise ConsistencyError(
-            f"inertia quadrature {total} vs closed form {formula} beyond {_CHECK_TOLERANCE:.0%}"
+            f"inertia quadrature {inertia} vs closed form {formula} beyond {_CHECK_TOLERANCE:.0%}"
         )
-    return total
+    B = magnetic_tension(gauge, x, stencil, scale.g)
+    value = scale.g**2 / (8.0 * math.pi**2) * _shell_sum(w, r, 2, D, B)
+    if abs(value - 1.0) > _CHECK_TOLERANCE:
+        raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {_CHECK_TOLERANCE:.0%}")
+    return inertia, value
 
 
 def vacuum_hamiltonian(p_n: float, scale: MonopoleScale) -> float:
@@ -246,32 +235,19 @@ def vacuum_hamiltonian(p_n: float, scale: MonopoleScale) -> float:
     return (2.0 * math.pi / (g2 * scale.eps)) * ((p_n * g2 / (8.0 * math.pi**2)) ** 2 + 1.0)
 
 
-def normalization_check(scale: MonopoleScale) -> float:
-    """(g^2/8 pi^2) int D(Phi0).B d^3x over the smooth pair (64-node
-    compactified radial Gauss-Legendre); equals 1 for any (g, eps).  Raises
-    ConsistencyError when off by more than 5%."""
-    gauge, stencil, r, w, x, D = _zero_mode_on_nodes(scale)
-    B = magnetic_tension(gauge, x, stencil, scale.g)
-    value = scale.g**2 / (8.0 * math.pi**2) * _shell_sum(w, r, 2, D, B)
-    if abs(value - 1.0) > _CHECK_TOLERANCE:
-        raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {_CHECK_TOLERANCE:.0%}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # mass formulas
 # ---------------------------------------------------------------------------
 
-def schwinger_mass(e: float, c_m: float | None = None) -> float:
+def schwinger_mass(e: float) -> float:
     """Pseudoscalar mass squared C_M^2/(I V) in the (1+1)d model; closes to
-    e^2/pi for C_M = 2 sqrt(pi) and I = (2 pi/e)^2/V, in which the volume V
-    cancels.  A perturbed C_M trips the round-off-level equality assertion.
-    An e for which e^2 or (2 pi/e)^2 leaves [1e-303, 1e303] is refused."""
+    e^2/pi for C_M = C_SCHWINGER = 2 sqrt(pi) and I = (2 pi/e)^2/V, in which
+    the volume V cancels.  A perturbed C_M trips the round-off-level equality
+    assertion.  An e for which e^2 or (2 pi/e)^2 leaves [1e-303, 1e303] is refused."""
     if not (math.isfinite(e) and e > 0 and max(abs(math.log(e)), abs(math.log(2.0 * math.pi / e))) <= _LOG_BOUND / 2):
         raise DomainError(f"coupling e must be positive and finite, with e^2 and (2 pi/e)^2 in [1e-303, 1e303], "
                           f"got {e}")
-    c = C_SCHWINGER if c_m is None else c_m
-    value = c**2 / (2.0 * math.pi / e) ** 2
+    value = C_SCHWINGER**2 / (2.0 * math.pi / e) ** 2
     if abs(value * math.pi / e**2 - 1.0) > 1e-12:
         raise ConsistencyError(f"C_M^2/(I V) = {value} does not equal e^2/pi")
     return value
@@ -311,42 +287,6 @@ def alpha_mod_zero(inputs: PhenoInputs) -> float:
     if arg <= 1.0:
         raise DomainError(f"log argument {arg} must exceed 1")
     return 1.0 / (BETA_MOD * (1.0 + 2.0 * math.log(arg)))
-
-
-def gluon_structural_mass(omega: float, k: float) -> float:
-    """m_g = sqrt(omega^2 - k^2); tachyonic inputs (omega < k) are rejected."""
-    if omega < k:
-        raise DomainError("omega < k: tachyonic input")
-    return math.sqrt(omega * omega - k * k)
-
-
-def omega_infrared(k_resc: float) -> float:
-    """Infrared dispersion branch in rescaled units: omega = 2/k^2."""
-    if not (k_resc > 0):
-        raise DomainError("rescaled momentum must be positive")
-    return 2.0 / k_resc**2
-
-
-def omega_ultraviolet(k_resc: float) -> float:
-    """Ultraviolet dispersion branch in rescaled units: omega = k."""
-    if not (k_resc > 0):
-        raise DomainError("rescaled momentum must be positive")
-    return k_resc
-
-
-def omega_asymptotic(k_resc: float, k_lo: float = 1.0, k_hi: float = 1.0) -> float:
-    """Asymptotic dispersion generator: infrared branch below k_lo, ultraviolet
-    branch above k_hi.  No interpolation is provided in between (that requires
-    the numerical gap-equation solution, which is out of scope here)."""
-    if k_lo > k_hi:
-        raise DomainError("k_lo must not exceed k_hi")
-    if k_resc < k_lo:
-        return omega_infrared(k_resc)
-    if k_resc > k_hi:
-        return omega_ultraviolet(k_resc)
-    raise DomainError(
-        f"k={k_resc} falls between the asymptotic branches [{k_lo}, {k_hi}]; no interpolation"
-    )
 
 
 def bogomolnyi_bound_energy(magnetic_charge: float, a: float, g: float) -> float:

@@ -17,7 +17,7 @@ transformation of
                   = (-i tau)^(-1/2) exp[Z^2/(i pi tau)] Theta3(Z/tau | -1/tau),
 
 with the dictionary tau = 2 pi i tau_E / I, Z = pi dN + i pi theta tau_E / I
-(spectral side).  Real-time evaluation is out of contract and raises.
+(spectral side).  RotatorParams holds a Euclidean time tau_E > 0.
 
 Each sum adds the real and imaginary parts of its terms correctly rounded
 (algebra.exact_sums, math.fsum's bits); a cutoff past the term cap raises.
@@ -75,42 +75,28 @@ def _normalize_theta(theta: float) -> float:
 @dataclass(frozen=True)
 class RotatorParams:
     """Rotator data: inertia I > 0 (GeV^-1), theta in [0, 2pi), Euclidean time
-    flagged through a purely imaginary `time`, winding displacement dN."""
+    tau_E > 0 (the Green sums converge only there), winding displacement dN."""
 
     inertia: float
     theta: float
-    time: complex
-    dN: float
+    tau_e: float
+    dN: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau_e) and self.tau_e > 0):
+            raise DomainError(f"Euclidean time tau_e must be positive and finite, got {self.tau_e}")
         if not (math.isfinite(self.inertia) and self.inertia > 0):
             raise DomainError(f"inertia must be positive and finite, got {self.inertia}")
         if not (math.isfinite(self.theta) and math.isfinite(self.dN)):
             raise DomainError(f"theta and dN must be finite, got {self.theta}, {self.dN}")
-        tau_e = -complex(self.time).imag
-        if tau_e > 0:  # the exponents of both Poisson-dual sums must be normal floats
-            a, b = tau_e / (2.0 * self.inertia), self.inertia / (2.0 * tau_e)
-            if not (sys.float_info.min <= min(a, b) and max(a, b) < math.inf):
-                raise DomainError(
-                    f"tau_E/(2I) = {a} and I/(2 tau_E) = {b} must both be normal floats; "
-                    f"inertia {self.inertia} and tau_E {tau_e} are too far apart"
-                )
-        object.__setattr__(self, "theta", _normalize_theta(self.theta))
-
-    @classmethod
-    def euclidean(cls, inertia: float, theta: float, tau_e: float, dN: float = 0.0):
-        if not (math.isfinite(tau_e) and tau_e > 0):
-            raise DomainError(f"Euclidean time tau_e must be positive and finite, got {tau_e}")
-        return cls(inertia=inertia, theta=theta, time=-1j * tau_e, dN=dN)
-
-    @property
-    def tau_e(self) -> float:
-        t = complex(self.time)
-        if abs(t.real) > 1e-14 * max(1.0, abs(t)) or t.imag >= 0:
-            raise ConvergenceError(
-                "sums converge absolutely only at Euclidean time t = -i tau_e, tau_e > 0"
+        # the exponents of both Poisson-dual sums must be normal floats
+        a, b = self.tau_e / (2.0 * self.inertia), self.inertia / (2.0 * self.tau_e)
+        if not (sys.float_info.min <= min(a, b) and max(a, b) < math.inf):
+            raise DomainError(
+                f"tau_E/(2I) = {a} and I/(2 tau_E) = {b} must both be normal floats; "
+                f"inertia {self.inertia} and tau_E {self.tau_e} are too far apart"
             )
-        return -t.imag
+        object.__setattr__(self, "theta", _normalize_theta(self.theta))
 
     @property
     def in_half_window(self) -> bool:

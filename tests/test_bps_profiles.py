@@ -472,11 +472,13 @@ class TestBogomolnyiResidual:
             bogomolnyi_residual(SCALE, [])
 
     def test_sign_branch(self):
+        # negative control: the anti-self-dual pairing B + D(phi) misses by more than |B|
+        gauge, scalar = build_fields(SCALE, "BPS")
         st = default_stencil(SCALE)
-        pts = [np.array([0.9, 0.3, -0.2])]
-        assert min(bogomolnyi_residual(SCALE, pts, st, sign=-1)) > 1.0
-        with pytest.raises(DomainError):
-            bogomolnyi_residual(SCALE, pts, st, sign=2)
+        x = np.array([0.9, 0.3, -0.2])
+        B = magnetic_tension(gauge, x, st, SCALE.g)
+        D = covariant_derivative(gauge, scalar, x, st, SCALE.g)
+        assert np.linalg.norm(B + D) / np.linalg.norm(B) > 1.0
 
     @pytest.mark.parametrize("variant", ["BPS", "WuYangMinus"])
     def test_array_matches_point_list(self, variant):
@@ -513,8 +515,9 @@ class TestGribovResidual:
 
     def test_negative_control_constant_scalar(self):
         st = default_stencil(SCALE)
+        gauge, _ = build_fields(SCALE, "WuYangPlus")
         const = ColorField(lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
-        res = gribov_residual(SCALE, np.array([0.0, 0.0, 2.0]), st, variant="WuYangPlus", scalar=const)
+        res = covariant_laplacian(gauge, const, np.array([0.0, 0.0, 2.0], dtype=np.longdouble), st, SCALE.g)
         # the color-mixing terms do not annihilate a constant
         assert np.linalg.norm(res) > 0.01
 
@@ -755,7 +758,7 @@ def _outcome(fn):
         return f"StencilError: {exc}"
 
 
-def _one_step_residual(scale, pts, stencil, variant, sign):
+def _one_step_residual(scale, pts, stencil, variant):
     """bogomolnyi_residual at one step, as it was written before both steps
     shared a walk (the reference of its bits)."""
     if FieldVariant.parse(variant) is FieldVariant.PT:
@@ -766,7 +769,7 @@ def _one_step_residual(scale, pts, stencil, variant, sign):
     D = covariant_derivative(gauge, scalar, xe, stencil, scale.g)
     nb, nd = np.linalg.norm(B, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
     if FieldVariant.parse(variant) is FieldVariant.BPS:
-        res = np.linalg.norm(B - sign * D, axis=(1, 2)) / nb
+        res = np.linalg.norm(B - D, axis=(1, 2)) / nb
     else:
         cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * nd)
         res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
@@ -784,18 +787,17 @@ class TestSharedHalfStep:
         order=st.sampled_from([2, 4]),
         dtype=st.sampled_from([np.float64, np.longdouble]),
         per_point=st.booleans(),
-        sign=st.sampled_from([1, -1]),
         g=st.floats(0.3, 3.0),
     )
     @example(  # h/2 exact: the shifts +-h of both steps are one sample each
         batch=(False, np.array([[0.0, -0.0, 1.0], [-0.0, 0.5, -0.0], [2.0, -3.0, 0.25]]), np.array([0.01, 0.02, 0.005])),
-        variant="BPS", order=4, dtype=np.longdouble, per_point=False, sign=1, g=1.0,
+        variant="BPS", order=4, dtype=np.longdouble, per_point=False, g=1.0,
     )
     @example(  # h/2 inexact: no shift is shared
         batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([math.ldexp(2 * 759375 * 10**9 + 1, -1074)] * 2)),
-        variant="BPS", order=4, dtype=np.longdouble, per_point=True, sign=1, g=1.0,
+        variant="BPS", order=4, dtype=np.longdouble, per_point=True, g=1.0,
     )
-    def test_matches_one_step_calls(self, batch, variant, order, dtype, per_point, sign, g):
+    def test_matches_one_step_calls(self, batch, variant, order, dtype, per_point, g):
         tiny, coords, steps = batch
         scale = MonopoleScale(g, _TINY_EPS if tiny else 1.0)
         x = coords * scale.eps
@@ -817,8 +819,8 @@ class TestSharedHalfStep:
                 assert pairs == ref_pairs
             else:
                 assert all(_same_bits(a, b) for got, ref in zip(pairs, ref_pairs) for a, b in zip(got, ref))
-            res = _outcome(lambda: bogomolnyi_residual(scale, x, stencil, variant, sign))
-            ref_res = _outcome(lambda: tuple(_one_step_residual(scale, x, s, variant, sign) for s in (stencil, half)))
+            res = _outcome(lambda: bogomolnyi_residual(scale, x, stencil, variant))
+            ref_res = _outcome(lambda: tuple(_one_step_residual(scale, x, s, variant) for s in (stencil, half)))
         if isinstance(ref_res, str):
             assert res == ref_res
         else:
@@ -903,18 +905,17 @@ class TestScalarWalkOnSecondThread:
         order=st.sampled_from([2, 4]),
         dtype=st.sampled_from([np.float64, np.longdouble]),
         per_point=st.booleans(),
-        sign=st.sampled_from([1, -1]),
         g=st.floats(0.3, 3.0),
     )
     @example(  # an inexact half at subnormal steps, its walk on the worker under the caller's errstate
         batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([math.ldexp(2 * 759375 * 10**9 + 1, -1074)] * 2)),
-        size=1000, variant="BPS", order=4, dtype=np.longdouble, per_point=True, sign=1, g=1.0,
+        size=1000, variant="BPS", order=4, dtype=np.longdouble, per_point=True, g=1.0,
     )
     @example(  # float64 at a subnormal step: the gauge's squares underflow and divide by 0
         batch=(True, np.array([[0.0, -0.0, 1.0], [0.7, 0.5, -0.0]]), np.array([1e-308, 1e-308])),
-        size=300, variant="BPS", order=4, dtype=np.float64, per_point=False, sign=1, g=1.0,
+        size=300, variant="BPS", order=4, dtype=np.float64, per_point=False, g=1.0,
     )
-    def test_tiled_batches_match_one_step_calls(self, batch, size, variant, order, dtype, per_point, sign, g):
+    def test_tiled_batches_match_one_step_calls(self, batch, size, variant, order, dtype, per_point, g):
         # TestSharedHalfStep's batches tiled past the gate (more than _BLOCK
         # rows per walk: every order-4 batch here, and every one of 1000 rows)
         tiny, coords, steps = batch
@@ -933,8 +934,8 @@ class TestScalarWalkOnSecondThread:
             ref_pairs = _outcome(lambda: [
                 (magnetic_tension(gauge, pts, s, g), covariant_derivative(gauge, scalar, pts, s, g))
                 for s in (stencil, stencil.halved())])
-            res = _outcome(lambda: bogomolnyi_residual(scale, x, stencil, variant, sign))
-            ref_res = _outcome(lambda: tuple(_one_step_residual(scale, x, s, variant, sign)
+            res = _outcome(lambda: bogomolnyi_residual(scale, x, stencil, variant))
+            ref_res = _outcome(lambda: tuple(_one_step_residual(scale, x, s, variant)
                                              for s in (stencil, stencil.halved())))
         assert threading.active_count() == before
         if isinstance(ref_pairs, str):

@@ -246,8 +246,8 @@ class TestRefinementExpectations:
 class TestOneStencilPass:
     """check-gribov evaluates every radius at h and at h/2 in one
     gribov_residual call, check-bogomolnyi its points at h and at h/2 in one
-    bogomolnyi_residual call, and greens its three radii in one operator
-    call."""
+    bogomolnyi_residual call, greens its three radii in one operator
+    call, and pheno its zero mode in one covariant_derivative call."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -291,7 +291,7 @@ class TestOneStencilPass:
 
     @pytest.mark.parametrize("argv, calls, rows", [
         (["winding"], 78, 359424),
-        (["pheno"], 10, 3248),
+        (["pheno"], 7, 2352),
         (["check-gribov"], 4, 1098),
     ])
     def test_hedgehog_work_per_default_report(self, capsys, monkeypatch, argv, calls, rows):
@@ -299,6 +299,12 @@ class TestOneStencilPass:
         samples = self._count(monkeypatch, bp, "_hedgehog")
         assert run(capsys, *argv, "--seed", "0")[0] == 0
         assert (len(samples), sum(len(pts) for pts, *_ in samples)) == (calls, rows)
+
+    def test_one_zero_mode_sample_per_pheno_report(self, capsys, monkeypatch):
+        # the inertia and the normalization integrate one D(Phi0) sample
+        calls = self._count(monkeypatch, pheno, "covariant_derivative")
+        assert run(capsys, "pheno")[0] == 0
+        assert len(calls) == 1
 
     def test_bogomolnyi_kernel_calls_need_no_guard(self, capsys, monkeypatch):
         # at 1000 points no radius of the pair's samples selects a guarded

@@ -189,7 +189,7 @@ class TestTheta3:
 
 class TestGreenRepresentations:
     def test_ground_state_dominance(self):
-        p = RotatorParams.euclidean(1.0, 0.0, 50.0, 0.0)
+        p = RotatorParams(1.0, 0.0, 50.0, 0.0)
         assert abs(spectral_green(p) - 1.0 / (2 * math.pi)) < 1e-12
 
     def test_representation_equality_grid(self):
@@ -197,19 +197,19 @@ class TestGreenRepresentations:
         for th, dn, te, inertia in itertools.product(
             (0.0, math.pi / 2, math.pi), (0.0, 0.3, 1.0), (0.3, 1.0, 3.0), (0.5, 1.0, 5.0)
         ):
-            prm = RotatorParams.euclidean(inertia, th, te, dn)
+            prm = RotatorParams(inertia, th, te, dn)
             worst = max(worst, abs(spectral_green(prm) - path_green(prm)))
         assert worst < 1e-8
 
     def test_theta_route_cross_check(self):
-        prm = RotatorParams.euclidean(1.0, 0.9, 1.3, 0.4)
+        prm = RotatorParams(1.0, 0.9, 1.3, 0.4)
         assert abs(spectral_green(prm) - spectral_green_via_theta(prm)) < 1e-14
 
     def test_theta_route_large_a_theta(self):
         # theta = 5 > pi: the theta series at theta itself overflows its terms
-        prm = RotatorParams.euclidean(1e-3, 5.0, 1.0)
+        prm = RotatorParams(1e-3, 5.0, 1.0)
         assert spectral_green_via_theta(prm) == spectral_green(prm)
-        prm = RotatorParams.euclidean(1.0, 5.0, 1.3, 0.4)
+        prm = RotatorParams(1.0, 5.0, 1.3, 0.4)
         assert abs(spectral_green(prm) - spectral_green_via_theta(prm)) < 1e-14
 
     @settings(deadline=None)
@@ -220,31 +220,31 @@ class TestGreenRepresentations:
         st.floats(-3.0, 3.0),
     )
     def test_theta_route_property(self, log_inertia, theta, log_tau, dn):
-        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        prm = RotatorParams(10.0**log_inertia, theta, 10.0**log_tau, dn)
         a = prm.tau_e / (2.0 * prm.inertia)
         # sum of |terms| is about (1 + 1/sqrt(a))/(2 pi): the scale of rounding
         tol = 1e-14 * (1.0 + 1.0 / math.sqrt(a))
         assert abs(spectral_green(prm) - spectral_green_via_theta(prm)) <= tol
 
     def test_integer_shift_invariance_at_theta_zero(self):
-        a = spectral_green(RotatorParams.euclidean(1.0, 0.0, 1.0, 0.0))
-        b = spectral_green(RotatorParams.euclidean(1.0, 0.0, 1.0, 1.0))
+        a = spectral_green(RotatorParams(1.0, 0.0, 1.0, 0.0))
+        b = spectral_green(RotatorParams(1.0, 0.0, 1.0, 1.0))
         assert abs(a - b) < 1e-14
 
     def test_quasi_periodicity(self):
         th = 0.9
-        a = spectral_green(RotatorParams.euclidean(1.2, th, 0.8, 1.3))
-        b = spectral_green(RotatorParams.euclidean(1.2, th, 0.8, 0.3))
+        a = spectral_green(RotatorParams(1.2, th, 0.8, 1.3))
+        b = spectral_green(RotatorParams(1.2, th, 0.8, 0.3))
         assert abs(a - cmath.exp(1j * th) * b) < 1e-10
 
     def test_alternating_real_sum_at_theta_pi(self):
-        prm = RotatorParams.euclidean(1.0, math.pi, 1.0, 0.0)
+        prm = RotatorParams(1.0, math.pi, 1.0, 0.0)
         val = path_green(prm)
         assert abs(val.imag) < 1e-15
 
     def test_classical_concentration(self):
         # small Euclidean time: the winding nearest to -dN dominates the sum
-        prm = RotatorParams.euclidean(4.0, 0.0, 0.05, 0.3)
+        prm = RotatorParams(4.0, 0.0, 0.05, 0.3)
         b = prm.inertia / (2 * 0.05)
         total = path_green(prm).real
         lead = math.sqrt(prm.inertia / (8 * math.pi**3 * 0.05)) * math.exp(-b * 0.3**2)
@@ -252,34 +252,36 @@ class TestGreenRepresentations:
 
     def test_large_inertia_gaussian_saturation(self):
         # the winding nearest to -dN dominates by the Gaussian gap factor
-        prm = RotatorParams.euclidean(200.0, 0.0, 1.0, 0.4)
+        prm = RotatorParams(200.0, 0.0, 1.0, 0.4)
         b = prm.inertia / 2.0
         lead = math.sqrt(prm.inertia / (8 * math.pi**3)) * math.exp(-b * 0.4**2)
         total = path_green(prm).real
         assert abs(total - lead) / lead < math.exp(-b * (0.6**2 - 0.4**2)) * 2.0
 
     def test_truncation_doubling(self):
-        prm = RotatorParams.euclidean(1.0, 0.4, 1.0, 0.2)
+        prm = RotatorParams(1.0, 0.4, 1.0, 0.2)
         assert abs(spectral_green(prm, k_max=8) - spectral_green(prm, k_max=16)) < 1e-12
         assert abs(path_green(prm, n_max=12) - path_green(prm, n_max=24)) < 1e-12
 
     def test_term_cap_raises(self):
         # I = 1e-12 needs about 1.8e7 windings: past the cap, raise rather than truncate
         with pytest.raises(ConvergenceError, match="terms"):
-            path_green(RotatorParams.euclidean(1e-12, 0.0, 1.0))
+            path_green(RotatorParams(1e-12, 0.0, 1.0))
         with pytest.raises(ConvergenceError, match="terms"):
             theta3(0.1, 1j, k_max=10**6)
 
-    def test_real_time_rejected(self):
-        prm = RotatorParams(inertia=1.0, theta=0.0, time=1.0 + 0j, dN=0.0)
-        with pytest.raises(ConvergenceError):
-            spectral_green(prm)
+    def test_non_euclidean_time_rejected(self):
+        # the sums converge only at tau_E > 0: anything else is refused when the
+        # params are built, before the inertia is looked at
+        for inertia, tau_e in itertools.product((1.0, -1.0), (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)):
+            with pytest.raises(DomainError, match="^Euclidean time tau_e must be positive and finite"):
+                RotatorParams(inertia, 0.0, tau_e)
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
-            RotatorParams.euclidean(0.0, 0.0, 1.0)
+            RotatorParams(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            RotatorParams.euclidean(1.0, 0.0, -1.0)
+            RotatorParams(1.0, 0.0, -1.0)
 
     @pytest.mark.parametrize(
         "inertia, theta, tau_e, dn",
@@ -296,7 +298,7 @@ class TestGreenRepresentations:
     )
     def test_params_reject_non_finite(self, inertia, theta, tau_e, dn):
         with pytest.raises(DomainError):
-            RotatorParams.euclidean(inertia, theta, tau_e, dn)
+            RotatorParams(inertia, theta, tau_e, dn)
 
     @pytest.mark.parametrize(
         "inertia, tau_e",
@@ -309,9 +311,7 @@ class TestGreenRepresentations:
     )
     def test_params_reject_non_normal_exponents(self, inertia, tau_e):
         with pytest.raises(DomainError, match="normal floats"):
-            RotatorParams.euclidean(inertia, 0.0, tau_e)
-        with pytest.raises(DomainError, match="normal floats"):
-            RotatorParams(inertia=inertia, theta=0.0, time=-1j * tau_e, dN=0.0)
+            RotatorParams(inertia, 0.0, tau_e)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_theta3_cutoff_without_squaring_overflow(self):
@@ -323,7 +323,7 @@ class TestGreenRepresentations:
             theta3(1e300j, 1e-300j)
 
     def test_theta_normalized(self):
-        prm = RotatorParams.euclidean(1.0, 2 * math.pi + 0.3, 1.0)
+        prm = RotatorParams(1.0, 2 * math.pi + 0.3, 1.0)
         assert prm.theta == pytest.approx(0.3)
 
 
@@ -345,7 +345,7 @@ class TestVectorisedSums:
     @settings(deadline=None, max_examples=60)
     @given(**_GREEN_PARAMS)
     def test_spectral_sums_bitwise(self, log_inertia, theta, log_tau, dn):
-        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        prm = RotatorParams(10.0**log_inertia, theta, 10.0**log_tau, dn)
         assert _bits(spectral_green(prm)) == _bits(reference_spectral(prm))
         assert _bits(spectral_green_via_theta(prm)) == _bits(reference_spectral_via_theta(prm))
 
@@ -360,16 +360,16 @@ class TestVectorisedSums:
     def test_path_sum_matches_reference(self, log_inertia, theta, log_tau, dn):
         # not bitwise: the reference squares with `** 2` (libm pow), the
         # library with x * x, which is correctly rounded
-        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        prm = RotatorParams(10.0**log_inertia, theta, 10.0**log_tau, dn)
         ref, scale = reference_path(prm)
         assert abs(path_green(prm) - ref) <= 1e-15 * scale
 
     def test_terms_needed_is_the_summed_count(self):
-        prm = RotatorParams.euclidean(0.7, 1.0, 0.4, 2.5)
+        prm = RotatorParams(0.7, 1.0, 0.4, 2.5)
         need_s, need_w = terms_needed(prm)
         assert spectral_green(prm, k_max=(need_s - 1) // 2) == spectral_green(prm)
         assert path_green(prm, n_max=(need_w - 1) // 2) == path_green(prm)
-        far = RotatorParams.euclidean(1e-12, 0.0, 1.0)
+        far = RotatorParams(1e-12, 0.0, 1.0)
         assert terms_needed(far)[1] > TERM_CAP
         with pytest.raises(ConvergenceError, match=f"needs {terms_needed(far)[1]} terms"):
             path_green(far)
@@ -418,16 +418,16 @@ class TestWindingTable:
     @example(inertia=1e-7, tau=0.3, rows=_REPORT_ROWS, n_max=None)  # rotator --inertia 1e-7 --tau 0.3
     @example(inertia=1e5, tau=0.01, rows=_REPORT_ROWS, n_max=None)  # rotator --inertia 1e5 --tau 0.01
     def test_matches_direct_terms(self, inertia, tau, rows, n_max):
-        table = [RotatorParams.euclidean(inertia, theta, tau, dn) for theta, dn in rows]
+        table = [RotatorParams(inertia, theta, tau, dn) for theta, dn in rows]
         got = [_bits(z) for z in path_green(table, n_max=n_max)]
         assert got == [_bits(direct_path_sum(prm, n_max)) for prm in table]
         assert got == [_bits(path_green(prm, n_max=n_max)) for prm in table]
 
     def test_table_forms(self):
-        prm = RotatorParams.euclidean(0.7, 1.0, 0.4, 2.5)
+        prm = RotatorParams(0.7, 1.0, 0.4, 2.5)
         assert path_green([]) == []
         assert path_green((prm,)) == [path_green(prm)]
-        far = RotatorParams.euclidean(1e-12, 0.0, 1.0)
+        far = RotatorParams(1e-12, 0.0, 1.0)
         with pytest.raises(ConvergenceError, match=f"needs {terms_needed(far)[1]} terms"):
             path_green([prm, far])
 
@@ -457,7 +457,7 @@ class TestExactSumRoute:
     @example(log_inertia=-7.0, theta=1.0, log_tau=1.0, dn=-2.5, im_z=0.0)  # 183 313 winding terms
     @example(log_inertia=5.0, theta=0.9, log_tau=-2.0, dn=0.0, im_z=-1.0)  # 9 231 spectral terms
     def test_matches_fsum_route(self, log_inertia, theta, log_tau, dn, im_z):
-        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        prm = RotatorParams(10.0**log_inertia, theta, 10.0**log_tau, dn)
         # theta3 on the spectral side's nome, long when I/tau_E is large; Im Z
         # below min(Im tau, 1) keeps its largest term below e^(4/pi)
         tau = 2j * math.pi * prm.tau_e / prm.inertia
@@ -485,7 +485,7 @@ class TestSecondRoutes:
         ],
     )
     def test_spectral_route_against_mpmath(self, inertia, theta, tau_e, dn):
-        prm = RotatorParams.euclidean(inertia, theta, tau_e, dn)
+        prm = RotatorParams(inertia, theta, tau_e, dn)
         ref = mp_spectral(prm)
         assert abs(spectral_green_via_theta(prm) - ref) <= 1e-14 * abs(ref)
 
@@ -501,14 +501,14 @@ class TestSecondRoutes:
         ],
     )
     def test_path_route_against_mpmath(self, inertia, theta, tau_e, dn):
-        prm = RotatorParams.euclidean(inertia, theta, tau_e, dn)
+        prm = RotatorParams(inertia, theta, tau_e, dn)
         ref = mp_path(prm)
         assert abs(path_green_via_theta(prm) - ref) <= 1e-14 * abs(ref)
 
     @settings(deadline=None)
     @given(**_GREEN_PARAMS)
     def test_path_route_property(self, log_inertia, theta, log_tau, dn):
-        prm = RotatorParams.euclidean(10.0**log_inertia, theta, 10.0**log_tau, dn)
+        prm = RotatorParams(10.0**log_inertia, theta, 10.0**log_tau, dn)
         b = prm.inertia / (2.0 * prm.tau_e)
         # the sum of |terms| is about pref (1 + sqrt(pi/b)): the scale of rounding
         scale = math.sqrt(prm.inertia / (8.0 * math.pi**3 * prm.tau_e)) * (1.0 + math.sqrt(math.pi / b))
@@ -518,7 +518,7 @@ class TestSecondRoutes:
     def test_path_route_past_spectral_cap(self, theta, dn):
         # I/tau_E = 1e11: the spectral side is past the cap and the winding
         # terms nearest to -dN carry the sum; no theta term overflows
-        prm = RotatorParams.euclidean(1e11, theta, 1.0, dn)
+        prm = RotatorParams(1e11, theta, 1.0, dn)
         assert terms_needed(prm)[0] > TERM_CAP >= terms_needed(prm)[1]
         assert path_green_via_theta(prm) == pytest.approx(path_green(prm), rel=1e-15, abs=0.0)
 
