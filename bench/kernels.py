@@ -396,9 +396,6 @@ def worker() -> dict:
     from ymvac import topology as topo
     from ymvac.cli import _parse_config
 
-    if not hasattr(pheno, "zero_mode_integrals"):  # a baseline that still splits the two zero-mode integrals
-        pheno.zero_mode_integrals = lambda s: (pheno.rotary_momentum_quadrature(s), pheno.normalization_check(s))
-    params = getattr(rot.RotatorParams, "euclidean", rot.RotatorParams)  # a baseline's tau_E constructor
     sys.path.insert(0, str(ROOT / "tests"))
     from test_bps_profiles import _where_hedgehog_gauge
     from test_interference import per_shift_loop_average, resolvent_window_sums
@@ -409,9 +406,10 @@ def worker() -> dict:
     specs = {"48x24x24": default, "72x36x36": default.refined()}
     gauge, _ = bp.build_fields(bp.MonopoleScale(g=1.0, eps=1.0), "BPS")
     momentum = np.array(_parse_config(["interference"]).params["momentum"])
+    shift = (None,) * (itf.momentum_green_average.__code__.co_argcount - 2)  # a baseline's (p, t_matrix, L)
 
     def average(L):
-        return itf.momentum_green_average(momentum, None, L)
+        return itf.momentum_green_average(momentum, *shift, L)
 
     def norm(L):
         return float(np.linalg.norm(average(L), 2))
@@ -460,7 +458,7 @@ def worker() -> dict:
         extra[f"momentum_green_average/L={L}"] = {"mpmath_gap_L1000": mpmath_gap}
     for theta, label in ((0.0, ""), (math.pi / 2, ",theta=pi_2")):
         for inertia in (1e-6, 1e-7):
-            prm = params(inertia, theta, 0.3, 0.3)
+            prm = rot.RotatorParams(inertia, theta, 0.3, 0.3)
             times, value = _timed(lambda: rot.path_green(prm))
             cases[f"path_green/I={inertia:g}{label}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
     b_path = 1e-7 / (2.0 * 0.3)  # path_green's b at I = 1e-7, tau_E = 0.3
@@ -472,7 +470,7 @@ def worker() -> dict:
         mismatches = sum(a.hex() != math.fsum(row.tolist()).hex() for a, row in zip(sums, rows))
         cases[f"exact_sums/2x{n.size}"] = (times, "fsum_mismatches", mismatches)
     for inertia in (1e4, 1e5):
-        prm = params(inertia, 0.9, 0.01, 0.0)
+        prm = rot.RotatorParams(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
         cases[f"spectral_green/I={inertia:g}"] = (times, "jtheta_gap", abs(value - _jtheta_winding(prm)))
     for n_nodes, upper in ((48, math.log(pheno._MAGNETIC_R_MAX_OVER_EPS)), (64, 1.0)):
@@ -615,7 +613,8 @@ def worker() -> dict:
         cases[f"winding_report/{label}"] = (times, "exit_code", code)
     # the rotator report's winding sides, one call over its table
     for inertia in (1e-7, 1e-6):
-        table = [params(inertia, theta, 0.3, dn) for theta in (0.0, math.pi / 2, math.pi) for dn in (0.0, 0.3, 1.0)]
+        table = [rot.RotatorParams(inertia, theta, 0.3, dn)
+                 for theta in (0.0, math.pi / 2, math.pi) for dn in (0.0, 0.3, 1.0)]
         times, value = _timed(lambda: rot.path_green(table))
         gap = max(abs(z - _jtheta_spectral(prm)) for z, prm in zip(value, table))
         cases[f"path_green_table/I={inertia:g}"] = (times, "max_jtheta_gap", gap)

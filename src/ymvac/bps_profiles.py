@@ -406,12 +406,12 @@ def _guarded(x, formula, guards):
     return out
 
 
-def _radii(r, eps: float, dtype=None):
-    """r as a float array (its float dtype kept, or dtype), once eps > 0 and
-    every radius >= 0 are checked."""
+def _radii(r, eps: float):
+    """r as a float array (its float dtype kept), once eps > 0 and every
+    radius >= 0 are checked."""
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
-    r = np.asarray(r, dtype=dtype)
+    r = np.asarray(r)
     if r.dtype.kind != "f":
         r = r.astype(float)
     if np.any(r < 0):
@@ -486,13 +486,14 @@ def f01_bps(r, eps: float):
 
 def d_f01_bps(r, eps: float):
     """Exact radial derivative of f01_bps (series-protected near the origin),
-    in float64, through _guarded with the guards x = r/eps below 0.05 and
-    above 350.  One radius is a batch of one: ** 2 of a numpy scalar is
-    libm's pow, which can differ in the last bit from the array square."""
-    r = _radii(r, eps, float)
+    in the float dtype of r, through _guarded with the guards x = r/eps
+    below 0.05 and above 350.  One radius is a batch of one: ** 2 of a numpy
+    scalar is libm's pow, which can differ in the last bit from the array
+    square."""
+    r = _radii(r, eps)
     x = np.atleast_1d(r / eps)
     # past 350, 1/sinh(x)^2 = 4e^-2x/(1 - e^-2x)^2 < 4e^-700 is below half
-    # an ulp of 1/x^2 and drops out; past 1e154 x**2 overflows, and
+    # an ulp of 1/x^2 and drops out; past 1e154 x**2 overflows in float64, and
     # 1/x^2 = (1/x)^2
     far = x > 1e154
     out = _guarded(x, lambda xs: (1.0 / xs**2 - 1.0 / np.sinh(xs) ** 2) / eps, [
@@ -500,7 +501,7 @@ def d_f01_bps(r, eps: float):
         ((x > 350.0) & ~far, lambda xt: 1.0 / xt**2 / eps),
         (far, lambda xf: (1.0 / xf) ** 2 / eps),
     ])
-    return out if r.ndim else float(out[0])
+    return out if r.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -751,24 +752,15 @@ def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, s
     return list(zip(Bs, Ds.result()))
 
 
-def gribov_residual(
-    scale: MonopoleScale,
-    x,
-    stencil: StencilConfig | None = None,
-    variant=FieldVariant.BPS,
-) -> np.ndarray:
-    """Color components of D^2(A) Phi0 at a centre x (3,), or at a batch of
-    centres (M, 3) in one pass, giving (3,) or (M, 3); zero for the phase
-    scalar on the smooth background (and on the singular one far outside the
-    core).  A stencil with an (M,) array of steps gives each centre its own
-    step, with the bits of one call per centre.  Components beyond the
-    float64 range come back as inf."""
-    variant = FieldVariant.parse(variant)
-    if variant not in (FieldVariant.BPS, FieldVariant.WU_YANG_PLUS, FieldVariant.WU_YANG_MINUS):
-        raise DomainError("gribov_residual needs a monopole background")
+def gribov_residual(scale: MonopoleScale, x, stencil: StencilConfig | None = None) -> np.ndarray:
+    """Color components of D^2(A) Phi0 on the smooth BPS background at a
+    centre x (3,), or at a batch of centres (M, 3) in one pass, giving (3,)
+    or (M, 3); zero for the phase scalar.  A stencil with an (M,) array of
+    steps gives each centre its own step, with the bits of one call per
+    centre.  Components beyond the float64 range come back as inf."""
     stencil = stencil or default_stencil(scale)
     _check_stencil_scale(stencil, scale)
-    gauge, _ = build_fields(scale, variant)
+    gauge, _ = build_fields(scale, FieldVariant.BPS)
     # extended precision: the nested stencil's cancellation floor in double
     # precision sits above the h^4 term at the probe radii
     xe, single = _batch(x)

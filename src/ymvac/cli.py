@@ -325,7 +325,7 @@ def _run_interference(cfg: RunConfig) -> Report:
         rows.append((n, dev, bound))
     norms = {}
     for L in (100, 1000, 10000):
-        norms[L] = float(np.linalg.norm(itf.momentum_green_average(np.array(p["momentum"]), None, L), 2))
+        norms[L] = float(np.linalg.norm(itf.momentum_green_average(np.array(p["momentum"]), L), 2))
     logL = np.log(np.array(list(norms.keys()), dtype=float))
     gamma = float(-np.polyfit(logL, np.log(list(norms.values())), 1)[0])
     q = np.array(p["loop_q"])

@@ -25,12 +25,12 @@ the f = +1 background, is
     (D^2 S)^a = Lap S^a - (n^a n^b + d^{ab}) S_b / r^2
                 + (2/r)(n^a d^b - n^b d^a) S_b,
 
-implemented by central differences in monopole_covariant_laplacian; it
-annihilates the assembled tensor at colinear configurations.  The tensor is
-sampled on point batches, and the operator differentiates all of its color
-columns at once through the shared stencil engine (StencilConfig): one walk
-at the levels (stencil, 1) and (stencil, 2) gives the gradient and the
-Laplacian, sampling each shift once.
+implemented by second-order central differences in
+monopole_covariant_laplacian; it annihilates the assembled tensor at
+colinear configurations.  The tensor is sampled on point batches, and the
+operator differentiates all of its color columns at once through the shared
+stencil engine (StencilConfig): one walk at the levels (stencil, 1) and
+(stencil, 2) gives the gradient and the Laplacian, sampling each shift once.
 """
 from __future__ import annotations
 
@@ -113,20 +113,19 @@ def euler_residual(sol: EulerSolution, z):
     return EulerSolution(sol.n, sol.d * r1, sol.c * r2, sol.l1 - 2.0, sol.l2 - 2.0).value(z)
 
 
-def radial_ym_residual(f: Callable, r: float, h: float | None = None) -> float:
+def radial_ym_residual(f: Callable, r: float) -> float:
     """Residual of f'' + f(f^2 - 1)/r^2 for a radial profile f(r).
 
-    f'' by a 4th-order central stencil with step h (r/500 when h is None),
-    applied to f - f(r) so that the constant fixed points f = 0, +1, -1 are
-    exact; the profile is differenced along axis 0 of the point (r, 0, 0).
-    A step that is not positive and finite, or whose second-derivative
-    weights overflow (the default one below r of about 1e-151), is refused
-    with a DomainError.
+    f'' by a 4th-order central stencil with step r/500, applied to f - f(r)
+    so that the constant fixed points f = 0, +1, -1 are exact; the profile
+    is differenced along axis 0 of the point (r, 0, 0).  A radius whose
+    step is not finite (r = inf), or whose second-derivative weights
+    overflow (r below about 1e-151), is refused with a DomainError.
     """
     if not (r > 0):
         raise DomainError("radius must be positive")
     f0 = f(r)
-    stencil = StencilConfig(r / 500.0 if h is None else h, 4)
+    stencil = StencilConfig(r / 500.0, 4)
     fpp = StencilConfig._walk(lambda x: f(x[0]) - f0, np.array([r, 0.0, 0.0]), (0,), [(stencil, 2)])[0][0]
     return float(fpp + f0 * (f0 * f0 - 1.0) / (r * r))
 
@@ -228,13 +227,14 @@ class GreenTensor:
         return out[0] if single_x and single_y else out
 
 
-def monopole_covariant_laplacian(S: Callable, x, h, order: int = 2) -> np.ndarray:
-    """Apply the f = +1 background operator, by central differences, at a
-    point x (3,) or at a batch of points (M, 3) in one pass, to a color field
-    S mapping a batch (N, 3) to one color vector (N, 3) or to k color columns
-    (N, 3, k); the result is (3,) or (3, k) per point, with a leading M axis
-    for a batch.  h is one step, or an (M,) array of steps, one per point;
-    each point's result has the bits of a call at that point alone.
+def monopole_covariant_laplacian(S: Callable, x, h) -> np.ndarray:
+    """Apply the f = +1 background operator, by second-order central
+    differences, at a point x (3,) or at a batch of points (M, 3) in one
+    pass, to a color field S mapping a batch (N, 3) to one color vector
+    (N, 3) or to k color columns (N, 3, k); the result is (3,) or (3, k) per
+    point, with a leading M axis for a batch.  h is one step, or an (M,)
+    array of steps, one per point; each point's result has the bits of a
+    call at that point alone.
 
     Lap S^a - (n^a n^b + d^{ab}) S_b/r^2 + (2/r)(n^a d_b S^b - n^b d_a S^b).
     """
@@ -242,7 +242,7 @@ def monopole_covariant_laplacian(S: Callable, x, h, order: int = 2) -> np.ndarra
     r = np.array([float(np.linalg.norm(p)) for p in pts])  # float64 also for longdouble points
     if np.any(r == 0):
         raise DomainError("operator singular at the origin")
-    stencil = StencilConfig(h, order)
+    stencil = StencilConfig(h, 2)
     S0 = S(pts)
     with np.errstate(over="ignore", invalid="ignore"):
         grad, second = stencil._gradient(S, pts, [(stencil, 1), (stencil, 2)])  # [m][j][a]: d_j S^a, d_j^2 S^a

@@ -5,9 +5,9 @@ Dressed factors with unit asymptotics at both ends,
     v^(n)(x) = exp( i c pi n f01(r) tau.m_hat ),  m_hat = R(phi_i) n_hat,
 
 with R the adjoint rotation of the Euler-angle element
-u = e^{i tau1 phi1/2} e^{i tau2 phi2/2} e^{i tau3 phi3/2} and c the exposed
-amplitude prefactor (default 2, so the phase winds by 2 pi n and the factor
-returns to the identity at spatial infinity as well as at the origin).
+u = e^{i tau1 phi1/2} e^{i tau2 phi2/2} e^{i tau3 phi3/2} and c = 2, so the
+phase winds by 2 pi n and the factor returns to the identity at spatial
+infinity as well as at the origin.
 Like topology's group factors, u and the dressed factors are unit
 quaternions (w, x) of w 1 - i x.tau, multiplied with _qmul; complex matrices
 appear only in the 8 x 8 Dirac (x) color blocks below.
@@ -115,15 +115,11 @@ class EulerAngles:
         w, x = self.quaternion()
         return (w * w - x @ x) * np.eye(3) + 2.0 * np.outer(x, x) - 2.0 * w * (EPS3 @ x)
 
-    def diagonal_constraint_satisfied(self, n: int, tol: float = 1e-9) -> bool:
-        """Scalar reading of the closure condition: phi1+phi2+phi3 = 4 pi n."""
-        return abs(self.phi1 + self.phi2 + self.phi3 - 4.0 * math.pi * n) < tol
 
-
-def dressed_factor_map(n: int, angles: EulerAngles, eps: float, prefactor: float = 2.0) -> GribovFactorMap:
+def dressed_factor_map(n: int, angles: EulerAngles, eps: float) -> GribovFactorMap:
     """The dressed factor as a group-factor map with exact derivatives:
-    exp(i c pi n f01 tau.m_hat) is that map with prefactor -c and R(phi_i)."""
-    return GribovFactorMap(n, eps, prefactor=-prefactor, rotation=angles.adjoint_rotation())
+    exp(2 i pi n f01 tau.m_hat) is that map with prefactor -2 and R(phi_i)."""
+    return GribovFactorMap(n, eps, prefactor=-2.0, rotation=angles.adjoint_rotation())
 
 
 def window_integers(L: int) -> np.ndarray:
@@ -142,9 +138,9 @@ def _qmul(a0, a, b0, b):
 
 def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float) -> np.ndarray:
     """Window average of v^(n)(x) v^(n)(-y) over the unit-asymptotic dressed
-    factors (prefactor 2), as the real 4-vector (w, x1, x2, x3) of
-    w 1 - i x.tau; tends to the identity (1, 0, 0, 0) as both points recede
-    (the surviving contribution of color two-point functions)."""
+    factors, as the real 4-vector (w, x1, x2, x3) of w 1 - i x.tau; tends to
+    the identity (1, 0, 0, 0) as both points recede (the surviving
+    contribution of color two-point functions)."""
     if L < 1:
         raise DomainError("window size L must be at least 1")
     pts = np.stack([_batch(x)[0].reshape(3), -_batch(y)[0].reshape(3)])
@@ -157,14 +153,15 @@ def averaged_two_point(x, y, angles: EulerAngles, L: int, eps: float) -> np.ndar
     return acc / len(ns)
 
 
-def momentum_green_average(p, t_matrix: np.ndarray | None, L: int) -> np.ndarray:
+def momentum_green_average(p, L: int) -> np.ndarray:
     """Symmetric partial average S_L = (1/(L+1)) sum_{n=-L/2}^{L/2} (p_slash + t n)^-1,
-    an (8, 8) matrix; t defaults to color_shift_matrix().
+    an (8, 8) matrix, with t = color_shift_matrix() (cond_1(t) = 3).
 
     Pairwise n <-> -n cancellation makes ||S_L|| = O(1/L).  Raises
     SingularTermError naming the first n whose matrix is numerically singular:
     its 1-norm condition number ||A||_1 ||A^-1||_1, taken from the inverse the
-    average needs anyway, is above 1e12 or not finite.
+    average needs anyway, is above 1e12 or not finite (an overflowing product
+    or inf * 0 counts as not finite, without a warning).
 
     Only the head |n| <= n0 is inverted term by term and gated; with
     M = t^-1 p_slash, h = L//2 and n0 = min(h, ceil(8 ||M||_1)) the rest of the
@@ -177,30 +174,26 @@ def momentum_green_average(p, t_matrix: np.ndarray | None, L: int) -> np.ndarray
 
     Past the head ||M||/n < 1/8, so the _NEUMANN_TERMS = 9 terms leave a
     remainder below (1/8)^18 = 2^-54 of the tail, and every tail term has
-    cond_1 <= cond_1(t) (1 + 1/8)/(1 - 1/8) = cond_1(t) 9/7, far inside the
-    gate: the first singular n always lies in the head.  When t is singular
-    or cond_1(t) > 1e10 the head is the whole window.
+    cond_1 <= cond_1(t) (1 + 1/8)/(1 - 1/8) = 27/7, far inside the gate: the
+    first singular n always lies in the head.
     """
     if L < 0:
         raise DomainError("window size L must be non-negative")
-    t = color_shift_matrix() if t_matrix is None else np.asarray(t_matrix)
+    t = color_shift_matrix()
+    t_inv = np.linalg.inv(t)
     ph = np.kron(dirac_slash(p), ID2)
     half = n0 = L // 2
-    try:
-        t_inv = np.linalg.inv(t)
-        cond_t = np.linalg.norm(t, 1) * np.linalg.norm(t_inv, 1)
-    except np.linalg.LinAlgError:
-        cond_t = math.inf
-    if cond_t <= 1e10:
-        m = t_inv @ ph
+    m = t_inv @ ph
+    with np.errstate(over="ignore"):
         head = 8.0 * np.linalg.norm(m, 1)
-        if head < half:  # false for a non-finite norm
-            n0 = math.ceil(head)
+    if head < half:  # false for a non-finite norm
+        n0 = math.ceil(head)
     ns = np.arange(-n0, n0 + 1)
     stack = ph[None, :, :] + ns[:, None, None] * t[None, :, :]
     try:
         inv = np.linalg.inv(stack)
-        conds = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            conds = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     except np.linalg.LinAlgError:  # an exactly singular term, to which cond gives inf
         conds = np.linalg.cond(stack, 1)
     bad = np.where(~np.isfinite(conds) | (conds > 1e12))[0]

@@ -30,9 +30,8 @@ as a second check.
 RotatorParams reduces theta to [0, 2 pi) when it is built; every consumer,
 the half-window flag `in_half_window` included, reads that reduced value.
 
-The observable-wavefunction average uses the measure weight e^{-i n theta}
-by default, so survival occurs exactly on the quasi-momentum spectrum; the
-e^{+i n theta} variant (survival at 2 pi k - theta) sits behind measure_sign.
+The observable-wavefunction average uses the measure weight e^{-i n theta},
+so survival occurs exactly on the quasi-momentum spectrum.
 """
 from __future__ import annotations
 
@@ -111,30 +110,25 @@ def bloch_spectrum(theta: float, k_range) -> np.ndarray:
     return 2.0 * np.pi * ks + theta
 
 
-def averaged_wavefunction(p: float, theta: float, L: int, N: float = 0.0, measure_sign: int = -1) -> complex:
-    """Finite-window average (1/(2L+1)) sum_{n=-L..L} e^{i s n theta} e^{i p (N+n)}.
+def averaged_wavefunction(p: float, theta: float, L: int) -> float:
+    """Finite-window average (1/(2L+1)) sum_{n=-L..L} e^{-i n theta} e^{i p n}.
 
-    s = measure_sign (default -1).  Closed Dirichlet-kernel form, exact:
-    e^{i p N} sin((2L+1) D/2) / ((2L+1) sin(D/2)) with D = p + s theta.
+    Closed Dirichlet-kernel form, exact and real:
+    sin((2L+1) D/2) / ((2L+1) sin(D/2)) with D = p - theta.
     """
     if L < 1:
         raise DomainError("window size L must be at least 1")
-    if measure_sign not in (-1, 1):
-        raise DomainError("measure_sign must be +1 or -1")
-    delta = p + measure_sign * theta
-    half = 0.5 * math.remainder(delta, 2.0 * math.pi)
+    half = 0.5 * math.remainder(p - theta, 2.0 * math.pi)
     m = 2 * L + 1
     if abs(math.sin(half)) < 1e-300:
-        kernel = 1.0
-    else:
-        kernel = math.sin(m * half) / (m * math.sin(half))
-    return cmath.exp(1j * p * N) * kernel
+        return 1.0
+    return math.sin(m * half) / (m * math.sin(half))
 
 
-def interference_bound(p: float, theta: float, L: int, measure_sign: int = -1) -> float:
-    """Destructive-interference envelope 1/((2L+1)|sin(D/2)|); infinite on-spectrum."""
-    delta = p + measure_sign * theta
-    s = abs(math.sin(0.5 * math.remainder(delta, 2.0 * math.pi)))
+def interference_bound(p: float, theta: float, L: int) -> float:
+    """Destructive-interference envelope 1/((2L+1)|sin(D/2)|), D = p - theta;
+    infinite on-spectrum."""
+    s = abs(math.sin(0.5 * math.remainder(p - theta, 2.0 * math.pi)))
     return math.inf if s == 0 else 1.0 / ((2 * L + 1) * s)
 
 
@@ -154,31 +148,26 @@ def _exact_sum(term, k_max: int) -> complex:
     return complex(*exact_sums((terms.real, terms.imag)))
 
 
-def theta3(z, tau, k_max: int | None = None) -> complex:
+def theta3(z, tau) -> complex:
     """Truncated symmetric sum of Theta3(Z|tau), Im tau > 0; terms added until
     the a-priori tail bound exp(-pi k^2 Im tau + 2|k||Im Z|) drops below 1e-18."""
     z, tau = complex(z), complex(tau)
     if not (tau.imag > 0):
         raise DomainError("Im(tau) must be strictly positive")
-    if k_max is None:
-        a, b = math.pi * tau.imag, 2.0 * abs(z.imag)
-        k = (b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)
-        if not math.isfinite(k):  # b * b overflowed: the same root without squaring
-            k = (b + math.hypot(b, math.sqrt(168.0) * math.sqrt(a))) / (2.0 * a)
-        if not math.isfinite(k):
-            raise ConvergenceError(f"theta series needs more terms than the cap of {TERM_CAP}")
-        k_max = int(k) + 2
-    return _exact_sum(lambda k: np.exp(1j * math.pi * k * k * tau + 2j * k * z), k_max)
+    a, b = math.pi * tau.imag, 2.0 * abs(z.imag)
+    k = (b + math.sqrt(b * b + 4.0 * a * 42.0)) / (2.0 * a)
+    if not math.isfinite(k):  # b * b overflowed: the same root without squaring
+        k = (b + math.hypot(b, math.sqrt(168.0) * math.sqrt(a))) / (2.0 * a)
+    if not math.isfinite(k):
+        raise ConvergenceError(f"theta series needs more terms than the cap of {TERM_CAP}")
+    return _exact_sum(lambda k: np.exp(1j * math.pi * k * k * tau + 2j * k * z), int(k) + 2)
 
 
-def theta3_modular_defect(z, tau, k_max: int | None = None) -> float:
+def theta3_modular_defect(z, tau) -> float:
     """|Theta3(Z|tau) - (-i tau)^(-1/2) exp[Z^2/(i pi tau)] Theta3(Z/tau|-1/tau)|."""
     z, tau = complex(z), complex(tau)
-    lhs = theta3(z, tau, k_max)
-    rhs = (-1j * tau) ** (-0.5) * cmath.exp(z * z / (1j * math.pi * tau)) * theta3(
-        z / tau, -1.0 / tau, k_max
-    )
-    return abs(lhs - rhs)
+    lhs = theta3(z, tau)
+    return abs(lhs - (-1j * tau) ** (-0.5) * cmath.exp(z * z / (1j * math.pi * tau)) * theta3(z / tau, -1.0 / tau))
 
 
 def _spectral_k_max(a: float) -> int:
@@ -191,29 +180,26 @@ def _path_n_max(b: float, dN: float) -> int:
 
 
 def terms_needed(params: RotatorParams) -> tuple[int, int]:
-    """Terms (spectral, winding) that `spectral_green` and `path_green` sum at
-    their default cutoffs.  A side fits when its count is at most TERM_CAP.
-    Apart from their offsets the cutoffs multiply to 42/pi (a b = 1/4), so
-    one side always fits unless |dN| alone passes the cap."""
+    """Terms (spectral, winding) that `spectral_green` and `path_green` sum.
+    A side fits when its count is at most TERM_CAP.  Apart from their
+    offsets the cutoffs multiply to 42/pi (a b = 1/4), so one side always
+    fits unless |dN| alone passes the cap."""
     tau_e = params.tau_e
     a = tau_e / (2.0 * params.inertia)
     b = params.inertia / (2.0 * tau_e)
     return 2 * _spectral_k_max(a) + 1, 2 * _path_n_max(b, params.dN) + 1
 
 
-def spectral_green(params: RotatorParams, k_max: int | None = None) -> complex:
+def spectral_green(params: RotatorParams) -> complex:
     """Quasi-momentum sum (1/2pi) sum_k e^{-p_k^2 tau_E/(2I)} e^{i p_k dN}."""
-    tau_e = params.tau_e
-    I, th, dN = params.inertia, params.theta, params.dN
-    a = tau_e / (2.0 * I)
-    if k_max is None:
-        k_max = _spectral_k_max(a)
+    th, dN = params.theta, params.dN
+    a = params.tau_e / (2.0 * params.inertia)
 
     def term(k):
         p = 2.0 * math.pi * k + th
         return np.exp(-a * p * p + 1j * p * dN)
 
-    return _exact_sum(term, k_max) / (2.0 * math.pi)
+    return _exact_sum(term, _spectral_k_max(a)) / (2.0 * math.pi)
 
 
 def spectral_green_via_theta(params: RotatorParams) -> complex:
@@ -233,7 +219,7 @@ def spectral_green_via_theta(params: RotatorParams) -> complex:
     return pref * theta3(z, tau)
 
 
-def path_green(params, n_max: int | None = None):
+def path_green(params):
     """Winding sum sqrt(I/(8 pi^3 tau_E)) sum_n e^{-i theta n} e^{-(dN+n)^2 I/(2 tau_E)}.
 
     Normalization and measure sign follow from Poisson resummation of the
@@ -241,21 +227,21 @@ def path_green(params, n_max: int | None = None):
     theta-function identity.
 
     `params` is one RotatorParams (a complex comes back) or a sequence of
-    them (a list, in order); `n_max` overrides every row's cutoff, and a
-    cutoff past the term cap raises before any array is built.  Within one
-    call, rows with the same (b, dN, n_max) share one Gaussian e^{-b (dN+n)^2},
-    and each theta's phase e^{-i theta n} is built once, at n >= 0, and
-    mirrored.  numpy's complex exp is libm's cexp, (exp(x) cos y, exp(x) sin y),
-    so the terms keep its bits: the Gaussian comes from its zero-imaginary
-    branch, exp(x) itself (numpy's float exp differs in the last bit), and
-    the phase at -n is the conjugate of the phase at n (cos even, sin odd).
+    them (a list, in order); a cutoff past the term cap raises before any
+    array is built.  Within one call, rows with the same (b, dN) share one
+    Gaussian e^{-b (dN+n)^2}, and each theta's phase e^{-i theta n} is built
+    once, at n >= 0, and mirrored.  numpy's complex exp is libm's cexp,
+    (exp(x) cos y, exp(x) sin y), so the terms keep its bits: the Gaussian
+    comes from its zero-imaginary branch, exp(x) itself (numpy's float exp
+    differs in the last bit), and the phase at -n is the conjugate of the
+    phase at n (cos even, sin odd).
     """
     single = isinstance(params, RotatorParams)
     rows, reach = [], {}  # reach: the largest cutoff of each theta, whose phase serves all its rows
     for prm in [params] if single else params:
         tau_e = prm.tau_e
         b = prm.inertia / (2.0 * tau_e)
-        m = _path_n_max(b, prm.dN) if n_max is None else n_max
+        m = _path_n_max(b, prm.dN)
         if m > _KCAP:
             raise ConvergenceError(f"sum needs {2 * m + 1} terms, more than the cap of {TERM_CAP}")
         rows.append((prm, tau_e, b, m))
@@ -263,7 +249,7 @@ def path_green(params, n_max: int | None = None):
     terms = np.empty((2, 2 * max(reach.values(), default=0) + 1))  # one row's real and imaginary parts
     gaussians, theta, phase, sums = {}, None, None, []
     for prm, tau_e, b, m in rows:
-        key = (b, prm.dN, m)
+        key = (b, prm.dN)
         if key not in gaussians:
             gaussians[key] = _gaussian(b, prm.dN, m)
         if prm.theta != theta:

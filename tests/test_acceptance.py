@@ -176,7 +176,7 @@ def test_criterion_08_destructive_interference():
         off_ok &= mod < 10.0 / (L * abs(math.sin(delta / 2.0)))
     on_mod = abs(abs(rotator.averaged_wavefunction(2 * math.pi * 3 + 0.7, 0.7, L)) - 1.0)
     p4 = np.array([0.31, 0.7, -0.2, 0.45])
-    norms = [np.linalg.norm(itf.momentum_green_average(p4, None, n), 2) for n in (100, 1000, 10000)]
+    norms = [np.linalg.norm(itf.momentum_green_average(p4, n), 2) for n in (100, 1000, 10000)]
     gamma = float(-np.polyfit(np.log([1e2, 1e3, 1e4]), np.log(norms), 1)[0])
     elapsed = time.time() - t0
     ok = off_ok and on_mod < 1e-12 and 0.9 <= gamma <= 1.1 and elapsed < 300.0

@@ -509,8 +509,12 @@ class TestGribovResidual:
             assert np.log2(n1 / n2) >= 3.0
 
     def test_singular_background_far_out(self):
+        # the phase equation on the Wu-Yang background, far outside the core,
+        # through the covariant Laplacian that gribov_residual applies
         st = StencilConfig(h=0.08, order=4)
-        res = gribov_residual(SCALE, np.array([0.0, 0.0, 20.0]), st, variant="WuYangPlus")
+        gauge, _ = build_fields(SCALE, "WuYangPlus")
+        x = np.array([0.0, 0.0, 20.0], dtype=np.longdouble)
+        res = covariant_laplacian(gauge, gribov_phase_scalar(SCALE), x, st, SCALE.g).astype(float)
         assert np.linalg.norm(res) < 1e-8
 
     def test_negative_control_constant_scalar(self):
@@ -1382,23 +1386,24 @@ def _where_x_over_sinh(x):
 
 
 def _where_d_f01(r, eps):
-    """d_f01_bps in np.where form, every branch on every element: up to
-    x = 1e143 the earlier form, whose subtrahend 1/sinh(min(x, 350))^2 there
-    is below half an ulp of 1/x^2; past it 1/x^2 alone, (1/x)^2 past 1e154.
-    A single radius is taken as a batch of one: ** 2 of a numpy scalar is
-    libm's pow, which can differ in the last bit from the array square."""
-    x = np.atleast_1d(np.asarray(r, dtype=float) / eps)
+    """d_f01_bps in np.where form, in the float dtype of r, every branch on
+    every element: up to x = 1e141 the earlier form, whose subtrahend
+    1/sinh(min(x, 350))^2 there is below half an ulp of 1/x^2 in float64 and
+    in longdouble; past it 1/x^2 alone, (1/x)^2 past 1e154.  A single radius
+    is taken as a batch of one: ** 2 of a numpy scalar is libm's pow, which
+    can differ in the last bit from the array square."""
+    x = np.atleast_1d(np.asarray(r) / eps)
     small = np.abs(x) < 0.05
     far = x > 1e154
     xs = np.where(small | far, 1.0, x)
     earlier = 1.0 / np.sinh(np.minimum(xs, 350.0)) ** 2
-    direct = (1.0 / xs**2 - np.where(xs <= 1e143, earlier, 0.0)) / eps
+    direct = (1.0 / xs**2 - np.where(xs <= 1e141, earlier, 0.0)) / eps
     direct = np.where(far, (1.0 / np.where(far, x, 1.0)) ** 2 / eps, direct)
     xm = np.where(small, x, 0.0)
     x2 = xm * xm
     series = (1.0 / 3.0 - x2 * (1.0 / 15.0 - x2 * (2.0 / 189.0 - x2 / 675.0))) / eps
     out = np.where(small, series, direct)
-    return out if np.ndim(r) else float(out[0])
+    return out if np.ndim(r) else out[0]
 
 
 def _mp(v):
@@ -1460,8 +1465,9 @@ _BRANCHES = {
 #  - _coth_minus_inv and d_f01_bps: rel 1e-12.  Largest measured over 3000
 #    draws within 1% of x = 0.05: 3.1e-13 and 4.7e-13 just above it, where
 #    the direct forms cancel, and 2.6e-15 just below, the truncation of the
-#    series in longdouble.  d_f01_bps's floor is float64's smallest subnormal
-#    (over eps): past x = 1e154, 1/x^2 = (1/x)^2 is subnormal.
+#    series in longdouble.  d_f01_bps's floor is each dtype's smallest
+#    subnormal (over eps): past x = 1e154, 1/x^2 = (1/x)^2 is subnormal in
+#    float64.
 class TestProfileBranches:
     """Each branch is evaluated only on its own elements; the values are the
     np.where forms' bit for bit, on both sides of every switch."""
@@ -1506,14 +1512,26 @@ class TestProfileBranches:
     @settings(deadline=None, max_examples=20)
     @given(drawn=st.data(), eps=st.sampled_from([1.0, 0.25]))
     def test_d_f01(self, switch, drawn, eps):
-        # d_f01_bps reads its radius as float64; r = eps x puts x at the switch
+        # d_f01_bps keeps the dtype of its radius; r = eps x puts x at the switch
         with mpmath.workdps(30):
             for dtype, x in _switch_inputs(switch, drawn.draw(_near(switch))):
                 r = x * dtype(eps)
                 got = _same_as_where_form(lambda v: d_f01_bps(v, eps), lambda v: _where_d_f01(v, eps), r)
-                xm = _mp(np.float64(r)) / eps
+                xm = _mp(r) / eps
                 ref = (1 / xm**2 - 1 / mpmath.sinh(xm) ** 2) / eps
-                assert abs(_mp(got) - ref) <= 1e-12 * ref + _mp(np.finfo(float).smallest_subnormal) / eps
+                assert abs(_mp(got) - ref) <= 1e-12 * ref + _mp(np.finfo(dtype).smallest_subnormal) / eps
+
+    def test_d_f01_longdouble_gaps(self):
+        # longdouble radii are differenced in longdouble: the relative gaps to
+        # 40-digit mpmath measure 2.7e-18, 3.1e-19 and 1.8e-20, where radii
+        # rounded to float64 give 8.1e-15, 1.4e-15 and 6.8e-17
+        r = np.array([np.longdouble("0.13"), np.longdouble("0.7"), np.longdouble("3")])
+        got = d_f01_bps(r, 1.0)
+        assert got.dtype == np.longdouble
+        with mpmath.workdps(40):
+            for g, x in zip(got, r):
+                ref = 1 / _mp(x) ** 2 - 1 / mpmath.sinh(_mp(x)) ** 2
+                assert abs(_mp(g) - ref) <= 1e-17 * ref
 
 
 # ---------------------------------------------------------------------------

@@ -722,7 +722,8 @@ class TestNoStrayWarnings:
     def test_out_of_range_exponents_exit_2(self):
         # tau_E/(2I) underflows to 0 or I/(2 tau_E) to a subnormal; g^2
         # underflows, g^2, g^3 or eps^3 overflows; a zero step divisor; a
-        # step so small that the stencil weights overflow
+        # step so small that the stencil weights overflow; a momentum whose
+        # window term is singular
         cases = [
             (["check-bogomolnyi", "--eps", "1e-10", "--inv-h-over-eps", "1e300"], "stencil step 1e-310 is too small"),
             (["check-gribov", "--eps", "1e-10", "--inv-h-over-r", "1e300"], "stencil step 1e-310 is too small"),
@@ -736,6 +737,9 @@ class TestNoStrayWarnings:
             (["winding", "--g", "1e200"], "g 1e+200"),
             (["greens", "--c1", "1e308"], "coefficient c=1e+308"),
             (["greens", "--d1", "1e308"], "coefficient d=1e+308"),
+            # the n = 0 inverse's 1-norm overflows: the term is singular, with no warning
+            (["interference", "--momentum", "1.1125369292536007e-308,0,0,1.1125369292536007e-308"],
+             "singular matrix in average window at n=0"),
         ]
         runs = self._run_warnings_as_errors([argv for argv, _ in cases])
         for (_, named), (code, err) in zip(cases, runs):

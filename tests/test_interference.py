@@ -28,6 +28,7 @@ from ymvac.interference import (
     shifted_loop_average,
     window_integers,
 )
+from ymvac.topology import GribovFactorMap
 
 ANG = EulerAngles(0.3, 1.1, -0.7)
 EPS = 1.0
@@ -46,9 +47,9 @@ def su2_matrix(angles):
     return u
 
 
-def dressed_quaternion(n, angles, x, eps, prefactor=2.0):
+def dressed_quaternion(n, angles, x, eps):
     """(q0, q) of the dressed factor at one point."""
-    q0, q, _, _ = dressed_factor_map(n, angles, eps, prefactor).quaternion(x, derivs=False)
+    q0, q, _, _ = dressed_factor_map(n, angles, eps).quaternion(x, derivs=False)
     return q0[0], q[:, 0]
 
 
@@ -83,10 +84,6 @@ class TestEulerAngles:
                 lhs = u @ TAU[b] @ u.conj().T
                 rhs = sum(TAU[a] * R[a, b] for a in range(3))
                 assert np.abs(lhs - rhs).max() < 1e-13
-
-    def test_diagonal_constraint_predicate(self):
-        assert EulerAngles(4 * math.pi, 0.0, 0.0).diagonal_constraint_satisfied(1)
-        assert not ANG.diagonal_constraint_satisfied(0)
 
     def test_finite_validation(self):
         with pytest.raises(DomainError):
@@ -125,10 +122,14 @@ class TestDressedFactor:
                 assert dev / (2 * math.pi * abs(n)) <= (EPS / r) * 1.05
 
     def test_prefactor_exposed(self):
-        # the plain (non-doubled) amplitude reproduces the undressed central
-        # element at infinity for odd n
-        q0, q = dressed_quaternion(1, EulerAngles(0.0, 0.0, 0.0), np.array([0.0, 0.0, 1e7]), EPS, prefactor=1.0)
-        assert np.abs(as_matrix(q0, q) + np.eye(2)).max() < 1e-6
+        # the dressed factor is the group-factor map with prefactor -2; the
+        # plain (non-doubled) amplitude, prefactor -1, reproduces the undressed
+        # central element at infinity for odd n
+        zero = EulerAngles(0.0, 0.0, 0.0)
+        assert dressed_factor_map(1, zero, EPS).prefactor == -2.0
+        plain = GribovFactorMap(1, EPS, prefactor=-1.0, rotation=zero.adjoint_rotation())
+        q0, q, _, _ = plain.quaternion(np.array([0.0, 0.0, 1e7]), derivs=False)
+        assert np.abs(as_matrix(q0[0], q[:, 0]) + np.eye(2)).max() < 1e-6
 
 
 class TestAveragedTwoPoint:
@@ -171,7 +172,7 @@ class TestAveragedTwoPoint:
         assert np.abs(as_matrix(avg[0], avg[1:]) - ref).max() < 1e-14
 
 
-def batched_window_average(p, t, L):
+def batched_window_average(p, L):
     """The window average with every term inverted in one batch: the whole-window
     formula the head/tail split replaced, kept as the reference.  Returns the
     average and sum_n ||term_n||_1/(L+1), or raises SingularTermError.
@@ -181,10 +182,11 @@ def batched_window_average(p, t, L):
     p_slash = 0 is the n = 0 inverse, orders of magnitude above the average."""
     ph = np.kron(dirac_slash(p), ID2)
     ns = window_integers(L)
-    stack = ph[None, :, :] + ns[:, None, None] * t[None, :, :]
+    stack = ph[None, :, :] + ns[:, None, None] * color_shift_matrix()[None, :, :]
     try:
         inv = np.linalg.inv(stack)
-        conds = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            conds = np.linalg.norm(stack, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     except np.linalg.LinAlgError:
         conds = np.linalg.cond(stack, 1)
     bad = np.where(~np.isfinite(conds) | (conds > 1e12))[0]
@@ -247,28 +249,23 @@ def resolvent_window_sums(p: tuple, windows: tuple = (100, 1000)) -> dict:
 class TestMomentumGreenAverage:
     P = np.array([0.31, 0.7, -0.2, 0.45])
 
-    def test_no_shift_exact_inverse(self):
-        ph = np.kron(dirac_slash(self.P), np.eye(2))
-        S = momentum_green_average(self.P, np.zeros((8, 8)), 4)
-        np.testing.assert_allclose(S, np.linalg.inv(ph), atol=1e-12)
-
     def test_window_integers(self):
         assert list(window_integers(4)) == [-2, -1, 0, 1, 2]
         assert list(window_integers(0)) == [0]
 
     def test_decay_ratio(self):
-        n100 = np.linalg.norm(momentum_green_average(self.P, None, 100), 2)
-        n200 = np.linalg.norm(momentum_green_average(self.P, None, 200), 2)
+        n100 = np.linalg.norm(momentum_green_average(self.P, 100), 2)
+        n200 = np.linalg.norm(momentum_green_average(self.P, 200), 2)
         assert n200 / n100 <= 0.6
 
     def test_one_over_l_fit(self):
-        norms = [np.linalg.norm(momentum_green_average(self.P, None, L), 2) for L in (100, 1000, 10000)]
+        norms = [np.linalg.norm(momentum_green_average(self.P, L), 2) for L in (100, 1000, 10000)]
         gamma = -np.polyfit(np.log([100.0, 1000.0, 10000.0]), np.log(norms), 1)[0]
         assert 0.9 <= gamma <= 1.1
 
     def test_scaled_norm_bounded(self):
         # ||S_L|| * L bounded above and below across the full window range
-        vals = [np.linalg.norm(momentum_green_average(self.P, None, L), 2) * L for L in (100, 1000, 10000, 100000)]
+        vals = [np.linalg.norm(momentum_green_average(self.P, L), 2) * L for L in (100, 1000, 10000, 100000)]
         assert max(vals) / min(vals) < 3.0
 
     def test_window_asymmetry_is_second_order(self):
@@ -286,46 +283,42 @@ class TestMomentumGreenAverage:
     def test_singular_term_reported(self):
         light = np.array([1.0, 1.0, 0.0, 0.0])  # p^2 = 0: n = 0 term singular
         with pytest.raises(SingularTermError) as err:
-            momentum_green_average(light, None, 10)
+            momentum_green_average(light, 10)
         assert err.value.n == 0
 
     def test_exactly_singular_term_reported(self):
-        # p = 0, t = 1: the n = 0 term is the zero matrix and inv raises
-        stack = np.zeros((8, 8))[None] + window_integers(4)[:, None, None] * np.eye(8)[None]
+        # p = 0: the n = 0 term is the zero matrix and inv raises; at
+        # p = (k pi, 0, 0, 0) the n = -k term k pi (gamma^0 (x) 1 - sum_a
+        # gamma^a (x) tau^a) is exactly singular too
+        stack = np.zeros((8, 8))[None] + window_integers(4)[:, None, None] * color_shift_matrix()[None]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(stack)
-        with pytest.raises(SingularTermError) as err:
-            momentum_green_average(np.zeros(4), np.eye(8), 4)
-        assert err.value.n == 0
+        for p0, n in ((0.0, 0), (math.pi, -1), (20.0 * math.pi, -20)):
+            p = np.array([p0, 0.0, 0.0, 0.0])
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(np.kron(dirac_slash(p), ID2) + n * color_shift_matrix())
+            with pytest.raises(SingularTermError) as err:
+                momentum_green_average(p, 100)
+            assert err.value.n == n
 
     def test_near_singular_term_reported(self):
-        # p0 gamma^0 + n: the n = -1 and n = 1 terms have eigenvalues +-delta,
-        # so their inverses are finite but cond_1 = (2 + delta)/delta > 1e12
-        delta = 2.0**-40
-        p = np.array([1.0 + delta, 0.0, 0.0, 0.0])
-        ph = np.kron(dirac_slash(p), np.eye(2))
-        near = ph - np.eye(8)
+        # p0 = pi (1 + delta): the n = -1 term has a finite inverse, but
+        # cond_1 = 4.4e12 > 1e12
+        p = np.array([math.pi * (1.0 + 2.0**-40), 0.0, 0.0, 0.0])
+        near = np.kron(dirac_slash(p), ID2) - color_shift_matrix()
         assert np.isfinite(np.linalg.inv(near)).all()
-        assert np.linalg.cond(near, 1) > 1e12
+        assert 1e12 < np.linalg.cond(near, 1) < 1e13
         with pytest.raises(SingularTermError) as err:
-            momentum_green_average(p, np.eye(8), 4)
+            momentum_green_average(p, 4)
         assert err.value.n == -1
 
     def test_singular_term_past_minimal_head_reported(self):
-        # t = 1 and p0 = 20 + delta: the n = -20 term has eigenvalues +-delta,
-        # twenty steps out from the middle of the window
-        p = np.array([20.0 + 2.0**-40, 0.0, 0.0, 0.0])
+        # p0 = 20 pi (1 + delta): the n = -20 term is near singular, twenty
+        # steps out from the middle of the window
+        p = np.array([20.0 * math.pi * (1.0 + 2.0**-40), 0.0, 0.0, 0.0])
         with pytest.raises(SingularTermError) as err:
-            momentum_green_average(p, np.eye(8), 100)
+            momentum_green_average(p, 100)
         assert err.value.n == -20
-
-    def test_ill_conditioned_shift_keeps_whole_window_gated(self):
-        # cond_1(t) = 1e13 with ||t^-1 p_slash||_1 = 1e-3: every n != 0 term is
-        # past the gate, so the first one, n = -50, is named as before
-        t = np.diag([1.0] * 7 + [1e-13])
-        with pytest.raises(SingularTermError) as err:
-            momentum_green_average(np.array([1e-16, 0.0, 0.0, 0.0]), t, 100)
-        assert err.value.n == -50
 
     def test_resolvent_oracle_matches_inverses(self):
         p = (0.31, 0.7, -0.2, 0.45)
@@ -338,31 +331,23 @@ class TestMomentumGreenAverage:
     def test_against_mpmath_oracle(self, p, L):
         # the interference report's default momentum and the long-sums one
         oracle = resolvent_window_sums(p)[L]
-        got = momentum_green_average(np.array(p), None, L)
+        got = momentum_green_average(np.array(p), L)
         assert np.linalg.norm(got - oracle, 2) <= 1e-15 * np.linalg.norm(oracle, 2)
 
     @settings(deadline=None, max_examples=40)
-    @given(
-        p=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
-        L=st.integers(0, 20000),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(p=[0.0, 0.0, 0.0, 1e-10], L=2867, seed=3469)  # a pairwise-summed reference failed here
-    def test_matches_batched_inverses(self, p, L, seed):
-        # a random invertible shift: singular values in [0.5, 2] between two
-        # random unitaries, times a scale in [0.1, 10]
-        rng = np.random.default_rng(seed)
-        q1, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        q2, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        t = q1 @ np.diag(rng.uniform(0.5, 2.0, 8)) @ q2 * 10.0 ** rng.uniform(-1.0, 1.0)
+    @given(p=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4), L=st.integers(0, 20000))
+    @example(p=[0.0, 0.0, 0.0, 1e-10], L=2867)  # a pairwise-summed reference failed here
+    # the n = 0 inverse's 1-norm overflows: no warning, the term is singular
+    @example(p=[1.1125369292536007e-308, 0.0, 0.0, 1.1125369292536007e-308], L=100)
+    def test_matches_batched_inverses(self, p, L):
         try:
-            ref, scale = batched_window_average(np.array(p), t, L)
+            ref, scale = batched_window_average(np.array(p), L)
         except SingularTermError as exc:
             with pytest.raises(SingularTermError) as err:
-                momentum_green_average(np.array(p), t, L)
+                momentum_green_average(np.array(p), L)
             assert err.value.n == exc.n
             return
-        got = momentum_green_average(np.array(p), t, L)
+        got = momentum_green_average(np.array(p), L)
         assert np.linalg.norm(got - ref, 1) <= 1e-14 * scale
 
     def test_tail_allocates_no_window_stack(self, monkeypatch):
@@ -370,7 +355,7 @@ class TestMomentumGreenAverage:
         shapes = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(np.shape(a)) or inv(a))
-        momentum_green_average(self.P, None, 100000)
+        momentum_green_average(self.P, 100000)
         m = np.linalg.solve(color_shift_matrix(), np.kron(dirac_slash(self.P), ID2))
         head = 2 * math.ceil(8.0 * np.linalg.norm(m, 1)) + 1
         assert shapes == [(8, 8), (head, 8, 8)] and head < 20

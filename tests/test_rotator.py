@@ -44,9 +44,10 @@ def reference_theta3(z, tau):
     return reference_sum(lambda k: cmath.exp(1j * math.pi * k * k * tau + 2j * k * z), k_max)
 
 
-def reference_spectral(prm):
+def reference_spectral(prm, k_max=None):
     a = prm.tau_e / (2.0 * prm.inertia)
-    k_max = int(math.sqrt(42.0 / a) / (2.0 * math.pi)) + 3
+    if k_max is None:
+        k_max = int(math.sqrt(42.0 / a) / (2.0 * math.pi)) + 3
 
     def term(k):
         p = 2.0 * math.pi * k + prm.theta
@@ -113,6 +114,8 @@ class TestAveragedWavefunction:
     def test_off_spectrum_suppression(self):
         val = abs(averaged_wavefunction(0.7 + math.pi, 0.7, 1000))
         assert val < 1e-3
+        # the measure weight e^{-i n theta} does not survive at 2 pi k - theta
+        assert abs(averaged_wavefunction(2 * math.pi * 2 - 0.7, 0.7, 100)) < 0.05
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -138,17 +141,9 @@ class TestAveragedWavefunction:
         # at distance pi the kernel is 1/(2L+1) exactly: doubling halves within a factor 2
         assert 0.5 <= (m2 / m1) / 0.5 <= 2.0
 
-    def test_printed_measure_sign(self):
-        # the e^{+in theta} variant survives at p = 2 pi k - theta instead
-        p = 2 * math.pi * 2 - 0.7
-        assert abs(abs(averaged_wavefunction(p, 0.7, 100, measure_sign=1)) - 1.0) < 1e-12
-        assert abs(averaged_wavefunction(p, 0.7, 100, measure_sign=-1)) < 0.05
-
     def test_validation(self):
         with pytest.raises(DomainError):
             averaged_wavefunction(1.0, 0.0, 0)
-        with pytest.raises(DomainError):
-            averaged_wavefunction(1.0, 0.0, 10, measure_sign=2)
 
 
 class TestTheta3:
@@ -176,8 +171,9 @@ class TestTheta3:
                 assert theta3_modular_defect(z, 1j * im_tau) < 1e-10
 
     def test_truncation_stability(self):
+        # the cutoff of 4 terms each way against a reference sum of 64
         a = theta3(0.4, 0.5j)
-        b = theta3(0.4, 0.5j, k_max=64)
+        b = reference_sum(lambda k: cmath.exp(1j * math.pi * k * k * 0.5j + 0.8j * k), 64)
         assert abs(a - b) < 1e-12
 
     def test_domain(self):
@@ -260,15 +256,15 @@ class TestGreenRepresentations:
 
     def test_truncation_doubling(self):
         prm = RotatorParams(1.0, 0.4, 1.0, 0.2)
-        assert abs(spectral_green(prm, k_max=8) - spectral_green(prm, k_max=16)) < 1e-12
-        assert abs(path_green(prm, n_max=12) - path_green(prm, n_max=24)) < 1e-12
+        assert abs(spectral_green(prm) - reference_spectral(prm, 16)) < 1e-12
+        assert abs(path_green(prm) - direct_path_sum(prm, 24)) < 1e-12
 
     def test_term_cap_raises(self):
         # I = 1e-12 needs about 1.8e7 windings: past the cap, raise rather than truncate
         with pytest.raises(ConvergenceError, match="terms"):
             path_green(RotatorParams(1e-12, 0.0, 1.0))
         with pytest.raises(ConvergenceError, match="terms"):
-            theta3(0.1, 1j, k_max=10**6)
+            theta3(0.1, 1e-12j)  # 7 312 737 terms
 
     def test_non_euclidean_time_rejected(self):
         # the sums converge only at tau_E > 0: anything else is refused when the
@@ -367,8 +363,8 @@ class TestVectorisedSums:
     def test_terms_needed_is_the_summed_count(self):
         prm = RotatorParams(0.7, 1.0, 0.4, 2.5)
         need_s, need_w = terms_needed(prm)
-        assert spectral_green(prm, k_max=(need_s - 1) // 2) == spectral_green(prm)
-        assert path_green(prm, n_max=(need_w - 1) // 2) == path_green(prm)
+        assert _bits(spectral_green(prm)) == _bits(reference_spectral(prm, (need_s - 1) // 2))
+        assert _bits(path_green(prm)) == _bits(direct_path_sum(prm, (need_w - 1) // 2))
         far = RotatorParams(1e-12, 0.0, 1.0)
         assert terms_needed(far)[1] > TERM_CAP
         with pytest.raises(ConvergenceError, match=f"needs {terms_needed(far)[1]} terms"):
@@ -413,15 +409,14 @@ class TestWindingTable:
         inertia=st.builds(lambda e: 10.0**e, st.floats(-7.0, 5.0)),
         tau=st.builds(lambda e: 10.0**e, st.floats(-2.0, 1.0)),
         rows=_winding_rows(),
-        n_max=st.none() | st.integers(0, 40),
     )
-    @example(inertia=1e-7, tau=0.3, rows=_REPORT_ROWS, n_max=None)  # rotator --inertia 1e-7 --tau 0.3
-    @example(inertia=1e5, tau=0.01, rows=_REPORT_ROWS, n_max=None)  # rotator --inertia 1e5 --tau 0.01
-    def test_matches_direct_terms(self, inertia, tau, rows, n_max):
+    @example(inertia=1e-7, tau=0.3, rows=_REPORT_ROWS)  # rotator --inertia 1e-7 --tau 0.3
+    @example(inertia=1e5, tau=0.01, rows=_REPORT_ROWS)  # rotator --inertia 1e5 --tau 0.01
+    def test_matches_direct_terms(self, inertia, tau, rows):
         table = [RotatorParams(inertia, theta, tau, dn) for theta, dn in rows]
-        got = [_bits(z) for z in path_green(table, n_max=n_max)]
-        assert got == [_bits(direct_path_sum(prm, n_max)) for prm in table]
-        assert got == [_bits(path_green(prm, n_max=n_max)) for prm in table]
+        got = [_bits(z) for z in path_green(table)]
+        assert got == [_bits(direct_path_sum(prm)) for prm in table]
+        assert got == [_bits(path_green(prm)) for prm in table]
 
     def test_table_forms(self):
         prm = RotatorParams(0.7, 1.0, 0.4, 2.5)
