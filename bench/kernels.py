@@ -25,9 +25,11 @@ figure, and writes one JSON file:
 - `path_green` at I = 1e-6 and 1e-7 (tau_E = 0.3, dN = 0.3, theta = 0 and
   pi/2) and `spectral_green` at I = 1e4 and 1e5 (tau_E = 0.01, dN = 0, theta =
   0.9); accuracy: the gap to 30-digit `mpmath.jtheta` on the other side's nome;
-- `algebra.exact_sums` on the rows of winding terms of `path_green` at
-  I = 1e-7 and at 2 x 400 001 terms (TERM_CAP); accuracy: the rows whose sum
-  differs from math.fsum's in any bit (0);
+- `algebra.exact_sums` on rows that the long-sums workload sums, at two sizes:
+  the oscillating theta = pi rows and the exactly cancelling imaginary rows of
+  `path_green` (I = 1e-6 and 1e-7, tau_E = 0.3) and the window sums H_k of
+  `momentum_green_average` (L = 60000 and 10000); accuracy: the rows whose sum
+  differs from math.fsum's in any bit (0), and beside it each row's passes;
 - `topology._gauss_legendre` at 48 nodes on [0, ln 1000] and 64 on [0, 1],
   called again after its first call; accuracy: the gap on the integral of e^-t;
 - the pheno companions `magnetic_energy_quadrature` and `zero_mode_integrals`
@@ -140,7 +142,7 @@ IMPORTS = 5  # cold imports of ymvac.cli per tree
 TIER1_RUNS = 2  # alternating Tier-1 suite runs per tree
 CAMPAIGN_SEEDS = range(1, 51)  # --hypothesis-seed values of the property campaign
 POOLED = ("times_s", "caller_busy_s", "worker_busy_s")  # per-call seconds of a case, pooled over the rounds
-COUNTS = ("hedgehog_calls", "hedgehog_rows")  # work counts of a case, equal in every round
+COUNTS = ("hedgehog_calls", "hedgehog_rows", "passes_per_row")  # work counts of a case, equal in every round
 SWEEP_N = (-2, -1, 1, 2)  # the non-zero n of the winding report's default degree sweep
 GRIBOV_RADII = (2.0, 5.0, 20.0)  # check-gribov's default radii over eps
 DENSE_GRIBOV_RADII = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)  # its radii in the dense-stencil workload
@@ -293,22 +295,15 @@ def _busy_times(route) -> tuple[float, float]:
     return caller_s, process_time() - p - caller_s
 
 
-def _hedgehog_work(bp, route) -> tuple[int, int]:
-    """Calls and rows of the hedgehog sampler (bps_profiles._hedgehog) in
-    one run of route(), on both threads."""
-    calls = []
-    sampler = bp._hedgehog
-
-    def counted(pts, *args):
-        calls.append(len(pts))
-        return sampler(pts, *args)
-
-    bp._hedgehog = counted
+def _spied(owner, name, route, seen=lambda *args, **kw: args) -> list:
+    """What seen(*args, **kw) returns at each call of owner.name, on any thread, in one run of route()."""
+    calls, fn = [], getattr(owner, name)
+    setattr(owner, name, lambda *args, **kw: calls.append(seen(*args, **kw)) or fn(*args, **kw))
     try:
         route()
     finally:
-        bp._hedgehog = sampler
-    return len(calls), sum(calls)
+        setattr(owner, name, fn)
+    return calls
 
 
 def _bps_gauge_gradient(pts):
@@ -461,14 +456,22 @@ def worker() -> dict:
             prm = rot.RotatorParams(inertia, theta, 0.3, 0.3)
             times, value = _timed(lambda: rot.path_green(prm))
             cases[f"path_green/I={inertia:g}{label}"] = (times, "jtheta_gap", abs(value - _jtheta_spectral(prm)))
-    b_path = 1e-7 / (2.0 * 0.3)  # path_green's b at I = 1e-7, tau_E = 0.3
-    for n_max, b in ((rot._path_n_max(b_path, 0.3), b_path), (rot.TERM_CAP // 2, 42.0 / 200000**2)):
-        n = np.arange(-n_max, n_max + 1)
-        terms = np.exp(-1j * (math.pi / 2) * n - b * ((0.3 + n) * (0.3 + n)))
-        rows = (terms.real, terms.imag)
-        times, sums = _timed(lambda: algebra.exact_sums(rows))
-        mismatches = sum(a.hex() != math.fsum(row.tolist()).hex() for a, row in zip(sums, rows))
-        cases[f"exact_sums/2x{n.size}"] = (times, "fsum_mismatches", mismatches)
+
+    def summed(module, route):  # the rows that route() hands module.exact_sums, copied at each call
+        return [row for rows in _spied(module, "exact_sums", route, lambda rows: [np.array(r) for r in rows])
+                for row in rows]
+
+    for inertia, L in ((1e-6, 60000), (1e-7, 10000)):  # rows (re, im) at theta = pi/2, pi by dN = 0, 0.3, 1
+        rows = summed(rot, lambda: rot.path_green([rot.RotatorParams(inertia, th, 0.3, dn)
+                                                    for th in (math.pi / 2, math.pi) for dn in (0.0, 0.3, 1.0)]))
+        h_k = summed(itf, lambda: average(L))
+        for kind, group in (("theta_pi", rows[6::2]), ("cancelling", [rows[1], rows[7]]), ("H_k", h_k)):
+            times, sums = _timed(lambda: algebra.exact_sums(group))
+            name = f"exact_sums/{kind},{len(group)}x{group[0].size}"
+            mismatches = sum(a.hex() != math.fsum(r.tolist()).hex() for a, r in zip(sums, group))
+            cases[name] = (times, "fsum_mismatches", mismatches)
+            # np.add runs once per pass over a block, in either tree
+            extra[name] = {"passes_per_row": [len(_spied(np, "add", lambda: algebra.exact_sums([r]))) for r in group]}
     for inertia in (1e4, 1e5):
         prm = rot.RotatorParams(inertia, 0.9, 0.01, 0.0)
         times, value = _timed(lambda: rot.spectral_green(prm))
@@ -506,21 +509,18 @@ def worker() -> dict:
             return bp.bogomolnyi_residual(unit, pts, bp.default_stencil(unit))
 
         times, value = _timed(pair)
-        calls, rows = _hedgehog_work(bp, pair)
+        rows = _spied(bp, "_hedgehog", pair, lambda pts, *_: len(pts))  # per sampler call, on both threads
         caller_s, worker_s = zip(*(_busy_times(pair) for _ in range(REPEATS)))
         cases[f"bogomolnyi_pair/N={n}"] = (times, "max_relative_residual", value[0])
         extra[f"bogomolnyi_pair/N={n}"] = {
             "residual_half_h": value[1], "refinement_ratio": value[0] / value[1], "pair": list(value),
-            "hedgehog_calls": calls, "hedgehog_rows": rows,
+            "hedgehog_calls": len(rows), "hedgehog_rows": sum(rows),
             "caller_busy_s": list(caller_s), "worker_busy_s": list(worker_s),
         }
     # the radial kernels and the hedgehog sampler on one sampler call's rows,
     # as they come (no guarded element) and with one element set to 0
-    radial = {
-        "radial_x_over_sinh": bp._x_over_sinh,
-        "radial_coth_minus_inv": bp._coth_minus_inv,
-        "radial_d_f01_bps": lambda r: bp.d_f01_bps(r, 1.0),
-    }
+    radial = {"radial_x_over_sinh": bp._x_over_sinh, "radial_coth_minus_inv": bp._coth_minus_inv,
+              "radial_d_f01_bps": lambda r: bp.d_f01_bps(r, 1.0)}
     for dtype, n in RADIAL_ROWS:
         for guard in ("", "+guard"):
             pts = report_points(n).astype(dtype)
@@ -719,12 +719,9 @@ def compare_outputs(trees: dict) -> list:
                     cwd = Path(tmp) / name
                     cwd.mkdir(exist_ok=True)
                     out[name] = _cli(src, [*argv, "--seed", "0"], cwd)[1]
-                rows.append({
-                    "group": group,
-                    "argv": list(argv),
-                    "exit": {name: rec["exit"] for name, rec in out.items()},
-                    "identical": out["baseline"] == out["current"],
-                })
+                exits = {name: rec["exit"] for name, rec in out.items()}
+                rows.append({"group": group, "argv": list(argv), "exit": exits,
+                             "identical": out["baseline"] == out["current"]})
     return rows
 
 

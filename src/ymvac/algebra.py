@@ -8,7 +8,9 @@ out; the einsum over EPS3 is their reference in the tests.  norm, in their
 layout, adds np.linalg.norm's squares in numpy's order: the same bits, faster.
 
 exact_sums adds long float rows to the bits of math.fsum (correctly rounded,
-so independent of the order of the terms) at numpy speed; the rotator's
+so independent of the order of the terms) at numpy speed: it splits a row
+into parts that add exactly only until a rounding test, the float sum of
+what is left within a proven bound, decides the last bit.  The rotator's
 theta and Green sums and the window sums H_k of the interference tail use
 it."""
 from __future__ import annotations
@@ -61,37 +63,49 @@ def curl(dA: np.ndarray) -> np.ndarray:
 _FSUM_BELOW = 1024  # rows shorter than this go to math.fsum, which is faster there
 _EXACT_MAX_TERMS = 1 << 22  # with |x| <= 2^1000 no sum then passes 2^1022: fsum never overflows
 _CHUNK = 1 << 15  # elements per block: the two work arrays stay at 256 KiB each
+_LEVELS = 3  # rounding tests of a one-block row before its remainder is split to zero
 
 
 def exact_sums(rows) -> list[float]:
     """math.fsum of each 1-D float row (a 2-D array gives its rows), bit for
     bit, in a few vectorized passes per block of _CHUNK elements.
 
-    Each pass splits the block p at sigma = 2^k >= 2 len(p) max|p| (Rump, Ogita
-    and Oishi's ExtractVector): q = (sigma + p) - sigma rounds p to a multiple
-    of 2^-53 sigma, the partial sums of q are multiples of it below sigma and
-    so exact in any order, and the remainder p - q is exact and at most
-    2^-53 sigma.  Passes repeat on the remainder until it is zero, so the
-    block sums tau hold the row's sum exactly, and math.fsum of the few tau
-    rounds it once, correctly, as fsum of the row does.  Short rows, rows past
+    A pass splits the block x at sigma = 2^e >= 2 len(x) max|x| (Rump, Ogita
+    and Oishi's ExtractVector): q = (sigma + x) - sigma rounds x to a multiple
+    of 2^(e-53), the partial sums of q are multiples of it below sigma and so
+    exact in any order, and the remainder p = x - q is exact and at most
+    2^(e-53) in size.  The sums tau of q and the remainder hold the row's sum
+    exactly.
+
+    A row of one block stops once its rounding is decided (their AccSum):
+    the remainder's plain float sum r is within B = 2^(2 bitlen(n) + e - 105)
+    > gamma_(n-1) n 2^(e-53) of its exact sum, in any order, so when math.fsum
+    of the taus with r - B and with r + B is one float, that float is fsum of
+    the row, rounding being monotone.  Otherwise the next pass splits the
+    remainder at 2^(e - 53 + bitlen(n) + 1), which its bound alone fixes.
+    After _LEVELS tests, when the interval holds zero (an exactly cancelling
+    row), or once 2^(e-53) is subnormal, the remainder is split in place until
+    it is zero, as each block of a longer row is, and math.fsum of all the
+    taus rounds their sum once, correctly, as fsum of the row does.  The rows
+    of one call share the two work arrays.  Short rows, rows past
     _EXACT_MAX_TERMS, rows holding a value that is not finite or exceeds
     2^1000 in size (fsum's inf, nan and OverflowError) go to math.fsum itself."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    sizes = [row.size for row in rows if _FSUM_BELOW <= row.size <= _EXACT_MAX_TERMS]
+    work = np.empty((2, min(max(sizes), _CHUNK))) if sizes else None
     sums = []
     for row in rows:
-        row = np.asarray(row, dtype=float)
-        taus = _exact_parts(row) if _FSUM_BELOW <= row.size <= _EXACT_MAX_TERMS else None
-        if taus is None:  # a memoryview hands fsum one float at a time, not a list of them all
-            sums.append(math.fsum(memoryview(np.ascontiguousarray(row))))
-        elif not taus:  # a row of zeros: fsum's +0.0, or its sum of one -0.0 when all are -0.0
-            sums.append(math.fsum(row[:1].tolist()) if np.signbit(row).all() else 0.0)
-        else:
-            sums.append(math.fsum(taus))
+        total = _exact_sum(row, work) if _FSUM_BELOW <= row.size <= _EXACT_MAX_TERMS else None
+        if total is None:  # a memoryview hands fsum one float at a time, not a list of them all
+            total = math.fsum(memoryview(np.ascontiguousarray(row)))
+        sums.append(total)
     return sums
 
 
-def _exact_parts(row: np.ndarray) -> list[float] | None:
-    """Floats whose exact sum is the row's (none for a row of zeros), or None
-    when the row holds a value outside [-2^1000, 2^1000], NaN included."""
+def _exact_sum(row: np.ndarray, work: np.ndarray) -> float | None:
+    """math.fsum of the row, with work[0] and work[1] as the remainder p and
+    the split q, or None when the row holds a value outside [-2^1000, 2^1000],
+    NaN included."""
     taus = []
     for start in range(0, row.size, _CHUNK):
         block = row[start:start + _CHUNK]
@@ -102,13 +116,48 @@ def _exact_parts(row: np.ndarray) -> list[float] | None:
         if top == 0.0:
             continue
         grow = block.size.bit_length() + 1  # 2^grow >= 2 len(block)
-        p = block.copy()
-        q = np.empty_like(p)
+        p, q = work[:, :block.size]
+        e = math.frexp(top)[1] + grow
+        taus.append(_extract(block, e, p, q))
+        if block.size == row.size:
+            total = _decided(p, q, e, grow, taus)
+            if total is not None:
+                return total
+        top = max(-p.min(), p.max())
         while top != 0.0:
-            sigma = math.ldexp(1.0, math.frexp(top)[1] + grow)
-            np.add(p, sigma, out=q)
-            q -= sigma
-            p -= q
-            taus.append(float(q.sum()))
+            taus.append(_extract(p, math.frexp(top)[1] + grow, p, q))
             top = max(-p.min(), p.max())
-    return taus
+    if not taus:  # a row of zeros: fsum's +0.0, or its sum of one -0.0 when all are -0.0
+        return math.fsum(row[:1].tolist()) if np.signbit(row).all() else 0.0
+    return math.fsum(taus)
+
+
+def _extract(x: np.ndarray, e: int, p: np.ndarray, q: np.ndarray) -> float:
+    """Split x at sigma = 2^e into q = (sigma + x) - sigma and the remainder
+    p = x - q (p may be x itself); the exact sum of q."""
+    sigma = math.ldexp(1.0, e)
+    np.add(x, sigma, out=q)
+    q -= sigma
+    np.subtract(x, q, out=p)
+    return float(q.sum())
+
+
+def _decided(p: np.ndarray, q: np.ndarray, e: int, grow: int, taus: list) -> float | None:
+    """The correctly rounded sum of the taus and of the remainder p, split
+    last at 2^e, once a rounding test decides it, with the taus of the further
+    passes appended; None if no test decides it."""
+    width = 2 * p.size.bit_length() - 105
+    for level in range(_LEVELS):
+        if e - 53 < -1022:  # 2^(e-53) subnormal: stop well before B could underflow
+            return None
+        if level:
+            taus.append(_extract(p, e, p, q))
+        r = float(p.sum())
+        bound = math.ldexp(1.0, width + e)
+        lo, hi = math.fsum(taus + [r, -bound]), math.fsum(taus + [r, bound])
+        if lo == hi:
+            return lo
+        if lo <= 0.0 <= hi:
+            return None
+        e += grow - 53
+    return None

@@ -202,7 +202,7 @@ class StencilConfig:
         return np.array(offs), wts
 
     @staticmethod
-    def _walk(sample, x, axes, levels):
+    def _walk(sample, x, axes, levels, walk=None):
         """The derivative of `sample` along each of `axes` at each level,
         [level][axis].  A level is a (stencil, deriv) pair: a gradient is
         [(s, 1)], bogomolnyi_residual's pair [(s, 1), (s.halved(), 1)], the
@@ -225,9 +225,12 @@ class StencilConfig:
         must be row-wise (each row of its value depends on that row of its
         input alone), as every sampler of the package is; then each level
         has the bits of a walk over its own shifts, one call per shift.  Each
-        stacked sample is freed before its weighted terms are added.
+        stacked sample is freed before its weighted terms are added.  A caller
+        that has the union of shifts, _shifts(x, levels), already passes it as
+        `walk`.
         """
-        walk = StencilConfig._shifts(x, levels)
+        if walk is None:
+            walk = StencilConfig._shifts(x, levels)
         shifts = [(i, axis, s, shared) for i, axis in enumerate(axes) for s, shared in walk]
         dtype = np.result_type(x, walk[0][0])
         per_call = _BLOCK // len(x) if x.ndim == 2 and 0 < len(x) < _BLOCK else 1
@@ -271,13 +274,13 @@ class StencilConfig:
             raise DomainError(f"{len(self.h)} stencil steps for points of shape {np.shape(x)}")
 
     @staticmethod
-    def _gradient(sample, pts, levels):
+    def _gradient(sample, pts, levels, walk=None):
         """The three-axis _walk at pts (N, 3), one array (N, 3) + value-shape
         [n][j] per level (d_j at (s, 1)), C-contiguous whatever the layout of
         the sampler's value: an einsum over it adds in the order that layout
         fixes."""
         return [np.stack(ds, axis=1, out=np.empty((len(pts), 3) + ds[0].shape[1:], ds[0].dtype))
-                for ds in StencilConfig._walk(sample, pts, range(3), levels)]
+                for ds in StencilConfig._walk(sample, pts, range(3), levels, walk)]
 
     def halved(self) -> "StencilConfig":
         return StencilConfig(self.h / 2.0, self.order)
@@ -357,12 +360,12 @@ class ColorField:
         gradient of all nine components."""
         return self._curls(pts, [(stencil, 1)])[0]
 
-    def _curls(self, pts: np.ndarray, levels) -> list:
+    def _curls(self, pts: np.ndarray, levels, walk=None) -> list:
         """curl at each first-derivative level [(stencil, 1)] of one walk,
         each with the bits of curl(stencil, pts) alone."""
         if self.vector_batch is None:
-            return [curl(dA) for dA in StencilConfig._gradient(self.sample_batch, pts, levels)]
-        return [_vector_curl(dw) for dw in StencilConfig._gradient(self.vector_batch, pts, levels)]
+            return [curl(dA) for dA in StencilConfig._gradient(self.sample_batch, pts, levels, walk)]
+        return [_vector_curl(dw) for dw in StencilConfig._gradient(self.vector_batch, pts, levels, walk)]
 
 
 def _vector_curl(dw):
@@ -611,22 +614,22 @@ def magnetic_tension(field: ColorField, x, stencil: StencilConfig, g: float) -> 
     return B[0] if single else B
 
 
-def _tensions(gauge: ColorField, At, pts, levels, g) -> list:
+def _tensions(gauge: ColorField, At, pts, levels, g, walk=None) -> list:
     """B = curl A - g A_{i+1} x A_{i+2}, [n][i][a], at each level of one
     walk, from the gauge sample At [a][i][n]: first the quadratic term
     (g/2) eps_{ijk} eps_{abc} A_j^b A_k^c = g (A_{i+1} x A_{i+2})^a (spatial
     indices mod 3), then the curls (ColorField._curls)."""
     quad = g * cross(At[:, [1, 2, 0]], At[:, [2, 0, 1]]).T
-    return [c - quad for c in gauge._curls(pts, levels)]
+    return [c - quad for c in gauge._curls(pts, levels, walk)]
 
 
-def _covariant_gradients(At, scalar: ColorField, pts, levels, g) -> list:
+def _covariant_gradients(At, scalar: ColorField, pts, levels, g, walk=None) -> list:
     """D(phi) = d phi - g A_i x phi, [n][i][a], at each level of one walk
     over the scalar, from the gauge sample At [a][i][n]: first the scalar's
     unshifted sample and the colour term g eps_{abc} A_i^b phi^c, then the
     walk."""
     rot = g * cross(At, scalar.sample(pts).T[:, None]).T
-    return [dphi - rot for dphi in StencilConfig._gradient(scalar.sample_batch, pts, levels)]
+    return [dphi - rot for dphi in StencilConfig._gradient(scalar.sample_batch, pts, levels, walk)]
 
 
 def covariant_derivative(
@@ -742,13 +745,15 @@ def _first_order_pairs(gauge: ColorField, scalar: ColorField, pts: np.ndarray, s
     _require_stencil_safe(scalar, pts, stencil)
     levels = [(stencil, 1), (stencil.halved(), 1)]
     At = gauge.sample(pts).T  # [a][i][n]
-    if 3 * len(StencilConfig._shifts(pts, levels)) * len(pts) <= _BLOCK:  # rows of one walk
-        return list(zip(_tensions(gauge, At, pts, levels, g), _covariant_gradients(At, scalar, pts, levels, g)))
+    walk = StencilConfig._shifts(pts, levels)  # built once, for the gate and both walks
+    if 3 * len(walk) * len(pts) <= _BLOCK:  # rows of one walk
+        return list(zip(_tensions(gauge, At, pts, levels, g, walk),
+                        _covariant_gradients(At, scalar, pts, levels, g, walk)))
     from concurrent.futures import ThreadPoolExecutor  # here only: import ymvac.cli does not load it
 
     with ThreadPoolExecutor(1) as pool:
-        Ds = pool.submit(contextvars.copy_context().run, _covariant_gradients, At, scalar, pts, levels, g)
-        Bs = _tensions(gauge, At, pts, levels, g)
+        Ds = pool.submit(contextvars.copy_context().run, _covariant_gradients, At, scalar, pts, levels, g, walk)
+        Bs = _tensions(gauge, At, pts, levels, g, walk)
     return list(zip(Bs, Ds.result()))
 
 

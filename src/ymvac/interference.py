@@ -33,6 +33,7 @@ exercised where it is true.)
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,12 +80,26 @@ def dirac_slash(p) -> np.ndarray:
     return p[0] * GAMMA[0] - p[1] * GAMMA[1] - p[2] * GAMMA[2] - p[3] * GAMMA[3]
 
 
+@functools.cache
 def color_shift_matrix() -> np.ndarray:
-    """t_hat = pi sum_a gamma^a (x) tau^a, the Hermitian-generator shift (unit reference scale)."""
+    """t_hat = pi sum_a gamma^a (x) tau^a, the Hermitian-generator shift (unit
+    reference scale), built at the first call and returned read-only."""
     out = np.zeros((8, 8), dtype=complex)
     for a in range(3):
         out += np.kron(GAMMA[a + 1], TAU[a])
-    return math.pi * out
+    out = math.pi * out
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _color_shift_inverse() -> np.ndarray:
+    """t_hat^-1, read-only.  Built at the first window average, as t_hat is,
+    not at import: the first complex and LAPACK calls page in about 1 MB that
+    reports averaging nothing do not need."""
+    inv = np.linalg.inv(color_shift_matrix())
+    inv.flags.writeable = False
+    return inv
 
 
 @dataclass(frozen=True)
@@ -111,9 +126,17 @@ class EulerAngles:
     def adjoint_rotation(self) -> np.ndarray:
         """R_{ab} with u tau^b u^-1 = tau^a R_{ab}; real orthogonal.  For
         u = w 1 - i x.tau, R = (w^2 - x.x) 1 + 2 x x^T + 2 w [x]_x with
-        [x]_x a = x cross a, i.e. [x]_x = -EPS3 x."""
+        [x]_x a = x cross a, i.e. [x]_x = -EPS3 x.  Built at the first call
+        and returned read-only, so that the dressed maps of one set of
+        angles share it."""
+        return self._rotation
+
+    @functools.cached_property
+    def _rotation(self) -> np.ndarray:
         w, x = self.quaternion()
-        return (w * w - x @ x) * np.eye(3) + 2.0 * np.outer(x, x) - 2.0 * w * (EPS3 @ x)
+        rot = (w * w - x @ x) * np.eye(3) + 2.0 * np.outer(x, x) - 2.0 * w * (EPS3 @ x)
+        rot.flags.writeable = False
+        return rot
 
 
 def dressed_factor_map(n: int, angles: EulerAngles, eps: float) -> GribovFactorMap:
@@ -161,7 +184,9 @@ def momentum_green_average(p, L: int) -> np.ndarray:
     SingularTermError naming the first n whose matrix is numerically singular:
     its 1-norm condition number ||A||_1 ||A^-1||_1, taken from the inverse the
     average needs anyway, is above 1e12 or not finite (an overflowing product
-    or inf * 0 counts as not finite, without a warning).
+    or inf * 0 counts as not finite, without a warning).  A p whose p_slash
+    has a 1-norm past the float range, where no term's condition number is
+    finite, raises DomainError instead.
 
     Only the head |n| <= n0 is inverted term by term and gated; with
     M = t^-1 p_slash, h = L//2 and n0 = min(h, ceil(8 ||M||_1)) the rest of the
@@ -179,13 +204,15 @@ def momentum_green_average(p, L: int) -> np.ndarray:
     """
     if L < 0:
         raise DomainError("window size L must be non-negative")
-    t = color_shift_matrix()
-    t_inv = np.linalg.inv(t)
+    t, t_inv = color_shift_matrix(), _color_shift_inverse()
     ph = np.kron(dirac_slash(p), ID2)
-    half = n0 = L // 2
-    m = t_inv @ ph
     with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(ph, 1)):
+            raise DomainError(f"momentum {np.ravel(p).tolist()} is too large: the 1-norm of p_slash overflows, "
+                              "so no window term has a finite condition number to gate on")
+        m = t_inv @ ph
         head = 8.0 * np.linalg.norm(m, 1)
+    half = n0 = L // 2
     if head < half:  # false for a non-finite norm
         n0 = math.ceil(head)
     ns = np.arange(-n0, n0 + 1)

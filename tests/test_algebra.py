@@ -1,13 +1,19 @@
 """exact_sums against math.fsum, bit for bit (value and sign of zero), and
-its fallbacks to fsum: inf, nan and fsum's own errors; norm against
+its fallbacks to fsum: inf, nan and fsum's own errors; where its rounding
+test decides and where the split to zero does, and the passes it takes on
+the rows the long rotator and interference reports sum; norm against
 np.linalg.norm, bit for bit."""
+import contextlib
+import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ymvac.algebra import _CHUNK, _FSUM_BELOW, exact_sums, norm
+from ymvac import algebra, cli
+from ymvac.algebra import _CHUNK, _FSUM_BELOW, _LEVELS, exact_sums, norm
 from ymvac.rotator import TERM_CAP
 
 # both sides of the short-row cutoff and of the block size, and a few blocks
@@ -37,6 +43,49 @@ def _exact_sum_or_error(row):
         return exact_sums([row])[0]
     except (ValueError, OverflowError) as exc:
         return type(exc)
+
+
+def _sums_and_work(run):
+    """The value of run() and, per row that exact_sums splits, [levels,
+    to_zero, decided]: its passes (_extract calls) up to the last level a
+    rounding test could use, its passes after them, and whether a rounding
+    test decided it (None where no test could run: a row of zeros, or of
+    several blocks, all of whose passes count as to_zero)."""
+    work = []
+    exact_sum, extract, decided = algebra._exact_sum, algebra._extract, algebra._decided
+
+    def row_sum(*args):
+        work.append([0, 0, None])
+        return exact_sum(*args)
+
+    def split(*args):
+        work[-1][1] += 1
+        return extract(*args)
+
+    def test(*args):
+        before = work[-1][1]  # the first pass, 1
+        total = decided(*args)
+        work[-1][:] = [work[-1][1] - before + 1, 0, total is not None]
+        return total
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_exact_sum", row_sum)
+        mp.setattr(algebra, "_extract", split)
+        mp.setattr(algebra, "_decided", test)
+        return run(), work
+
+
+def _padded(parts, n, seed, spread=60):
+    """The parts among n - len(parts) fillers x, -x of random size up to
+    2^spread times the first part's, shuffled: the exact sum is the parts'."""
+    rng = np.random.default_rng(seed)
+    ex = math.frexp(parts[0])[1]
+    m = (n - len(parts)) // 2
+    x = np.ldexp(rng.integers(-(2**53) + 1, 2**53, m).astype(float),
+                 rng.integers(max(ex - 200, -1074), ex + spread, m) - 52)
+    row = np.concatenate([parts, x, -x, np.zeros(n - len(parts) - 2 * m)])
+    rng.shuffle(row)
+    return row
 
 
 @st.composite
@@ -90,6 +139,79 @@ class TestExactSums:
         for value in specials:
             row[data.draw(st.integers(0, row.size - 1))] = value
         _assert_same(_exact_sum_or_error(row), _fsum_or_error(row))
+
+    @pytest.mark.parametrize("n", [_FSUM_BELOW, 5000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("k", [None, 60, 300, 1000])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_ties_split_to_zero(self, n, k, sign):
+        # x + ulp(x)/2 is a tie of round-half-even, and within 2^-k ulp(x) of
+        # it no rounding test decides: the split to zero does, after the level
+        # budget at 5000 terms or fewer, and at once from 2^15 - 1 terms, where
+        # the first bound (2^30 times the fillers' 2^(e-53)) holds zero; at
+        # x = 2^-700 a nudge of 2^-k ulp(x) below 2^-1074 is 0, the tie itself
+        for seed, ex in enumerate((-700, -3, 0, 52, 600)):
+            x = math.ldexp(1.0 + seed / 7.0, ex)
+            parts = [x, math.ulp(x) / 2.0] + ([] if k is None else [math.ldexp(math.ulp(x), -k) * (-1) ** seed])
+            row = sign * _padded(parts, n, seed)
+            (got,), work = _sums_and_work(lambda: exact_sums([row]))
+            _assert_same(got, math.fsum(row.tolist()))
+            if n <= _CHUNK:
+                assert work[0][0] == (_LEVELS if n <= 5000 else 1) and work[0][2] is False
+
+    @pytest.mark.parametrize("n", [_FSUM_BELOW, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_cancelling_rows(self, n):
+        # x and -x: exactly zero, fsum's +0.0, in every order; the interval
+        # holds zero at once, and the split to zero decides
+        rng = np.random.default_rng(n)
+        half = np.ldexp(rng.normal(size=n // 2), rng.integers(-1070, 990, n // 2))
+        for row in (np.concatenate([half, -half]), np.concatenate([half, [0.0] * (n % 2), -half[::-1]])):
+            rng.shuffle(row)
+            sums, work = _sums_and_work(lambda: exact_sums([row, -row]))
+            for got in sums:
+                _assert_same(got, 0.0)
+            if n <= _CHUNK:
+                assert [(levels, decided) for levels, _, decided in work] == [(1, False), (1, False)]
+
+    def test_subnormal_guard(self):
+        # one row, and the same row times 2^-600, whose first remainder bound
+        # 2^(e-53) is below 2^-1022: the test decides the first at its first
+        # level, and the guard sends the second to the split to zero
+        row = np.random.default_rng(5).normal(size=3000) * 2.0**-400
+        (big, small), work = _sums_and_work(lambda: exact_sums([row, row * 2.0**-600]))
+        _assert_same(big, math.fsum(row.tolist()))
+        _assert_same(small, math.fsum((row * 2.0**-600).tolist()))
+        assert work == [[1, 0, True], [1, work[1][1], False]]
+        for ex in (-960, -1000, -1021):  # ties, which the guard sends on before the level budget is spent
+            x = math.ldexp(1.5, ex)
+            row = _padded([x, math.ulp(x) / 2.0], 2000, -ex, spread=40)
+            (got,), work = _sums_and_work(lambda: exact_sums([row]))
+            _assert_same(got, math.fsum(row.tolist()))
+            assert work[0][0] < _LEVELS and work[0][2] is False
+
+    @pytest.mark.parametrize("argv, work", [
+        # the winding rows of theta = 0, pi/2, pi (dN = 0, 0.3, 1; real, then
+        # imaginary): the theta = 0 imaginary rows are zeros, the dN = 0 ones
+        # at pi/2 and pi cancel exactly, and the theta = pi real rows oscillate
+        (["rotator", "--inertia", "1e-7", "--tau", "0.3"],
+         [[1, 0, True], [0, 0, None], [1, 0, True], [0, 0, None], [1, 0, True], [0, 0, None],
+          [2, 0, True], [1, 4, False], [2, 0, True], [3, 0, True], [2, 0, True], [3, 0, True],
+          [3, 0, True], [1, 3, False], [3, 0, True], [2, 0, True], [3, 0, True], [2, 0, True]]),
+        # the spectral rows of the same grid, 9231 terms each
+        (["rotator", "--inertia", "1e5", "--tau", "0.01"],
+         [[1, 0, True], [0, 0, None], [2, 0, True], [1, 4, False], [1, 0, True], [1, 3, False],
+          [1, 0, True], [0, 0, None], [2, 0, True], [2, 0, True], [1, 0, True], [1, 0, True],
+          [1, 0, True], [0, 0, None], [2, 0, True], [3, 0, True], [1, 0, True], [1, 0, True]]),
+        (["rotator", "--inertia", "1e-12", "--tau", "1", "--theta", "0"], []),  # short rows: math.fsum
+        # H_0 .. H_8 of the L = 10000 window
+        (["interference"], [[1, 0, True]] * 9),
+        (["interference", "--momentum", "1.3,-0.4,0.25,0.9", "--angles", "1.0,0.2,0.5"], [[1, 0, True]] * 9),
+    ])
+    def test_passes_per_long_sums_row(self, argv, work):
+        # the passes over each row of the reports that the long-sums
+        # benchmark runs; split to zero, these rows took 4-7 passes each
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, got = _sums_and_work(lambda: cli.main(argv))
+        assert code == 0 and got == work
 
     def test_term_cap_row(self):
         rng = np.random.default_rng(7)

@@ -961,6 +961,16 @@ class TestScalarWalkOnSecondThread:
         _first_order_pairs(gauge, _thread_logged(scalar, threads), pts, StencilConfig(5e-3, order), 1.0)
         assert (set(threads) != {threading.get_ident()}) == threaded
 
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_shift_union_built_once(self, monkeypatch, n):
+        # the gate and both walks, on one thread or two, share one union of the pair's shifts
+        calls = []
+        shifts = StencilConfig._shifts
+        monkeypatch.setattr(StencilConfig, "_shifts", staticmethod(lambda x, levels: calls.append(1) or shifts(x, levels)))
+        gauge, scalar, pts, stencil = _bps_pair_inputs(n)
+        _first_order_pairs(gauge, scalar, pts, stencil, 1.0)
+        assert len(calls) == 1
+
     def test_concurrent_callers_keep_bits(self):
         # four callers on two cores, each with its own worker, switching
         # threads as often as the interpreter allows: the samplers share no state

@@ -723,7 +723,8 @@ class TestNoStrayWarnings:
         # tau_E/(2I) underflows to 0 or I/(2 tau_E) to a subnormal; g^2
         # underflows, g^2, g^3 or eps^3 overflows; a zero step divisor; a
         # step so small that the stencil weights overflow; a momentum whose
-        # window term is singular
+        # window term is singular, and one whose p_slash has a 1-norm past the
+        # float range (no term is singular there)
         cases = [
             (["check-bogomolnyi", "--eps", "1e-10", "--inv-h-over-eps", "1e300"], "stencil step 1e-310 is too small"),
             (["check-gribov", "--eps", "1e-10", "--inv-h-over-r", "1e300"], "stencil step 1e-310 is too small"),
@@ -740,6 +741,8 @@ class TestNoStrayWarnings:
             # the n = 0 inverse's 1-norm overflows: the term is singular, with no warning
             (["interference", "--momentum", "1.1125369292536007e-308,0,0,1.1125369292536007e-308"],
              "singular matrix in average window at n=0"),
+            (["interference", "--momentum", "1e308,1e308,-1e308,1e308"],
+             "momentum [1e+308, 1e+308, -1e+308, 1e+308] is too large: the 1-norm of p_slash overflows"),
         ]
         runs = self._run_warnings_as_errors([argv for argv, _ in cases])
         for (_, named), (code, err) in zip(cases, runs):

@@ -89,6 +89,13 @@ class TestEulerAngles:
         with pytest.raises(DomainError):
             EulerAngles(math.inf, 0.0, 0.0)
 
+    def test_dressed_maps_share_one_rotation(self):
+        # the interference report's four dressed maps build R once, read-only
+        ang = EulerAngles(1.0, 0.2, 0.5)
+        maps = [dressed_factor_map(n, ang, EPS) for n in (1, -1, 2, -2)]
+        assert all(fmap.rotation is ang.adjoint_rotation() for fmap in maps)
+        assert not ang.adjoint_rotation().flags.writeable
+
 
 class TestDressedFactor:
     def test_identity_at_n0(self):
@@ -320,6 +327,22 @@ class TestMomentumGreenAverage:
             momentum_green_average(p, 100)
         assert err.value.n == -20
 
+    def test_oversized_momentum_refused(self):
+        # finite entries whose 1-norms overflow: no term is singular, and the
+        # error says what is wrong instead of naming n = -50
+        with pytest.raises(DomainError, match="1-norm of p_slash overflows"):
+            momentum_green_average(np.array([1e308, 1e308, -1e308, 1e308]), 100)
+
+    def test_shift_and_inverse_built_once(self):
+        # one read-only t and t^-1, shared by every window average
+        # imported here: bench/kernels.py imports this file beside baselines without it
+        from ymvac.interference import _color_shift_inverse
+
+        t, t_inv = color_shift_matrix(), _color_shift_inverse()
+        assert t is color_shift_matrix() and t_inv is _color_shift_inverse()
+        assert not t.flags.writeable and not t_inv.flags.writeable
+        assert np.array_equal(t_inv, np.linalg.inv(t))
+
     def test_resolvent_oracle_matches_inverses(self):
         p = (0.31, 0.7, -0.2, 0.45)
         direct = mpmath_inverse_sum(np.array(p), color_shift_matrix(), 10)
@@ -351,14 +374,16 @@ class TestMomentumGreenAverage:
         assert np.linalg.norm(got - ref, 1) <= 1e-14 * scale
 
     def test_tail_allocates_no_window_stack(self, monkeypatch):
-        # only the head |n| <= ceil(8 ||t^-1 p_slash||_1) goes through the batched inverse
+        # only the head |n| <= ceil(8 ||t^-1 p_slash||_1) goes through the
+        # batched inverse; t^-1 is built once, at the first average
+        momentum_green_average(self.P, 2)
         shapes = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(np.shape(a)) or inv(a))
         momentum_green_average(self.P, 100000)
         m = np.linalg.solve(color_shift_matrix(), np.kron(dirac_slash(self.P), ID2))
         head = 2 * math.ceil(8.0 * np.linalg.norm(m, 1)) + 1
-        assert shapes == [(8, 8), (head, 8, 8)] and head < 20
+        assert shapes == [(head, 8, 8)] and head < 20
 
     def test_gamma_algebra(self):
         # metric (+,-,-,-): gamma^0 squared is 1, spatial gammas square to -1
