@@ -13,13 +13,13 @@ figure, and writes one JSON file:
   the shift defect |X[v(A + d)v^-1] - X[A] - N(R) - surface term|, N(R) =
   (a - sin a cos a)/pi with a = pi f01(R), R = r_max, and beside it the
   covariance gaps max |B[A'] - R(q) B[A]| and max |D phi' - R(q) D phi| at
-  `covariance_setup` of tests/test_topology.py (`covariance_gap_B`, `_D`);
+  `covariance_setup` of tests/oracles.py (`covariance_gap_B`, `_D`);
 - `surface_flux_term` of the monopole and `GribovFactorMap(1)` on r = R with
   48x48 and 72x72 nodes; accuracy: the gap to f1(R) sin(a) cos(a)/pi;
 - `momentum_green_average` at the interference report's momentum, L = 10000
   and 100000; accuracy: |gamma - 1|, gamma the slope of log ||S|| between L/10
   and L, and beside it the relative 2-norm gap of S at L = 1000 to the
-  30-digit `resolvent_window_sums` of tests/test_interference.py;
+  30-digit `resolvent_window_sums` of tests/oracles.py;
 - `QuadratureSpec.ball_nodes` at 48/24/24 and 72/36/36; accuracy: the
   relative gap of the rule on the ball integral of e^-r;
 - `path_green` at I = 1e-6 and 1e-7 (tau_E = 0.3, dN = 0.3, theta = 0 and
@@ -47,11 +47,11 @@ figure, and writes one JSON file:
   and with one element set to 0 (`+guard`); accuracy: entries unlike one call
   per element or row alone (0);
 - `pheno._shell_sum` on the magnetic energy's 48 nodes and the inertia's 64;
-  accuracy: sums unlike `per_node_shell_sum` of tests/test_pheno.py (0), and
+  accuracy: sums unlike `per_node_shell_sum` of tests/oracles.py (0), and
   beside it the sum (`value`);
 - the BPS gauge sampler (`sample_batch`), `algebra.norm` and
   `StencilConfig._gradient` of that sampler at N = 1000 and 27 648; accuracy:
-  entries unlike `_where_hedgehog_gauge` of tests/test_bps_profiles.py or
+  entries unlike `_where_hedgehog_gauge` of tests/oracles.py or
   np.linalg.norm (0), and the gradient's relative gap to its closed form;
 - `ColorField.curl` of the BPS gauge field at h = 1e-3 (N = 4 608 and 27 648)
   and longdouble `magnetic_tension` at check-bogomolnyi's points (N = 20 and
@@ -61,7 +61,7 @@ figure, and writes one JSON file:
 - `cli._parse_config` on `winding` and on an interference argv with two comma
   lists; accuracy: parsed fields unlike a fresh parser's (0);
 - `shifted_loop_average` at the report's loop_q, window 8, cutoffs 2 and 4;
-  accuracy: values unlike `per_shift_loop_average` of tests/test_interference.py;
+  accuracy: values unlike `per_shift_loop_average` of tests/oracles.py;
 - `gribov_residual` over GRIBOV_RADII and DENSE_GRIBOV_RADII at h = min(r, 8)/100
   and h/2 in one call; accuracy: the smallest observed order;
 - `monopole_covariant_laplacian` on the greens report's tensor at h = z/500,
@@ -392,10 +392,8 @@ def worker() -> dict:
     from ymvac.cli import _parse_config
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_bps_profiles import _where_hedgehog_gauge
-    from test_interference import per_shift_loop_average, resolvent_window_sums
-    from test_pheno import per_node_shell_sum
-    from test_topology import covariance_gaps, covariance_setup
+    from oracles import (_where_hedgehog_gauge, covariance_gaps, covariance_setup, per_node_shell_sum,
+                         per_shift_loop_average, resolvent_window_sums)
 
     default = topo.QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
     specs = {"48x24x24": default, "72x36x36": default.refined()}

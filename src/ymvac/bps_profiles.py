@@ -80,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import cross, curl, norm
-from .errors import DomainError, SingularPointError, StencilError
+from .errors import ConsistencyError, DomainError, SingularPointError, StencilError
 
 __all__ = [
     "MonopoleScale",
@@ -409,9 +409,10 @@ def _guarded(x, formula, guards):
     return out
 
 
-def _radii(r, eps: float):
-    """r as a float array (its float dtype kept), once eps > 0 and every
-    radius >= 0 are checked."""
+def _over_eps(r, eps: float):
+    """x = r/eps in r's float dtype (an int r as float), once eps > 0 and
+    every radius >= 0 are checked.  Past the float range, which only eps < 1
+    can reach, x is inf with no warning: the kernels take x = inf."""
     if not (eps > 0):
         raise DomainError(f"eps must be positive, got {eps}")
     r = np.asarray(r)
@@ -419,7 +420,10 @@ def _radii(r, eps: float):
         r = r.astype(float)
     if np.any(r < 0):
         raise DomainError("radius must be non-negative")
-    return r
+    if eps >= 1.0:  # r/eps <= r cannot overflow: no errstate (2-3 us a call) at the default eps = 1
+        return r / eps
+    with np.errstate(over="ignore"):
+        return r / eps
 
 
 def _series(x2, c1, c2, d3):
@@ -443,7 +447,7 @@ def f0_bps(r, eps: float):
     Vanishes like r/(3 eps^2) at the origin and approaches 1/eps - 1/r for
     r >> eps.  Units GeV.
     """
-    out = _coth_minus_inv(_radii(r, eps) / eps) / eps
+    out = _coth_minus_inv(_over_eps(r, eps)) / eps
     return out if out.ndim else float(out)
 
 
@@ -478,7 +482,7 @@ def f1_bps(r, eps: float):
     Vanishes like r^2/(6 eps^2) at the origin and tends to 1 (the singular
     hedgehog value) as r/eps -> infinity.  Dimensionless.
     """
-    out = 1.0 - _x_over_sinh(_radii(r, eps) / eps)
+    out = 1.0 - _x_over_sinh(_over_eps(r, eps))
     return out if out.ndim else float(out)
 
 
@@ -493,8 +497,8 @@ def d_f01_bps(r, eps: float):
     below 0.05 and above 350.  One radius is a batch of one: ** 2 of a numpy
     scalar is libm's pow, which can differ in the last bit from the array
     square."""
-    r = _radii(r, eps)
-    x = np.atleast_1d(r / eps)
+    x0 = _over_eps(r, eps)
+    x = np.atleast_1d(x0)
     # past 350, 1/sinh(x)^2 = 4e^-2x/(1 - e^-2x)^2 < 4e^-700 is below half
     # an ulp of 1/x^2 and drops out; past 1e154 x**2 overflows in float64, and
     # 1/x^2 = (1/x)^2
@@ -504,7 +508,7 @@ def d_f01_bps(r, eps: float):
         ((x > 350.0) & ~far, lambda xt: 1.0 / xt**2 / eps),
         (far, lambda xf: (1.0 / xf) ** 2 / eps),
     ])
-    return out if r.ndim else out[0]
+    return out if x0.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +691,9 @@ def bogomolnyi_residual(
     PT: both sides vanish identically; the 0/0 is reported as exact zero.
     WuYang variants: the phase scalar matches B only up to an overall scale,
     so the scale-invariant alignment residual sqrt(1 - <B_hat, D_hat>^2) is
-    returned instead.
+    returned instead.  A point where ||B|| (Wu-Yang: ||B|| ||D||) is 0, which
+    a step below the profiles' resolution gives, raises ConsistencyError
+    naming its radius and the step.
 
     B and D at both steps come from the helpers that magnetic_tension and
     covariant_derivative use, _tensions and _covariant_gradients, at both
@@ -716,12 +722,21 @@ def bogomolnyi_residual(
     # extended precision keeps the stencil's own order visible below the
     # double-precision cancellation floor
     residuals = []
-    for B, D in _first_order_pairs(gauge, scalar, pts.astype(np.longdouble), stencil, scale.g):
-        nb = np.linalg.norm(B, axis=(1, 2))
+    for half, (B, D) in zip((1.0, 0.5), _first_order_pairs(gauge, scalar, pts.astype(np.longdouble), stencil, scale.g)):
+        den = np.linalg.norm(B, axis=(1, 2))
+        if variant is not FieldVariant.BPS:
+            den = den * np.linalg.norm(D, axis=(1, 2))
+        if not den.all():  # B (or D) rounds to 0: h is below the profiles' resolution
+            i = np.flatnonzero(den == 0)[0]
+            raise ConsistencyError(
+                f"{'||B||' if variant is FieldVariant.BPS else '||B|| ||D||'} is 0 at r = {float(norm(pts[i])):g} "
+                f"with the step h = {float(np.broadcast_to(stencil.h, len(pts))[i]) * half:g}, below the "
+                f"resolution of the profiles"
+            )
         if variant is FieldVariant.BPS:
-            res = np.linalg.norm(B - D, axis=(1, 2)) / nb
+            res = np.linalg.norm(B - D, axis=(1, 2)) / den
         else:
-            cos = np.abs(np.sum(B * D, axis=(1, 2))) / (nb * np.linalg.norm(D, axis=(1, 2)))
+            cos = np.abs(np.sum(B * D, axis=(1, 2))) / den
             res = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
         residuals.append(float(np.max(res, initial=0.0)))
     return tuple(residuals)

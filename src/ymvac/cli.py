@@ -408,16 +408,41 @@ def _run_pheno(cfg: RunConfig) -> Report:
     return rep
 
 
-_HANDLERS = {
-    "profiles": _run_profiles,
-    "check-bogomolnyi": _run_check_bogomolnyi,
-    "check-gribov": _run_check_gribov,
-    "winding": _run_winding,
-    "greens": _run_greens,
-    "rotator": _run_rotator,
-    "interference": _run_interference,
-    "pheno": _run_pheno,
+# Each subcommand once: its help line, its report, whether it takes --tol
+# (where the report has a main check tolerance to override) and its own
+# flags in --help order.  A flag is its default, whose type is the flag's
+# type, or its add_argument keywords (the type again from a default).
+_SUBCOMMANDS = {
+    "profiles": ("tabulate the radial profiles", _run_profiles, False, {
+        "--eps": 1.0, "--g": 1.0, "--r-min": 0.0, "--r-max": 10.0, "--n-points": 41}),
+    "check-bogomolnyi": ("first-order pair residual", _run_check_bogomolnyi, True, {
+        "--eps": 1.0, "--g": 1.0, "--order": {"default": 4, "choices": (2, 4)},
+        "--inv-h-over-eps": {"default": 200.0, "help": "h = eps / this"},
+        "--n-points": 20, "--r-lo-over-eps": 0.5, "--r-hi-over-eps": 10.0,
+        "--variant": {"default": "BPS", "choices": bp.FieldVariant}}),
+    "check-gribov": ("phase-equation residual refinement", _run_check_gribov, True, {
+        "--eps": 1.0, "--g": 1.0, "--order": {"default": 4, "choices": (2, 4)},
+        "--inv-h-over-r": {"default": 100.0, "help": "h = r / this"}, "--radii-over-eps": "2,5,20"}),
+    "winding": ("degree sweep and winding functional", _run_winding, True, {
+        "--n-min": -2, "--n-max": 2, "--g": 1.0, "--r-max": 300.0, "--n-r": 48, "--n-theta": 24, "--n-phi": 24}),
+    "greens": ("roots, potentials, operator residual", _run_greens, True, {
+        "--d1": 1.0 / (4.0 * math.pi), "--c1": 1.0, "--n-z": 100}),
+    "rotator": ("spectral/path comparison and decay curves", _run_rotator, True, {
+        "--inertia": {"type": float, "help": "fix I (default: grid)"},
+        "--tau": {"type": float, "help": "fix tau_E (default: grid)"},
+        "--theta": {"type": float, "help": "fix theta (default: grid)"},
+        "--theta-probe": 0.7}),
+    "interference": ("dressed factors, window decay, loop shifts", _run_interference, False, {
+        "--eps": 1.0, "--angles": "0.3,1.1,-0.7", "--momentum": "0.31,0.7,-0.2,0.45",
+        "--loop-q": "0.0,0.125,0.0625,0.0", "--loop-window": 8}),
+    "pheno": ("constants chain report", _run_pheno, True, {
+        "--constants": {"help": "constants file path"}, "--g": 1.0, "--eps": 1.0, "--e": 1.0,
+        "--set": {"action": "append", "metavar": "KEY=VALUE", "help": "override a constants-file entry (repeatable)"}}),
 }
+# the flags that every subcommand takes first, --tol only where it is taken
+_OUTPUT_FLAGS = {"--output": {"default": "json", "choices": ("json", "csv")},
+                 "--out": {"help": "output file (default: stdout)"}}
+_TOL_FLAG = {"--tol": {"type": float, "help": "override the main check tolerance"}}
 
 
 # ---------------------------------------------------------------------------
@@ -433,85 +458,20 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built at first use; parse_args leaves it as it was."""
+    """The process's one parser, built at first use from _SUBCOMMANDS;
+    parse_args leaves it as it was."""
     ap = _Parser(prog="ymvac", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, tol=True):
-        sp.add_argument("--output", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        if tol:  # only where a report has a main check tolerance to override
-            sp.add_argument("--tol", type=float, default=None, help="override the main check tolerance")
-        sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("profiles", help="tabulate the radial profiles")
-    common(sp, tol=False)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--g", type=float, default=1.0)
-    sp.add_argument("--r-min", type=float, default=0.0)
-    sp.add_argument("--r-max", type=float, default=10.0)
-    sp.add_argument("--n-points", type=int, default=41)
-
-    sp = sub.add_parser("check-bogomolnyi", help="first-order pair residual")
-    common(sp)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--g", type=float, default=1.0)
-    sp.add_argument("--order", type=int, default=4, choices=(2, 4))
-    sp.add_argument("--inv-h-over-eps", type=float, default=200.0, help="h = eps / this")
-    sp.add_argument("--n-points", type=int, default=20)
-    sp.add_argument("--r-lo-over-eps", type=float, default=0.5)
-    sp.add_argument("--r-hi-over-eps", type=float, default=10.0)
-    sp.add_argument("--variant", default="BPS", choices=("BPS", "WuYangPlus", "WuYangMinus", "PT"))
-
-    sp = sub.add_parser("check-gribov", help="phase-equation residual refinement")
-    common(sp)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--g", type=float, default=1.0)
-    sp.add_argument("--order", type=int, default=4, choices=(2, 4))
-    sp.add_argument("--inv-h-over-r", type=float, default=100.0, help="h = r / this")
-    sp.add_argument("--radii-over-eps", default="2,5,20")
-
-    sp = sub.add_parser("winding", help="degree sweep and winding functional")
-    common(sp)
-    sp.add_argument("--n-min", type=int, default=-2)
-    sp.add_argument("--n-max", type=int, default=2)
-    sp.add_argument("--g", type=float, default=1.0)
-    sp.add_argument("--r-max", type=float, default=300.0)
-    sp.add_argument("--n-r", type=int, default=48)
-    sp.add_argument("--n-theta", type=int, default=24)
-    sp.add_argument("--n-phi", type=int, default=24)
-
-    sp = sub.add_parser("greens", help="roots, potentials, operator residual")
-    common(sp)
-    sp.add_argument("--d1", type=float, default=1.0 / (4.0 * math.pi))
-    sp.add_argument("--c1", type=float, default=1.0)
-    sp.add_argument("--n-z", type=int, default=100)
-
-    sp = sub.add_parser("rotator", help="spectral/path comparison and decay curves")
-    common(sp)
-    sp.add_argument("--inertia", type=float, default=None, help="fix I (default: grid)")
-    sp.add_argument("--tau", type=float, default=None, help="fix tau_E (default: grid)")
-    sp.add_argument("--theta", type=float, default=None, help="fix theta (default: grid)")
-    sp.add_argument("--theta-probe", type=float, default=0.7)
-
-    sp = sub.add_parser("interference", help="dressed factors, window decay, loop shifts")
-    common(sp, tol=False)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--angles", default="0.3,1.1,-0.7")
-    sp.add_argument("--momentum", default="0.31,0.7,-0.2,0.45")
-    sp.add_argument("--loop-q", default="0.0,0.125,0.0625,0.0")
-    sp.add_argument("--loop-window", type=int, default=8)
-
-    sp = sub.add_parser("pheno", help="constants chain report")
-    common(sp)
-    sp.add_argument("--constants", default=None, help="constants file path")
-    sp.add_argument("--g", type=float, default=1.0)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--e", type=float, default=1.0)
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                    help="override a constants-file entry (repeatable)")
-
+    for name, (help_line, _, tol, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for flag, spec in {**_OUTPUT_FLAGS, **(_TOL_FLAG if tol else {}), "--seed": 0, **flags}.items():
+            kw = dict(spec) if isinstance(spec, dict) else {"default": spec}
+            if kw.get("default") is not None:
+                kw.setdefault("type", type(kw["default"]))
+            if "choices" in kw:  # an enum's members stand for their values
+                kw["choices"] = tuple(getattr(c, "value", c) for c in kw["choices"])
+            sp.add_argument(flag, **kw)
     return ap
 
 
@@ -603,7 +563,7 @@ def _parse_config(argv) -> RunConfig:
 def main(argv=None) -> int:
     try:
         cfg = _parse_config(argv if argv is not None else sys.argv[1:])
-        rep = _HANDLERS[cfg.subcommand](cfg)
+        rep = _SUBCOMMANDS[cfg.subcommand][1](cfg)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except (ConsistencyError, ConvergenceError, ResolutionError, TruncationError) as exc:

@@ -58,8 +58,6 @@ __all__ = [
     "shifted_loop_average",
     "loop_integrand",
     "loop_integrand_matrix",
-    "ColorRatio",
-    "color_ratio_check",
 ]
 
 ID4 = np.eye(4, dtype=complex)
@@ -340,16 +338,3 @@ def shifted_loop_average(q, cutoff: float, L: int) -> LoopAverage:
     unshifted = lattice_sum(0)
     averaged = math.fsum(lattice_sum(int(n)) for n in ns) / len(ns)
     return LoopAverage(averaged, unshifted, averaged - unshifted)
-
-
-class ColorRatio(NamedTuple):
-    prediction: float
-    in_band: bool
-    band: tuple[float, float]
-
-
-def color_ratio_check(nc: int, band: tuple[float, float] = (3.0, 3.6)) -> ColorRatio:
-    """Lowest-order hadronic-to-muonic ratio prediction: the color count itself."""
-    if nc < 1:
-        raise DomainError("color count must be at least 1")
-    return ColorRatio(float(nc), band[0] <= nc <= band[1], band)

@@ -185,7 +185,8 @@ class GribovFactorMap:
     m_hat = R n_hat (c: amplitude prefactor, R: optional adjoint rotation);
     f01 is differentiated exactly.  eps_ref is checked where f01 is first
     evaluated.  Points keep their float dtype (bps_profiles._batch), and a
-    point other than the origin whose norm underflows to 0 is refused.
+    point other than the origin whose norm underflows to 0, or a point whose
+    norm overflows, is refused.
     """
 
     def __init__(self, n: int, eps_ref: float = 1.0, prefactor: float = 1.0, rotation=None):
@@ -209,9 +210,12 @@ class GribovFactorMap:
         """quaternion's part that maps differing only in n share: r, n_hat,
         m_hat, f01 and, with derivs (else None), f01' and d_i m_hat."""
         pts = _batch(pts)[0]
-        r = norm(pts.T)
+        with np.errstate(over="ignore"):  # refused below
+            r = norm(pts.T)
         if np.any(pts[r == 0]):
             raise DomainError(f"the norm of a point other than the origin underflows to 0 in {pts.dtype}")
+        if np.isinf(r).any():
+            raise DomainError(f"the norm of the point {pts[np.isinf(r)][0].tolist()} overflows in {pts.dtype}")
         nh = pts / np.where(r > 0, r, 1.0)[:, None]
         mh = np.ascontiguousarray((nh if self.rotation is None else nh @ self.rotation.T).T)
         nh = np.ascontiguousarray(nh.T)
@@ -359,8 +363,11 @@ def winding_functional(
     or, for a field without one, on all nine of the sampler.  Raises TruncationError when the outer 10% radial shell
     carries more than tail_fraction of the accumulated absolute integrand;
     pass None to skip (e.g. when the boundary flux is being computed
-    explicitly).
+    explicitly).  A g whose g^3 is not a normal float is refused: det[A]
+    ~ 1/g^3 would overflow where g^3 underflows.
     """
+    if not np.finfo(float).tiny <= g * g * g:
+        raise DomainError(f"g^3 must be a normal float; coupling g {g} is out of range")
     quad.check_reaches(eps_ref)
     stencil = StencilConfig(1e-3 * eps_ref, 4)
     pts, wts = quad.ball_nodes(eps_ref)

@@ -40,8 +40,10 @@ from ymvac.bps_profiles import (
     magnetic_tension,
     zero_mode_scalar,
 )
-from ymvac.errors import DomainError, SingularPointError, StencilError
+from ymvac.errors import ConsistencyError, DomainError, SingularPointError, StencilError
 from ymvac.topology import GribovFactorMap, gauge_transform
+
+from oracles import _where_hedgehog_gauge
 
 SCALE = MonopoleScale(g=1.0, eps=1.0)
 RNG = np.random.default_rng(42)
@@ -124,6 +126,14 @@ class TestProfiles:
         r = np.array([1e-3, 1e-5, 1e-7])
         assert np.all(np.abs(f0_bps(r, 1.0) * r) < 1e-5)
         assert np.all(np.abs(f1_bps(r, 1.0)) < 1e-6)
+
+    def test_quotient_past_float_range_takes_the_limits(self):
+        # r/eps = 1e450 is inf in float64: the kernels take x = inf, with no
+        # overflow warning (which this suite raises)
+        r = np.array([0.0, 1.0, 1e300])
+        assert f0_bps(r, 1e-150).tolist() == [0.0, f0_bps(1.0, 1e-150), 1e150]
+        assert f1_bps(r, 1e-150)[-1] == f1_bps(1e300, 1e-150) == 1.0
+        assert d_f01_bps(r, 1e-150)[-1] == d_f01_bps(1e300, 1e-150) == 0.0
 
 
 class TestScaleAndTypes:
@@ -244,20 +254,6 @@ class TestBuildFields:
     def test_variant_parse_error(self):
         with pytest.raises(DomainError):
             FieldVariant.parse("NoSuch")
-
-
-def _where_hedgehog_gauge(pts, g, radial_f):
-    """The hedgehog gauge sampler as it was written before the masked divide
-    and the vector sampler: r from np.linalg.norm, the r = 0 limit by two
-    np.where, the six eps entries filled in place."""
-    r = np.linalg.norm(pts, axis=1)
-    safe = np.where(r > 0, r, 1.0)
-    coef = np.where(r > 0, radial_f(r) / (g * safe**2), 0.0)
-    x = pts * coef[:, None]
-    A = np.zeros((len(pts), 3, 3), dtype=x.dtype)
-    A[:, 0, 1], A[:, 1, 2], A[:, 2, 0] = x[:, 2], x[:, 0], x[:, 1]
-    A[:, 1, 0], A[:, 2, 1], A[:, 0, 2] = -x[:, 2], -x[:, 0], -x[:, 1]
-    return A
 
 
 # coordinates 0 or of magnitude in [1e-6, 1e3]; whole rows of zeros are drawn too
@@ -492,6 +488,14 @@ class TestBogomolnyiResidual:
     def test_coarse_stencil_rejected(self):
         with pytest.raises(StencilError):
             bogomolnyi_residual(SCALE, [np.array([1.0, 0, 0])], StencilConfig(h=0.2, order=4))
+
+    @pytest.mark.parametrize("h", [1e-150, np.array([1e-3, 1e-150])])
+    def test_step_below_resolution_names_point(self, h):
+        # at the origin f1 of every shifted sample rounds to 0, so B is 0 and
+        # the relative residual would be 0/0; refused, naming r and h
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ConsistencyError, match=r"\|\|B\|\| is 0 at r = 0 with the step h = 1e-150"):
+            bogomolnyi_residual(MonopoleScale(1.0, 1.0), pts, StencilConfig(h=h, order=4))
 
 
 class TestGribovResidual:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ymvac
 from ymvac import bps_profiles as bp, cli, greens, interference as itf, pheno, rotator, topology
-from ymvac.cli import _HANDLERS, _parse_config, main
+from ymvac.cli import _SUBCOMMANDS, _parse_config, main
 from ymvac.errors import DomainError
 
 FAST_ARGS = {
@@ -336,7 +336,7 @@ class TestPhenoMagneticCheck:
             pheno._check_range(bp.MonopoleScale(g=g, eps=eps))
         except DomainError:
             assume(False)
-        rep = _HANDLERS["pheno"](_parse_config(["pheno", "--g", repr(g), "--eps", repr(eps)]))
+        rep = _SUBCOMMANDS["pheno"][1](_parse_config(["pheno", "--g", repr(g), "--eps", repr(eps)]))
         check = {c["name"]: c for c in rep.checks}["magnetic-energy-quadrature"]
         shell = 4.0 * math.pi / (g**2 * eps) * (1.0 - 1e-3)
         assert check["value"] == abs(rep.results["magnetic_energy_quadrature"] - shell) / shell
@@ -353,7 +353,7 @@ class TestPhenoMagneticCheck:
 
 class TestDressedRatio:
     def test_value_is_the_worst_ratio_of_its_table(self):
-        rep = _HANDLERS["interference"](_parse_config(["interference"]))
+        rep = _SUBCOMMANDS["interference"][1](_parse_config(["interference"]))
         check = {c["name"]: c for c in rep.checks}["dressed-factor-unit-asymptotics"]
         rows = rep.results["dressed_asymptotics"]["rows"]
         assert check["value"] == max(dev / bound for _, dev, bound in rows)
@@ -507,7 +507,7 @@ class TestNaNGaps:
     @staticmethod
     def _checks(*argv):
         cfg = _parse_config(list(argv))
-        return {c["name"]: c for c in _HANDLERS[cfg.subcommand](cfg).checks}
+        return {c["name"]: c for c in _SUBCOMMANDS[cfg.subcommand][1](cfg).checks}
 
     def test_winding_nan_degree(self, monkeypatch):
         exact = topology.map_degree
@@ -575,7 +575,7 @@ OUTPUT_DIGESTS = {
 def _digest_argvs():
     workloads = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text())
     argvs = [" ".join(argv) for spec in workloads.values() for argv in spec["reports"]]
-    return {*_HANDLERS, *argvs}
+    return {*_SUBCOMMANDS, *argvs}
 
 
 class TestOutputDigests:
@@ -594,6 +594,138 @@ class TestOutputDigests:
             code = main([*argv.split(), "--seed", "0"])
         data = b"\0".join([out.getvalue().encode(), err.getvalue().encode(), str(code).encode()])
         assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[argv]
+
+
+# SHA-256 of the --help text of ymvac and of each subcommand at COLUMNS=80
+# (argparse wraps help to the terminal width), and of each subcommand's flag
+# signature (name, action, type, default, choices and nargs of every flag, in
+# order).  Taken under Python 3.11, whose argparse layout later versions
+# change; a flag dropped, retyped or moved, a choice, a default or a help
+# line changes a digest.
+HELP_PYTHON = (3, 11)
+HELP_DIGESTS = {
+    "--help": "856f3f6af78693abcb5ac851d6585d7d32731695f4db75affd202d3881836617",
+    "profiles --help": "2f84335b5fc6c32659c5132a003e4d93ef383009f13bb1a8bc9bd4eaad7a8a69",
+    "check-bogomolnyi --help": "d724215013030ad8426c83d5b9b5c8a5a1f833a374d791eaaec51e96183236f3",
+    "check-gribov --help": "cf09d03d372c734906afb94381051131efaac16ff981b8f5654556411789dbd4",
+    "winding --help": "be60f7fa4e699a51c02edca1be2cb99ea1b6a5a61f643bd2ef35f9c0d0a1fee8",
+    "greens --help": "8debdc820069bf6cbdc25793fd65fb59c6c54ef16188c1030a8650dba11fa459",
+    "rotator --help": "97990128f3e698c397cceeec551dba674d42a581f77c1e29729da7885f76daa2",
+    "interference --help": "5c33e512b639ad2770aa1d268a890cba979085792a0761a743d31d3dbe6962a9",
+    "pheno --help": "6e965f33907c5c5c73153373e3a6dd2026d23e73e23a91751a3e7582a8c0ccd8",
+}
+FLAG_DIGESTS = {
+    "profiles": "99a51138124003e1f11993bed86f1731f1d10da02da943279eee9d4045444caa",
+    "check-bogomolnyi": "a41cedfa34bf42b17c1bd5f291de3dd98439779ca52ba9af483b26c4ff4c3fa1",
+    "check-gribov": "7607066e38186fcecf06e14ad303f2db94168c894cf1b4bb59f47396ff424daf",
+    "winding": "a5efde05bf86b968b7b24c6f55bbcac0213a9dd9d05088ab4994a3488486c024",
+    "greens": "cd2c7d6d01ca8fe52ffde4e79fdb460bb9ab97ff654c7cf431f3672635be0dfb",
+    "rotator": "3bebc2966b0a4c1cdedc77f5646ce568b3524061904a13ad09a30667983794ba",
+    "interference": "8d708b5447378efc88964acdf18dd2a8342822c774419f1c30ae6780dfeda26a",
+    "pheno": "56d875cc2f6488cacf32fcaa306f241825ad2547f70549f54883136a67b845bb",
+}
+
+
+_SAME_PYTHON = pytest.mark.skipif(sys.version_info[:2] != HELP_PYTHON,
+                                  reason=f"digests taken under Python {HELP_PYTHON}; argparse differs elsewhere")
+
+
+class TestHelpDigests:
+    """The CLI's surface: every flag's name, type, default, choices, help
+    text and position."""
+
+    def test_every_subcommand_has_a_digest(self):
+        assert set(HELP_DIGESTS) == {"--help", *(f"{sub} --help" for sub in _SUBCOMMANDS)}
+        assert list(FLAG_DIGESTS) == list(_SUBCOMMANDS)
+
+    @_SAME_PYTHON
+    @pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+    def test_help_digest(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv.split()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == HELP_DIGESTS[argv]
+
+    @_SAME_PYTHON
+    @pytest.mark.parametrize("sub", sorted(FLAG_DIGESTS))
+    def test_flag_signature_digest(self, sub):
+        # what --help does not print: each flag's action, type (None is a
+        # string) and default
+        parser = cli._build_parser()._subparsers._group_actions[0].choices[sub]
+        signature = repr([(a.option_strings, type(a).__name__, getattr(a.type, "__name__", "str"), a.default,
+                           a.choices, a.nargs) for a in parser._actions])
+        assert hashlib.sha256(signature.encode()).hexdigest() == FLAG_DIGESTS[sub]
+
+
+# the argv grammar: values that each kind of flag takes (ints and comma lists
+# stay at most one above their default count, so every run stays fast)
+_FLOATS = ("0", "-1", "1e-300", "1e-150", "1e150", "1e300", "inf", "nan", "x")
+
+
+def _values(flag, spec) -> list:
+    kw = spec if isinstance(spec, dict) else {"default": spec}
+    default = kw.get("default")
+    if "choices" in kw:
+        return [str(getattr(c, "value", c)) for c in kw["choices"]]
+    if flag == "--set":  # a valid item, an unknown key, a non-number and a non-finite value
+        return ["f_pi=0.1", "volume=1", "n_f=abc", "alpha_s=inf"]
+    if flag == "--constants":  # a missing path and an empty one
+        return ["missing-dir/constants.txt", ""]
+    if isinstance(default, str):  # a comma list: its default, empty, one value too many, a scalar repeated
+        count = default.count(",") + 1
+        return [default, "", default + ",1", *(",".join([x] * count) for x in _FLOATS)]
+    if isinstance(default, int):
+        return ["0", "-1", "1", str(default + 1), "x"]
+    return [repr(default)] * (default is not None) + list(_FLOATS)
+
+
+def _grammar_flags(sub) -> dict:
+    """{flag: its values} of a subcommand, --out and --output left out."""
+    _, _, tol, flags = _SUBCOMMANDS[sub]
+    own = {**(cli._TOL_FLAG if tol else {}), "--seed": 0, **flags}
+    return {flag: _values(flag, spec) for flag, spec in own.items()}
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    menu = _grammar_flags(sub)
+    flags = draw(st.permutations(sorted(menu)))[:draw(st.integers(1, 3))]
+    return [sub, *(f"{flag}={draw(st.sampled_from(menu[flag]))}" for flag in flags)]  # "=": a value may start with "-"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestArgvGrammar:
+    @settings(deadline=None, max_examples=100)
+    @given(argv=_argvs())
+    # each of these once printed a RuntimeWarning: an overflowing probe point
+    # (exit 0 on a vacuous check), a cube of g that underflows (a NaN winding,
+    # exit 3), a step below the profile's resolution (an inf residual, exit 3)
+    # and an r/eps past the float range
+    @example(argv=["interference", "--eps=1e300"])
+    @example(argv=["winding", "--g=1e-150"])
+    @example(argv=["check-bogomolnyi", "--inv-h-over-eps=1e150", "--r-hi-over-eps=0"])
+    @example(argv=["profiles", "--eps=1e-150", "--r-max=1e300"])
+    def test_exit_code_and_streams(self, argv):
+        # exit 0, 2 or 3; a validation error (2) writes one JSON line to
+        # stderr and nothing to stdout; otherwise strict JSON on stdout and
+        # nothing on stderr, or (3 only) one JSON line on stderr alone.  A
+        # stray RuntimeWarning is an error in this suite.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        if code == 2 or out == "":
+            assert code != 0 and out == "" and err.endswith("\n") and len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
+        else:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)
 
 
 # potential coefficients: any float, or a signed power of ten over the range

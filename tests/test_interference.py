@@ -1,5 +1,4 @@
 """Dressed factors, window averages and lattice loop shifts."""
-import functools
 import math
 
 import mpmath
@@ -14,11 +13,8 @@ from ymvac.errors import DomainError, SingularTermError, WindowError
 from ymvac.interference import (
     BASE_SPACING,
     GAMMA,
-    REGULATOR_MASS,
-    LoopAverage,
     EulerAngles,
     averaged_two_point,
-    color_ratio_check,
     color_shift_matrix,
     dirac_slash,
     dressed_factor_map,
@@ -29,6 +25,8 @@ from ymvac.interference import (
     window_integers,
 )
 from ymvac.topology import GribovFactorMap
+
+from oracles import mp_matrix, per_shift_loop_average, resolvent_window_sums
 
 ANG = EulerAngles(0.3, 1.1, -0.7)
 EPS = 1.0
@@ -204,53 +202,12 @@ def batched_window_average(p, L):
     return total / (L + 1), np.linalg.norm(inv, 1, axis=(-2, -1)).sum() / (L + 1)
 
 
-def _mp_matrix(a):
-    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in np.asarray(a)])
-
-
 def mpmath_inverse_sum(p, t, L):
     """(1/(L+1)) sum_n (p_slash + n t)^-1 with each term inverted by mpmath at 40 digits."""
     with mpmath.workdps(40):
-        ph, tm = _mp_matrix(np.kron(dirac_slash(p), ID2)), _mp_matrix(t)
+        ph, tm = mp_matrix(np.kron(dirac_slash(p), ID2)), mp_matrix(t)
         total = sum((mpmath.inverse(ph + int(n) * tm) for n in window_integers(L)), mpmath.zeros(8))
         return np.array((total / (L + 1)).tolist(), dtype=complex)
-
-
-@functools.lru_cache(maxsize=None)
-def resolvent_window_sums(p: tuple, windows: tuple = (100, 1000)) -> dict:
-    """{L: S_L} for the default shift t, at 40 digits (good to 30), from the float inputs as given.
-
-    With M = t^-1 p_slash, (p_slash + n t)^-1 = adj(n + M) t^-1 / det(n + M).
-    Faddeev-LeVerrier writes adj(n + M) = sum_k B_k n^(7-k) and
-    det(n + M) = sum_k c_k n^(8-k) exactly (no eigenvectors, so a defective M
-    is no obstacle), and the window needs only the scalar sums of
-    n^(7-k)/det(n + M).  No series and no truncation: a route independent of
-    the kernel's Neumann tail.
-    """
-    with mpmath.workdps(40):
-        ph = _mp_matrix(np.kron(dirac_slash(np.array(p)), ID2))
-        t_inv = mpmath.inverse(_mp_matrix(color_shift_matrix()))
-        a = -(t_inv * ph)  # det(n - a) and adj(n - a) with a = -M
-        b_k, c_k, ab = [], [mpmath.mpf(1)], mpmath.zeros(8)
-        for k in range(1, 9):
-            b_k.append(ab + c_k[-1] * mpmath.eye(8))
-            ab = a * b_k[-1]
-            c_k.append(-sum(ab[i, i] for i in range(8)) / k)
-        sums, out = [mpmath.mpc(0)] * 8, {}
-        for n in range(max(windows) // 2 + 1):
-            for m in {n, -n}:
-                det = c_k[0]
-                for c in c_k[1:]:
-                    det = det * m + c
-                term = 1 / det
-                for k in range(7, -1, -1):  # sums[k] += m^(7-k)/det
-                    sums[k] += term
-                    term *= m
-            for L in windows:
-                if L // 2 == n:
-                    total = sum((b_k[k] * sums[k] for k in range(8)), mpmath.zeros(8)) * t_inv
-                    out[L] = np.array((total / (L + 1)).tolist(), dtype=complex)
-        return out
 
 
 class TestMomentumGreenAverage:
@@ -393,23 +350,6 @@ class TestMomentumGreenAverage:
         assert np.abs(GAMMA[1] @ GAMMA[2] + GAMMA[2] @ GAMMA[1]).max() < 1e-15
 
 
-def per_shift_loop_average(q, cutoff, L):
-    """shifted_loop_average as it was written before the extended lattice:
-    one integrand evaluation per shift of the window."""
-    h = BASE_SPACING
-    n_side = int(round(2.0 * cutoff / h))
-    ax = (np.arange(n_side) - n_side / 2 + 0.5) * h
-    P1, P2 = np.meshgrid(ax, ax, indexing="ij")
-
-    def lattice_sum(shift_units):
-        return float(np.sum(loop_integrand(P1 + shift_units * h, P2, q, REGULATOR_MASS))) * h**2
-
-    unshifted = lattice_sum(0)
-    ns = window_integers(L)
-    averaged = math.fsum(lattice_sum(int(n)) for n in ns) / len(ns)
-    return LoopAverage(averaged, unshifted, averaged - unshifted)
-
-
 def expression_loop_integrand(p1, p2, q, mass):
     """loop_integrand as one expression, before its work arrays were updated
     in place (the reference of its bits)."""
@@ -476,17 +416,3 @@ class TestShiftedLoop:
     def test_matrix_oracle_structure_validation(self):
         with pytest.raises(DomainError):
             loop_integrand_matrix(0.4, -0.6, self.Q, "tensor", 0.1)
-
-
-class TestColorRatio:
-    def test_three_in_band(self):
-        r = color_ratio_check(3)
-        assert r.prediction == 3.0 and r.in_band
-
-    def test_out_of_band(self):
-        assert not color_ratio_check(2).in_band
-        assert not color_ratio_check(4).in_band
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            color_ratio_check(0)

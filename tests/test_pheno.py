@@ -28,6 +28,8 @@ from ymvac.pheno import (
     BETA_MOD,
 )
 
+from oracles import per_node_shell_sum
+
 UNIT = MonopoleScale(g=1.0, eps=1.0)
 
 
@@ -280,15 +282,6 @@ class TestNonFiniteConstants:
         path.write_text("alpha_s = inf\n")
         with pytest.raises(DomainError, match="alpha_s"):
             read_constants(path)
-
-
-def per_node_shell_sum(w, r, power, X, Y):
-    """_shell_sum as it was written before the inner products were batched:
-    one np.sum per node (the reference of its bits)."""
-    total = 0.0
-    for wi, ri, Xi, Yi in zip(w, r, X, Y):
-        total += wi * 4.0 * math.pi * ri**power * float(np.sum(Xi * Yi))
-    return total
 
 
 def _companion_shell_sums():

@@ -8,17 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ymvac.algebra import EPS3, ID2, TAU, cross, curl
+from ymvac.algebra import EPS3, ID2, TAU, curl
 from ymvac.bps_profiles import (
     ColorField,
     MonopoleScale,
     StencilConfig,
     build_fields,
-    covariant_derivative,
-    covariant_laplacian,
     f01_bps,
     f1_bps,
-    magnetic_tension,
 )
 from ymvac.errors import DomainError, ResolutionError, TruncationError
 from ymvac.interference import EulerAngles, _qmul, dressed_factor_map
@@ -39,6 +36,8 @@ from ymvac.topology import (
     _det3,
     _sphere_nodes,
 )
+
+from oracles import covariance_gaps, covariance_setup
 
 QUAD = QuadratureSpec(r_max=300.0, n_r=48, n_theta=24, n_phi=24)
 SCALE = MonopoleScale(g=1.3, eps=1.0)
@@ -148,6 +147,14 @@ class TestGribovFactor:
             GribovFactorMap(1, 1e-306).quaternion(np.array([[3e-307, 4e-307, 0.0]]))
         with pytest.raises(DomainError, match="underflows"):
             GribovFactorMap(1, 1e-306).quaternion(np.array([[3e-307, 4e-307, 0.0]]), derivs=False)
+
+    @pytest.mark.parametrize("point", [[0.0, 0.0, 1e302], [1e154, 1e154, 1e154], [-2e154, 0.0, 0.0]])
+    def test_overflowing_norm_refused(self, point):
+        # the squares overflow: the norm is inf, and so would be every x / r
+        # and its unit vector; refused with no warning (which this suite raises)
+        for derivs in (True, False):
+            with pytest.raises(DomainError, match="overflows in float64"):
+                GribovFactorMap(1).quaternion(np.array([point]), derivs=derivs)
 
     def test_extended_precision_kept(self):
         # a longdouble batch is sampled in longdouble: the tiny core's map at
@@ -524,6 +531,14 @@ class TestWindingFunctional:
             x = winding_functional(pure, QUAD, SCALE.g, tail_fraction=None)
             assert abs(x - map_degree(n, QUAD, check_resolution=False)) < 1e-9
 
+    @pytest.mark.parametrize("g", [1e-150, 2.8e-103])
+    def test_coupling_whose_cube_underflows_refused(self, g):
+        # g^3 underflows while det[A] ~ 1/g^3 overflows: the cubic term would
+        # be inf * 0; refused before any sample, naming g
+        gauge, _ = build_fields(MonopoleScale(g, 1.0), "BPS")
+        with pytest.raises(DomainError, match=f"coupling g {g}"):
+            winding_functional(gauge, QUAD, g)
+
     def test_tail_error_for_nondecaying(self):
         from ymvac.bps_profiles import ColorField
 
@@ -566,65 +581,6 @@ class TestGaugeTransform:
         x1 = winding_functional(transformed, QUAD, SCALE.g, tail_fraction=None)
         surf = surface_flux_term(gauge, fmap, SCALE.g, QUAD.r_max)
         assert abs(x1 - x0 - 1.0 - surf) < 1e-3
-
-
-def rotated(fmap, pts, a):
-    """R(q) a at the points pts: the adjoint rotation of v = q0 - i q.tau
-    on the colour axis (the first) of a, whose last axis runs over pts."""
-    q0, q, _, _ = fmap.quaternion(pts, derivs=False)
-    q = q.reshape(3, *[1] * (a.ndim - 2), -1)
-    t = 2.0 * cross(q, a)
-    return a + q0 * t + cross(q, t)
-
-
-def covariance_gaps(fmap, g, pts, h=5e-3, transform_g=None):
-    """{name: (gap, bound)}, each (N,) over the points, for the BPS pair
-    (eps = 1) and its transform A' = gauge_transform(A, v, transform_g or g),
-    phi' = R(q) phi at the step h (order 4).  For Q = B, D(phi) and the
-    covariant Laplacian the gap is max |Q[A', phi'] - R(q) Q[A, phi]| and the
-    bound twice the two pairs' own max |Q(h) - Q(h/2)| plus the rounding
-    floor 1024 eps S / h^d (S the largest entry of A' and phi', d the order
-    of the derivative: the nested Laplacian has met 70 eps S / h^2 where
-    a point's h and h/2 round alike); |B - D(phi)| and tr B^2 (Frobenius)
-    are compared with the bounds of B and D(phi) carried through."""
-    gauge, scalar = build_fields(MonopoleScale(g, 1.0), "BPS")
-    pair = (gauge, scalar)
-    moved = (gauge_transform(gauge, fmap, g if transform_g is None else transform_g),
-             ColorField(lambda p: rotated(fmap, p, scalar.sample_batch(p).T).T))
-    S = max(np.abs(f.sample(pts)).max() for f in moved)
-    stencil = StencilConfig(h, 4)
-    routes = {"B": (lambda a, phi, s: magnetic_tension(a, pts, s, g), 1),
-              "D": (lambda a, phi, s: covariant_derivative(a, phi, pts, s, g), 1),
-              "L": (lambda a, phi, s: covariant_laplacian(a, phi, pts, s, g), 2)}
-
-    def worst(x):  # the largest entry of each point's row
-        return np.abs(x).reshape(len(pts), -1).max(axis=1)
-
-    def frob(x):
-        return np.linalg.norm(x, axis=(1, 2))
-
-    out, at_h = {}, {}
-    for name, (route, d) in routes.items():
-        (q, q_half), (m, m_half) = ([route(*f, s) for s in (stencil, stencil.halved())] for f in (pair, moved))
-        at_h[name] = q, m
-        floor = 1024.0 * np.finfo(float).eps * S / h**d
-        out[name] = worst(m - rotated(fmap, pts, q.T).T), 2.0 * (worst(q - q_half) + worst(m - m_half)) + floor
-    (B, B_moved), (D, D_moved) = at_h["B"], at_h["D"]
-    # a Frobenius norm of nine entries is at most 3 times their largest
-    out["|B - D|"] = np.abs(frob(B_moved - D_moved) - frob(B - D)), 3.0 * (out["B"][1] + out["D"][1])
-    out["tr B^2"] = np.abs(frob(B_moved) ** 2 - frob(B) ** 2), 3.0 * out["B"][1] * (frob(B_moved) + frob(B))
-    return out
-
-
-def covariance_setup():
-    """v, g and points of the covariance figures that bench/kernels.py
-    records: n = 1, prefactor 0.37, Euler angles (1.0, 0.2, 0.5), g = 1.3
-    and 100 normal points of scale 3 outside r = 0.3."""
-    rng = np.random.default_rng(5)
-    pts = rng.normal(scale=3.0, size=(200, 3))
-    pts = pts[np.linalg.norm(pts, axis=1) > 0.3][:100]
-    fmap = GribovFactorMap(1, 1.0, prefactor=0.37, rotation=EulerAngles(1.0, 0.2, 0.5).adjoint_rotation())
-    return fmap, 1.3, pts
 
 
 class TestGaugeCovariance:
