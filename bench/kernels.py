@@ -399,13 +399,11 @@ def worker() -> dict:
     specs = {"48x24x24": default, "72x36x36": default.refined()}
     gauge, _ = bp.build_fields(bp.MonopoleScale(g=1.0, eps=1.0), "BPS")
     momentum = np.array(_parse_config(["interference"]).params["momentum"])
-    shift = (None,) * (itf.momentum_green_average.__code__.co_argcount - 2)  # a baseline's (p, t_matrix, L)
-
-    def average(L):
-        return itf.momentum_green_average(momentum, *shift, L)
+    # one level on both sides: a baseline whose map_degree still refines by default is told not to
+    one_level = {"check_resolution": False} if "check_resolution" in topo.map_degree.__code__.co_varnames else {}
 
     def norm(L):
-        return float(np.linalg.norm(average(L), 2))
+        return float(np.linalg.norm(itf.momentum_green_average(momentum, L), 2))
 
     fmap = topo.GribovFactorMap(1)
     shifted = topo.gauge_transform(gauge, fmap, 1.0)
@@ -423,9 +421,9 @@ def worker() -> dict:
     extra = {}  # second accuracy figures, by case
 
     for size, quad in specs.items():
-        times, deg = _timed(lambda: topo.map_degree(1, quad, check_resolution=False))
+        times, deg = _timed(lambda: topo.map_degree(1, quad, **one_level))
         cases[f"map_degree/{size}"] = (times, "degree_gap", abs(deg - 1.0))
-        times, degrees = _timed(lambda: topo.map_degree(SWEEP_N, quad, check_resolution=False))
+        times, degrees = _timed(lambda: topo.map_degree(SWEEP_N, quad, **one_level))
         cases[f"degree_sweep/{size}"] = (times, "largest_degree_gap",
                                          max(abs(d - n) for n, d in zip(SWEEP_N, degrees)))
         times, x = _timed(lambda: topo.winding_functional(gauge, quad, 1.0))
@@ -442,7 +440,7 @@ def worker() -> dict:
         times, value = _timed(lambda: surface(n_nodes))
         cases[f"surface_flux_term/{n_nodes}x{n_nodes}"] = (times, "closed_form_gap", abs(value - surface_exact))
     oracle = resolvent_window_sums(tuple(momentum), (1000,))[1000]
-    s_1000 = average(1000)
+    s_1000 = itf.momentum_green_average(momentum, 1000)
     mpmath_gap = float(np.linalg.norm(s_1000 - oracle, 2) / np.linalg.norm(oracle, 2))
     for L in (10000, 100000):
         times, value = _timed(lambda: norm(L))
@@ -462,7 +460,7 @@ def worker() -> dict:
     for inertia, L in ((1e-6, 60000), (1e-7, 10000)):  # rows (re, im) at theta = pi/2, pi by dN = 0, 0.3, 1
         rows = summed(rot, lambda: rot.path_green([rot.RotatorParams(inertia, th, 0.3, dn)
                                                     for th in (math.pi / 2, math.pi) for dn in (0.0, 0.3, 1.0)]))
-        h_k = summed(itf, lambda: average(L))
+        h_k = summed(itf, lambda: itf.momentum_green_average(momentum, L))
         for kind, group in (("theta_pi", rows[6::2]), ("cancelling", [rows[1], rows[7]]), ("H_k", h_k)):
             times, sums = _timed(lambda: algebra.exact_sums(group))
             name = f"exact_sums/{kind},{len(group)}x{group[0].size}"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bps_profiles as bp, greens, interference as itf, pheno, rotator, topology as topo
 from .algebra import norm
-from .errors import ConsistencyError, ConvergenceError, ResolutionError, TruncationError
+from .errors import ConsistencyError, ConvergenceError, TruncationError
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -62,10 +62,6 @@ class Report:
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, np.ndarray):
-        return v.tolist()
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -200,7 +196,7 @@ def _run_winding(cfg: RunConfig) -> Report:
     quad = topo.QuadratureSpec(r_max=p["r_max"], n_r=p["n_r"], n_theta=p["n_theta"], n_phi=p["n_phi"])
     tol = cfg.tol if cfg.tol is not None else 1e-3
     ns = [n for n in range(p["n_min"], p["n_max"] + 1) if n != 0]
-    degrees = dict(zip(ns, topo.map_degree(ns, quad, check_resolution=False)))
+    degrees = dict(zip(ns, topo.map_degree(ns, quad)))
     rows = [
         (n, 0.0, 0.0) if n == 0 else (n, float(degrees[n]), topo.map_degree_radial_oracle(n))
         for n in range(p["n_min"], p["n_max"] + 1)
@@ -317,10 +313,16 @@ def _run_rotator(cfg: RunConfig) -> Report:
 def _run_interference(cfg: RunConfig) -> Report:
     p = cfg.params
     eps = p["eps"]
+    probe = np.array([0.0, 0.0, 100.0 * eps])
+    with np.errstate(over="ignore"):
+        r_probe = float(norm(probe))
+    if eps > 0 and not 0.0 < r_probe < math.inf:  # eps <= 0 is the maps' own refusal
+        raise ValueError(f"--eps {eps} is out of range: the norm of the dressed-factor probe point {probe.tolist()} "
+                         f"(100 eps on the z axis) {'underflows to 0' if r_probe == 0.0 else 'overflows'} in float64")
     ang = itf.EulerAngles(*p["angles"])
     rows = []
     for n in (1, -1, 2, -2):
-        dev = float(itf.dressed_factor_map(n, ang, eps).distance_to_identity([0.0, 0.0, 100.0 * eps])[0])
+        dev = float(itf.dressed_factor_map(n, ang, eps).distance_to_identity(probe)[0])
         bound = 1.2 * (1.0 / 100.0) * 2.0 * math.pi * abs(n)
         rows.append((n, dev, bound))
     norms = {}
@@ -548,6 +550,8 @@ def _parse_config(argv) -> RunConfig:
         tol=d.pop("tol", None),
         constants=d.pop("constants", None),
     )
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {cfg.seed}")
     for key, val in d.items():
         if key in _LIST_FLAGS:
             val = _float_list(key, val)
@@ -566,7 +570,7 @@ def main(argv=None) -> int:
         rep = _SUBCOMMANDS[cfg.subcommand][1](cfg)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (ConsistencyError, ConvergenceError, ResolutionError, TruncationError) as exc:
+    except (ConsistencyError, ConvergenceError, TruncationError) as exc:
         _error("consistency", exc)
         return _EXIT_CONSISTENCY
     except (ValueError, OSError) as exc:

@@ -27,10 +27,6 @@ class SingularTermError(ValueError):
         super().__init__(message or f"singular matrix in average window at n={n}")
 
 
-class ResolutionError(RuntimeError):
-    """Two quadrature refinement levels disagree beyond tolerance."""
-
-
 class ConsistencyError(RuntimeError):
     """Closed form and independent numerical path disagree beyond tolerance."""
 

@@ -44,7 +44,7 @@ from .bps_profiles import (
     magnetic_tension,
     zero_mode_scalar,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .topology import _compactified_radial, _gauss_legendre
 
 __all__ = [
@@ -71,7 +71,6 @@ C_SCHWINGER = 2.0 * math.sqrt(math.pi)
 _MAGNETIC_R_MAX_OVER_EPS = 1e3  # upper end of the tension integral, in units of eps
 _MAGNETIC_NODES = 48
 _RADIAL_NODES = 64  # inertia and normalization integrals
-_CHECK_TOLERANCE = 0.05  # their ConsistencyError gate, relative to the closed form
 # (what, c, a, b) of each magnitude c g^a eps^b the companions form: |B| ~ 1/(g r^2)
 # and |D Phi0| ~ eps/(g r^2) squared at r = eps and at 1e4 eps (past every node),
 # the radial measure, the largest r^3 and the two closed forms the sums reach
@@ -207,9 +206,8 @@ def zero_mode_integrals(scale: MonopoleScale) -> tuple[float, float]:
     of D(Phi0) for the zero-mode scalar on the smooth background (64-node
     compactified radial Gauss-Legendre over all space): the inertia, the
     integral of |D Phi0|^2, and (g^2/8 pi^2) int D(Phi0).B d^3x, which equals
-    1 for any (g, eps).  Raises ConsistencyError when the inertia strays more
-    than 5% from the closed form, then when the normalization is off by more
-    than 5%."""
+    1 for any (g, eps).  Both are returned as computed: the pheno report
+    compares them with the closed form and with 1."""
     _check_range(scale)
     stencil = default_stencil(scale)
     gauge, _ = build_fields(scale, FieldVariant.BPS)
@@ -217,16 +215,8 @@ def zero_mode_integrals(scale: MonopoleScale) -> tuple[float, float]:
     x = np.outer(r, (0.0, 0.0, 1.0))
     D = covariant_derivative(gauge, zero_mode_scalar(scale), x, stencil, scale.g)
     inertia = _shell_sum(w, r, 2, D, D)
-    formula = rotary_momentum(scale)
-    if abs(inertia - formula) > _CHECK_TOLERANCE * formula:
-        raise ConsistencyError(
-            f"inertia quadrature {inertia} vs closed form {formula} beyond {_CHECK_TOLERANCE:.0%}"
-        )
     B = magnetic_tension(gauge, x, stencil, scale.g)
-    value = scale.g**2 / (8.0 * math.pi**2) * _shell_sum(w, r, 2, D, B)
-    if abs(value - 1.0) > _CHECK_TOLERANCE:
-        raise ConsistencyError(f"normalization integral {value} deviates from 1 beyond {_CHECK_TOLERANCE:.0%}")
-    return inertia, value
+    return inertia, scale.g**2 / (8.0 * math.pi**2) * _shell_sum(w, r, 2, D, B)
 
 
 def vacuum_hamiltonian(p_n: float, scale: MonopoleScale) -> float:
@@ -242,15 +232,12 @@ def vacuum_hamiltonian(p_n: float, scale: MonopoleScale) -> float:
 def schwinger_mass(e: float) -> float:
     """Pseudoscalar mass squared C_M^2/(I V) in the (1+1)d model; closes to
     e^2/pi for C_M = C_SCHWINGER = 2 sqrt(pi) and I = (2 pi/e)^2/V, in which
-    the volume V cancels.  A perturbed C_M trips the round-off-level equality
-    assertion.  An e for which e^2 or (2 pi/e)^2 leaves [1e-303, 1e303] is refused."""
+    the volume V cancels; the pheno report compares the value with e^2/pi.
+    An e for which e^2 or (2 pi/e)^2 leaves [1e-303, 1e303] is refused."""
     if not (math.isfinite(e) and e > 0 and max(abs(math.log(e)), abs(math.log(2.0 * math.pi / e))) <= _LOG_BOUND / 2):
         raise DomainError(f"coupling e must be positive and finite, with e^2 and (2 pi/e)^2 in [1e-303, 1e303], "
                           f"got {e}")
-    value = C_SCHWINGER**2 / (2.0 * math.pi / e) ** 2
-    if abs(value * math.pi / e**2 - 1.0) > 1e-12:
-        raise ConsistencyError(f"C_M^2/(I V) = {value} does not equal e^2/pi")
-    return value
+    return C_SCHWINGER**2 / (2.0 * math.pi / e) ** 2
 
 
 class EtaMassShift(NamedTuple):

@@ -65,7 +65,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .algebra import cross, norm
 from .bps_profiles import _BLOCK, ColorField, StencilConfig, _batch, d_f01_bps, f01_bps
-from .errors import DomainError, ResolutionError, TruncationError
+from .errors import DomainError, TruncationError
 
 __all__ = [
     "QuadratureSpec",
@@ -309,29 +309,17 @@ def _degree_integrals(ns, quad: QuadratureSpec, eps_ref: float) -> list[float]:
     return [float(12.0 * np.sum(wts * row) / (24.0 * np.pi**2)) for row in dens]
 
 
-def map_degree(
-    n,
-    quad: QuadratureSpec,
-    eps_ref: float = 1.0,
-    check_resolution: bool = True,
-):
-    """Degree of the map of v^(n) by 3D quadrature; integer n to tolerance.
+def map_degree(n, quad: QuadratureSpec, eps_ref: float = 1.0):
+    """Degree of the map of v^(n) by 3D quadrature on quad's one node set;
+    integer n to tolerance.  A second level is a second call on
+    quad.refined().
 
     n is one integer (a float is returned) or a sequence of them (an array
     of their degrees, each bit for bit the value of its own call): all n
-    share one pass over the nodes' radii, directions and f01.  Runs a refined
-    node set when check_resolution is on and raises ResolutionError if the
-    two levels disagree by more than 1e-2 for any n.
+    share one pass over the nodes' radii, directions and f01.
     """
     quad.check_reaches(eps_ref)
-    ns = [int(k) for k in np.atleast_1d(n)]
-    degrees = _degree_integrals(ns, quad, eps_ref)
-    if check_resolution:
-        fine = _degree_integrals(ns, quad.refined(), eps_ref)
-        for coarse, refined in zip(degrees, fine):
-            if abs(refined - coarse) > 1e-2:
-                raise ResolutionError(f"degree quadrature under-resolved: {coarse} vs {refined} after refinement")
-        degrees = fine
+    degrees = _degree_integrals([int(k) for k in np.atleast_1d(n)], quad, eps_ref)
     return degrees[0] if np.ndim(n) == 0 else np.array(degrees)
 
 

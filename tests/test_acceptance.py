@@ -80,7 +80,7 @@ def test_criterion_04_degree_quantization_and_shift():
     worst_int = 0.0
     worst_oracle = 0.0
     for n in range(-3, 4):
-        deg = topo.map_degree(n, quad, check_resolution=False)
+        deg = topo.map_degree(n, quad)
         oracle = topo.map_degree_radial_oracle(n)
         worst_int = max(worst_int, abs(deg - n))
         worst_oracle = max(worst_oracle, abs(deg - oracle))

@@ -351,6 +351,28 @@ class TestPhenoMagneticCheck:
         assert checks["magnetic-energy-quadrature"]["tolerance"] == 1e-3
 
 
+class TestPhenoGapsJudgedInReport:
+    """The pheno companions and the Schwinger mass return their values; a
+    route perturbed past its tolerance fails its check in the whole payload."""
+
+    @pytest.mark.parametrize("name, factor, check", [
+        ("rotary_momentum", 1.1, "inertia-quadrature-vs-closed-form"),
+        ("magnetic_tension", 1.1, "normalization-integral-unity"),
+        ("C_SCHWINGER", 1.001, "schwinger-mass-identity"),
+    ])
+    def test_perturbed_route_fails_its_check(self, capsys, monkeypatch, name, factor, check):
+        default = json.loads(run(capsys, "pheno")[1])
+        value = getattr(pheno, name)
+        monkeypatch.setattr(pheno, name, (lambda *a: factor * value(*a)) if callable(value) else factor * value)
+        code = main(["pheno"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        payload = json.loads(captured.out)
+        assert set(payload["results"]) == set(default["results"])
+        passed = {c["name"]: c["passed"] for c in payload["checks"]}
+        assert list(passed) == [c["name"] for c in default["checks"]] and not passed[check]
+
+
 class TestDressedRatio:
     def test_value_is_the_worst_ratio_of_its_table(self):
         rep = _SUBCOMMANDS["interference"][1](_parse_config(["interference"]))
@@ -358,6 +380,17 @@ class TestDressedRatio:
         rows = rep.results["dressed_asymptotics"]["rows"]
         assert check["value"] == max(dev / bound for _, dev, bound in rows)
         assert check["value"] < check["tolerance"] == 1.0 and check["passed"]
+
+    @pytest.mark.parametrize("eps, fate", [("1e-300", "underflows to 0"), ("2e152", "overflows")])
+    def test_probe_point_out_of_range_names_eps(self, capsys, eps, fate):
+        # the probe point (0, 0, 100 eps) is refused before any map is built
+        code, out, err = validation_error(capsys, "interference", "--eps", eps)
+        assert code == 2 and out == ""
+        assert err["message"].startswith(f"--eps {float(eps)} is out of range")
+        assert "probe point" in err["message"] and fate in err["message"]
+
+    def test_probe_point_in_range_runs(self, capsys):
+        assert run(capsys, "interference", "--eps", "1e-156")[0] == 0
 
 
 class TestFlagValidation:
@@ -381,6 +414,12 @@ class TestFlagValidation:
         code, out, err = validation_error(capsys, *argv)
         assert code == 2 and out == ""
         assert err["error"] == "validation" and flag in err["message"]
+
+    @pytest.mark.parametrize("sub", sorted(_SUBCOMMANDS))
+    def test_negative_seed_names_flag(self, capsys, sub):
+        code, out, err = validation_error(capsys, sub, "--seed=-1")
+        assert code == 2 and out == ""
+        assert err == {"error": "validation", "message": "--seed must be non-negative, got -1"}
 
     def test_non_numeric_set_names_key(self, capsys):
         code, out, err = validation_error(capsys, "pheno", "--set", "n_f=abc")

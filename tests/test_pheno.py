@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from ymvac import pheno
 from ymvac.bps_profiles import MonopoleScale
-from ymvac.errors import ConsistencyError, DomainError
+from ymvac.errors import DomainError
 from ymvac.pheno import (
     PhenoInputs,
     alpha_mod_zero,
@@ -126,11 +126,6 @@ class TestSchwinger:
 
     def test_coupling_scaling(self):
         assert schwinger_mass(2.0) == pytest.approx(4.0 / math.pi, rel=1e-14)
-
-    def test_perturbed_constant_fails(self, monkeypatch):
-        monkeypatch.setattr(pheno, "C_SCHWINGER", pheno.C_SCHWINGER * 1.001)
-        with pytest.raises(ConsistencyError):
-            schwinger_mass(1.0)
 
     def test_non_finite_coupling_rejected(self):
         for e in (math.inf, -math.inf, math.nan):

@@ -17,7 +17,7 @@ from ymvac.bps_profiles import (
     f01_bps,
     f1_bps,
 )
-from ymvac.errors import DomainError, ResolutionError, TruncationError
+from ymvac.errors import DomainError, TruncationError
 from ymvac.interference import EulerAngles, _qmul, dressed_factor_map
 from ymvac.topology import (
     GribovFactorMap,
@@ -198,30 +198,37 @@ class TestGribovFactor:
 class TestMapDegree:
     def test_integer_quantization(self):
         for n in (-3, -1, 1, 2, 3):
-            assert abs(map_degree(n, QUAD, check_resolution=False) - n) < 1e-3
+            assert abs(map_degree(n, QUAD) - n) < 1e-3
 
     def test_zero_winding(self):
-        assert abs(map_degree(0, QUAD, check_resolution=False)) < 1e-12
+        assert abs(map_degree(0, QUAD)) < 1e-12
 
     def test_radial_oracle_agreement(self):
         for n in (-2, 1, 3):
-            d = map_degree(n, QUAD, check_resolution=False)
+            d = map_degree(n, QUAD)
             assert abs(d - map_degree_radial_oracle(n)) < 1e-4
 
     def test_resolution_check_passes_at_default_nodes(self):
-        assert abs(map_degree(1, QUAD) - 1.0) < 1e-3
+        # the default nodes and their refinement agree, and each level is near 1
+        coarse, fine = map_degree(1, QUAD), map_degree(1, QUAD.refined())
+        assert abs(coarse - fine) < 1e-2
+        assert abs(coarse - 1.0) < 1e-3 and abs(fine - 1.0) < 1e-3
 
-    def test_under_resolution_raises(self):
-        # 16 nodes per axis resolve n = 3 but not the faster phase winding of n = 5
+    def test_refinement_gap_exposes_under_resolution(self):
+        # 16 nodes per axis resolve n = 1 and 3 but not the faster phase
+        # winding of n = 5: only there do the two levels differ by 1e-2, in a
+        # batch as in its own call
         coarse = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
-        assert abs(map_degree(3, coarse) - 3) < 1e-2
-        with pytest.raises(ResolutionError):
-            map_degree(5, coarse)
+        ns = [1, 5, 3]
+        gaps = np.abs(map_degree(ns, coarse) - map_degree(ns, coarse.refined()))
+        alone = [abs(map_degree(n, coarse) - map_degree(n, coarse.refined())) for n in ns]
+        for gap in (gaps, alone):
+            assert gap[0] < 1e-2 and gap[1] > 1e-2 and gap[2] < 1e-2
 
     def test_refinement_improves(self):
         fine = QuadratureSpec(r_max=300.0, n_r=72, n_theta=36, n_phi=36)
-        e_coarse = abs(map_degree(2, QUAD, check_resolution=False) - 2)
-        e_fine = abs(map_degree(2, fine, check_resolution=False) - 2)
+        e_coarse = abs(map_degree(2, QUAD) - 2)
+        e_fine = abs(map_degree(2, fine) - 2)
         assert e_fine < e_coarse
 
     def test_cli_default_spec_values_pinned(self):
@@ -235,16 +242,15 @@ class TestMapDegree:
             2: 1.9999980506195159,
         }
         for n, value in pinned.items():
-            assert map_degree(n, quad, check_resolution=False) == value
+            assert map_degree(n, quad) == value
 
-    @pytest.mark.parametrize("check_resolution", [False, True])
-    def test_batch_matches_single_calls(self, check_resolution):
+    def test_batch_matches_single_calls(self):
         # one pass over the nodes for every n gives each n the bits of its own
         # call, n = 0 (-0.0) included
         ns = (-2, -1, 0, 1, 2)
-        batch = map_degree(ns, QUAD, check_resolution=check_resolution)
+        batch = map_degree(ns, QUAD)
         assert isinstance(batch, np.ndarray) and batch.shape == (len(ns),)
-        singles = [map_degree(n, QUAD, check_resolution=check_resolution) for n in ns]
+        singles = [map_degree(n, QUAD) for n in ns]
         assert all(isinstance(x, float) for x in singles)
         assert [x.hex() for x in batch.tolist()] == [x.hex() for x in singles]
 
@@ -253,8 +259,8 @@ class TestMapDegree:
                              ids=["symmetric", "asymmetric", "one-signed", "duplicates"])
     def test_shared_pairs_match_single_calls(self, quad, ns):
         # n and -n share one step per block: each keeps the bits of its own call
-        batch = map_degree(ns, quad, check_resolution=False)
-        assert [x.hex() for x in batch.tolist()] == [map_degree(n, quad, check_resolution=False).hex() for n in ns]
+        batch = map_degree(ns, quad)
+        assert [x.hex() for x in batch.tolist()] == [map_degree(n, quad).hex() for n in ns]
 
     @pytest.mark.parametrize("ns", [(-2, -1, 1, 2), (-1, 0, 1, 2, 3), (-4, -3, -2, -1), (1, -1, 1)])
     def test_one_step_per_size_per_block(self, monkeypatch, ns):
@@ -266,20 +272,9 @@ class TestMapDegree:
             return step(fmap, frame)
 
         monkeypatch.setattr(GribovFactorMap, "_step", counted)
-        map_degree(ns, QUAD, check_resolution=False)
+        map_degree(ns, QUAD)
         blocks = -(-QUAD.n_r * QUAD.n_theta * QUAD.n_phi // _BLOCK)
         assert sizes == list(dict.fromkeys(abs(n) for n in ns)) * blocks
-
-    def test_batch_resolution_error_for_one_n(self):
-        # the refined spec is compared for every n: n = 5 fails inside a batch
-        # with the message of its own call
-        coarse = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
-        assert np.abs(map_degree([1, 3], coarse) - [1, 3]).max() < 1e-2
-        with pytest.raises(ResolutionError) as single:
-            map_degree(5, coarse)
-        with pytest.raises(ResolutionError) as batch:
-            map_degree([1, 5, 3], coarse)
-        assert str(batch.value) == str(single.value)
 
     def test_empty_batch(self):
         assert map_degree([], QUAD).shape == (0,)
@@ -491,7 +486,7 @@ class TestBlocks:
     @example(SUB_BLOCK, -1, 1.0)
     @example(QUAD, 1, 1.0)
     def test_degree_matches_unblocked(self, quad, n, eps):
-        got = map_degree(n, quad, eps_ref=eps, check_resolution=False)
+        got = map_degree(n, quad, eps_ref=eps)
         assert got.hex() == unblocked_degree(GribovFactorMap(n, eps_ref=eps), quad).hex()
 
     @settings(deadline=None, max_examples=15)
@@ -529,7 +524,7 @@ class TestWindingFunctional:
         for n in (1, 2, 3):
             pure = gauge_transform(zero, GribovFactorMap(n), SCALE.g)
             x = winding_functional(pure, QUAD, SCALE.g, tail_fraction=None)
-            assert abs(x - map_degree(n, QUAD, check_resolution=False)) < 1e-9
+            assert abs(x - map_degree(n, QUAD)) < 1e-9
 
     @pytest.mark.parametrize("g", [1e-150, 2.8e-103])
     def test_coupling_whose_cube_underflows_refused(self, g):
