@@ -214,16 +214,25 @@ class TestMapDegree:
         assert abs(coarse - fine) < 1e-2
         assert abs(coarse - 1.0) < 1e-3 and abs(fine - 1.0) < 1e-3
 
-    def test_refinement_gap_exposes_under_resolution(self):
-        # 16 nodes per axis resolve n = 1 and 3 but not the faster phase
-        # winding of n = 5: only there do the two levels differ by 1e-2, in a
-        # batch as in its own call
+    def test_under_resolution_raises(self):
+        # 16 nodes per axis resolve n = 3 but not the faster phase winding of
+        # n = 5: the gap to the refined level, which a caller judges now that
+        # map_degree no longer raises on it, exceeds 1e-2 only for n = 5
         coarse = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
+        assert abs(map_degree(3, coarse) - 3) < 1e-2
+        assert abs(map_degree(3, coarse) - map_degree(3, coarse.refined())) < 1e-2
+        assert abs(map_degree(5, coarse) - map_degree(5, coarse.refined())) > 1e-2
+
+    def test_batch_resolution_error_for_one_n(self):
+        # in a batch each n's refinement gap has the bits of its own call:
+        # n = 5 alone is under-resolved, 1 and 3 stay within 1e-2
+        coarse = QuadratureSpec(r_max=300.0, n_r=16, n_theta=16, n_phi=16)
+        assert np.abs(map_degree([1, 3], coarse) - [1, 3]).max() < 1e-2
         ns = [1, 5, 3]
-        gaps = np.abs(map_degree(ns, coarse) - map_degree(ns, coarse.refined()))
-        alone = [abs(map_degree(n, coarse) - map_degree(n, coarse.refined())) for n in ns]
-        for gap in (gaps, alone):
-            assert gap[0] < 1e-2 and gap[1] > 1e-2 and gap[2] < 1e-2
+        gaps = map_degree(ns, coarse) - map_degree(ns, coarse.refined())
+        alone = [map_degree(n, coarse) - map_degree(n, coarse.refined()) for n in ns]
+        assert [x.hex() for x in gaps.tolist()] == [x.hex() for x in alone]
+        assert abs(gaps[0]) < 1e-2 and abs(gaps[1]) > 1e-2 and abs(gaps[2]) < 1e-2
 
     def test_refinement_improves(self):
         fine = QuadratureSpec(r_max=300.0, n_r=72, n_theta=36, n_phi=36)
